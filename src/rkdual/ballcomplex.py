@@ -18,11 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Matrix, homology
-from .rkcore import RKComplex, RKMap, delta_chain, dual_star, epsilon
+from .rkcore import (RKComplex, RKMap, delta_chain, dual_star, epsilon,
+                     simplex_generator)
 from .duality import Dualizer, tensor_k, tensor_map_left
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
-                         barycentric_subdivision, incidence_canonical,
-                         simplex_name)
+                         barycentric_subdivision, chain_complex,
+                         incidence_canonical, simplex_name)
+
+
+def cell_name(T, sigma) -> str:
+    """Display name of the dual cell of sigma inside T."""
+    return f"({simplex_name(T)}|{simplex_name(sigma)})"
 
 
 def dual_cone(sigma, derived: DerivedComplex):
@@ -62,7 +68,7 @@ class DualCell:
 
     @property
     def name(self):
-        return f"({simplex_name(self.T)}|{simplex_name(self.sigma)})"
+        return cell_name(self.T, self.sigma)
 
 
 class BallComplex:
@@ -216,10 +222,7 @@ class CellularComplex:
     rk: RKComplex
     ball: BallComplex
     orientation: OrientationPair
-    cells: dict = field(default_factory=dict)   # generator name -> (T, sigma)
-
-    def cell_of(self, gen_name):
-        return self.cells[gen_name]
+    cells: dict = field(default_factory=dict)   # generator -> (T, sigma)
 
 
 def cellular_chain_complex(ks: KSpace, ring, orientation: OrientationPair,
@@ -243,7 +246,7 @@ def cellular_chain_complex(ks: KSpace, ring, orientation: OrientationPair,
             _, gl, gr = g.data
             T = gl.data[1]
             sigma = gr.data[1].data[1]
-            cells[g.name] = (T, sigma)
+            cells[g] = (T, sigma)
             if (T, sigma) not in ball.cells:
                 raise InputError(f"generator {g.name} is not a cell")
     cx = CellularComplex(rk, ball, orientation, cells)
@@ -263,48 +266,46 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
     failures = []
     for q in rk.degrees():
         gens_lo = rk.gens_at(q - 1)
-        pos = rk._index.get(q - 1, {})
         for j, g in enumerate(rk.gens_at(q)):
-            T, sigma = cx.cells[g.name]
+            T, sigma = cx.cells[g]
             expect = {}
             for i, S in ks.X.facets(T):
                 if not rk.leq(sigma, ks.pi.image(S)):
                     continue
                 coeff = bx[T] * bx[S] * (-1 if i % 2 else 1)
-                name = f"<{simplex_name(S)}>⊗<{simplex_name(sigma)}>*"
-                expect[name] = expect.get(name, 0) + coeff
+                expect[S, sigma] = expect.get((S, sigma), 0) + coeff
             sign_inner = (-1) ** ((1 + len(T) - len(sigma)) % 2)
             for rho in ks.K.star(sigma):
                 if len(rho) != len(sigma) + 1 or not rk.leq(rho, ks.pi.image(T)):
                     continue
                 coeff = (sign_inner * bk[rho] * bk[sigma]
                          * incidence_canonical(rho, sigma))
-                name = f"<{simplex_name(T)}>⊗<{simplex_name(rho)}>*"
-                expect[name] = expect.get(name, 0) + coeff
-            expect = {n: c for n, c in expect.items() if c}
-            got = {gens_lo[i].name: v for (i, jj), v in rk.d(q).entries() if jj == j}
-            want = {n: ring.coerce(c) for n, c in expect.items()}
+                expect[T, rho] = expect.get((T, rho), 0) + coeff
+            want = {cell: ring.coerce(c) for cell, c in expect.items() if c}
+            got = {cx.cells[gens_lo[i]]: v for i, v in rk.d(q).column(j)}
             if got != want:
                 failures.append(f"boundary display fails at {g.name}")
-            for name, v in got.items():
+            for (TT, ss), v in got.items():
                 if not ring.is_unit(v):
                     failures.append(f"non-unit boundary coefficient at {g.name}")
-                TT, ss = cx.cells[name]
                 if (len(TT) - len(ss)) != (len(T) - len(sigma)) - 1:
                     failures.append(f"boundary of {g.name} hits a non-facet cell")
     return failures
 
 
+def same_homology(got, want) -> bool:
+    """Equal groups in every degree where either side is nontrivial; a
+    degree missing on one side is the zero group there."""
+    degrees = set(q for q, h in got.items() if not h.is_trivial())
+    degrees |= set(q for q, h in want.items() if not h.is_trivial())
+    return all(got.get(q) == want.get(q) for q in degrees)
+
+
 def verify_cellular_homology(ks: KSpace, cx: CellularComplex):
     """Homology of the assembled cellular complex equals homology of X."""
-    from .simplicial import chain_complex
-    ring = cx.rk.ring
     cell_h = homology(cx.rk.underlying())
-    simp_h = homology(chain_complex(ks.X, ring))
-    degrees = set(q for q, h in cell_h.items() if not h.is_trivial())
-    degrees |= set(q for q, h in simp_h.items() if not h.is_trivial())
-    return all(cell_h.get(q, simp_h.get(q)) == simp_h.get(q, cell_h.get(q))
-               for q in degrees), cell_h, simp_h
+    simp_h = homology(chain_complex(ks.X, cx.rk.ring))
+    return same_homology(cell_h, simp_h), cell_h, simp_h
 
 
 @dataclass
@@ -351,7 +352,8 @@ def induced_chain_map(fmap: KSpaceMap, ring, or_src: OrientationPair,
                 continue
             image, s = out
             coeff = or_src.bx[S] * s * or_tgt.bx[image]
-            data[(dx_tgt.index_of(q, f"<{simplex_name(image)}>"), j)] = coeff
+            i = dx_tgt.index_of(q, simplex_generator(image, fmap.tgt.label(image)))
+            data[(i, j)] = coeff
         comps[q] = Matrix(ring, dx_tgt.rank(q), dx_src.rank(q), data)
     return RKMap(dx_src, dx_tgt, comps)
 

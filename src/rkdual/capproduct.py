@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Matrix, smith_normal_form
-from .rkcore import RKMap, delta_complexes
+from .rkcore import RKMap, delta_complexes, simplex_generator
 from .duality import Dualizer, projection_map, tensor_r
 from .simplicial import (DerivedComplex, InputError, KSpace,
                          barycentric_subdivision, incidence_canonical,
@@ -266,14 +266,13 @@ def fundamental_cycle_map(ks: KSpace, ring, orientation: OrientationPair,
     for q in cellular.rk.degrees():
         data = {}
         for j, g in enumerate(cellular.rk.gens_at(q)):
-            T, rho = cellular.cells[g.name]
+            T, rho = cellular.cells[g]
             overall = -1 if (len(rho) - 1) % 2 else 1
             for flag in _top_flags(ks, T, rho):
                 bottom = flag[-1]
                 _, parity = ks.pi.chain_image(bottom)
                 coeff = overall * flag_sign(flag, bx[T], bk[rho] * parity)
-                name = "<" + simplex_name(flag) + ">"
-                data[(dxp.index_of(q, name), j)] = coeff
+                data[(dxp.index_of(q, simplex_generator(flag, rho)), j)] = coeff
         comps[q] = Matrix(ring, dxp.rank(q), cellular.rk.rank(q), data)
     cmap = RKMap(cellular.rk, dxp, comps)
     cmap.validate()
@@ -305,8 +304,7 @@ def verify_cap_factorization(ks: KSpace, ring, data: CellChainData) -> bool:
                     continue
                 pullback = bk[rho] * bx[S] * out[1]
                 for flag, c in cap_product(ks.X, derived_x, T, S, bx).items():
-                    name = "<" + simplex_name(flag) + ">"
-                    key = (dxp.index_of(q, name), j)
+                    key = (dxp.index_of(q, simplex_generator(flag, rho)), j)
                     dmat[key] = dmat.get(key, ring.zero) + ring.coerce(pullback * c)
         comps[q] = Matrix(ring, dxp.rank(q), full.rank(q), dmat)
     lhs = RKMap(full, dxp, comps)
@@ -333,20 +331,17 @@ def verify_fundamental_cycles(ks: KSpace, data: CellChainData,
         mat = data.map.component(q)
         bmat = dxp.d(q) * mat
         for j, g in enumerate(rk.gens_at(q)):
-            T, rho = data.cellular.cells[g.name]
+            T, rho = data.cellular.cells[g]
             cell = ball.cell(T, rho)
             tops = set(c for c in cell.simplices if len(c) - 1 == cell.dim)
-            support = {}
-            for (i, jj), v in mat.entries():
-                if jj == j:
-                    support[dxp.gens_at(q)[i].data[1]] = v
+            support = {dxp.gens_at(q)[i].data[1]: v for i, v in mat.column(j)}
             ok = set(support) == tops and all(ring.is_unit(v)
                                               for v in support.values())
             boundary_flags = set(cell.inner_boundary) | set(cell.outer_boundary)
-            for (i, jj), v in bmat.entries():
-                if jj == j and dxp.gens_at(q - 1)[i].data[1] not in boundary_flags:
+            for i, _ in bmat.column(j):
+                if dxp.gens_at(q - 1)[i].data[1] not in boundary_flags:
                     ok = False
-            verdicts[cell.name] = ok
+            verdicts[T, rho] = ok
     return FundamentalCycleReport(verdicts, all(verdicts.values()))
 
 

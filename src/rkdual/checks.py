@@ -10,6 +10,7 @@ a run reports every broken property at once.  Malformed input raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rings import Ring
 from .linalg import ChainComplexError, homology
@@ -20,9 +21,10 @@ from .rkcore import (RKMap, check_lemma_clem, delta_complexes, dual_star_map,
                      is_full, maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map,
                       verify_e_equivalence)
-from .ballcomplex import (BallComplex, OrientationPair, cellular_chain_complex,
-                          cellular_iso, induced_cell_map, induced_chain_map,
-                          verify_boundary_display, verify_cellular_homology)
+from .ballcomplex import (BallComplex, OrientationPair, cell_name,
+                          cellular_chain_complex, cellular_iso,
+                          induced_cell_map, induced_chain_map, same_homology,
+                          verify_boundary_display)
 from .capproduct import (fundamental_cycle_map, is_monomorphism,
                           verify_cap_chain_map, verify_cap_factorization,
                           verify_equivalences, verify_fundamental_cycles)
@@ -74,9 +76,26 @@ def parse_document(payload: dict) -> Document:
         for name in sorted(complexes):
             cx = complexes[name]
             kspaces.append((name, control_kspace(cx)))
-    ring = Ring.parse(payload.get("ring", "Z"))
-    checks = list(payload.get("checks", []))
-    return Document(complexes, kspaces, ring, checks)
+    ring = parse_ring(payload.get("ring", "Z"))
+    checks = payload.get("checks", [])
+    if not isinstance(checks, list):
+        raise InputError(f"'checks' must be a list of check groups, got {checks!r}")
+    known = ["all"] + [group for group, _ in CHECK_GROUPS]
+    for name in checks:
+        if name not in known:
+            raise InputError(f"unknown check group {name!r}; expected one of "
+                             + ", ".join(known))
+    return Document(complexes, kspaces, ring, list(checks))
+
+
+def parse_ring(value) -> Ring:
+    """The coefficient ring named by a document or the command line."""
+    if not isinstance(value, str):
+        raise InputError(f"ring must be 'Z', 'Q' or 'Z/p', got {value!r}")
+    try:
+        return Ring.parse(value)
+    except ValueError as exc:
+        raise InputError(f"bad ring {value!r}: {exc}") from None
 
 
 def _guard(report: Report, name: str, target: str, fn):
@@ -121,7 +140,7 @@ class KSpaceData:
         iso = cellular_iso(ks, ring, orientation, cellular)
         cell_data = fundamental_cycle_map(ks, ring, orientation, cellular,
                                           deltas)
-        tc = dualizer.object(deltas.dstar_x).tc
+        tc = dualizer.object(deltas.dstar_x)
         t2 = dualizer.square(deltas.dstar_x)
         return cls(ks, ring, orientation, deltas, dualizer, ball, cellular,
                    iso, cell_data, tc, t2)
@@ -135,6 +154,11 @@ class KSpaceData:
             "dual": self.tc,
             "double-dual": self.t2,
         }
+
+    @cached_property
+    def x_homology(self):
+        """Homology of X, the reference for the cellular and dual checks."""
+        return homology(chain_complex(self.ks.X, self.ring))
 
 
 def check_soundness(report: Report, target: str, data: KSpaceData):
@@ -161,35 +185,26 @@ def check_derived(report: Report, target: str, data: KSpaceData):
 
 def check_assembly(report: Report, target: str, data: KSpaceData):
     """Stars and their complements are full, and splice exactly."""
-    ks, ring = data.ks, data.ring
+    ks = data.ks
     dx = data.deltas.dx
 
     def body():
-        from .linalg import ChainMap, Matrix
+        from .linalg import ChainMap
         all_simplices = set(ks.K.all_simplices())
+        total = dx.underlying()
         for sigma in ks.K.all_simplices():
             star = set(ks.K.star(sigma))
             rest = all_simplices - star
             if not is_full(ks.K, star) or (rest and not is_full(ks.K, rest)):
                 return False, {"label": simplex_name(sigma)}
             sub = dx.restrict(rest) if rest else None
-            total = dx.underlying()
             quo = dx.restrict(star)
             if sub is not None:
                 if sub.total_rank() + quo.total_rank() != total.total_rank():
                     return False, {"label": simplex_name(sigma)}
                 # inclusion and projection are chain maps
-                inc, prj = {}, {}
-                for q in total.degrees():
-                    keep = [i for i, g in enumerate(dx.gens_at(q))
-                            if g.label in rest]
-                    drop = [i for i, g in enumerate(dx.gens_at(q))
-                            if g.label in star]
-                    inc[q] = Matrix(ring, total.rank(q), len(keep),
-                                    {(i, a): ring.one for a, i in enumerate(keep)})
-                    prj[q] = Matrix(ring, len(drop), total.rank(q),
-                                    {(a, i): ring.one for a, i in enumerate(drop)})
-                ChainMap(sub, total, inc).validate()
+                prj = {q: m.transpose() for q, m in dx.inclusion(star).items()}
+                ChainMap(sub, total, dx.inclusion(rest)).validate()
                 ChainMap(total, quo, prj).validate()
         return True, {}
     _guard(report, "assembly/star-splitting", target, body)
@@ -290,11 +305,24 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         _guard(report, f"double-dual/equivalence/{key}", target, equiv_body)
 
 
+def _ball_structure(data: KSpaceData):
+    failures = data.ball.check()
+    return not failures, ({"failures": failures[:5]} if failures else {})
+
+
+def _identification(data: KSpaceData):
+    data.iso.map.validate()
+    return data.iso.map.is_bijection_on_bases(), {}
+
+
+def _homology_of_x(data: KSpaceData, cx):
+    got = homology(cx.underlying())
+    return (same_homology(got, data.x_homology),
+            {"homology": homology_table(got, data.ring)})
+
+
 def check_cells(report: Report, target: str, data: KSpaceData):
-    def ball_body():
-        failures = data.ball.check()
-        return not failures, ({"failures": failures[:5]} if failures else {})
-    _guard(report, "cells/ball-structure", target, ball_body)
+    _guard(report, "cells/ball-structure", target, lambda: _ball_structure(data))
 
     def cones_body():
         from .ballcomplex import dual_cell, dual_cone
@@ -324,24 +352,12 @@ def check_cells(report: Report, target: str, data: KSpaceData):
         return not failures, ({"failures": failures[:5]} if failures else {})
     _guard(report, "cells/boundary-display", target, display_body)
 
-    def homology_body():
-        ok, cell_h, _ = verify_cellular_homology(data.ks, data.cellular)
-        return ok, {"homology": homology_table(cell_h, data.ring)}
-    _guard(report, "cells/homology", target, homology_body)
-
-    def iso_body():
-        data.iso.map.validate()
-        return data.iso.map.is_bijection_on_bases(), {}
-    _guard(report, "cells/identification-isomorphism", target, iso_body)
-
-    def dual_h_body():
-        got = homology(data.tc.underlying())
-        want = homology(chain_complex(data.ks.X, data.ring))
-        keys = set(q for q, h in got.items() if not h.is_trivial())
-        keys |= set(q for q, h in want.items() if not h.is_trivial())
-        ok = all(got.get(q) == want.get(q) for q in keys)
-        return ok, {"homology": homology_table(got, data.ring)}
-    _guard(report, "cells/dual-homology", target, dual_h_body)
+    _guard(report, "cells/homology", target,
+           lambda: _homology_of_x(data, data.cellular.rk))
+    _guard(report, "cells/identification-isomorphism", target,
+           lambda: _identification(data))
+    _guard(report, "cells/dual-homology", target,
+           lambda: _homology_of_x(data, data.tc))
 
 
 def check_cap(report: Report, target: str, data: KSpaceData):
@@ -362,7 +378,8 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
     def cycles_body():
         rep = verify_fundamental_cycles(data.ks, data.cell_data, data.ball)
-        bad = sorted(k for k, ok in rep.verdicts.items() if not ok)
+        bad = sorted(cell_name(*cell) for cell, ok in rep.verdicts.items()
+                     if not ok)
         return rep.passed, ({"failures": bad[:5]} if bad else {})
     _guard(report, "cap/fundamental-cycles", target, cycles_body)
 
@@ -429,16 +446,9 @@ def quick_sweep_kspace(report: Report, name: str, ks: KSpace, ring: Ring):
     data = KSpaceData.build(ks, ring)
     check_soundness(report, name, data)
     check_derived(report, name, data)
-
-    def ball_body():
-        failures = data.ball.check()
-        return not failures, ({"failures": failures[:5]} if failures else {})
-    _guard(report, "cells/ball-structure", name, ball_body)
-
-    def iso_body():
-        data.iso.map.validate()
-        return data.iso.map.is_bijection_on_bases(), {}
-    _guard(report, "cells/identification-isomorphism", name, iso_body)
+    _guard(report, "cells/ball-structure", name, lambda: _ball_structure(data))
+    _guard(report, "cells/identification-isomorphism", name,
+           lambda: _identification(data))
     return data
 
 
@@ -448,22 +458,16 @@ def cell_incidence_lines(cellular) -> list:
     rk = cellular.rk
     lines = []
     for q in rk.degrees():
-        mat = rk.d(q)
-        cols = {}
-        for (i, j), v in mat.entries():
-            cols.setdefault(j, []).append((i, v))
         for j, g in enumerate(rk.gens_at(q)):
-            T, sigma = cellular.cells[g.name]
-            cell_id = f"({simplex_name(T)}|{simplex_name(sigma)})"
+            T, sigma = cellular.cells[g]
             terms = []
-            for i, v in cols.get(j, ()):
-                TT, ss = cellular.cells[rk.gens_at(q - 1)[i].name]
-                bid = f"({simplex_name(TT)}|{simplex_name(ss)})"
+            for i, v in rk.d(q).column(j):
+                bid = cell_name(*cellular.cells[rk.gens_at(q - 1)[i]])
                 sign = "+1" if v == rk.ring.one else str(v)
                 terms.append(f"{sign}:{bid}")
             terms.sort(key=lambda t: t.split(":", 1)[1])
             dim = (len(T) - 1) - (len(sigma) - 1)
-            lines.append(" ".join([cell_id, str(dim)] + terms))
+            lines.append(" ".join([cell_name(T, sigma), str(dim)] + terms))
     return lines
 
 
@@ -471,7 +475,7 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
                 seed=0, count=100, document_name=None) -> Report:
     """Execute one CLI command against a parsed document payload."""
     doc = parse_document(payload) if payload is not None else None
-    ring = Ring.parse(ring_override) if ring_override else (
+    ring = parse_ring(ring_override) if ring_override else (
         doc.ring if doc else Ring.integers())
     report = Report(command, str(ring), document_name)
 
@@ -547,6 +551,8 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
         for name, ks in doc.kspaces:
             verify_kspace(report, name, ks, ring, groups)
     elif command == "random":
+        if count < 1:
+            raise InputError(f"--count must be positive, got {count}")
         rng_spaces = corpus.random_kspaces(seed, count)
         for idx, ks in enumerate(rng_spaces):
             quick_sweep_kspace(report, f"seed{seed}/{idx}", ks, ring)

@@ -14,12 +14,12 @@ isomorphism carries the sign (-1)^{|x||y|}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Matrix, is_cone_acyclic
-from .rkcore import (RKComplex, RKMap, ShortExactSequence, dual_star,
-                     dual_star_map, epsilon_inverse, hom_rk, hom_post_map,
-                     delta_star_k, tensor_generator)
+from .rkcore import (RKComplex, RKMap, ShortExactSequence, dual_generator,
+                     dual_star, dual_star_map, epsilon_inverse, hom_rk,
+                     hom_post_map, delta_star_k, tensor_generator)
 from .simplicial import simplex_name
 
 
@@ -46,32 +46,31 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
     raw = _tensor_gens(C, D, keep_all)
     gens = {q: tuple(tensor_generator(gl, gr) for _, gl, gr in lst)
             for q, lst in raw.items()}
-    shell = RKComplex(ring, D.K, False, gens, {})
+    pos = {q: {(gl, gr): i for i, (_, gl, gr) in enumerate(lst)}
+           for q, lst in raw.items()}
     diff = {}
-    for q in sorted(raw):
-        tpos = shell._index.get(q - 1)
+    for q, lst in raw.items():
+        tpos = pos.get(q - 1)
         if not tpos:
             continue
         data = {}
-        for j, (r, gl, gr) in enumerate(raw[q]):
+        for j, (r, gl, gr) in enumerate(lst):
             koszul = ring.coerce((-1) ** (r % 2))
             # left differential, filtered to surviving pairs
-            for i_l, v in C.d(r).column(C.index_of(r, gl.name)):
+            for i_l, v in C.d(r).column(C.index_of(r, gl)):
                 gl2 = C.gens_at(r - 1)[i_l]
                 if keep_all or set(gr.label) <= set(gl2.label):
-                    name = gl2.name + "⊗" + gr.name
-                    key = (tpos[name], j)
+                    key = (tpos[gl2, gr], j)
                     data[key] = ring.add(data.get(key, ring.zero), v)
             # right differential with the Koszul sign
             s = q - r
-            for i_r, v in D.d(s).column(D.index_of(s, gr.name)):
+            for i_r, v in D.d(s).column(D.index_of(s, gr)):
                 gr2 = D.gens_at(s - 1)[i_r]
                 if keep_all or set(gr2.label) <= set(gl.label):
-                    name = gl.name + "⊗" + gr2.name
-                    key = (tpos[name], j)
+                    key = (tpos[gl, gr2], j)
                     data[key] = ring.add(data.get(key, ring.zero),
                                          ring.mul(koszul, v))
-        diff[q] = Matrix(ring, len(tpos), len(raw[q]), data)
+        diff[q] = Matrix(ring, len(tpos), len(lst), data)
     return RKComplex(ring, D.K, False, gens, diff)
 
 
@@ -95,12 +94,8 @@ def projection_map(C: RKComplex, D: RKComplex) -> RKMap:
     tgt = tensor_k(C, D)
     comps = {}
     for q in src.degrees():
-        tpos = tgt._index.get(q, {})
-        data = {}
-        for j, g in enumerate(src.gens_at(q)):
-            i = tpos.get(g.name)
-            if i is not None:
-                data[(i, j)] = src.ring.one
+        data = {(i, src.index_of(q, g)): src.ring.one
+                for i, g in enumerate(tgt.gens_at(q))}
         comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
     return RKMap(src, tgt, comps)
 
@@ -112,21 +107,17 @@ def tensor_map_left(f: RKMap, D: RKComplex, blocked=True) -> RKMap:
     tensor = tensor_k if blocked else tensor_r
     src = tensor(f.src, D)
     tgt = tensor(f.tgt, D)
-    ldeg = {}
-    for r in f.src.degrees():
-        for g in f.src.gens_at(r):
-            ldeg[g.name] = r
+    ldeg = {g: r for r in f.src.degrees() for g in f.src.gens_at(r)}
     comps = {}
     for q in src.degrees():
-        tpos = tgt._index.get(q, {})
         data = {}
         for j, g in enumerate(src.gens_at(q)):
             _, gl, gr = g.data
-            r = ldeg[gl.name]
-            for i_l, v in f.component(r).column(f.src.index_of(r, gl.name)):
+            r = ldeg[gl]
+            for i_l, v in f.component(r).column(f.src.index_of(r, gl)):
                 gl2 = f.tgt.gens_at(r)[i_l]
                 if not blocked or set(gr.label) <= set(gl2.label):
-                    key = (tpos[gl2.name + "⊗" + gr.name], j)
+                    key = (tgt.index_of(q, tensor_generator(gl2, gr)), j)
                     data[key] = src.ring.add(data.get(key, src.ring.zero), v)
         comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
     return RKMap(src, tgt, comps)
@@ -145,26 +136,16 @@ def hom_dual_iso(C: RKComplex, D: RKComplex) -> RKMap:
     ring = C.ring
     comps = {}
     for p in src.degrees():
-        tpos = tgt._index.get(p, {})
         data = {}
         for j, g in enumerate(src.gens_at(p)):
             _, q, gy, gz = g.data          # gy in D_q, gz = x* in (C*)_{q+p}
             gx = gz.data[1]
             deg_x = -(q + p)
             sign = ring.coerce((-1) ** ((deg_x * q) % 2))
-            name = gx.name + "⊗" + gy.name + "*"
-            data[(tpos[name], j)] = sign
+            i = tgt.index_of(p, dual_generator(tensor_generator(gx, gy)))
+            data[(i, j)] = sign
         comps[p] = Matrix(ring, tgt.rank(p), src.rank(p), data)
     return RKMap(src, tgt, comps)
-
-
-@dataclass
-class DualityResult:
-    """A dualized complex with the bookkeeping from each generator back to
-    its (x*, sigma*) pair."""
-
-    tc: RKComplex
-    pairs: dict = field(default_factory=dict)
 
 
 class Dualizer:
@@ -179,23 +160,18 @@ class Dualizer:
         self.ring = ring
         self.dstar_k = delta_star_k(K, ring, bk)
 
-    def object(self, C: RKComplex) -> DualityResult:
+    def object(self, C: RKComplex) -> RKComplex:
+        """T(C): generators x* ⊗ sigma* with the label of sigma."""
         if C.op:
             raise ValueError("duality takes complexes over the standard order")
-        tc = tensor_k(dual_star(C), self.dstar_k)
-        pairs = {}
-        for q in tc.degrees():
-            for g in tc.gens_at(q):
-                _, gl, gr = g.data
-                pairs[g.name] = (gl, gr)
-        return DualityResult(tc, pairs)
+        return tensor_k(dual_star(C), self.dstar_k)
 
     def map(self, f: RKMap) -> RKMap:
         """T(f): T(f.tgt) -> T(f.src); contravariant."""
         return tensor_map_left(dual_star_map(f), self.dstar_k)
 
     def square(self, C: RKComplex) -> RKComplex:
-        return self.object(self.object(C).tc).tc
+        return self.object(self.object(C))
 
     def sequence(self, ses: ShortExactSequence) -> ShortExactSequence:
         """T of a short exact sequence, with the arrows reversed."""
@@ -215,15 +191,14 @@ class Dualizer:
             for j, g in enumerate(HK.gens_at(q)):
                 _, gF, gt = g.data
                 _, _, ga, gb = gF.data       # ga = sigma* in cochains, gb = c in C
-                if ga.name == gt.name:
-                    data[(C.index_of(q, gb.name), j)] = ring.one
+                if ga == gt:
+                    data[(C.index_of(q, gb), j)] = ring.one
             comps[q] = Matrix(ring, C.rank(q), HK.rank(q), data)
         return H, HK, RKMap(HK, C, comps)
 
     def hom_to_square(self, C: RKComplex) -> RKMap:
         """The isomorphism (Hom(cochains K, C) ⊗ cochains K) -> T²C obtained
         from the Hom-to-dual isomorphism after untwisting the double dual."""
-        tc = self.object(C).tc
         twist = hom_post_map(self.dstar_k, epsilon_inverse(C))
         psi = hom_dual_iso(dual_star(C), self.dstar_k)
         psi_full = psi.compose(twist)
@@ -247,11 +222,11 @@ class Dualizer:
                 gtc = gdual.data[1]
                 _, gcstar, gsig = gtc.data
                 gc = gcstar.data[1]
-                if gsig.name != gtau.name:
+                if gsig != gtau:
                     continue
                 dim_s = len(gsig.label) - 1
                 sign = ring.coerce((-1) ** ((q * (1 + dim_s)) % 2))
-                data[(C.index_of(q, gc.name), j)] = sign
+                data[(C.index_of(q, gc), j)] = sign
             comps[q] = Matrix(ring, C.rank(q), T2.rank(q), data)
         return RKMap(T2, C, comps)
 
@@ -265,7 +240,8 @@ class EquivalenceReport:
     passed: bool
 
     def failures(self):
-        return sorted(s for s, ok in self.verdicts.items() if not ok)
+        return sorted(simplex_name(s) for s, ok in self.verdicts.items()
+                      if not ok)
 
 
 def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
@@ -275,7 +251,7 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     verdicts = {}
     for sigma in sorted(f.src.K.all_simplices(), key=f.src.K.sort_key):
         cm = f.diagonal_component(sigma)
-        verdicts[simplex_name(sigma)] = is_cone_acyclic(cm)
+        verdicts[sigma] = is_cone_acyclic(cm)
     return EquivalenceReport(name, verdicts, all(verdicts.values()))
 
 

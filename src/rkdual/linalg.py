@@ -22,7 +22,7 @@ class Matrix:
     Out-of-range access raises rather than zero-extending.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "_data", "_rowmap")
+    __slots__ = ("ring", "nrows", "ncols", "_data", "_rowmap", "_colmap")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, data=None):
         if nrows < 0 or ncols < 0:
@@ -32,6 +32,7 @@ class Matrix:
         self.ncols = ncols
         self._data = {}
         self._rowmap = None
+        self._colmap = None
         if data:
             for (i, j), v in data.items():
                 self._check_index(i, j)
@@ -93,11 +94,27 @@ class Matrix:
         return self._rowmap
 
     def column(self, j):
+        """Nonzero entries of column j as (row, value), by row."""
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} outside matrix")
-        out = [(i, v) for (i, jj), v in self._data.items() if jj == j]
-        out.sort()
-        return out
+        if self._colmap is None:
+            cm = {}
+            for (i, jj), v in sorted(self._data.items()):
+                cm.setdefault(jj, []).append((i, v))
+            self._colmap = cm
+        return self._colmap.get(j, [])
+
+    def submatrix(self, rows, cols):
+        """The block on the given row and column indices, in their order."""
+        cpos = {j: b for b, j in enumerate(cols)}
+        rowmap = self._rows()
+        data = {}
+        for a, i in enumerate(rows):
+            for j, v in rowmap.get(i, ()):
+                b = cpos.get(j)
+                if b is not None:
+                    data[(a, b)] = v
+        return Matrix(self.ring, len(rows), len(cols), data)
 
     def to_rows(self):
         z = self.ring.zero
@@ -273,17 +290,15 @@ class ChainComplex:
     """A bounded complex of finitely generated free modules.
 
     ``spaces`` maps a degree to its rank, ``diff`` maps a degree q to the
-    matrix of d_q : C_q -> C_{q-1}.  Optional per-degree basis names make
-    reports readable.
+    matrix of d_q : C_q -> C_{q-1}.
     """
 
-    __slots__ = ("ring", "spaces", "diff", "names")
+    __slots__ = ("ring", "spaces", "diff")
 
-    def __init__(self, ring, spaces, diff, names=None):
+    def __init__(self, ring, spaces, diff):
         self.ring = ring
         self.spaces = {q: n for q, n in spaces.items() if n}
         self.diff = {}
-        self.names = dict(names) if names else {}
         for q, mat in diff.items():
             if mat.is_zero():
                 continue

@@ -6,6 +6,12 @@ for complexes carried by the opposite order).  The star dual, the evaluation
 isomorphism to the double dual, blocked Hom, and the geometric chain/cochain
 complexes of a K-space are all built here.
 
+A generator is identified by its structure: its label and the record of how
+it was built (a simplex, or the dual, tensor or Hom of earlier generators).
+Bases are chased across complexes by rebuilding that structure and looking
+it up with :meth:`RKComplex.index_of`; names are rendered for display only
+and may coincide.
+
 Sign conventions, fixed once and used everywhere:
 
 * dual differential      d*_{-q} = (-1)^{q+1} (d_{q+1})^T
@@ -19,38 +25,69 @@ from dataclasses import dataclass
 
 from .linalg import ChainComplex, ChainComplexError, ChainMap, Matrix, homology
 from .simplicial import (InputError, KSpace, SimplicialComplex, SimplicialMap,
-                         control_kspace, derived_kspace, simplex_name)
+                         chain_complex, control_kspace, derived_kspace,
+                         simplex_name)
 
 
-@dataclass(frozen=True)
 class Generator:
-    """A named basis element carrying a label in K.
+    """A basis element carrying a label in K, identified by its structure.
 
-    ``data`` records how the generator was built (simplex, dual, tensor or
-    hom of earlier generators), so later constructions can chase bases
-    without parsing names.
+    ``data`` records how the generator was built: ``("simplex", s)``,
+    ``("dual", g)``, ``("tensor", left, right)`` or ``("hom", q, a, b)``.
+    Two generators are equal when their labels and data are; the hash is
+    computed once, at construction, so nested generators hash in constant
+    time.  ``name`` renders the structure for display and need not be
+    unique.
     """
 
-    name: str
-    label: tuple
-    data: tuple
+    __slots__ = ("label", "data", "_hash", "_name")
+
+    def __init__(self, label, data):
+        self.label = label
+        self.data = data
+        self._hash = hash((label, data))
+        self._name = None
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Generator) and self._hash == other._hash
+            and self.label == other.label and self.data == other.data)
+
+    @property
+    def name(self) -> str:
+        if self._name is None:
+            kind, *parts = self.data
+            if kind == "simplex":
+                self._name = "<" + simplex_name(parts[0]) + ">"
+            elif kind == "dual":
+                self._name = parts[0].name + "*"
+            elif kind == "tensor":
+                self._name = parts[0].name + "⊗" + parts[1].name
+            else:
+                self._name = "[" + parts[1].name + "→" + parts[2].name + "]"
+        return self._name
+
+    def __repr__(self):
+        return f"Generator({self.name})"
 
 
 def simplex_generator(s, label) -> Generator:
-    return Generator("<" + simplex_name(s) + ">", label, ("simplex", s))
+    return Generator(label, ("simplex", s))
 
 
 def dual_generator(g: Generator) -> Generator:
-    return Generator(g.name + "*", g.label, ("dual", g))
+    return Generator(g.label, ("dual", g))
 
 
 def tensor_generator(gl: Generator, gr: Generator) -> Generator:
-    return Generator(gl.name + "⊗" + gr.name, gr.label, ("tensor", gl, gr))
+    return Generator(gr.label, ("tensor", gl, gr))
 
 
 def hom_generator(q: int, ga: Generator, gb: Generator) -> Generator:
-    return Generator("[" + ga.name + "→" + gb.name + "]", ga.label,
-                     ("hom", q, ga, gb))
+    return Generator(ga.label, ("hom", q, ga, gb))
 
 
 class RKComplex:
@@ -70,11 +107,11 @@ class RKComplex:
         self.op = bool(op)
         self.gens = {q: tuple(gs) for q, gs in gens.items() if gs}
         self.diff = {}
-        self._index = {q: {g.name: i for i, g in enumerate(gs)}
+        self._index = {q: {g: i for i, g in enumerate(gs)}
                        for q, gs in self.gens.items()}
         for q, gs in self.gens.items():
             if len(self._index[q]) != len(gs):
-                raise ChainComplexError(f"duplicate generator names at degree {q}")
+                raise ChainComplexError(f"duplicate generators at degree {q}")
         for q, mat in diff.items():
             if mat.is_zero():
                 continue
@@ -95,8 +132,9 @@ class RKComplex:
     def gens_at(self, q):
         return self.gens.get(q, ())
 
-    def index_of(self, q, name) -> int:
-        return self._index[q][name]
+    def index_of(self, q, gen: Generator) -> int:
+        """Position of a generator in the degree-q basis, by structure."""
+        return self._index[q][gen]
 
     def d(self, q) -> Matrix:
         mat = self.diff.get(q)
@@ -120,15 +158,11 @@ class RKComplex:
         """Same K, order and generators; used to splice separately built maps."""
         return (isinstance(other, RKComplex) and self.ring == other.ring
                 and self.K == other.K and self.op == other.op
-                and self.degrees() == other.degrees()
-                and all(tuple(g.name for g in self.gens_at(q))
-                        == tuple(g.name for g in other.gens_at(q))
-                        for q in self.degrees()))
+                and self.gens == other.gens)
 
     def underlying(self) -> ChainComplex:
-        names = {q: tuple(g.name for g in gs) for q, gs in self.gens.items()}
         return ChainComplex(self.ring, {q: len(gs) for q, gs in self.gens.items()},
-                            dict(self.diff), names)
+                            dict(self.diff))
 
     def validate(self, check_d2=True):
         for q in self.degrees():
@@ -143,28 +177,33 @@ class RKComplex:
             self.underlying().validate()
         return self
 
+    def positions(self, labels):
+        """Per degree, the indices of the generators labeled in ``labels``."""
+        return {q: [i for i, g in enumerate(gs) if g.label in labels]
+                for q, gs in self.gens.items()}
+
+    def sub(self, labels) -> "RKComplex":
+        """The generators labeled in ``labels`` with the differential blocks
+        between them."""
+        picks = self.positions(labels)
+        gens = {q: tuple(self.gens[q][i] for i in idxs)
+                for q, idxs in picks.items()}
+        diff = {q: mat.submatrix(picks.get(q - 1, ()), picks[q])
+                for q, mat in self.diff.items()}
+        return RKComplex(self.ring, self.K, self.op, gens, diff)
+
+    def inclusion(self, labels):
+        """Per degree, the inclusion of the generators labeled in ``labels``:
+        the identity restricted to their columns.  Its transpose is the
+        projection onto them."""
+        picks = self.positions(labels)
+        return {q: Matrix.identity(self.ring, self.rank(q)).submatrix(
+                    range(self.rank(q)), picks[q]) for q in self.degrees()}
+
     def piece(self, sigma) -> ChainComplex:
         """The diagonal complex of one label: sigma-generators with the
         diagonal blocks of the differential."""
-        spaces, diff, names = {}, {}, {}
-        picks = {}
-        for q, gs in self.gens.items():
-            picks[q] = [i for i, g in enumerate(gs) if g.label == sigma]
-            if picks[q]:
-                spaces[q] = len(picks[q])
-                names[q] = tuple(gs[i].name for i in picks[q])
-        for q in spaces:
-            rows = picks.get(q - 1, [])
-            if not rows:
-                continue
-            rpos = {i: a for a, i in enumerate(rows)}
-            cpos = {j: b for b, j in enumerate(picks[q])}
-            data = {}
-            for (i, j), v in self.d(q).entries():
-                if i in rpos and j in cpos:
-                    data[(rpos[i], cpos[j])] = v
-            diff[q] = Matrix(self.ring, len(rows), len(picks[q]), data)
-        return ChainComplex(self.ring, spaces, diff, names)
+        return self.sub({sigma}).underlying()
 
     def restrict(self, subset) -> ChainComplex:
         """Assemble the plain complex carried by a full label subset.
@@ -176,25 +215,7 @@ class RKComplex:
         subset = set(tuple(s) for s in subset)
         if not is_full(self.K, subset):
             raise InputError("label subset is not full")
-        spaces, diff, names = {}, {}, {}
-        picks = {}
-        for q, gs in self.gens.items():
-            picks[q] = [i for i, g in enumerate(gs) if g.label in subset]
-            if picks[q]:
-                spaces[q] = len(picks[q])
-                names[q] = tuple(gs[i].name for i in picks[q])
-        for q in spaces:
-            rows = picks.get(q - 1, [])
-            if not rows:
-                continue
-            rpos = {i: a for a, i in enumerate(rows)}
-            cpos = {j: b for b, j in enumerate(picks[q])}
-            data = {}
-            for (i, j), v in self.d(q).entries():
-                if i in rpos and j in cpos:
-                    data[(rpos[i], cpos[j])] = v
-            diff[q] = Matrix(self.ring, len(rows), len(picks[q]), data)
-        return ChainComplex(self.ring, spaces, diff, names).validate()
+        return self.sub(subset).underlying().validate()
 
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
@@ -299,19 +320,10 @@ class RKMap:
             raise ChainComplexError("diagonal components need degree 0")
         src_piece = self.src.piece(sigma)
         tgt_piece = self.tgt.piece(sigma)
-        comps = {}
-        for q in src_piece.degrees():
-            rows = [i for i, g in enumerate(self.tgt.gens_at(q))
-                    if g.label == sigma]
-            cols = [j for j, g in enumerate(self.src.gens_at(q))
-                    if g.label == sigma]
-            rpos = {i: a for a, i in enumerate(rows)}
-            cpos = {j: b for b, j in enumerate(cols)}
-            data = {}
-            for (i, j), v in self.component(q).entries():
-                if i in rpos and j in cpos:
-                    data[(rpos[i], cpos[j])] = v
-            comps[q] = Matrix(self.src.ring, len(rows), len(cols), data)
+        rows = self.tgt.positions({sigma})
+        cols = self.src.positions({sigma})
+        comps = {q: self.component(q).submatrix(rows.get(q, ()), cols[q])
+                 for q in src_piece.degrees()}
         return ChainMap(src_piece, tgt_piece, comps)
 
     def is_bijection_on_bases(self) -> bool:
@@ -426,12 +438,8 @@ def epsilon(C: RKComplex) -> RKMap:
 
 def epsilon_inverse(C: RKComplex) -> RKMap:
     """C -> C**; the same diagonal signs."""
-    dd = double_dual(C)
-    comps = {}
-    for q in C.degrees():
-        sign = C.ring.coerce((-1) ** (q % 2))
-        comps[q] = Matrix.identity(C.ring, C.rank(q)).scale(sign)
-    return RKMap(C, dd, comps)
+    eps = epsilon(C)
+    return RKMap(C, eps.src, eps.comps)
 
 
 def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
@@ -454,33 +462,29 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
                     if A.leq(ga.label, gb.label):
                         bucket.append(hom_generator(qa, ga, gb))
     gens = {p: tuple(gs) for p, gs in gens.items() if gs}
-    result = RKComplex(ring, A.K, True, gens, {})
+    pos = {p: {g: i for i, g in enumerate(gs)} for p, gs in gens.items()}
     diff = {}
-    for p in result.degrees():
-        tgt = result.gens.get(p - 1)
-        if not tgt:
+    for p, gs in gens.items():
+        tpos = pos.get(p - 1)
+        if not tpos:
             continue
-        tpos = result._index[p - 1]
         data = {}
         sign = ring.coerce((-1) ** (p % 2))
-        for j, g in enumerate(result.gens_at(p)):
+        for j, g in enumerate(gs):
             _, q, ga, gb = g.data
             # postcompose with d_B
-            for i_b, v in B.d(q + p).column(B.index_of(q + p, gb.name)):
+            for i_b, v in B.d(q + p).column(B.index_of(q + p, gb)):
                 gb2 = B.gens_at(q + p - 1)[i_b]
                 if A.leq(ga.label, gb2.label):
-                    name = hom_generator(q, ga, gb2).name
-                    i = tpos[name]
+                    i = tpos[hom_generator(q, ga, gb2)]
                     data[(i, j)] = ring.add(data.get((i, j), ring.zero), v)
             # precompose with d_A, Koszul sign
-            row = A.d(q + 1)._rows().get(A.index_of(q, ga.name), ())
+            row = A.d(q + 1)._rows().get(A.index_of(q, ga), ())
             for j_a, v in row:
-                ga2 = A.gens_at(q + 1)[j_a]
-                name = hom_generator(q + 1, ga2, gb).name
-                i = tpos[name]
+                i = tpos[hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb)]
                 data[(i, j)] = ring.sub(data.get((i, j), ring.zero),
                                         ring.mul(sign, v))
-        diff[p] = Matrix(ring, len(tgt), result.rank(p), data)
+        diff[p] = Matrix(ring, len(tpos), len(gs), data)
     return RKComplex(ring, A.K, True, gens, diff)
 
 
@@ -492,14 +496,13 @@ def hom_post_map(A: RKComplex, g: RKMap) -> RKMap:
     tgt = hom_rk(A, g.tgt)
     comps = {}
     for p in src.degrees():
-        tpos = tgt._index.get(p, {})
         data = {}
         for j, gen in enumerate(src.gens_at(p)):
             _, q, ga, gb = gen.data
-            for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb.name)):
+            for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb)):
                 gb2 = g.tgt.gens_at(q + p)[i_b]
                 if A.leq(ga.label, gb2.label):
-                    data[(tpos[hom_generator(q, ga, gb2).name], j)] = v
+                    data[(tgt.index_of(p, hom_generator(q, ga, gb2)), j)] = v
         comps[p] = Matrix(src.ring, tgt.rank(p), src.rank(p), data)
     return RKMap(src, tgt, comps)
 
@@ -511,24 +514,10 @@ def simplicial_rk(ring, K: SimplicialComplex, op: bool, cx: SimplicialComplex,
     One generator per simplex of ``cx``; orientation signs against the
     canonical ordering come from ``basis`` (default +1 everywhere).
     """
-    gens, diff = {}, {}
-    for p in range(0, cx.dim + 1):
-        ss = cx.simplices_of_dim(p)
-        if ss:
-            gens[p] = tuple(simplex_generator(s, label_of(s)) for s in ss)
-    for p in range(1, cx.dim + 1):
-        src = cx.simplices_of_dim(p)
-        tgt = {s: i for i, s in enumerate(cx.simplices_of_dim(p - 1))}
-        if not src or not tgt:
-            continue
-        data = {}
-        for j, s in enumerate(src):
-            s_sign = basis.get(s, 1) if basis else 1
-            for i, face in cx.facets(s):
-                f_sign = basis.get(face, 1) if basis else 1
-                data[(tgt[face], j)] = s_sign * f_sign * (-1 if i % 2 else 1)
-        diff[p] = Matrix(ring, len(tgt), len(src), data)
-    return RKComplex(ring, K, op, gens, diff)
+    gens = {p: tuple(simplex_generator(s, label_of(s))
+                     for s in cx.simplices_of_dim(p))
+            for p in range(cx.dim + 1)}
+    return RKComplex(ring, K, op, gens, chain_complex(cx, ring, basis).diff)
 
 
 @dataclass
@@ -579,42 +568,11 @@ def maximal_label_ses(C: RKComplex):
     labels = sorted(C.labels(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None
-    top = labels[-1]
-    keep = {q: [i for i, g in enumerate(C.gens_at(q)) if g.label == top]
-            for q in C.degrees()}
-    drop = {q: [i for i, g in enumerate(C.gens_at(q)) if g.label != top]
-            for q in C.degrees()}
-
-    def subcomplex(picks):
-        gens, diff = {}, {}
-        for q, idxs in picks.items():
-            if idxs:
-                gens[q] = tuple(C.gens_at(q)[i] for i in idxs)
-        for q, idxs in picks.items():
-            rows = picks.get(q - 1, [])
-            if not idxs or not rows:
-                continue
-            rpos = {i: a for a, i in enumerate(rows)}
-            cpos = {j: b for b, j in enumerate(idxs)}
-            data = {}
-            for (i, j), v in C.d(q).entries():
-                if i in rpos and j in cpos:
-                    data[(rpos[i], cpos[j])] = v
-            diff[q] = Matrix(C.ring, len(rows), len(idxs), data)
-        return RKComplex(C.ring, C.K, C.op, gens, diff)
-
-    sub = subcomplex(keep)
-    quo = subcomplex(drop)
-    inc = {}
-    for q, idxs in keep.items():
-        data = {(i, a): C.ring.one for a, i in enumerate(idxs)}
-        inc[q] = Matrix(C.ring, C.rank(q), len(idxs), data)
-    prj = {}
-    for q, idxs in drop.items():
-        data = {(a, i): C.ring.one for a, i in enumerate(idxs)}
-        prj[q] = Matrix(C.ring, len(idxs), C.rank(q), data)
-    ses = ShortExactSequence(RKMap(sub, C, inc), RKMap(C, quo, prj))
-    return ses.validate(), top
+    top, rest = {labels[-1]}, set(labels[:-1])
+    prj = {q: m.transpose() for q, m in C.inclusion(rest).items()}
+    ses = ShortExactSequence(RKMap(C.sub(top), C, C.inclusion(top)),
+                             RKMap(C, C.sub(rest), prj))
+    return ses.validate(), labels[-1]
 
 
 @dataclass

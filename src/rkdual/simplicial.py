@@ -86,7 +86,7 @@ class SimplicialComplex:
         vs = sorted(set(s), key=self._index_of)
         if not vs:
             raise InputError("empty simplex")
-        if len(vs) != len(set(s)):
+        if len(vs) != len(s):
             raise InputError(f"repeated vertex in simplex {s!r}")
         return tuple(vs)
 
@@ -374,13 +374,8 @@ def chain_complex(X: SimplicialComplex, ring, basis=None):
     """
     from .linalg import ChainComplex, Matrix
 
-    spaces, diff, names = {}, {}, {}
-    for p in range(0, X.dim + 1):
-        ss = X.simplices_of_dim(p)
-        if not ss:
-            continue
-        spaces[p] = len(ss)
-        names[p] = tuple("<" + simplex_name(s) + ">" for s in ss)
+    spaces = {p: len(X.simplices_of_dim(p)) for p in range(X.dim + 1)}
+    diff = {}
     for p in range(1, X.dim + 1):
         src = X.simplices_of_dim(p)
         tgt = {s: i for i, s in enumerate(X.simplices_of_dim(p - 1))}
@@ -392,4 +387,4 @@ def chain_complex(X: SimplicialComplex, ring, basis=None):
                 coeff = s_sign * f_sign * (-1 if i % 2 else 1)
                 data[(tgt[face], j)] = coeff
         diff[p] = Matrix(ring, len(tgt), len(src), data)
-    return ChainComplex(ring, spaces, diff, names)
+    return ChainComplex(ring, spaces, diff)

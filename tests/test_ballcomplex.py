@@ -6,11 +6,12 @@ import pytest
 
 from rkdual.linalg import homology
 from rkdual.rings import ZZ
-from rkdual.rkcore import RKMap, delta_complexes
+from rkdual.rkcore import (RKMap, delta_chain, delta_complexes,
+                           dual_generator, simplex_generator, tensor_generator)
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision, control_map,
                                kspace_identity, validate_kspace)
-from rkdual.ballcomplex import (BallComplex, OrientationPair,
+from rkdual.ballcomplex import (BallComplex, CellularComplex, OrientationPair,
                                 cellular_chain_complex, cellular_iso,
                                 dual_cell, dual_cone, induced_cell_map,
                                 induced_chain_map, verify_boundary_display,
@@ -143,6 +144,14 @@ def test_cellular_identity_triangle_ranks_and_homology(id2_ks):
     assert all(cell_h[q].is_trivial() for q in cell_h if q != 0)
 
 
+def test_cellular_homology_rejects_a_missing_degree(corpus):
+    # one 0-cell has no degree-1 homology, so it cannot match the circle
+    cx = CellularComplex(delta_chain(corpus["pt"], ZZ), None, None)
+    ok, cell_h, simp_h = verify_cellular_homology(corpus["circ3"], cx)
+    assert 1 not in cell_h and not simp_h[1].is_trivial()
+    assert not ok
+
+
 def test_cellular_boundary_display_and_units(corpus):
     for name, ks in corpus.items():
         orient = OrientationPair.standard(ks)
@@ -155,7 +164,9 @@ def test_cellular_boundary_of_a_half_edge(edge_ks):
     orient = OrientationPair.standard(edge_ks)
     cx = cellular_chain_complex(edge_ks, ZZ, orient)
     rk = cx.rk
-    j = rk.index_of(1, "<a.b>⊗<a>*")
+    j = rk.index_of(1, tensor_generator(
+        simplex_generator(("a", "b"), ("a", "b")),
+        dual_generator(simplex_generator(("a",), ("a",)))))
     col = {rk.gens_at(0)[i].name: v
            for (i, jj), v in rk.d(1).entries() if jj == j}
     # the boundary hits the vertex cell and the barycenter cell, units only
@@ -190,7 +201,7 @@ def test_dual_homology_matches_base_homology(corpus):
         ks = corpus[name]
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
-        tc = dz.object(dc.dstar_x).tc
+        tc = dz.object(dc.dstar_x)
         got = {q: h.betti for q, h in homology(tc.underlying()).items()
                if not h.is_trivial()}
         assert got == want, name

@@ -5,7 +5,8 @@ import pytest
 
 from rkdual.linalg import homology, smith_normal_form
 from rkdual.rings import Ring, ZZ
-from rkdual.rkcore import delta_complexes
+from rkdual.rkcore import (delta_complexes, dual_generator, simplex_generator,
+                           tensor_generator)
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision)
 from rkdual.ballcomplex import OrientationPair
@@ -174,7 +175,7 @@ def test_fundamental_cycle_of_the_barycenter_cell(edge_ks):
     assert cell.dim == 0
     assert not cell.inner_boundary and not cell.outer_boundary
     rep = verify_fundamental_cycles(edge_ks, data, ball)
-    assert rep.verdicts["(a.b|a.b)"]
+    assert rep.verdicts[("a", "b"), ("a", "b")]
 
 
 def test_fundamental_cycle_of_a_two_cell(id2_ks):
@@ -186,7 +187,9 @@ def test_fundamental_cycle_of_a_two_cell(id2_ks):
     tops = [c for c in cell.simplices if len(c) == 3]
     assert len(tops) == 2
     rk = data.cellular.rk
-    j = rk.index_of(2, "<a.b.c>⊗<a>*")
+    j = rk.index_of(2, tensor_generator(
+        simplex_generator(("a", "b", "c"), ("a", "b", "c")),
+        dual_generator(simplex_generator(("a",), ("a",)))))
     col = {data.dx_prime.gens_at(2)[i].data[1]: v
            for (i, jj), v in data.map.component(2).entries() if jj == j}
     assert set(col) == set(tops)
@@ -240,7 +243,7 @@ def test_dual_and_subdivision_homology_agree_on_corpus(corpus):
     for name, ks in corpus.items():
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
-        tc = dz.object(dc.dstar_x).tc
+        tc = dz.object(dc.dstar_x)
         ha = homology(tc.underlying())
         hb = homology(dc.dx_prime.underlying())
         keys = set(q for q, h in ha.items() if not h.is_trivial())

@@ -4,8 +4,9 @@ collapse, including the single-label case and the induction splitting."""
 from rkdual.linalg import Matrix, homology, smith_normal_form
 from rkdual.rings import Ring, ZZ
 from rkdual.rkcore import (Generator, RKComplex, RKMap, delta_complexes,
-                           delta_star_k, dual_star, dual_star_map, epsilon,
-                           maximal_label_ses)
+                           delta_star_k, dual_generator, dual_star,
+                           dual_star_map, epsilon, maximal_label_ses,
+                           simplex_generator, tensor_generator)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                             tensor_r, verify_e_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map
@@ -18,8 +19,8 @@ def build(*maximal):
     return SimplicialComplex.build(None, [list(s) for s in maximal])
 
 
-def atom(K, label, q, name="g", op=False):
-    gens = {q: (Generator(name, label, ("simplex", label)),)}
+def atom(K, label, q, op=False):
+    gens = {q: (Generator(label, ("simplex", label)),)}
     return RKComplex(ZZ, K, op, gens, {})
 
 
@@ -55,7 +56,10 @@ def test_projection_on_surviving_and_dying_pairs(edge_ks):
     q = 0
     j = src_names[0].index("<a>⊗<a>*")
     col = [(i, v) for (i, jj), v in proj.component(0).entries() if jj == j]
-    assert col == [(proj.tgt.index_of(0, "<a>⊗<a>*"), 1)]
+    a = ("a",)
+    gen = tensor_generator(simplex_generator(a, a),
+                           dual_generator(simplex_generator(a, a)))
+    assert col == [(proj.tgt.index_of(0, gen), 1)]
     # a pair whose left label misses the star dies
     j = src_names[0].index("<a>⊗<b>*")
     assert all(jj != j for (_, jj), _ in proj.component(0).entries())
@@ -97,8 +101,8 @@ def test_hom_dual_iso_on_a_point_is_the_identity(corpus):
 def test_hom_dual_iso_sign_in_odd_degrees():
     # |x| = |y| = 1 forces the sign -1
     K = build("p")
-    C = atom(K, ("p",), 1, "x", op=True)
-    D = atom(K, ("p",), 1, "y", op=False)
+    C = atom(K, ("p",), 1, op=True)
+    D = atom(K, ("p",), 1, op=False)
     psi = hom_dual_iso(C, D)
     (mat,) = [psi.component(q) for q in psi.degrees_hit()
               if not psi.component(q).is_zero()]
@@ -126,7 +130,7 @@ def test_duality_over_a_point_is_the_plain_dual(corpus):
     pt = corpus["pt"]
     dc = delta_complexes(pt, ZZ)
     dz = Dualizer(pt.K, ZZ)
-    tc = dz.object(dc.dstar_x).tc
+    tc = dz.object(dc.dstar_x)
     plain = dual_star(dc.dstar_x)
     assert {q: tc.rank(q) for q in tc.degrees()} == \
            {q: plain.rank(q) for q in plain.degrees()}
@@ -135,14 +139,14 @@ def test_duality_over_a_point_is_the_plain_dual(corpus):
 def test_duality_ranks_for_identity_edge(edge_ks):
     dc = delta_complexes(edge_ks, ZZ)
     dz = Dualizer(edge_ks.K, ZZ)
-    tc = dz.object(dc.dstar_x).tc
+    tc = dz.object(dc.dstar_x)
     assert {q: tc.rank(q) for q in tc.degrees()} == {0: 3, 1: 2}
 
 
 def test_duality_functor_identity_and_composition(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
     dz = Dualizer(hex_ks.K, ZZ)
-    tc = dz.object(dc.dstar_x).tc
+    tc = dz.object(dc.dstar_x)
     assert dz.map(RKMap.identity(dc.dstar_x)) == RKMap.identity(tc)
     # contravariance on a composable pair
     fmap = control_map(hex_ks)
@@ -176,7 +180,7 @@ def test_collapse_on_a_point_is_an_isomorphism_up_to_sign(corpus):
     pt = corpus["pt"]
     dz = Dualizer(pt.K, ZZ)
     for q in (0, 1, 2):
-        C = atom(pt.K, ("p",), q, "c")
+        C = atom(pt.K, ("p",), q)
         e = dz.double_dual_map(C)
         mat = e.component(q)
         assert mat.to_rows() == [[(-1) ** (q % 2)]]
@@ -227,8 +231,8 @@ def test_single_label_collapse_is_an_isomorphism_there():
     K = build("abc")
     S = ("a", "b", "c")
     C = RKComplex(ZZ, K, False,
-                  {0: (Generator("u", S, ("simplex", S)),),
-                   1: (Generator("w", S, ("simplex", S)),)},
+                  {0: (Generator(S, ("simplex", ("u",))),),
+                   1: (Generator(S, ("simplex", ("w",))),)},
                   {1: Matrix.from_rows(ZZ, [[2]])})
     dz = Dualizer(K, ZZ)
     e = dz.double_dual_map(C)

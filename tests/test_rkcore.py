@@ -25,7 +25,7 @@ def point_complex(ring, degrees_and_diffs):
     K = build("p")
     gens, diff = {}, {}
     for q, n in degrees_and_diffs["ranks"].items():
-        gens[q] = tuple(Generator(f"c{q}.{i}", ("p",), ("simplex", ("p",)))
+        gens[q] = tuple(Generator(("p",), ("simplex", (f"c{q}.{i}",)))
                         for i in range(n))
     for q, rows in degrees_and_diffs.get("diffs", {}).items():
         diff[q] = Matrix.from_rows(ring, rows)
@@ -140,7 +140,7 @@ def test_hom_rank_one_iff_labels_compare():
     K = build("ab")
 
     def atom(label, q):
-        gens = {q: (Generator("g", label, ("simplex", label)),)}
+        gens = {q: (Generator(label, ("simplex", label)),)}
         return RKComplex(ZZ, K, False, gens, {})
 
     a, b, e = ("a",), ("b",), ("a", "b")
