@@ -81,9 +81,9 @@ def parse_document(payload: dict) -> Document:
     if not isinstance(checks, list):
         raise InputError(f"'checks' must be a list of check groups, got {checks!r}")
     known = ["all"] + [group for group, _ in CHECK_GROUPS]
-    for name in checks:
-        if name not in known:
-            raise InputError(f"unknown check group {name!r}; expected one of "
+    for group in checks:
+        if group not in known:
+            raise InputError(f"unknown check group {group!r}; expected one of "
                              + ", ".join(known))
     return Document(complexes, kspaces, ring, list(checks))
 
@@ -458,10 +458,11 @@ def cell_incidence_lines(cellular) -> list:
     rk = cellular.rk
     lines = []
     for q in rk.degrees():
+        mat = rk.d(q)
         for j, g in enumerate(rk.gens_at(q)):
             T, sigma = cellular.cells[g]
             terms = []
-            for i, v in rk.d(q).column(j):
+            for i, v in mat.column(j):
                 bid = cell_name(*cellular.cells[rk.gens_at(q - 1)[i]])
                 sign = "+1" if v == rk.ring.one else str(v)
                 terms.append(f"{sign}:{bid}")

@@ -221,3 +221,55 @@ def test_identity_kspaces_when_no_maps():
     assert len(parsed.kspaces) == 1
     name, ks = parsed.kspaces[0]
     assert name == "C" and ks.X == ks.K
+
+
+COLLIDING = {"complexes": {"X": {"simplices": [["a.b", "c"], ["a", "b.c"]]}}}
+
+
+@pytest.mark.parametrize("command", ["verify", "dualize", "emit-cells"])
+def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
+    # the edges {a.b, c} and {a, b.c} both display as "a.b.c"
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(COLLIDING), encoding="utf-8")
+    code = main([command, str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    if command != "emit-cells":
+        payload = json.loads(out)
+        assert payload["checks"]
+        assert all(c["passed"] for c in payload["checks"])
+    if command == "verify":
+        names = [c["name"] for c in payload["checks"]]
+        assert set(EXPECTED_CHECKS) <= set(names)
+
+
+@pytest.mark.parametrize("patch,argv,bad", [
+    ({"checks": ["bogus"]}, [], "'bogus'"),
+    ({"checks": "cells"}, [], "'cells'"),
+    ({}, ["--count", "-5"], "-5"),
+    ({"complexes": {"X": {"simplices": [["a", "a"]]}}, "maps": {}}, [],
+     "'a', 'a'"),
+    ({"ring": "Z/4"}, [], "'Z/4'"),
+    ({}, ["--ring", "Z/4"], "'Z/4'"),
+    ({"ring": 5}, [], "5"),
+])
+def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
+                                                    argv, bad):
+    doc = document("edge")
+    doc.update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    command = "random" if "--count" in argv else "verify"
+    code = main([command, str(path)] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rkdual: error: ") and bad in err
+    assert "Traceback" not in err
+
+
+def test_checks_accept_all_and_every_group():
+    from rkdual.checks import CHECK_GROUPS
+    for checks in (["all"], [group for group, _ in CHECK_GROUPS]):
+        doc = document("pt")
+        doc["checks"] = checks
+        assert parse_document(doc).checks == checks

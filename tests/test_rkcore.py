@@ -271,3 +271,23 @@ def test_support_condition_enforced():
     diff = {1: Matrix.from_rows(ZZ, [[1]])}
     with pytest.raises(ChainComplexError, match="support"):
         RKComplex(ZZ, K, False, gens, diff).validate()
+
+
+def test_generators_are_identified_by_structure():
+    from rkdual.linalg import ChainComplexError
+    K = build("a")
+    a = ("a",)
+    # equal structure is one generator, whatever was built separately
+    assert simplex_generator(a, a) == simplex_generator(a, a)
+    assert hash(simplex_generator(a, a)) == hash(simplex_generator(a, a))
+    with pytest.raises(ChainComplexError, match="duplicate"):
+        RKComplex(ZZ, K, False,
+                  {0: (simplex_generator(a, a), simplex_generator(a, a))}, {})
+    # equal display names, different structure: two generators
+    X = build(("a.b", "c"), ("a", "b.c"))
+    one, two = (simplex_generator(s, s) for s in X.simplices_of_dim(1))
+    assert one.name == two.name == "<a.b.c>"
+    assert one != two
+    cx = RKComplex(ZZ, X, False, {1: (one, two)}, {})
+    assert (cx.index_of(1, simplex_generator(one.data[1], one.label)),
+            cx.index_of(1, two)) == (0, 1)
