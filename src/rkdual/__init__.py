@@ -25,8 +25,7 @@ from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
 from .ballcomplex import (BallComplex, CellularComplex, DualCell,
                           OrientationPair, cellular_chain_complex,
                           cellular_iso, dual_cell, dual_cone,
-                          induced_cell_map, induced_chain_map,
-                          verify_cellular_homology)
+                          induced_cell_map, induced_chain_map)
 from .capproduct import (cap_product, flag_sign, fundamental_cycle_map,
                       verify_cap_chain_map, verify_cap_factorization,
                       verify_equivalences, verify_fundamental_cycles)

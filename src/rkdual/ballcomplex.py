@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, homology
-from .rkcore import (RKComplex, RKMap, delta_chain, dual_star, epsilon,
-                     simplex_generator)
-from .duality import Dualizer, tensor_k, tensor_map_left
+from .linalg import Matrix
+from .rkcore import (RKComplex, RKMap, delta_chain, delta_star_k,
+                     simplex_generator, tensor_generator)
+from .duality import tensor_k, tensor_map_left
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
-                         barycentric_subdivision, chain_complex,
                          incidence_canonical, simplex_name)
 
 
@@ -80,9 +79,9 @@ class BallComplex:
     inner and outer parts.
     """
 
-    def __init__(self, ks: KSpace, derived: DerivedComplex | None = None):
+    def __init__(self, ks: KSpace, derived: DerivedComplex):
         self.ks = ks
-        self.derived = derived or barycentric_subdivision(ks.X)
+        self.derived = derived
         self.cells = {}
         pi = ks.pi
         chains = tuple(self.derived.prime.all_simplices())
@@ -207,12 +206,6 @@ class OrientationPair:
                     f"pushforward-compatibility identity")
         return self
 
-    def pullback_sign(self, T) -> int:
-        """Sign of the basis element of T against the orientation pulled
-        back through pi; requires pi injective on T."""
-        image, s = self.ks.pi.chain_image(T)
-        return self.bx[T] * s * self.bk[image]
-
 
 @dataclass
 class CellularComplex:
@@ -225,21 +218,19 @@ class CellularComplex:
     cells: dict = field(default_factory=dict)   # generator -> (T, sigma)
 
 
-def cellular_chain_complex(ks: KSpace, ring, orientation: OrientationPair,
-                           ball: BallComplex | None = None,
-                           check_display: bool = True) -> CellularComplex:
-    """Build the cellular complex and verify its boundary formula.
+def cellular_chain_complex(orientation: OrientationPair, dx: RKComplex,
+                           dstar_k: RKComplex,
+                           ball: BallComplex) -> CellularComplex:
+    """The blocked tensor of the X-chains ``dx`` with the K-cochains
+    ``dstar_k``, with each generator T⊗sigma* matched to its cell of
+    ``ball``.
 
-    The generic blocked-tensor differential of each basis cell is compared
-    against the incidence display (outer faces [T,S][S_s], inner cofaces
-    with the extra sign), and every nonzero coefficient is checked to be a
-    unit sitting on a codimension-one cell.
+    ``dx`` and ``dstar_k`` must carry the bases of ``orientation``; nothing
+    is rebuilt here.  The incidence form of the boundary is certified
+    separately by :func:`verify_boundary_display`.
     """
     orientation.validate()
-    dx = delta_chain(ks, ring, orientation.bx)
-    dstark = Dualizer(ks.K, ring, orientation.bk).dstar_k
-    rk = tensor_k(dx, dstark)
-    ball = ball or BallComplex(ks)
+    rk = tensor_k(dx, dstar_k)
     cells = {}
     for q in rk.degrees():
         for g in rk.gens_at(q):
@@ -249,12 +240,7 @@ def cellular_chain_complex(ks: KSpace, ring, orientation: OrientationPair,
             cells[g] = (T, sigma)
             if (T, sigma) not in ball.cells:
                 raise InputError(f"generator {g.name} is not a cell")
-    cx = CellularComplex(rk, ball, orientation, cells)
-    if check_display:
-        errors = verify_boundary_display(ks, cx)
-        if errors:
-            raise InputError("; ".join(errors))
-    return cx
+    return CellularComplex(rk, ball, orientation, cells)
 
 
 def verify_boundary_display(ks: KSpace, cx: CellularComplex):
@@ -301,39 +287,26 @@ def same_homology(got, want) -> bool:
     return all(got.get(q) == want.get(q) for q in degrees)
 
 
-def verify_cellular_homology(ks: KSpace, cx: CellularComplex):
-    """Homology of the assembled cellular complex equals homology of X."""
-    cell_h = homology(cx.rk.underlying())
-    simp_h = homology(chain_complex(ks.X, cx.rk.ring))
-    return same_homology(cell_h, simp_h), cell_h, simp_h
-
-
-@dataclass
-class CellularIso:
-    """The degreewise bijection from the dual of cochains onto the cellular
-    complex, with the complexes it connects."""
-
-    map: RKMap
-    dx: RKComplex
-    dstar_x: RKComplex
-    source: RKComplex       # dual of cochains, tensored with K-cochains
-    target: CellularComplex
-    dualizer: Dualizer
-
-
-def cellular_iso(ks: KSpace, ring, orientation: OrientationPair,
-                 cellular: CellularComplex | None = None) -> CellularIso:
+def cellular_iso(tc: RKComplex, cellular: CellularComplex) -> RKMap:
     """The identification of the dual of X-cochains with the cellular
-    complex: the double-dual collapse tensored with the identity."""
-    dx = delta_chain(ks, ring, orientation.bx)
-    dstar_x = dual_star(dx)
-    dz = Dualizer(ks.K, ring, orientation.bk)
-    cellular = cellular or cellular_chain_complex(ks, ring, orientation)
-    phi = tensor_map_left(epsilon(dx), dz.dstar_k)
-    if not phi.tgt.same_shape(cellular.rk):
-        raise InputError("cellular complex was built with another orientation")
-    phi = RKMap(phi.src, cellular.rk, dict(phi.comps))
-    return CellularIso(phi, dx, dstar_x, phi.src, cellular, dz)
+    complex: the double-dual collapse tensored with the identity, sending
+    x** ⊗ s* to (-1)^{|x|} x ⊗ s*.
+
+    ``tc`` is T(cochains of X), built from the same X-chains as
+    ``cellular``; the map is read off the generators of both.
+    """
+    rk = cellular.rk
+    ring = rk.ring
+    comps = {}
+    for q in tc.degrees():
+        data = {}
+        for j, g in enumerate(tc.gens_at(q)):
+            _, gl, gr = g.data
+            x = gl.data[1].data[1]
+            sign = ring.coerce((-1) ** ((len(x.data[1]) - 1) % 2))
+            data[(rk.index_of(q, tensor_generator(x, gr)), j)] = sign
+        comps[q] = Matrix(ring, rk.rank(q), tc.rank(q), data)
+    return RKMap(tc, rk, comps)
 
 
 def induced_chain_map(fmap: KSpaceMap, ring, or_src: OrientationPair,
@@ -365,5 +338,4 @@ def induced_cell_map(fmap: KSpaceMap, ring, or_src: OrientationPair,
     if or_src.bk != or_tgt.bk:
         raise InputError("K-space map needs one orientation of K on both sides")
     push = induced_chain_map(fmap, ring, or_src, or_tgt)
-    dstark = Dualizer(fmap.src.K, ring, or_src.bk).dstar_k
-    return tensor_map_left(push, dstark)
+    return tensor_map_left(push, delta_star_k(fmap.src.K, ring, or_src.bk))

@@ -18,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Matrix, smith_normal_form
-from .rkcore import RKMap, delta_complexes, simplex_generator
-from .duality import Dualizer, projection_map, tensor_r
+from .rkcore import RKMap, simplex_generator
+from .duality import (Dualizer, projection_map, tensor_r,
+                      verify_diagonal_equivalence)
 from .simplicial import (DerivedComplex, InputError, KSpace,
-                         barycentric_subdivision, incidence_canonical,
-                         simplex_name)
-from .ballcomplex import (BallComplex, CellularComplex, CellularIso,
-                          OrientationPair, cellular_chain_complex,
-                          cellular_iso)
+                         incidence_canonical, simplex_name)
+from .ballcomplex import CellularComplex
 
 
 def flag_sign(flag, first_sign=1, last_sign=1) -> int:
@@ -124,8 +122,10 @@ def _face_part(chain, i):
     return {k: v for k, v in out.items() if v}
 
 
-def verify_cap_chain_map(cx, ring, basis=None, name="K") -> CapReport:
-    """Check that capping commutes with the differentials.
+def verify_cap_chain_map(derived: DerivedComplex, ring, basis=None,
+                         name="K") -> CapReport:
+    """Check that capping commutes with the differentials on the complex
+    ``derived.base``, against its subdivision ``derived``.
 
     The full identity is checked as matrices between the tensor of chains
     with cochains and the subdivision chains; the first-face, last-face and
@@ -133,11 +133,10 @@ def verify_cap_chain_map(cx, ring, basis=None, name="K") -> CapReport:
     its perfect sign-reversing pairing.
     """
     from .rkcore import delta_chain, delta_star_k
-    from .simplicial import KSpace, chain_complex, identity_map
+    from .simplicial import chain_complex, control_kspace
 
-    derived = barycentric_subdivision(cx)
-    ks = KSpace(cx, cx, identity_map(cx))
-    dxk = delta_chain(ks, ring, basis)
+    cx = derived.base
+    dxk = delta_chain(control_kspace(cx), ring, basis)
     dstark = delta_star_k(cx, ring, basis)
     domain_rk = tensor_r(dxk, dstark)
     domain = domain_rk.underlying()
@@ -240,14 +239,11 @@ class CellChainData:
 
     map: RKMap
     cellular: CellularComplex
-    dx_prime: object            # RKComplex of subdivision chains
     deltas: object              # DeltaComplexes
-    orientation: OrientationPair
 
 
-def fundamental_cycle_map(ks: KSpace, ring, orientation: OrientationPair,
-                          cellular: CellularComplex | None = None,
-                          deltas=None) -> CellChainData:
+def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
+                          deltas) -> CellChainData:
     """The monomorphism from the cellular complex into subdivision chains.
 
     A basis cell T⊗rho* of degree q goes to the signed sum of the top flags
@@ -256,10 +252,14 @@ def fundamental_cycle_map(ks: KSpace, ring, orientation: OrientationPair,
     basis of X on top and the orientation pulled back from rho at the
     bottom.  For q = 0 this is the barycenter vertex with coefficient
     (-1)^{dim T} times the orientation comparison.
+
+    ``cellular`` and ``deltas`` (the :class:`~rkdual.rkcore.DeltaComplexes`
+    of ``ks``, whose subdivision chains are the target) must be built with
+    the bases of ``cellular.orientation``; nothing is rebuilt here.
     """
+    orientation = cellular.orientation
     orientation.validate()
-    deltas = deltas or delta_complexes(ks, ring, orientation.bx)
-    cellular = cellular or cellular_chain_complex(ks, ring, orientation)
+    ring = cellular.rk.ring
     dxp = deltas.dx_prime
     bx, bk = orientation.bx, orientation.bk
     comps = {}
@@ -276,22 +276,22 @@ def fundamental_cycle_map(ks: KSpace, ring, orientation: OrientationPair,
         comps[q] = Matrix(ring, dxp.rank(q), cellular.rk.rank(q), data)
     cmap = RKMap(cellular.rk, dxp, comps)
     cmap.validate()
-    return CellChainData(cmap, cellular, dxp, deltas, orientation)
+    return CellChainData(cmap, cellular, deltas)
 
 
-def verify_cap_factorization(ks: KSpace, ring, data: CellChainData) -> bool:
+def verify_cap_factorization(ks: KSpace, data: CellChainData,
+                             dualizer: Dualizer) -> bool:
     """The defining property of the cell map: capping in X after pulling
     cochains back through pi agrees with the cell map after projecting the
-    full tensor onto the blocked one."""
-    orientation = data.orientation
-    bx, bk = orientation.bx, orientation.bk
+    full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
+    in the basis of the cell map's orientation."""
+    ring = dualizer.ring
+    bx, bk = data.cellular.orientation.bx, data.cellular.orientation.bk
     derived_x = data.deltas.derived_x
-    dx = data.deltas.dx
-    dstark = Dualizer(ks.K, ring, bk).dstar_k
-    proj = projection_map(dx, dstark)
+    proj = projection_map(data.deltas.dx, dualizer.dstar_k)
     full = proj.src
     rhs = data.map.compose(proj)
-    dxp = data.dx_prime
+    dxp = data.deltas.dx_prime
     comps = {}
     for q in full.degrees():
         dmat = {}
@@ -317,14 +317,14 @@ class FundamentalCycleReport:
     passed: bool
 
 
-def verify_fundamental_cycles(ks: KSpace, data: CellChainData,
-                              ball: BallComplex | None = None) -> FundamentalCycleReport:
+def verify_fundamental_cycles(data: CellChainData) -> FundamentalCycleReport:
     """Each cell maps to a fundamental cycle of its dual cell: every top
     flag appears with a unit coefficient and nothing else in that degree,
-    and the boundary is supported on the inner and outer boundary flags."""
-    ball = ball or data.cellular.ball
+    and the boundary is supported on the inner and outer boundary flags.
+    The cells are those of ``data.cellular.ball``."""
+    ball = data.cellular.ball
     rk = data.cellular.rk
-    dxp = data.dx_prime
+    dxp = data.deltas.dx_prime
     ring = rk.ring
     verdicts = {}
     for q in rk.degrees():
@@ -354,38 +354,18 @@ def is_monomorphism(f: RKMap) -> bool:
     return True
 
 
-@dataclass
-class EquivalenceSuite:
-    """Cone-acyclicity reports for the cell map, its composite with the
-    cellular identification, and the induced map on duals."""
+def verify_equivalences(cell_map: RKMap, iso: RKMap, dualizer: Dualizer,
+                        e: RKMap) -> tuple:
+    """Label-by-label cone acyclicity for the three composite equivalences:
+    cells to subdivision, dual to subdivision, and subdivision dual to
+    cochains, as three :class:`~rkdual.duality.EquivalenceReport`.
 
-    cells_to_subdivision: object
-    dual_to_subdivision: object
-    subdivision_dual_to_cochains: object
-    monomorphism: bool
-
-    @property
-    def passed(self):
-        return (self.cells_to_subdivision.passed
-                and self.dual_to_subdivision.passed
-                and self.subdivision_dual_to_cochains.passed
-                and self.monomorphism)
-
-
-def verify_equivalences(ks: KSpace, ring, orientation: OrientationPair,
-                        data: CellChainData | None = None,
-                        iso: CellularIso | None = None) -> EquivalenceSuite:
-    """Label-by-label cone acyclicity for the three composite equivalences."""
-    from .duality import verify_diagonal_equivalence
-
-    data = data or fundamental_cycle_map(ks, ring, orientation)
-    iso = iso or cellular_iso(ks, ring, orientation, data.cellular)
-    rep_cx = verify_diagonal_equivalence(data.map, "cells to subdivision")
-    composite = data.map.compose(iso.map)
-    rep_phi = verify_diagonal_equivalence(composite, "dual to subdivision")
-    dz = iso.dualizer
-    t_of_composite = dz.map(composite)
-    e_map = dz.double_dual_map(iso.dstar_x)
-    final = e_map.compose(t_of_composite)
-    rep_final = verify_diagonal_equivalence(final, "subdivision dual to cochains")
-    return EquivalenceSuite(rep_cx, rep_phi, rep_final, is_monomorphism(data.map))
+    ``cell_map`` sends cells to subdivision chains, ``iso`` is the cellular
+    identification of T(cochains of X), and ``e`` is the double-dual
+    collapse of the cochains of X by ``dualizer``; nothing is rebuilt here.
+    """
+    composite = cell_map.compose(iso)
+    final = e.compose(dualizer.map(composite))
+    return (verify_diagonal_equivalence(cell_map, "cells to subdivision"),
+            verify_diagonal_equivalence(composite, "dual to subdivision"),
+            verify_diagonal_equivalence(final, "subdivision dual to cochains"))

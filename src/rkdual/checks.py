@@ -14,15 +14,16 @@ from functools import cached_property
 
 from .rings import Ring
 from .linalg import ChainComplexError, homology
-from .simplicial import (InputError, KSpace, SimplicialComplex, chain_complex,
+from .simplicial import (InputError, KSpace, SimplicialComplex,
+                         barycentric_subdivision, chain_complex,
                          control_kspace, control_map, derived_kspace,
                          kspace_identity, simplex_name, validate_kspace)
-from .rkcore import (RKMap, check_lemma_clem, delta_complexes, dual_star_map,
-                     is_full, maximal_label_ses)
+from .rkcore import (DeltaComplexes, RKMap, check_lemma_clem, delta_complexes,
+                     dual_star_map, is_full, maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map,
-                      verify_e_equivalence)
-from .ballcomplex import (BallComplex, OrientationPair, cell_name,
-                          cellular_chain_complex, cellular_iso,
+                      verify_diagonal_equivalence)
+from .ballcomplex import (BallComplex, CellularComplex, OrientationPair,
+                          cell_name, cellular_chain_complex, cellular_iso,
                           induced_cell_map, induced_chain_map, same_homology,
                           verify_boundary_display)
 from .capproduct import (fundamental_cycle_map, is_monomorphism,
@@ -55,17 +56,38 @@ def parse_document(payload: dict) -> Document:
             raise InputError(f"complex {name!r} needs a 'simplices' list")
         vertices = entry.get("vertices")
         simplices = entry["simplices"]
-        if not all(isinstance(s, list) and s for s in simplices):
+        if not isinstance(simplices, list) or not all(
+                isinstance(s, list) and s for s in simplices):
             raise InputError(f"complex {name!r} has a malformed simplex")
+        if not isinstance(vertices, (list, type(None))):
+            raise InputError(f"complex {name!r}: 'vertices' must be a list, "
+                             f"got {vertices!r}")
+        for s in simplices + [vertices or []]:
+            for v in s:
+                if not isinstance(v, str):
+                    raise InputError(f"complex {name!r}: vertex {v!r} is not "
+                                     f"a string")
         complexes[name] = SimplicialComplex.build(vertices, simplices)
     kspaces = []
     raw_maps = payload.get("maps") or {}
+    if not isinstance(raw_maps, dict):
+        raise InputError(f"'maps' must be a table of maps, got {raw_maps!r}")
     for name in sorted(raw_maps):
         entry = raw_maps[name]
+        if not isinstance(entry, dict):
+            raise InputError(f"map {name!r} must be a table, got {entry!r}")
         for key in ("source", "target", "vertices"):
             if key not in entry:
                 raise InputError(f"map {name!r} needs '{key}'")
+        assignment = entry["vertices"]
+        if not isinstance(assignment, dict) or not all(
+                isinstance(v, str) for v in assignment.values()):
+            raise InputError(f"map {name!r}: 'vertices' must send vertices "
+                             f"to vertices, got {assignment!r}")
         for side in ("source", "target"):
+            if not isinstance(entry[side], str):
+                raise InputError(f"map {name!r}: {side} {entry[side]!r} "
+                                 f"is not a complex name")
             if entry[side] not in complexes:
                 raise InputError(f"map {name!r} references unknown complex "
                                  f"{entry[side]!r}")
@@ -109,41 +131,70 @@ def _guard(report: Report, name: str, target: str, fn):
     return passed
 
 
-COMPLEX_KEYS = ("chains", "cochains", "subdivision-chains", "cell-chains",
-                "dual", "double-dual")
-
-
 @dataclass
 class KSpaceData:
-    """Everything the checks need, built once per K-space and ring."""
+    """The objects of one K-space over one ring, each built on first use and
+    only once.
+
+    This is the one place where they are built: the builders in
+    ``ballcomplex``, ``capproduct`` and ``duality`` take what they use as
+    arguments and never build a second copy, so a check that runs alone
+    builds only what it reads.
+    """
 
     ks: KSpace
     ring: Ring
-    orientation: OrientationPair
-    deltas: object
-    dualizer: Dualizer
-    ball: BallComplex
-    cellular: object
-    iso: object
-    cell_data: object
-    tc: object
-    t2: object
 
     @classmethod
     def build(cls, ks: KSpace, ring: Ring) -> "KSpaceData":
-        orientation = OrientationPair.standard(ks)
-        deltas = delta_complexes(ks, ring, orientation.bx)
-        dualizer = Dualizer(ks.K, ring, orientation.bk)
-        ball = BallComplex(ks, deltas.derived_x)
-        cellular = cellular_chain_complex(ks, ring, orientation, ball,
-                                          check_display=False)
-        iso = cellular_iso(ks, ring, orientation, cellular)
-        cell_data = fundamental_cycle_map(ks, ring, orientation, cellular,
-                                          deltas)
-        tc = dualizer.object(deltas.dstar_x)
-        t2 = dualizer.square(deltas.dstar_x)
-        return cls(ks, ring, orientation, deltas, dualizer, ball, cellular,
-                   iso, cell_data, tc, t2)
+        return cls(ks, ring)
+
+    @cached_property
+    def orientation(self) -> OrientationPair:
+        return OrientationPair.standard(self.ks)
+
+    @cached_property
+    def deltas(self) -> DeltaComplexes:
+        """Chains, cochains and subdivision chains, with the subdivisions
+        of X and K."""
+        return delta_complexes(self.ks, self.ring, self.orientation.bx)
+
+    @cached_property
+    def dualizer(self) -> Dualizer:
+        return Dualizer(self.ks.K, self.ring, self.orientation.bk)
+
+    @cached_property
+    def ball(self) -> BallComplex:
+        return BallComplex(self.ks, self.deltas.derived_x)
+
+    @cached_property
+    def cellular(self) -> CellularComplex:
+        return cellular_chain_complex(self.orientation, self.deltas.dx,
+                                      self.dualizer.dstar_k, self.ball)
+
+    @cached_property
+    def tc(self):
+        """T(cochains of X)."""
+        return self.dualizer.object(self.deltas.dstar_x)
+
+    @cached_property
+    def e(self) -> RKMap:
+        """The double-dual collapse T²(cochains of X) -> cochains of X."""
+        return self.dualizer.double_dual_map(self.deltas.dstar_x)
+
+    @cached_property
+    def t2(self):
+        """T²(cochains of X), the source of ``e``."""
+        return self.e.src
+
+    @cached_property
+    def iso(self) -> RKMap:
+        """The cellular identification of ``tc`` with the cell chains."""
+        return cellular_iso(self.tc, self.cellular)
+
+    @cached_property
+    def cell_data(self):
+        return fundamental_cycle_map(self.ks, self.cellular, self.deltas)
 
     def complexes(self):
         return {
@@ -172,7 +223,7 @@ def check_soundness(report: Report, target: str, data: KSpaceData):
 
 def check_derived(report: Report, target: str, data: KSpaceData):
     def body():
-        derived_kspace(data.ks)[2].pi.validate()
+        data.deltas.ks_prime.pi.validate()
         return True, {}
     _guard(report, "soundness/derived-control-map", target, body)
 
@@ -264,12 +315,12 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         _guard(report, "duality/exactness", target, exact_body)
 
         def rows_body():
+            # the middle of the sequence is the cochain complex itself
             e_sub = dz.double_dual_map(ses.i.src)
-            e_tot = dz.double_dual_map(ses.i.tgt)
             e_quo = dz.double_dual_map(ses.j.tgt)
-            ok = (e_tot.compose(dz.map(dz.map(ses.i))) == ses.i.compose(e_sub)
+            ok = (data.e.compose(dz.map(dz.map(ses.i))) == ses.i.compose(e_sub)
                   and e_quo.compose(dz.map(dz.map(ses.j)))
-                  == ses.j.compose(e_tot))
+                  == ses.j.compose(data.e))
             return ok, {}
         _guard(report, "double-dual/natural-rows", target, rows_body)
 
@@ -278,8 +329,7 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         ev.validate()
         iso = dz.hom_to_square(dstar_x)
         iso.validate()
-        e = dz.double_dual_map(dstar_x)
-        return (e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
+        return (data.e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
     _guard(report, "double-dual/defining-identity", target, defining_body)
 
     def natural_body():
@@ -288,18 +338,19 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         or_k = OrientationPair.standard(fmap.tgt)
         push = induced_chain_map(fmap, data.ring, data.orientation, or_k)
         pullback = dual_star_map(push)
-        e_x = dz.double_dual_map(pullback.tgt)
         e_k = dz.double_dual_map(pullback.src)
-        lhs = e_x.compose(dz.map(dz.map(pullback)))
+        lhs = data.e.compose(dz.map(dz.map(pullback)))
         rhs = pullback.compose(e_k)
         return lhs == rhs, {}
     _guard(report, "double-dual/naturality", target, natural_body)
 
-    for key in ("cochains", "subdivision-chains", "cell-chains"):
-        cx = data.complexes()[key]
-
-        def equiv_body(cx=cx):
-            rep = verify_e_equivalence(cx, dz)
+    collapses = (("cochains", lambda: data.e),
+                 ("subdivision-chains",
+                  lambda: dz.double_dual_map(data.deltas.dx_prime)),
+                 ("cell-chains", lambda: dz.double_dual_map(data.cellular.rk)))
+    for key, collapse in collapses:
+        def equiv_body(collapse=collapse):
+            rep = verify_diagonal_equivalence(collapse(), "double-dual")
             return rep.passed, ({"failures": rep.failures()}
                                 if not rep.passed else {})
         _guard(report, f"double-dual/equivalence/{key}", target, equiv_body)
@@ -311,8 +362,8 @@ def _ball_structure(data: KSpaceData):
 
 
 def _identification(data: KSpaceData):
-    data.iso.map.validate()
-    return data.iso.map.is_bijection_on_bases(), {}
+    data.iso.validate()
+    return data.iso.is_bijection_on_bases(), {}
 
 
 def _homology_of_x(data: KSpaceData, cx):
@@ -362,14 +413,15 @@ def check_cells(report: Report, target: str, data: KSpaceData):
 
 def check_cap(report: Report, target: str, data: KSpaceData):
     def k_body():
-        rep = verify_cap_chain_map(data.ks.K, data.ring,
+        rep = verify_cap_chain_map(data.deltas.derived_k, data.ring,
                                    basis=data.orientation.bk)
         return rep.passed, ({"failures": rep.failures[:5]}
                             if not rep.passed else {})
     _guard(report, "cap/chain-map-and-pairing/control", target, k_body)
 
     def fact_body():
-        return verify_cap_factorization(data.ks, data.ring, data.cell_data), {}
+        return verify_cap_factorization(data.ks, data.cell_data,
+                                        data.dualizer), {}
     _guard(report, "cap/factorization", target, fact_body)
 
     def mono_body():
@@ -377,7 +429,7 @@ def check_cap(report: Report, target: str, data: KSpaceData):
     _guard(report, "cap/monomorphism", target, mono_body)
 
     def cycles_body():
-        rep = verify_fundamental_cycles(data.ks, data.cell_data, data.ball)
+        rep = verify_fundamental_cycles(data.cell_data)
         bad = sorted(cell_name(*cell) for cell, ok in rep.verdicts.items()
                      if not ok)
         return rep.passed, ({"failures": bad[:5]} if bad else {})
@@ -385,10 +437,8 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
 
 def check_equivalences(report: Report, target: str, data: KSpaceData):
-    suite = verify_equivalences(data.ks, data.ring, data.orientation,
-                                data.cell_data, data.iso)
-    for rep in (suite.cells_to_subdivision, suite.dual_to_subdivision,
-                suite.subdivision_dual_to_cochains):
+    for rep in verify_equivalences(data.cell_data.map, data.iso,
+                                   data.dualizer, data.e):
         report.add(f"equivalences/{rep.name.replace(' ', '-')}", target,
                    rep.passed,
                    **({"failures": rep.failures()} if not rep.passed else {}))
@@ -408,11 +458,15 @@ def check_naturality(report: Report, target: str, data: KSpaceData):
         or_k = OrientationPair.standard(fmap.tgt)
         fk = induced_cell_map(fmap, ring, data.orientation, or_k)
         fk.validate()
-        iso_y = cellular_iso(fmap.tgt, ring, or_k)
         push = induced_chain_map(fmap, ring, data.orientation, or_k)
-        pullback = dual_star_map(push)
-        lhs = iso_y.map.compose(data.dualizer.map(pullback))
-        rhs = fk.compose(data.iso.map)
+        dz = data.dualizer
+        t_pullback = dz.map(dual_star_map(push))
+        # the cells of the control K-space (K, id), on the subdivision of K
+        ball_k = BallComplex(fmap.tgt, data.deltas.derived_k)
+        cells_k = cellular_chain_complex(or_k, push.tgt, dz.dstar_k, ball_k)
+        iso_y = cellular_iso(t_pullback.tgt, cells_k)
+        lhs = iso_y.compose(t_pullback)
+        rhs = fk.compose(data.iso)
         return lhs == rhs, {}
     _guard(report, "naturality/control-square", target, square_body)
 
@@ -497,7 +551,6 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
     elif command == "subdivide":
         for name in sorted(doc.complexes):
             cx = doc.complexes[name]
-            from .simplicial import barycentric_subdivision
             derived = barycentric_subdivision(cx)
             counts = {str(p): len(derived.prime.simplices_of_dim(p))
                       for p in range(derived.prime.dim + 1)}
@@ -516,7 +569,7 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
     elif command == "ball-complex":
         for name, ks in doc.kspaces:
             def body(ks=ks, name=name):
-                ball = BallComplex(ks)
+                ball = BallComplex(ks, barycentric_subdivision(ks.X))
                 failures = ball.check()
                 report.tables[f"cells/{name}"] = {
                     str(d): n for d, n in sorted(ball.census().items())}
@@ -561,8 +614,10 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
     elif command == "emit-cells":
         for name, ks in doc.kspaces:
             def body(ks=ks, name=name):
-                orientation = OrientationPair.standard(ks)
-                cellular = cellular_chain_complex(ks, ring, orientation)
+                cellular = KSpaceData.build(ks, ring).cellular
+                errors = verify_boundary_display(ks, cellular)
+                if errors:
+                    return False, {"error": "; ".join(errors)}
                 report.tables[f"cells/{name}"] = cell_incidence_lines(cellular)
                 return True, {}
             _guard(report, "emit-cells/built", name, body)

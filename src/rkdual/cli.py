@@ -45,8 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> dict:
     if not os.path.exists(path):
         raise InputError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input file is not UTF-8: byte "
+                         f"{raw[exc.start:exc.start + 1]!r} at offset {exc.start}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -100,13 +100,13 @@ def projection_map(C: RKComplex, D: RKComplex) -> RKMap:
     return RKMap(src, tgt, comps)
 
 
-def tensor_map_left(f: RKMap, D: RKComplex, blocked=True) -> RKMap:
-    """f ⊗ identity on D, for a degree-0 map f of opposite-order complexes."""
+def tensor_map_left(f: RKMap, D: RKComplex) -> RKMap:
+    """f ⊗ identity on D over the blocked tensor, for a degree-0 map f of
+    opposite-order complexes."""
     if f.degree != 0:
         raise ValueError("only degree-0 maps are tensored")
-    tensor = tensor_k if blocked else tensor_r
-    src = tensor(f.src, D)
-    tgt = tensor(f.tgt, D)
+    src = tensor_k(f.src, D)
+    tgt = tensor_k(f.tgt, D)
     ldeg = {g: r for r in f.src.degrees() for g in f.src.gens_at(r)}
     comps = {}
     for q in src.degrees():
@@ -116,7 +116,7 @@ def tensor_map_left(f: RKMap, D: RKComplex, blocked=True) -> RKMap:
             r = ldeg[gl]
             for i_l, v in f.component(r).column(f.src.index_of(r, gl)):
                 gl2 = f.tgt.gens_at(r)[i_l]
-                if not blocked or set(gr.label) <= set(gl2.label):
+                if set(gr.label) <= set(gl2.label):
                     key = (tgt.index_of(q, tensor_generator(gl2, gr)), j)
                     data[key] = src.ring.add(data.get(key, src.ring.zero), v)
         comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)

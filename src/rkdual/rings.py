@@ -133,12 +133,6 @@ class Ring:
             return self.mul(a, self.invert(b)), self.zero
         return divmod(a, b)
 
-    def exact_div(self, a, b):
-        q, r = self.divmod(a, b)
-        if not self.is_zero(r):
-            raise ValueError(f"{b} does not divide {a} in {self}")
-        return q
-
     def normalize_factor(self, a):
         """Canonical associate of a nonzero element: |a| over Z, 1 over a field."""
         if self.kind == "Z":

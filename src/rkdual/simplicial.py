@@ -9,6 +9,7 @@ strictly decreasing chains in the face poset.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,8 +19,16 @@ class InputError(ValueError):
 
 
 def vertex_name(v) -> str:
+    """Display name of a vertex; distinct vertices get distinct names.
+
+    A vertex of a subdivision (a simplex) is parenthesised, and a string
+    holding a separator, a parenthesis, a quote or a backslash is written
+    as its JSON literal, so joined names still parse back uniquely.
+    """
     if isinstance(v, tuple):
         return "(" + simplex_name(v) + ")"
+    if isinstance(v, str) and any(c in v for c in '.()"\\'):
+        return json.dumps(v)
     return str(v)
 
 
@@ -115,10 +124,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(ss) for p, ss in self._by_dim.items())
-
-    def is_face(self, a, b) -> bool:
-        """a <= b in the face order."""
-        return set(a) <= set(b)
 
     def star(self, s):
         """All simplices having s as a face, in deterministic order."""
@@ -334,9 +339,6 @@ class DerivedComplex:
 
     base: SimplicialComplex
     prime: SimplicialComplex
-
-    def chains_of_dim(self, p):
-        return self.prime.simplices_of_dim(p)
 
 
 def barycentric_subdivision(X: SimplicialComplex) -> DerivedComplex:

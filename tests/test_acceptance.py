@@ -12,11 +12,10 @@ import pytest
 
 from rkdual.linalg import homology
 from rkdual.rings import Ring, ZZ
-from rkdual.rkcore import delta_complexes
-from rkdual.simplicial import SimplicialComplex, control_map, kspace_identity
-from rkdual.duality import Dualizer, verify_e_equivalence
-from rkdual.ballcomplex import (OrientationPair, cellular_chain_complex,
-                                cellular_iso, induced_cell_map,
+from rkdual.simplicial import (SimplicialComplex, barycentric_subdivision,
+                               control_map, kspace_identity)
+from rkdual.duality import verify_e_equivalence
+from rkdual.ballcomplex import (OrientationPair, induced_cell_map,
                                 induced_chain_map)
 from rkdual.rkcore import dual_star_map
 from rkdual.capproduct import (verify_cap_chain_map, verify_equivalences,
@@ -58,8 +57,8 @@ def test_criterion_1_differential_soundness(corpus_data):
 def test_criterion_2_cellular_identification(corpus_data):
     ok = True
     for name, data in corpus_data.items():
-        data.iso.map.validate()
-        ok = ok and data.iso.map.is_bijection_on_bases()
+        data.iso.validate()
+        ok = ok and data.iso.is_bijection_on_bases()
     expected = {"hex": {0: (1, ()), 1: (1, ())},
                 "id2": {0: (1, ())},
                 "circ3": {0: (1, ()), 1: (1, ())}}
@@ -76,14 +75,10 @@ def test_criterion_3_double_dual_equivalence(corpus_data):
     ok = True
     for name in CORPUS_NAMES:
         for ring in (ZZ, GF2):
-            ks = corpus_kspace(name)
-            orientation = OrientationPair.standard(ks)
-            dc = delta_complexes(ks, ring, orientation.bx)
-            dz = Dualizer(ks.K, ring, orientation.bk)
-            cell = cellular_chain_complex(ks, ring, orientation,
-                                          check_display=False)
-            for cx in (dc.dstar_x, dc.dx_prime, cell.rk):
-                rep = verify_e_equivalence(cx, dz)
+            data = KSpaceData.build(corpus_kspace(name), ring)
+            for cx in (data.deltas.dstar_x, data.deltas.dx_prime,
+                       data.cellular.rk):
+                rep = verify_e_equivalence(cx, data.dualizer)
                 ok = ok and rep.passed
     announce(3, "double-dual collapse has acyclic cones over Z and Z/2", ok)
 
@@ -92,7 +87,7 @@ def test_criterion_4_cap_chain_map():
     ok = True
     for maximal in (("ab",), ("abc",), ("abcd",), ("ab", "bc", "ac")):
         cx = SimplicialComplex.build(None, [list(s) for s in maximal])
-        rep = verify_cap_chain_map(cx, ZZ)
+        rep = verify_cap_chain_map(barycentric_subdivision(cx), ZZ)
         ok = (ok and rep.full_identity and rep.face_first and rep.face_last
               and rep.face_interior and rep.pairing)
     announce(4, "cap product is a chain map with a perfect interior-face "
@@ -102,7 +97,7 @@ def test_criterion_4_cap_chain_map():
 def test_criterion_5_fundamental_cycles(corpus_data):
     ok = True
     for name, data in corpus_data.items():
-        rep = verify_fundamental_cycles(data.ks, data.cell_data, data.ball)
+        rep = verify_fundamental_cycles(data.cell_data)
         ok = ok and rep.passed
     announce(5, "every cell maps to a unit-coefficient fundamental cycle",
              ok)
@@ -111,9 +106,9 @@ def test_criterion_5_fundamental_cycles(corpus_data):
 def test_criterion_6_composite_equivalences(corpus_data):
     ok = True
     for name, data in corpus_data.items():
-        suite = verify_equivalences(data.ks, ZZ, data.orientation,
-                                    data.cell_data, data.iso)
-        ok = ok and suite.passed
+        reports = verify_equivalences(data.cell_data.map, data.iso,
+                                      data.dualizer, data.e)
+        ok = ok and all(rep.passed for rep in reports)
     announce(6, "cell map and both composites are equivalences over Z", ok)
 
 
@@ -141,11 +136,11 @@ def test_criterion_8_naturality(corpus_data):
         fmap = control_map(data.ks)
         or_k = OrientationPair.standard(fmap.tgt)
         fk = induced_cell_map(fmap, ZZ, data.orientation, or_k)
-        iso_y = cellular_iso(fmap.tgt, ZZ, or_k)
+        iso_y = KSpaceData.build(fmap.tgt, ZZ).iso
         pullback = dual_star_map(
             induced_chain_map(fmap, ZZ, data.orientation, or_k))
-        lhs = iso_y.map.compose(data.dualizer.map(pullback))
-        rhs = fk.compose(data.iso.map)
+        lhs = iso_y.compose(data.dualizer.map(pullback))
+        rhs = fk.compose(data.iso)
         ok = ok and lhs == rhs
     announce(8, "identification commutes with induced maps (identity and "
                 "control)", ok)

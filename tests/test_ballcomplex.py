@@ -6,22 +6,32 @@ import pytest
 
 from rkdual.linalg import homology
 from rkdual.rings import ZZ
-from rkdual.rkcore import (RKMap, delta_chain, delta_complexes,
+from rkdual.rkcore import (RKMap, delta_chain, delta_complexes, delta_star_k,
                            dual_generator, simplex_generator, tensor_generator)
 from rkdual.simplicial import (InputError, SimplicialComplex,
-                               barycentric_subdivision, control_map,
-                               kspace_identity, validate_kspace)
-from rkdual.ballcomplex import (BallComplex, CellularComplex, OrientationPair,
-                                cellular_chain_complex, cellular_iso,
-                                dual_cell, dual_cone, induced_cell_map,
-                                induced_chain_map, verify_boundary_display,
-                                verify_cellular_homology)
+                               barycentric_subdivision, chain_complex,
+                               control_map, kspace_identity, validate_kspace)
+from rkdual.ballcomplex import (BallComplex, OrientationPair,
+                                cellular_chain_complex, dual_cell, dual_cone,
+                                induced_cell_map, induced_chain_map,
+                                same_homology, verify_boundary_display)
+from rkdual.checks import KSpaceData
 from rkdual.duality import Dualizer
 from rkdual.rkcore import dual_star_map
 
 
 def build(*maximal):
     return SimplicialComplex.build(None, [list(s) for s in maximal])
+
+
+def ball_of(ks):
+    return BallComplex(ks, barycentric_subdivision(ks.X))
+
+
+def cellular_of(ks, orient):
+    return cellular_chain_complex(orient, delta_chain(ks, ZZ, orient.bx),
+                                  delta_star_k(ks.K, ZZ, orient.bk),
+                                  ball_of(ks))
 
 
 # --------------------------------------------------------------- dual cells
@@ -46,7 +56,7 @@ def test_dual_cell_empty_when_not_a_face():
 # --------------------------------------------------------------- structure
 
 def test_cell_census_identity_edge(edge_ks):
-    ball = BallComplex(edge_ks)
+    ball = ball_of(edge_ks)
     assert ball.census() == {0: 3, 1: 2}
     assert sorted(c.name for c in ball.cells.values()) == [
         "(a.b|a)", "(a.b|a.b)", "(a.b|b)", "(a|a)", "(b|b)"]
@@ -54,14 +64,14 @@ def test_cell_census_identity_edge(edge_ks):
 
 
 def test_cell_census_identity_triangle(id2_ks):
-    ball = BallComplex(id2_ks)
+    ball = ball_of(id2_ks)
     assert ball.census() == {0: 7, 1: 9, 2: 3}
     assert ball.euler_characteristic() == 1
     assert not ball.check()
 
 
 def test_cell_census_hexagon(hex_ks):
-    ball = BallComplex(hex_ks)
+    ball = ball_of(hex_ks)
     assert ball.census() == {0: 12, 1: 12}
     assert len(ball.cells) == 24
     assert ball.euler_characteristic() == 0
@@ -69,7 +79,7 @@ def test_cell_census_hexagon(hex_ks):
 
 
 def test_cell_census_collapsed_triangle(tri_ks):
-    ball = BallComplex(tri_ks)
+    ball = ball_of(tri_ks)
     assert not ball.check()
     # the fiber over the edge keeps one 2-cell per vertex of the edge image
     assert ball.census()[2] == 2
@@ -77,7 +87,7 @@ def test_cell_census_collapsed_triangle(tri_ks):
 
 def test_dimension_formula_and_interior_partition(corpus):
     for name, ks in corpus.items():
-        ball = BallComplex(ks)
+        ball = ball_of(ks)
         for (T, sigma), cell in ball.cells.items():
             assert cell.dim == (len(T) - 1) - (len(sigma) - 1)
             assert cell.top_dim_reached()
@@ -91,7 +101,7 @@ def test_dimension_formula_and_interior_partition(corpus):
 
 
 def test_identity_control_zero_cells_biject_with_simplices(id2_ks):
-    ball = BallComplex(id2_ks)
+    ball = ball_of(id2_ks)
     zero_cells = [c for c in ball.cells.values() if c.dim == 0]
     assert len(zero_cells) == sum(1 for _ in id2_ks.K.all_simplices())
     for cell in zero_cells:
@@ -120,49 +130,49 @@ def test_standard_orientation_twists_odd_fibers(edge_ks):
 
 def test_cellular_point(corpus):
     orient = OrientationPair.standard(corpus["pt"])
-    cx = cellular_chain_complex(corpus["pt"], ZZ, orient)
+    cx = cellular_of(corpus["pt"], orient)
     assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 1}
 
 
 def test_cellular_hexagon_ranks_and_homology(hex_ks):
     orient = OrientationPair.standard(hex_ks)
-    cx = cellular_chain_complex(hex_ks, ZZ, orient)
+    cx = cellular_of(hex_ks, orient)
     assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 12, 1: 12}
-    ok, cell_h, _ = verify_cellular_homology(hex_ks, cx)
-    assert ok
+    cell_h = homology(cx.rk.underlying())
+    assert same_homology(cell_h, homology(chain_complex(hex_ks.X, ZZ)))
     assert (cell_h[0].betti, cell_h[1].betti) == (1, 1)
     assert cell_h[0].torsion == () and cell_h[1].torsion == ()
 
 
 def test_cellular_identity_triangle_ranks_and_homology(id2_ks):
     orient = OrientationPair.standard(id2_ks)
-    cx = cellular_chain_complex(id2_ks, ZZ, orient)
+    cx = cellular_of(id2_ks, orient)
     assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 7, 1: 9, 2: 3}
-    ok, cell_h, _ = verify_cellular_homology(id2_ks, cx)
-    assert ok
+    cell_h = homology(cx.rk.underlying())
+    assert same_homology(cell_h, homology(chain_complex(id2_ks.X, ZZ)))
     assert cell_h[0].betti == 1
     assert all(cell_h[q].is_trivial() for q in cell_h if q != 0)
 
 
 def test_cellular_homology_rejects_a_missing_degree(corpus):
     # one 0-cell has no degree-1 homology, so it cannot match the circle
-    cx = CellularComplex(delta_chain(corpus["pt"], ZZ), None, None)
-    ok, cell_h, simp_h = verify_cellular_homology(corpus["circ3"], cx)
+    cell_h = homology(delta_chain(corpus["pt"], ZZ).underlying())
+    simp_h = homology(chain_complex(corpus["circ3"].X, ZZ))
     assert 1 not in cell_h and not simp_h[1].is_trivial()
-    assert not ok
+    assert not same_homology(cell_h, simp_h)
 
 
 def test_cellular_boundary_display_and_units(corpus):
     for name, ks in corpus.items():
         orient = OrientationPair.standard(ks)
-        cx = cellular_chain_complex(ks, ZZ, orient, check_display=False)
+        cx = cellular_of(ks, orient)
         assert not verify_boundary_display(ks, cx), name
         cx.rk.validate()
 
 
 def test_cellular_boundary_of_a_half_edge(edge_ks):
     orient = OrientationPair.standard(edge_ks)
-    cx = cellular_chain_complex(edge_ks, ZZ, orient)
+    cx = cellular_of(edge_ks, orient)
     rk = cx.rk
     j = rk.index_of(1, tensor_generator(
         simplex_generator(("a", "b"), ("a", "b")),
@@ -177,17 +187,15 @@ def test_cellular_boundary_of_a_half_edge(edge_ks):
 # --------------------------------------------------------------- the iso
 
 def test_identification_on_a_point_is_a_signed_identity(corpus):
-    orient = OrientationPair.standard(corpus["pt"])
-    iso = cellular_iso(corpus["pt"], ZZ, orient)
-    assert iso.map.component(0).to_rows() in ([[1]], [[-1]])
+    iso = KSpaceData.build(corpus["pt"], ZZ).iso
+    assert iso.component(0).to_rows() in ([[1]], [[-1]])
 
 
 def test_identification_is_bijective_chain_map_on_corpus(corpus):
     for name, ks in corpus.items():
-        orient = OrientationPair.standard(ks)
-        iso = cellular_iso(ks, ZZ, orient)
-        iso.map.validate()
-        assert iso.map.is_bijection_on_bases(), name
+        iso = KSpaceData.build(ks, ZZ).iso
+        iso.validate()
+        assert iso.is_bijection_on_bases(), name
 
 
 def test_dual_homology_matches_base_homology(corpus):
@@ -213,7 +221,7 @@ def test_dual_homology_matches_base_homology(corpus):
 def test_identity_map_induces_the_identity(hex_ks):
     orient = OrientationPair.standard(hex_ks)
     fid = induced_cell_map(kspace_identity(hex_ks), ZZ, orient, orient)
-    cx = cellular_chain_complex(hex_ks, ZZ, orient, check_display=False)
+    cx = cellular_of(hex_ks, orient)
     assert fid == RKMap.identity(cx.rk)
 
 
@@ -262,10 +270,10 @@ def test_naturality_square_for_control_and_identity(corpus):
         or_src = OrientationPair.standard(ks)
         fmap = control_map(ks)
         or_tgt = OrientationPair.standard(fmap.tgt)
-        iso_x = cellular_iso(ks, ZZ, or_src)
-        iso_y = cellular_iso(fmap.tgt, ZZ, or_tgt)
+        data_x = KSpaceData.build(ks, ZZ)
+        iso_y = KSpaceData.build(fmap.tgt, ZZ).iso
         fk = induced_cell_map(fmap, ZZ, or_src, or_tgt)
         pullback = dual_star_map(induced_chain_map(fmap, ZZ, or_src, or_tgt))
-        lhs = iso_y.map.compose(iso_x.dualizer.map(pullback))
-        rhs = fk.compose(iso_x.map)
+        lhs = iso_y.compose(data_x.dualizer.map(pullback))
+        rhs = fk.compose(data_x.iso)
         assert lhs == rhs, name

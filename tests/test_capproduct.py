@@ -9,7 +9,7 @@ from rkdual.rkcore import (delta_complexes, dual_generator, simplex_generator,
                            tensor_generator)
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision)
-from rkdual.ballcomplex import OrientationPair
+from rkdual.checks import KSpaceData
 from rkdual.capproduct import (cap_product, flag_sign, fundamental_cycle_map,
                             is_monomorphism, verify_cap_chain_map,
                             verify_cap_factorization, verify_equivalences,
@@ -21,6 +21,11 @@ GF2 = Ring.prime_field(2)
 
 def build(*maximal):
     return SimplicialComplex.build(None, [list(s) for s in maximal])
+
+
+def cell_map(ks, ring=ZZ):
+    data = KSpaceData.build(ks, ring)
+    return fundamental_cycle_map(ks, data.cellular, data.deltas)
 
 
 # --------------------------------------------------------------- flag signs
@@ -94,7 +99,8 @@ def test_cap_is_basis_independent():
     ("hollow-triangle", ("ab", "bc", "ac")),
 ])
 def test_cap_is_a_chain_map(name, maximal):
-    rep = verify_cap_chain_map(build(*maximal), ZZ, name=name)
+    rep = verify_cap_chain_map(barycentric_subdivision(build(*maximal)), ZZ,
+                               name=name)
     assert rep.passed, rep.failures
 
 
@@ -102,32 +108,31 @@ def test_cap_is_a_chain_map(name, maximal):
 def test_interior_face_pairing_is_a_perfect_involution(maximal):
     # exercised inside the chain-map verification: every interior face of a
     # flag pairs with exactly one partner of opposite sign
-    rep = verify_cap_chain_map(build(*maximal), ZZ)
+    rep = verify_cap_chain_map(barycentric_subdivision(build(*maximal)), ZZ)
     assert rep.pairing and rep.face_interior
 
 
 def test_cap_chain_map_with_a_twisted_basis():
-    rep = verify_cap_chain_map(build("abc"), ZZ, basis={("a", "c"): -1})
+    rep = verify_cap_chain_map(barycentric_subdivision(build("abc")), ZZ,
+                               basis={("a", "c"): -1})
     assert rep.passed, rep.failures
 
 
 # --------------------------------------------------------------- cell map
 
 def test_cell_map_point_is_the_identity(corpus):
-    orient = OrientationPair.standard(corpus["pt"])
-    data = fundamental_cycle_map(corpus["pt"], ZZ, orient)
+    data = cell_map(corpus["pt"])
     assert data.map.component(0).to_rows() == [[1]]
 
 
 def test_cell_map_values_on_identity_edge(edge_ks):
-    orient = OrientationPair.standard(edge_ks)
-    data = fundamental_cycle_map(edge_ks, ZZ, orient)
+    data = cell_map(edge_ks)
     rk = data.cellular.rk
     cols = {}
     for q in rk.degrees():
         for (i, j), v in data.map.component(q).entries():
             cols.setdefault(rk.gens_at(q)[j].name, {})[
-                data.dx_prime.gens_at(q)[i].name] = v
+                data.deltas.dx_prime.gens_at(q)[i].name] = v
     # with a compatible orientation pair every 0-cell lands on its
     # barycenter vertex with coefficient +1
     assert cols["<a>⊗<a>*"] == {"<(a)>": 1}
@@ -148,8 +153,7 @@ def test_cell_map_matches_the_plain_cap_on_unadjusted_bases(edge_ks):
 
 
 def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
-    orient = OrientationPair.standard(hex_ks)
-    data = fundamental_cycle_map(hex_ks, ZZ, orient)
+    data = cell_map(hex_ks)
     for q in data.cellular.rk.degrees():
         for _, v in data.map.component(q).entries():
             assert v in (1, -1)
@@ -160,27 +164,25 @@ def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
 
 def test_cell_map_factorization_on_corpus(corpus):
     for name, ks in corpus.items():
-        orient = OrientationPair.standard(ks)
-        data = fundamental_cycle_map(ks, ZZ, orient)
-        assert verify_cap_factorization(ks, ZZ, data), name
+        data = KSpaceData.build(ks, ZZ)
+        assert verify_cap_factorization(ks, data.cell_data,
+                                        data.dualizer), name
 
 
 # ------------------------------------------------------- fundamental cycles
 
 def test_fundamental_cycle_of_the_barycenter_cell(edge_ks):
-    orient = OrientationPair.standard(edge_ks)
-    data = fundamental_cycle_map(edge_ks, ZZ, orient)
+    data = cell_map(edge_ks)
     ball = data.cellular.ball
     cell = ball.cell(("a", "b"), ("a", "b"))
     assert cell.dim == 0
     assert not cell.inner_boundary and not cell.outer_boundary
-    rep = verify_fundamental_cycles(edge_ks, data, ball)
+    rep = verify_fundamental_cycles(data)
     assert rep.verdicts[("a", "b"), ("a", "b")]
 
 
 def test_fundamental_cycle_of_a_two_cell(id2_ks):
-    orient = OrientationPair.standard(id2_ks)
-    data = fundamental_cycle_map(id2_ks, ZZ, orient)
+    data = cell_map(id2_ks)
     ball = data.cellular.ball
     cell = ball.cell(("a", "b", "c"), ("a",))
     assert cell.dim == 2
@@ -190,18 +192,17 @@ def test_fundamental_cycle_of_a_two_cell(id2_ks):
     j = rk.index_of(2, tensor_generator(
         simplex_generator(("a", "b", "c"), ("a", "b", "c")),
         dual_generator(simplex_generator(("a",), ("a",)))))
-    col = {data.dx_prime.gens_at(2)[i].data[1]: v
+    col = {data.deltas.dx_prime.gens_at(2)[i].data[1]: v
            for (i, jj), v in data.map.component(2).entries() if jj == j}
     assert set(col) == set(tops)
     assert all(v in (1, -1) for v in col.values())
-    rep = verify_fundamental_cycles(id2_ks, data, ball)
+    rep = verify_fundamental_cycles(data)
     assert rep.passed
 
 
 def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
-    orient = OrientationPair.standard(hex_ks)
-    data = fundamental_cycle_map(hex_ks, ZZ, orient)
-    rep = verify_fundamental_cycles(hex_ks, data)
+    data = cell_map(hex_ks)
+    rep = verify_fundamental_cycles(data)
     assert rep.passed
     for q in (1,):
         mat = data.map.component(q)
@@ -214,29 +215,28 @@ def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
 
 def test_fundamental_cycles_on_corpus(corpus):
     for name, ks in corpus.items():
-        orient = OrientationPair.standard(ks)
-        data = fundamental_cycle_map(ks, ZZ, orient)
-        assert verify_fundamental_cycles(ks, data).passed, name
+        assert verify_fundamental_cycles(cell_map(ks)).passed, name
 
 
 # ------------------------------------------------------- the equivalences
 
+def equivalences(ks, ring):
+    data = KSpaceData.build(ks, ring)
+    reports = verify_equivalences(data.cell_data.map, data.iso, data.dualizer,
+                                  data.e)
+    return all(rep.passed for rep in reports)
+
+
 def test_equivalences_trivial_on_a_point(corpus):
-    orient = OrientationPair.standard(corpus["pt"])
-    suite = verify_equivalences(corpus["pt"], ZZ, orient)
-    assert suite.passed
+    assert equivalences(corpus["pt"], ZZ)
 
 
 def test_equivalences_on_hexagon_over_z(hex_ks):
-    orient = OrientationPair.standard(hex_ks)
-    suite = verify_equivalences(hex_ks, ZZ, orient)
-    assert suite.passed
+    assert equivalences(hex_ks, ZZ)
 
 
 def test_equivalences_on_identity_triangle_over_z2(id2_ks):
-    orient = OrientationPair.standard(id2_ks)
-    suite = verify_equivalences(id2_ks, GF2, orient)
-    assert suite.passed
+    assert equivalences(id2_ks, GF2)
 
 
 def test_dual_and_subdivision_homology_agree_on_corpus(corpus):

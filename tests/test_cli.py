@@ -145,10 +145,13 @@ def test_emit_cells_point_and_record_counts(tmp_path, capsys):
     assert lines == ["(p|p) 0"]
     from rkdual.ballcomplex import BallComplex
     from rkdual.corpus import corpus_kspace
+    from rkdual.simplicial import barycentric_subdivision
     for name in CORPUS_NAMES:
         main(["emit-cells", write_doc(tmp_path, name)])
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
-        assert len(lines) == len(BallComplex(corpus_kspace(name)).cells)
+        ks = corpus_kspace(name)
+        ball = BallComplex(ks, barycentric_subdivision(ks.X))
+        assert len(lines) == len(ball.cells)
 
 
 EXPECTED_CHECKS = {
@@ -241,6 +244,15 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     if command == "verify":
         names = [c["name"] for c in payload["checks"]]
         assert set(EXPECTED_CHECKS) <= set(names)
+        assert len(names) == len(set(names))
+        assert {'assembly/contractible-star/"a.b".c',
+                'assembly/contractible-star/a."b.c"'} <= set(names)
+    if command == "dualize":
+        by_label = payload["tables"]["dual/X"]["ranks-by-label"]
+        # six labels: four vertices and the two edges
+        assert len(by_label) == 6
+        assert sum(by_label.values()) == sum(
+            payload["tables"]["dual/X"]["ranks"].values())
 
 
 @pytest.mark.parametrize("patch,argv,bad", [
@@ -252,13 +264,28 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     ({"ring": "Z/4"}, [], "'Z/4'"),
     ({}, ["--ring", "Z/4"], "'Z/4'"),
     ({"ring": 5}, [], "5"),
+    ({"complexes": {"X": {"simplices": [["a", 1]]}}, "maps": {}}, [], "1"),
+    ({"complexes": {"X": {"simplices": [[True, "b"]]}}, "maps": {}}, [],
+     "True"),
+    ({"complexes": {"X": {"simplices": [[["a"], "b"]]}}, "maps": {}}, [],
+     "['a']"),
+    ({"maps": {"pi": {"source": "EDGE", "target": "EDGE",
+                      "vertices": ["a", "b"]}}}, [], "['a', 'b']"),
+    ({"maps": {"pi": {"source": ["X"], "target": "EDGE",
+                      "vertices": {"a": "a", "b": "b"}}}}, [], "['X']"),
+    ({"maps": [1]}, [], "[1]"),
+    ({"maps": {"pi": 5}}, [], "5"),
+    (b'{"complexes": {"X": {"simplices": [["\xff"]]}}}', [], "\\xff"),
 ])
 def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
                                                     argv, bad):
-    doc = document("edge")
-    doc.update(patch)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    if isinstance(patch, bytes):
+        path.write_bytes(patch)
+    else:
+        doc = document("edge")
+        doc.update(patch)
+        path.write_text(json.dumps(doc), encoding="utf-8")
     command = "random" if "--count" in argv else "verify"
     code = main([command, str(path)] + argv)
     err = capsys.readouterr().err

@@ -1,0 +1,65 @@
+"""KSpaceData builds each object of a K-space once, on first use.
+
+The counts are taken by rebinding a function at every place a module of
+the package binds it, so calls through ``from .x import y`` names are
+counted too.
+"""
+
+import sys
+
+from rkdual import capproduct, simplicial
+from rkdual.checks import KSpaceData, quick_sweep_kspace, verify_kspace
+from rkdual.corpus import corpus_kspace
+from rkdual.duality import Dualizer
+from rkdual.report import Report
+from rkdual.rings import ZZ
+
+
+def counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def count_calls(monkeypatch, fn):
+    """Route every binding of ``fn`` in the package through a counter;
+    returns the list that records one entry per call."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name == "rkdual" or name.startswith("rkdual."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counting(fn, calls))
+    return calls
+
+
+def test_verify_subdivides_twice_and_squares_at_most_six_times(monkeypatch):
+    ks = corpus_kspace("hex")
+    subdivisions = count_calls(monkeypatch, simplicial.barycentric_subdivision)
+    squares = []
+    monkeypatch.setattr(Dualizer, "square", counting(Dualizer.square, squares))
+    report = Report("verify", "Z")
+    verify_kspace(report, "hex", ks, ZZ)
+    assert report.checks and report.passed
+    # X and K, once each; T² of the cochains of X is built once
+    assert len(subdivisions) == 2
+    assert len(squares) <= 6
+
+
+def test_quick_sweep_builds_no_cell_map(monkeypatch):
+    ks = corpus_kspace("hex")
+    calls = count_calls(monkeypatch, capproduct.fundamental_cycle_map)
+    report = Report("random", "Z")
+    quick_sweep_kspace(report, "hex", ks, ZZ)
+    assert report.checks and report.passed
+    assert calls == []
+
+
+def test_objects_are_built_on_first_use_and_kept():
+    data = KSpaceData.build(corpus_kspace("edge"), ZZ)
+    assert "cellular" not in vars(data)
+    assert data.cellular is data.cellular
+    assert data.cellular.ball is data.ball
+    assert data.t2 is data.e.src
+    assert data.e.tgt is data.deltas.dstar_x

@@ -283,10 +283,15 @@ def test_generators_are_identified_by_structure():
     with pytest.raises(ChainComplexError, match="duplicate"):
         RKComplex(ZZ, K, False,
                   {0: (simplex_generator(a, a), simplex_generator(a, a))}, {})
-    # equal display names, different structure: two generators
+    # separators inside vertex names are quoted, so these names differ
     X = build(("a.b", "c"), ("a", "b.c"))
-    one, two = (simplex_generator(s, s) for s in X.simplices_of_dim(1))
-    assert one.name == two.name == "<a.b.c>"
+    edges = [simplex_generator(s, s) for s in X.simplices_of_dim(1)]
+    assert sorted(g.name for g in edges) == ['<"a.b".c>', '<a."b.c">']
+    # equal display names, different structure (the label): two generators
+    X = build(("a", "b"))
+    one = simplex_generator(("a", "b"), ("a",))
+    two = simplex_generator(("a", "b"), ("a", "b"))
+    assert one.name == two.name == "<a.b>"
     assert one != two
     cx = RKComplex(ZZ, X, False, {1: (one, two)}, {})
     assert (cx.index_of(1, simplex_generator(one.data[1], one.label)),
