@@ -20,12 +20,12 @@ from .rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
                      dual_star, dual_star_map, epsilon, hom_rk, is_full,
                      maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
-                      tensor_r, verify_diagonal_equivalence,
+                      tensor_map_left, tensor_r, verify_diagonal_equivalence,
                       verify_e_equivalence)
 from .ballcomplex import (BallComplex, CellularComplex, DualCell,
                           OrientationPair, cellular_chain_complex,
                           cellular_iso, dual_cell, dual_cone,
-                          induced_cell_map, induced_chain_map)
+                          induced_chain_map)
 from .capproduct import (cap_product, flag_sign, fundamental_cycle_map,
                       verify_cap_chain_map, verify_cap_factorization,
                       verify_equivalences, verify_fundamental_cycles)

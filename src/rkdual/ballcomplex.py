@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Matrix
-from .rkcore import (RKComplex, RKMap, delta_chain, delta_star_k,
-                     simplex_generator, tensor_generator)
-from .duality import tensor_k, tensor_map_left
+from .rkcore import RKComplex, RKMap, simplex_generator, tensor_generator
+from .duality import tensor_k
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          incidence_canonical, simplex_name)
 
@@ -309,33 +308,25 @@ def cellular_iso(tc: RKComplex, cellular: CellularComplex) -> RKMap:
     return RKMap(tc, rk, comps)
 
 
-def induced_chain_map(fmap: KSpaceMap, ring, or_src: OrientationPair,
+def induced_chain_map(fmap: KSpaceMap, src: RKComplex, tgt: RKComplex,
+                      or_src: OrientationPair,
                       or_tgt: OrientationPair) -> RKMap:
-    """Pushforward on labeled chains; kills simplices the map degenerates."""
+    """Pushforward on labeled chains ``src`` -> ``tgt`` of ``fmap.src`` and
+    ``fmap.tgt`` in the bases of ``or_src`` and ``or_tgt``; kills simplices
+    the map degenerates.  Tensored with the cochains of K, it is the map of
+    cellular complexes."""
     fmap.validate()
-    dx_src = delta_chain(fmap.src, ring, or_src.bx)
-    dx_tgt = delta_chain(fmap.tgt, ring, or_tgt.bx)
     comps = {}
-    for q in dx_src.degrees():
+    for q in src.degrees():
         data = {}
-        for j, g in enumerate(dx_src.gens_at(q)):
+        for j, g in enumerate(src.gens_at(q)):
             S = g.data[1]
             out = fmap.f.chain_image(S)
             if out is None:
                 continue
             image, s = out
             coeff = or_src.bx[S] * s * or_tgt.bx[image]
-            i = dx_tgt.index_of(q, simplex_generator(image, fmap.tgt.label(image)))
+            i = tgt.index_of(q, simplex_generator(image, fmap.tgt.label(image)))
             data[(i, j)] = coeff
-        comps[q] = Matrix(ring, dx_tgt.rank(q), dx_src.rank(q), data)
-    return RKMap(dx_src, dx_tgt, comps)
-
-
-def induced_cell_map(fmap: KSpaceMap, ring, or_src: OrientationPair,
-                     or_tgt: OrientationPair) -> RKMap:
-    """The chain map of cellular complexes induced by a map of K-spaces:
-    push forward the X-chain factor, keep the K-cochain factor."""
-    if or_src.bk != or_tgt.bk:
-        raise InputError("K-space map needs one orientation of K on both sides")
-    push = induced_chain_map(fmap, ring, or_src, or_tgt)
-    return tensor_map_left(push, delta_star_k(fmap.src.K, ring, or_src.bk))
+        comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
+    return RKMap(src, tgt, comps)

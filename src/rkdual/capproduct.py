@@ -288,7 +288,8 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
     ring = dualizer.ring
     bx, bk = data.cellular.orientation.bx, data.cellular.orientation.bk
     derived_x = data.deltas.derived_x
-    proj = projection_map(data.deltas.dx, dualizer.dstar_k)
+    proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
+                          data.cellular.rk)
     full = proj.src
     rhs = data.map.compose(proj)
     dxp = data.deltas.dx_prime
@@ -354,18 +355,23 @@ def is_monomorphism(f: RKMap) -> bool:
     return True
 
 
+EQUIVALENCES = ("cells to subdivision", "dual to subdivision",
+                "subdivision dual to cochains")
+
+
 def verify_equivalences(cell_map: RKMap, iso: RKMap, dualizer: Dualizer,
                         e: RKMap) -> tuple:
-    """Label-by-label cone acyclicity for the three composite equivalences:
-    cells to subdivision, dual to subdivision, and subdivision dual to
-    cochains, as three :class:`~rkdual.duality.EquivalenceReport`.
+    """Label-by-label cone acyclicity for the three composite equivalences
+    of :data:`EQUIVALENCES`: cells to subdivision, dual to subdivision, and
+    subdivision dual to cochains, as three :class:`EquivalenceReport`.
 
     ``cell_map`` sends cells to subdivision chains, ``iso`` is the cellular
     identification of T(cochains of X), and ``e`` is the double-dual
-    collapse of the cochains of X by ``dualizer``; nothing is rebuilt here.
+    collapse of the cochains of X by ``dualizer``; only T(subdivision
+    chains) is built here.
     """
     composite = cell_map.compose(iso)
-    final = e.compose(dualizer.map(composite))
-    return (verify_diagonal_equivalence(cell_map, "cells to subdivision"),
-            verify_diagonal_equivalence(composite, "dual to subdivision"),
-            verify_diagonal_equivalence(final, "subdivision dual to cochains"))
+    t_sub = dualizer.object(composite.tgt)
+    final = e.compose(dualizer.map(composite, t_sub, e.src))
+    return tuple(verify_diagonal_equivalence(f, name) for f, name in
+                 zip((cell_map, composite, final), EQUIVALENCES))

@@ -18,17 +18,19 @@ from .simplicial import (InputError, KSpace, SimplicialComplex,
                          barycentric_subdivision, chain_complex,
                          control_kspace, control_map, derived_kspace,
                          kspace_identity, simplex_name, validate_kspace)
-from .rkcore import (DeltaComplexes, RKMap, check_lemma_clem, delta_complexes,
-                     dual_star_map, is_full, maximal_label_ses)
-from .duality import (Dualizer, hom_dual_iso, projection_map,
-                      verify_diagonal_equivalence)
+from .rkcore import (DeltaComplexes, RKMap, ShortExactSequence,
+                     check_lemma_clem, delta_chain, delta_complexes, dual_star,
+                     dual_star_map, hom_rk, is_full, maximal_label_ses)
+from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_map_left,
+                      tensor_r, verify_diagonal_equivalence,
+                      verify_e_equivalence)
 from .ballcomplex import (BallComplex, CellularComplex, OrientationPair,
                           cell_name, cellular_chain_complex, cellular_iso,
-                          induced_cell_map, induced_chain_map, same_homology,
+                          induced_chain_map, same_homology,
                           verify_boundary_display)
-from .capproduct import (fundamental_cycle_map, is_monomorphism,
-                          verify_cap_chain_map, verify_cap_factorization,
-                          verify_equivalences, verify_fundamental_cycles)
+from .capproduct import (EQUIVALENCES, fundamental_cycle_map, is_monomorphism,
+                         verify_cap_chain_map, verify_cap_factorization,
+                         verify_equivalences, verify_fundamental_cycles)
 from .report import Report, homology_table
 from . import corpus
 
@@ -59,6 +61,8 @@ def parse_document(payload: dict) -> Document:
         if not isinstance(simplices, list) or not all(
                 isinstance(s, list) and s for s in simplices):
             raise InputError(f"complex {name!r} has a malformed simplex")
+        if not simplices:
+            raise InputError(f"complex {name!r} is empty: it has no simplices")
         if not isinstance(vertices, (list, type(None))):
             raise InputError(f"complex {name!r}: 'vertices' must be a list, "
                              f"got {vertices!r}")
@@ -121,11 +125,15 @@ def parse_ring(value) -> Ring:
 
 
 def _guard(report: Report, name: str, target: str, fn):
-    """Run a check body; exceptions become failed checks, not crashes."""
+    """Run a check body; an exception becomes a failed check, named by its type
+    when unexpected, so one broken check hides no other verdict."""
     try:
         passed, details = fn()
     except (ChainComplexError, InputError) as exc:
         report.add(name, target, False, error=str(exc))
+        return False
+    except Exception as exc:
+        report.add(name, target, False, error=f"{type(exc).__name__}: {exc}")
         return False
     report.add(name, target, passed, **details)
     return passed
@@ -138,8 +146,8 @@ class KSpaceData:
 
     This is the one place where they are built: the builders in
     ``ballcomplex``, ``capproduct`` and ``duality`` take what they use as
-    arguments and never build a second copy, so a check that runs alone
-    builds only what it reads.
+    arguments, maps take the complexes they map between, and none builds a
+    second copy, so a check that runs alone builds only what it reads.
     """
 
     ks: KSpace
@@ -178,14 +186,14 @@ class KSpaceData:
         return self.dualizer.object(self.deltas.dstar_x)
 
     @cached_property
-    def e(self) -> RKMap:
-        """The double-dual collapse T²(cochains of X) -> cochains of X."""
-        return self.dualizer.double_dual_map(self.deltas.dstar_x)
+    def t2(self):
+        """T²(cochains of X)."""
+        return self.dualizer.square(self.tc)
 
     @cached_property
-    def t2(self):
-        """T²(cochains of X), the source of ``e``."""
-        return self.e.src
+    def e(self) -> RKMap:
+        """The double-dual collapse ``t2`` -> cochains of X."""
+        return self.dualizer.double_dual_map(self.deltas.dstar_x, self.t2)
 
     @cached_property
     def iso(self) -> RKMap:
@@ -195,6 +203,15 @@ class KSpaceData:
     @cached_property
     def cell_data(self):
         return fundamental_cycle_map(self.ks, self.cellular, self.deltas)
+
+    @cached_property
+    def push(self) -> RKMap:
+        """The pushforward of chains along the control map onto (K, id)."""
+        fmap = control_map(self.ks)
+        or_k = OrientationPair.standard(fmap.tgt)
+        dk = delta_chain(fmap.tgt, self.ring, or_k.bx)
+        return induced_chain_map(fmap, self.deltas.dx, dk, self.orientation,
+                                 or_k)
 
     def complexes(self):
         return {
@@ -279,7 +296,7 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
     dstark = data.dualizer.dstar_k
 
     def proj_body():
-        proj = projection_map(dx, dstark)
+        proj = projection_map(tensor_r(dx, dstark), data.cellular.rk)
         proj.validate()
         # kernel is spanned exactly by the non-star pairs
         for q in proj.src.degrees():
@@ -290,7 +307,8 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
     _guard(report, "tensor/projection-epimorphism", target, proj_body)
 
     def psi_body():
-        psi = hom_dual_iso(dx, dstark)
+        psi = hom_dual_iso(hom_rk(dstark, dual_star(dx)),
+                           dual_star(data.cellular.rk))
         psi.validate()
         return psi.is_bijection_on_bases(), {}
     _guard(report, "tensor/hom-dual-isomorphism", target, psi_body)
@@ -301,59 +319,64 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     dstar_x = data.deltas.dstar_x
 
     def ident_body():
-        lhs = dz.map(RKMap.identity(dstar_x))
+        lhs = dz.map(RKMap.identity(dstar_x), data.tc, data.tc)
         return lhs == RKMap.identity(data.tc), {}
     _guard(report, "duality/functor-identity", target, ident_body)
 
     split = maximal_label_ses(dstar_x)
     if split is not None:
         ses, top = split
+        # the middle of the sequence is the cochain complex itself
+        sub, quo = ses.i.src, ses.j.tgt
 
         def exact_body():
-            dz.sequence(ses)
+            # T reverses the arrows: T(C'') -> T(C) -> T(C')
+            t_sub, t_quo = dz.object(sub), dz.object(quo)
+            ShortExactSequence(dz.map(ses.j, t_quo, data.tc),
+                               dz.map(ses.i, data.tc, t_sub)).validate()
             return True, {"split-label": simplex_name(top)}
         _guard(report, "duality/exactness", target, exact_body)
 
         def rows_body():
-            # the middle of the sequence is the cochain complex itself
-            e_sub = dz.double_dual_map(ses.i.src)
-            e_quo = dz.double_dual_map(ses.j.tgt)
-            ok = (data.e.compose(dz.map(dz.map(ses.i))) == ses.i.compose(e_sub)
-                  and e_quo.compose(dz.map(dz.map(ses.j)))
-                  == ses.j.compose(data.e))
+            t_sub, t_quo = dz.object(sub), dz.object(quo)
+            e_sub = dz.double_dual_map(sub, dz.square(t_sub))
+            e_quo = dz.double_dual_map(quo, dz.square(t_quo))
+            tt_i = dz.map(dz.map(ses.i, data.tc, t_sub), e_sub.src, data.t2)
+            tt_j = dz.map(dz.map(ses.j, t_quo, data.tc), data.t2, e_quo.src)
+            ok = (data.e.compose(tt_i) == ses.i.compose(e_sub)
+                  and e_quo.compose(tt_j) == ses.j.compose(data.e))
             return ok, {}
         _guard(report, "double-dual/natural-rows", target, rows_body)
 
     def defining_body():
-        _, _, ev = dz.evaluation(dstar_x)
+        H, HK, ev = dz.evaluation(dstar_x)
         ev.validate()
-        iso = dz.hom_to_square(dstar_x)
+        iso = dz.hom_to_square(dstar_x, H, HK, data.tc, data.t2)
         iso.validate()
         return (data.e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
     _guard(report, "double-dual/defining-identity", target, defining_body)
 
     def natural_body():
-        ks = data.ks
-        fmap = control_map(ks)
-        or_k = OrientationPair.standard(fmap.tgt)
-        push = induced_chain_map(fmap, data.ring, data.orientation, or_k)
-        pullback = dual_star_map(push)
-        e_k = dz.double_dual_map(pullback.src)
-        lhs = data.e.compose(dz.map(dz.map(pullback)))
-        rhs = pullback.compose(e_k)
-        return lhs == rhs, {}
+        pullback = dual_star_map(data.push)
+        t_k = dz.object(pullback.src)
+        e_k = dz.double_dual_map(pullback.src, dz.square(t_k))
+        tt = dz.map(dz.map(pullback, data.tc, t_k), e_k.src, data.t2)
+        return data.e.compose(tt) == pullback.compose(e_k), {}
     _guard(report, "double-dual/naturality", target, natural_body)
 
-    collapses = (("cochains", lambda: data.e),
+    collapses = (("cochains",
+                  lambda: verify_diagonal_equivalence(data.e, "double-dual")),
                  ("subdivision-chains",
-                  lambda: dz.double_dual_map(data.deltas.dx_prime)),
-                 ("cell-chains", lambda: dz.double_dual_map(data.cellular.rk)))
-    for key, collapse in collapses:
-        def equiv_body(collapse=collapse):
-            rep = verify_diagonal_equivalence(collapse(), "double-dual")
-            return rep.passed, ({"failures": rep.failures()}
-                                if not rep.passed else {})
-        _guard(report, f"double-dual/equivalence/{key}", target, equiv_body)
+                  lambda: verify_e_equivalence(data.deltas.dx_prime, dz)),
+                 ("cell-chains",
+                  lambda: verify_e_equivalence(data.cellular.rk, dz)))
+    for key, certify in collapses:
+        _guard(report, f"double-dual/equivalence/{key}", target,
+               lambda certify=certify: _verdict(certify()))
+
+
+def _verdict(rep):
+    return rep.passed, ({"failures": rep.failures()} if not rep.passed else {})
 
 
 def _ball_structure(data: KSpaceData):
@@ -437,37 +460,40 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
 
 def check_equivalences(report: Report, target: str, data: KSpaceData):
-    for rep in verify_equivalences(data.cell_data.map, data.iso,
-                                   data.dualizer, data.e):
-        report.add(f"equivalences/{rep.name.replace(' ', '-')}", target,
-                   rep.passed,
-                   **({"failures": rep.failures()} if not rep.passed else {}))
+    reports = []            # all three, made by the first body that runs
+
+    def body(i):
+        if not reports:
+            reports.extend(verify_equivalences(data.cell_data.map, data.iso,
+                                               data.dualizer, data.e))
+        return _verdict(reports[i])
+    for i, name in enumerate(EQUIVALENCES):
+        _guard(report, f"equivalences/{name.replace(' ', '-')}", target,
+               lambda i=i: body(i))
 
 
 def check_naturality(report: Report, target: str, data: KSpaceData):
-    ring = data.ring
-
     def ident_body():
-        fid = induced_cell_map(kspace_identity(data.ks), ring,
-                               data.orientation, data.orientation)
-        return fid == RKMap.identity(data.cellular.rk), {}
+        dx, cells = data.deltas.dx, data.cellular.rk
+        push = induced_chain_map(kspace_identity(data.ks), dx, dx,
+                                 data.orientation, data.orientation)
+        return tensor_map_left(push, cells, cells) == RKMap.identity(cells), {}
     _guard(report, "naturality/identity-map", target, ident_body)
 
     def square_body():
         fmap = control_map(data.ks)
         or_k = OrientationPair.standard(fmap.tgt)
-        fk = induced_cell_map(fmap, ring, data.orientation, or_k)
-        fk.validate()
-        push = induced_chain_map(fmap, ring, data.orientation, or_k)
         dz = data.dualizer
-        t_pullback = dz.map(dual_star_map(push))
         # the cells of the control K-space (K, id), on the subdivision of K
         ball_k = BallComplex(fmap.tgt, data.deltas.derived_k)
-        cells_k = cellular_chain_complex(or_k, push.tgt, dz.dstar_k, ball_k)
+        cells_k = cellular_chain_complex(or_k, data.push.tgt, dz.dstar_k,
+                                         ball_k)
+        fk = tensor_map_left(data.push, data.cellular.rk, cells_k.rk)
+        fk.validate()
+        pullback = dual_star_map(data.push)
+        t_pullback = dz.map(pullback, data.tc, dz.object(pullback.src))
         iso_y = cellular_iso(t_pullback.tgt, cells_k)
-        lhs = iso_y.compose(t_pullback)
-        rhs = fk.compose(data.iso)
-        return lhs == rhs, {}
+        return iso_y.compose(t_pullback) == fk.compose(data.iso), {}
     _guard(report, "naturality/control-square", target, square_body)
 
 

@@ -17,16 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, is_cone_acyclic
-from .rkcore import (RKComplex, RKMap, ShortExactSequence, dual_generator,
-                     dual_star, dual_star_map, epsilon_inverse, hom_rk,
-                     hom_post_map, delta_star_k, tensor_generator)
+from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
+                     dual_star_map, epsilon, hom_rk, hom_post_map,
+                     delta_star_k, tensor_generator)
 from .simplicial import simplex_name
-
-
-def _check_sides(C: RKComplex, D: RKComplex):
-    if not C.op or D.op or C.K != D.K or C.ring != D.ring:
-        raise ValueError(
-            "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
 
 
 def _tensor_gens(C, D, keep_all):
@@ -42,6 +36,9 @@ def _tensor_gens(C, D, keep_all):
 
 
 def _tensor_complex(C, D, keep_all) -> RKComplex:
+    if not C.op or D.op or C.K != D.K or C.ring != D.ring:
+        raise ValueError(
+            "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
     ring = C.ring
     raw = _tensor_gens(C, D, keep_all)
     gens = {q: tuple(tensor_generator(gl, gr) for _, gl, gr in lst)
@@ -76,22 +73,19 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
 
 def tensor_r(C: RKComplex, D: RKComplex) -> RKComplex:
     """The full tensor product, labeled by the right factor."""
-    _check_sides(C, D)
     return _tensor_complex(C, D, keep_all=True)
 
 
 def tensor_k(C: RKComplex, D: RKComplex) -> RKComplex:
     """The blocked tensor product: pairs with left label in the star of the
     right label, with the induced (filtered Koszul) differential."""
-    _check_sides(C, D)
     return _tensor_complex(C, D, keep_all=False)
 
 
-def projection_map(C: RKComplex, D: RKComplex) -> RKMap:
-    """The label-diagonal epimorphism from the full tensor onto the blocked
-    one; it kills exactly the pairs whose left label misses the star."""
-    src = tensor_r(C, D)
-    tgt = tensor_k(C, D)
+def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
+    """The label-diagonal epimorphism from the full tensor ``src`` =
+    ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``;
+    it kills exactly the pairs whose left label misses the star."""
     comps = {}
     for q in src.degrees():
         data = {(i, src.index_of(q, g)): src.ring.one
@@ -100,13 +94,12 @@ def projection_map(C: RKComplex, D: RKComplex) -> RKMap:
     return RKMap(src, tgt, comps)
 
 
-def tensor_map_left(f: RKMap, D: RKComplex) -> RKMap:
+def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     """f ⊗ identity on D over the blocked tensor, for a degree-0 map f of
-    opposite-order complexes."""
+    opposite-order complexes: ``src`` = ``tensor_k(f.src, D)`` to ``tgt`` =
+    ``tensor_k(f.tgt, D)``."""
     if f.degree != 0:
         raise ValueError("only degree-0 maps are tensored")
-    src = tensor_k(f.src, D)
-    tgt = tensor_k(f.tgt, D)
     ldeg = {g: r for r in f.src.degrees() for g in f.src.gens_at(r)}
     comps = {}
     for q in src.degrees():
@@ -123,17 +116,14 @@ def tensor_map_left(f: RKMap, D: RKComplex) -> RKMap:
     return RKMap(src, tgt, comps)
 
 
-def hom_dual_iso(C: RKComplex, D: RKComplex) -> RKMap:
-    """The isomorphism Hom(D, C*) -> (C ⊗ D)* over the blocked tensor.
+def hom_dual_iso(src: RKComplex, tgt: RKComplex) -> RKMap:
+    """The isomorphism ``src`` = Hom(D, C*) -> ``tgt`` = (C ⊗ D)*, the dual
+    of the blocked tensor ``tensor_k(C, D)``.
 
     On the generator (y -> x*) it is (-1)^{|x||y|} times the dual basis
     element of x⊗y; it is label-diagonal and bijective degreewise.
     """
-    _check_sides(C, D)
-    cstar = dual_star(C)
-    src = hom_rk(D, cstar)
-    tgt = dual_star(tensor_k(C, D))
-    ring = C.ring
+    ring = src.ring
     comps = {}
     for p in src.degrees():
         data = {}
@@ -151,8 +141,8 @@ def hom_dual_iso(C: RKComplex, D: RKComplex) -> RKMap:
 class Dualizer:
     """The contravariant duality C -> C* ⊗ (cochains of K) over a fixed K.
 
-    One instance caches the cochain complex of K so that separately built
-    duals and double duals share generators and can be composed.
+    One instance holds the cochain complex of K so that separately built
+    duals and double duals share generators; maps take T of their ends.
     """
 
     def __init__(self, K, ring, bk=None):
@@ -166,16 +156,13 @@ class Dualizer:
             raise ValueError("duality takes complexes over the standard order")
         return tensor_k(dual_star(C), self.dstar_k)
 
-    def map(self, f: RKMap) -> RKMap:
-        """T(f): T(f.tgt) -> T(f.src); contravariant."""
-        return tensor_map_left(dual_star_map(f), self.dstar_k)
+    def map(self, f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
+        """T(f): ``src`` = T(f.tgt) -> ``tgt`` = T(f.src); contravariant."""
+        return tensor_map_left(dual_star_map(f), src, tgt)
 
-    def square(self, C: RKComplex) -> RKComplex:
-        return self.object(self.object(C))
-
-    def sequence(self, ses: ShortExactSequence) -> ShortExactSequence:
-        """T of a short exact sequence, with the arrows reversed."""
-        return ShortExactSequence(self.map(ses.j), self.map(ses.i)).validate()
+    def square(self, tc: RKComplex) -> RKComplex:
+        """T²C, given ``tc`` = T(C)."""
+        return self.object(tc)
 
     def evaluation(self, C: RKComplex):
         """The evaluation collapse (H ⊗ cochains of K) -> C, H = Hom(cochains of K, C).
@@ -196,28 +183,30 @@ class Dualizer:
             comps[q] = Matrix(ring, C.rank(q), HK.rank(q), data)
         return H, HK, RKMap(HK, C, comps)
 
-    def hom_to_square(self, C: RKComplex) -> RKMap:
-        """The isomorphism (Hom(cochains K, C) ⊗ cochains K) -> T²C obtained
-        from the Hom-to-dual isomorphism after untwisting the double dual."""
-        twist = hom_post_map(self.dstar_k, epsilon_inverse(C))
-        psi = hom_dual_iso(dual_star(C), self.dstar_k)
-        psi_full = psi.compose(twist)
-        return tensor_map_left(psi_full, self.dstar_k)
+    def hom_to_square(self, C: RKComplex, H: RKComplex, HK: RKComplex,
+                      tc: RKComplex, t2: RKComplex) -> RKMap:
+        """The isomorphism ``HK`` = (``H`` ⊗ cochains K) -> ``t2`` = T²C
+        from the Hom-to-dual isomorphism after untwisting the double dual,
+        for ``H``, ``HK`` from :meth:`evaluation` and ``tc`` = T(C)."""
+        eps = epsilon(C)                 # C** -> C; C -> C** has its signs
+        hom_dd = hom_rk(self.dstar_k, eps.src)
+        twist = hom_post_map(RKMap(C, eps.src, eps.comps), H, hom_dd)
+        psi = hom_dual_iso(hom_dd, dual_star(tc))
+        return tensor_map_left(psi.compose(twist), HK, t2)
 
-    def double_dual_map(self, C: RKComplex) -> RKMap:
-        """The natural epimorphism e: T²C -> C.
+    def double_dual_map(self, C: RKComplex, t2: RKComplex) -> RKMap:
+        """The natural epimorphism e: ``t2`` = T²C -> C.
 
         Built directly on the double-dual basis: the generator
         (x* ⊗ s*)* ⊗ t* goes to (-1)^{|x|(1+dim s)} x when s = t, else to 0.
         The defining identity (evaluation = e ∘ (iso ⊗ 1)) is checked in the
         test suite.
         """
-        T2 = self.square(C)
         ring = self.ring
         comps = {}
-        for q in T2.degrees():
+        for q in t2.degrees():
             data = {}
-            for j, g in enumerate(T2.gens_at(q)):
+            for j, g in enumerate(t2.gens_at(q)):
                 _, gdual, gtau = g.data
                 gtc = gdual.data[1]
                 _, gcstar, gsig = gtc.data
@@ -227,8 +216,8 @@ class Dualizer:
                 dim_s = len(gsig.label) - 1
                 sign = ring.coerce((-1) ** ((q * (1 + dim_s)) % 2))
                 data[(C.index_of(q, gc), j)] = sign
-            comps[q] = Matrix(ring, C.rank(q), T2.rank(q), data)
-        return RKMap(T2, C, comps)
+            comps[q] = Matrix(ring, C.rank(q), t2.rank(q), data)
+        return RKMap(t2, C, comps)
 
 
 @dataclass
@@ -258,4 +247,5 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
 def verify_e_equivalence(C: RKComplex, dualizer: Dualizer,
                          name: str = "double-dual") -> EquivalenceReport:
     """The double-dual collapse of C is an equivalence, label by label."""
-    return verify_diagonal_equivalence(dualizer.double_dual_map(C), name)
+    t2 = dualizer.square(dualizer.object(C))
+    return verify_diagonal_equivalence(dualizer.double_dual_map(C, t2), name)

@@ -227,22 +227,18 @@ def is_full(K: SimplicialComplex, subset) -> bool:
     """Full means: everything between two members is a member.
 
     The between-condition quantifies over pairs drawn from the subset
-    itself, which makes stars and their complements full.
+    itself, which makes stars and their complements full.  A simplex lies
+    between two members exactly when it is in both the union of their stars
+    and the union of their closures.
     """
     subset = set(tuple(s) for s in subset)
+    up, down = set(), set()
     for s in subset:
         if not K.has(s):
             raise InputError(f"{simplex_name(s)} is not a simplex of K")
-    for rho in subset:
-        rset = set(rho)
-        for tau in subset:
-            tset = set(tau)
-            if not rset <= tset:
-                continue
-            for sigma in K.all_simplices():
-                if rset <= set(sigma) <= tset and sigma not in subset:
-                    return False
-    return True
+        up.update(K.star(s))
+        down.update(K.closure(s))
+    return up & down == subset
 
 
 class RKMap:
@@ -436,12 +432,6 @@ def epsilon(C: RKComplex) -> RKMap:
     return RKMap(dd, C, comps)
 
 
-def epsilon_inverse(C: RKComplex) -> RKMap:
-    """C -> C**; the same diagonal signs."""
-    eps = epsilon(C)
-    return RKMap(C, eps.src, eps.comps)
-
-
 def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     """Blocked Hom(A, B), a complex over the opposite order.
 
@@ -488,12 +478,11 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     return RKComplex(ring, A.K, True, gens, diff)
 
 
-def hom_post_map(A: RKComplex, g: RKMap) -> RKMap:
-    """Hom(A, g): Hom(A, g.src) -> Hom(A, g.tgt) for a degree-0 map g."""
+def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
+    """Hom(A, g): ``src`` = Hom(A, g.src) -> ``tgt`` = Hom(A, g.tgt) for a
+    degree-0 map g."""
     if g.degree != 0:
         raise ChainComplexError("only degree-0 maps are pushed through Hom")
-    src = hom_rk(A, g.src)
-    tgt = hom_rk(A, g.tgt)
     comps = {}
     for p in src.degrees():
         data = {}
@@ -501,7 +490,7 @@ def hom_post_map(A: RKComplex, g: RKMap) -> RKMap:
             _, q, ga, gb = gen.data
             for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb)):
                 gb2 = g.tgt.gens_at(q + p)[i_b]
-                if A.leq(ga.label, gb2.label):
+                if set(ga.label) <= set(gb2.label):
                     data[(tgt.index_of(p, hom_generator(q, ga, gb2)), j)] = v
         comps[p] = Matrix(src.ring, tgt.rank(p), src.rank(p), data)
     return RKMap(src, tgt, comps)

@@ -93,3 +93,16 @@ def boundary_alternating(ordering):
         face = ordering[:i] + ordering[i + 1:]
         out[face] = out.get(face, 0) + (-1) ** i
     return out
+
+
+def between_closed(simplices, subset):
+    """Fullness by its definition: for every pair of members rho <= tau,
+    every simplex sigma with rho <= sigma <= tau is a member."""
+    simplices = [frozenset(s) for s in simplices]
+    members = set(frozenset(s) for s in subset)
+    for rho in members:
+        for tau in members:
+            if rho <= tau and any(rho <= sigma <= tau and sigma not in members
+                                  for sigma in simplices):
+                return False
+    return True

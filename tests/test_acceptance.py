@@ -14,9 +14,8 @@ from rkdual.linalg import homology
 from rkdual.rings import Ring, ZZ
 from rkdual.simplicial import (SimplicialComplex, barycentric_subdivision,
                                control_map, kspace_identity)
-from rkdual.duality import verify_e_equivalence
-from rkdual.ballcomplex import (OrientationPair, induced_cell_map,
-                                induced_chain_map)
+from rkdual.duality import tensor_map_left, verify_e_equivalence
+from rkdual.ballcomplex import induced_chain_map
 from rkdual.rkcore import dual_star_map
 from rkdual.capproduct import (verify_cap_chain_map, verify_equivalences,
                             verify_fundamental_cycles)
@@ -129,17 +128,21 @@ def test_criterion_8_naturality(corpus_data):
     ok = True
     for name in CORPUS_NAMES:
         data = corpus_data[name]
-        fid = induced_cell_map(kspace_identity(data.ks), ZZ,
-                               data.orientation, data.orientation)
+        cells, dx = data.cellular.rk, data.deltas.dx
+        fid = tensor_map_left(
+            induced_chain_map(kspace_identity(data.ks), dx, dx,
+                              data.orientation, data.orientation),
+            cells, cells)
         from rkdual.rkcore import RKMap
-        ok = ok and fid == RKMap.identity(data.cellular.rk)
+        ok = ok and fid == RKMap.identity(cells)
         fmap = control_map(data.ks)
-        or_k = OrientationPair.standard(fmap.tgt)
-        fk = induced_cell_map(fmap, ZZ, data.orientation, or_k)
-        iso_y = KSpaceData.build(fmap.tgt, ZZ).iso
-        pullback = dual_star_map(
-            induced_chain_map(fmap, ZZ, data.orientation, or_k))
-        lhs = iso_y.compose(data.dualizer.map(pullback))
+        data_y = KSpaceData.build(fmap.tgt, ZZ)
+        push = induced_chain_map(fmap, dx, data_y.deltas.dx,
+                                 data.orientation, data_y.orientation)
+        fk = tensor_map_left(push, cells, data_y.cellular.rk)
+        pullback = dual_star_map(push)
+        lhs = data_y.iso.compose(
+            data.dualizer.map(pullback, data.tc, data_y.tc))
         rhs = fk.compose(data.iso)
         ok = ok and lhs == rhs
     announce(8, "identification commutes with induced maps (identity and "

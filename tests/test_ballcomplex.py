@@ -13,10 +13,10 @@ from rkdual.simplicial import (InputError, SimplicialComplex,
                                control_map, kspace_identity, validate_kspace)
 from rkdual.ballcomplex import (BallComplex, OrientationPair,
                                 cellular_chain_complex, dual_cell, dual_cone,
-                                induced_cell_map, induced_chain_map,
-                                same_homology, verify_boundary_display)
+                                induced_chain_map, same_homology,
+                                verify_boundary_display)
 from rkdual.checks import KSpaceData
-from rkdual.duality import Dualizer
+from rkdual.duality import Dualizer, tensor_map_left
 from rkdual.rkcore import dual_star_map
 
 
@@ -32,6 +32,16 @@ def cellular_of(ks, orient):
     return cellular_chain_complex(orient, delta_chain(ks, ZZ, orient.bx),
                                   delta_star_k(ks.K, ZZ, orient.bk),
                                   ball_of(ks))
+
+
+def cell_map_of(fmap, or_src, or_tgt):
+    """The map of cellular complexes induced by a map of K-spaces: the
+    pushforward of chains tensored with the cochains of K."""
+    push = induced_chain_map(fmap, delta_chain(fmap.src, ZZ, or_src.bx),
+                             delta_chain(fmap.tgt, ZZ, or_tgt.bx),
+                             or_src, or_tgt)
+    return tensor_map_left(push, cellular_of(fmap.src, or_src).rk,
+                           cellular_of(fmap.tgt, or_tgt).rk)
 
 
 # --------------------------------------------------------------- dual cells
@@ -220,7 +230,7 @@ def test_dual_homology_matches_base_homology(corpus):
 
 def test_identity_map_induces_the_identity(hex_ks):
     orient = OrientationPair.standard(hex_ks)
-    fid = induced_cell_map(kspace_identity(hex_ks), ZZ, orient, orient)
+    fid = cell_map_of(kspace_identity(hex_ks), orient, orient)
     cx = cellular_of(hex_ks, orient)
     assert fid == RKMap.identity(cx.rk)
 
@@ -229,7 +239,7 @@ def test_hexagon_covering_sends_one_cells_to_one_cells(hex_ks):
     fmap = control_map(hex_ks)
     or_src = OrientationPair.standard(hex_ks)
     or_tgt = OrientationPair.standard(fmap.tgt)
-    fk = induced_cell_map(fmap, ZZ, or_src, or_tgt)
+    fk = cell_map_of(fmap, or_src, or_tgt)
     fk.validate()
     for q in fk.src.degrees():
         mat = fk.component(q)
@@ -250,7 +260,7 @@ def test_collapsing_map_kills_degenerate_cells(tri_ks):
                   SimplicialMap(tri_ks.X, tri_ks.K, tri_ks.pi.mapping))
     or_src = OrientationPair.standard(fmap_src)
     or_tgt = OrientationPair.standard(target)
-    fk = induced_cell_map(f, ZZ, or_src, or_tgt)
+    fk = cell_map_of(f, or_src, or_tgt)
     fk.validate()
     # the triangle itself degenerates, so its cells map to zero
     dead = [j for j, g in enumerate(fk.src.gens_at(2))]
@@ -271,9 +281,11 @@ def test_naturality_square_for_control_and_identity(corpus):
         fmap = control_map(ks)
         or_tgt = OrientationPair.standard(fmap.tgt)
         data_x = KSpaceData.build(ks, ZZ)
-        iso_y = KSpaceData.build(fmap.tgt, ZZ).iso
-        fk = induced_cell_map(fmap, ZZ, or_src, or_tgt)
-        pullback = dual_star_map(induced_chain_map(fmap, ZZ, or_src, or_tgt))
-        lhs = iso_y.compose(data_x.dualizer.map(pullback))
+        data_y = KSpaceData.build(fmap.tgt, ZZ)
+        fk = cell_map_of(fmap, or_src, or_tgt)
+        pullback = dual_star_map(induced_chain_map(
+            fmap, data_x.deltas.dx, data_y.deltas.dx, or_src, or_tgt))
+        lhs = data_y.iso.compose(
+            data_x.dualizer.map(pullback, data_x.tc, data_y.tc))
         rhs = fk.compose(data_x.iso)
         assert lhs == rhs, name

@@ -276,6 +276,7 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     ({"maps": [1]}, [], "[1]"),
     ({"maps": {"pi": 5}}, [], "5"),
     (b'{"complexes": {"X": {"simplices": [["\xff"]]}}}', [], "\\xff"),
+    ({"complexes": {"X": {"simplices": []}}, "maps": {}}, [], "'X' is empty"),
 ])
 def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
                                                     argv, bad):
@@ -292,6 +293,34 @@ def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
     assert code == 2
     assert err.startswith("rkdual: error: ") and bad in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("builder,broken", [
+    ("projection_map", ["tensor/projection-epimorphism"]),
+    ("verify_equivalences", ["equivalences/cells-to-subdivision",
+                             "equivalences/dual-to-subdivision",
+                             "equivalences/subdivision-dual-to-cochains"]),
+])
+def test_an_unexpected_exception_fails_only_its_check(tmp_path, capsys,
+                                                      monkeypatch, builder,
+                                                      broken):
+    from rkdual import checks
+    path = write_doc(tmp_path, "hex")
+    assert main(["verify", path, "--format", "json"]) == 0
+    clean = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+
+    def raises(*args):
+        raise KeyError("missing generator")
+    monkeypatch.setattr(checks, builder, raises)
+    code = main(["verify", path, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert [c["name"] for c in payload["checks"]] == clean
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == broken
+    for c in failed:
+        assert c["details"]["error"] == "KeyError: 'missing generator'"
 
 
 def test_checks_accept_all_and_every_group():

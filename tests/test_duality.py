@@ -3,10 +3,11 @@ collapse, including the single-label case and the induction splitting."""
 
 from rkdual.linalg import Matrix, homology, smith_normal_form
 from rkdual.rings import Ring, ZZ
-from rkdual.rkcore import (Generator, RKComplex, RKMap, delta_complexes,
-                           delta_star_k, dual_generator, dual_star,
-                           dual_star_map, epsilon, maximal_label_ses,
-                           simplex_generator, tensor_generator)
+from rkdual.rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
+                           delta_chain, delta_complexes, delta_star_k,
+                           dual_generator, dual_star, dual_star_map, epsilon,
+                           hom_rk, maximal_label_ses, simplex_generator,
+                           tensor_generator)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                             tensor_r, verify_e_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map
@@ -22,6 +23,32 @@ def build(*maximal):
 def atom(K, label, q, op=False):
     gens = {q: (Generator(label, ("simplex", label)),)}
     return RKComplex(ZZ, K, op, gens, {})
+
+
+def proj_of(C, D):
+    """The projection from the full tensor of C and D onto the blocked one."""
+    return projection_map(tensor_r(C, D), tensor_k(C, D))
+
+
+def psi_of(C, D):
+    """The isomorphism Hom(D, C*) -> (C ⊗ D)* over the blocked tensor."""
+    return hom_dual_iso(hom_rk(D, dual_star(C)), dual_star(tensor_k(C, D)))
+
+
+def collapse(dz, C):
+    """T(C) and the double-dual collapse of C, whose source is T²C."""
+    tc = dz.object(C)
+    return tc, dz.double_dual_map(C, dz.square(tc))
+
+
+def control_pullback(ks):
+    """The pullback of cochains along the control map of ``ks``."""
+    fmap = control_map(ks)
+    or_src = OrientationPair.standard(ks)
+    or_tgt = OrientationPair.standard(fmap.tgt)
+    return dual_star_map(induced_chain_map(
+        fmap, delta_chain(ks, ZZ, or_src.bx),
+        delta_chain(fmap.tgt, ZZ, or_tgt.bx), or_src, or_tgt))
 
 
 # ------------------------------------------------------------- tensors
@@ -48,7 +75,7 @@ def test_tensor_census_on_the_edge(edge_ks):
 def test_projection_on_surviving_and_dying_pairs(edge_ks):
     dc = delta_complexes(edge_ks, ZZ)
     dstark = delta_star_k(edge_ks.K, ZZ)
-    proj = projection_map(dc.dx, dstark)
+    proj = proj_of(dc.dx, dstark)
     proj.validate()                   # chain map over each degree
     src_names = {q: [g.name for g in proj.src.gens_at(q)]
                  for q in proj.src.degrees()}
@@ -68,14 +95,14 @@ def test_projection_on_surviving_and_dying_pairs(edge_ks):
 def test_projection_chain_identity_on_hexagon(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
     dstark = delta_star_k(hex_ks.K, ZZ)
-    projection_map(dc.dx, dstark).validate()
+    proj_of(dc.dx, dstark).validate()
 
 
 def test_blocked_tensor_is_the_image_of_the_projection(edge_ks, hex_ks):
     for ks in (edge_ks, hex_ks):
         dc = delta_complexes(ks, ZZ)
         dstark = delta_star_k(ks.K, ZZ)
-        proj = projection_map(dc.dx, dstark)
+        proj = proj_of(dc.dx, dstark)
         for q in proj.src.degrees():
             survivors = set()
             for j, g in enumerate(proj.src.gens_at(q)):
@@ -93,7 +120,7 @@ def test_hom_dual_iso_on_a_point_is_the_identity(corpus):
     pt = corpus["pt"]
     dc = delta_complexes(pt, ZZ)
     dstark = delta_star_k(pt.K, ZZ)
-    psi = hom_dual_iso(dc.dx, dstark)
+    psi = psi_of(dc.dx, dstark)
     psi.validate()
     assert psi.component(0).to_rows() == [[1]]
 
@@ -103,7 +130,7 @@ def test_hom_dual_iso_sign_in_odd_degrees():
     K = build("p")
     C = atom(K, ("p",), 1, op=True)
     D = atom(K, ("p",), 1, op=False)
-    psi = hom_dual_iso(C, D)
+    psi = psi_of(C, D)
     (mat,) = [psi.component(q) for q in psi.degrees_hit()
               if not psi.component(q).is_zero()]
     assert mat.to_rows() == [[-1]]
@@ -112,7 +139,7 @@ def test_hom_dual_iso_sign_in_odd_degrees():
 def test_hom_dual_iso_rank_equality_on_the_edge(edge_ks):
     dc = delta_complexes(edge_ks, ZZ)
     dstark = delta_star_k(edge_ks.K, ZZ)
-    psi = hom_dual_iso(dc.dx, dstark)
+    psi = psi_of(dc.dx, dstark)
     psi.validate()
     assert psi.is_bijection_on_bases()
     # per-degree, per-label ranks agree on both sides
@@ -147,27 +174,28 @@ def test_duality_functor_identity_and_composition(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
     dz = Dualizer(hex_ks.K, ZZ)
     tc = dz.object(dc.dstar_x)
-    assert dz.map(RKMap.identity(dc.dstar_x)) == RKMap.identity(tc)
+    assert dz.map(RKMap.identity(dc.dstar_x), tc, tc) == RKMap.identity(tc)
     # contravariance on a composable pair
-    fmap = control_map(hex_ks)
-    or_src = OrientationPair.standard(hex_ks)
-    or_tgt = OrientationPair.standard(fmap.tgt)
-    push = induced_chain_map(fmap, ZZ, or_src, or_tgt)
-    pullback = dual_star_map(push)          # control cochains -> X cochains
-    e_k = dz.double_dual_map(pullback.src)  # T^2 -> control cochains
+    pullback = control_pullback(hex_ks)     # control cochains -> X cochains
+    t_x = dz.object(pullback.tgt)
+    t_k, e_k = collapse(dz, pullback.src)   # T^2 -> control cochains
+    t3_k = dz.object(e_k.src)
     composite = pullback.compose(e_k)
-    assert dz.map(composite) == dz.map(e_k).compose(dz.map(pullback))
+    assert dz.map(composite, t_x, t3_k) == \
+        dz.map(e_k, t_k, t3_k).compose(dz.map(pullback, t_x, t_k))
 
 
 def test_duality_preserves_exactness(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
     dz = Dualizer(hex_ks.K, ZZ)
     ses, _ = maximal_label_ses(dc.dstar_x)
-    dz.sequence(ses)                        # validates exactness
+    t_sub, t_tot, t_quo = (dz.object(C) for C in
+                           (ses.i.src, ses.i.tgt, ses.j.tgt))
+    ShortExactSequence(dz.map(ses.j, t_quo, t_tot),
+                       dz.map(ses.i, t_tot, t_sub)).validate()
 
 
 def test_dual_star_preserves_exactness(hex_ks):
-    from rkdual.rkcore import ShortExactSequence
     dc = delta_complexes(hex_ks, ZZ)
     ses, _ = maximal_label_ses(dc.dx_prime)
     flipped = ShortExactSequence(dual_star_map(ses.j), dual_star_map(ses.i))
@@ -181,7 +209,7 @@ def test_collapse_on_a_point_is_an_isomorphism_up_to_sign(corpus):
     dz = Dualizer(pt.K, ZZ)
     for q in (0, 1, 2):
         C = atom(pt.K, ("p",), q)
-        e = dz.double_dual_map(C)
+        _, e = collapse(dz, C)
         mat = e.component(q)
         assert mat.to_rows() == [[(-1) ** (q % 2)]]
         eps = epsilon(C)
@@ -192,30 +220,29 @@ def test_collapse_defining_identity_on_corpus(corpus):
     for name, ks in corpus.items():
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
-        _, _, ev = dz.evaluation(dc.dstar_x)
+        H, HK, ev = dz.evaluation(dc.dstar_x)
         ev.validate()
-        iso = dz.hom_to_square(dc.dstar_x)
+        tc, e = collapse(dz, dc.dstar_x)
+        iso = dz.hom_to_square(dc.dstar_x, H, HK, tc, e.src)
         iso.validate()
         assert iso.is_bijection_on_bases()
-        assert dz.double_dual_map(dc.dstar_x).compose(iso) == ev, name
+        assert e.compose(iso) == ev, name
 
 
 def test_collapse_naturality_along_control_pullback(hex_ks):
     dz = Dualizer(hex_ks.K, ZZ)
-    fmap = control_map(hex_ks)
-    or_src = OrientationPair.standard(hex_ks)
-    or_tgt = OrientationPair.standard(fmap.tgt)
-    pullback = dual_star_map(induced_chain_map(fmap, ZZ, or_src, or_tgt))
-    e_x = dz.double_dual_map(pullback.tgt)
-    e_k = dz.double_dual_map(pullback.src)
-    assert e_x.compose(dz.map(dz.map(pullback))) == pullback.compose(e_k)
+    pullback = control_pullback(hex_ks)
+    t_x, e_x = collapse(dz, pullback.tgt)
+    t_k, e_k = collapse(dz, pullback.src)
+    tt = dz.map(dz.map(pullback, t_x, t_k), e_k.src, e_x.src)
+    assert e_x.compose(tt) == pullback.compose(e_k)
 
 
 def test_collapse_is_an_epimorphism_per_label(edge_ks, tri_ks):
     for ks in (edge_ks, tri_ks):
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
-        e = dz.double_dual_map(dc.dstar_x)
+        _, e = collapse(dz, dc.dstar_x)
         for sigma in ks.K.all_simplices():
             cm = e.diagonal_component(sigma)
             for q in cm.tgt.degrees():
@@ -235,7 +262,7 @@ def test_single_label_collapse_is_an_isomorphism_there():
                    1: (Generator(S, ("simplex", ("w",))),)},
                   {1: Matrix.from_rows(ZZ, [[2]])})
     dz = Dualizer(K, ZZ)
-    e = dz.double_dual_map(C)
+    _, e = collapse(dz, C)
     cm = e.diagonal_component(S)
     for q in (0, 1):
         assert cm.component(q).to_rows() in ([[1]], [[-1]])
@@ -258,12 +285,15 @@ def test_induction_splitting_diagram(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
     dz = Dualizer(hex_ks.K, ZZ)
     ses, top = maximal_label_ses(dc.dstar_x)
-    t_ses = dz.sequence(ses)                # exact rows downstairs
-    e_sub = dz.double_dual_map(ses.i.src)
-    e_tot = dz.double_dual_map(ses.i.tgt)
-    e_quo = dz.double_dual_map(ses.j.tgt)
-    assert e_tot.compose(dz.map(dz.map(ses.i))) == ses.i.compose(e_sub)
-    assert e_quo.compose(dz.map(dz.map(ses.j))) == ses.j.compose(e_tot)
+    t_sub, e_sub = collapse(dz, ses.i.src)
+    t_tot, e_tot = collapse(dz, ses.i.tgt)
+    t_quo, e_quo = collapse(dz, ses.j.tgt)
+    ShortExactSequence(dz.map(ses.j, t_quo, t_tot),    # exact rows downstairs
+                       dz.map(ses.i, t_tot, t_sub)).validate()
+    tt_i = dz.map(dz.map(ses.i, t_tot, t_sub), e_sub.src, e_tot.src)
+    tt_j = dz.map(dz.map(ses.j, t_quo, t_tot), e_tot.src, e_quo.src)
+    assert e_tot.compose(tt_i) == ses.i.compose(e_sub)
+    assert e_quo.compose(tt_j) == ses.j.compose(e_tot)
     assert len(top) == 2
 
 

@@ -7,7 +7,7 @@ counted too.
 
 import sys
 
-from rkdual import capproduct, simplicial
+from rkdual import ballcomplex, capproduct, duality, rkcore, simplicial
 from rkdual.checks import KSpaceData, quick_sweep_kspace, verify_kspace
 from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer
@@ -47,6 +47,33 @@ def test_verify_subdivides_twice_and_squares_at_most_six_times(monkeypatch):
     assert len(squares) <= 6
 
 
+def test_verify_builds_each_tensor_and_hom_once(monkeypatch):
+    ks = corpus_kspace("hex")
+    tensors = count_calls(monkeypatch, duality.tensor_k)
+    homs = count_calls(monkeypatch, rkcore.hom_rk)
+    pushes = count_calls(monkeypatch, ballcomplex.induced_chain_map)
+    report = Report("verify", "Z")
+    verify_kspace(report, "hex", ks, ZZ)
+    assert report.checks and report.passed
+    # maps take the complexes they map between instead of rebuilding them
+    assert len(tensors) <= 20
+    assert len(homs) <= 3
+    # the pushforward along the control map, and the identity
+    assert len(pushes) == 2
+
+
+def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
+    objects, squares = [], []
+    monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))
+    monkeypatch.setattr(Dualizer, "square", counting(Dualizer.square, squares))
+    report = Report("random", "Z")
+    quick_sweep_kspace(report, "hex", corpus_kspace("hex"), ZZ)
+    assert report.checks and report.passed
+    # T of the cochains, and T of that inside the one square
+    assert len(objects) == 2
+    assert len(squares) == 1
+
+
 def test_quick_sweep_builds_no_cell_map(monkeypatch):
     ks = corpus_kspace("hex")
     calls = count_calls(monkeypatch, capproduct.fundamental_cycle_map)
@@ -62,4 +89,5 @@ def test_objects_are_built_on_first_use_and_kept():
     assert data.cellular is data.cellular
     assert data.cellular.ball is data.ball
     assert data.t2 is data.e.src
+    assert data.push.src is data.deltas.dx
     assert data.e.tgt is data.deltas.dstar_x

@@ -1,5 +1,7 @@
 """Labeled complexes: duals, evaluation, Hom, assembly, geometric complexes."""
 
+import random
+
 import pytest
 
 from rkdual.linalg import Matrix
@@ -13,7 +15,9 @@ from rkdual.simplicial import InputError, SimplicialComplex
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 from rkdual.simplicial import control_map
 
-from oracles import count_decreasing_chains
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace
+
+from oracles import between_closed, count_decreasing_chains
 
 
 def build(*maximal):
@@ -44,6 +48,33 @@ def test_full_subsets_of_the_edge():
     # a vertex together with the edge of a triangle is not full
     K2 = build("abc")
     assert not is_full(K2, {("a",), ("a", "b", "c")})
+
+
+def test_is_full_agrees_with_the_between_condition():
+    # every subset of each corpus control complex, and seeded subsets of
+    # the tetrahedron at densities from sparse to dense
+    for name in CORPUS_NAMES:
+        K = corpus_kspace(name).K
+        S = list(K.all_simplices())
+        for mask in range(1 << len(S)):
+            sub = [s for i, s in enumerate(S) if mask >> i & 1]
+            assert is_full(K, sub) == between_closed(S, sub), (name, sub)
+    K = build("abcd")
+    S = list(K.all_simplices())
+    rng = random.Random(0)
+    verdicts = set()
+    for _ in range(1500):
+        density = rng.random()
+        sub = [s for s in S if rng.random() < density]
+        full = is_full(K, sub)
+        verdicts.add(full)
+        assert full == between_closed(S, sub), sub
+    assert verdicts == {True, False}
+
+
+def test_is_full_rejects_a_non_simplex():
+    with pytest.raises(InputError, match="a.d"):
+        is_full(build("abc", "d"), {("a", "d")})
 
 
 def test_assemble_whole_complex_and_star(edge_ks):
@@ -113,7 +144,9 @@ def test_epsilon_naturality_along_the_control_map(hex_ks):
     fmap = control_map(hex_ks)
     or_src = OrientationPair.standard(hex_ks)
     or_tgt = OrientationPair.standard(fmap.tgt)
-    push = induced_chain_map(fmap, ZZ, or_src, or_tgt)
+    push = induced_chain_map(fmap, delta_chain(hex_ks, ZZ, or_src.bx),
+                             delta_chain(fmap.tgt, ZZ, or_tgt.bx),
+                             or_src, or_tgt)
     push.validate()
     fss = dual_star_map(dual_star_map(push))
     lhs = push.compose(epsilon(push.src))
