@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Matrix
 from .rkcore import RKComplex, RKMap, simplex_generator, tensor_generator
 from .duality import tensor_k
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
@@ -294,18 +293,13 @@ def cellular_iso(tc: RKComplex, cellular: CellularComplex) -> RKMap:
     ``tc`` is T(cochains of X), built from the same X-chains as
     ``cellular``; the map is read off the generators of both.
     """
-    rk = cellular.rk
-    ring = rk.ring
-    comps = {}
-    for q in tc.degrees():
-        data = {}
-        for j, g in enumerate(tc.gens_at(q)):
-            _, gl, gr = g.data
-            x = gl.data[1].data[1]
-            sign = ring.coerce((-1) ** ((len(x.data[1]) - 1) % 2))
-            data[(rk.index_of(q, tensor_generator(x, gr)), j)] = sign
-        comps[q] = Matrix(ring, rk.rank(q), tc.rank(q), data)
-    return RKMap(tc, rk, comps)
+    ring = tc.ring
+
+    def images(q, g):
+        _, gl, gr = g.data
+        x = gl.data[1].data[1]
+        yield tensor_generator(x, gr), ring.coerce((-1) ** ((len(x.data[1]) - 1) % 2))
+    return RKMap.from_images(tc, cellular.rk, images)
 
 
 def induced_chain_map(fmap: KSpaceMap, src: RKComplex, tgt: RKComplex,
@@ -316,17 +310,12 @@ def induced_chain_map(fmap: KSpaceMap, src: RKComplex, tgt: RKComplex,
     the map degenerates.  Tensored with the cochains of K, it is the map of
     cellular complexes."""
     fmap.validate()
-    comps = {}
-    for q in src.degrees():
-        data = {}
-        for j, g in enumerate(src.gens_at(q)):
-            S = g.data[1]
-            out = fmap.f.chain_image(S)
-            if out is None:
-                continue
+
+    def images(q, g):
+        S = g.data[1]
+        out = fmap.f.chain_image(S)
+        if out is not None:
             image, s = out
-            coeff = or_src.bx[S] * s * or_tgt.bx[image]
-            i = tgt.index_of(q, simplex_generator(image, fmap.tgt.label(image)))
-            data[(i, j)] = coeff
-        comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
-    return RKMap(src, tgt, comps)
+            yield (simplex_generator(image, fmap.tgt.label(image)),
+                   or_src.bx[S] * s * or_tgt.bx[image])
+    return RKMap.from_images(src, tgt, images)

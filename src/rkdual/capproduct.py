@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, smith_normal_form
+from .linalg import smith_normal_form
 from .rkcore import RKMap, simplex_generator
 from .duality import (Dualizer, projection_map, tensor_r,
                       verify_diagonal_equivalence)
@@ -132,38 +132,24 @@ def verify_cap_chain_map(derived: DerivedComplex, ring, basis=None,
     interior-face identities are checked pair by pair, the last one through
     its perfect sign-reversing pairing.
     """
-    from .rkcore import delta_chain, delta_star_k
-    from .simplicial import chain_complex, control_kspace
+    from .rkcore import delta_chain, delta_star_k, simplicial_rk
+    from .simplicial import control_kspace
 
     cx = derived.base
     dxk = delta_chain(control_kspace(cx), ring, basis)
-    dstark = delta_star_k(cx, ring, basis)
-    domain_rk = tensor_r(dxk, dstark)
-    domain = domain_rk.underlying()
-    target = chain_complex(derived.prime, ring)
-    tpos = {}
-    for p in target.degrees():
-        tpos[p] = {derived.prime.simplices_of_dim(p)[i]: i
-                   for i in range(target.rank(p))}
+    domain = tensor_r(dxk, delta_star_k(cx, ring, basis))
+    # a flag capped from tau ⊗ sigma* ends at sigma, its label
+    target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
 
-    # cap matrices per degree
-    pairs = {q: [(g.data[1].data[1], g.data[2].data[1].data[1])
-                 for g in domain_rk.gens_at(q)]
-             for q in domain_rk.degrees()}
-    cap = {}
-    for q, lst in pairs.items():
-        data = {}
-        for j, (tau, sigma) in enumerate(lst):
-            for flag, c in cap_product(cx, derived, tau, sigma, basis).items():
-                data[(tpos[q][flag], j)] = c
-        cap[q] = Matrix(ring, target.rank(q), domain.rank(q), data)
+    def images(q, g):
+        tau, sigma = g.data[1].data[1], g.data[2].data[1].data[1]
+        for flag, c in cap_product(cx, derived, tau, sigma, basis).items():
+            yield simplex_generator(flag, sigma), c
+    cap = RKMap.from_images(domain, target, images)
 
     report = CapReport(name, True, True, True, True, True)
     for q in domain.degrees():
-        lhs = target.d(q) * cap[q]
-        rhs = cap.get(q - 1, Matrix.zero(ring, target.rank(q - 1),
-                                         domain.rank(q - 1))) * domain.d(q)
-        if lhs != rhs:
+        if target.d(q) * cap.component(q) != cap.component(q - 1) * domain.d(q):
             report.full_identity = False
             report.failures.append(f"full identity fails in degree {q}")
 
@@ -259,24 +245,17 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     """
     orientation = cellular.orientation
     orientation.validate()
-    ring = cellular.rk.ring
-    dxp = deltas.dx_prime
     bx, bk = orientation.bx, orientation.bk
-    comps = {}
-    for q in cellular.rk.degrees():
-        data = {}
-        for j, g in enumerate(cellular.rk.gens_at(q)):
-            T, rho = cellular.cells[g]
-            overall = -1 if (len(rho) - 1) % 2 else 1
-            for flag in _top_flags(ks, T, rho):
-                bottom = flag[-1]
-                _, parity = ks.pi.chain_image(bottom)
-                coeff = overall * flag_sign(flag, bx[T], bk[rho] * parity)
-                data[(dxp.index_of(q, simplex_generator(flag, rho)), j)] = coeff
-        comps[q] = Matrix(ring, dxp.rank(q), cellular.rk.rank(q), data)
-    cmap = RKMap(cellular.rk, dxp, comps)
-    cmap.validate()
-    return CellChainData(cmap, cellular, deltas)
+
+    def images(q, g):
+        T, rho = cellular.cells[g]
+        overall = -1 if (len(rho) - 1) % 2 else 1
+        for flag in _top_flags(ks, T, rho):
+            _, parity = ks.pi.chain_image(flag[-1])
+            yield (simplex_generator(flag, rho),
+                   overall * flag_sign(flag, bx[T], bk[rho] * parity))
+    cmap = RKMap.from_images(cellular.rk, deltas.dx_prime, images)
+    return CellChainData(cmap.validate(), cellular, deltas)
 
 
 def verify_cap_factorization(ks: KSpace, data: CellChainData,
@@ -285,31 +264,23 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
     cochains back through pi agrees with the cell map after projecting the
     full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
     in the basis of the cell map's orientation."""
-    ring = dualizer.ring
     bx, bk = data.cellular.orientation.bx, data.cellular.orientation.bk
     derived_x = data.deltas.derived_x
     proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
                           data.cellular.rk)
-    full = proj.src
-    rhs = data.map.compose(proj)
-    dxp = data.deltas.dx_prime
-    comps = {}
-    for q in full.degrees():
-        dmat = {}
-        for j, g in enumerate(full.gens_at(q)):
-            T = g.data[1].data[1]
-            rho = g.data[2].data[1].data[1]
-            for S in ks.X.simplices_of_dim(len(rho) - 1):
-                out = ks.pi.chain_image(S)
-                if out is None or out[0] != rho:
-                    continue
-                pullback = bk[rho] * bx[S] * out[1]
-                for flag, c in cap_product(ks.X, derived_x, T, S, bx).items():
-                    key = (dxp.index_of(q, simplex_generator(flag, rho)), j)
-                    dmat[key] = dmat.get(key, ring.zero) + ring.coerce(pullback * c)
-        comps[q] = Matrix(ring, dxp.rank(q), full.rank(q), dmat)
-    lhs = RKMap(full, dxp, comps)
-    return lhs == rhs
+
+    def images(q, g):
+        T = g.data[1].data[1]
+        rho = g.data[2].data[1].data[1]
+        for S in ks.X.simplices_of_dim(len(rho) - 1):
+            out = ks.pi.chain_image(S)
+            if out is None or out[0] != rho:
+                continue
+            pullback = bk[rho] * bx[S] * out[1]
+            for flag, c in cap_product(ks.X, derived_x, T, S, bx).items():
+                yield simplex_generator(flag, rho), pullback * c
+    lhs = RKMap.from_images(proj.src, data.deltas.dx_prime, images)
+    return lhs == data.map.compose(proj)
 
 
 @dataclass

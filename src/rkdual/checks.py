@@ -139,6 +139,10 @@ def _guard(report: Report, name: str, target: str, fn):
     return passed
 
 
+COMPLEXES = ("chains", "cochains", "subdivision-chains", "cell-chains", "dual",
+             "double-dual")
+
+
 @dataclass
 class KSpaceData:
     """The objects of one K-space over one ring, each built on first use and
@@ -214,14 +218,10 @@ class KSpaceData:
                                  or_k)
 
     def complexes(self):
-        return {
-            "chains": self.deltas.dx,
-            "cochains": self.deltas.dstar_x,
-            "subdivision-chains": self.deltas.dx_prime,
-            "cell-chains": self.cellular.rk,
-            "dual": self.tc,
-            "double-dual": self.t2,
-        }
+        """The complexes named by :data:`COMPLEXES`, in its order."""
+        return dict(zip(COMPLEXES, (
+            self.deltas.dx, self.deltas.dstar_x, self.deltas.dx_prime,
+            self.cellular.rk, self.tc, self.t2)))
 
     @cached_property
     def x_homology(self):
@@ -231,9 +231,9 @@ class KSpaceData:
 
 def check_soundness(report: Report, target: str, data: KSpaceData):
     """d∘d = 0 and the support condition for the six standard complexes."""
-    for key, cx in data.complexes().items():
-        def body(cx=cx):
-            cx.validate()
+    for key in COMPLEXES:
+        def body(key=key):
+            data.complexes()[key].validate()
             return True, {}
         _guard(report, f"soundness/d-squared-and-support/{key}", target, body)
 
@@ -254,10 +254,10 @@ def check_derived(report: Report, target: str, data: KSpaceData):
 def check_assembly(report: Report, target: str, data: KSpaceData):
     """Stars and their complements are full, and splice exactly."""
     ks = data.ks
-    dx = data.deltas.dx
 
     def body():
         from .linalg import ChainMap
+        dx = data.deltas.dx
         all_simplices = set(ks.K.all_simplices())
         total = dx.underlying()
         for sigma in ks.K.all_simplices():
@@ -292,11 +292,9 @@ def check_lemmas(report: Report, target: str, data: KSpaceData):
 
 
 def check_tensor(report: Report, target: str, data: KSpaceData):
-    dx = data.deltas.dx
-    dstark = data.dualizer.dstar_k
-
     def proj_body():
-        proj = projection_map(tensor_r(dx, dstark), data.cellular.rk)
+        proj = projection_map(tensor_r(data.deltas.dx, data.dualizer.dstar_k),
+                              data.cellular.rk)
         proj.validate()
         # kernel is spanned exactly by the non-star pairs
         for q in proj.src.degrees():
@@ -307,7 +305,8 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
     _guard(report, "tensor/projection-epimorphism", target, proj_body)
 
     def psi_body():
-        psi = hom_dual_iso(hom_rk(dstark, dual_star(dx)),
+        psi = hom_dual_iso(hom_rk(data.dualizer.dstar_k,
+                                  dual_star(data.deltas.dx)),
                            dual_star(data.cellular.rk))
         psi.validate()
         return psi.is_bijection_on_bases(), {}
@@ -315,49 +314,62 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
 
 
 def check_duality(report: Report, target: str, data: KSpaceData):
-    dz = data.dualizer
-    dstar_x = data.deltas.dstar_x
-
     def ident_body():
-        lhs = dz.map(RKMap.identity(dstar_x), data.tc, data.tc)
+        lhs = data.dualizer.map(RKMap.identity(data.deltas.dstar_x), data.tc,
+                                data.tc)
         return lhs == RKMap.identity(data.tc), {}
     _guard(report, "duality/functor-identity", target, ident_body)
 
-    split = maximal_label_ses(dstar_x)
+    try:
+        split = maximal_label_ses(data.deltas.dstar_x)
+    except Exception as exc:        # fails the two checks of the split below
+        split = exc
     if split is not None:
-        ses, top = split
-        # the middle of the sequence is the cochain complex itself
-        sub, quo = ses.i.src, ses.j.tgt
+        t_ends = []                 # T(C') and T(C''), built once for both
+
+        def ends():
+            if isinstance(split, Exception):
+                raise split
+            if not t_ends:
+                # the middle of the sequence is the cochain complex itself
+                t_ends.extend(data.dualizer.object(cx)
+                              for cx in (split[0].i.src, split[0].j.tgt))
+            return (*split, *t_ends)
 
         def exact_body():
+            ses, top, t_sub, t_quo = ends()
+            dz = data.dualizer
             # T reverses the arrows: T(C'') -> T(C) -> T(C')
-            t_sub, t_quo = dz.object(sub), dz.object(quo)
             ShortExactSequence(dz.map(ses.j, t_quo, data.tc),
                                dz.map(ses.i, data.tc, t_sub)).validate()
             return True, {"split-label": simplex_name(top)}
         _guard(report, "duality/exactness", target, exact_body)
 
         def rows_body():
-            t_sub, t_quo = dz.object(sub), dz.object(quo)
-            e_sub = dz.double_dual_map(sub, dz.square(t_sub))
-            e_quo = dz.double_dual_map(quo, dz.square(t_quo))
+            ses, _, t_sub, t_quo = ends()
+            dz = data.dualizer
+            e_sub = dz.double_dual_map(ses.i.src, dz.square(t_sub))
+            e_quo = dz.double_dual_map(ses.j.tgt, dz.square(t_quo))
             tt_i = dz.map(dz.map(ses.i, data.tc, t_sub), e_sub.src, data.t2)
             tt_j = dz.map(dz.map(ses.j, t_quo, data.tc), data.t2, e_quo.src)
             ok = (data.e.compose(tt_i) == ses.i.compose(e_sub)
                   and e_quo.compose(tt_j) == ses.j.compose(data.e))
             return ok, {}
         _guard(report, "double-dual/natural-rows", target, rows_body)
+        t_ends.clear()              # freed before the larger checks below
 
     def defining_body():
-        H, HK, ev = dz.evaluation(dstar_x)
+        dstar_x = data.deltas.dstar_x
+        H, HK, ev = data.dualizer.evaluation(dstar_x)
         ev.validate()
-        iso = dz.hom_to_square(dstar_x, H, HK, data.tc, data.t2)
+        iso = data.dualizer.hom_to_square(dstar_x, H, HK, data.tc, data.t2)
         iso.validate()
         return (data.e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
     _guard(report, "double-dual/defining-identity", target, defining_body)
 
     def natural_body():
         pullback = dual_star_map(data.push)
+        dz = data.dualizer
         t_k = dz.object(pullback.src)
         e_k = dz.double_dual_map(pullback.src, dz.square(t_k))
         tt = dz.map(dz.map(pullback, data.tc, t_k), e_k.src, data.t2)
@@ -367,9 +379,10 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     collapses = (("cochains",
                   lambda: verify_diagonal_equivalence(data.e, "double-dual")),
                  ("subdivision-chains",
-                  lambda: verify_e_equivalence(data.deltas.dx_prime, dz)),
+                  lambda: verify_e_equivalence(data.deltas.dx_prime,
+                                               data.dualizer)),
                  ("cell-chains",
-                  lambda: verify_e_equivalence(data.cellular.rk, dz)))
+                  lambda: verify_e_equivalence(data.cellular.rk, data.dualizer)))
     for key, certify in collapses:
         _guard(report, f"double-dual/equivalence/{key}", target,
                lambda certify=certify: _verdict(certify()))

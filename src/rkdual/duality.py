@@ -16,23 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, is_cone_acyclic
+from .linalg import is_cone_acyclic
 from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
                      dual_star_map, epsilon, hom_rk, hom_post_map,
                      delta_star_k, tensor_generator)
 from .simplicial import simplex_name
-
-
-def _tensor_gens(C, D, keep_all):
-    gens = {}
-    for r in C.degrees():
-        for s in D.degrees():
-            bucket = gens.setdefault(r + s, [])
-            for gl in C.gens_at(r):
-                for gr in D.gens_at(s):
-                    if keep_all or set(gr.label) <= set(gl.label):
-                        bucket.append((r, gl, gr))
-    return {q: lst for q, lst in gens.items() if lst}
 
 
 def _tensor_complex(C, D, keep_all) -> RKComplex:
@@ -40,35 +28,31 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
         raise ValueError(
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
     ring = C.ring
-    raw = _tensor_gens(C, D, keep_all)
-    gens = {q: tuple(tensor_generator(gl, gr) for _, gl, gr in lst)
-            for q, lst in raw.items()}
-    pos = {q: {(gl, gr): i for i, (_, gl, gr) in enumerate(lst)}
-           for q, lst in raw.items()}
-    diff = {}
-    for q, lst in raw.items():
-        tpos = pos.get(q - 1)
-        if not tpos:
-            continue
-        data = {}
-        for j, (r, gl, gr) in enumerate(lst):
-            koszul = ring.coerce((-1) ** (r % 2))
-            # left differential, filtered to surviving pairs
-            for i_l, v in C.d(r).column(C.index_of(r, gl)):
-                gl2 = C.gens_at(r - 1)[i_l]
-                if keep_all or set(gr.label) <= set(gl2.label):
-                    key = (tpos[gl2, gr], j)
-                    data[key] = ring.add(data.get(key, ring.zero), v)
-            # right differential with the Koszul sign
-            s = q - r
-            for i_r, v in D.d(s).column(D.index_of(s, gr)):
-                gr2 = D.gens_at(s - 1)[i_r]
-                if keep_all or set(gr2.label) <= set(gl.label):
-                    key = (tpos[gl, gr2], j)
-                    data[key] = ring.add(data.get(key, ring.zero),
-                                         ring.mul(koszul, v))
-        diff[q] = Matrix(ring, len(tpos), len(lst), data)
-    return RKComplex(ring, D.K, False, gens, diff)
+    ldeg = {gl: r for r in C.degrees() for gl in C.gens_at(r)}
+    gens = {}
+    for r in C.degrees():
+        for s in D.degrees():
+            bucket = gens.setdefault(r + s, [])
+            for gl in C.gens_at(r):
+                for gr in D.gens_at(s):
+                    if keep_all or set(gr.label) <= set(gl.label):
+                        bucket.append(tensor_generator(gl, gr))
+
+    def boundary(q, g):
+        _, gl, gr = g.data
+        r = ldeg[gl]
+        # left differential, filtered to surviving pairs
+        for i_l, v in C.d(r).column(C.index_of(r, gl)):
+            gl2 = C.gens_at(r - 1)[i_l]
+            if keep_all or set(gr.label) <= set(gl2.label):
+                yield tensor_generator(gl2, gr), v
+        # right differential with the Koszul sign
+        koszul = ring.coerce((-1) ** (r % 2))
+        for i_r, v in D.d(q - r).column(D.index_of(q - r, gr)):
+            gr2 = D.gens_at(q - r - 1)[i_r]
+            if keep_all or set(gr2.label) <= set(gl.label):
+                yield tensor_generator(gl, gr2), ring.mul(koszul, v)
+    return RKComplex.from_boundary(ring, D.K, False, gens, boundary)
 
 
 def tensor_r(C: RKComplex, D: RKComplex) -> RKComplex:
@@ -84,14 +68,15 @@ def tensor_k(C: RKComplex, D: RKComplex) -> RKComplex:
 
 def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
     """The label-diagonal epimorphism from the full tensor ``src`` =
-    ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``;
-    it kills exactly the pairs whose left label misses the star."""
-    comps = {}
-    for q in src.degrees():
-        data = {(i, src.index_of(q, g)): src.ring.one
-                for i, g in enumerate(tgt.gens_at(q))}
-        comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
-    return RKMap(src, tgt, comps)
+    ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``:
+    it keeps x⊗y iff label(y) ⊆ label(x) and kills the other pairs."""
+    one = src.ring.one
+
+    def images(q, g):
+        _, gl, gr = g.data
+        if set(gr.label) <= set(gl.label):
+            yield g, one
+    return RKMap.from_images(src, tgt, images)
 
 
 def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -101,19 +86,15 @@ def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     if f.degree != 0:
         raise ValueError("only degree-0 maps are tensored")
     ldeg = {g: r for r in f.src.degrees() for g in f.src.gens_at(r)}
-    comps = {}
-    for q in src.degrees():
-        data = {}
-        for j, g in enumerate(src.gens_at(q)):
-            _, gl, gr = g.data
-            r = ldeg[gl]
-            for i_l, v in f.component(r).column(f.src.index_of(r, gl)):
-                gl2 = f.tgt.gens_at(r)[i_l]
-                if set(gr.label) <= set(gl2.label):
-                    key = (tgt.index_of(q, tensor_generator(gl2, gr)), j)
-                    data[key] = src.ring.add(data.get(key, src.ring.zero), v)
-        comps[q] = Matrix(src.ring, tgt.rank(q), src.rank(q), data)
-    return RKMap(src, tgt, comps)
+
+    def images(q, g):
+        _, gl, gr = g.data
+        r = ldeg[gl]
+        for i_l, v in f.component(r).column(f.src.index_of(r, gl)):
+            gl2 = f.tgt.gens_at(r)[i_l]
+            if set(gr.label) <= set(gl2.label):
+                yield tensor_generator(gl2, gr), v
+    return RKMap.from_images(src, tgt, images)
 
 
 def hom_dual_iso(src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -124,18 +105,13 @@ def hom_dual_iso(src: RKComplex, tgt: RKComplex) -> RKMap:
     element of x⊗y; it is label-diagonal and bijective degreewise.
     """
     ring = src.ring
-    comps = {}
-    for p in src.degrees():
-        data = {}
-        for j, g in enumerate(src.gens_at(p)):
-            _, q, gy, gz = g.data          # gy in D_q, gz = x* in (C*)_{q+p}
-            gx = gz.data[1]
-            deg_x = -(q + p)
-            sign = ring.coerce((-1) ** ((deg_x * q) % 2))
-            i = tgt.index_of(p, dual_generator(tensor_generator(gx, gy)))
-            data[(i, j)] = sign
-        comps[p] = Matrix(ring, tgt.rank(p), src.rank(p), data)
-    return RKMap(src, tgt, comps)
+
+    def images(p, g):
+        _, q, gy, gz = g.data          # gy in D_q, gz = x* in (C*)_{q+p}
+        deg_x = -(q + p)
+        yield (dual_generator(tensor_generator(gz.data[1], gy)),
+               ring.coerce((-1) ** ((deg_x * q) % 2)))
+    return RKMap.from_images(src, tgt, images)
 
 
 class Dualizer:
@@ -171,17 +147,14 @@ class Dualizer:
         """
         H = hom_rk(self.dstar_k, C)
         HK = tensor_k(H, self.dstar_k)
-        ring = self.ring
-        comps = {}
-        for q in HK.degrees():
-            data = {}
-            for j, g in enumerate(HK.gens_at(q)):
-                _, gF, gt = g.data
-                _, _, ga, gb = gF.data       # ga = sigma* in cochains, gb = c in C
-                if ga == gt:
-                    data[(C.index_of(q, gb), j)] = ring.one
-            comps[q] = Matrix(ring, C.rank(q), HK.rank(q), data)
-        return H, HK, RKMap(HK, C, comps)
+        one = self.ring.one
+
+        def images(q, g):
+            _, gF, gt = g.data
+            _, _, ga, gb = gF.data       # ga = sigma* in cochains, gb = c in C
+            if ga == gt:
+                yield gb, one
+        return H, HK, RKMap.from_images(HK, C, images)
 
     def hom_to_square(self, C: RKComplex, H: RKComplex, HK: RKComplex,
                       tc: RKComplex, t2: RKComplex) -> RKMap:
@@ -203,21 +176,14 @@ class Dualizer:
         test suite.
         """
         ring = self.ring
-        comps = {}
-        for q in t2.degrees():
-            data = {}
-            for j, g in enumerate(t2.gens_at(q)):
-                _, gdual, gtau = g.data
-                gtc = gdual.data[1]
-                _, gcstar, gsig = gtc.data
-                gc = gcstar.data[1]
-                if gsig != gtau:
-                    continue
+
+        def images(q, g):
+            _, gdual, gtau = g.data
+            _, gcstar, gsig = gdual.data[1].data
+            if gsig == gtau:
                 dim_s = len(gsig.label) - 1
-                sign = ring.coerce((-1) ** ((q * (1 + dim_s)) % 2))
-                data[(C.index_of(q, gc), j)] = sign
-            comps[q] = Matrix(ring, C.rank(q), t2.rank(q), data)
-        return RKMap(t2, C, comps)
+                yield gcstar.data[1], ring.coerce((-1) ** ((q * (1 + dim_s)) % 2))
+        return RKMap.from_images(t2, C, images)
 
 
 @dataclass

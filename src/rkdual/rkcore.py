@@ -8,9 +8,10 @@ complexes of a K-space are all built here.
 
 A generator is identified by its structure: its label and the record of how
 it was built (a simplex, or the dual, tensor or Hom of earlier generators).
-Bases are chased across complexes by rebuilding that structure and looking
-it up with :meth:`RKComplex.index_of`; names are rendered for display only
-and may coincide.
+Every blocked map and differential is a rule on generators that names each
+image by rebuilding its structure; :meth:`RKMap.from_images`, the one
+assembly function, resolves the images in the target basis.  Names are
+rendered for display only and may coincide.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -131,6 +132,15 @@ class RKComplex:
 
     def gens_at(self, q):
         return self.gens.get(q, ())
+
+    @classmethod
+    def from_boundary(cls, ring, K: SimplicialComplex, op: bool, gens,
+                      boundary) -> "RKComplex":
+        """The complex on ``gens`` whose differential, the degree -1 map of
+        the complex to itself, has the generator images ``boundary(q, g)``."""
+        cx = cls(ring, K, op, gens, {})
+        cx.diff = RKMap.from_images(cx, cx, boundary, -1).comps
+        return cx
 
     def index_of(self, q, gen: Generator) -> int:
         """Position of a generator in the degree-q basis, by structure."""
@@ -258,6 +268,31 @@ class RKMap:
                 raise ChainComplexError(f"component at degree {q} has bad shape")
             if not mat.is_zero():
                 self.comps[q] = mat
+
+    @classmethod
+    def from_images(cls, src: RKComplex, tgt: RKComplex, images,
+                    degree=0) -> "RKMap":
+        """The map sending each degree-q generator g of ``src`` to the sum
+        of the (target generator, coefficient) pairs ``images(q, g)``.
+
+        Targets are resolved by structure in degree q + ``degree`` of
+        ``tgt``; an image outside that basis raises.
+        """
+        ring, zero = src.ring, src.ring.zero
+        comps = {}
+        for q in src.degrees():
+            index = tgt._index.get(q + degree, {})
+            data = {}
+            for j, g in enumerate(src.gens[q]):
+                for h, v in images(q, g):
+                    i = index.get(h)
+                    if i is None:
+                        raise ChainComplexError(
+                            f"{h.name}, an image of {g.name}, is not a "
+                            f"generator of the target in degree {q + degree}")
+                    data[i, j] = ring.add(data.get((i, j), zero), v)
+            comps[q] = Matrix(ring, tgt.rank(q + degree), src.rank(q), data)
+        return cls(src, tgt, comps, degree)
 
     @classmethod
     def identity(cls, cx: RKComplex) -> "RKMap":
@@ -424,12 +459,10 @@ def double_dual(C: RKComplex) -> RKComplex:
 
 def epsilon(C: RKComplex) -> RKMap:
     """The evaluation isomorphism C** -> C, (-1)^q on degree-q generators."""
-    dd = double_dual(C)
-    comps = {}
-    for q in C.degrees():
-        sign = C.ring.coerce((-1) ** (q % 2))
-        comps[q] = Matrix.identity(C.ring, C.rank(q)).scale(sign)
-    return RKMap(dd, C, comps)
+    ring = C.ring
+    return RKMap.from_images(
+        double_dual(C), C,
+        lambda q, g: [(g.data[1].data[1], ring.coerce((-1) ** (q % 2)))])
 
 
 def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
@@ -445,37 +478,25 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     gens = {}
     for qa in A.degrees():
         for qb in B.degrees():
-            p = qb - qa
-            bucket = gens.setdefault(p, [])
+            bucket = gens.setdefault(qb - qa, [])
             for ga in A.gens_at(qa):
                 for gb in B.gens_at(qb):
                     if A.leq(ga.label, gb.label):
                         bucket.append(hom_generator(qa, ga, gb))
-    gens = {p: tuple(gs) for p, gs in gens.items() if gs}
-    pos = {p: {g: i for i, g in enumerate(gs)} for p, gs in gens.items()}
-    diff = {}
-    for p, gs in gens.items():
-        tpos = pos.get(p - 1)
-        if not tpos:
-            continue
-        data = {}
-        sign = ring.coerce((-1) ** (p % 2))
-        for j, g in enumerate(gs):
-            _, q, ga, gb = g.data
-            # postcompose with d_B
-            for i_b, v in B.d(q + p).column(B.index_of(q + p, gb)):
-                gb2 = B.gens_at(q + p - 1)[i_b]
-                if A.leq(ga.label, gb2.label):
-                    i = tpos[hom_generator(q, ga, gb2)]
-                    data[(i, j)] = ring.add(data.get((i, j), ring.zero), v)
-            # precompose with d_A, Koszul sign
-            row = A.d(q + 1)._rows().get(A.index_of(q, ga), ())
-            for j_a, v in row:
-                i = tpos[hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb)]
-                data[(i, j)] = ring.sub(data.get((i, j), ring.zero),
-                                        ring.mul(sign, v))
-        diff[p] = Matrix(ring, len(tpos), len(gs), data)
-    return RKComplex(ring, A.K, True, gens, diff)
+
+    def boundary(p, g):
+        _, q, ga, gb = g.data
+        # postcompose with d_B
+        for i_b, v in B.d(q + p).column(B.index_of(q + p, gb)):
+            gb2 = B.gens_at(q + p - 1)[i_b]
+            if A.leq(ga.label, gb2.label):
+                yield hom_generator(q, ga, gb2), v
+        # precompose with d_A, Koszul sign
+        sign = ring.coerce(-(-1) ** (p % 2))
+        for j_a, v in A.d(q + 1)._rows().get(A.index_of(q, ga), ()):
+            yield (hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb),
+                   ring.mul(sign, v))
+    return RKComplex.from_boundary(ring, A.K, True, gens, boundary)
 
 
 def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -483,17 +504,14 @@ def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     degree-0 map g."""
     if g.degree != 0:
         raise ChainComplexError("only degree-0 maps are pushed through Hom")
-    comps = {}
-    for p in src.degrees():
-        data = {}
-        for j, gen in enumerate(src.gens_at(p)):
-            _, q, ga, gb = gen.data
-            for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb)):
-                gb2 = g.tgt.gens_at(q + p)[i_b]
-                if set(ga.label) <= set(gb2.label):
-                    data[(tgt.index_of(p, hom_generator(q, ga, gb2)), j)] = v
-        comps[p] = Matrix(src.ring, tgt.rank(p), src.rank(p), data)
-    return RKMap(src, tgt, comps)
+
+    def images(p, gen):
+        _, q, ga, gb = gen.data
+        for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb)):
+            gb2 = g.tgt.gens_at(q + p)[i_b]
+            if set(ga.label) <= set(gb2.label):
+                yield hom_generator(q, ga, gb2), v
+    return RKMap.from_images(src, tgt, images)
 
 
 def simplicial_rk(ring, K: SimplicialComplex, op: bool, cx: SimplicialComplex,

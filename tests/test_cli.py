@@ -300,6 +300,7 @@ def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
     ("verify_equivalences", ["equivalences/cells-to-subdivision",
                              "equivalences/dual-to-subdivision",
                              "equivalences/subdivision-dual-to-cochains"]),
+    ("maximal_label_ses", ["duality/exactness", "double-dual/natural-rows"]),
 ])
 def test_an_unexpected_exception_fails_only_its_check(tmp_path, capsys,
                                                       monkeypatch, builder,
@@ -319,6 +320,30 @@ def test_an_unexpected_exception_fails_only_its_check(tmp_path, capsys,
     assert [c["name"] for c in payload["checks"]] == clean
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == broken
+    for c in failed:
+        assert c["details"]["error"] == "KeyError: 'missing generator'"
+
+
+def test_a_raising_build_of_the_complexes_fails_checks(tmp_path, capsys,
+                                                       monkeypatch):
+    from rkdual import checks
+    path = write_doc(tmp_path, "hex")
+    assert main(["verify", path, "--format", "json"]) == 0
+    clean = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+
+    def raises(*args):
+        raise KeyError("missing generator")
+    monkeypatch.setattr(checks, "delta_complexes", raises)
+    code = main(["verify", path, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert [c["name"] for c in payload["checks"]] == clean
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    # every check that reads the chains fails alone; the star lemma does not
+    assert "soundness/d-squared-and-support/chains" in [c["name"] for c in failed]
+    assert all(c["name"].startswith("assembly/contractible-star")
+               for c in payload["checks"] if c["passed"])
     for c in failed:
         assert c["details"]["error"] == "KeyError: 'missing generator'"
 

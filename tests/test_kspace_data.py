@@ -62,6 +62,17 @@ def test_verify_builds_each_tensor_and_hom_once(monkeypatch):
     assert len(pushes) == 2
 
 
+def test_verify_dualizes_the_ends_of_the_split_once(monkeypatch):
+    objects = []
+    monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))
+    report = Report("verify", "Z")
+    verify_kspace(report, "hex", corpus_kspace("hex"), ZZ)
+    assert report.checks and report.passed
+    # T of the two ends of the split sequence is shared by duality/exactness
+    # and double-dual/natural-rows (16 calls when each built its own)
+    assert len(objects) == 14
+
+
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
     objects, squares = [], []
     monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))

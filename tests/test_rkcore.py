@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from rkdual.linalg import Matrix
-from rkdual.rings import ZZ
-from rkdual.rkcore import (Generator, RKComplex, check_lemma_clem,
+from rkdual.linalg import ChainComplexError, Matrix
+from rkdual.rings import GF2, ZZ
+from rkdual.rkcore import (Generator, RKComplex, RKMap, check_lemma_clem,
                            delta_chain, delta_complexes, delta_star_k,
                            dual_star, dual_star_map, double_dual, epsilon,
                            hom_rk, is_full, maximal_label_ses,
@@ -295,7 +295,6 @@ def test_maximal_label_split_validates(hex_ks):
 
 
 def test_support_condition_enforced():
-    from rkdual.linalg import ChainComplexError
     K = build("ab")
     # an edge-labeled generator mapping onto a vertex label violates the
     # support condition over the standard order
@@ -307,7 +306,6 @@ def test_support_condition_enforced():
 
 
 def test_generators_are_identified_by_structure():
-    from rkdual.linalg import ChainComplexError
     K = build("a")
     a = ("a",)
     # equal structure is one generator, whatever was built separately
@@ -329,3 +327,57 @@ def test_generators_are_identified_by_structure():
     cx = RKComplex(ZZ, X, False, {1: (one, two)}, {})
     assert (cx.index_of(1, simplex_generator(one.data[1], one.label)),
             cx.index_of(1, two)) == (0, 1)
+
+
+# ------------------------------------------------- assembly from generator images
+
+def test_images_onto_one_generator_add_up():
+    C = point_complex(ZZ, {"ranks": {0: 2, 1: 1}})
+    a, b = C.gens_at(0)
+    f = RKMap.from_images(C, C, lambda q, g: [(a, 1), (b, 5), (a, 2)]
+                          if q == 0 else [])
+    assert f.component(0).to_rows() == [[3, 3], [5, 5]]
+    assert f.component(1).to_rows() == [[0]]
+    # over Z/2 the sum is reduced: 1 + 1 is no entry
+    C2 = point_complex(GF2, {"ranks": {0: 1}})
+    (c,) = C2.gens_at(0)
+    twice = RKMap.from_images(C2, C2, lambda q, g: [(g, 1), (c, 1)])
+    assert twice.component(0).to_rows() == [[0]]
+
+
+def test_images_that_cancel_store_no_entry():
+    C = point_complex(ZZ, {"ranks": {0: 2}})
+    a, b = C.gens_at(0)
+    f = RKMap.from_images(C, C, lambda q, g: [(a, 1), (b, 1), (a, -1)])
+    assert [key for key, _ in f.component(0).entries()] == [(1, 0), (1, 1)]
+    g = RKMap.from_images(C, C, lambda q, g: [(a, 2), (a, -2)])
+    assert g.comps == {}
+
+
+def test_an_image_outside_the_target_basis_raises():
+    C = point_complex(ZZ, {"ranks": {0: 1, 1: 1}})
+    stray = Generator(("p",), ("simplex", ("stray",)))
+    with pytest.raises(ChainComplexError, match="<stray>, an image of .* degree 1"):
+        RKMap.from_images(C, C, lambda q, g: [(stray, 1)] if q == 1 else [])
+    # a generator of the target in another degree is outside it too
+    (e,) = C.gens_at(1)
+    with pytest.raises(ChainComplexError, match="in degree 0"):
+        RKMap.from_images(C, C, lambda q, g: [(e, 1)])
+
+
+def test_from_boundary_places_d_q_in_degree_q_minus_one():
+    K = build("p")
+    a, b, e = (Generator(("p",), ("simplex", (n,))) for n in "abe")
+    cx = RKComplex.from_boundary(ZZ, K, False, {0: (a, b), 1: (e,)},
+                                 lambda q, g: [(b, 1), (a, -1)] if q == 1 else [])
+    assert sorted(cx.diff) == [1]
+    assert cx.d(1).to_rows() == [[-1], [1]]
+    cx.validate()
+    # d_1 d_2 = 1: the boundary is assembled, and validate rejects it
+    f = Generator(("p",), ("simplex", ("f",)))
+    bad = RKComplex.from_boundary(
+        ZZ, K, False, {0: (a,), 1: (e,), 2: (f,)},
+        lambda q, g: {0: [], 1: [(a, 1)], 2: [(e, 1)]}[q])
+    assert bad.d(2).to_rows() == [[1]]
+    with pytest.raises(ChainComplexError, match="d∘d"):
+        bad.validate()
