@@ -1,0 +1,182 @@
+"""The verify ladder: fixed K-spaces, generated here, timed end to end.
+
+    python3 bench/ladder.py --src before=PATH --src after=src \\
+        [--max-seconds 300] [--out BENCH.json]
+
+Each rung is an rkdual JSON document built in this file: the identity on
+Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
+6×6 and 8×8 diagonal-split grids collapsed onto an edge, and the identity
+on Δ⁵.  For every rung, each ``--src LABEL=PATH`` source tree is run in
+turn, in a fresh child process that imports rkdual from PATH and times one
+in-process ``verify`` over Z.  The order of the sources alternates from rung
+to rung, so two trees are compared back to back on the same host.  A child
+still running after ``--max-seconds`` is stopped and the rung recorded as
+``"skipped"`` for that source; rungs are never shrunk to fit.  |X| and |K|
+(simplex counts) are computed here, not by rkdual.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from itertools import combinations
+
+
+def closure_size(facets) -> int:
+    faces = set()
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            faces.update(combinations(sorted(f), k))
+    return len(faces)
+
+
+def simplex(n):
+    """The facet list of the full simplex on n + 1 vertices."""
+    return [list(range(n + 1))]
+
+
+def boundary(n):
+    """The facet list of the boundary of the n-simplex (an (n-1)-sphere)."""
+    return [list(f) for f in combinations(range(n + 1), n)]
+
+
+def torus():
+    """The 7-vertex (Möbius) torus."""
+    return [sorted([i, (i + 1) % 7, (i + 3) % 7]) for i in range(7)] + \
+        [sorted([i, (i + 2) % 7, (i + 3) % 7]) for i in range(7)]
+
+
+def _complex(facets, name):
+    verts = sorted({v for f in facets for v in f})
+    return {"vertices": [name(v) for v in verts],
+            "simplices": [[name(v) for v in f] for f in facets]}
+
+
+def identity_rung(facets):
+    def name(v):
+        return f"v{v}"
+    cx = _complex(facets, name)
+    doc = {"complexes": {"X": cx},
+           "maps": {"pi": {"source": "X", "target": "X",
+                           "vertices": {v: v for v in cx["vertices"]}}},
+           "ring": "Z"}
+    return doc, closure_size(facets), closure_size(facets)
+
+
+def grid_rung(n):
+    """The n×n grid, each square split along a diagonal, mapped onto an
+    edge: column <= n/2 goes to one end, the rest to the other."""
+    facets = []
+    for r in range(n):
+        for c in range(n):
+            facets.append([(r, c), (r, c + 1), (r + 1, c + 1)])
+            facets.append([(r, c), (r + 1, c), (r + 1, c + 1)])
+
+    def name(v):
+        return f"r{v[0]}c{v[1]}"
+    x = _complex(facets, name)
+    pi = {name((r, c)): "k0" if c <= n / 2 else "k1"
+          for r in range(n + 1) for c in range(n + 1)}
+    doc = {"complexes": {"X": x,
+                         "K": {"vertices": ["k0", "k1"],
+                               "simplices": [["k0", "k1"]]}},
+           "maps": {"pi": {"source": "X", "target": "K", "vertices": pi}},
+           "ring": "Z"}
+    return doc, closure_size(facets), 3
+
+
+RUNGS = (
+    ("id-simplex-3", lambda: identity_rung(simplex(3))),
+    ("id-simplex-4", lambda: identity_rung(simplex(4))),
+    ("id-sphere-2", lambda: identity_rung(boundary(3))),
+    ("id-sphere-3", lambda: identity_rung(boundary(4))),
+    ("id-sphere-4", lambda: identity_rung(boundary(5))),
+    ("id-torus-7", lambda: identity_rung(torus())),
+    ("grid-4-edge", lambda: grid_rung(4)),
+    ("grid-6-edge", lambda: grid_rung(6)),
+    ("grid-8-edge", lambda: grid_rung(8)),
+    ("id-simplex-5", lambda: identity_rung(simplex(5))),
+)
+
+
+def child(src):
+    """Verify the document on stdin with rkdual from ``src``; print the
+    wall time, the number of checks and whether all of them passed."""
+    sys.path.insert(0, os.path.abspath(src))
+    from rkdual.checks import run_command
+    doc = json.load(sys.stdin)
+    started = time.perf_counter()
+    report = run_command("verify", doc)
+    wall = time.perf_counter() - started
+    print(json.dumps({"wall_s": round(wall, 3), "checks": len(report.checks),
+                      "passed": report.passed}))
+
+
+def run_rung(doc, src, max_seconds):
+    try:
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", src],
+            input=json.dumps(doc), capture_output=True, text=True,
+            timeout=max_seconds)
+    except subprocess.TimeoutExpired:
+        return "skipped"
+    if out.returncode != 0:
+        lines = out.stderr.strip().splitlines()
+        return {"error": lines[-1] if lines else f"exit {out.returncode}"}
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", default=[],
+                        metavar="LABEL=PATH",
+                        help="a source tree (its src/ directory) to time")
+    parser.add_argument("--max-seconds", type=float, default=300.0)
+    parser.add_argument("--out", default=None,
+                        help="write the JSON result here as well as stdout")
+    parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        child(args.child)
+        return 0
+    sources = []
+    for item in args.src:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not path:
+            parser.error(f"--src wants LABEL=PATH, got {item!r}")
+        sources.append((label, path))
+    if not sources:
+        parser.error("give at least one --src LABEL=PATH")
+    rungs = []
+    for n, (name, make) in enumerate(RUNGS):
+        doc, x, k = make()
+        row = {"rung": name, "X": x, "K": k}
+        order = sources if n % 2 == 0 else sources[::-1]
+        for label, path in order:
+            row[label] = run_rung(doc, path, args.max_seconds)
+            print(name, label, json.dumps(row[label]), file=sys.stderr,
+                  flush=True)
+        rungs.append(row)
+    result = {
+        "command": "verify over Z, one in-process run per rung and source",
+        "sources": [label for label, _ in sources],
+        "max_seconds": args.max_seconds,
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "rungs": rungs,
+    }
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

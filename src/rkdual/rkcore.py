@@ -175,10 +175,10 @@ class RKComplex:
                             dict(self.diff))
 
     def validate(self, check_d2=True):
-        for q in self.degrees():
+        for q, mat in sorted(self.diff.items()):
             tgt = self.gens_at(q - 1)
             src = self.gens_at(q)
-            for (i, j), _ in self.d(q).entries():
+            for (i, j), _ in mat.entries():
                 if not self.leq(src[j].label, tgt[i].label):
                     raise ChainComplexError(
                         f"support violated by d at degree {q}: "
@@ -311,10 +311,10 @@ class RKMap:
                         dict(self.comps), degree=self.degree)
 
     def validate(self, chain=True):
-        for q in self.degrees_hit():
+        for q, mat in sorted(self.comps.items()):
             src = self.src.gens_at(q)
             tgt = self.tgt.gens_at(q + self.degree)
-            for (i, j), _ in self.component(q).entries():
+            for (i, j), _ in mat.entries():
                 if not self.src.leq(src[j].label, tgt[i].label):
                     raise ChainComplexError(
                         f"support violated at degree {q}: "

@@ -1,0 +1,28 @@
+"""The benchmark ladder generates the documented rungs and times them."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def test_rung_sizes():
+    sizes = {name: make()[1:] for name, make in ladder.RUNGS}
+    assert sizes == {
+        "id-simplex-3": (15, 15), "id-simplex-4": (31, 31),
+        "id-sphere-2": (14, 14), "id-sphere-3": (30, 30),
+        "id-sphere-4": (62, 62), "id-torus-7": (42, 42),
+        "grid-4-edge": (113, 3), "grid-6-edge": (241, 3),
+        "grid-8-edge": (417, 3), "id-simplex-5": (63, 63),
+    }
+
+
+def test_child_run_and_skip():
+    doc = ladder.identity_rung(ladder.boundary(3))[0]
+    got = ladder.run_rung(doc, SRC, 60)
+    assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
+    assert ladder.run_rung(doc, SRC, 0.001) == "skipped"

@@ -120,6 +120,19 @@ def test_homology_hexagon_matches_minor_oracle():
     assert (h[1].betti, h[1].torsion) == (1, ())
 
 
+def test_validate_multiplies_only_stored_matrices(monkeypatch):
+    products = []
+    mul = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    d1 = Matrix.from_rows(ZZ, CIRCLE_D1)
+    d2 = Matrix.from_rows(ZZ, [[1], [-1], [1]])
+    cx = ChainComplex(ZZ, {0: 3, 1: 3, 2: 1}, {1: d1, 2: d2}).validate()
+    assert len(products) == 1       # d_1 d_2 only
+    ChainMap.identity(cx).validate()
+    assert len(products) == 1 + 4   # both sides at degrees 1 and 2
+
+
 def test_homology_reports_first_bad_degree():
     bad = ChainComplex(ZZ, {0: 1, 1: 1, 2: 1},
                        {1: Matrix.from_rows(ZZ, [[1]]),
