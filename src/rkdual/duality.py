@@ -27,7 +27,6 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
     if not C.op or D.op or C.K != D.K or C.ring != D.ring:
         raise ValueError(
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
-    ring = C.ring
     ldeg = {gl: r for r in C.degrees() for gl in C.gens_at(r)}
     gens = {}
     for r in C.degrees():
@@ -42,17 +41,19 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
         _, gl, gr = g.data
         r = ldeg[gl]
         # left differential, filtered to surviving pairs
-        for i_l, v in C.d(r).column(C.index_of(r, gl)):
-            gl2 = C.gens_at(r - 1)[i_l]
-            if keep_all or set(gr.label) <= set(gl2.label):
-                yield tensor_generator(gl2, gr), v
+        if r in C.diff:
+            for i_l, v in C.diff[r].column(C.index_of(r, gl)):
+                gl2 = C.gens_at(r - 1)[i_l]
+                if keep_all or set(gr.label) <= set(gl2.label):
+                    yield tensor_generator(gl2, gr), v
         # right differential with the Koszul sign
-        koszul = ring.coerce((-1) ** (r % 2))
-        for i_r, v in D.d(q - r).column(D.index_of(q - r, gr)):
-            gr2 = D.gens_at(q - r - 1)[i_r]
-            if keep_all or set(gr2.label) <= set(gl.label):
-                yield tensor_generator(gl, gr2), ring.mul(koszul, v)
-    return RKComplex.from_boundary(ring, D.K, False, gens, boundary)
+        if q - r in D.diff:
+            koszul = (-1) ** (r % 2)
+            for i_r, v in D.diff[q - r].column(D.index_of(q - r, gr)):
+                gr2 = D.gens_at(q - r - 1)[i_r]
+                if keep_all or set(gr2.label) <= set(gl.label):
+                    yield tensor_generator(gl, gr2), koszul * v
+    return RKComplex.from_boundary(C.ring, D.K, False, gens, boundary)
 
 
 def tensor_r(C: RKComplex, D: RKComplex) -> RKComplex:
@@ -90,7 +91,9 @@ def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     def images(q, g):
         _, gl, gr = g.data
         r = ldeg[gl]
-        for i_l, v in f.component(r).column(f.src.index_of(r, gl)):
+        if r not in f.comps:
+            return
+        for i_l, v in f.comps[r].column(f.src.index_of(r, gl)):
             gl2 = f.tgt.gens_at(r)[i_l]
             if set(gr.label) <= set(gl2.label):
                 yield tensor_generator(gl2, gr), v

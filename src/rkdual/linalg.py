@@ -1,11 +1,17 @@
 """Exact sparse matrices, Smith normal form, and bounded chain complexes.
 
-Matrices are stored as sparse triplets with deterministic iteration order;
-the Smith normal form eliminates unit pivots sparsely, then runs the dense
-pivot/clear/divide loop on the residual.  Chain complexes are graded
-families of free modules with explicit differentials; homology, mapping
-cones and cone-acyclicity (the certificate used for "chain equivalence" of
-bounded free complexes over Z, Q and Z/p) live here.
+Matrices are stored as sparse triplets with deterministic iteration order.
+Entries are checked once, at the public constructor: indices in range,
+values coerced into the ring, zeros dropped.  Matrices computed inside the
+package (products, transposes, blocks, cones, assembled blocked maps) are
+sums formed with native ``+``, ``-`` and ``*``; they go through one
+unchecked constructor, which reduces each entry mod p once over Z/p and
+drops zeros.  The Smith normal form eliminates unit pivots sparsely, then
+runs the dense pivot/clear/divide loop on the residual, if any is left.
+Chain complexes are graded families of free modules with explicit
+differentials; homology, mapping cones and cone-acyclicity (the certificate
+used for "chain equivalence" of bounded free complexes over Z, Q and Z/p)
+live here.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ class Matrix:
     """A sparse matrix over an exact ring.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
-    Out-of-range access raises rather than zero-extending.
+    Out-of-range access raises rather than zero-extending.  The constructor
+    is the checked boundary: it range-checks every index and coerces every
+    value into the ring.  Matrices computed from other matrices come from
+    :meth:`_from_sums` instead, which trusts its input.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_data", "_rowmap", "_colmap")
@@ -37,8 +46,24 @@ class Matrix:
             for (i, j), v in data.items():
                 self._check_index(i, j)
                 v = ring.coerce(v)
-                if not ring.is_zero(v):
+                if v:
                     self._data[(i, j)] = v
+
+    @classmethod
+    def _from_sums(cls, ring, nrows, ncols, data):
+        """The unchecked constructor for matrices computed inside this
+        package: ``data`` maps in-range positions to sums of products of
+        ring elements (or of ring elements and integers).  Over Z/p each
+        entry is reduced once here; zeros are dropped."""
+        mat = cls.__new__(cls)
+        mat.ring, mat.nrows, mat.ncols = ring, nrows, ncols
+        mat._rowmap = mat._colmap = None
+        mod = ring.p
+        if mod:
+            mat._data = {k: r for k, v in data.items() if (r := v % mod)}
+        else:
+            mat._data = {k: v for k, v in data.items() if v}
+        return mat
 
     def _check_index(self, i, j):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -51,7 +76,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
+        return cls._from_sums(ring, n, n, {(i, i): ring.one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -64,17 +89,6 @@ class Matrix:
             for j, v in enumerate(row):
                 data[(i, j)] = v
         return cls(ring, nrows, ncols, data)
-
-    @classmethod
-    def diagonal(cls, ring, values, nrows=None, ncols=None):
-        n = len(values)
-        m = cls(ring, nrows if nrows is not None else n,
-                ncols if ncols is not None else n)
-        for i, v in enumerate(values):
-            v = ring.coerce(v)
-            if not ring.is_zero(v):
-                m._data[(i, i)] = v
-        return m
 
     def entry(self, i, j):
         self._check_index(i, j)
@@ -114,7 +128,7 @@ class Matrix:
                 b = cpos.get(j)
                 if b is not None:
                     data[(a, b)] = v
-        return Matrix(self.ring, len(rows), len(cols), data)
+        return Matrix._from_sums(self.ring, len(rows), len(cols), data)
 
     def to_rows(self):
         z = self.ring.zero
@@ -124,56 +138,25 @@ class Matrix:
         return rows
 
     def transpose(self):
-        return Matrix(self.ring, self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self._data.items()})
+        return Matrix._from_sums(self.ring, self.ncols, self.nrows,
+                                 {(j, i): v for (i, j), v in self._data.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows or self.ring != other.ring:
             raise ValueError("incompatible matrix product")
-        ring = self.ring
         acc = {}
         brows = other._rows()
         for (i, k), a in self._data.items():
-            row = brows.get(k)
-            if not row:
-                continue
-            for j, b in row:
-                key = (i, j)
-                c = ring.add(acc.get(key, ring.zero), ring.mul(a, b))
-                if ring.is_zero(c):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = c
-        return Matrix(ring, self.nrows, other.ncols, acc)
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("incompatible matrix sum")
-        ring = self.ring
-        acc = dict(self._data)
-        for key, v in other._data.items():
-            c = ring.add(acc.get(key, ring.zero), v)
-            if ring.is_zero(c):
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        return Matrix(ring, self.nrows, self.ncols, acc)
-
-    def __sub__(self, other):
-        return self + other.scale(self.ring.coerce(-1))
-
-    def __neg__(self):
-        return self.scale(self.ring.coerce(-1))
+            for j, b in brows.get(k, ()):
+                acc[i, j] = acc.get((i, j), 0) + a * b
+        return Matrix._from_sums(self.ring, self.nrows, other.ncols, acc)
 
     def scale(self, c):
-        ring = self.ring
-        c = ring.coerce(c)
-        if ring.is_zero(c):
-            return Matrix(ring, self.nrows, self.ncols)
-        return Matrix(ring, self.nrows, self.ncols,
-                      {k: ring.mul(c, v) for k, v in self._data.items()})
+        """c times this matrix, for an integer or a ring element c."""
+        return Matrix._from_sums(self.ring, self.nrows, self.ncols,
+                                 {k: c * v for k, v in self._data.items()})
 
     def is_zero(self):
         return not self._data
@@ -195,10 +178,11 @@ def smith_normal_form(mat: Matrix):
     Unit pivots (±1 over Z, any nonzero over a field) are eliminated first on
     sparse row copies: one pass over the columns by initial count, each
     taking the shortest row with a unit there.  Each is a factor 1; clearing
-    its column leaves the unit plus the rest, and only that residual goes to
-    the dense loop.
+    its column leaves the unit plus the rest, and only that residual, if any
+    is left, goes to the dense loop.
     """
     ring = mat.ring
+    mod = ring.p
     rows, cols = {}, {}
     for (i, j), v in mat._data.items():
         rows.setdefault(i, {})[j] = v
@@ -218,22 +202,26 @@ def smith_normal_form(mat: Matrix):
             cols[k].discard(p)
         for i in live:
             row = rows[i]
-            c = ring.mul(row.pop(j), inv)
+            c = row.pop(j) * inv
             for k, v in prow.items():
-                x = ring.sub(row.get(k, ring.zero), ring.mul(c, v))
-                if ring.is_zero(x):
-                    del row[k]
-                    cols[k].discard(i)
-                else:
+                x = row.get(k, 0) - c * v
+                if mod:
+                    x %= mod
+                if x:
                     row[k] = x
                     cols[k].add(i)
+                else:
+                    del row[k]
+                    cols[k].discard(i)
         units += 1
     rest = sorted(i for i, row in rows.items() if row)
+    if not rest:
+        return (ring.one,) * units, units
     cpos = {k: b for b, k in
             enumerate(sorted({k for i in rest for k in rows[i]}))}
-    residual = Matrix(ring, len(rest), len(cpos),
-                      {(a, cpos[k]): v for a, i in enumerate(rest)
-                       for k, v in rows[i].items()})
+    residual = Matrix._from_sums(ring, len(rest), len(cpos),
+                                 {(a, cpos[k]): v for a, i in enumerate(rest)
+                                  for k, v in rows[i].items()})
     factors, r = _dense_snf(residual)
     return (ring.one,) * units + factors, units + r
 
@@ -241,6 +229,7 @@ def smith_normal_form(mat: Matrix):
 def _dense_snf(mat: Matrix):
     """The classical pivot/clear/divide Smith normal form on dense rows."""
     ring = mat.ring
+    mod = ring.p
     m, n = mat.nrows, mat.ncols
     A = mat.to_rows()
     factors = []
@@ -259,7 +248,7 @@ def _dense_snf(mat: Matrix):
         for i in range(t, m):
             for j in range(t, n):
                 v = A[i][j]
-                if ring.is_zero(v):
+                if not v:
                     continue
                 if ring.is_field:
                     pivot = (i, j)
@@ -280,26 +269,29 @@ def _dense_snf(mat: Matrix):
                 A[t] = [-x for x in A[t]]
             progress = False
             for i in range(t + 1, m):
-                if ring.is_zero(A[i][t]):
+                if not A[i][t]:
                     continue
                 q, _ = ring.divmod(A[i][t], A[t][t])
-                if not ring.is_zero(q):
-                    trow = A[t]
-                    A[i] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(A[i], trow)]
-                if not ring.is_zero(A[i][t]):
+                if q:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                    if mod:
+                        A[i] = [x % mod for x in A[i]]
+                if A[i][t]:
                     swap_rows(t, i)      # strictly smaller pivot
                     progress = True
                     break
             if progress:
                 continue
             for j in range(t + 1, n):
-                if ring.is_zero(A[t][j]):
+                if not A[t][j]:
                     continue
                 q, _ = ring.divmod(A[t][j], A[t][t])
-                if not ring.is_zero(q):
+                if q:
                     for row in A:
-                        row[j] = ring.sub(row[j], ring.mul(q, row[t]))
-                if not ring.is_zero(A[t][j]):
+                        row[j] = row[j] - q * row[t]
+                        if mod:
+                            row[j] %= mod
+                if A[t][j]:
                     swap_cols(t, j)
                     progress = True
                     break
@@ -317,7 +309,7 @@ def _dense_snf(mat: Matrix):
                     if bad is not None:
                         break
                 if bad is not None:
-                    A[t] = [ring.add(x, y) for x, y in zip(A[t], A[bad])]
+                    A[t] = [x + y for x, y in zip(A[t], A[bad])]
                     continue
             break
         factors.append(ring.normalize_factor(A[t][t]))
@@ -423,7 +415,8 @@ def homology(cx: ChainComplex, check: bool = True):
 
     def snf_at(q):
         if q not in snf:
-            snf[q] = smith_normal_form(cx.d(q))
+            mat = cx.diff.get(q)
+            snf[q] = smith_normal_form(mat) if mat is not None else ((), 0)
         return snf[q]
 
     out = {}
@@ -472,7 +465,7 @@ class ChainMap:
         return mat
 
     def validate(self):
-        sign = self.src.ring.coerce((-1) ** (self.degree % 2))
+        sign = (-1) ** (self.degree % 2)
         for q in set(self.src.degrees()) | set(self.comps):
             if ((q + self.degree not in self.tgt.diff or q not in self.comps)
                     and (q - 1 not in self.comps or q not in self.src.diff)):
@@ -482,17 +475,6 @@ class ChainMap:
             if lhs != rhs:
                 raise ChainComplexError(f"not a chain map at degree {q}")
         return self
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self ∘ other."""
-        comps = {}
-        for q in other.src.degrees():
-            comps[q] = self.component(q + other.degree) * other.component(q)
-        return ChainMap(other.src, self.tgt, comps,
-                        degree=self.degree + other.degree)
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.comps.values())
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -511,17 +493,17 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
             spaces[q] = n
     diff = {}
     for q in spaces:
-        nc, nd = C.rank(q - 1), D.rank(q)
-        rows_c, rows_d = C.rank(q - 2), D.rank(q - 1)
+        rows_c, nc = C.rank(q - 2), C.rank(q - 1)
         data = {}
-        dC = C.d(q - 1)
-        for (i, j), v in dC._data.items():
-            data[(i, j)] = ring.neg(v)
-        for (i, j), v in f.component(q - 1)._data.items():
-            data[(rows_c + i, j)] = v
-        for (i, j), v in D.d(q)._data.items():
-            data[(rows_c + i, nc + j)] = v
-        diff[q] = Matrix(ring, rows_c + rows_d, nc + nd, data)
+        for mat, di, dj, sign in ((C.diff.get(q - 1), 0, 0, -1),
+                                  (f.comps.get(q - 1), rows_c, 0, 1),
+                                  (D.diff.get(q), rows_c, nc, 1)):
+            if mat is not None:
+                for (i, j), v in mat._data.items():
+                    data[di + i, dj + j] = sign * v
+        if data:
+            diff[q] = Matrix._from_sums(ring, rows_c + D.rank(q - 1),
+                                        nc + D.rank(q), data)
     return ChainComplex(ring, spaces, diff)
 
 

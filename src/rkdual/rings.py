@@ -1,8 +1,11 @@
 """Exact coefficient rings: the integers, the rationals and prime fields.
 
-Elements are plain Python values (``int`` for Z and Z/p, ``Fraction`` for Q);
-a :class:`Ring` instance supplies the arithmetic so matrix and chain code
-stay generic.  There is no floating point anywhere in this package.
+Elements are plain Python values (``int`` for Z and Z/p, ``Fraction`` for Q),
+so matrix code adds and multiplies them with native ``+``, ``-`` and ``*``;
+a :class:`Ring` instance coerces values into the ring and supplies what
+native arithmetic does not: units, inverses, division with remainder and
+canonical invariant factors.  Reducing sums mod p is left to the matrix
+layer.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -93,24 +96,6 @@ class Ring:
             return int(x) % self.p
         return int(x)
 
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "Zp" else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == "Zp" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Zp" else -a
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "Zp" else c
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
             return a == 1 or a == -1
@@ -129,8 +114,10 @@ class Ring:
 
     def divmod(self, a, b):
         """Quotient and remainder; over a field the remainder is zero."""
-        if self.is_field:
-            return self.mul(a, self.invert(b)), self.zero
+        if self.kind == "Zp":
+            return a * self.invert(b) % self.p, 0
+        if self.kind == "Q":
+            return a / b, self.zero
         return divmod(a, b)
 
     def normalize_factor(self, a):

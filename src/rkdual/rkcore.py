@@ -276,9 +276,10 @@ class RKMap:
         of the (target generator, coefficient) pairs ``images(q, g)``.
 
         Targets are resolved by structure in degree q + ``degree`` of
-        ``tgt``; an image outside that basis raises.
+        ``tgt``; an image outside that basis raises.  Coefficients are ring
+        elements, or integers times ring elements; the sums are reduced by
+        the matrix layer.
         """
-        ring, zero = src.ring, src.ring.zero
         comps = {}
         for q in src.degrees():
             index = tgt._index.get(q + degree, {})
@@ -290,8 +291,10 @@ class RKMap:
                         raise ChainComplexError(
                             f"{h.name}, an image of {g.name}, is not a "
                             f"generator of the target in degree {q + degree}")
-                    data[i, j] = ring.add(data.get((i, j), zero), v)
-            comps[q] = Matrix(ring, tgt.rank(q + degree), src.rank(q), data)
+                    data[i, j] = data[i, j] + v if (i, j) in data else v
+            if data:
+                comps[q] = Matrix._from_sums(src.ring, tgt.rank(q + degree),
+                                             src.rank(q), data)
         return cls(src, tgt, comps, degree)
 
     @classmethod
@@ -334,16 +337,6 @@ class RKMap:
         for q in other.src.degrees():
             comps[q] = self.component(q + other.degree) * other.component(q)
         return RKMap(other.src, self.tgt, comps, degree=self.degree + other.degree)
-
-    def scale(self, c) -> "RKMap":
-        return RKMap(self.src, self.tgt,
-                     {q: m.scale(c) for q, m in self.comps.items()}, self.degree)
-
-    def add(self, other: "RKMap") -> "RKMap":
-        comps = {}
-        for q in set(self.comps) | set(other.comps):
-            comps[q] = self.component(q) + other.component(q)
-        return RKMap(self.src, self.tgt, comps, self.degree)
 
     def diagonal_component(self, sigma) -> ChainMap:
         """The chain map between the sigma-pieces."""
@@ -436,8 +429,7 @@ def dual_star(C: RKComplex) -> RKComplex:
         mat = C.diff.get(q + 1)
         if mat is None:
             continue
-        sign = C.ring.coerce((-1) ** ((q + 1) % 2))
-        diff[-q] = mat.transpose().scale(sign)
+        diff[-q] = mat.transpose().scale((-1) ** ((q + 1) % 2))
     return RKComplex(C.ring, C.K, not C.op, gens, diff)
 
 
@@ -487,15 +479,16 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     def boundary(p, g):
         _, q, ga, gb = g.data
         # postcompose with d_B
-        for i_b, v in B.d(q + p).column(B.index_of(q + p, gb)):
-            gb2 = B.gens_at(q + p - 1)[i_b]
-            if A.leq(ga.label, gb2.label):
-                yield hom_generator(q, ga, gb2), v
+        if q + p in B.diff:
+            for i_b, v in B.diff[q + p].column(B.index_of(q + p, gb)):
+                gb2 = B.gens_at(q + p - 1)[i_b]
+                if A.leq(ga.label, gb2.label):
+                    yield hom_generator(q, ga, gb2), v
         # precompose with d_A, Koszul sign
-        sign = ring.coerce(-(-1) ** (p % 2))
-        for j_a, v in A.d(q + 1)._rows().get(A.index_of(q, ga), ()):
-            yield (hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb),
-                   ring.mul(sign, v))
+        if q + 1 in A.diff:
+            sign = -(-1) ** (p % 2)
+            for j_a, v in A.diff[q + 1]._rows().get(A.index_of(q, ga), ()):
+                yield hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb), sign * v
     return RKComplex.from_boundary(ring, A.K, True, gens, boundary)
 
 
@@ -507,7 +500,9 @@ def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
 
     def images(p, gen):
         _, q, ga, gb = gen.data
-        for i_b, v in g.component(q + p).column(g.src.index_of(q + p, gb)):
+        if q + p not in g.comps:
+            return
+        for i_b, v in g.comps[q + p].column(g.src.index_of(q + p, gb)):
             gb2 = g.tgt.gens_at(q + p)[i_b]
             if set(ga.label) <= set(gb2.label):
                 yield hom_generator(q, ga, gb2), v

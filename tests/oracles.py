@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: invariant factors come
 from determinantal divisors (gcds of k-minors), ranks from fraction
-row-reduction, and counts from brute-force enumeration.
+row-reduction, matrix products and cone blocks from dense row lists, and
+counts from brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -64,6 +65,24 @@ def row_reduce_rank(rows):
                 mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def dense_product(a, b, ncols):
+    """The product of an m×n and an n×``ncols`` matrix given as row lists,
+    each entry the sum over k of a[i][k] * b[k][j]."""
+    return [[sum(row[k] * b[k][j] for k in range(len(row)))
+             for j in range(ncols)] for row in a]
+
+
+def cone_block(dc, f, dd, rows_c, ncols_c, rows_d, ncols_d):
+    """The mapping-cone differential [[-dc, 0], [f, dd]] as row lists, from
+    the row lists of dc (rows_c × ncols_c), f (rows_d × ncols_c) and dd
+    (rows_d × ncols_d)."""
+    top = [[-dc[i][j] for j in range(ncols_c)] + [0] * ncols_d
+           for i in range(rows_c)]
+    bottom = [[f[i][j] for j in range(ncols_c)] +
+              [dd[i][j] for j in range(ncols_d)] for i in range(rows_d)]
+    return top + bottom
 
 
 def count_decreasing_chains(simplices, length):

@@ -53,6 +53,25 @@ def control_pullback(ks):
 
 # ------------------------------------------------------------- tensors
 
+def test_tensor_and_hom_without_differentials_build_no_zero_matrix(
+        monkeypatch):
+    K = build("ab")
+
+    def flat(op):
+        gens = {0: tuple(simplex_generator(s, s) for s in (("a",), ("b",))),
+                1: (simplex_generator(("a", "b"), ("a", "b")),)}
+        return RKComplex(ZZ, K, op, gens, {})
+
+    zeros, zero = [], Matrix.zero.__func__
+    monkeypatch.setattr(Matrix, "zero", classmethod(
+        lambda cls, *shape: zeros.append(shape) or zero(cls, *shape)))
+    tk = tensor_k(flat(True), flat(False))
+    hom = hom_rk(flat(False), flat(False))
+    assert zeros == []
+    assert tk.total_rank() == 5 and not tk.diff
+    assert hom.total_rank() == 5 and not hom.diff
+
+
 def test_tensor_over_a_point_is_the_full_tensor(corpus):
     dc = delta_complexes(corpus["pt"], ZZ)
     dstark = delta_star_k(corpus["pt"].K, ZZ)

@@ -1,16 +1,20 @@
 """Exact matrices, Smith normal form, homology and cone acyclicity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap, Matrix,
-                           homology, is_acyclic, is_cone_acyclic,
-                           mapping_cone, smith_normal_form)
-from rkdual.rings import Ring, ZZ, QQ
+from rkdual import linalg
+from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap,
+                           HomologyGroup, Matrix, homology, is_acyclic,
+                           is_cone_acyclic, mapping_cone, smith_normal_form)
+from rkdual.rings import Ring, ZZ, QQ, GF2
 
-from oracles import invariant_factors_minors, row_reduce_rank
+from oracles import (cone_block, dense_product, invariant_factors_minors,
+                     row_reduce_rank)
 
+GF3 = Ring.prime_field(3)
 GF5 = Ring.prime_field(5)
 
 # the boundary of a hollow triangle: columns ab, ac, bc
@@ -43,6 +47,115 @@ def test_matrix_out_of_range_access():
         m.entry(0, 3)
     with pytest.raises(IndexError):
         Matrix(ZZ, 1, 1, {(1, 1): 1})
+
+
+def test_constructor_rejects_a_non_integer_over_the_integers():
+    with pytest.raises(ValueError):
+        Matrix(ZZ, 1, 1, {(0, 0): Fraction(1, 2)})
+
+
+def test_constructor_reduces_mod_p_and_drops_zeros():
+    m = Matrix(GF3, 1, 3, {(0, 0): 5, (0, 1): -1, (0, 2): -6})
+    assert m._data == {(0, 0): 2, (0, 1): 2}
+
+
+def test_constructor_stores_integers_over_the_rationals_as_fractions():
+    m = Matrix(QQ, 1, 2, {(0, 0): 3, (0, 1): 0})
+    assert m._data == {(0, 0): 3}
+    assert type(m._data[(0, 0)]) is Fraction
+
+
+# ------------------------------------- unchecked producers against oracles
+
+def _values(ring):
+    values = [0, 0, 0, 1, -1, 2, -2, 3, 4]
+    return values + [Fraction(1, 2), Fraction(-2, 3)] if ring == QQ else values
+
+
+def _random(rng, ring, m, n):
+    """Random row lists and their matrix, built at the checked boundary."""
+    rows = [[rng.choice(_values(ring)) for _ in range(n)] for _ in range(m)]
+    return rows, Matrix(ring, m, n, {(i, j): v for i, row in enumerate(rows)
+                                     for j, v in enumerate(row)})
+
+
+def _assert_matches(mat, ring, rows):
+    """``mat`` stores only canonical nonzero ring elements and equals the
+    oracle's row lists read in the ring."""
+    assert mat.ring == ring
+    for v in mat._data.values():
+        assert v != 0
+        if ring == QQ:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int
+        if ring.p:
+            assert 0 <= v < ring.p
+    want = [[x % ring.p if ring.p else x for x in row] for row in rows]
+    assert [[mat._data.get((i, j), 0) for j in range(mat.ncols)]
+            for i in range(mat.nrows)] == want
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2, GF3], ids=str)
+def test_unchecked_producers_match_the_dense_oracle(ring):
+    rng = random.Random(11)
+    cancelled = 0       # product entries that vanish only mod p
+    for _ in range(150):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a_rows, a = _random(rng, ring, m, k)
+        b_rows, b = _random(rng, ring, k, n)
+        product = dense_product(a_rows, b_rows, n)
+        _assert_matches(a * b, ring, product)
+        cancelled += sum(1 for row in product for x in row
+                         if x and ring.p and x % ring.p == 0)
+        _assert_matches(a.transpose(), ring, [list(c) for c in zip(*a_rows)])
+        c = rng.choice([0, 1, -1, 2, 3])
+        _assert_matches(a.scale(c), ring, [[c * x for x in row]
+                                           for row in a_rows])
+        rows = rng.sample(range(m), rng.randint(1, m))
+        cols = rng.sample(range(k), rng.randint(1, k))
+        _assert_matches(a.submatrix(rows, cols), ring,
+                        [[a_rows[i][j] for j in cols] for i in rows])
+    assert cancelled > 0 if ring.p else cancelled == 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2, GF3], ids=str)
+def test_mapping_cone_matches_the_dense_oracle(ring):
+    rng = random.Random(12)
+    for _ in range(40):
+        rc = {q: rng.randint(1, 3) for q in range(3)}
+        rd = {q: rng.randint(1, 3) for q in range(3)}
+        dc = {q: _random(rng, ring, rc[q - 1], rc[q]) for q in (1, 2)}
+        dd = {q: _random(rng, ring, rd[q - 1], rd[q]) for q in (1, 2)}
+        fc = {q: _random(rng, ring, rd[q], rc[q]) for q in range(3)}
+        cone = mapping_cone(ChainMap(
+            ChainComplex(ring, rc, {q: m for q, (_, m) in dc.items()}),
+            ChainComplex(ring, rd, {q: m for q, (_, m) in dd.items()}),
+            {q: m for q, (_, m) in fc.items()}))
+        for q in range(4):
+            # an absent block always has a side of rank 0
+            want = cone_block(
+                dc.get(q - 1, ([],))[0], fc.get(q - 1, ([],))[0],
+                dd.get(q, ([],))[0], rc.get(q - 2, 0), rc.get(q - 1, 0),
+                rd.get(q - 1, 0), rd.get(q, 0))
+            assert cone.rank(q) == rc.get(q - 1, 0) + rd.get(q, 0)
+            _assert_matches(cone.d(q), ring, want)
+
+
+def test_homology_runs_no_snf_for_degrees_without_a_differential(
+        monkeypatch):
+    calls, zeros = [], []
+    snf, zero = linalg.smith_normal_form, Matrix.zero.__func__
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda mat: calls.append(mat) or snf(mat))
+    monkeypatch.setattr(Matrix, "zero", classmethod(
+        lambda cls, *shape: zeros.append(shape) or zero(cls, *shape)))
+    point = ChainComplex(ZZ, {0: 1}, {})
+    assert homology(point) == {0: HomologyGroup(1, ())}
+    assert calls == [] and zeros == []
+    h = homology(_two_step(ZZ, CIRCLE_D1))
+    assert [c.nrows for c in calls] == [3] and zeros == []     # d_1 only
+    assert h[0] == h[1] == HomologyGroup(1, ())
 
 
 def test_snf_empty_matrix():
