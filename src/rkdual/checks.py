@@ -256,10 +256,8 @@ def check_assembly(report: Report, target: str, data: KSpaceData):
     ks = data.ks
 
     def body():
-        from .linalg import ChainMap
         dx = data.deltas.dx
         all_simplices = set(ks.K.all_simplices())
-        total = dx.underlying()
         for sigma in ks.K.all_simplices():
             star = set(ks.K.star(sigma))
             rest = all_simplices - star
@@ -268,12 +266,11 @@ def check_assembly(report: Report, target: str, data: KSpaceData):
             sub = dx.restrict(rest) if rest else None
             quo = dx.restrict(star)
             if sub is not None:
-                if sub.total_rank() + quo.total_rank() != total.total_rank():
+                if sub.total_rank() + quo.total_rank() != dx.total_rank():
                     return False, {"label": simplex_name(sigma)}
                 # inclusion and projection are chain maps
-                prj = {q: m.transpose() for q, m in dx.inclusion(star).items()}
-                ChainMap(sub, total, dx.inclusion(rest)).validate()
-                ChainMap(total, quo, prj).validate()
+                RKMap.inclusion(sub, dx).validate()
+                RKMap.projection(dx, quo).validate()
         return True, {}
     _guard(report, "assembly/star-splitting", target, body)
 
@@ -403,7 +400,7 @@ def _identification(data: KSpaceData):
 
 
 def _homology_of_x(data: KSpaceData, cx):
-    got = homology(cx.underlying())
+    got = homology(cx)
     return (same_homology(got, data.x_homology),
             {"homology": homology_table(got, data.ring)})
 

@@ -369,9 +369,6 @@ class ChainComplex:
                     f"d∘d != 0 starting from degree {q + 1}")
         return self
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * n for q, n in self.spaces.items())
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -399,14 +396,13 @@ class HomologyGroup:
         return " + ".join(parts)
 
 
-def homology(cx: ChainComplex, check: bool = True):
+def homology(cx: ChainComplex):
     """Per-degree homology of a bounded free complex.
 
     Over Z the value at q is (betti, invariant factors of the incoming
     differential that are not units); over Q and Z/p torsion is empty.
     """
-    if check:
-        cx.validate()
+    cx.validate()
     degs = cx.degrees()
     if not degs:
         return {}
@@ -464,17 +460,39 @@ class ChainMap:
                                self.src.rank(q))
         return mat
 
+    def degrees_hit(self):
+        return sorted(set(self.src.degrees()) | set(self.comps))
+
     def validate(self):
-        sign = (-1) ** (self.degree % 2)
-        for q in set(self.src.degrees()) | set(self.comps):
+        for q in self.degrees_hit():
             if ((q + self.degree not in self.tgt.diff or q not in self.comps)
                     and (q - 1 not in self.comps or q not in self.src.diff)):
                 continue    # both sides are products with a zero factor
             lhs = self.tgt.d(q + self.degree) * self.component(q)
-            rhs = (self.component(q - 1) * self.src.d(q)).scale(sign)
+            rhs = self.component(q - 1) * self.src.d(q)
+            if self.degree % 2:
+                rhs = rhs.scale(-1)
             if lhs != rhs:
                 raise ChainComplexError(f"not a chain map at degree {q}")
         return self
+
+    def is_bijection_on_bases(self) -> bool:
+        """Exactly one unit entry per row and per column in every degree."""
+        for q in self.degrees_hit():
+            mat = self.component(q)
+            if mat.nrows != mat.ncols:
+                return False
+            seen_r, seen_c = set(), set()
+            for (i, j), v in mat.entries():
+                if not self.src.ring.is_unit(v):
+                    return False
+                if i in seen_r or j in seen_c:
+                    return False
+                seen_r.add(i)
+                seen_c.add(j)
+            if len(seen_r) != mat.nrows:
+                return False
+        return True
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

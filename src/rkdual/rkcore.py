@@ -1,10 +1,16 @@
 """Complexes of free modules blocked over the face poset of a control complex.
 
-A blocked module assigns every basis generator a label, a simplex of K; a
-blocked map may only move generators upward in the face order (or downward,
-for complexes carried by the opposite order).  The star dual, the evaluation
-isomorphism to the double dual, blocked Hom, and the geometric chain/cochain
-complexes of a K-space are all built here.
+A blocked complex, :class:`RKComplex`, is a :class:`ChainComplex` whose basis
+generators carry labels, simplices of K; a blocked map, :class:`RKMap`, is a
+:class:`ChainMap` between two of them that may only move generators upward
+in the face order (or downward, for complexes carried by the opposite
+order).  Ranks, differentials, components and d∘d = 0 are the chain
+complex's; the subclasses add the labels and the support condition.  One
+label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
+some labels with the blocks between them, and :meth:`RKMap.inclusion` and
+:meth:`RKMap.projection` send each generator to itself.  The star dual, the
+evaluation isomorphism to the double dual, blocked Hom, and the geometric
+chain/cochain complexes of a K-space are all built here.
 
 A generator is identified by its structure: its label and the record of how
 it was built (a simplex, or the dual, tensor or Hom of earlier generators).
@@ -91,44 +97,29 @@ def hom_generator(q: int, ga: Generator, gb: Generator) -> Generator:
     return Generator(ga.label, ("hom", q, ga, gb))
 
 
-class RKComplex:
-    """A bounded complex of labeled free modules over (K, <=) or (K, >=).
+class RKComplex(ChainComplex):
+    """A bounded chain complex whose bases carry labels in (K, <=) or (K, >=).
 
-    ``gens`` maps a degree to its tuple of generators; ``diff`` maps q to
-    the matrix of d_q against those bases.  The support condition (every
-    differential component moves labels upward in the complex's order) and
-    d∘d = 0 are checked by :meth:`validate`.
+    ``gens`` maps a degree to its tuple of generators, which fixes the ranks
+    of the underlying :class:`ChainComplex`; ``diff`` maps q to the matrix of
+    d_q against those bases.  The support condition (every differential
+    component moves labels upward in the complex's order) and d∘d = 0 are
+    checked by :meth:`validate`.
     """
 
-    __slots__ = ("ring", "K", "op", "gens", "diff", "_index")
+    __slots__ = ("K", "op", "gens", "_index")
 
     def __init__(self, ring, K: SimplicialComplex, op: bool, gens, diff):
-        self.ring = ring
         self.K = K
         self.op = bool(op)
         self.gens = {q: tuple(gs) for q, gs in gens.items() if gs}
-        self.diff = {}
         self._index = {q: {g: i for i, g in enumerate(gs)}
                        for q, gs in self.gens.items()}
         for q, gs in self.gens.items():
             if len(self._index[q]) != len(gs):
                 raise ChainComplexError(f"duplicate generators at degree {q}")
-        for q, mat in diff.items():
-            if mat.is_zero():
-                continue
-            if mat.ncols != self.rank(q) or mat.nrows != self.rank(q - 1):
-                raise ChainComplexError(
-                    f"differential at degree {q} has bad shape")
-            self.diff[q] = mat
-
-    def degrees(self):
-        return sorted(self.gens)
-
-    def rank(self, q) -> int:
-        return len(self.gens.get(q, ()))
-
-    def total_rank(self) -> int:
-        return sum(len(gs) for gs in self.gens.values())
+        super().__init__(ring, {q: len(gs) for q, gs in self.gens.items()},
+                         diff)
 
     def gens_at(self, q):
         return self.gens.get(q, ())
@@ -145,12 +136,6 @@ class RKComplex:
     def index_of(self, q, gen: Generator) -> int:
         """Position of a generator in the degree-q basis, by structure."""
         return self._index[q][gen]
-
-    def d(self, q) -> Matrix:
-        mat = self.diff.get(q)
-        if mat is None:
-            return Matrix.zero(self.ring, self.rank(q - 1), self.rank(q))
-        return mat
 
     def leq(self, a, b) -> bool:
         """a <= b in this complex's order on K."""
@@ -170,11 +155,7 @@ class RKComplex:
                 and self.K == other.K and self.op == other.op
                 and self.gens == other.gens)
 
-    def underlying(self) -> ChainComplex:
-        return ChainComplex(self.ring, {q: len(gs) for q, gs in self.gens.items()},
-                            dict(self.diff))
-
-    def validate(self, check_d2=True):
+    def validate(self):
         for q, mat in sorted(self.diff.items()):
             tgt = self.gens_at(q - 1)
             src = self.gens_at(q)
@@ -183,9 +164,7 @@ class RKComplex:
                     raise ChainComplexError(
                         f"support violated by d at degree {q}: "
                         f"{src[j].name} -> {tgt[i].name}")
-        if check_d2:
-            self.underlying().validate()
-        return self
+        return super().validate()
 
     def positions(self, labels):
         """Per degree, the indices of the generators labeled in ``labels``."""
@@ -193,39 +172,22 @@ class RKComplex:
                 for q, gs in self.gens.items()}
 
     def sub(self, labels) -> "RKComplex":
-        """The generators labeled in ``labels`` with the differential blocks
-        between them."""
+        """The label cut: the generators labeled in ``labels``, in order,
+        with the differential blocks between them."""
         picks = self.positions(labels)
         gens = {q: tuple(self.gens[q][i] for i in idxs)
                 for q, idxs in picks.items()}
-        diff = {q: mat.submatrix(picks.get(q - 1, ()), picks[q])
-                for q, mat in self.diff.items()}
+        diff = {q: mat.submatrix(picks[q - 1], picks[q])
+                for q, mat in self.diff.items() if picks[q - 1] and picks[q]}
         return RKComplex(self.ring, self.K, self.op, gens, diff)
 
-    def inclusion(self, labels):
-        """Per degree, the inclusion of the generators labeled in ``labels``:
-        the identity restricted to their columns.  Its transpose is the
-        projection onto them."""
-        picks = self.positions(labels)
-        return {q: Matrix.identity(self.ring, self.rank(q)).submatrix(
-                    range(self.rank(q)), picks[q]) for q in self.degrees()}
-
-    def piece(self, sigma) -> ChainComplex:
-        """The diagonal complex of one label: sigma-generators with the
-        diagonal blocks of the differential."""
-        return self.sub({sigma}).underlying()
-
-    def restrict(self, subset) -> ChainComplex:
-        """Assemble the plain complex carried by a full label subset.
-
-        Keeps generators labeled in ``subset`` and the differential
-        components between them; raises unless the subset is full, which is
-        what guarantees d∘d = 0 for the restriction.
-        """
+    def restrict(self, subset) -> "RKComplex":
+        """The cut to a full label subset, which is what guarantees d∘d = 0
+        for it; raises unless the subset is full."""
         subset = set(tuple(s) for s in subset)
         if not is_full(self.K, subset):
             raise InputError("label subset is not full")
-        return self.sub(subset).underlying().validate()
+        return self.sub(subset).validate()
 
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
@@ -251,23 +213,16 @@ def is_full(K: SimplicialComplex, subset) -> bool:
     return up & down == subset
 
 
-class RKMap:
-    """A degree-d map of blocked complexes respecting the support condition."""
+class RKMap(ChainMap):
+    """A degree-d chain map of labeled complexes over the same (K, order),
+    respecting the support condition."""
 
-    __slots__ = ("src", "tgt", "degree", "comps")
+    __slots__ = ()
 
     def __init__(self, src: RKComplex, tgt: RKComplex, comps, degree=0):
         if src.K != tgt.K or src.op != tgt.op or src.ring != tgt.ring:
             raise ChainComplexError("blocked map needs matching sides")
-        self.src = src
-        self.tgt = tgt
-        self.degree = degree
-        self.comps = {}
-        for q, mat in comps.items():
-            if mat.ncols != src.rank(q) or mat.nrows != tgt.rank(q + degree):
-                raise ChainComplexError(f"component at degree {q} has bad shape")
-            if not mat.is_zero():
-                self.comps[q] = mat
+        super().__init__(src, tgt, comps, degree)
 
     @classmethod
     def from_images(cls, src: RKComplex, tgt: RKComplex, images,
@@ -298,22 +253,21 @@ class RKMap:
         return cls(src, tgt, comps, degree)
 
     @classmethod
-    def identity(cls, cx: RKComplex) -> "RKMap":
-        return cls(cx, cx, {q: Matrix.identity(cx.ring, cx.rank(q))
-                            for q in cx.degrees()})
+    def inclusion(cls, sub: RKComplex, cx: RKComplex) -> "RKMap":
+        """sub -> cx for a label cut ``sub`` of ``cx``: each generator to
+        itself."""
+        one = cx.ring.one
+        return cls.from_images(sub, cx, lambda q, g: ((g, one),))
 
-    def component(self, q) -> Matrix:
-        mat = self.comps.get(q)
-        if mat is None:
-            return Matrix.zero(self.src.ring, self.tgt.rank(q + self.degree),
-                               self.src.rank(q))
-        return mat
+    @classmethod
+    def projection(cls, cx: RKComplex, quo: RKComplex) -> "RKMap":
+        """cx -> quo for a label cut ``quo`` of ``cx``: each generator it
+        keeps to itself, the others to 0."""
+        one, kept = cx.ring.one, quo.labels()
+        return cls.from_images(
+            cx, quo, lambda q, g: ((g, one),) if g.label in kept else ())
 
-    def to_chain_map(self) -> ChainMap:
-        return ChainMap(self.src.underlying(), self.tgt.underlying(),
-                        dict(self.comps), degree=self.degree)
-
-    def validate(self, chain=True):
+    def validate(self):
         for q, mat in sorted(self.comps.items()):
             src = self.src.gens_at(q)
             tgt = self.tgt.gens_at(q + self.degree)
@@ -322,12 +276,7 @@ class RKMap:
                     raise ChainComplexError(
                         f"support violated at degree {q}: "
                         f"{src[j].name} -> {tgt[i].name}")
-        if chain:
-            self.to_chain_map().validate()
-        return self
-
-    def degrees_hit(self):
-        return sorted(set(self.src.degrees()) | set(self.comps))
+        return super().validate()
 
     def compose(self, other: "RKMap") -> "RKMap":
         """self ∘ other; the middle complexes must have the same shape."""
@@ -339,34 +288,14 @@ class RKMap:
         return RKMap(other.src, self.tgt, comps, degree=self.degree + other.degree)
 
     def diagonal_component(self, sigma) -> ChainMap:
-        """The chain map between the sigma-pieces."""
+        """The chain map between the sigma-cuts of the two sides."""
         if self.degree != 0:
             raise ChainComplexError("diagonal components need degree 0")
-        src_piece = self.src.piece(sigma)
-        tgt_piece = self.tgt.piece(sigma)
         rows = self.tgt.positions({sigma})
         cols = self.src.positions({sigma})
-        comps = {q: self.component(q).submatrix(rows.get(q, ()), cols[q])
-                 for q in src_piece.degrees()}
-        return ChainMap(src_piece, tgt_piece, comps)
-
-    def is_bijection_on_bases(self) -> bool:
-        """Exactly one +-1 entry per row and per column in every degree."""
-        for q in self.degrees_hit():
-            mat = self.component(q)
-            if mat.nrows != mat.ncols:
-                return False
-            seen_r, seen_c = set(), set()
-            for (i, j), v in mat.entries():
-                if not self.src.ring.is_unit(v):
-                    return False
-                if i in seen_r or j in seen_c:
-                    return False
-                seen_r.add(i)
-                seen_c.add(j)
-            if len(seen_r) != mat.nrows:
-                return False
-        return True
+        comps = {q: mat.submatrix(rows[q], cols[q])
+                 for q, mat in self.comps.items() if rows[q] and cols[q]}
+        return ChainMap(self.src.sub({sigma}), self.tgt.sub({sigma}), comps)
 
     def __eq__(self, other):
         return (isinstance(other, RKMap) and self.degree == other.degree
@@ -425,11 +354,9 @@ def dual_star(C: RKComplex) -> RKComplex:
     gens = {-q: tuple(dual_generator(g) for g in gs)
             for q, gs in C.gens.items()}
     diff = {}
-    for q in C.degrees():
-        mat = C.diff.get(q + 1)
-        if mat is None:
-            continue
-        diff[-q] = mat.transpose().scale((-1) ** ((q + 1) % 2))
+    for q, mat in C.diff.items():           # d_q gives d*_{1-q}
+        mat = mat.transpose()
+        diff[1 - q] = mat.scale(-1) if q % 2 else mat
     return RKComplex(C.ring, C.K, not C.op, gens, diff)
 
 
@@ -570,10 +497,8 @@ def maximal_label_ses(C: RKComplex):
     labels = sorted(C.labels(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None
-    top, rest = {labels[-1]}, set(labels[:-1])
-    prj = {q: m.transpose() for q, m in C.inclusion(rest).items()}
-    ses = ShortExactSequence(RKMap(C.sub(top), C, C.inclusion(top)),
-                             RKMap(C, C.sub(rest), prj))
+    ses = ShortExactSequence(RKMap.inclusion(C.sub({labels[-1]}), C),
+                             RKMap.projection(C, C.sub(set(labels[:-1]))))
     return ses.validate(), labels[-1]
 
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: invariant factors come
 from determinantal divisors (gcds of k-minors), ranks from fraction
-row-reduction, matrix products and cone blocks from dense row lists, and
-counts from brute-force enumeration.
+row-reduction, matrix products, cone blocks and label cuts from dense row
+lists, and counts from brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -72,6 +72,24 @@ def dense_product(a, b, ncols):
     each entry the sum over k of a[i][k] * b[k][j]."""
     return [[sum(row[k] * b[k][j] for k in range(len(row)))
              for j in range(ncols)] for row in a]
+
+
+def dense_block(rows, row_picks, col_picks):
+    """The block of a matrix given as row lists on the given row and column
+    indices, in their order."""
+    return [[rows[i][j] for j in col_picks] for i in row_picks]
+
+
+def inclusion_rows(n, picks):
+    """The n × len(picks) 0/1 matrix as row lists with a 1 at (picks[b], b):
+    the inclusion of the picked basis vectors."""
+    return [[1 if i == p else 0 for p in picks] for i in range(n)]
+
+
+def projection_rows(n, picks):
+    """The len(picks) × n 0/1 matrix as row lists with a 1 at (b, picks[b]):
+    the projection onto the picked basis vectors."""
+    return [[1 if i == p else 0 for i in range(n)] for p in picks]
 
 
 def cone_block(dc, f, dd, rows_c, ncols_c, rows_d, ncols_d):

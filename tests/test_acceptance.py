@@ -63,7 +63,7 @@ def test_criterion_2_cellular_identification(corpus_data):
                 "circ3": {0: (1, ()), 1: (1, ())}}
     for name, want in expected.items():
         got = {q: (h.betti, h.torsion)
-               for q, h in homology(corpus_data[name].tc.underlying()).items()
+               for q, h in homology(corpus_data[name].tc).items()
                if not h.is_trivial()}
         ok = ok and got == want
     announce(2, "dual of cochains is the cellular complex, with the right "

@@ -148,7 +148,7 @@ def test_cellular_hexagon_ranks_and_homology(hex_ks):
     orient = OrientationPair.standard(hex_ks)
     cx = cellular_of(hex_ks, orient)
     assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 12, 1: 12}
-    cell_h = homology(cx.rk.underlying())
+    cell_h = homology(cx.rk)
     assert same_homology(cell_h, homology(chain_complex(hex_ks.X, ZZ)))
     assert (cell_h[0].betti, cell_h[1].betti) == (1, 1)
     assert cell_h[0].torsion == () and cell_h[1].torsion == ()
@@ -158,7 +158,7 @@ def test_cellular_identity_triangle_ranks_and_homology(id2_ks):
     orient = OrientationPair.standard(id2_ks)
     cx = cellular_of(id2_ks, orient)
     assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 7, 1: 9, 2: 3}
-    cell_h = homology(cx.rk.underlying())
+    cell_h = homology(cx.rk)
     assert same_homology(cell_h, homology(chain_complex(id2_ks.X, ZZ)))
     assert cell_h[0].betti == 1
     assert all(cell_h[q].is_trivial() for q in cell_h if q != 0)
@@ -166,7 +166,7 @@ def test_cellular_identity_triangle_ranks_and_homology(id2_ks):
 
 def test_cellular_homology_rejects_a_missing_degree(corpus):
     # one 0-cell has no degree-1 homology, so it cannot match the circle
-    cell_h = homology(delta_chain(corpus["pt"], ZZ).underlying())
+    cell_h = homology(delta_chain(corpus["pt"], ZZ))
     simp_h = homology(chain_complex(corpus["circ3"].X, ZZ))
     assert 1 not in cell_h and not simp_h[1].is_trivial()
     assert not same_homology(cell_h, simp_h)
@@ -220,10 +220,10 @@ def test_dual_homology_matches_base_homology(corpus):
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
         tc = dz.object(dc.dstar_x)
-        got = {q: h.betti for q, h in homology(tc.underlying()).items()
+        got = {q: h.betti for q, h in homology(tc).items()
                if not h.is_trivial()}
         assert got == want, name
-        assert all(h.torsion == () for h in homology(tc.underlying()).values())
+        assert all(h.torsion == () for h in homology(tc).values())
 
 
 # --------------------------------------------------------------- naturality

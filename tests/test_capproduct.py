@@ -244,8 +244,8 @@ def test_dual_and_subdivision_homology_agree_on_corpus(corpus):
         dc = delta_complexes(ks, ZZ)
         dz = Dualizer(ks.K, ZZ)
         tc = dz.object(dc.dstar_x)
-        ha = homology(tc.underlying())
-        hb = homology(dc.dx_prime.underlying())
+        ha = homology(tc)
+        hb = homology(dc.dx_prime)
         keys = set(q for q, h in ha.items() if not h.is_trivial())
         keys |= set(q for q, h in hb.items() if not h.is_trivial())
         for q in keys:

@@ -324,8 +324,8 @@ def test_betti_over_q_matches_z_for_all_built_complexes(corpus):
         dz = KSpaceData.build(ks, ZZ)
         dq = KSpaceData.build(ks, QQ)
         for key in dz.complexes():
-            hz = homology(dz.complexes()[key].underlying())
-            hq = homology(dq.complexes()[key].underlying())
+            hz = homology(dz.complexes()[key])
+            hq = homology(dq.complexes()[key])
             for q in set(hz) | set(hq):
                 assert hz[q].betti == hq[q].betti, (name, key, q)
                 assert hq[q].torsion == ()

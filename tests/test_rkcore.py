@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from rkdual.checks import run_command
+from rkdual.duality import Dualizer
 from rkdual.linalg import ChainComplexError, Matrix
 from rkdual.rings import GF2, ZZ
 from rkdual.rkcore import (Generator, RKComplex, RKMap, check_lemma_clem,
@@ -15,9 +17,10 @@ from rkdual.simplicial import InputError, SimplicialComplex
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 from rkdual.simplicial import control_map
 
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace, document
 
-from oracles import between_closed, count_decreasing_chains
+from oracles import (between_closed, count_decreasing_chains, dense_block,
+                     inclusion_rows, projection_rows)
 
 
 def build(*maximal):
@@ -292,6 +295,65 @@ def test_maximal_label_split_validates(hex_ks):
     ses, top = maximal_label_ses(dc.dstar_x)
     assert len(top) == 2                      # an edge of the control complex
     ses.validate()
+
+
+# ---------------------------------------------------------------- label cut
+
+def picks(cx, q, labels):
+    """Indices of the degree-q generators labeled in ``labels``."""
+    return [i for i, g in enumerate(cx.gens_at(q)) if g.label in labels]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_label_cuts_are_the_dense_blocks(name):
+    ks = corpus_kspace(name)
+    dc = delta_complexes(ks, ZZ)
+    dz = Dualizer(ks.K, ZZ)
+    e = dz.double_dual_map(dc.dstar_x, dz.square(dz.object(dc.dstar_x)))
+    for C, maps in ((dc.dx, [epsilon(dc.dx)]),
+                    (dc.dstar_x, [epsilon(dc.dstar_x), e])):
+        dense = {q: C.d(q).to_rows() for q in C.degrees()}
+        for sigma in ks.K.all_simplices():
+            cut = C.sub({sigma})
+            for q in C.degrees():
+                assert cut.gens_at(q) == tuple(
+                    g for g in C.gens_at(q) if g.label == sigma)
+                assert cut.d(q).to_rows() == dense_block(
+                    dense[q], picks(C, q - 1, {sigma}), picks(C, q, {sigma}))
+        for f in maps:
+            comps = {q: f.component(q).to_rows() for q in f.src.degrees()}
+            for sigma in ks.K.all_simplices():
+                cm = f.diagonal_component(sigma)
+                for q in f.src.degrees():
+                    assert cm.component(q).to_rows() == dense_block(
+                        comps[q], picks(f.tgt, q, {sigma}),
+                        picks(f.src, q, {sigma}))
+    # the split at a top label is a subcomplex over the standard order
+    C = dc.dstar_x
+    split = maximal_label_ses(C)
+    if split is None:
+        assert len(C.labels()) == 1
+        return
+    ses, top = split
+    rest = C.labels() - {top}
+    for q in C.degrees():
+        assert ses.i.component(q).to_rows() == inclusion_rows(
+            C.rank(q), picks(C, q, {top}))
+        assert ses.j.component(q).to_rows() == projection_rows(
+            C.rank(q), picks(C, q, rest))
+
+
+def test_a_verify_scales_only_by_minus_one_and_cuts_no_empty_block(
+        monkeypatch):
+    scales, cuts = [], []
+    scale, submatrix = Matrix.scale, Matrix.submatrix
+    monkeypatch.setattr(Matrix, "scale", lambda self, c: (
+        scales.append(c) or scale(self, c)))
+    monkeypatch.setattr(Matrix, "submatrix", lambda self, rows, cols: (
+        cuts.append((len(rows), len(cols))) or submatrix(self, rows, cols)))
+    assert run_command("verify", document("hex")).passed
+    assert scales and all(c == -1 for c in scales)
+    assert cuts and all(r and c for r, c in cuts)
 
 
 def test_support_condition_enforced():
