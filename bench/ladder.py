@@ -7,17 +7,20 @@ Each rung is an rkdual JSON document built in this file: the identity on
 Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
 6×6 and 8×8 diagonal-split grids collapsed onto an edge, and the identity
 on Δ⁵.  For every rung, each ``--src LABEL=PATH`` source tree is run in
-turn, in a fresh child process that imports rkdual from PATH and times one
-in-process ``verify`` over Z.  The order of the sources alternates from rung
-to rung, so two trees are compared back to back on the same host.  A child
-still running after ``--max-seconds`` is stopped and the rung recorded as
-``"skipped"`` for that source; rungs are never shrunk to fit.  |X| and |K|
-(simplex counts) are computed here, not by rkdual.
+turn, in a fresh child process that imports rkdual from PATH, times one
+in-process ``verify`` over Z and records the sha256 of its JSON report, so
+equal digests across sources mean byte-identical reports.  The order of the
+sources alternates from rung to rung, so two trees are compared back to
+back on the same host.  A child still running after ``--max-seconds`` is
+stopped and the rung recorded as ``"skipped"`` for that source; rungs are
+never shrunk to fit.  |X| and |K| (simplex counts) are computed here, not by
+rkdual.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -106,15 +109,17 @@ RUNGS = (
 
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
-    wall time, the number of checks and whether all of them passed."""
+    wall time, the number of checks, whether all of them passed and the
+    sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
     doc = json.load(sys.stdin)
     started = time.perf_counter()
     report = run_command("verify", doc)
     wall = time.perf_counter() - started
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     print(json.dumps({"wall_s": round(wall, 3), "checks": len(report.checks),
-                      "passed": report.passed}))
+                      "passed": report.passed, "report_sha256": digest}))
 
 
 def run_rung(doc, src, max_seconds):

@@ -11,6 +11,11 @@ tensor of X-chains with K-cochains; a basis cell T⊗s* has the boundary
     d[T_s]  =  sum_{S<T} [T,S] [S_s]  +  (-1)^{1+dim T - dim s} sum_{s<r} [r,s] [T_r]
 
 with all coefficients +-1 on codimension-one cells.
+
+A chain c lies in the cell (T, s) exactly when c[0] <= T and s <= pi(c[-1]),
+so cells and dual cells are read, at the cost of their size, from the index
+of the subdivision by the two ends of its chains, ``DerivedComplex.ends``.
+:func:`dual_cone` stays a scan, so ``cells/dual-cones`` compares the two.
 """
 
 from __future__ import annotations
@@ -36,12 +41,16 @@ def dual_cone(sigma, derived: DerivedComplex):
 
 
 def dual_cell(sigma, tau, derived: DerivedComplex):
-    """Chains with smallest entry containing sigma and largest inside tau;
-    empty unless sigma <= tau."""
-    sset, tset = set(sigma), set(tau)
-    out = [c for c in derived.prime.all_simplices()
-           if sset <= set(c[-1]) and set(c[0]) <= tset]
-    return tuple(out)
+    """Chains with smallest entry containing sigma and largest inside tau,
+    in the basis order of the subdivision; empty unless sigma <= tau.
+
+    Read from the buckets ``derived.ends[T, rho]`` with T a face of tau and
+    sigma <= rho <= T."""
+    base, ends, sset = derived.base, derived.ends, set(sigma)
+    return derived.in_basis_order(
+        c for T in base.closure(base.canonical(tau)) if sset.issubset(T)
+        for rho in base.closure(T) if sset.issubset(rho)
+        for c in ends.get((T, rho), ()))
 
 
 @dataclass
@@ -71,10 +80,14 @@ class DualCell:
 class BallComplex:
     """All dual cells of a K-space, with the combinatorial certificates.
 
+    The buckets ``derived.ends`` are grouped once by (c[0], pi(c[-1])).  The
+    cell (T, s) is the union of the groups (S, r) with S <= T and s <= r; its
+    interior is (T, s), its inner boundary has r != s, its outer S != T.
+
     ``check`` verifies: the dimension count dim T_s = dim T - dim s, the
     partition of the subdivision by open cells, the Euler characteristic
     chain X_K ~ X' ~ X, and the boundary decomposition of each cell into
-    inner and outer parts.
+    interior, inner and outer parts.
     """
 
     def __init__(self, ks: KSpace, derived: DerivedComplex):
@@ -82,23 +95,24 @@ class BallComplex:
         self.derived = derived
         self.cells = {}
         pi = ks.pi
-        chains = tuple(self.derived.prime.all_simplices())
-        info = [(c, c[0], pi.image(c[-1])) for c in chains]
+        groups = {}                     # S -> {pi(R): chains from S to R}
+        for (S, R), chains in derived.ends.items():
+            groups.setdefault(S, {}).setdefault(pi.image(R), []).extend(chains)
         for T in ks.X.all_simplices():
-            tset = set(T)
             for sigma in ks.K.closure(pi.image(T)):
-                members = tuple(c for c, c0, clast in info
-                                if set(c0) <= tset and set(sigma) <= set(clast))
-                interior, inner, outer = set(), set(), set()
-                for c in members:
-                    if pi.image(c[-1]) != sigma:
-                        inner.add(c)
-                    if c[0] != T:
-                        outer.add(c)
-                    if pi.image(c[-1]) == sigma and c[0] == T:
-                        interior.add(c)
+                sset = set(sigma)
+                members, inner, outer = [], [], []
+                for S in ks.X.closure(T):
+                    for rho, chains in groups.get(S, {}).items():
+                        if sset.issubset(rho):
+                            members.extend(chains)
+                            if rho != sigma:
+                                inner.extend(chains)
+                            if S != T:
+                                outer.extend(chains)
                 self.cells[(T, sigma)] = DualCell(
-                    T, sigma, members, frozenset(interior),
+                    T, sigma, derived.in_basis_order(members),
+                    frozenset(groups.get(T, {}).get(sigma, ())),
                     frozenset(inner), frozenset(outer))
 
     def cell(self, T, sigma) -> DualCell:
@@ -132,8 +146,8 @@ class BallComplex:
         for (T, sigma), cell in self.cells.items():
             if len(cell.interior) != seen.get((T, sigma), 0):
                 failures.append(f"{cell.name}: interior overcounted")
-        # boundary decomposition: members minus interior = union of inner and
-        # outer cells, each themselves cells of the complex
+        # boundary decomposition: members = interior with the union of the
+        # inner and outer cells, each themselves cells of the complex
         for (T, sigma), cell in self.cells.items():
             inner = set()
             for rho in self.ks.K.star(sigma):
@@ -147,7 +161,7 @@ class BallComplex:
                 failures.append(f"{cell.name}: inner boundary mismatch")
             if outer != set(cell.outer_boundary):
                 failures.append(f"{cell.name}: outer boundary mismatch")
-            if set(cell.simplices) - set(cell.interior) != inner | outer:
+            if set(cell.simplices) != cell.interior | inner | outer:
                 failures.append(f"{cell.name}: boundary decomposition fails")
         # Euler characteristics agree
         chi_x = self.ks.X.euler_characteristic()

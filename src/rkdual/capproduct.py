@@ -258,27 +258,37 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     return CellChainData(cmap.validate(), cellular, deltas)
 
 
+def cochain_pullback(ks: KSpace, orientation) -> dict:
+    """The pullback of cochains along pi: rho -> [(S, coefficient of S* in
+    pi*(rho*))], in the bases of ``orientation``."""
+    bx, bk = orientation.bx, orientation.bk
+    table = {}
+    for S in ks.X.all_simplices():
+        out = ks.pi.chain_image(S)
+        if out is not None:
+            rho, sign = out
+            table.setdefault(rho, []).append((S, bk[rho] * bx[S] * sign))
+    return table
+
+
 def verify_cap_factorization(ks: KSpace, data: CellChainData,
                              dualizer: Dualizer) -> bool:
     """The defining property of the cell map: capping in X after pulling
     cochains back through pi agrees with the cell map after projecting the
     full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
     in the basis of the cell map's orientation."""
-    bx, bk = data.cellular.orientation.bx, data.cellular.orientation.bk
+    bx = data.cellular.orientation.bx
     derived_x = data.deltas.derived_x
+    pullback = cochain_pullback(ks, data.cellular.orientation)
     proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
                           data.cellular.rk)
 
     def images(q, g):
         T = g.data[1].data[1]
         rho = g.data[2].data[1].data[1]
-        for S in ks.X.simplices_of_dim(len(rho) - 1):
-            out = ks.pi.chain_image(S)
-            if out is None or out[0] != rho:
-                continue
-            pullback = bk[rho] * bx[S] * out[1]
+        for S, sign in pullback.get(rho, ()):
             for flag, c in cap_product(ks.X, derived_x, T, S, bx).items():
-                yield simplex_generator(flag, rho), pullback * c
+                yield simplex_generator(flag, rho), sign * c
     lhs = RKMap.from_images(proj.src, data.deltas.dx_prime, images)
     return lhs == data.map.compose(proj)
 

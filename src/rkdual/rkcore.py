@@ -107,7 +107,7 @@ class RKComplex(ChainComplex):
     checked by :meth:`validate`.
     """
 
-    __slots__ = ("K", "op", "gens", "_index")
+    __slots__ = ("K", "op", "gens", "_index", "_by_label")
 
     def __init__(self, ring, K: SimplicialComplex, op: bool, gens, diff):
         self.K = K
@@ -115,6 +115,7 @@ class RKComplex(ChainComplex):
         self.gens = {q: tuple(gs) for q, gs in gens.items() if gs}
         self._index = {q: {g: i for i, g in enumerate(gs)}
                        for q, gs in self.gens.items()}
+        self._by_label = None
         for q, gs in self.gens.items():
             if len(self._index[q]) != len(gs):
                 raise ChainComplexError(f"duplicate generators at degree {q}")
@@ -167,9 +168,16 @@ class RKComplex(ChainComplex):
         return super().validate()
 
     def positions(self, labels):
-        """Per degree, the indices of the generators labeled in ``labels``."""
-        return {q: [i for i, g in enumerate(gs) if g.label in labels]
-                for q, gs in self.gens.items()}
+        """Per degree, the indices of the generators labeled in ``labels``,
+        in basis order.  The generators are grouped by label on first use."""
+        if self._by_label is None:
+            self._by_label = {}
+            for q, gs in self.gens.items():
+                group = self._by_label[q] = {}
+                for i, g in enumerate(gs):
+                    group.setdefault(g.label, []).append(i)
+        return {q: sorted(i for s in labels for i in group.get(s, ()))
+                for q, group in self._by_label.items()}
 
     def sub(self, labels) -> "RKComplex":
         """The label cut: the generators labeled in ``labels``, in order,
@@ -492,8 +500,11 @@ def maximal_label_ses(C: RKComplex):
     label of maximum dimension among those present, C'' the quotient.  Used
     to exercise the induction step that reduces a general complex to one
     concentrated at a single simplex.  Returns None when C has at most one
-    label.
+    label.  Over the opposite order a top label is no subcomplex: raises.
     """
+    if C.op:
+        raise ChainComplexError("maximal-label split needs a complex over "
+                                "(K, <=), not the opposite order")
     labels = sorted(C.labels(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None

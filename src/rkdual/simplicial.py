@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -56,7 +57,8 @@ class SimplicialComplex:
     default bases.
     """
 
-    __slots__ = ("vertices", "_index", "simplices", "_by_dim", "_stars")
+    __slots__ = ("vertices", "_index", "simplices", "_by_dim", "_stars",
+                 "_closures")
 
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
@@ -79,7 +81,7 @@ class SimplicialComplex:
         self._by_dim = {
             p: tuple(sorted(lst, key=self.sort_key)) for p, lst in by_dim.items()
         }
-        self._stars = None
+        self._stars, self._closures = {}, {}
 
     @classmethod
     def build(cls, vertices, simplices):
@@ -127,8 +129,6 @@ class SimplicialComplex:
 
     def star(self, s):
         """All simplices having s as a face, in deterministic order."""
-        if self._stars is None:
-            self._stars = {}
         got = self._stars.get(s)
         if got is None:
             sset = set(s)
@@ -138,10 +138,13 @@ class SimplicialComplex:
 
     def closure(self, s):
         """All faces of s, in deterministic order."""
-        faces = []
-        for k in range(1, len(s) + 1):
-            faces.extend(combinations(s, k))
-        return tuple(sorted(faces, key=self.sort_key))
+        got = self._closures.get(s)
+        if got is None:
+            faces = []
+            for k in range(1, len(s) + 1):
+                faces.extend(combinations(s, k))
+            got = self._closures[s] = tuple(sorted(faces, key=self.sort_key))
+        return got
 
     def facets(self, s):
         """Codimension-one faces of s with their alternating-sum signs.
@@ -335,10 +338,24 @@ class DerivedComplex:
     The vertex order puts larger-dimensional simplices first, so the
     canonical tuple of a chain runs from largest to smallest; that ordering
     is the canonical oriented basis of the subdivision.
+
+    ``ends``, built on first use, buckets the chains c by (c[0], c[-1]), so
+    a set of chains given by its ends is read, not scanned for.
     """
 
     base: SimplicialComplex
     prime: SimplicialComplex
+
+    @cached_property
+    def ends(self) -> dict:
+        out = {}
+        for c in self.prime.all_simplices():
+            out.setdefault((c[0], c[-1]), []).append(c)
+        return out
+
+    def in_basis_order(self, chains) -> tuple:
+        key = self.prime.sort_key
+        return tuple(sorted(chains, key=lambda c: (len(c), key(c))))
 
 
 def barycentric_subdivision(X: SimplicialComplex) -> DerivedComplex:

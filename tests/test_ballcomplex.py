@@ -63,6 +63,13 @@ def test_dual_cell_empty_when_not_a_face():
     assert dual_cell(("a", "b"), ("b", "c"), derived) == ()
 
 
+def test_dual_cell_reads_tau_in_any_vertex_order():
+    derived = barycentric_subdivision(build("abc"))
+    want = dual_cell(("a",), ("a", "b", "c"), derived)
+    assert len(want) == 11
+    assert dual_cell(("a",), ("c", "a", "b"), derived) == want
+
+
 # --------------------------------------------------------------- structure
 
 def test_cell_census_identity_edge(edge_ks):

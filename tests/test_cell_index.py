@@ -1,0 +1,105 @@
+"""The indexed cell combinatorics against brute-force scans.
+
+``dual_cell``, ``BallComplex`` and ``RKComplex.positions`` read indexes
+built once per object.  The oracles here are the plain scans they replaced,
+written in this file and reading nothing but the simplices of the
+subdivision and the generators of a complex.  Results are compared as
+tuples in basis order.
+"""
+
+import os
+import random
+import sys
+
+import pytest
+
+from rkdual.ballcomplex import BallComplex, dual_cell, dual_cone
+from rkdual.checks import parse_document
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace, random_kspace
+from rkdual.rings import ZZ
+from rkdual.rkcore import delta_complexes
+from rkdual.simplicial import barycentric_subdivision
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
+
+
+def scan_dual_cone(sigma, prime):
+    return tuple(c for c in prime.all_simplices() if set(sigma) <= set(c[-1]))
+
+
+def scan_dual_cell(sigma, tau, prime):
+    return tuple(c for c in prime.all_simplices()
+                 if set(sigma) <= set(c[-1]) and set(c[0]) <= set(tau))
+
+
+def scan_cell(ks, prime, T, sigma):
+    """(members, interior, inner, outer) of the cell (T, sigma), each in
+    basis order."""
+    members = tuple(c for c in prime.all_simplices()
+                    if set(c[0]) <= set(T)
+                    and set(sigma) <= set(ks.pi.image(c[-1])))
+    interior = tuple(c for c in members
+                     if c[0] == T and ks.pi.image(c[-1]) == sigma)
+    inner = tuple(c for c in members if ks.pi.image(c[-1]) != sigma)
+    outer = tuple(c for c in members if c[0] != T)
+    return members, interior, inner, outer
+
+
+def scan_positions(cx, labels):
+    return {q: [i for i, g in enumerate(gs) if g.label in labels]
+            for q, gs in cx.gens.items()}
+
+
+def kspaces():
+    out = [(name, corpus_kspace(name)) for name in CORPUS_NAMES]
+    rng = random.Random(9)
+    out += [(f"random{i}", random_kspace(rng)) for i in range(50)]
+    rungs = dict(ladder.RUNGS)
+    for rung in ("id-torus-7", "id-sphere-2", "grid-4-edge"):
+        (_, ks), = parse_document(rungs[rung]()[0]).kspaces
+        out.append((rung, ks))
+    return out
+
+
+KSPACES = kspaces()
+IDS = [name for name, _ in KSPACES]
+
+
+@pytest.mark.parametrize("name,ks", KSPACES, ids=IDS)
+def test_dual_cells_and_cones_match_the_scan(name, ks):
+    derived = barycentric_subdivision(ks.K)
+    for sigma in ks.K.all_simplices():
+        assert dual_cone(sigma, derived) == scan_dual_cone(sigma, derived.prime)
+        for tau in ks.K.all_simplices():
+            assert dual_cell(sigma, tau, derived) == scan_dual_cell(
+                sigma, tau, derived.prime), (sigma, tau)
+
+
+@pytest.mark.parametrize("name,ks", KSPACES, ids=IDS)
+def test_ball_cells_match_the_scan(name, ks):
+    derived = barycentric_subdivision(ks.X)
+    prime = derived.prime
+    order = {c: i for i, c in enumerate(prime.all_simplices())}
+
+    def ordered(chains):
+        return tuple(sorted(chains, key=order.__getitem__))
+    ball = BallComplex(ks, derived)
+    want = {(T, sigma) for T in ks.X.all_simplices()
+            for sigma in ks.K.all_simplices()
+            if set(sigma) <= set(ks.pi.image(T))}
+    assert set(ball.cells) == want
+    for (T, sigma), cell in ball.cells.items():
+        got = (cell.simplices, ordered(cell.interior),
+               ordered(cell.inner_boundary), ordered(cell.outer_boundary))
+        assert got == scan_cell(ks, prime, T, sigma), (T, sigma)
+
+
+@pytest.mark.parametrize("name,ks", KSPACES, ids=IDS)
+def test_label_positions_match_the_scan(name, ks):
+    dc = delta_complexes(ks, ZZ)
+    for cx in (dc.dx, dc.dstar_x, dc.dx_prime):
+        for sigma in ks.K.all_simplices():
+            for labels in ({sigma}, set(ks.K.star(sigma))):
+                assert cx.positions(labels) == scan_positions(cx, labels)

@@ -1,8 +1,8 @@
 """Byte-for-byte pins of the machine-readable reports.
 
 The golden files under ``tests/golden`` hold the ``--format json`` output of
-``verify``, ``dualize`` and ``emit-cells`` on each document in
-``documents/``, plus one seeded ``random`` sweep.  A refactor that keeps
+``verify``, ``dualize``, ``emit-cells`` and ``ball-complex`` on each document
+in ``documents/``, plus one seeded ``random`` sweep.  A refactor that keeps
 behaviour keeps these bytes.  Regenerate them deliberately with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -19,7 +19,8 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 DOCUMENTS = sorted(f[:-5] for f in os.listdir(os.path.join(ROOT, "documents"))
                    if f.endswith(".json"))
 CASES = [(cmd, doc) for doc in DOCUMENTS
-         for cmd in ("verify", "dualize", "emit-cells")] + [("random", None)]
+         for cmd in ("verify", "dualize", "emit-cells", "ball-complex")
+         ] + [("random", None)]
 
 
 def golden_path(cmd, doc):

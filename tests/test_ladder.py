@@ -1,6 +1,7 @@
 """The benchmark ladder generates the documented rungs and times them."""
 
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -25,4 +26,5 @@ def test_child_run_and_skip():
     doc = ladder.identity_rung(ladder.boundary(3))[0]
     got = ladder.run_rung(doc, SRC, 60)
     assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
     assert ladder.run_rung(doc, SRC, 0.001) == "skipped"

@@ -1,0 +1,98 @@
+"""Every certificate can fail: seeded corruptions through ``verify``.
+
+Each test corrupts one object a check family certifies, by one minimal,
+seeded change made through a monkeypatched builder, runs ``rkdual verify``
+on a corpus document, and asserts exit 1 with exactly the expected check
+families failing.
+"""
+
+import json
+import os
+import random
+from functools import cached_property
+
+import pytest
+
+from rkdual import capproduct
+from rkdual.ballcomplex import DualCell
+from rkdual.checks import KSpaceData
+from rkdual.cli import main
+from rkdual.simplicial import DerivedComplex
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def failing_checks(doc, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify", os.path.join(ROOT, "documents", f"{doc}.json"),
+                 "--format", "json", "--out", str(out)])
+    report = json.loads(out.read_text())
+    return code, {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def patch_lazy(monkeypatch, cls, name, fn):
+    """Replace the cached property ``cls.name`` by ``fn(self, original)``."""
+    original = cls.__dict__[name].func
+    prop = cached_property(lambda self: fn(self, original(self)))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+# the subdivision index feeds the cells of X (ball structure, fundamental
+# cycles) and the dual cells of K, which the cone scan cross-checks
+INDEX_FAILS = {"cells/ball-structure", "cells/dual-cones",
+               "cap/fundamental-cycles"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 3), ("tri", 5)])
+def test_a_chain_dropped_from_one_bucket_of_the_index(monkeypatch, tmp_path,
+                                                      doc, seed):
+    def drop(self, ends):
+        rng = random.Random(seed)
+        buckets = {key: list(chains) for key, chains in ends.items()}
+        key = rng.choice(sorted(buckets))
+        buckets[key].pop(rng.randrange(len(buckets[key])))
+        return buckets
+    patch_lazy(monkeypatch, DerivedComplex, "ends", drop)
+    assert failing_checks(doc, tmp_path) == (1, INDEX_FAILS)
+
+
+@pytest.mark.parametrize("doc,seed,fails", [
+    # an interior chain below the top dimension: only the containment of
+    # the interior in the members sees it
+    ("id2", 0, {"cells/ball-structure"}),
+    # a boundary chain: the decomposition into interior, inner and outer
+    ("hex", 0, {"cells/ball-structure"}),
+    # a top chain: the fundamental cycle of the cell no longer matches too
+    ("hex", 1, {"cells/ball-structure", "cap/fundamental-cycles"}),
+])
+def test_a_chain_dropped_from_one_cell(monkeypatch, tmp_path, doc, seed,
+                                       fails):
+    def drop(self, ball):
+        rng = random.Random(seed)
+        key = rng.choice(list(ball.cells))
+        cell = ball.cells[key]
+        gone = rng.choice(cell.simplices)
+        ball.cells[key] = DualCell(
+            cell.T, cell.sigma, tuple(c for c in cell.simplices if c != gone),
+            cell.interior, cell.inner_boundary, cell.outer_boundary)
+        return ball
+    patch_lazy(monkeypatch, KSpaceData, "ball", drop)
+    assert failing_checks(doc, tmp_path) == (1, fails)
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_sign_flipped_in_the_cochain_pullback(monkeypatch, tmp_path, doc,
+                                                seed):
+    pullback = capproduct.cochain_pullback
+
+    def flip(ks, orientation):
+        rng = random.Random(seed)
+        table = pullback(ks, orientation)
+        rho = rng.choice(sorted(table))
+        i = rng.randrange(len(table[rho]))
+        S, sign = table[rho][i]
+        table[rho][i] = (S, -sign)
+        return table
+    monkeypatch.setattr(capproduct, "cochain_pullback", flip)
+    assert failing_checks(doc, tmp_path) == (1, {"cap/factorization"})

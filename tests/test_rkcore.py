@@ -297,6 +297,16 @@ def test_maximal_label_split_validates(hex_ks):
     ses.validate()
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_maximal_label_split_rejects_the_opposite_order(name):
+    # over (K, >=) the generators of a top label are not a subcomplex; the
+    # split says so before building anything
+    dx = delta_complexes(corpus_kspace(name), ZZ).dx
+    assert dx.op
+    with pytest.raises(ChainComplexError, match="opposite order"):
+        maximal_label_ses(dx)
+
+
 # ---------------------------------------------------------------- label cut
 
 def picks(cx, q, labels):
