@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import smith_normal_form
-from .rkcore import RKMap, simplex_generator
+from .rkcore import (RKComplex, RKMap, delta_chain, dual_star,
+                     simplex_generator, simplicial_rk)
 from .duality import (Dualizer, projection_map, tensor_r,
                       verify_diagonal_equivalence)
-from .simplicial import (DerivedComplex, InputError, KSpace,
+from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
 from .ballcomplex import CellularComplex
 
@@ -66,7 +67,7 @@ def _saturated_flags(facets_of, top, keep, is_bottom):
     return out
 
 
-def cap_product(cx, derived: DerivedComplex, tau, sigma, basis=None):
+def cap_product(cx, tau, sigma, basis=None):
     """Cap a basis simplex against a dual basis cochain of one complex.
 
     Returns the chain in the subdivision as a dict flag -> coefficient:
@@ -99,7 +100,6 @@ class CapReport:
     complex: the full matrix identity, the three face-wise identities, and
     the sign-reversing pairing of interior faces."""
 
-    complex_name: str
     full_identity: bool
     face_first: bool
     face_last: bool
@@ -122,91 +122,89 @@ def _face_part(chain, i):
     return {k: v for k, v in out.items() if v}
 
 
-def verify_cap_chain_map(derived: DerivedComplex, ring, basis=None,
-                         name="K") -> CapReport:
+def verify_cap_chain_map(derived: DerivedComplex, ring,
+                         basis=None) -> CapReport:
     """Check that capping commutes with the differentials on the complex
     ``derived.base``, against its subdivision ``derived``.
 
     The full identity is checked as matrices between the tensor of chains
     with cochains and the subdivision chains; the first-face, last-face and
     interior-face identities are checked pair by pair, the last one through
-    its perfect sign-reversing pairing.
+    its perfect sign-reversing pairing.  Each pair sigma <= tau is capped
+    once, and every identity reads that table.
     """
-    from .rkcore import delta_chain, delta_star_k, simplicial_rk
-    from .simplicial import control_kspace
-
     cx = derived.base
     dxk = delta_chain(control_kspace(cx), ring, basis)
-    domain = tensor_r(dxk, delta_star_k(cx, ring, basis))
+    domain = tensor_r(dxk, dual_star(dxk))
     # a flag capped from tau ⊗ sigma* ends at sigma, its label
     target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
+    caps = {(tau, sigma): cap_product(cx, tau, sigma, basis)
+            for tau in cx.all_simplices() for sigma in cx.closure(tau)}
 
     def images(q, g):
         tau, sigma = g.data[1].data[1], g.data[2].data[1].data[1]
-        for flag, c in cap_product(cx, derived, tau, sigma, basis).items():
+        for flag, c in caps.get((tau, sigma), {}).items():
             yield simplex_generator(flag, sigma), c
     cap = RKMap.from_images(domain, target, images)
 
-    report = CapReport(name, True, True, True, True, True)
+    report = CapReport(True, True, True, True, True)
     for q in domain.degrees():
         if target.d(q) * cap.component(q) != cap.component(q - 1) * domain.d(q):
             report.full_identity = False
             report.failures.append(f"full identity fails in degree {q}")
 
     b = basis or {}
-    for tau in cx.all_simplices():
-        for sigma in cx.closure(tau):
-            p = len(tau) - len(sigma)
-            if p == 0:
+    for (tau, sigma), chain in caps.items():
+        p = len(tau) - len(sigma)
+        if p == 0:
+            continue
+        # first face: drop the top of every flag = cap the boundary
+        want = {}
+        for i, rho in cx.facets(tau):
+            coeff = b.get(tau, 1) * b.get(rho, 1) * (-1 if i % 2 else 1)
+            for flag, c in caps.get((rho, sigma), {}).items():
+                want[flag] = want.get(flag, 0) + coeff * c
+        want = {k: v for k, v in want.items() if v}
+        if _face_part(chain, 0) != want:
+            report.face_first = False
+            report.failures.append(
+                f"first-face identity fails at ({simplex_name(tau)},"
+                f"{simplex_name(sigma)})")
+        # last face, against the cochain differential
+        sign_l = (-1) ** (p % 2)
+        lhs = {k: sign_l * v for k, v in _face_part(chain, p).items()}
+        want = {}
+        cod = (-1) ** ((len(sigma) - 1 + 1) % 2)
+        for rho in cx.star(sigma):
+            if len(rho) != len(sigma) + 1:
                 continue
-            chain = cap_product(cx, derived, tau, sigma, basis)
-            # first face: drop the top of every flag = cap the boundary
-            want = {}
-            for i, rho in cx.facets(tau):
-                coeff = b.get(tau, 1) * b.get(rho, 1) * (-1 if i % 2 else 1)
-                for flag, c in cap_product(cx, derived, rho, sigma, basis).items():
-                    want[flag] = want.get(flag, 0) + coeff * c
-            want = {k: v for k, v in want.items() if v}
-            if _face_part(chain, 0) != want:
-                report.face_first = False
+            coeff = (cod * b.get(rho, 1) * b.get(sigma, 1)
+                     * incidence_canonical(rho, sigma))
+            for flag, c in caps.get((tau, rho), {}).items():
+                want[flag] = want.get(flag, 0) + coeff * c
+        sign_t = (-1) ** ((len(tau) - 1) % 2)
+        want = {k: sign_t * v for k, v in want.items() if v}
+        if lhs != {k: v for k, v in want.items() if v}:
+            report.face_last = False
+            report.failures.append(
+                f"last-face identity fails at ({simplex_name(tau)},"
+                f"{simplex_name(sigma)})")
+        # interior faces vanish through a perfect sign-reversing pairing
+        for i in range(1, p):
+            if _face_part(chain, i):
+                report.face_interior = False
                 report.failures.append(
-                    f"first-face identity fails at ({simplex_name(tau)},"
+                    f"interior face {i} fails at ({simplex_name(tau)},"
                     f"{simplex_name(sigma)})")
-            # last face, against the cochain differential
-            sign_l = (-1) ** (p % 2)
-            lhs = {k: sign_l * v for k, v in _face_part(chain, p).items()}
-            want = {}
-            cod = (-1) ** ((len(sigma) - 1 + 1) % 2)
-            for rho in cx.star(sigma):
-                if len(rho) != len(sigma) + 1:
-                    continue
-                coeff = (cod * b.get(rho, 1) * b.get(sigma, 1)
-                         * incidence_canonical(rho, sigma))
-                for flag, c in cap_product(cx, derived, tau, rho, basis).items():
-                    want[flag] = want.get(flag, 0) + coeff * c
-            sign_t = (-1) ** ((len(tau) - 1) % 2)
-            want = {k: sign_t * v for k, v in want.items() if v}
-            if lhs != {k: v for k, v in want.items() if v}:
-                report.face_last = False
-                report.failures.append(
-                    f"last-face identity fails at ({simplex_name(tau)},"
-                    f"{simplex_name(sigma)})")
-            # interior faces vanish through a perfect sign-reversing pairing
-            for i in range(1, p):
-                if _face_part(chain, i):
-                    report.face_interior = False
+            groups = {}
+            for flag, c in chain.items():
+                groups.setdefault(flag[:i] + flag[i + 1:], []).append(c)
+            for face, cs in groups.items():
+                if len(cs) != 2 or cs[0] + cs[1] != 0:
+                    report.pairing = False
                     report.failures.append(
-                        f"interior face {i} fails at ({simplex_name(tau)},"
-                        f"{simplex_name(sigma)})")
-                groups = {}
-                for flag, c in chain.items():
-                    groups.setdefault(flag[:i] + flag[i + 1:], []).append(c)
-                for face, cs in groups.items():
-                    if len(cs) != 2 or cs[0] + cs[1] != 0:
-                        report.pairing = False
-                        report.failures.append(
-                            f"pairing fails at ({simplex_name(tau)},"
-                            f"{simplex_name(sigma)}), face {simplex_name(face)}")
+                        f"pairing fails at ({simplex_name(tau)},"
+                        f"{simplex_name(sigma)}), face {simplex_name(face)}")
     return report
 
 
@@ -246,14 +244,17 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     orientation = cellular.orientation
     orientation.validate()
     bx, bk = orientation.bx, orientation.bk
+    # the orientation parity of each simplex that pi does not collapse
+    parity = {S: out[1] for S in ks.X.all_simplices()
+              if (out := ks.pi.chain_image(S)) is not None}
 
     def images(q, g):
         T, rho = cellular.cells[g]
         overall = -1 if (len(rho) - 1) % 2 else 1
         for flag in _top_flags(ks, T, rho):
-            _, parity = ks.pi.chain_image(flag[-1])
+            bottom = bk[rho] * parity[flag[-1]]
             yield (simplex_generator(flag, rho),
-                   overall * flag_sign(flag, bx[T], bk[rho] * parity))
+                   overall * flag_sign(flag, bx[T], bottom))
     cmap = RKMap.from_images(cellular.rk, deltas.dx_prime, images)
     return CellChainData(cmap.validate(), cellular, deltas)
 
@@ -278,7 +279,6 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
     full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
     in the basis of the cell map's orientation."""
     bx = data.cellular.orientation.bx
-    derived_x = data.deltas.derived_x
     pullback = cochain_pullback(ks, data.cellular.orientation)
     proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
                           data.cellular.rk)
@@ -287,7 +287,7 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
         T = g.data[1].data[1]
         rho = g.data[2].data[1].data[1]
         for S, sign in pullback.get(rho, ()):
-            for flag, c in cap_product(ks.X, derived_x, T, S, bx).items():
+            for flag, c in cap_product(ks.X, T, S, bx).items():
                 yield simplex_generator(flag, rho), sign * c
     lhs = RKMap.from_images(proj.src, data.deltas.dx_prime, images)
     return lhs == data.map.compose(proj)
@@ -340,19 +340,18 @@ EQUIVALENCES = ("cells to subdivision", "dual to subdivision",
                 "subdivision dual to cochains")
 
 
-def verify_equivalences(cell_map: RKMap, iso: RKMap, dualizer: Dualizer,
-                        e: RKMap) -> tuple:
+def verify_equivalences(cell_map: RKMap, iso: RKMap, t_sub: RKComplex,
+                        dualizer: Dualizer, e: RKMap) -> tuple:
     """Label-by-label cone acyclicity for the three composite equivalences
     of :data:`EQUIVALENCES`: cells to subdivision, dual to subdivision, and
     subdivision dual to cochains, as three :class:`EquivalenceReport`.
 
     ``cell_map`` sends cells to subdivision chains, ``iso`` is the cellular
-    identification of T(cochains of X), and ``e`` is the double-dual
-    collapse of the cochains of X by ``dualizer``; only T(subdivision
-    chains) is built here.
+    identification of T(cochains of X), ``t_sub`` is T(subdivision chains)
+    and ``e`` is the double-dual collapse of the cochains of X by
+    ``dualizer``; nothing is built here but the maps between them.
     """
     composite = cell_map.compose(iso)
-    t_sub = dualizer.object(composite.tgt)
     final = e.compose(dualizer.map(composite, t_sub, e.src))
     return tuple(verify_diagonal_equivalence(f, name) for f, name in
                  zip((cell_map, composite, final), EQUIVALENCES))

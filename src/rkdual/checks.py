@@ -148,10 +148,13 @@ class KSpaceData:
     """The objects of one K-space over one ring, each built on first use and
     only once.
 
-    This is the one place where they are built: the builders in
-    ``ballcomplex``, ``capproduct`` and ``duality`` take what they use as
-    arguments, maps take the complexes they map between, and none builds a
-    second copy, so a check that runs alone builds only what it reads.
+    Each object a verify reads has one construction site: a cached
+    property here if two check groups read it, else its one reader.
+    Builders and certificates take the objects they use as arguments, so a
+    check that runs alone builds only what it reads.  The one exception is
+    the full tensor of the chains of X with the cochains of K: each of its
+    two readers builds it, since kept here it would live through the cap
+    checks, where a verify peaks.
     """
 
     ks: KSpace
@@ -195,6 +198,11 @@ class KSpaceData:
         return self.dualizer.square(self.tc)
 
     @cached_property
+    def t_sub(self):
+        """T(subdivision chains)."""
+        return self.dualizer.object(self.deltas.dx_prime)
+
+    @cached_property
     def e(self) -> RKMap:
         """The double-dual collapse ``t2`` -> cochains of X."""
         return self.dualizer.double_dual_map(self.deltas.dstar_x, self.t2)
@@ -216,6 +224,17 @@ class KSpaceData:
         dk = delta_chain(fmap.tgt, self.ring, or_k.bx)
         return induced_chain_map(fmap, self.deltas.dx, dk, self.orientation,
                                  or_k)
+
+    @cached_property
+    def t_k(self):
+        """T(cochains of (K, id)), the cochains that ``push`` pulls back."""
+        return self.dualizer.object(dual_star(self.push.tgt))
+
+    @cached_property
+    def equivalences(self) -> tuple:
+        """The reports of :data:`EQUIVALENCES`, in its order."""
+        return verify_equivalences(self.cell_data.map, self.iso, self.t_sub,
+                                   self.dualizer, self.e)
 
     def complexes(self):
         """The complexes named by :data:`COMPLEXES`, in its order."""
@@ -302,8 +321,7 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
     _guard(report, "tensor/projection-epimorphism", target, proj_body)
 
     def psi_body():
-        psi = hom_dual_iso(hom_rk(data.dualizer.dstar_k,
-                                  dual_star(data.deltas.dx)),
+        psi = hom_dual_iso(hom_rk(data.dualizer.dstar_k, data.deltas.dstar_x),
                            dual_star(data.cellular.rk))
         psi.validate()
         return psi.is_bijection_on_bases(), {}
@@ -367,9 +385,8 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     def natural_body():
         pullback = dual_star_map(data.push)
         dz = data.dualizer
-        t_k = dz.object(pullback.src)
-        e_k = dz.double_dual_map(pullback.src, dz.square(t_k))
-        tt = dz.map(dz.map(pullback, data.tc, t_k), e_k.src, data.t2)
+        e_k = dz.double_dual_map(pullback.src, dz.square(data.t_k))
+        tt = dz.map(dz.map(pullback, data.tc, data.t_k), e_k.src, data.t2)
         return data.e.compose(tt) == pullback.compose(e_k), {}
     _guard(report, "double-dual/naturality", target, natural_body)
 
@@ -377,9 +394,11 @@ def check_duality(report: Report, target: str, data: KSpaceData):
                   lambda: verify_diagonal_equivalence(data.e, "double-dual")),
                  ("subdivision-chains",
                   lambda: verify_e_equivalence(data.deltas.dx_prime,
-                                               data.dualizer)),
+                                               data.t_sub, data.dualizer)),
                  ("cell-chains",
-                  lambda: verify_e_equivalence(data.cellular.rk, data.dualizer)))
+                  lambda: verify_e_equivalence(
+                      data.cellular.rk, data.dualizer.object(data.cellular.rk),
+                      data.dualizer)))
     for key, certify in collapses:
         _guard(report, f"double-dual/equivalence/{key}", target,
                lambda certify=certify: _verdict(certify()))
@@ -467,16 +486,9 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
 
 def check_equivalences(report: Report, target: str, data: KSpaceData):
-    reports = []            # all three, made by the first body that runs
-
-    def body(i):
-        if not reports:
-            reports.extend(verify_equivalences(data.cell_data.map, data.iso,
-                                               data.dualizer, data.e))
-        return _verdict(reports[i])
     for i, name in enumerate(EQUIVALENCES):
         _guard(report, f"equivalences/{name.replace(' ', '-')}", target,
-               lambda i=i: body(i))
+               lambda i=i: _verdict(data.equivalences[i]))
 
 
 def check_naturality(report: Report, target: str, data: KSpaceData):
@@ -497,8 +509,7 @@ def check_naturality(report: Report, target: str, data: KSpaceData):
                                          ball_k)
         fk = tensor_map_left(data.push, data.cellular.rk, cells_k.rk)
         fk.validate()
-        pullback = dual_star_map(data.push)
-        t_pullback = dz.map(pullback, data.tc, dz.object(pullback.src))
+        t_pullback = dz.map(dual_star_map(data.push), data.tc, data.t_k)
         iso_y = cellular_iso(t_pullback.tgt, cells_k)
         return iso_y.compose(t_pullback) == fk.compose(data.iso), {}
     _guard(report, "naturality/control-square", target, square_body)

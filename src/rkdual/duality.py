@@ -213,8 +213,8 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     return EquivalenceReport(name, verdicts, all(verdicts.values()))
 
 
-def verify_e_equivalence(C: RKComplex, dualizer: Dualizer,
-                         name: str = "double-dual") -> EquivalenceReport:
-    """The double-dual collapse of C is an equivalence, label by label."""
-    t2 = dualizer.square(dualizer.object(C))
-    return verify_diagonal_equivalence(dualizer.double_dual_map(C, t2), name)
+def verify_e_equivalence(C: RKComplex, tc: RKComplex,
+                         dualizer: Dualizer) -> EquivalenceReport:
+    """The double-dual collapse of C, given ``tc`` = T(C), is an equivalence."""
+    e = dualizer.double_dual_map(C, dualizer.square(tc))
+    return verify_diagonal_equivalence(e, "double-dual")

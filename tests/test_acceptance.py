@@ -77,7 +77,8 @@ def test_criterion_3_double_dual_equivalence(corpus_data):
             data = KSpaceData.build(corpus_kspace(name), ring)
             for cx in (data.deltas.dstar_x, data.deltas.dx_prime,
                        data.cellular.rk):
-                rep = verify_e_equivalence(cx, data.dualizer)
+                rep = verify_e_equivalence(cx, data.dualizer.object(cx),
+                                           data.dualizer)
                 ok = ok and rep.passed
     announce(3, "double-dual collapse has acyclic cones over Z and Z/2", ok)
 
@@ -106,7 +107,7 @@ def test_criterion_6_composite_equivalences(corpus_data):
     ok = True
     for name, data in corpus_data.items():
         reports = verify_equivalences(data.cell_data.map, data.iso,
-                                      data.dualizer, data.e)
+                                      data.t_sub, data.dualizer, data.e)
         ok = ok and all(rep.passed for rep in reports)
     announce(6, "cell map and both composites are equivalences over Z", ok)
 

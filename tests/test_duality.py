@@ -285,7 +285,7 @@ def test_single_label_collapse_is_an_isomorphism_there():
     cm = e.diagonal_component(S)
     for q in (0, 1):
         assert cm.component(q).to_rows() in ([[1]], [[-1]])
-    rep = verify_e_equivalence(C, dz)
+    rep = verify_e_equivalence(C, dz.object(C), dz)
     assert rep.passed
 
 
@@ -295,7 +295,7 @@ def test_collapse_equivalence_on_corpus_over_z_and_z2(corpus):
             dc = delta_complexes(ks, ring)
             dz = Dualizer(ks.K, ring)
             for cx in (dc.dstar_x, dc.dx_prime):
-                rep = verify_e_equivalence(cx, dz)
+                rep = verify_e_equivalence(cx, dz.object(cx), dz)
                 assert rep.passed, (name, str(ring), rep.failures())
 
 

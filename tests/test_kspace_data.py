@@ -5,14 +5,22 @@ the package binds it, so calls through ``from .x import y`` names are
 counted too.
 """
 
+import os
 import sys
 
-from rkdual import ballcomplex, capproduct, duality, rkcore, simplicial
-from rkdual.checks import KSpaceData, quick_sweep_kspace, verify_kspace
+import pytest
+
+from rkdual import ballcomplex, capproduct, checks, duality, rkcore, simplicial
+from rkdual.checks import (KSpaceData, parse_document, quick_sweep_kspace,
+                           verify_kspace)
 from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer
 from rkdual.report import Report
 from rkdual.rings import ZZ
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
 
 
 def counting(fn, calls):
@@ -62,15 +70,71 @@ def test_verify_builds_each_tensor_and_hom_once(monkeypatch):
     assert len(pushes) == 2
 
 
-def test_verify_dualizes_the_ends_of_the_split_once(monkeypatch):
+def ladder_kspace(name):
+    """A K-space of the committed ladder, or a corpus one."""
+    rungs = dict(ladder.RUNGS)
+    if name not in rungs:
+        return corpus_kspace(name)
+    return parse_document(rungs[name]()[0]).kspaces[0][1]
+
+
+def verified(name):
+    """The objects of one passing verify of ``name`` over Z."""
+    report = Report("verify", "Z")
+    data = verify_kspace(report, name, ladder_kspace(name), ZZ)
+    assert report.checks and report.passed
+    return data
+
+
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_verify_dualizes_each_complex_once(monkeypatch, name):
     objects = []
     monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))
-    report = Report("verify", "Z")
-    verify_kspace(report, "hex", corpus_kspace("hex"), ZZ)
-    assert report.checks and report.passed
-    # T of the two ends of the split sequence is shared by duality/exactness
-    # and double-dual/natural-rows (16 calls when each built its own)
-    assert len(objects) == 14
+    data = verified(name)
+    # T of the cochains, of the two ends of their split, of the cochains
+    # of (K, id), of the subdivision chains and of the cell chains, and T
+    # of each of those five inside the square
+    assert len(objects) == 12
+    args = [cx for _, cx in objects]
+    repeats = [(a, b) for i, b in enumerate(args) for a in args[:i]
+               if a.same_shape(b)]
+    if name == "hex":
+        assert repeats == []
+    else:
+        # pi is the identity, so the cochains of (K, id) have the shape of
+        # the cochains of X: T of the two, built from different complexes,
+        # coincide in shape, and so do the T of those inside the squares
+        (x0, k0), (x1, k1) = repeats
+        assert x0 is data.deltas.dstar_x and k0 is not x0
+        assert x1 is data.tc and k1 is data.t_k
+
+
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_verify_builds_the_full_tensor_once_per_reader(monkeypatch, name):
+    tensors = count_calls(monkeypatch, duality.tensor_r)
+    verified(name)
+    # tensor/projection-epimorphism, the cap chain map on K and the cap
+    # factorization; none keeps it for another
+    assert len(tensors) <= 3
+
+
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_verify_caps_each_pair_of_k_once(monkeypatch, name):
+    caps = count_calls(monkeypatch, capproduct.cap_product)
+    inside = []
+    chain_map = capproduct.verify_cap_chain_map
+
+    def spied(*args, **kwargs):
+        start = len(caps)
+        try:
+            return chain_map(*args, **kwargs)
+        finally:
+            inside.extend(caps[start:])
+    monkeypatch.setattr(checks, "verify_cap_chain_map", spied)
+    K = verified(name).ks.K
+    pairs = [(tau, sigma) for tau in K.all_simplices()
+             for sigma in K.closure(tau)]
+    assert sorted(args[1:3] for args in inside) == sorted(pairs)
 
 
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):

@@ -17,6 +17,7 @@ from rkdual import capproduct
 from rkdual.ballcomplex import DualCell
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
+from rkdual.linalg import Matrix
 from rkdual.simplicial import DerivedComplex
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,3 +97,27 @@ def test_a_sign_flipped_in_the_cochain_pullback(monkeypatch, tmp_path, doc,
         return table
     monkeypatch.setattr(capproduct, "cochain_pullback", flip)
     assert failing_checks(doc, tmp_path) == (1, {"cap/factorization"})
+
+
+# T(subdivision chains) is read by the double-dual collapse of the
+# subdivision chains and by the three composite equivalences
+T_SUB_READERS = {"double-dual/equivalence/subdivision-chains",
+                 "equivalences/cells-to-subdivision",
+                 "equivalences/dual-to-subdivision",
+                 "equivalences/subdivision-dual-to-cochains"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_an_entry_negated_in_the_dual_of_the_subdivision_chains(
+        monkeypatch, tmp_path, doc, seed):
+    def negate(self, t_sub):
+        rng = random.Random(seed)
+        q = rng.choice(sorted(t_sub.diff))
+        mat = t_sub.diff[q]
+        entries = dict(mat.entries())
+        key = rng.choice(sorted(entries))
+        entries[key] = -entries[key]
+        t_sub.diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return t_sub
+    patch_lazy(monkeypatch, KSpaceData, "t_sub", negate)
+    assert failing_checks(doc, tmp_path) == (1, T_SUB_READERS)
