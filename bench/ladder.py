@@ -9,12 +9,14 @@ Each rung is an rkdual JSON document built in this file: the identity on
 on Δ⁵.  For every rung, each ``--src LABEL=PATH`` source tree is run in
 turn, in a fresh child process that imports rkdual from PATH, times one
 in-process ``verify`` over Z and records the sha256 of its JSON report, so
-equal digests across sources mean byte-identical reports.  The order of the
-sources alternates from rung to rung, so two trees are compared back to
-back on the same host.  A child still running after ``--max-seconds`` is
-stopped and the rung recorded as ``"skipped"`` for that source; rungs are
-never shrunk to fit.  |X| and |K| (simplex counts) are computed here, not by
-rkdual.
+equal digests across sources mean byte-identical reports.  The child also
+records ``tensor_s``, the seconds spent in the blocked-tensor builders
+``duality.tensor_k`` and ``duality.tensor_r``, which it wraps from outside,
+so older trees report it too.  The order of the sources alternates from
+rung to rung, so two trees are compared back to back on the same host.  A
+child still running after ``--max-seconds`` is stopped and the rung
+recorded as ``"skipped"`` for that source; rungs are never shrunk to fit.
+|X| and |K| (simplex counts) are computed here, not by rkdual.
 """
 
 from __future__ import annotations
@@ -107,18 +109,47 @@ RUNGS = (
 )
 
 
+def time_tensors():
+    """Route every binding of ``duality.tensor_k`` and ``duality.tensor_r``
+    in the imported rkdual modules through one timer, from outside, so any
+    source tree can be timed; returns the list whose one entry sums the
+    seconds spent in them."""
+    from rkdual import duality
+    spent = [0.0]
+
+    def timed(fn):
+        def run(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - started
+        return run
+    builders = [(fn, timed(fn)) for fn in (duality.tensor_k, duality.tensor_r)]
+    for name, module in list(sys.modules.items()):
+        if name == "rkdual" or name.startswith("rkdual."):
+            for key, value in list(vars(module).items()):
+                for fn, wrapper in builders:
+                    if value is fn:
+                        setattr(module, key, wrapper)
+    return spent
+
+
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
-    wall time, the number of checks, whether all of them passed and the
-    sha256 of the JSON report."""
+    wall time, the seconds spent building blocked tensors, the number of
+    checks, whether all of them passed and the sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
+    tensor = time_tensors()
     doc = json.load(sys.stdin)
     started = time.perf_counter()
     report = run_command("verify", doc)
     wall = time.perf_counter() - started
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-    print(json.dumps({"wall_s": round(wall, 3), "checks": len(report.checks),
+    print(json.dumps({"wall_s": round(wall, 3),
+                      "tensor_s": round(tensor[0], 3),
+                      "checks": len(report.checks),
                       "passed": report.passed, "report_sha256": digest}))
 
 

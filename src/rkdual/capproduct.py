@@ -279,16 +279,19 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
     full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
     in the basis of the cell map's orientation."""
     bx = data.cellular.orientation.bx
-    pullback = cochain_pullback(ks, data.cellular.orientation)
+    pullback = {rho: dict(pairs) for rho, pairs in
+                cochain_pullback(ks, data.cellular.orientation).items()}
     proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
                           data.cellular.rk)
 
     def images(q, g):
         T = g.data[1].data[1]
         rho = g.data[2].data[1].data[1]
-        for S, sign in pullback.get(rho, ()):
-            for flag, c in cap_product(ks.X, T, S, bx).items():
-                yield simplex_generator(flag, rho), sign * c
+        signs = pullback.get(rho, {})
+        for S in ks.X.closure(T):        # only a face of T caps against T
+            if S in signs:
+                for flag, c in cap_product(ks.X, T, S, bx).items():
+                    yield simplex_generator(flag, rho), signs[S] * c
     lhs = RKMap.from_images(proj.src, data.deltas.dx_prime, images)
     return lhs == data.map.compose(proj)
 

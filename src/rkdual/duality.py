@@ -3,6 +3,11 @@
 For C over the opposite order and D over the standard one, the blocked
 tensor keeps only the pairs x⊗y whose left label lies in the star of the
 right label; it is the quotient of the full tensor by the remaining pairs.
+It is built by position: each kept pair is indexed as the basis is laid
+out, and its column of the differential is filled from the stored columns
+of C and D, an image pair outside the index being one the quotient drops.
+Maps between tensors stay rules on generators.
+
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
 identity up to chain equivalence, which is certified here label by label
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import is_cone_acyclic
+from .linalg import Matrix, is_cone_acyclic
 from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
                      dual_star_map, epsilon, hom_rk, hom_post_map,
                      delta_star_k, tensor_generator)
@@ -27,33 +32,35 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
     if not C.op or D.op or C.K != D.K or C.ring != D.ring:
         raise ValueError(
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
-    ldeg = {gl: r for r in C.degrees() for gl in C.gens_at(r)}
-    gens = {}
+    # pairs x_i⊗y_j in basis order (r, i, j); d(x⊗y) = dx⊗y + (-1)^r x⊗dy
+    # is filled as each is kept: its image pairs precede it, or are dropped
+    gens = {r + s: [] for r in C.degrees() for s in D.degrees()}
+    data = {q: {} for q in gens}
+    column, cuts = {}, {}
+    everything = [(s, range(D.rank(s))) for s in D.degrees()]
     for r in C.degrees():
-        for s in D.degrees():
-            bucket = gens.setdefault(r + s, [])
-            for gl in C.gens_at(r):
-                for gr in D.gens_at(s):
-                    if keep_all or set(gr.label) <= set(gl.label):
-                        bucket.append(tensor_generator(gl, gr))
-
-    def boundary(q, g):
-        _, gl, gr = g.data
-        r = ldeg[gl]
-        # left differential, filtered to surviving pairs
-        if r in C.diff:
-            for i_l, v in C.diff[r].column(C.index_of(r, gl)):
-                gl2 = C.gens_at(r - 1)[i_l]
-                if keep_all or set(gr.label) <= set(gl2.label):
-                    yield tensor_generator(gl2, gr), v
-        # right differential with the Koszul sign
-        if q - r in D.diff:
-            koszul = (-1) ** (r % 2)
-            for i_r, v in D.diff[q - r].column(D.index_of(q - r, gr)):
-                gr2 = D.gens_at(q - r - 1)[i_r]
-                if keep_all or set(gr2.label) <= set(gl.label):
-                    yield tensor_generator(gl, gr2), koszul * v
-    return RKComplex.from_boundary(C.ring, D.K, False, gens, boundary)
+        for i, gl in enumerate(C.gens[r]):
+            kept = everything if keep_all else cuts.get(gl.label)
+            if kept is None:
+                kept = cuts[gl.label] = sorted(
+                    D.positions(D.K.closure(gl.label)).items())
+            left = C.diff[r].column(i) if r in C.diff else ()
+            for s, js in kept:
+                bucket, entries = gens[r + s], data[r + s]
+                for j in js:
+                    col = column[r, i, s, j] = len(bucket)
+                    bucket.append(tensor_generator(gl, D.gens[s][j]))
+                    for i2, v in left:
+                        if (row := column.get((r - 1, i2, s, j))) is not None:
+                            entries[row, col] = v
+                    for j2, v in D.diff[s].column(j) if s in D.diff else ():
+                        if (row := column.get((r, i, s - 1, j2))) is not None:
+                            entries[row, col] = -v if r % 2 else v
+    del column          # free the pair index before the basis is indexed
+    diff = {q: Matrix._from_sums(C.ring, len(gens.get(q - 1, ())),
+                                 len(gens[q]), data.pop(q))
+            for q in sorted(data) if data[q]}
+    return RKComplex(C.ring, D.K, False, gens, diff)
 
 
 def tensor_r(C: RKComplex, D: RKComplex) -> RKComplex:

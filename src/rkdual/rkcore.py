@@ -14,10 +14,12 @@ chain/cochain complexes of a K-space are all built here.
 
 A generator is identified by its structure: its label and the record of how
 it was built (a simplex, or the dual, tensor or Hom of earlier generators).
-Every blocked map and differential is a rule on generators that names each
-image by rebuilding its structure; :meth:`RKMap.from_images`, the one
-assembly function, resolves the images in the target basis.  Names are
-rendered for display only and may coincide.
+Every blocked map, and the differential of blocked Hom, is a rule on
+generators that names each image by rebuilding its structure;
+:meth:`RKMap.from_images`, the one assembly function for rules, resolves
+the images in the target basis.  The blocked tensor fills its differential
+by position from its factors' columns instead (see :mod:`rkdual.duality`).
+Names are rendered for display only and may coincide.
 
 Sign conventions, fixed once and used everywhere:
 

@@ -143,3 +143,38 @@ def between_closed(simplices, subset):
                                   for sigma in simplices):
                 return False
     return True
+
+
+def blocked_tensor(c_labels, c_diff, d_labels, d_diff, keep_all=False):
+    """The blocked tensor of two complexes given densely, by its definition.
+
+    ``c_labels`` and ``d_labels`` map each degree to the labels of its basis
+    and ``c_diff``, ``d_diff`` map q to the row lists of d_q.  A pair
+    (r, i, s, j) of the i-th left generator of degree r and the j-th right
+    one of degree s is kept when the right label is a face of the left one
+    (every pair with ``keep_all``).  Returns the kept pairs of each total
+    degree, ordered by r, then i, then j, and the row lists of each d_q
+    between them, every entry of d(x⊗y) = dx⊗y + (-1)^r x⊗dy summed over
+    the pair of the row and the pair of the column.
+    """
+    pairs = {}
+    for r in sorted(c_labels):
+        for i, a in enumerate(c_labels[r]):
+            for s in sorted(d_labels):
+                for j, b in enumerate(d_labels[s]):
+                    if keep_all or set(b) <= set(a):
+                        pairs.setdefault(r + s, []).append((r, i, s, j))
+    pairs = {q: sorted(ps) for q, ps in pairs.items()}
+
+    def entry(row, col):
+        (r2, i2, s2, j2), (r, i, s, j) = row, col
+        total = 0
+        if r in c_diff and (r2, s2, j2) == (r - 1, s, j):
+            total += c_diff[r][i2][i]
+        if s in d_diff and (r2, i2, s2) == (r, i, s - 1):
+            total += (-1) ** r * d_diff[s][j2][j]
+        return total
+
+    diff = {q: [[entry(row, col) for col in cols] for row in pairs[q - 1]]
+            for q, cols in pairs.items() if q - 1 in pairs}
+    return pairs, diff

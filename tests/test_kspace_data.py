@@ -137,6 +137,36 @@ def test_verify_caps_each_pair_of_k_once(monkeypatch, name):
     assert sorted(args[1:3] for args in inside) == sorted(pairs)
 
 
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_cap_factorization_caps_only_faces_onto_the_label(monkeypatch, name):
+    caps = count_calls(monkeypatch, capproduct.cap_product)
+    inside = []
+    factorization = capproduct.verify_cap_factorization
+
+    def spied(*args, **kwargs):
+        start = len(caps)
+        try:
+            return factorization(*args, **kwargs)
+        finally:
+            inside.extend(caps[start:])
+    monkeypatch.setattr(checks, "verify_cap_factorization", spied)
+    ks = verified(name).ks
+    # T ⊗ rho* caps T against each S ⊆ T that pi maps onto rho, once; the
+    # generators T ⊗ rho* run over all T in X and all rho in K
+    pairs = [(T, S) for T in ks.X.all_simplices() for S in ks.X.closure(T)
+             if len(ks.pi.image(S)) == len(S)]
+    assert sorted(args[1:3] for args in inside) == sorted(pairs)
+
+
+def test_tensor_builds_one_generator_per_basis_element(monkeypatch):
+    data = KSpaceData(ladder_kspace("id-torus-7"), ZZ)
+    assert data.tc.total_rank() > 0      # built before the count starts
+    made = count_calls(monkeypatch, rkcore.tensor_generator)
+    t2 = data.t2
+    # the differential is read by position: no image is built and looked up
+    assert len(made) == t2.total_rank() > 0
+
+
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
     objects, squares = [], []
     monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))

@@ -26,5 +26,6 @@ def test_child_run_and_skip():
     doc = ladder.identity_rung(ladder.boundary(3))[0]
     got = ladder.run_rung(doc, SRC, 60)
     assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
+    assert 0 <= got["tensor_s"] <= got["wall_s"]
     assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
     assert ladder.run_rung(doc, SRC, 0.001) == "skipped"

@@ -121,3 +121,40 @@ def test_an_entry_negated_in_the_dual_of_the_subdivision_chains(
         return t_sub
     patch_lazy(monkeypatch, KSpaceData, "t_sub", negate)
     assert failing_checks(doc, tmp_path) == (1, T_SUB_READERS)
+
+
+# T of the cochains is read by the cellular identification, the dual and
+# double-dual checks built on it, and by the three composite equivalences,
+# which are built in one call, so one broken map fails all three
+TC_READERS = {"cells/dual-homology", "cells/identification-isomorphism",
+              "double-dual/defining-identity",
+              "double-dual/equivalence/cochains",
+              "equivalences/cells-to-subdivision",
+              "equivalences/dual-to-subdivision",
+              "equivalences/subdivision-dual-to-cochains"}
+SOUNDNESS = {"soundness/d-squared-and-support/dual",
+             "soundness/d-squared-and-support/double-dual"}
+
+
+@pytest.mark.parametrize("doc,seed,also", [
+    # d∘d stays 0 here; the entry lies inside T(C''), the sub of the split
+    # of T, where the chain-map identity of its inclusion reads it
+    ("hex", 0, {"duality/exactness"}),
+    ("id2", 1, {"duality/exactness"} | SOUNDNESS),
+    # the entry goes from T(C'), the quotient of the split of T, back to
+    # T(C''), its sub: no map of the sequence reads that block
+    ("tri", 2, SOUNDNESS),
+])
+def test_an_entry_negated_in_the_dual_of_the_cochains(monkeypatch, tmp_path,
+                                                      doc, seed, also):
+    def negate(self, tc):
+        rng = random.Random(seed)
+        q = rng.choice(sorted(tc.diff))
+        mat = tc.diff[q]
+        entries = dict(mat.entries())
+        key = rng.choice(sorted(entries))
+        entries[key] = -entries[key]
+        tc.diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return tc
+    patch_lazy(monkeypatch, KSpaceData, "tc", negate)
+    assert failing_checks(doc, tmp_path) == (1, TC_READERS | also)
