@@ -222,6 +222,8 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
 
 def verify_e_equivalence(C: RKComplex, tc: RKComplex,
                          dualizer: Dualizer) -> EquivalenceReport:
-    """The double-dual collapse of C, given ``tc`` = T(C), is an equivalence."""
-    e = dualizer.double_dual_map(C, dualizer.square(tc))
+    """The double-dual collapse of C, given ``tc`` = T(C), is an equivalence.
+    T²C is built here for this check alone, so it is validated here: the
+    cones see only its diagonal blocks."""
+    e = dualizer.double_dual_map(C, dualizer.square(tc).validate())
     return verify_diagonal_equivalence(e, "double-dual")

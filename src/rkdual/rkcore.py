@@ -160,13 +160,11 @@ class RKComplex(ChainComplex):
 
     def validate(self):
         for q, mat in sorted(self.diff.items()):
-            tgt = self.gens_at(q - 1)
-            src = self.gens_at(q)
-            for (i, j), _ in mat.entries():
-                if not self.leq(src[j].label, tgt[i].label):
-                    raise ChainComplexError(
-                        f"support violated by d at degree {q}: "
-                        f"{src[j].name} -> {tgt[i].name}")
+            src, tgt = self.gens_at(q), self.gens_at(q - 1)
+            if bad := _off_support(mat, src, tgt, self.leq):
+                raise ChainComplexError(
+                    f"support violated by d at degree {q}: "
+                    f"{src[bad[1]].name} -> {tgt[bad[0]].name}")
         return super().validate()
 
     def positions(self, labels):
@@ -192,17 +190,31 @@ class RKComplex(ChainComplex):
         return RKComplex(self.ring, self.K, self.op, gens, diff)
 
     def restrict(self, subset) -> "RKComplex":
-        """The cut to a full label subset, which is what guarantees d∘d = 0
-        for it; raises unless the subset is full."""
+        """The cut to a full label subset, not validated again: fullness
+        makes the cut of a valid complex valid.  Raises unless it is full."""
         subset = set(tuple(s) for s in subset)
         if not is_full(self.K, subset):
             raise InputError("label subset is not full")
-        return self.sub(subset).validate()
+        return self.sub(subset)
 
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
         order = "op" if self.op else "std"
         return f"RKComplex({self.ring}, {order}, ranks={ranks})"
+
+
+def _off_support(mat, src, tgt, leq):
+    """The first entry (i, j) of ``mat``, in (row, col) order, whose column
+    generator in ``src`` is not ``leq`` its row generator in ``tgt``, or
+    None.  The order is decided once per pair of labels."""
+    below, bad = {}, []
+    for i, j in mat._data:
+        pair = src[j].label, tgt[i].label
+        if (ok := below.get(pair)) is None:
+            ok = below[pair] = leq(*pair)
+        if not ok:
+            bad.append((i, j))
+    return min(bad, default=None)
 
 
 def is_full(K: SimplicialComplex, subset) -> bool:
@@ -279,13 +291,11 @@ class RKMap(ChainMap):
 
     def validate(self):
         for q, mat in sorted(self.comps.items()):
-            src = self.src.gens_at(q)
-            tgt = self.tgt.gens_at(q + self.degree)
-            for (i, j), _ in mat.entries():
-                if not self.src.leq(src[j].label, tgt[i].label):
-                    raise ChainComplexError(
-                        f"support violated at degree {q}: "
-                        f"{src[j].name} -> {tgt[i].name}")
+            src, tgt = self.src.gens_at(q), self.tgt.gens_at(q + self.degree)
+            if bad := _off_support(mat, src, tgt, self.src.leq):
+                raise ChainComplexError(
+                    f"support violated at degree {q}: "
+                    f"{src[bad[1]].name} -> {tgt[bad[0]].name}")
         return super().validate()
 
     def compose(self, other: "RKMap") -> "RKMap":
@@ -541,9 +551,8 @@ def check_lemma_clem(K: SimplicialComplex, S, ring) -> ClemReport:
     ok = True
     for sigma in K.all_simplices():
         sub = dstar.restrict(set(K.star(sigma)))
-        if sigma == S:
-            want_deg = -(len(S) - 1)
-            good = (sub.total_rank() == 1 and sub.rank(want_deg) == 1)
+        if sigma == S:          # one generator, in degree -dim S
+            good = sub.total_rank() == sub.rank(1 - len(S)) == 1
             verdicts[sigma] = ("rank one at top degree", good)
         elif set(sigma) <= set(S):
             good = all(h.is_trivial() for h in homology(sub).values())

@@ -17,8 +17,8 @@ from rkdual.simplicial import (SimplicialComplex, barycentric_subdivision,
 from rkdual.duality import tensor_map_left, verify_e_equivalence
 from rkdual.ballcomplex import induced_chain_map
 from rkdual.rkcore import dual_star_map
-from rkdual.capproduct import (verify_cap_chain_map, verify_equivalences,
-                            verify_fundamental_cycles)
+from rkdual.capproduct import (EQUIVALENCES, verify_cap_chain_map,
+                               verify_fundamental_cycles)
 from rkdual.corpus import CORPUS_NAMES, corpus_kspace, document, random_kspaces
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
@@ -106,8 +106,7 @@ def test_criterion_5_fundamental_cycles(corpus_data):
 def test_criterion_6_composite_equivalences(corpus_data):
     ok = True
     for name, data in corpus_data.items():
-        reports = verify_equivalences(data.cell_data.map, data.iso,
-                                      data.t_sub, data.dualizer, data.e)
+        reports = [data.equivalence(name) for name in EQUIVALENCES]
         ok = ok and all(rep.passed for rep in reports)
     announce(6, "cell map and both composites are equivalences over Z", ok)
 

@@ -10,10 +10,10 @@ from rkdual.rkcore import (delta_complexes, dual_generator, simplex_generator,
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision)
 from rkdual.checks import KSpaceData
-from rkdual.capproduct import (cap_product, flag_sign, fundamental_cycle_map,
-                            is_monomorphism, verify_cap_chain_map,
-                            verify_cap_factorization, verify_equivalences,
-                            verify_fundamental_cycles)
+from rkdual.capproduct import (EQUIVALENCES, cap_product, flag_sign,
+                               fundamental_cycle_map, is_monomorphism,
+                               verify_cap_chain_map, verify_cap_factorization,
+                               verify_fundamental_cycles)
 from rkdual.duality import Dualizer
 
 GF2 = Ring.prime_field(2)
@@ -216,8 +216,7 @@ def test_fundamental_cycles_on_corpus(corpus):
 
 def equivalences(ks, ring):
     data = KSpaceData.build(ks, ring)
-    reports = verify_equivalences(data.cell_data.map, data.iso, data.t_sub,
-                                  data.dualizer, data.e)
+    reports = [data.equivalence(name) for name in EQUIVALENCES]
     return all(rep.passed for rep in reports)
 
 

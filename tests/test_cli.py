@@ -303,8 +303,6 @@ def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
     ("maximal_label_ses", ["duality/exactness", "double-dual/natural-rows"]),
     # a shared build fails exactly the checks that read it
     ("KSpaceData.t_sub", ["double-dual/equivalence/subdivision-chains",
-                          "equivalences/cells-to-subdivision",
-                          "equivalences/dual-to-subdivision",
                           "equivalences/subdivision-dual-to-cochains"]),
     ("KSpaceData.t_k", ["double-dual/naturality",
                         "naturality/control-square"]),

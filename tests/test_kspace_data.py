@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from rkdual import ballcomplex, capproduct, checks, duality, rkcore, simplicial
+from rkdual import (ballcomplex, capproduct, checks, duality, linalg, rkcore,
+                    simplicial)
 from rkdual.checks import (KSpaceData, parse_document, quick_sweep_kspace,
                            verify_kspace)
 from rkdual.corpus import corpus_kspace
@@ -30,15 +31,20 @@ def counting(fn, calls):
     return counted
 
 
-def count_calls(monkeypatch, fn):
-    """Route every binding of ``fn`` in the package through a counter;
-    returns the list that records one entry per call."""
-    calls = []
+def rebind(monkeypatch, fn, wrapped):
+    """Route every binding of ``fn`` in the package through ``wrapped``."""
     for name, module in list(sys.modules.items()):
         if name == "rkdual" or name.startswith("rkdual."):
             for key, value in list(vars(module).items()):
                 if value is fn:
-                    monkeypatch.setattr(module, key, counting(fn, calls))
+                    monkeypatch.setattr(module, key, wrapped)
+
+
+def count_calls(monkeypatch, fn):
+    """Route every binding of ``fn`` in the package through a counter;
+    returns the list that records one entry per call."""
+    calls = []
+    rebind(monkeypatch, fn, counting(fn, calls))
     return calls
 
 
@@ -196,3 +202,48 @@ def test_objects_are_built_on_first_use_and_kept():
     assert data.t2 is data.e.src
     assert data.push.src is data.deltas.dx
     assert data.e.tgt is data.deltas.dstar_x
+
+
+def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
+    stack, entered, validations = [], set(), []
+
+    def within(fn, where):
+        def spied(*args, **kwargs):
+            stack.append(where)
+            entered.add(where)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return spied
+
+    def recorded(cls):
+        validate = cls.validate
+
+        def spied(self):
+            validations.append((cls, tuple(stack)))
+            return validate(self)
+        monkeypatch.setattr(cls, "validate", spied)
+    monkeypatch.setattr(rkcore.RKComplex, "restrict",
+                        within(rkcore.RKComplex.restrict, "restrict"))
+    rebind(monkeypatch, linalg.is_cone_acyclic,
+           within(linalg.is_cone_acyclic, "cone"))
+    for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
+                rkcore.RKMap):
+        recorded(cls)
+    verified("id-torus-7")
+    assert entered == {"restrict", "cone"}
+    # a full cut of a valid complex is valid; the d∘d check of a cone is
+    # the chain-map check of its map, and it still runs
+    assert not [v for v in validations if "restrict" in v[1]]
+    assert not [v for v in validations if "cone" in v[1]
+                and v[0] in (linalg.ChainMap, rkcore.RKMap)]
+    assert [v for v in validations if v == (linalg.ChainComplex, ("cone",))]
+
+
+def test_verify_of_the_torus_makes_at_most_600_matrix_products(monkeypatch):
+    products = []
+    monkeypatch.setattr(linalg.Matrix, "__mul__",
+                        counting(linalg.Matrix.__mul__, products))
+    verified("id-torus-7")
+    assert 0 < len(products) <= 600

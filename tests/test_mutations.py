@@ -17,7 +17,9 @@ from rkdual import capproduct
 from rkdual.ballcomplex import DualCell
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
-from rkdual.linalg import Matrix
+from rkdual.duality import Dualizer
+from rkdual.linalg import ChainComplex, ChainComplexError, Matrix
+from rkdual.rkcore import RKMap
 from rkdual.simplicial import DerivedComplex
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -100,10 +102,8 @@ def test_a_sign_flipped_in_the_cochain_pullback(monkeypatch, tmp_path, doc,
 
 
 # T(subdivision chains) is read by the double-dual collapse of the
-# subdivision chains and by the three composite equivalences
+# subdivision chains and by the one composite equivalence that starts there
 T_SUB_READERS = {"double-dual/equivalence/subdivision-chains",
-                 "equivalences/cells-to-subdivision",
-                 "equivalences/dual-to-subdivision",
                  "equivalences/subdivision-dual-to-cochains"}
 
 
@@ -124,14 +124,13 @@ def test_an_entry_negated_in_the_dual_of_the_subdivision_chains(
 
 
 # T of the cochains is read by the cellular identification, the dual and
-# double-dual checks built on it, and by the three composite equivalences,
-# which are built in one call, so one broken map fails all three
+# double-dual checks built on it, and by the one composite equivalence that
+# starts there; the subdivision dual reaches the cochains through T², whose
+# differential its map never reads
 TC_READERS = {"cells/dual-homology", "cells/identification-isomorphism",
               "double-dual/defining-identity",
               "double-dual/equivalence/cochains",
-              "equivalences/cells-to-subdivision",
-              "equivalences/dual-to-subdivision",
-              "equivalences/subdivision-dual-to-cochains"}
+              "equivalences/dual-to-subdivision"}
 SOUNDNESS = {"soundness/d-squared-and-support/dual",
              "soundness/d-squared-and-support/double-dual"}
 
@@ -158,3 +157,147 @@ def test_an_entry_negated_in_the_dual_of_the_cochains(monkeypatch, tmp_path,
         return tc
     patch_lazy(monkeypatch, KSpaceData, "tc", negate)
     assert failing_checks(doc, tmp_path) == (1, TC_READERS | also)
+
+
+def negated(mat, key):
+    """``mat`` with the entry at ``key`` negated."""
+    entries = dict(mat.entries())
+    entries[key] = -entries[key]
+    return Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+
+
+def is_valid(obj):
+    try:
+        obj.validate()
+    except ChainComplexError:
+        return False
+    return True
+
+
+def negate_one_that_breaks(seed, mats, breaks, where=lambda q, key: True):
+    """Negate one entry of ``mats`` (degree -> matrix) in place: the first,
+    in a seeded order, among those ``where`` admits, whose negation alone
+    makes ``breaks`` true of the changed table."""
+    keys = sorted((q, key) for q, mat in mats.items()
+                  for key, _ in mat.entries() if where(q, key))
+    random.Random(seed).shuffle(keys)
+    for q, key in keys:
+        changed = {**mats, q: negated(mats[q], key)}
+        if breaks(changed):
+            mats[q] = changed[q]
+            return
+    raise AssertionError("no single entry breaks it")
+
+
+def breaks_d_squared(cx):
+    return lambda diff: not is_valid(ChainComplex(cx.ring, cx.spaces, diff))
+
+
+# the double-dual collapse of the cochains is read by its own equivalence,
+# the double-dual identities and the composite that ends on the cochains
+E_READERS = {"double-dual/equivalence/cochains",
+             "double-dual/defining-identity", "double-dual/natural-rows",
+             "double-dual/naturality",
+             "equivalences/subdivision-dual-to-cochains"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_diagonal_block_of_the_double_dual_collapse_off_the_identity(
+        monkeypatch, tmp_path, doc, seed):
+    # the entry breaks the chain-map identity of its label's diagonal
+    # component, which only that label's cone reads
+    def corrupt(self, e):
+        src, tgt = e.src.gens, e.tgt.gens
+        labels = list(e.src.K.all_simplices())
+        negate_one_that_breaks(
+            seed, e.comps,
+            lambda comps: not all(
+                is_valid(RKMap(e.src, e.tgt, comps).diagonal_component(s))
+                for s in labels),
+            lambda q, key: tgt[q][key[0]].label == src[q][key[1]].label)
+        return e
+    patch_lazy(monkeypatch, KSpaceData, "e", corrupt)
+    assert failing_checks(doc, tmp_path) == (1, E_READERS)
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_an_entry_of_the_square_of_the_subdivision_chains_breaks_d_squared(
+        monkeypatch, tmp_path, doc, seed):
+    # T² of the subdivision chains is built inside its one reader, the
+    # double-dual collapse of the subdivision chains: corrupt the square of
+    # T(subdivision chains) and no other
+    seen = []
+    patch_lazy(monkeypatch, KSpaceData, "t_sub",
+               lambda self, t_sub: seen.append(t_sub) or t_sub)
+    square = Dualizer.square
+
+    def corrupt(self, tc):
+        t2 = square(self, tc)
+        if any(tc is t_sub for t_sub in seen):
+            negate_one_that_breaks(seed, t2.diff, breaks_d_squared(t2))
+        return t2
+    monkeypatch.setattr(Dualizer, "square", corrupt)
+    assert failing_checks(doc, tmp_path) == (
+        1, {"double-dual/equivalence/subdivision-chains"})
+
+
+# the cell map is read by the three composite equivalences, all of which
+# start from it, and by the cap checks built on it
+CELL_MAP_READERS = {"equivalences/cells-to-subdivision",
+                    "equivalences/dual-to-subdivision",
+                    "equivalences/subdivision-dual-to-cochains",
+                    "cap/factorization"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_an_entry_negated_in_the_cell_map(monkeypatch, tmp_path, doc, seed):
+    def negate(self, data):
+        rng = random.Random(seed)
+        comps = data.map.comps
+        q = rng.choice(sorted(comps))
+        comps[q] = negated(comps[q], rng.choice(
+            [key for key, _ in comps[q].entries()]))
+        return data
+    patch_lazy(monkeypatch, KSpaceData, "cell_data", negate)
+    assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS)
+
+
+# the chains of X are read by the assembly, the cells built on them and
+# the tensor and naturality checks that read the cells
+DX_READERS = {"assembly/star-splitting", "cells/boundary-display",
+              "cells/homology", "cells/identification-isomorphism",
+              "double-dual/equivalence/cell-chains",
+              "equivalences/cells-to-subdivision", "naturality/control-square",
+              "soundness/d-squared-and-support/cell-chains",
+              "soundness/d-squared-and-support/chains",
+              "tensor/hom-dual-isomorphism"}
+
+
+# only id2 and tri have chains of dimension 2, where d∘d can break
+@pytest.mark.parametrize("doc,seed", [("id2", 0), ("id2", 1), ("tri", 2)])
+def test_an_entry_of_the_chains_breaks_d_squared(monkeypatch, tmp_path, doc,
+                                                 seed):
+    def corrupt(self, deltas):
+        negate_one_that_breaks(seed, deltas.dx.diff,
+                               breaks_d_squared(deltas.dx))
+        return deltas
+    patch_lazy(monkeypatch, KSpaceData, "deltas", corrupt)
+    assert failing_checks(doc, tmp_path) == (1, DX_READERS)
+
+
+# T² of the cochains is read by its soundness check, the double-dual
+# collapse of the cochains and everything built on that collapse
+T2_READERS = {"soundness/d-squared-and-support/double-dual",
+              "double-dual/defining-identity",
+              "double-dual/equivalence/cochains", "double-dual/natural-rows",
+              "double-dual/naturality",
+              "equivalences/subdivision-dual-to-cochains"}
+
+
+@pytest.mark.parametrize("doc", ["hex", "id2", "tri"])
+def test_a_raising_square_of_the_cochains_fails_only_its_readers(
+        monkeypatch, tmp_path, doc):
+    def raises(self):
+        raise KeyError("missing generator")
+    monkeypatch.setattr(KSpaceData, "t2", property(raises))
+    assert failing_checks(doc, tmp_path) == (1, T2_READERS)

@@ -375,6 +375,18 @@ def test_support_condition_enforced():
     diff = {1: Matrix.from_rows(ZZ, [[1]])}
     with pytest.raises(ChainComplexError, match="support"):
         RKComplex(ZZ, K, False, gens, diff).validate()
+    # when every entry violates it, the first in (row, col) order is named,
+    # by the complex and by a map alike
+    edges = tuple(simplex_generator(s, ("a", "b"))
+                  for s in (("a", "b"), ("b", "a")))
+    vertices = tuple(simplex_generator((v,), (v,)) for v in "ab")
+    mat = Matrix(ZZ, 2, 2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
+        RKComplex(ZZ, K, False, {0: vertices, 1: edges}, {1: mat}).validate()
+    src, tgt = (RKComplex(ZZ, K, False, {1: gs}, {})
+                for gs in (edges, vertices))
+    with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
+        RKMap(src, tgt, {1: mat}).validate()
 
 
 def test_generators_are_identified_by_structure():
