@@ -5,11 +5,14 @@
 
 Each rung is an rkdual JSON document built in this file: the identity on
 Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
-6×6 and 8×8 diagonal-split grids collapsed onto an edge, and the identity
-on Δ⁵.  For every rung, each ``--src LABEL=PATH`` source tree is run in
-turn, in a fresh child process that imports rkdual from PATH, times one
-in-process ``verify`` over Z and records the sha256 of its JSON report, so
-equal digests across sources mean byte-identical reports.  The child also
+6×6 and 8×8 diagonal-split grids collapsed onto an edge, the 8×8 and
+12×12 periodic grid tori mapped onto the 8- and 12-cycle by column, and
+the identity on Δ⁵, all over Z; and the torus identity and the 8×8 grid
+again over Q (the rungs named ``-q``).  For every rung, each
+``--src LABEL=PATH`` source tree is run in turn, in a fresh child process
+that imports rkdual from PATH, times one in-process ``verify`` over the
+rung's ring and records the sha256 of its JSON report, so equal digests
+across sources mean byte-identical reports.  The child also
 records ``tensor_s``, the seconds spent in the blocked-tensor builders
 ``duality.tensor_k`` and ``duality.tensor_r``, which it wraps from outside,
 so older trees report it too.  The order of the sources alternates from
@@ -95,6 +98,38 @@ def grid_rung(n):
     return doc, closure_size(facets), 3
 
 
+def torus_circle_rung(n):
+    """The n×n periodic grid torus, each square split along a diagonal,
+    mapped onto the n-cycle by column: the control complex has homology
+    in degrees 0 and 1 and is not X."""
+    facets = []
+    for r in range(n):
+        for c in range(n):
+            a, b = (r + 1) % n, (c + 1) % n
+            facets.append([(r, c), (r, b), (a, b)])
+            facets.append([(r, c), (a, c), (a, b)])
+
+    def name(v):
+        return f"r{v[0]}c{v[1]}"
+    x = _complex(facets, name)
+    cycle = [[f"k{c}", f"k{(c + 1) % n}"] for c in range(n)]
+    doc = {"complexes": {"X": x,
+                         "K": {"vertices": [f"k{c}" for c in range(n)],
+                               "simplices": cycle}},
+           "maps": {"pi": {"source": "X", "target": "K",
+                           "vertices": {name((r, c)): f"k{c}"
+                                        for r in range(n)
+                                        for c in range(n)}}},
+           "ring": "Z"}
+    return doc, closure_size(facets), closure_size(cycle)
+
+
+def over_q(rung):
+    """The document, |X| and |K| of ``rung``, with the ring set to Q."""
+    doc, x, k = rung
+    return {**doc, "ring": "Q"}, x, k
+
+
 RUNGS = (
     ("id-simplex-3", lambda: identity_rung(simplex(3))),
     ("id-simplex-4", lambda: identity_rung(simplex(4))),
@@ -105,6 +140,10 @@ RUNGS = (
     ("grid-4-edge", lambda: grid_rung(4)),
     ("grid-6-edge", lambda: grid_rung(6)),
     ("grid-8-edge", lambda: grid_rung(8)),
+    ("torus-8-circle", lambda: torus_circle_rung(8)),
+    ("torus-12-circle", lambda: torus_circle_rung(12)),
+    ("id-torus-7-q", lambda: over_q(identity_rung(torus()))),
+    ("grid-8-edge-q", lambda: over_q(grid_rung(8))),
     ("id-simplex-5", lambda: identity_rung(simplex(5))),
 )
 
@@ -199,7 +238,8 @@ def main(argv=None):
                   flush=True)
         rungs.append(row)
     result = {
-        "command": "verify over Z, one in-process run per rung and source",
+        "command": "verify over the rung's ring, one in-process run per "
+                   "rung and source",
         "sources": [label for label, _ in sources],
         "max_seconds": args.max_seconds,
         "host": {"python": platform.python_version(),

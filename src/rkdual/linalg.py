@@ -5,9 +5,11 @@ Entries are checked once, at the public constructor: indices in range,
 values coerced into the ring, zeros dropped.  Matrices computed inside the
 package (products, transposes, blocks, cones, assembled blocked maps) are
 sums formed with native ``+``, ``-`` and ``*``; they go through one
-unchecked constructor, which reduces each entry mod p once over Z/p and
-drops zeros.  The Smith normal form eliminates unit pivots sparsely, then
-runs the dense pivot/clear/divide loop on the residual, if any is left.
+unchecked constructor, which reduces each entry mod p once over Z/p,
+stores an integral rational as an ``int`` over Q, and drops zeros; so over
+Q a matrix of integers is multiplied and eliminated in ``int`` arithmetic.
+The Smith normal form eliminates unit pivots sparsely, then runs the dense
+pivot/clear/divide loop on the residual, if any is left.
 Chain complexes are graded families of free modules with explicit
 differentials; homology, mapping cones and cone-acyclicity (the certificate
 used for "chain equivalence" of bounded free complexes over Z, Q and Z/p)
@@ -55,13 +57,17 @@ class Matrix:
         """The unchecked constructor for matrices computed inside this
         package: ``data`` maps in-range positions to sums of products of
         ring elements (or of ring elements and integers).  Over Z/p each
-        entry is reduced once here; zeros are dropped."""
+        entry is reduced once here, and over Q coerced, so an integral
+        ``Fraction`` becomes an ``int``; zeros are dropped."""
         mat = cls.__new__(cls)
         mat.ring, mat.nrows, mat.ncols = ring, nrows, ncols
         mat._rowmap = mat._colmap = None
         mod = ring.p
         if mod:
             mat._data = {k: r for k, v in data.items() if (r := v % mod)}
+        elif ring.kind == "Q":
+            coerce = ring.coerce
+            mat._data = {k: coerce(v) for k, v in data.items() if v}
         else:
             mat._data = {k: v for k, v in data.items() if v}
         return mat

@@ -1,16 +1,26 @@
 """Exact coefficient rings: the integers, the rationals and prime fields.
 
-Elements are plain Python values (``int`` for Z and Z/p, ``Fraction`` for Q),
-so matrix code adds and multiplies them with native ``+``, ``-`` and ``*``;
-a :class:`Ring` instance coerces values into the ring and supplies what
-native arithmetic does not: units, inverses, division with remainder and
-canonical invariant factors.  Reducing sums mod p is left to the matrix
-layer.  There is no floating point anywhere in this package.
+Elements are plain Python values: ``int`` for Z and Z/p; over Q an ``int``
+when integral and a ``Fraction`` otherwise, so integral rationals never pay
+for ``Fraction`` arithmetic.  Matrix code adds and multiplies them with
+native ``+``, ``-`` and ``*``; a :class:`Ring` instance coerces values into
+the ring and supplies what native arithmetic does not: units, inverses,
+division with remainder and canonical invariant factors.  Over Q,
+:meth:`Ring.invert` and :meth:`Ring.divmod` are the package's only
+divisions; each divides through ``Fraction`` and narrows an integral
+quotient to ``int``.  Reducing sums mod p and narrowing integral sums over
+Q are left to the matrix layer.  There is no floating point anywhere in
+this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _narrow(q: Fraction):
+    """The canonical rational: ``q`` as an ``int`` when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(n: int) -> bool:
@@ -76,18 +86,13 @@ class Ring:
     def is_field(self) -> bool:
         return self.kind != "Z"
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         """Promote an int (or a Fraction, over Q) to a ring element."""
         if self.kind == "Q":
-            return Fraction(x)
+            return x if type(x) is int else _narrow(Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an element of {self}")
@@ -102,14 +107,14 @@ class Ring:
         return a != 0
 
     def invert(self, a):
-        if self.kind == "Q":
-            return Fraction(1) / a
         if self.kind == "Zp":
             if a % self.p == 0:
                 raise ZeroDivisionError("0 is not invertible")
             return pow(a, self.p - 2, self.p)
         if a in (1, -1):
             return a
+        if self.kind == "Q":
+            return _narrow(Fraction(1) / a)
         raise ValueError(f"{a} is not a unit in Z")
 
     def divmod(self, a, b):
@@ -117,7 +122,7 @@ class Ring:
         if self.kind == "Zp":
             return a * self.invert(b) % self.p, 0
         if self.kind == "Q":
-            return a / b, self.zero
+            return _narrow(Fraction(a) / b), 0
         return divmod(a, b)
 
     def normalize_factor(self, a):

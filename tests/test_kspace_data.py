@@ -17,7 +17,7 @@ from rkdual.checks import (KSpaceData, parse_document, quick_sweep_kspace,
 from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer
 from rkdual.report import Report
-from rkdual.rings import ZZ
+from rkdual.rings import QQ, ZZ
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -247,3 +247,17 @@ def test_verify_of_the_torus_makes_at_most_600_matrix_products(monkeypatch):
                         counting(linalg.Matrix.__mul__, products))
     verified("id-torus-7")
     assert 0 < len(products) <= 600
+
+
+@pytest.mark.parametrize("name", ["hex", "id2"])
+def test_a_verify_over_the_rationals_stores_its_integral_entries_as_ints(
+        name):
+    # every matrix a verify builds is integral: simplicial boundaries and
+    # unit tensor, dual and map entries, so no entry is left a Fraction
+    report = Report("verify", str(QQ))
+    data = verify_kspace(report, name, corpus_kspace(name), QQ)
+    assert report.checks and report.passed
+    mats = [mat for cx in (data.deltas.dx, data.tc, data.t2, data.t_sub,
+                           data.cellular.rk) for mat in cx.diff.values()]
+    mats += data.e.comps.values()
+    assert {type(v) for mat in mats for v in mat._data.values()} == {int}

@@ -18,8 +18,18 @@ def test_rung_sizes():
         "id-sphere-2": (14, 14), "id-sphere-3": (30, 30),
         "id-sphere-4": (62, 62), "id-torus-7": (42, 42),
         "grid-4-edge": (113, 3), "grid-6-edge": (241, 3),
-        "grid-8-edge": (417, 3), "id-simplex-5": (63, 63),
+        "grid-8-edge": (417, 3), "torus-8-circle": (384, 16),
+        "torus-12-circle": (864, 24), "id-torus-7-q": (42, 42),
+        "grid-8-edge-q": (417, 3), "id-simplex-5": (63, 63),
     }
+
+
+def test_q_rungs_are_their_z_rungs_over_the_rationals():
+    rungs = dict(ladder.RUNGS)
+    for name in ("id-torus-7", "grid-8-edge"):
+        doc, x, k = rungs[name]()
+        assert rungs[f"{name}-q"]() == ({**doc, "ring": "Q"}, x, k)
+        assert doc["ring"] == "Z"
 
 
 def test_child_run_and_skip():

@@ -59,10 +59,28 @@ def test_constructor_reduces_mod_p_and_drops_zeros():
     assert m._data == {(0, 0): 2, (0, 1): 2}
 
 
-def test_constructor_stores_integers_over_the_rationals_as_fractions():
-    m = Matrix(QQ, 1, 2, {(0, 0): 3, (0, 1): 0})
-    assert m._data == {(0, 0): 3}
-    assert type(m._data[(0, 0)]) is Fraction
+def test_constructor_stores_rationals_in_canonical_form():
+    m = Matrix(QQ, 1, 4, {(0, 0): 3, (0, 1): 0, (0, 2): Fraction(4, 2),
+                          (0, 3): Fraction(1, 2)})
+    assert m._data == {(0, 0): 3, (0, 2): 2, (0, 3): Fraction(1, 2)}
+    assert [type(v) for _, v in m.entries()] == [int, int, Fraction]
+
+
+def test_rational_division_narrows_integral_quotients():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert QQ.invert(2) == Fraction(1, 2)
+    assert type(QQ.invert(-1)) is int and QQ.invert(-1) == -1
+    assert type(QQ.invert(Fraction(-1, 3))) is int
+    assert QQ.invert(Fraction(-1, 3)) == -3
+    q, r = QQ.divmod(1, 2)
+    assert (q, r) == (Fraction(1, 2), 0) and type(q) is Fraction
+    q, r = QQ.divmod(Fraction(3, 2), Fraction(1, 2))
+    assert (q, r) == (3, 0) and type(q) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert QQ.coerce(Fraction(4, 2)) == 2
+    assert type(QQ.coerce(7)) is int
+    assert QQ.coerce(Fraction(2, 3)) == Fraction(2, 3)
 
 
 # ------------------------------------- unchecked producers against oracles
@@ -85,8 +103,9 @@ def _assert_matches(mat, ring, rows):
     assert mat.ring == ring
     for v in mat._data.values():
         assert v != 0
-        if ring == QQ:
-            assert type(v) is Fraction
+        if ring == QQ and type(v) is not int:
+            # an integral rational is stored as an int, never as a Fraction
+            assert type(v) is Fraction and v.denominator != 1
         else:
             assert type(v) is int
         if ring.p:

@@ -25,12 +25,22 @@ from rkdual.simplicial import DerivedComplex
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def failing_checks(doc, tmp_path):
+def failing_checks(doc, tmp_path, ring=None):
     out = tmp_path / "report.json"
     code = main(["verify", os.path.join(ROOT, "documents", f"{doc}.json"),
-                 "--format", "json", "--out", str(out)])
+                 "--format", "json", "--out", str(out)]
+                + (["--ring", ring] if ring else []))
     report = json.loads(out.read_text())
     return code, {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+def over_z_and_q(cases, ids):
+    """``cases`` over the documents' ring Z under ``ids``, then over Q under
+    the same ids with ``-Q``: a ±1 entry negated changes the same checks
+    over both rings (over Z/2 it would change nothing)."""
+    return ([pytest.param(*case, None, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, "Q", id=f"{i}-Q")
+               for case, i in zip(cases, ids)])
 
 
 def patch_lazy(monkeypatch, cls, name, fn):
@@ -135,7 +145,7 @@ SOUNDNESS = {"soundness/d-squared-and-support/dual",
              "soundness/d-squared-and-support/double-dual"}
 
 
-@pytest.mark.parametrize("doc,seed,also", [
+@pytest.mark.parametrize("doc,seed,also,ring", over_z_and_q([
     # d∘d stays 0 here; the entry lies inside T(C''), the sub of the split
     # of T, where the chain-map identity of its inclusion reads it
     ("hex", 0, {"duality/exactness"}),
@@ -143,9 +153,9 @@ SOUNDNESS = {"soundness/d-squared-and-support/dual",
     # the entry goes from T(C'), the quotient of the split of T, back to
     # T(C''), its sub: no map of the sequence reads that block
     ("tri", 2, SOUNDNESS),
-])
+], ["hex-0-also0", "id2-1-also1", "tri-2-also2"]))
 def test_an_entry_negated_in_the_dual_of_the_cochains(monkeypatch, tmp_path,
-                                                      doc, seed, also):
+                                                      doc, seed, also, ring):
     def negate(self, tc):
         rng = random.Random(seed)
         q = rng.choice(sorted(tc.diff))
@@ -156,7 +166,7 @@ def test_an_entry_negated_in_the_dual_of_the_cochains(monkeypatch, tmp_path,
         tc.diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
         return tc
     patch_lazy(monkeypatch, KSpaceData, "tc", negate)
-    assert failing_checks(doc, tmp_path) == (1, TC_READERS | also)
+    assert failing_checks(doc, tmp_path, ring) == (1, TC_READERS | also)
 
 
 def negated(mat, key):
@@ -220,9 +230,10 @@ def test_a_diagonal_block_of_the_double_dual_collapse_off_the_identity(
     assert failing_checks(doc, tmp_path) == (1, E_READERS)
 
 
-@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+@pytest.mark.parametrize("doc,seed,ring", over_z_and_q(
+    [("hex", 0), ("id2", 1), ("tri", 2)], ["hex-0", "id2-1", "tri-2"]))
 def test_an_entry_of_the_square_of_the_subdivision_chains_breaks_d_squared(
-        monkeypatch, tmp_path, doc, seed):
+        monkeypatch, tmp_path, doc, seed, ring):
     # T² of the subdivision chains is built inside its one reader, the
     # double-dual collapse of the subdivision chains: corrupt the square of
     # T(subdivision chains) and no other
@@ -237,7 +248,7 @@ def test_an_entry_of_the_square_of_the_subdivision_chains_breaks_d_squared(
             negate_one_that_breaks(seed, t2.diff, breaks_d_squared(t2))
         return t2
     monkeypatch.setattr(Dualizer, "square", corrupt)
-    assert failing_checks(doc, tmp_path) == (
+    assert failing_checks(doc, tmp_path, ring) == (
         1, {"double-dual/equivalence/subdivision-chains"})
 
 
