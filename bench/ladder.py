@@ -1,7 +1,7 @@
 """The verify ladder: fixed K-spaces, generated here, timed end to end.
 
     python3 bench/ladder.py --src before=PATH --src after=src \\
-        [--max-seconds 300] [--out BENCH.json]
+        [--runs 3] [--max-seconds 300] [--out BENCH.json]
 
 Each rung is an rkdual JSON document built in this file: the identity on
 Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
@@ -9,17 +9,22 @@ Each rung is an rkdual JSON document built in this file: the identity on
 12×12 periodic grid tori mapped onto the 8- and 12-cycle by column, and
 the identity on Δ⁵, all over Z; and the torus identity and the 8×8 grid
 again over Q (the rungs named ``-q``).  For every rung, each
-``--src LABEL=PATH`` source tree is run in turn, in a fresh child process
-that imports rkdual from PATH, times one in-process ``verify`` over the
-rung's ring and records the sha256 of its JSON report, so equal digests
-across sources mean byte-identical reports.  The child also
-records ``tensor_s``, the seconds spent in the blocked-tensor builders
-``duality.tensor_k`` and ``duality.tensor_r``, which it wraps from outside,
-so older trees report it too.  The order of the sources alternates from
-rung to rung, so two trees are compared back to back on the same host.  A
-child still running after ``--max-seconds`` is stopped and the rung
-recorded as ``"skipped"`` for that source; rungs are never shrunk to fit.
-|X| and |K| (simplex counts) are computed here, not by rkdual.
+``--src LABEL=PATH`` source tree is run ``--runs`` times, each time in a
+fresh child process that imports rkdual from PATH, times one in-process
+``verify`` over the rung's ring and records the sha256 of its JSON report,
+so equal digests across sources mean byte-identical reports.  The child
+also records, from outside, so older trees report them too:
+``tensor_s``, the seconds spent in the blocked-tensor builders
+``duality.tensor_k`` and ``duality.tensor_r``; and ``groups_s``, the
+seconds spent in the checks (``checks._guard``) of each check group of
+``checks.CHECK_GROUPS``.  The order of the sources alternates from run to
+run and from rung to rung, so two trees are compared back to back on the
+same host.  Each source's entry holds the median of its runs for every
+time, with ``wall_min_s`` and ``wall_max_s``; runs whose reports differ
+are recorded as an error.  A child still running after ``--max-seconds``
+is stopped and the rung recorded as ``"skipped"`` for that source; rungs
+are never shrunk to fit.  |X| and |K| (simplex counts) are computed here,
+not by rkdual.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from statistics import median
 
 
 def closure_size(facets) -> int:
@@ -148,23 +154,28 @@ RUNGS = (
 )
 
 
+def _timed(fn, spent, key):
+    """``fn``, adding the seconds of each call to ``spent[key[0]]``; ``key``
+    is a one-item list, so the caller can move where later calls count."""
+    def run(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[key[0]] = (spent.get(key[0], 0.0)
+                             + time.perf_counter() - started)
+    return run
+
+
 def time_tensors():
     """Route every binding of ``duality.tensor_k`` and ``duality.tensor_r``
     in the imported rkdual modules through one timer, from outside, so any
-    source tree can be timed; returns the list whose one entry sums the
-    seconds spent in them."""
+    source tree can be timed; returns the dict whose one entry,
+    ``"tensor"``, sums the seconds spent in them."""
     from rkdual import duality
-    spent = [0.0]
-
-    def timed(fn):
-        def run(*args, **kwargs):
-            started = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[0] += time.perf_counter() - started
-        return run
-    builders = [(fn, timed(fn)) for fn in (duality.tensor_k, duality.tensor_r)]
+    spent = {}
+    builders = [(fn, _timed(fn, spent, ["tensor"]))
+                for fn in (duality.tensor_k, duality.tensor_r)]
     for name, module in list(sys.modules.items()):
         if name == "rkdual" or name.startswith("rkdual."):
             for key, value in list(vars(module).items()):
@@ -174,20 +185,41 @@ def time_tensors():
     return spent
 
 
+def time_groups():
+    """Time every check run through ``checks._guard``, by the check group
+    of ``checks.CHECK_GROUPS`` whose function runs it; returns the dict of
+    seconds by group."""
+    from rkdual import checks
+    spent, group = {}, [None]
+
+    def entering(name, fn):
+        def run(*args, **kwargs):
+            group[0] = name
+            return fn(*args, **kwargs)
+        return run
+    checks._guard = _timed(checks._guard, spent, group)
+    checks.CHECK_GROUPS = tuple(
+        (name, tuple(entering(name, fn) for fn in fns))
+        for name, fns in checks.CHECK_GROUPS)
+    return spent
+
+
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
-    wall time, the seconds spent building blocked tensors, the number of
-    checks, whether all of them passed and the sha256 of the JSON report."""
+    wall time, the seconds spent building blocked tensors and in each
+    check group, the number of checks, whether all of them passed and the
+    sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
-    tensor = time_tensors()
+    tensor, groups = time_tensors(), time_groups()
     doc = json.load(sys.stdin)
     started = time.perf_counter()
     report = run_command("verify", doc)
     wall = time.perf_counter() - started
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     print(json.dumps({"wall_s": round(wall, 3),
-                      "tensor_s": round(tensor[0], 3),
+                      "tensor_s": round(tensor.get("tensor", 0.0), 3),
+                      "groups_s": {k: round(v, 3) for k, v in groups.items()},
                       "checks": len(report.checks),
                       "passed": report.passed, "report_sha256": digest}))
 
@@ -206,11 +238,37 @@ def run_rung(doc, src, max_seconds):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def summarize(runs):
+    """One source's entry for a rung: its first skip or error, if any;
+    else the median of each time over the runs, the spread of the wall
+    time, and the checks, verdict and report digest they all share."""
+    for got in runs:
+        if not isinstance(got, dict) or "error" in got:
+            return got
+    shared = {(got["checks"], got["passed"], got["report_sha256"])
+              for got in runs}
+    if len(shared) != 1:
+        return {"error": "the runs disagree on their reports"}
+
+    def mid(values):
+        return round(median(values), 3)
+    walls = [got["wall_s"] for got in runs]
+    return {"wall_s": mid(walls), "wall_min_s": min(walls),
+            "wall_max_s": max(walls),
+            "tensor_s": mid(got["tensor_s"] for got in runs),
+            "groups_s": {g: mid(got["groups_s"][g] for got in runs)
+                         for g in runs[0]["groups_s"]},
+            "checks": runs[0]["checks"], "passed": runs[0]["passed"],
+            "report_sha256": runs[0]["report_sha256"]}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", default=[],
                         metavar="LABEL=PATH",
                         help="a source tree (its src/ directory) to time")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="runs per rung and source, alternating sources")
     parser.add_argument("--max-seconds", type=float, default=300.0)
     parser.add_argument("--out", default=None,
                         help="write the JSON result here as well as stdout")
@@ -227,19 +285,28 @@ def main(argv=None):
         sources.append((label, path))
     if not sources:
         parser.error("give at least one --src LABEL=PATH")
+    if args.runs < 1:
+        parser.error(f"--runs must be positive, got {args.runs}")
     rungs = []
     for n, (name, make) in enumerate(RUNGS):
         doc, x, k = make()
+        runs = {label: [] for label, _ in sources}
+        for r in range(args.runs):
+            order = sources if (n + r) % 2 == 0 else sources[::-1]
+            for label, path in order:
+                if all(isinstance(got, dict) and "error" not in got
+                       for got in runs[label]):
+                    got = run_rung(doc, path, args.max_seconds)
+                    runs[label].append(got)
+                    print(name, label, json.dumps(got), file=sys.stderr,
+                          flush=True)
         row = {"rung": name, "X": x, "K": k}
-        order = sources if n % 2 == 0 else sources[::-1]
-        for label, path in order:
-            row[label] = run_rung(doc, path, args.max_seconds)
-            print(name, label, json.dumps(row[label]), file=sys.stderr,
-                  flush=True)
+        row.update((label, summarize(runs[label])) for label, _ in sources)
         rungs.append(row)
     result = {
         "command": "verify over the rung's ring, one in-process run per "
-                   "rung and source",
+                   "child; medians over the runs of each rung and source",
+        "runs": args.runs,
         "sources": [label for label, _ in sources],
         "max_seconds": args.max_seconds,
         "host": {"python": platform.python_version(),

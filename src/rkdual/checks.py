@@ -291,8 +291,8 @@ def check_assembly(report: Report, target: str, data: KSpaceData):
             rest = all_simplices - star
             if not is_full(ks.K, star) or (rest and not is_full(ks.K, rest)):
                 return False, {"label": simplex_name(sigma)}
-            sub = dx.restrict(rest) if rest else None
-            quo = dx.restrict(star)
+            sub = dx.sub(rest) if rest else None
+            quo = dx.sub(star)
             if sub is not None:
                 if sub.total_rank() + quo.total_rank() != dx.total_rank():
                     return False, {"label": simplex_name(sigma)}

@@ -8,7 +8,9 @@ order).  Ranks, differentials, components and d∘d = 0 are the chain
 complex's; the subclasses add the labels and the support condition.  One
 label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
 some labels with the blocks between them, and :meth:`RKMap.inclusion` and
-:meth:`RKMap.projection` send each generator to itself.  The star dual, the
+:meth:`RKMap.projection` send each generator to itself.
+:meth:`RKMap.diagonal` is the direct sum of a map's one-label cuts, on its
+whole bases, so a label-wise certificate runs once on it.  The star dual, the
 evaluation isomorphism to the double dual, blocked Hom, and the geometric
 chain/cochain complexes of a K-space are all built here.
 
@@ -189,14 +191,6 @@ class RKComplex(ChainComplex):
                 for q, mat in self.diff.items() if picks[q - 1] and picks[q]}
         return RKComplex(self.ring, self.K, self.op, gens, diff)
 
-    def restrict(self, subset) -> "RKComplex":
-        """The cut to a full label subset, not validated again: fullness
-        makes the cut of a valid complex valid.  Raises unless it is full."""
-        subset = set(tuple(s) for s in subset)
-        if not is_full(self.K, subset):
-            raise InputError("label subset is not full")
-        return self.sub(subset)
-
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
         order = "op" if self.op else "std"
@@ -307,6 +301,28 @@ class RKMap(ChainMap):
             comps[q] = self.component(q + other.degree) * other.component(q)
         return RKMap(other.src, self.tgt, comps, degree=self.degree + other.degree)
 
+    def diagonal(self) -> ChainMap:
+        """The direct sum of all diagonal components, on the original bases:
+        the map and both sides keep only their entries between generators
+        of one label."""
+        if self.degree != 0:
+            raise ChainComplexError("diagonal components need degree 0")
+
+        def kept(mats, src, tgt, degree):
+            out = {}
+            for q, mat in mats.items():
+                cols = [g.label for g in src.gens[q]]
+                rows = [g.label for g in tgt.gens[q + degree]]
+                out[q] = Matrix._from_sums(mat.ring, mat.nrows, mat.ncols, {
+                    k: v for k, v in mat._data.items()
+                    if cols[k[1]] == rows[k[0]]})
+            return out
+        src, tgt = self.src, self.tgt
+        return ChainMap(
+            ChainComplex(src.ring, src.spaces, kept(src.diff, src, src, -1)),
+            ChainComplex(tgt.ring, tgt.spaces, kept(tgt.diff, tgt, tgt, -1)),
+            kept(self.comps, src, tgt, 0))
+
     def diagonal_component(self, sigma) -> ChainMap:
         """The chain map between the sigma-cuts of the two sides."""
         if self.degree != 0:
@@ -350,22 +366,32 @@ class ShortExactSequence:
                         raise ChainComplexError("sequence map is not label-diagonal")
         if not all(m.is_zero() for m in self.j.compose(self.i).comps.values()):
             raise ChainComplexError("j∘i != 0")
-        # per-label, per-degree exactness of the module sequences
-        ring = self.i.src.ring
-        labels = (self.i.src.labels() | self.i.tgt.labels()
-                  | self.j.tgt.labels())
-        for sigma in sorted(labels):
-            ip = self.i.diagonal_component(sigma)
-            jp = self.j.diagonal_component(sigma)
-            for q in set(ip.src.degrees()) | set(jp.src.degrees()) | set(jp.tgt.degrees()):
-                three = ChainComplex(
-                    ring,
-                    {2: ip.src.rank(q), 1: jp.src.rank(q), 0: jp.tgt.rank(q)},
-                    {2: ip.component(q), 1: jp.component(q)})
-                if not all(h.is_trivial() for h in homology(three).values()):
-                    raise ChainComplexError(
-                        f"not exact at label {simplex_name(sigma)}, degree {q}")
+        # the maps are label-diagonal, so the sequence at degree q is the
+        # direct sum of its one-label sequences: decide exactness on the
+        # whole, and look for the failing label only when it fails
+        i, j = self.i, self.j
+        if _inexact_degree(i, j) is None:
+            return self
+        for sigma in sorted(i.src.labels() | i.tgt.labels() | j.tgt.labels()):
+            q = _inexact_degree(i.diagonal_component(sigma),
+                                j.diagonal_component(sigma))
+            if q is not None:
+                raise ChainComplexError(
+                    f"not exact at label {simplex_name(sigma)}, degree {q}")
         return self
+
+
+def _inexact_degree(i, j):
+    """A degree where i.src -> j.src -> j.tgt, with j∘i = 0, is not exact,
+    or None."""
+    degrees = set(i.src.degrees()) | set(j.src.degrees()) | set(j.tgt.degrees())
+    for q in degrees:
+        three = ChainComplex(
+            i.src.ring, {2: i.src.rank(q), 1: j.src.rank(q), 0: j.tgt.rank(q)},
+            {2: i.component(q), 1: j.component(q)})
+        if not all(h.is_trivial() for h in homology(three).values()):
+            return q
+    return None
 
 
 def dual_star(C: RKComplex) -> RKComplex:
@@ -550,7 +576,7 @@ def check_lemma_clem(K: SimplicialComplex, S, ring) -> ClemReport:
     verdicts = {}
     ok = True
     for sigma in K.all_simplices():
-        sub = dstar.restrict(set(K.star(sigma)))
+        sub = dstar.sub(K.star(sigma))      # stars are full
         if sigma == S:          # one generator, in degree -dim S
             good = sub.total_rank() == sub.rank(1 - len(S)) == 1
             verdicts[sigma] = ("rank one at top degree", good)

@@ -1,16 +1,23 @@
 """Blocked tensor products, the duality functor, and the double-dual
 collapse, including the single-label case and the induction splitting."""
 
-from rkdual.linalg import Matrix, homology, smith_normal_form
-from rkdual.rings import Ring, ZZ
+import pytest
+
+from rkdual import capproduct, checks, duality
+from rkdual.checks import verify_kspace
+from rkdual.linalg import (ChainComplexError, Matrix, homology,
+                           is_cone_acyclic, mapping_cone, smith_normal_form)
+from rkdual.report import Report
+from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
                            delta_chain, delta_complexes, delta_star_k,
                            dual_generator, dual_star, dual_star_map, epsilon,
                            hom_rk, maximal_label_ses, simplex_generator,
                            tensor_generator)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
-                            tensor_r, verify_e_equivalence)
-from rkdual.simplicial import SimplicialComplex, control_map
+                            tensor_r, verify_diagonal_equivalence,
+                            verify_e_equivalence)
+from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
 GF2 = Ring.prime_field(2)
@@ -329,3 +336,88 @@ def test_betti_over_q_matches_z_for_all_built_complexes(corpus):
             for q in set(hz) | set(hq):
                 assert hz[q].betti == hq[q].betti, (name, key, q)
                 assert hq[q].torsion == ()
+
+
+def per_label_failures(f):
+    """The labels whose own diagonal component has a non-acyclic cone."""
+    K = f.src.K
+    return sorted(simplex_name(s) for s in K.all_simplices()
+                  if not is_cone_acyclic(f.diagonal_component(s)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
+                                                        ring):
+    # every map a verify certifies: the cone of the diagonal is the direct
+    # sum of the per-label cones, so its homology is theirs added up
+    certified = []
+    verify = duality.verify_diagonal_equivalence
+
+    def spy(f, name):
+        certified.append(f)
+        return verify(f, name)
+    for module in (duality, capproduct, checks):
+        monkeypatch.setattr(module, "verify_diagonal_equivalence", spy)
+    for name, ks in corpus.items():
+        report = Report("verify", str(ring))
+        verify_kspace(report, name, ks, ring)
+        assert report.checks and report.passed, name
+    assert len(certified) == 6 * len(corpus)
+    for f in certified:
+        whole = homology(mapping_cone(f.diagonal()))
+        parts = [homology(mapping_cone(f.diagonal_component(s)))
+                 for s in f.src.K.all_simplices()]
+        for q, h in whole.items():
+            assert h.betti == sum(p[q].betti for p in parts if q in p)
+        assert is_cone_acyclic(f.diagonal()) == (per_label_failures(f) == [])
+
+
+def test_a_diagonal_entry_scaled_by_two_fails_its_label_alone():
+    # x -> u at a, w at ab; the identity with the entry of w scaled by 2 is
+    # a chain map whose cone has homology Z/2 at ab alone
+    K = build("ab")
+    u, w, x = (Generator(s, ("simplex", (n,)))
+               for s, n in ((("a",), "u"), (("a", "b"), "w"), (("a",), "x")))
+    C = RKComplex(ZZ, K, False, {0: (u, w), 1: (x,)},
+                  {1: Matrix.from_rows(ZZ, [[1], [0]])})
+    f = RKMap(C, C, {0: Matrix.from_rows(ZZ, [[1, 0], [0, 2]]),
+                     1: Matrix.identity(ZZ, 1)})
+    cone = homology(mapping_cone(f.diagonal()))
+    assert [h.torsion for h in cone.values() if not h.is_trivial()] == [(2,)]
+    rep = verify_diagonal_equivalence(f, "scaled")
+    assert not rep.passed
+    assert rep.failures() == per_label_failures(f) == ["a.b"]
+
+
+def test_a_sequence_not_exact_at_one_label_names_it():
+    # 0 -> C' -> C -> C'' -> 0 in degree 1: exact at a, but at ab the image
+    # of C' is twice the kernel of C -> C''
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+
+    def cx(*gens):
+        return RKComplex(ZZ, K, False, {1: tuple(
+            Generator(s, ("simplex", (n,))) for s, n in gens)}, {})
+    sub, mid, quo = cx((ab, "u")), cx((a, "v"), (ab, "w")), cx((a, "z"))
+    ses = ShortExactSequence(
+        RKMap(sub, mid, {1: Matrix.from_rows(ZZ, [[0], [2]])}),
+        RKMap(mid, quo, {1: Matrix.from_rows(ZZ, [[1, 0]])}))
+    with pytest.raises(ChainComplexError,
+                       match=f"^not exact at label {simplex_name(ab)}, "
+                             f"degree 1$"):
+        ses.validate()
+
+
+def test_a_whole_equivalence_off_the_diagonal_fails_both_labels():
+    # 0 -> (u -> v), u at a and v at ab: the cone of the whole map is
+    # acyclic, but each label's cone keeps one generator and no differential
+    K = build("ab")
+    u = Generator(("a",), ("simplex", ("u",)))
+    v = Generator(("a", "b"), ("simplex", ("v",)))
+    D = RKComplex(ZZ, K, False, {1: (u,), 0: (v,)},
+                  {1: Matrix.from_rows(ZZ, [[1]])})
+    f = RKMap(RKComplex(ZZ, K, False, {}, {}), D, {})
+    assert is_cone_acyclic(f)
+    rep = verify_diagonal_equivalence(f, "off-diagonal")
+    assert not rep.passed
+    assert rep.failures() == per_label_failures(f) == ["a", "a.b"]

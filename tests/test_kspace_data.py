@@ -224,21 +224,60 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
             validations.append((cls, tuple(stack)))
             return validate(self)
         monkeypatch.setattr(cls, "validate", spied)
-    monkeypatch.setattr(rkcore.RKComplex, "restrict",
-                        within(rkcore.RKComplex.restrict, "restrict"))
-    rebind(monkeypatch, linalg.is_cone_acyclic,
-           within(linalg.is_cone_acyclic, "cone"))
+    monkeypatch.setattr(rkcore.RKComplex, "sub",
+                        within(rkcore.RKComplex.sub, "cut"))
+    # the acyclicity test of a cone, whole or per label
+    rebind(monkeypatch, linalg.is_acyclic, within(linalg.is_acyclic, "cone"))
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
         recorded(cls)
     verified("id-torus-7")
-    assert entered == {"restrict", "cone"}
+    assert entered == {"cut", "cone"}
     # a full cut of a valid complex is valid; the d∘d check of a cone is
     # the chain-map check of its map, and it still runs
-    assert not [v for v in validations if "restrict" in v[1]]
+    assert not [v for v in validations if "cut" in v[1]]
     assert not [v for v in validations if "cone" in v[1]
                 and v[0] in (linalg.ChainMap, rkcore.RKMap)]
     assert [v for v in validations if v == (linalg.ChainComplex, ("cone",))]
+
+
+def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
+    running, cones, per_label, full = [], [], [], []
+    guard = checks._guard
+
+    def named(report, name, target, fn):
+        running.append(name)
+        try:
+            return guard(report, name, target, fn)
+        finally:
+            running.pop()
+
+    def by_check(fn, calls):
+        def recorded(*args, **kwargs):
+            calls.append(running[-1] if running else None)
+            return fn(*args, **kwargs)
+        return recorded
+    monkeypatch.setattr(checks, "_guard", named)
+    rebind(monkeypatch, linalg.mapping_cone,
+           by_check(linalg.mapping_cone, cones))
+    rebind(monkeypatch, linalg.is_cone_acyclic,
+           by_check(linalg.is_cone_acyclic, per_label))
+    rebind(monkeypatch, rkcore.is_full, by_check(rkcore.is_full, full))
+    components = []
+    monkeypatch.setattr(rkcore.RKMap, "diagonal_component",
+                        counting(rkcore.RKMap.diagonal_component, components))
+    data = verified("id-torus-7")
+    # the cone of the direct sum of the diagonal components, once per
+    # certificate; a per-label cone is built only to name a failure
+    assert per_label == components == []
+    assert sorted(cones) == sorted(
+        [f"double-dual/equivalence/{key}"
+         for key in ("cochains", "subdivision-chains", "cell-chains")]
+        + [f"equivalences/{name.replace(' ', '-')}"
+           for name in capproduct.EQUIVALENCES])
+    # a star and its complement, once per label, by star-splitting alone
+    labels = sum(1 for _ in data.ks.K.all_simplices())
+    assert full == ["assembly/star-splitting"] * (2 * labels)
 
 
 def test_verify_of_the_torus_makes_at_most_600_matrix_products(monkeypatch):

@@ -37,5 +37,24 @@ def test_child_run_and_skip():
     got = ladder.run_rung(doc, SRC, 60)
     assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
     assert 0 <= got["tensor_s"] <= got["wall_s"]
+    # every group of a full verify runs checks, inside the wall time (each
+    # figure is rounded to the millisecond)
+    assert list(got["groups_s"]) == [
+        "soundness", "assembly", "tensor", "duality", "cells", "cap",
+        "equivalences", "naturality"]
+    assert 0 < sum(got["groups_s"].values()) <= got["wall_s"] + 0.005
     assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
     assert ladder.run_rung(doc, SRC, 0.001) == "skipped"
+
+
+def test_runs_are_summarized_by_their_median_and_spread():
+    def run(wall, digest="d", groups=0.1):
+        return {"wall_s": wall, "tensor_s": wall / 2,
+                "groups_s": {"soundness": groups}, "checks": 3,
+                "passed": True, "report_sha256": digest}
+    got = ladder.summarize([run(0.3), run(0.1, groups=0.3), run(0.2)])
+    assert got == {"wall_s": 0.2, "wall_min_s": 0.1, "wall_max_s": 0.3,
+                   "tensor_s": 0.1, "groups_s": {"soundness": 0.1},
+                   "checks": 3, "passed": True, "report_sha256": "d"}
+    assert ladder.summarize([run(0.1), "skipped"]) == "skipped"
+    assert "error" in ladder.summarize([run(0.1), run(0.1, "e")])

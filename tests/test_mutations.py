@@ -13,7 +13,7 @@ from functools import cached_property
 
 import pytest
 
-from rkdual import capproduct
+from rkdual import capproduct, checks, rkcore
 from rkdual.ballcomplex import DualCell
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
@@ -312,3 +312,38 @@ def test_a_raising_square_of_the_cochains_fails_only_its_readers(
         raise KeyError("missing generator")
     monkeypatch.setattr(KSpaceData, "t2", property(raises))
     assert failing_checks(doc, tmp_path) == (1, T2_READERS)
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_an_entry_of_the_cochains_of_a_closed_simplex_doubled(
+        monkeypatch, tmp_path, doc, seed):
+    # the cochains of each closed maximal simplex are built inside the
+    # contractible-star lemma and read by nothing else; the lemma cuts them
+    # to every star with no fullness guard, so it must fail on its own
+    inside = []
+    lemma, dual = rkcore.check_lemma_clem, rkcore.dual_star
+
+    def in_lemma(*args):
+        inside.append(True)
+        try:
+            return lemma(*args)
+        finally:
+            inside.pop()
+
+    def corrupt(C):
+        cochains = dual(C)
+        if inside:
+            rng = random.Random(seed)
+            q = rng.choice(sorted(cochains.diff))
+            mat = cochains.diff[q]
+            entries = dict(mat.entries())
+            key = rng.choice(sorted(entries))
+            entries[key] *= 2
+            cochains.diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return cochains
+    monkeypatch.setattr(checks, "check_lemma_clem", in_lemma)
+    monkeypatch.setattr(rkcore, "dual_star", corrupt)
+    code, failing = failing_checks(doc, tmp_path)
+    assert code == 1 and failing
+    assert {name.rsplit("/", 1)[0] for name in failing} == {
+        "assembly/contractible-star"}

@@ -82,24 +82,18 @@ def test_is_full_rejects_a_non_simplex():
 
 def test_assemble_whole_complex_and_star(edge_ks):
     dx = delta_chain(edge_ks, ZZ)
-    whole = dx.restrict(set(edge_ks.K.all_simplices()))
+    whole = dx.sub(set(edge_ks.K.all_simplices()))
     assert whole.total_rank() == dx.total_rank()
-    star = dx.restrict(set(edge_ks.K.star(("a",))))
+    star = dx.sub(set(edge_ks.K.star(("a",))))
     assert star.total_rank() == 2          # the vertex a and the edge
     star.validate()
 
 
 def test_assemble_incomparable_vertices_has_zero_cross_terms(edge_ks):
     dx = delta_chain(edge_ks, ZZ)
-    sub = dx.restrict({("a",), ("b",)})
+    sub = dx.sub({("a",), ("b",)})
     assert sub.total_rank() == 2
     assert all(sub.d(q).is_zero() for q in sub.degrees())
-
-
-def test_assemble_rejects_non_full_subsets(id2_ks):
-    dx = delta_chain(id2_ks, ZZ)
-    with pytest.raises(InputError):
-        dx.restrict({("a",), ("a", "b", "c")})
 
 
 # ---------------------------------------------------------------- dual star
@@ -285,8 +279,8 @@ def test_star_splitting_is_exact(hex_ks):
         star = set(K.star(sigma))
         rest = everything - star
         assert is_full(K, star) and is_full(K, rest)
-        sub = dx.restrict(rest)
-        quo = dx.restrict(star)
+        sub = dx.sub(rest)
+        quo = dx.sub(star)
         assert sub.total_rank() + quo.total_rank() == dx.total_rank()
 
 
