@@ -1,7 +1,7 @@
 """The verify ladder: fixed K-spaces, generated here, timed end to end.
 
     python3 bench/ladder.py --src before=PATH --src after=src \\
-        [--runs 3] [--max-seconds 300] [--out BENCH.json]
+        [--max-seconds 300] [--out BENCH.json]
 
 Each rung is an rkdual JSON document built in this file: the identity on
 Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
@@ -9,7 +9,7 @@ Each rung is an rkdual JSON document built in this file: the identity on
 12×12 periodic grid tori mapped onto the 8- and 12-cycle by column, and
 the identity on Δ⁵, all over Z; and the torus identity and the 8×8 grid
 again over Q (the rungs named ``-q``).  For every rung, each
-``--src LABEL=PATH`` source tree is run ``--runs`` times, each time in a
+``--src LABEL=PATH`` source tree is run ``RUNS`` (3) times, each time in a
 fresh child process that imports rkdual from PATH, times one in-process
 ``verify`` over the rung's ring and records the sha256 of its JSON report,
 so equal digests across sources mean byte-identical reports.  The child
@@ -153,6 +153,9 @@ RUNGS = (
     ("id-simplex-5", lambda: identity_rung(simplex(5))),
 )
 
+# runs per rung and source: one run cannot tell a change from host drift
+RUNS = 3
+
 
 def _timed(fn, spent, key):
     """``fn``, adding the seconds of each call to ``spent[key[0]]``; ``key``
@@ -267,8 +270,6 @@ def main(argv=None):
     parser.add_argument("--src", action="append", default=[],
                         metavar="LABEL=PATH",
                         help="a source tree (its src/ directory) to time")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="runs per rung and source, alternating sources")
     parser.add_argument("--max-seconds", type=float, default=300.0)
     parser.add_argument("--out", default=None,
                         help="write the JSON result here as well as stdout")
@@ -285,13 +286,11 @@ def main(argv=None):
         sources.append((label, path))
     if not sources:
         parser.error("give at least one --src LABEL=PATH")
-    if args.runs < 1:
-        parser.error(f"--runs must be positive, got {args.runs}")
     rungs = []
     for n, (name, make) in enumerate(RUNGS):
         doc, x, k = make()
         runs = {label: [] for label, _ in sources}
-        for r in range(args.runs):
+        for r in range(RUNS):
             order = sources if (n + r) % 2 == 0 else sources[::-1]
             for label, path in order:
                 if all(isinstance(got, dict) and "error" not in got
@@ -306,7 +305,7 @@ def main(argv=None):
     result = {
         "command": "verify over the rung's ring, one in-process run per "
                    "child; medians over the runs of each rung and source",
-        "runs": args.runs,
+        "runs": RUNS,
         "sources": [label for label, _ in sources],
         "max_seconds": args.max_seconds,
         "host": {"python": platform.python_version(),

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (ChainComplexError, Matrix, is_acyclic, is_cone_acyclic,
-                     mapping_cone)
+from .linalg import ChainComplexError, Matrix, is_cone_acyclic
 from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
                      dual_star_map, epsilon, hom_rk, hom_post_map,
                      delta_star_k, tensor_generator)
@@ -223,8 +222,8 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     """
     f.validate()
     labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    try:        # cone and test apart: the diagonal copies die with the call
-        whole = is_acyclic(mapping_cone(f.diagonal()))
+    try:
+        whole = is_cone_acyclic(f.diagonal())
     except ChainComplexError:
         whole = False
     verdicts = (dict.fromkeys(labels, True) if whole else

@@ -539,5 +539,8 @@ def is_cone_acyclic(f: ChainMap) -> bool:
     Z/p this is equivalent to f being a chain equivalence.  A non-chain map
     fails the d∘d check of :func:`homology` on the cone, the chain-map check:
     d∘d = 0 on the cone iff it holds on both sides and d f = f d.
+    A map passed in as a temporary is freed before the elimination runs.
     """
-    return is_acyclic(mapping_cone(f))
+    cone = mapping_cone(f)
+    del f
+    return is_acyclic(cone)

@@ -226,8 +226,9 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
         monkeypatch.setattr(cls, "validate", spied)
     monkeypatch.setattr(rkcore.RKComplex, "sub",
                         within(rkcore.RKComplex.sub, "cut"))
-    # the acyclicity test of a cone, whole or per label
-    rebind(monkeypatch, linalg.is_acyclic, within(linalg.is_acyclic, "cone"))
+    # a cone's construction and its acyclicity test, whole or per label
+    for fn in (linalg.is_cone_acyclic, linalg.mapping_cone):
+        rebind(monkeypatch, fn, within(fn, "cone"))
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
         recorded(cls)
@@ -242,7 +243,7 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
 
 
 def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
-    running, cones, per_label, full = [], [], [], []
+    running, cones, certified, full = [], [], [], []
     guard = checks._guard
 
     def named(report, name, target, fn):
@@ -261,7 +262,7 @@ def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
     rebind(monkeypatch, linalg.mapping_cone,
            by_check(linalg.mapping_cone, cones))
     rebind(monkeypatch, linalg.is_cone_acyclic,
-           by_check(linalg.is_cone_acyclic, per_label))
+           by_check(linalg.is_cone_acyclic, certified))
     rebind(monkeypatch, rkcore.is_full, by_check(rkcore.is_full, full))
     components = []
     monkeypatch.setattr(rkcore.RKMap, "diagonal_component",
@@ -269,8 +270,8 @@ def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
     data = verified("id-torus-7")
     # the cone of the direct sum of the diagonal components, once per
     # certificate; a per-label cone is built only to name a failure
-    assert per_label == components == []
-    assert sorted(cones) == sorted(
+    assert components == []
+    assert sorted(certified) == sorted(cones) == sorted(
         [f"double-dual/equivalence/{key}"
          for key in ("cochains", "subdivision-chains", "cell-chains")]
         + [f"equivalences/{name.replace(' ', '-')}"
