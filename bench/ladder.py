@@ -7,8 +7,9 @@ Each rung is an rkdual JSON document built in this file: the identity on
 Δ³, Δ⁴, ∂Δ³, ∂Δ⁴ and ∂Δ⁵, the identity on the 7-vertex torus, the 4×4,
 6×6 and 8×8 diagonal-split grids collapsed onto an edge, the 8×8 and
 12×12 periodic grid tori mapped onto the 8- and 12-cycle by column, and
-the identity on Δ⁵, all over Z; and the torus identity and the 8×8 grid
-again over Q (the rungs named ``-q``).  For every rung, each
+the identity on the 6-vertex RP² (the one rung with torsion) and on Δ⁵,
+all over Z; and the torus identity and the 8×8 grid again over Q (the
+rungs named ``-q``).  For every rung, each
 ``--src LABEL=PATH`` source tree is run ``RUNS`` (3) times, each time in a
 fresh child process that imports rkdual from PATH, times one in-process
 ``verify`` over the rung's ring and records the sha256 of its JSON report,
@@ -63,6 +64,12 @@ def torus():
     """The 7-vertex (Möbius) torus."""
     return [sorted([i, (i + 1) % 7, (i + 3) % 7]) for i in range(7)] + \
         [sorted([i, (i + 2) % 7, (i + 3) % 7]) for i in range(7)]
+
+
+def rp2():
+    """The 6-vertex real projective plane: H_1 = Z/2 over Z."""
+    return [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+            [1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]]
 
 
 def _complex(facets, name):
@@ -150,6 +157,7 @@ RUNGS = (
     ("torus-12-circle", lambda: torus_circle_rung(12)),
     ("id-torus-7-q", lambda: over_q(identity_rung(torus()))),
     ("grid-8-edge-q", lambda: over_q(grid_rung(8))),
+    ("id-rp2", lambda: identity_rung(rp2())),
     ("id-simplex-5", lambda: identity_rung(simplex(5))),
 )
 

@@ -43,10 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> dict:
-    if not os.path.exists(path):
-        raise InputError(f"input file not found: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path}: "
+                         f"{exc.strerror or exc}") from None
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -8,8 +8,9 @@ sums formed with native ``+``, ``-`` and ``*``; they go through one
 unchecked constructor, which reduces each entry mod p once over Z/p,
 stores an integral rational as an ``int`` over Q, and drops zeros; so over
 Q a matrix of integers is multiplied and eliminated in ``int`` arithmetic.
-The Smith normal form eliminates unit pivots sparsely, then runs the dense
-pivot/clear/divide loop on the residual, if any is left.
+The Smith normal form is the package's one elimination: it eliminates
+unit pivots on sparse rows, then, over Z, reduces what is left on the same
+rows with the least entry as pivot.
 Chain complexes are graded families of free modules with explicit
 differentials; homology, mapping cones and cone-acyclicity (the certificate
 used for "chain equivalence" of bounded free complexes over Z, Q and Z/p)
@@ -182,11 +183,15 @@ def smith_normal_form(mat: Matrix):
 
     Returns ``(factors, rank)`` with each factor dividing the next and
     normalized to its canonical associate (positive over Z, 1 over a field).
-    Unit pivots (±1 over Z, any nonzero over a field) are eliminated first on
-    sparse row copies: one pass over the columns by initial count, each
-    taking the shortest row with a unit there.  Each is a factor 1; clearing
-    its column leaves the unit plus the rest, and only that residual, if any
-    is left, goes to the dense loop.
+    It works on sparse row copies.  Unit pivots (±1 over Z, any nonzero over
+    a field) go first: one pass over the columns by initial count, each
+    taking the shortest row with a unit there, each a factor 1.  Over Z the
+    rest takes as pivot the entry of least absolute value (ties by row,
+    then column), clears its column by floor-quotient row operations and
+    reduces its row mod the pivot; a nonzero remainder is a smaller pivot.
+    A pivot alone in its row and column that divides every entry left is
+    recorded as its absolute value and its row dropped; otherwise the row
+    of an entry it does not divide is added to its row.
     """
     ring = mat.ring
     mod = ring.p
@@ -221,107 +226,43 @@ def smith_normal_form(mat: Matrix):
                     del row[k]
                     cols[k].discard(i)
         units += 1
-    rest = sorted(i for i, row in rows.items() if row)
-    if not rest:
-        return (ring.one,) * units, units
-    cpos = {k: b for b, k in
-            enumerate(sorted({k for i in rest for k in rows[i]}))}
-    residual = Matrix._from_sums(ring, len(rest), len(cpos),
-                                 {(a, cpos[k]): v for a, i in enumerate(rest)
-                                  for k, v in rows[i].items()})
-    factors, r = _dense_snf(residual)
-    return (ring.one,) * units + factors, units + r
-
-
-def _dense_snf(mat: Matrix):
-    """The classical pivot/clear/divide Smith normal form on dense rows."""
-    ring = mat.ring
-    mod = ring.p
-    m, n = mat.nrows, mat.ncols
-    A = mat.to_rows()
-    factors = []
-    t = 0
-
-    def swap_rows(a, b):
-        A[a], A[b] = A[b], A[a]
-
-    def swap_cols(a, b):
-        for row in A:
-            row[a], row[b] = row[b], row[a]
-
-    while t < m and t < n:
-        # deterministic pivot: smallest |value| over Z, first nonzero over a field
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if not v:
-                    continue
-                if ring.is_field:
-                    pivot = (i, j)
-                    break
-                if pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]]):
-                    pivot = (i, j)
-            if pivot is not None and ring.is_field:
-                break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            if ring.kind == "Z" and A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            progress = False
-            for i in range(t + 1, m):
-                if not A[i][t]:
-                    continue
-                q, _ = ring.divmod(A[i][t], A[t][t])
-                if q:
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if mod:
-                        A[i] = [x % mod for x in A[i]]
-                if A[i][t]:
-                    swap_rows(t, i)      # strictly smaller pivot
-                    progress = True
-                    break
-            if progress:
+    # Over a field every nonzero entry is a unit, so nothing is left here;
+    # over Z the rest is reduced with the least entry as pivot.
+    rows = {i: row for i, row in rows.items() if row}
+    factors = [ring.one] * units
+    while rows:
+        _, p, j = min((abs(v), i, k) for i, row in rows.items()
+                      for k, v in row.items())
+        prow = rows[p]
+        a = prow[j]
+        for i in [i for i, row in rows.items() if i != p and j in row]:
+            row = rows[i]
+            q = row[j] // a
+            for k, v in prow.items():
+                x = row.get(k, 0) - q * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if not row:
+                del rows[i]
+        if any(j in row for i, row in rows.items() if i != p):
+            continue        # a nonzero remainder is a smaller pivot
+        if len(prow) == 1:
+            bad = next((row for row in rows.values()
+                        if any(v % a for v in row.values())), None)
+            if bad is None:
+                factors.append(abs(a))
+                del rows[p]
                 continue
-            for j in range(t + 1, n):
-                if not A[t][j]:
-                    continue
-                q, _ = ring.divmod(A[t][j], A[t][t])
-                if q:
-                    for row in A:
-                        row[j] = row[j] - q * row[t]
-                        if mod:
-                            row[j] %= mod
-                if A[t][j]:
-                    swap_cols(t, j)
-                    progress = True
-                    break
-            if progress:
-                continue
-            # pivot row and column are clear; enforce divisibility over Z
-            if ring.kind == "Z":
-                p = A[t][t]
-                bad = None
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if A[i][j] % p != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is not None:
-                    A[t] = [x + y for x, y in zip(A[t], A[bad])]
-                    continue
-            break
-        factors.append(ring.normalize_factor(A[t][t]))
-        t += 1
-    return tuple(factors), t
+            prow.update(bad)    # column j is clear, so this adds bad's row
+        for k in [k for k in prow if k != j]:
+            x = prow[k] % a     # a column operation: only row p meets column j
+            if x:
+                prow[k] = x
+            else:
+                del prow[k]
+    return tuple(factors), len(factors)
 
 
 class ChainComplexError(ValueError):
@@ -386,14 +327,9 @@ class HomologyGroup:
         return self.betti == 0 and not self.torsion
 
     def describe(self, ring: Ring) -> str:
-        if self.betti == 0 and not self.torsion:
+        if self.is_trivial():
             return "0"
-        if ring.kind == "Z":
-            free = "Z"
-        elif ring.kind == "Q":
-            free = "Q"
-        else:
-            free = f"Z/{ring.p}"
+        free = str(ring)
         parts = []
         if self.betti == 1:
             parts.append(free)

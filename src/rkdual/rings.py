@@ -4,13 +4,12 @@ Elements are plain Python values: ``int`` for Z and Z/p; over Q an ``int``
 when integral and a ``Fraction`` otherwise, so integral rationals never pay
 for ``Fraction`` arithmetic.  Matrix code adds and multiplies them with
 native ``+``, ``-`` and ``*``; a :class:`Ring` instance coerces values into
-the ring and supplies what native arithmetic does not: units, inverses,
-division with remainder and canonical invariant factors.  Over Q,
-:meth:`Ring.invert` and :meth:`Ring.divmod` are the package's only
-divisions; each divides through ``Fraction`` and narrows an integral
-quotient to ``int``.  Reducing sums mod p and narrowing integral sums over
-Q are left to the matrix layer.  There is no floating point anywhere in
-this package.
+the ring and supplies what native arithmetic does not: units and their
+inverses.  Over Q, :meth:`Ring.invert` is the package's only division; it
+divides through ``Fraction`` and narrows an integral quotient to ``int``.
+Reducing sums mod p, narrowing integral sums over Q and the floor
+divisions of the Smith normal form over Z are left to the matrix layer.
+There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -82,10 +81,6 @@ class Ring:
             return cls.prime_field(p)
         raise ValueError(f"unknown ring {text!r}; expected Z, Q or Z/p")
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "Z"
-
     zero = 0
     one = 1
 
@@ -116,20 +111,6 @@ class Ring:
         if self.kind == "Q":
             return _narrow(Fraction(1) / a)
         raise ValueError(f"{a} is not a unit in Z")
-
-    def divmod(self, a, b):
-        """Quotient and remainder; over a field the remainder is zero."""
-        if self.kind == "Zp":
-            return a * self.invert(b) % self.p, 0
-        if self.kind == "Q":
-            return _narrow(Fraction(a) / b), 0
-        return divmod(a, b)
-
-    def normalize_factor(self, a):
-        """Canonical associate of a nonzero element: |a| over Z, 1 over a field."""
-        if self.kind == "Z":
-            return abs(a)
-        return self.one
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.kind == other.kind and self.p == other.p

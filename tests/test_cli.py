@@ -73,6 +73,13 @@ def test_missing_file_is_an_input_error(capsys):
     assert main(["verify", "no-such-file.json"]) == 2
 
 
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rkdual: error: cannot read input file")
+    assert "Traceback" not in err
+
+
 def test_check_failures_exit_one(monkeypatch, tmp_path, capsys):
     failing = Report("verify", "Z", "doc")
     failing.add("synthetic", "t", False)

@@ -4,9 +4,13 @@ import os
 import re
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
+from rkdual import linalg  # noqa: E402
+from rkdual.checks import run_command  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -20,7 +24,8 @@ def test_rung_sizes():
         "grid-4-edge": (113, 3), "grid-6-edge": (241, 3),
         "grid-8-edge": (417, 3), "torus-8-circle": (384, 16),
         "torus-12-circle": (864, 24), "id-torus-7-q": (42, 42),
-        "grid-8-edge-q": (417, 3), "id-simplex-5": (63, 63),
+        "grid-8-edge-q": (417, 3), "id-rp2": (31, 31),
+        "id-simplex-5": (63, 63),
     }
 
 
@@ -58,3 +63,30 @@ def test_runs_are_summarized_by_their_median_and_spread():
                    "checks": 3, "passed": True, "report_sha256": "d"}
     assert ladder.summarize([run(0.1), "skipped"]) == "skipped"
     assert "error" in ladder.summarize([run(0.1), run(0.1, "e")])
+
+
+@pytest.mark.parametrize("ring, homology", [
+    ("Z", {"0": "Z", "1": "Z/2"}),
+    ("Q", {"0": "Q"}),
+    ("Z/2", {"0": "Z/2", "1": "Z/2", "2": "Z/2"}),
+])
+def test_rp2_rung_verifies_with_its_torsion(monkeypatch, ring, homology):
+    """The one rung with torsion: over Z its verify reaches the steps of
+    the Smith normal form after the unit pivots."""
+    doc = dict(ladder.RUNGS)["id-rp2"]()[0]
+    torsion = []
+    snf = linalg.smith_normal_form
+
+    def spy(mat):
+        factors, rank = snf(mat)
+        if any(not mat.ring.is_unit(f) for f in factors):
+            torsion.append(factors)
+        return factors, rank
+    monkeypatch.setattr(linalg, "smith_normal_form", spy)
+    report = run_command("verify", doc, ring_override=ring)
+    assert report.passed
+    (cells,) = [c for c in report.checks if c.name == "cells/homology"]
+    assert cells.details["homology"] == homology
+    assert run_command("homology", doc, ring_override=ring).tables == \
+        {"homology/X": homology}
+    assert len(torsion) == (4 if ring == "Z" else 0)

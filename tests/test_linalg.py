@@ -73,10 +73,6 @@ def test_rational_division_narrows_integral_quotients():
     assert type(QQ.invert(-1)) is int and QQ.invert(-1) == -1
     assert type(QQ.invert(Fraction(-1, 3))) is int
     assert QQ.invert(Fraction(-1, 3)) == -3
-    q, r = QQ.divmod(1, 2)
-    assert (q, r) == (Fraction(1, 2), 0) and type(q) is Fraction
-    q, r = QQ.divmod(Fraction(3, 2), Fraction(1, 2))
-    assert (q, r) == (3, 0) and type(q) is int
     assert type(QQ.coerce(Fraction(4, 2))) is int
     assert QQ.coerce(Fraction(4, 2)) == 2
     assert type(QQ.coerce(7)) is int

@@ -1,11 +1,13 @@
-"""The Smith normal form kernel: sparse unit-pivot stage plus dense residual.
+"""The Smith normal form kernel: sparse unit pivots, then, over Z, least-entry
+reduction on the same rows.
 
-Verify runs on the corpus eliminate every pivot sparsely, so the dense
-residual path is covered here by matrices with few or no unit entries.  The
-reference for the whole kernel is the dense loop applied to the whole
-matrix (``linalg._dense_snf``), the independent minor and row-reduction
-oracles of ``oracles.py``, and sympy's integer Smith normal form and ranks
-over Q and GF(p) where sympy is installed.
+Verify runs on the corpus documents eliminate every pivot in the unit pass,
+so the steps after it (least pivot, remainders, divisibility) are covered
+here by matrices with few or no unit entries, by RP², whose d₂ has 2-torsion,
+and by torsion-heavy matrices.  The references share no code with the
+kernel: the minor and row-reduction oracles of ``oracles.py``, sympy's
+integer invariant factors and ranks over Q and GF(p), and, for the
+torsion-heavy matrices, the diagonal they are built from.
 """
 
 import glob
@@ -75,23 +77,56 @@ def captured():
     return list(seen.values())
 
 
+def _sympy_snf(ring, rows, ncols):
+    """The expected ``(factors, rank)`` from sympy: the nonzero invariant
+    factors over Z, the rank with unit factors over Q and GF(p)."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF, QQ as SQQ, ZZ as SZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+    if not rows or not ncols:
+        return (), 0
+    dm = DomainMatrix.from_list(rows, SZZ)
+    if ring == ZZ:
+        factors = tuple(int(f) for f in invariant_factors(dm) if f)
+        return factors, len(factors)
+    rank = dm.convert_to(SQQ if ring == QQ else GF(ring.p)).rank()
+    return (ring.one,) * rank, rank
+
+
+def _oracles_snf(ring, rows):
+    """The expected ``(factors, rank)`` from the minor and row-reduction
+    oracles, for a small matrix given as integer rows."""
+    if ring == ZZ:
+        return invariant_factors_minors(rows)
+    rank = row_reduce_rank(rows)
+    return (ring.one,) * rank, rank
+
+
 @pytest.mark.parametrize("ring", ["Z", "Q", "Z/2"])
-def test_kernel_matches_dense_loop_on_captured_matrices(captured, ring):
+def test_kernel_matches_sympy_on_captured_matrices(captured, ring):
     mats = [m for m in captured if str(m.ring) == ring]
     assert len(DOCUMENTS) == 6
     assert sum(1 for m in mats if m.nrows and m.ncols) > 50
     for mat in mats:
-        assert smith_normal_form(mat) == linalg._dense_snf(mat), mat
+        rows = mat.to_rows()
+        assert all(type(v) is int for row in rows for v in row)
+        got = smith_normal_form(mat)
+        assert got == _sympy_snf(mat.ring, rows, mat.ncols), mat
+        if 0 < mat.nrows <= 4 and 0 < mat.ncols <= 4 and ring != "Z/2":
+            assert got == _oracles_snf(mat.ring, rows), mat
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2, GF3], ids=str)
-def test_kernel_matches_dense_loop_on_random_matrices(ring):
+def test_kernel_matches_sympy_on_random_matrices(ring):
     rng = random.Random(6)
     for _ in range(300):
         m, n = rng.randint(0, 7), rng.randint(0, 7)
         rows = _random_rows(rng, m, n, [0, 0, 0, 1, -1, 2, -2, 3, 4, -6])
-        mat = _matrix(ring, rows, n)
-        assert smith_normal_form(mat) == linalg._dense_snf(mat), rows
+        got = smith_normal_form(_matrix(ring, rows, n))
+        assert got == _sympy_snf(ring, rows, n), rows
+        if 0 < m <= 4 and 0 < n <= 4 and ring in (ZZ, QQ):
+            assert got == _oracles_snf(ring, rows), rows
 
 
 def test_kernel_matches_minor_and_row_reduction_oracles():
@@ -107,63 +142,69 @@ def test_kernel_matches_minor_and_row_reduction_oracles():
 
 
 def test_kernel_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-    from sympy.polys.domains import GF, QQ as SQQ, ZZ as SZZ
-    from sympy.polys.matrices import DomainMatrix
     rng = random.Random(8)
     for _ in range(200):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = _random_rows(rng, m, n, [0, 0, 0, 1, -1, 2, -2, 3, 6])
-        want = tuple(int(f) for f in invariant_factors(sympy.Matrix(rows),
-                                                       domain=SZZ) if f != 0)
-        assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
-            (want, len(want)), rows
-        dm = DomainMatrix.from_list(rows, SZZ)
-        for ring, domain in ((QQ, SQQ), (GF2, GF(2)), (GF3, GF(3))):
-            assert smith_normal_form(Matrix.from_rows(ring, rows))[1] == \
-                dm.convert_to(domain).rank(), (ring, rows)
+        for ring in (ZZ, QQ, GF2, GF3):
+            assert smith_normal_form(Matrix.from_rows(ring, rows)) == \
+                _sympy_snf(ring, rows, n), (ring, rows)
 
 
 @pytest.mark.parametrize("rows, factors", [
     ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], (2, 2, 2)),
     ([[2, 4], [6, 8]], (2, 4)),
+    ([[2, 0], [0, 3]], (1, 6)),             # the divisibility step
+    ([[-3, 6], [9, 12]], (3, 30)),          # a negative least entry
+    ([[4, -2, 6], [6, 10, -4]], (2, 26)),   # negative, off the diagonal
 ])
-def test_matrices_without_unit_entries_go_to_the_dense_loop(
-        monkeypatch, rows, factors):
-    residuals = []
-    dense = linalg._dense_snf
-
-    def spy(mat):
-        residuals.append((mat.nrows, mat.ncols))
-        return dense(mat)
-
-    monkeypatch.setattr(linalg, "_dense_snf", spy)
+def test_matrices_without_unit_entries(rows, factors):
     assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
         (factors, len(factors))
-    assert residuals == [(len(rows), len(rows[0]))]
     assert invariant_factors_minors(rows) == (factors, len(factors))
     assert smith_normal_form(Matrix.from_rows(QQ, rows))[1] == len(factors)
 
 
-def test_unit_pivots_run_first_and_leave_the_torsion_residual(monkeypatch):
+def test_rp2_boundary_has_one_factor_two():
     rows = _rp2_d2()
-    residuals = []
-    dense = linalg._dense_snf
-
-    def spy(mat):
-        residuals.append(mat)
-        return dense(mat)
-
-    monkeypatch.setattr(linalg, "_dense_snf", spy)
     assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
         ((1,) * 9 + (2,), 10)
-    (residual,) = residuals
-    assert 0 < residual.nrows < len(rows) and 0 < residual.ncols < len(rows[0])
-    assert dense(residual)[0][-1] == 2
     assert smith_normal_form(Matrix.from_rows(GF2, rows))[1] == 9
     assert smith_normal_form(Matrix.from_rows(QQ, rows))[1] == 10
     assert row_reduce_rank(rows) == 10
+
+
+def _torsion_rows(rng, m, n, diagonal, steps):
+    """An m×n matrix with the given invariant factors: the diagonal matrix
+    of ``diagonal``, then ``steps`` seeded unimodular row and column
+    operations (adding ±1 or 2 times one row or column to another)."""
+    rows = [[0] * n for _ in range(m)]
+    for t, f in enumerate(diagonal):
+        rows[t][t] = f
+    for _ in range(steps):
+        c = rng.choice([1, -1, 2])
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(m), 2)
+            rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        else:
+            a, b = rng.sample(range(n), 2)
+            for row in rows:
+                row[a] += c * row[b]
+    return rows
+
+
+@pytest.mark.parametrize("m, n, steps", [(40, 35, 100), (60, 60, 150)])
+def test_kernel_matches_sympy_on_torsion_heavy_matrices(m, n, steps):
+    rng = random.Random(m * n)
+    k = min(m, n) - 5
+    diagonal = (1,) * (k // 4) + (2,) * (k // 4) + (4,) * (k // 4)
+    diagonal += (12,) * (k - len(diagonal))
+    rows = _torsion_rows(rng, m, n, diagonal, steps)
+    got = smith_normal_form(Matrix.from_rows(ZZ, rows))
+    assert got == (diagonal, k)
+    assert got == _sympy_snf(ZZ, rows, n)
+    assert smith_normal_form(Matrix.from_rows(GF2, rows))[1] == k // 4
+    assert smith_normal_form(Matrix.from_rows(GF3, rows))[1] == 3 * (k // 4)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2, GF3], ids=str)
