@@ -50,20 +50,15 @@ def _saturated_flags(facets_of, top, keep, is_bottom):
     """Descending codimension-one chains from ``top`` whose entries satisfy
     ``keep``, stopping at entries satisfying ``is_bottom``."""
     out = []
-
-    def descend(prefix):
-        last = prefix[-1]
-        if is_bottom(last):
-            out.append(tuple(prefix))
-            return
-        for _, face in facets_of(last):
-            if keep(face):
-                prefix.append(face)
-                descend(prefix)
-                prefix.pop()
-
-    if keep(top):
-        descend([top])
+    stack = [(top,)] if keep(top) else []
+    while stack:
+        flag = stack.pop()
+        if is_bottom(flag[-1]):
+            out.append(flag)
+            continue
+        below = [flag + (face,) for _, face in facets_of(flag[-1])
+                 if keep(face)]
+        stack.extend(reversed(below))
     return out
 
 

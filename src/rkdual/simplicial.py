@@ -54,7 +54,10 @@ class SimplicialComplex:
 
     The vertex order fixes a canonical form for every simplex (its vertices
     sorted by position) and hence the lexicographic orientation used for all
-    default bases.
+    default bases.  The constructor is the checked boundary: it
+    canonicalizes every simplex and closes the set under faces.  Complexes
+    built inside this package from simplices that are canonical and closed
+    by construction come from :meth:`_from_closed` instead.
     """
 
     __slots__ = ("vertices", "_index", "simplices", "_by_dim", "_stars",
@@ -82,6 +85,23 @@ class SimplicialComplex:
             p: tuple(sorted(lst, key=self.sort_key)) for p, lst in by_dim.items()
         }
         self._stars, self._closures = {}, {}
+
+    @classmethod
+    def _from_closed(cls, vertices, simplices):
+        """The unchecked constructor: ``vertices`` are distinct, and
+        ``simplices`` are canonical tuples, closed under faces, with the
+        simplices of each dimension listed in canonical (lexicographic)
+        order.  Nothing is sorted, canonicalized or closed here."""
+        cx = cls.__new__(cls)
+        cx.vertices = tuple(vertices)
+        cx._index = {v: i for i, v in enumerate(cx.vertices)}
+        by_dim = {}
+        for s in simplices:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        cx._by_dim = {p: tuple(lst) for p, lst in by_dim.items()}
+        cx.simplices = frozenset(simplices)
+        cx._stars, cx._closures = {}, {}
+        return cx
 
     @classmethod
     def build(cls, vertices, simplices):
@@ -222,14 +242,19 @@ def incidence_number(a: OrientedSimplex, b: OrientedSimplex) -> int:
 
 
 class SimplicialMap:
-    """A vertex assignment sending every simplex to a simplex."""
+    """A vertex assignment sending every simplex to a simplex.
 
-    __slots__ = ("source", "target", "mapping")
+    The image of each source simplex is computed once and memoized in
+    ``_images``, as :class:`SimplicialComplex` memoizes its stars.
+    """
+
+    __slots__ = ("source", "target", "mapping", "_images")
 
     def __init__(self, source, target, mapping, validate=True):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        self._images = {}
         if validate:
             self.validate()
 
@@ -253,7 +278,11 @@ class SimplicialMap:
 
     def image(self, s):
         """The image simplex (canonical tuple) of a source simplex."""
-        return self.target.canonical(set(self.mapping[v] for v in s))
+        got = self._images.get(s)
+        if got is None:
+            got = self._images[s] = self.target.canonical(
+                set(self.mapping[v] for v in s))
+        return got
 
     def chain_image(self, s):
         """Image of the canonically oriented simplex on chains.
@@ -277,7 +306,7 @@ class SimplicialMap:
 
 
 def identity_map(cx: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(cx, cx, {v: v for v in cx.vertices})
+    return SimplicialMap(cx, cx, {v: v for v in cx.vertices}, validate=False)
 
 
 @dataclass(frozen=True)
@@ -326,8 +355,7 @@ def control_kspace(K: SimplicialComplex) -> KSpace:
 
 def control_map(ks: KSpace) -> KSpaceMap:
     """The control map itself as a map of K-spaces (X, pi) -> (K, id)."""
-    return KSpaceMap(ks, control_kspace(ks.K),
-                     SimplicialMap(ks.X, ks.K, ks.pi.mapping)).validate()
+    return KSpaceMap(ks, control_kspace(ks.K), ks.pi).validate()
 
 
 @dataclass(frozen=True)
@@ -340,7 +368,8 @@ class DerivedComplex:
     is the canonical oriented basis of the subdivision.
 
     ``ends``, built on first use, buckets the chains c by (c[0], c[-1]), so
-    a set of chains given by its ends is read, not scanned for.
+    a set of chains given by its ends is read, not scanned for; ``position``
+    numbers the chains in the basis order of ``prime``.
     """
 
     base: SimplicialComplex
@@ -353,35 +382,42 @@ class DerivedComplex:
             out.setdefault((c[0], c[-1]), []).append(c)
         return out
 
+    @cached_property
+    def position(self) -> dict:
+        return {c: i for i, c in enumerate(self.prime.all_simplices())}
+
     def in_basis_order(self, chains) -> tuple:
-        key = self.prime.sort_key
-        return tuple(sorted(chains, key=lambda c: (len(c), key(c))))
+        return tuple(sorted(chains, key=self.position.__getitem__))
 
 
 def barycentric_subdivision(X: SimplicialComplex) -> DerivedComplex:
+    """The subdivision X' of X, read off a depth-first walk of the chains.
+
+    The walk starts from each simplex in the vertex order of X' and extends
+    a chain by each proper face of its last entry in that order, so the
+    chains it lists are canonical, closed under faces and, within each
+    dimension, in canonical order: X' needs no checked construction."""
     verts = sorted(X.all_simplices(), key=lambda s: (-len(s), X.sort_key(s)))
+    below = {s: tuple(t for k in range(len(s) - 1, 0, -1)
+                      for t in combinations(s, k)) for s in verts}
     chains = []
-
-    def descend(prefix, last):
-        chains.append(tuple(prefix))
-        for t in X.closure(last):
-            if set(t) < set(last):
-                prefix.append(t)
-                descend(prefix, t)
-                prefix.pop()
-
-    for s in X.all_simplices():
-        descend([s], s)
-    prime = SimplicialComplex(verts, chains)
-    return DerivedComplex(X, prime)
+    stack = [(s,) for s in reversed(verts)]
+    while stack:
+        chain = stack.pop()
+        chains.append(chain)
+        stack.extend(chain + (t,) for t in reversed(below[chain[-1]]))
+    return DerivedComplex(X, SimplicialComplex._from_closed(verts, chains))
 
 
 def derived_kspace(ks: KSpace):
-    """Subdivide a K-space: returns (derived X, derived K, KSpace X'->K')."""
+    """Subdivide a K-space: returns (derived X, derived K, KSpace X'->K').
+
+    The derived control map is not validated here; the
+    ``soundness/derived-control-map`` check and ``rkdual validate`` do."""
     dx = barycentric_subdivision(ks.X)
     dk = barycentric_subdivision(ks.K)
     mapping = {s: ks.pi.image(s) for s in ks.X.all_simplices()}
-    pi_prime = SimplicialMap(dx.prime, dk.prime, mapping)
+    pi_prime = SimplicialMap(dx.prime, dk.prime, mapping, validate=False)
     return dx, dk, KSpace(dx.prime, dk.prime, pi_prime)
 
 
@@ -405,5 +441,5 @@ def chain_complex(X: SimplicialComplex, ring, basis=None):
                 f_sign = basis.get(face, 1) if basis else 1
                 coeff = s_sign * f_sign * (-1 if i % 2 else 1)
                 data[(tgt[face], j)] = coeff
-        diff[p] = Matrix(ring, len(tgt), len(src), data)
+        diff[p] = Matrix._from_sums(ring, len(tgt), len(src), data)
     return ChainComplex(ring, spaces, diff)

@@ -20,7 +20,8 @@ from rkdual.cli import main
 from rkdual.duality import Dualizer
 from rkdual.linalg import ChainComplex, ChainComplexError, Matrix
 from rkdual.rkcore import RKMap
-from rkdual.simplicial import DerivedComplex
+from rkdual.simplicial import (DerivedComplex, KSpace, SimplicialComplex,
+                               SimplicialMap)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -347,3 +348,63 @@ def test_an_entry_of_the_cochains_of_a_closed_simplex_doubled(
     assert code == 1 and failing
     assert {name.rsplit("/", 1)[0] for name in failing} == {
         "assembly/contractible-star"}
+
+
+def is_flag(simplices) -> bool:
+    """Whether simplices of K, as vertex tuples, are totally ordered by
+    inclusion: exactly when they span a simplex of the subdivision of K."""
+    by_size = sorted(set(simplices), key=len)
+    return (len({len(s) for s in by_size}) == len(by_size)
+            and all(set(a) < set(b) for a, b in zip(by_size, by_size[1:])))
+
+
+# the derived control map is built unchecked, and only its own soundness
+# check validates it: no other check reads it
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_vertex_of_the_subdivision_sent_off_the_derived_control_map(
+        monkeypatch, tmp_path, doc, seed):
+    def resend(self, deltas):
+        pi = deltas.ks_prime.pi
+        breaking = []
+        for v in pi.source.vertices:
+            for w in pi.target.vertices:
+                moved = {**pi.mapping, v: w}
+                if any(not is_flag([moved[u] for u in c])
+                       for c in pi.source.all_simplices() if v in c):
+                    breaking.append((v, w))
+        v, w = random.Random(seed).choice(breaking)
+        pi.mapping[v] = w
+        return deltas
+    patch_lazy(monkeypatch, KSpaceData, "deltas", resend)
+    assert failing_checks(doc, tmp_path) == (
+        1, {"soundness/derived-control-map"})
+
+
+# X' is built unchecked; without a top chain its Euler characteristic moves,
+# the cells of X lose a chain, and the fundamental cycles through it land
+# outside the subdivision chains, which breaks every map built on them
+SUBDIVISION_READERS = {"soundness/subdivision-euler", "cells/ball-structure",
+                       "cap/fundamental-cycles", "cap/monomorphism",
+                       "cap/factorization",
+                       "equivalences/cells-to-subdivision",
+                       "equivalences/dual-to-subdivision",
+                       "equivalences/subdivision-dual-to-cochains"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_top_chain_dropped_from_the_subdivision(monkeypatch, tmp_path, doc,
+                                                  seed):
+    derived = rkcore.derived_kspace
+
+    def drop(ks):
+        dx, dk, ks_prime = derived(ks)
+        prime = dx.prime
+        gone = random.Random(seed).choice(prime.simplices_of_dim(prime.dim))
+        prime = SimplicialComplex._from_closed(
+            prime.vertices, [c for c in prime.all_simplices() if c != gone])
+        pi = SimplicialMap(prime, dk.prime, ks_prime.pi.mapping,
+                           validate=False)
+        return (DerivedComplex(ks.X, prime), dk,
+                KSpace(prime, dk.prime, pi))
+    monkeypatch.setattr(rkcore, "derived_kspace", drop)
+    assert failing_checks(doc, tmp_path) == (1, SUBDIVISION_READERS)
