@@ -42,11 +42,13 @@ def kspaces():
         yield f"random-{seed}", random_kspace(random.Random(seed))
 
 
-@pytest.mark.parametrize("name,ks", list(kspaces()),
-                         ids=[name for name, _ in kspaces()])
+CASES = list(kspaces())
+
+
+@pytest.mark.parametrize("name,ks", CASES, ids=[name for name, _ in CASES])
 def test_trusted_combinatorics_match_their_checked_rebuilds(name, ks):
     data = KSpaceData.build(ks, ZZ)
-    data.ball.check()                       # fills the image memo
+    assert not data.ball.check()            # fills the image memo too
     derived = data.deltas.derived_x
     prime = derived.prime
     chains = list(prime.all_simplices())
