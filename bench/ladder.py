@@ -16,13 +16,15 @@ fresh child process that imports rkdual from PATH, times one in-process
 so equal digests across sources mean byte-identical reports.  The child
 also records, from outside, so older trees report them too:
 ``tensor_s``, the seconds spent in the blocked-tensor builders
-``duality.tensor_k`` and ``duality.tensor_r``; and ``groups_s``, the
+``duality.tensor_k`` and ``duality.tensor_r``; ``groups_s``, the
 seconds spent in the checks (``checks._guard``) of each check group of
-``checks.CHECK_GROUPS``.  The order of the sources alternates from run to
-run and from rung to rung, so two trees are compared back to back on the
-same host.  Each source's entry holds the median of its runs for every
-time, with ``wall_min_s`` and ``wall_max_s``; runs whose reports differ
-are recorded as an error.  A child still running after ``--max-seconds``
+``checks.CHECK_GROUPS``; and ``peak_rss_mb``, the child's peak resident
+memory (``ru_maxrss``), interpreter and imports included.  The order of
+the sources alternates from run to run and from rung to rung, so two
+trees are compared back to back on the same host.  Each source's entry
+holds the median of its runs for every time and for the peak memory,
+with ``wall_min_s`` and ``wall_max_s``; runs whose reports differ are
+recorded as an error.  A child still running after ``--max-seconds``
 is stopped and the rung recorded as ``"skipped"`` for that source; rungs
 are never shrunk to fit.  |X| and |K| (simplex counts) are computed here,
 not by rkdual.
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -218,8 +221,8 @@ def time_groups():
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
     wall time, the seconds spent building blocked tensors and in each
-    check group, the number of checks, whether all of them passed and the
-    sha256 of the JSON report."""
+    check group, the peak resident memory, the number of checks, whether
+    all of them passed and the sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
     tensor, groups = time_tensors(), time_groups()
@@ -228,9 +231,12 @@ def child(src):
     report = run_command("verify", doc)
     wall = time.perf_counter() - started
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    # ru_maxrss is in kilobytes on Linux
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"wall_s": round(wall, 3),
                       "tensor_s": round(tensor.get("tensor", 0.0), 3),
                       "groups_s": {k: round(v, 3) for k, v in groups.items()},
+                      "peak_rss_mb": round(rss, 1),
                       "checks": len(report.checks),
                       "passed": report.passed, "report_sha256": digest}))
 
@@ -251,8 +257,9 @@ def run_rung(doc, src, max_seconds):
 
 def summarize(runs):
     """One source's entry for a rung: its first skip or error, if any;
-    else the median of each time over the runs, the spread of the wall
-    time, and the checks, verdict and report digest they all share."""
+    else the median of each time and of the peak memory over the runs,
+    the spread of the wall time, and the checks, verdict and report
+    digest they all share."""
     for got in runs:
         if not isinstance(got, dict) or "error" in got:
             return got
@@ -269,6 +276,8 @@ def summarize(runs):
             "tensor_s": mid(got["tensor_s"] for got in runs),
             "groups_s": {g: mid(got["groups_s"][g] for got in runs)
                          for g in runs[0]["groups_s"]},
+            "peak_rss_mb": round(median(got["peak_rss_mb"] for got in runs),
+                                 1),
             "checks": runs[0]["checks"], "passed": runs[0]["passed"],
             "report_sha256": runs[0]["report_sha256"]}
 

@@ -20,6 +20,7 @@ of the subdivision by the two ends of its chains, ``DerivedComplex.ends``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .rkcore import RKComplex, RKMap, simplex_generator, tensor_generator
@@ -119,10 +120,7 @@ class BallComplex:
         return self.cells[(T, sigma)]
 
     def census(self):
-        out = {}
-        for cell in self.cells.values():
-            out[cell.dim] = out.get(cell.dim, 0) + 1
-        return out
+        return dict(Counter(cell.dim for cell in self.cells.values()))
 
     def euler_characteristic(self):
         return sum((-1) ** d * n for d, n in self.census().items())

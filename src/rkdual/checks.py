@@ -9,8 +9,10 @@ a run reports every broken property at once.  Malformed input raises
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 from .rings import Ring
 from .linalg import ChainComplexError, homology
@@ -217,7 +219,7 @@ class KSpaceData:
         return cellular_iso(self.tc, self.cellular)
 
     @cached_property
-    def cell_data(self):
+    def fundamental_cycles(self):
         return fundamental_cycle_map(self.ks, self.cellular, self.deltas)
 
     @cached_property
@@ -237,12 +239,12 @@ class KSpaceData:
     @cached_property
     def composite(self) -> RKMap:
         """The cell map after ``iso``: ``tc`` -> subdivision chains."""
-        return self.cell_data.map.compose(self.iso)
+        return self.fundamental_cycles.map.compose(self.iso)
 
     def equivalence(self, name):
         """The report of the equivalence ``name`` of :data:`EQUIVALENCES`,
         built from the objects its own map reads alone."""
-        f = self.cell_data.map if name == EQUIVALENCES[0] else self.composite
+        f = self.fundamental_cycles.map if name == EQUIVALENCES[0] else self.composite
         if name != EQUIVALENCES[2]:
             return verify_equivalences(name, f)
         return verify_equivalences(name, f, self.t_sub, self.dualizer, self.e)
@@ -323,8 +325,7 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
         proj.validate()
         # kernel is spanned exactly by the non-star pairs
         for q in proj.src.degrees():
-            kept = set(j for (_, j), _ in proj.component(q).entries())
-            if len(kept) != proj.tgt.rank(q):
+            if sum(1 for _ in proj.component(q).columns()) != proj.tgt.rank(q):
                 return False, {"degree": q}
         return True, {}
     _guard(report, "tensor/projection-epimorphism", target, proj_body)
@@ -452,8 +453,15 @@ def check_cells(report: Report, target: str, data: KSpaceData):
     _guard(report, "cells/dual-cones", target, cones_body)
 
     def census_body():
-        return True, {"census": {str(d): n
-                                 for d, n in sorted(data.ball.census().items())}}
+        # counted from X and pi alone: a cell (T, s) of dimension
+        # dim T - dim s for each simplex T and each nonempty face s of pi(T)
+        want = Counter()
+        for T in data.ks.X.all_simplices():
+            n = len(data.ks.pi.image(T))
+            want.update({len(T) - m: comb(n, m) for m in range(1, n + 1)})
+        got = data.ball.census()
+        return got == want, {"census": {str(d): k for d, k in
+                                        sorted(got.items())}}
     _guard(report, "cells/census", target, census_body)
 
     def display_body():
@@ -478,16 +486,16 @@ def check_cap(report: Report, target: str, data: KSpaceData):
     _guard(report, "cap/chain-map-and-pairing/control", target, k_body)
 
     def fact_body():
-        return verify_cap_factorization(data.ks, data.cell_data,
+        return verify_cap_factorization(data.ks, data.fundamental_cycles,
                                         data.dualizer), {}
     _guard(report, "cap/factorization", target, fact_body)
 
     def mono_body():
-        return is_monomorphism(data.cell_data.map), {}
+        return is_monomorphism(data.fundamental_cycles.map), {}
     _guard(report, "cap/monomorphism", target, mono_body)
 
     def cycles_body():
-        rep = verify_fundamental_cycles(data.cell_data)
+        rep = verify_fundamental_cycles(data.fundamental_cycles)
         bad = sorted(cell_name(*cell) for cell, ok in rep.verdicts.items()
                      if not ok)
         return rep.passed, ({"failures": bad[:5]} if bad else {})
@@ -635,11 +643,8 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
                 data = KSpaceData.build(ks, ring)
                 tc = data.tc
                 ranks = {str(q): tc.rank(q) for q in tc.degrees()}
-                by_label = {}
-                for q in tc.degrees():
-                    for g in tc.gens_at(q):
-                        key = simplex_name(g.label)
-                        by_label[key] = by_label.get(key, 0) + 1
+                by_label = Counter(simplex_name(g.label) for q in tc.degrees()
+                                   for g in tc.gens_at(q))
                 diffs = {}
                 for q in tc.degrees():
                     entries = [[i, j, str(v)] for (i, j), v in tc.d(q).entries()]

@@ -49,18 +49,19 @@ def _tensor_complex(C, D, keep_all) -> RKComplex:
             for s, js in kept:
                 bucket, entries = gens[r + s], data[r + s]
                 for j in js:
-                    col = column[r, i, s, j] = len(bucket)
+                    at = column[r, i, s, j] = len(bucket)
                     bucket.append(tensor_generator(gl, D.gens[s][j]))
+                    col = entries[at] = {}
                     for i2, v in left:
                         if (row := column.get((r - 1, i2, s, j))) is not None:
-                            entries[row, col] = v
+                            col[row] = v
                     for j2, v in D.diff[s].column(j) if s in D.diff else ():
                         if (row := column.get((r, i, s - 1, j2))) is not None:
-                            entries[row, col] = -v if r % 2 else v
+                            col[row] = -v if r % 2 else v
     del column          # free the pair index before the basis is indexed
     diff = {q: Matrix._from_sums(C.ring, len(gens.get(q - 1, ())),
                                  len(gens[q]), data.pop(q))
-            for q in sorted(data) if data[q]}
+            for q in sorted(data) if any(data[q].values())}
     return RKComplex(C.ring, D.K, False, gens, diff)
 
 

@@ -1,16 +1,18 @@
 """Exact sparse matrices, Smith normal form, and bounded chain complexes.
 
-Matrices are stored as sparse triplets with deterministic iteration order.
-Entries are checked once, at the public constructor: indices in range,
-values coerced into the ring, zeros dropped.  Matrices computed inside the
-package (products, transposes, blocks, cones, assembled blocked maps) are
-sums formed with native ``+``, ``-`` and ``*``; they go through one
-unchecked constructor, which reduces each entry mod p once over Z/p,
+A matrix holds each nonzero entry once, in a sparse column: every producer
+emits one column at a time, nearly every reader reads one, and a product
+builds each column of A·B from columns of A.  No other module reads that
+storage.  Entries are checked once, at the public constructor: indices in
+range, values coerced into the ring, zeros dropped.  Matrices computed
+inside the package (products, transposes, blocks, cones, assembled blocked
+maps) are sums formed with native ``+``, ``-`` and ``*``; they go through
+one unchecked constructor, which reduces each entry mod p once over Z/p,
 stores an integral rational as an ``int`` over Q, and drops zeros; so over
 Q a matrix of integers is multiplied and eliminated in ``int`` arithmetic.
-The Smith normal form is the package's one elimination: it eliminates
-unit pivots on sparse rows, then, over Z, reduces what is left on the same
-rows with the least entry as pivot.
+The Smith normal form is the package's one elimination: it eliminates unit
+pivots on sparse copies of the columns, then, over Z, reduces what is left
+on the same copies with the least entry as pivot.
 Chain complexes are graded families of free modules with explicit
 differentials; homology, mapping cones and cone-acyclicity (the certificate
 used for "chain equivalence" of bounded free complexes over Z, Q and Z/p)
@@ -28,14 +30,15 @@ from .rings import Ring
 class Matrix:
     """A sparse matrix over an exact ring.
 
-    Entries are held in a dict keyed by (row, col); zeros are never stored.
-    Out-of-range access raises rather than zero-extending.  The constructor
-    is the checked boundary: it range-checks every index and coerces every
-    value into the ring.  Matrices computed from other matrices come from
-    :meth:`_from_sums` instead, which trusts its input.
+    Entries are held once, as columns ``{col: {row: value}}``; no zero and
+    no empty column is stored.  Out-of-range access raises rather than
+    zero-extending.  The constructor is the checked boundary: it
+    range-checks every index and coerces every value into the ring.
+    Matrices computed from other matrices come from :meth:`_from_sums`
+    instead, which trusts its input.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "_data", "_rowmap", "_colmap")
+    __slots__ = ("ring", "nrows", "ncols", "_cols")
 
     def __init__(self, ring: Ring, nrows: int, ncols: int, data=None):
         if nrows < 0 or ncols < 0:
@@ -43,34 +46,36 @@ class Matrix:
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self._data = {}
-        self._rowmap = None
-        self._colmap = None
+        self._cols = {}
         if data:
             for (i, j), v in data.items():
                 self._check_index(i, j)
                 v = ring.coerce(v)
                 if v:
-                    self._data[(i, j)] = v
+                    self._cols.setdefault(j, {})[i] = v
 
     @classmethod
-    def _from_sums(cls, ring, nrows, ncols, data):
+    def _from_sums(cls, ring, nrows, ncols, cols):
         """The unchecked constructor for matrices computed inside this
-        package: ``data`` maps in-range positions to sums of products of
-        ring elements (or of ring elements and integers).  Over Z/p each
-        entry is reduced once here, and over Q coerced, so an integral
-        ``Fraction`` becomes an ``int``; zeros are dropped."""
+        package: ``cols`` maps in-range columns to dicts from in-range rows
+        to sums of products of ring elements (or of ring elements and
+        integers), and becomes the matrix's storage.  Over Z/p each entry is
+        reduced once, over Q an integral ``Fraction`` becomes an ``int``,
+        zeros and empty columns are dropped, and other columns kept as given."""
         mat = cls.__new__(cls)
-        mat.ring, mat.nrows, mat.ncols = ring, nrows, ncols
-        mat._rowmap = mat._colmap = None
-        mod = ring.p
-        if mod:
-            mat._data = {k: r for k, v in data.items() if (r := v % mod)}
-        elif ring.kind == "Q":
-            coerce = ring.coerce
-            mat._data = {k: coerce(v) for k, v in data.items() if v}
-        else:
-            mat._data = {k: v for k, v in data.items() if v}
+        mat.ring, mat.nrows, mat.ncols, mat._cols = ring, nrows, ncols, cols
+        mod, narrow, empty = ring.p, ring.kind == "Q", []
+        for j, col in cols.items():
+            if mod:
+                col = cols[j] = {i: r for i, v in col.items() if (r := v % mod)}
+            elif not all(vals := col.values()) or (
+                    # ints sum to an int, and one Fraction makes a Fraction
+                    narrow and type(sum(vals)) is not int):
+                col = cols[j] = {i: ring.coerce(v) for i, v in col.items() if v}
+            if not col:
+                empty.append(j)
+        for j in empty:
+            del cols[j]
         return mat
 
     def _check_index(self, i, j):
@@ -84,98 +89,91 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls._from_sums(ring, n, n, {(i, i): ring.one for i in range(n)})
+        return cls._from_sums(ring, n, n, {i: {i: ring.one} for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, rows):
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        data = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                data[(i, j)] = v
-        return cls(ring, nrows, ncols, data)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(ring, len(rows), ncols, {
+            (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     def entry(self, i, j):
         self._check_index(i, j)
-        return self._data.get((i, j), self.ring.zero)
+        return self._cols.get(j, {}).get(i, self.ring.zero)
 
     def entries(self):
-        """Nonzero entries in deterministic (row, col) order."""
-        for key in sorted(self._data):
-            yield key, self._data[key]
+        """Nonzero entries ((row, col), value) in (row, col) order."""
+        yield from sorted(((i, j), v) for j, col in self._cols.items()
+                          for i, v in col.items())
 
-    def _rows(self):
-        if self._rowmap is None:
-            rm = {}
-            for (i, j), v in self._data.items():
-                rm.setdefault(i, []).append((j, v))
-            self._rowmap = rm
-        return self._rowmap
+    def columns(self):
+        """(j, its (row, value) pairs) for each nonzero column j, unsorted."""
+        return ((j, col.items()) for j, col in self._cols.items())
 
     def column(self, j):
-        """Nonzero entries of column j as (row, value), by row."""
+        """Nonzero entries of column j as (row, value) pairs."""
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} outside matrix")
-        if self._colmap is None:
-            cm = {}
-            for (i, jj), v in sorted(self._data.items()):
-                cm.setdefault(jj, []).append((i, v))
-            self._colmap = cm
-        return self._colmap.get(j, [])
+        return self._cols.get(j, {}).items()
 
     def submatrix(self, rows, cols):
         """The block on the given row and column indices, in their order."""
-        cpos = {j: b for b, j in enumerate(cols)}
-        rowmap = self._rows()
-        data = {}
-        for a, i in enumerate(rows):
-            for j, v in rowmap.get(i, ()):
-                b = cpos.get(j)
-                if b is not None:
-                    data[(a, b)] = v
-        return Matrix._from_sums(self.ring, len(rows), len(cols), data)
+        rpos = {i: a for a, i in enumerate(rows)}
+        return Matrix._from_sums(self.ring, len(rows), len(cols), {
+            b: {a: v for i, v in self._cols.get(j, {}).items()
+                if (a := rpos.get(i)) is not None}
+            for b, j in enumerate(cols)})
 
     def to_rows(self):
         z = self.ring.zero
         rows = [[z] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self._data.items():
-            rows[i][j] = v
+        for j, col in self._cols.items():
+            for i, v in col.items():
+                rows[i][j] = v
         return rows
 
     def transpose(self):
-        return Matrix._from_sums(self.ring, self.ncols, self.nrows,
-                                 {(j, i): v for (i, j), v in self._data.items()})
+        out = {}
+        for j, col in self._cols.items():
+            for i, v in col.items():
+                out.setdefault(i, {})[j] = v
+        return Matrix._from_sums(self.ring, self.ncols, self.nrows, out)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows or self.ring != other.ring:
             raise ValueError("incompatible matrix product")
-        acc = {}
-        brows = other._rows()
-        for (i, k), a in self._data.items():
-            for j, b in brows.get(k, ()):
-                acc[i, j] = acc.get((i, j), 0) + a * b
-        return Matrix._from_sums(self.ring, self.nrows, other.ncols, acc)
+        acols, out = self._cols, {}
+        for j, bcol in other._cols.items():
+            acc = {}
+            for k, b in bcol.items():
+                if acol := acols.get(k):
+                    for i, a in acol.items():
+                        acc[i] = acc.get(i, 0) + a * b
+            if acc:
+                out[j] = acc
+        return Matrix._from_sums(self.ring, self.nrows, other.ncols, out)
 
     def scale(self, c):
         """c times this matrix, for an integer or a ring element c."""
-        return Matrix._from_sums(self.ring, self.nrows, self.ncols,
-                                 {k: c * v for k, v in self._data.items()})
+        return Matrix._from_sums(self.ring, self.nrows, self.ncols, {
+            j: {i: c * v for i, v in col.items()}
+            for j, col in self._cols.items()})
 
     def is_zero(self):
-        return not self._data
+        return not self._cols
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self._data == other._data)
+                and self._cols == other._cols)
 
     def __repr__(self):
-        return f"Matrix({self.ring}, {self.nrows}x{self.ncols}, {len(self._data)} nonzero)"
+        return (f"Matrix({self.ring}, {self.nrows}x{self.ncols}, "
+                f"{sum(map(len, self._cols.values()))} nonzero)")
 
 
 def smith_normal_form(mat: Matrix):
@@ -183,8 +181,9 @@ def smith_normal_form(mat: Matrix):
 
     Returns ``(factors, rank)`` with each factor dividing the next and
     normalized to its canonical associate (positive over Z, 1 over a field).
-    It works on sparse row copies.  Unit pivots (±1 over Z, any nonzero over
-    a field) go first: one pass over the columns by initial count, each
+    It eliminates the transpose, which has the same factors, so its rows
+    are copies of the stored columns.  Unit pivots (±1 over Z, any nonzero
+    over a field) go first: one pass over the columns by initial count, each
     taking the shortest row with a unit there, each a factor 1.  Over Z the
     rest takes as pivot the entry of least absolute value (ties by row,
     then column), clears its column by floor-quotient row operations and
@@ -195,10 +194,11 @@ def smith_normal_form(mat: Matrix):
     """
     ring = mat.ring
     mod = ring.p
-    rows, cols = {}, {}
-    for (i, j), v in mat._data.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+    rows = {i: dict(row) for i, row in mat._cols.items()}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     units = 0
     for j in sorted(cols, key=lambda c: (len(cols[c]), c)):
         live = cols[j]
@@ -421,19 +421,13 @@ class ChainMap:
 
     def is_bijection_on_bases(self) -> bool:
         """Exactly one unit entry per row and per column in every degree."""
+        is_unit = self.src.ring.is_unit
         for q in self.degrees_hit():
             mat = self.component(q)
-            if mat.nrows != mat.ncols:
-                return False
-            seen_r, seen_c = set(), set()
-            for (i, j), v in mat.entries():
-                if not self.src.ring.is_unit(v):
-                    return False
-                if i in seen_r or j in seen_c:
-                    return False
-                seen_r.add(i)
-                seen_c.add(j)
-            if len(seen_r) != mat.nrows:
+            cols = [tuple(col) for _, col in mat.columns()]
+            rows = {col[0][0] for col in cols}
+            if not (mat.nrows == mat.ncols == len(cols) == len(rows) and all(
+                    len(col) == 1 and is_unit(col[0][1]) for col in cols)):
                 return False
         return True
 
@@ -447,11 +441,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         raise ChainComplexError("mapping cone needs a degree-0 chain map")
     C, D = f.src, f.tgt
     ring = C.ring
-    spaces = {}
-    for q in set(d + 1 for d in C.degrees()) | set(D.degrees()):
-        n = C.rank(q - 1) + D.rank(q)
-        if n:
-            spaces[q] = n
+    spaces = {q: C.rank(q - 1) + D.rank(q)
+              for q in set(d + 1 for d in C.degrees()) | set(D.degrees())}
     diff = {}
     for q in spaces:
         rows_c, nc = C.rank(q - 2), C.rank(q - 1)
@@ -460,8 +451,10 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
                                   (f.comps.get(q - 1), rows_c, 0, 1),
                                   (D.diff.get(q), rows_c, nc, 1)):
             if mat is not None:
-                for (i, j), v in mat._data.items():
-                    data[di + i, dj + j] = sign * v
+                for j, col in mat.columns():
+                    out = data.setdefault(dj + j, {})
+                    for i, v in col:
+                        out[di + i] = sign * v
         if data:
             diff[q] = Matrix._from_sums(ring, rows_c + D.rank(q - 1),
                                         nc + D.rank(q), data)

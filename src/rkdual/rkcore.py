@@ -162,12 +162,7 @@ class RKComplex(ChainComplex):
                 and self.gens == other.gens)
 
     def validate(self):
-        for q, mat in sorted(self.diff.items()):
-            src, tgt = self.gens_at(q), self.gens_at(q - 1)
-            if bad := _off_support(mat, src, tgt, self.leq):
-                raise ChainComplexError(
-                    f"support violated by d at degree {q}: "
-                    f"{src[bad[1]].name} -> {tgt[bad[0]].name}")
+        _check_support(self.diff, self, self, -1, "by d ")
         return super().validate()
 
     def positions(self, labels):
@@ -198,18 +193,25 @@ class RKComplex(ChainComplex):
         return f"RKComplex({self.ring}, {order}, ranks={ranks})"
 
 
-def _off_support(mat, src, tgt, leq):
-    """The first entry (i, j) of ``mat``, in (row, col) order, whose column
-    generator in ``src`` is not ``leq`` its row generator in ``tgt``, or
-    None.  The order is decided once per pair of labels."""
-    below, bad = {}, []
-    for i, j in mat._data:
-        pair = src[j].label, tgt[i].label
-        if (ok := below.get(pair)) is None:
-            ok = below[pair] = leq(*pair)
-        if not ok:
-            bad.append((i, j))
-    return min(bad, default=None)
+def _check_support(mats, src, tgt, degree, by=""):
+    """Raise at the first entry, by degree and then in (row, col) order, of
+    the matrices ``mats[q]`` from ``src`` in degree q to ``tgt`` in degree
+    q + ``degree`` that is not upward in ``src``'s order, deciding the order
+    once per pair of labels; ``by`` names the matrices in the message."""
+    below = {}
+    for q, mat in sorted(mats.items()):
+        s, t, bad = src.gens_at(q), tgt.gens_at(q + degree), []
+        for j, col in mat.columns():
+            for i, _ in col:
+                pair = s[j].label, t[i].label
+                if (ok := below.get(pair)) is None:
+                    ok = below[pair] = src.leq(*pair)
+                if not ok:
+                    bad.append((i, j))
+        if bad:
+            i, j = min(bad)
+            raise ChainComplexError(f"support violated {by}at degree {q}: "
+                                    f"{s[j].name} -> {t[i].name}")
 
 
 def is_full(K: SimplicialComplex, subset) -> bool:
@@ -255,18 +257,21 @@ class RKMap(ChainMap):
         comps = {}
         for q in src.degrees():
             index = tgt._index.get(q + degree, {})
-            data = {}
+            cols = {}
             for j, g in enumerate(src.gens[q]):
+                col = {}
                 for h, v in images(q, g):
                     i = index.get(h)
                     if i is None:
                         raise ChainComplexError(
                             f"{h.name}, an image of {g.name}, is not a "
                             f"generator of the target in degree {q + degree}")
-                    data[i, j] = data[i, j] + v if (i, j) in data else v
-            if data:
+                    col[i] = col[i] + v if i in col else v
+                if col:
+                    cols[j] = col
+            if cols:
                 comps[q] = Matrix._from_sums(src.ring, tgt.rank(q + degree),
-                                             src.rank(q), data)
+                                             src.rank(q), cols)
         return cls(src, tgt, comps, degree)
 
     @classmethod
@@ -285,12 +290,7 @@ class RKMap(ChainMap):
             cx, quo, lambda q, g: ((g, one),) if g.label in kept else ())
 
     def validate(self):
-        for q, mat in sorted(self.comps.items()):
-            src, tgt = self.src.gens_at(q), self.tgt.gens_at(q + self.degree)
-            if bad := _off_support(mat, src, tgt, self.src.leq):
-                raise ChainComplexError(
-                    f"support violated at degree {q}: "
-                    f"{src[bad[1]].name} -> {tgt[bad[0]].name}")
+        _check_support(self.comps, self.src, self.tgt, self.degree)
         return super().validate()
 
     def compose(self, other: "RKMap") -> "RKMap":
@@ -308,21 +308,11 @@ class RKMap(ChainMap):
         of one label."""
         if self.degree != 0:
             raise ChainComplexError("diagonal components need degree 0")
-
-        def kept(mats, src, tgt, degree):
-            out = {}
-            for q, mat in mats.items():
-                cols = [g.label for g in src.gens[q]]
-                rows = [g.label for g in tgt.gens[q + degree]]
-                out[q] = Matrix._from_sums(mat.ring, mat.nrows, mat.ncols, {
-                    k: v for k, v in mat._data.items()
-                    if cols[k[1]] == rows[k[0]]})
-            return out
         src, tgt = self.src, self.tgt
         return ChainMap(
-            ChainComplex(src.ring, src.spaces, kept(src.diff, src, src, -1)),
-            ChainComplex(tgt.ring, tgt.spaces, kept(tgt.diff, tgt, tgt, -1)),
-            kept(self.comps, src, tgt, 0))
+            ChainComplex(src.ring, src.spaces, _one_label(src.diff, src, src, -1)),
+            ChainComplex(tgt.ring, tgt.spaces, _one_label(tgt.diff, tgt, tgt, -1)),
+            _one_label(self.comps, src, tgt, 0))
 
     def diagonal_component(self, sigma) -> ChainMap:
         """The chain map between the sigma-cuts of the two sides."""
@@ -345,6 +335,19 @@ class RKMap(ChainMap):
         return f"RKMap(degree={self.degree})"
 
 
+def _one_label(mats, src, tgt, degree):
+    """The matrices ``mats`` from ``src`` to ``tgt`` (degree q to q +
+    ``degree``), keeping only their entries between generators of one label."""
+    out = {}
+    for q, mat in mats.items():
+        cols = [g.label for g in src.gens[q]]
+        rows = [g.label for g in tgt.gens[q + degree]]
+        out[q] = Matrix._from_sums(mat.ring, mat.nrows, mat.ncols, {
+            j: {i: v for i, v in col if rows[i] == cols[j]}
+            for j, col in mat.columns()})
+    return out
+
+
 @dataclass
 class ShortExactSequence:
     """0 -> C' -i-> C -j-> C'' -> 0 with label-diagonal maps."""
@@ -359,12 +362,8 @@ class ShortExactSequence:
             raise ChainComplexError("sequence maps must have degree 0")
         for f in (self.i, self.j):
             f.validate()
-            for q in f.degrees_hit():
-                src = f.src.gens_at(q)
-                tgt = f.tgt.gens_at(q)
-                for (a, b), _ in f.component(q).entries():
-                    if src[b].label != tgt[a].label:
-                        raise ChainComplexError("sequence map is not label-diagonal")
+            if _one_label(f.comps, f.src, f.tgt, 0) != f.comps:
+                raise ChainComplexError("sequence map is not label-diagonal")
         if not all(m.is_zero() for m in self.j.compose(self.i).comps.values()):
             raise ChainComplexError("j∘i != 0")
         # the maps are label-diagonal, so the sequence at degree q is the
@@ -450,6 +449,9 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
                     if A.leq(ga.label, gb.label):
                         bucket.append(hom_generator(qa, ga, gb))
 
+    # precomposing with d_A reads a row of it: one transpose per degree
+    rows_a = {q: mat.transpose() for q, mat in A.diff.items()}
+
     def boundary(p, g):
         _, q, ga, gb = g.data
         # postcompose with d_B
@@ -459,9 +461,9 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
                 if A.leq(ga.label, gb2.label):
                     yield hom_generator(q, ga, gb2), v
         # precompose with d_A, Koszul sign
-        if q + 1 in A.diff:
+        if q + 1 in rows_a:
             sign = -(-1) ** (p % 2)
-            for j_a, v in A.diff[q + 1]._rows().get(A.index_of(q, ga), ()):
+            for j_a, v in rows_a[q + 1].column(A.index_of(q, ga)):
                 yield hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb), sign * v
     return RKComplex.from_boundary(ring, A.K, True, gens, boundary)
 

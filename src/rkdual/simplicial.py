@@ -434,12 +434,12 @@ def chain_complex(X: SimplicialComplex, ring, basis=None):
     for p in range(1, X.dim + 1):
         src = X.simplices_of_dim(p)
         tgt = {s: i for i, s in enumerate(X.simplices_of_dim(p - 1))}
-        data = {}
+        cols = {}
         for j, s in enumerate(src):
             s_sign = basis.get(s, 1) if basis else 1
+            col = cols[j] = {}
             for i, face in X.facets(s):
                 f_sign = basis.get(face, 1) if basis else 1
-                coeff = s_sign * f_sign * (-1 if i % 2 else 1)
-                data[(tgt[face], j)] = coeff
-        diff[p] = Matrix._from_sums(ring, len(tgt), len(src), data)
+                col[tgt[face]] = s_sign * f_sign * (-1 if i % 2 else 1)
+        diff[p] = Matrix._from_sums(ring, len(tgt), len(src), cols)
     return ChainComplex(ring, spaces, diff)

@@ -97,7 +97,7 @@ def test_criterion_4_cap_chain_map():
 def test_criterion_5_fundamental_cycles(corpus_data):
     ok = True
     for name, data in corpus_data.items():
-        rep = verify_fundamental_cycles(data.cell_data)
+        rep = verify_fundamental_cycles(data.fundamental_cycles)
         ok = ok and rep.passed
     announce(5, "every cell maps to a unit-coefficient fundamental cycle",
              ok)

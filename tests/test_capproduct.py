@@ -159,7 +159,7 @@ def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
 def test_cell_map_factorization_on_corpus(corpus):
     for name, ks in corpus.items():
         data = KSpaceData.build(ks, ZZ)
-        assert verify_cap_factorization(ks, data.cell_data,
+        assert verify_cap_factorization(ks, data.fundamental_cycles,
                                         data.dualizer), name
 
 

@@ -408,6 +408,24 @@ def test_a_sequence_not_exact_at_one_label_names_it():
         ses.validate()
 
 
+def test_a_sequence_map_moving_a_label_up_is_not_label_diagonal():
+    # u at a goes to w at ab: the support condition allows it, a sequence
+    # of label-diagonal maps does not
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+
+    def cx(*gens):
+        return RKComplex(ZZ, K, False, {1: tuple(
+            Generator(s, ("simplex", (n,))) for s, n in gens)}, {})
+    sub, mid, quo = cx((a, "u")), cx((a, "v"), (ab, "w")), cx((a, "z"))
+    i = RKMap(sub, mid, {1: Matrix.from_rows(ZZ, [[0], [1]])}).validate()
+    ses = ShortExactSequence(
+        i, RKMap(mid, quo, {1: Matrix.from_rows(ZZ, [[1, 0]])}))
+    with pytest.raises(ChainComplexError,
+                       match="^sequence map is not label-diagonal$"):
+        ses.validate()
+
+
 def test_a_whole_equivalence_off_the_diagonal_fails_both_labels():
     # 0 -> (u -> v), u at a and v at ab: the cone of the whole map is
     # acyclic, but each label's cone keeps one generator and no differential

@@ -300,4 +300,4 @@ def test_a_verify_over_the_rationals_stores_its_integral_entries_as_ints(
     mats = [mat for cx in (data.deltas.dx, data.tc, data.t2, data.t_sub,
                            data.cellular.rk) for mat in cx.diff.values()]
     mats += data.e.comps.values()
-    assert {type(v) for mat in mats for v in mat._data.values()} == {int}
+    assert {type(v) for mat in mats for _, v in mat.entries()} == {int}

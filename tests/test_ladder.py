@@ -48,19 +48,23 @@ def test_child_run_and_skip():
         "soundness", "assembly", "tensor", "duality", "cells", "cap",
         "equivalences", "naturality"]
     assert 0 < sum(got["groups_s"].values()) <= got["wall_s"] + 0.005
+    # the child's own peak: at least the interpreter with rkdual imported
+    assert 5 < got["peak_rss_mb"] < 1000
     assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
     assert ladder.run_rung(doc, SRC, 0.001) == "skipped"
 
 
 def test_runs_are_summarized_by_their_median_and_spread():
-    def run(wall, digest="d", groups=0.1):
+    def run(wall, digest="d", groups=0.1, rss=20.0):
         return {"wall_s": wall, "tensor_s": wall / 2,
-                "groups_s": {"soundness": groups}, "checks": 3,
-                "passed": True, "report_sha256": digest}
-    got = ladder.summarize([run(0.3), run(0.1, groups=0.3), run(0.2)])
+                "groups_s": {"soundness": groups}, "peak_rss_mb": rss,
+                "checks": 3, "passed": True, "report_sha256": digest}
+    got = ladder.summarize([run(0.3, rss=31.5), run(0.1, groups=0.3),
+                            run(0.2, rss=24.25)])
     assert got == {"wall_s": 0.2, "wall_min_s": 0.1, "wall_max_s": 0.3,
                    "tensor_s": 0.1, "groups_s": {"soundness": 0.1},
-                   "checks": 3, "passed": True, "report_sha256": "d"}
+                   "peak_rss_mb": 24.2, "checks": 3, "passed": True,
+                   "report_sha256": "d"}
     assert ladder.summarize([run(0.1), "skipped"]) == "skipped"
     assert "error" in ladder.summarize([run(0.1), run(0.1, "e")])
 

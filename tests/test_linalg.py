@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rkdual import linalg
+from rkdual.checks import KSpaceData
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace
 from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap,
                            HomologyGroup, Matrix, homology, is_acyclic,
                            is_cone_acyclic, mapping_cone, smith_normal_form)
@@ -56,13 +58,13 @@ def test_constructor_rejects_a_non_integer_over_the_integers():
 
 def test_constructor_reduces_mod_p_and_drops_zeros():
     m = Matrix(GF3, 1, 3, {(0, 0): 5, (0, 1): -1, (0, 2): -6})
-    assert m._data == {(0, 0): 2, (0, 1): 2}
+    assert dict(m.entries()) == {(0, 0): 2, (0, 1): 2}
 
 
 def test_constructor_stores_rationals_in_canonical_form():
     m = Matrix(QQ, 1, 4, {(0, 0): 3, (0, 1): 0, (0, 2): Fraction(4, 2),
                           (0, 3): Fraction(1, 2)})
-    assert m._data == {(0, 0): 3, (0, 2): 2, (0, 3): Fraction(1, 2)}
+    assert dict(m.entries()) == {(0, 0): 3, (0, 2): 2, (0, 3): Fraction(1, 2)}
     assert [type(v) for _, v in m.entries()] == [int, int, Fraction]
 
 
@@ -97,7 +99,7 @@ def _assert_matches(mat, ring, rows):
     """``mat`` stores only canonical nonzero ring elements and equals the
     oracle's row lists read in the ring."""
     assert mat.ring == ring
-    for v in mat._data.values():
+    for _, v in mat.entries():
         assert v != 0
         if ring == QQ and type(v) is not int:
             # an integral rational is stored as an int, never as a Fraction
@@ -107,7 +109,7 @@ def _assert_matches(mat, ring, rows):
         if ring.p:
             assert 0 <= v < ring.p
     want = [[x % ring.p if ring.p else x for x in row] for row in rows]
-    assert [[mat._data.get((i, j), 0) for j in range(mat.ncols)]
+    assert [[mat.entry(i, j) for j in range(mat.ncols)]
             for i in range(mat.nrows)] == want
 
 
@@ -132,6 +134,32 @@ def test_unchecked_producers_match_the_dense_oracle(ring):
         _assert_matches(a.submatrix(rows, cols), ring,
                         [[a_rows[i][j] for j in cols] for i in rows])
     assert cancelled > 0 if ring.p else cancelled == 0
+
+
+def _assert_canonical_zero(mat):
+    """A product that cancels stores no zero and no empty column: it is
+    zero and equal to the checked matrix of its entries."""
+    assert mat.is_zero()
+    assert mat == Matrix(mat.ring, mat.nrows, mat.ncols, dict(mat.entries()))
+    assert mat == Matrix.zero(mat.ring, mat.nrows, mat.ncols)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF3], ids=str)
+def test_a_product_that_cancels_stores_no_zero_and_no_empty_column(ring):
+    a = Matrix.from_rows(ring, [[1, 1, 0], [2, 2, 1]])
+    # column 0 of a·b cancels to zero; column 1 keeps both rows
+    b = Matrix.from_rows(ring, [[1, 0], [-1, 1], [0, 3]])
+    prod = a * b
+    assert prod == Matrix(ring, 2, 2, {(0, 1): 1, (1, 1): 5})
+    assert prod == Matrix(ring, 2, 2, dict(prod.entries()))
+    assert list(prod.column(0)) == []
+    _assert_canonical_zero(a * Matrix.from_rows(ring, [[1], [-1], [0]]))
+    for name in CORPUS_NAMES:
+        data = KSpaceData.build(corpus_kspace(name), ring)
+        for cx in data.complexes().values():
+            for q in cx.diff:
+                if q + 1 in cx.diff:
+                    _assert_canonical_zero(cx.d(q) * cx.d(q + 1))
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2, GF3], ids=str)

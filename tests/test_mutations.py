@@ -270,7 +270,7 @@ def test_an_entry_negated_in_the_cell_map(monkeypatch, tmp_path, doc, seed):
         comps[q] = negated(comps[q], rng.choice(
             [key for key, _ in comps[q].entries()]))
         return data
-    patch_lazy(monkeypatch, KSpaceData, "cell_data", negate)
+    patch_lazy(monkeypatch, KSpaceData, "fundamental_cycles", negate)
     assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS)
 
 
@@ -408,3 +408,48 @@ def test_a_top_chain_dropped_from_the_subdivision(monkeypatch, tmp_path, doc,
                 KSpace(prime, dk.prime, pi))
     monkeypatch.setattr(rkcore, "derived_kspace", drop)
     assert failing_checks(doc, tmp_path) == (1, SUBDIVISION_READERS)
+
+
+# the cell chains match each of their generators to its cell of the ball,
+# so without one cell every reader of the cells fails; the census, counted
+# from X and pi alone, fails on its own
+CELL_READERS = {"cells/census", "cells/ball-structure", "cells/homology",
+                "cells/boundary-display", "cells/identification-isomorphism",
+                "soundness/d-squared-and-support/cell-chains",
+                "tensor/projection-epimorphism", "tensor/hom-dual-isomorphism",
+                "double-dual/equivalence/cell-chains",
+                "cap/fundamental-cycles", "cap/monomorphism",
+                "cap/factorization", "equivalences/cells-to-subdivision",
+                "equivalences/dual-to-subdivision",
+                "equivalences/subdivision-dual-to-cochains",
+                "naturality/identity-map", "naturality/control-square"}
+
+
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_cell_dropped_from_the_ball(monkeypatch, tmp_path, doc, seed):
+    def drop(self, ball):
+        del ball.cells[random.Random(seed).choice(sorted(ball.cells))]
+        return ball
+    patch_lazy(monkeypatch, KSpaceData, "ball", drop)
+    assert failing_checks(doc, tmp_path) == (1, CELL_READERS)
+
+
+# the projection of the full tensor onto the blocked one is built inside
+# its one check
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_kept_pair_killed_in_the_projection_onto_the_blocked_tensor(
+        monkeypatch, tmp_path, doc, seed):
+    project = checks.projection_map
+
+    def kill(src, tgt):
+        proj = project(src, tgt)
+        rng = random.Random(seed)
+        q = rng.choice(sorted(proj.comps))
+        mat = proj.comps[q]
+        entries = dict(mat.entries())
+        del entries[rng.choice(sorted(entries))]
+        proj.comps[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return proj
+    monkeypatch.setattr(checks, "projection_map", kill)
+    assert failing_checks(doc, tmp_path) == (
+        1, {"tensor/projection-epimorphism"})
