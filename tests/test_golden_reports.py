@@ -1,10 +1,10 @@
 """Byte-for-byte pins of the machine-readable reports.
 
 The golden files under ``tests/golden`` hold the ``--format json`` output of
-``verify``, ``dualize``, ``emit-cells``, ``ball-complex``, ``subdivide`` and
-``validate`` on each document in ``documents/``, of ``verify --ring Q`` and
-``verify --ring Z/2`` on each document, plus one seeded ``random`` sweep.  A refactor that keeps
-behaviour keeps these bytes.  Regenerate them deliberately with
+``verify``, ``dualize``, ``emit-cells``, ``ball-complex``, ``subdivide``,
+``validate`` and ``homology`` on each document in ``documents/``, of
+``verify --ring Q`` and ``verify --ring Z/2`` on each document, plus one
+seeded ``random`` sweep.  A refactor that keeps behaviour keeps these bytes.  Regenerate them deliberately with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -23,7 +23,7 @@ CASES = [(cmd, doc, None) for doc in DOCUMENTS
          for cmd in ("verify", "dualize", "emit-cells", "ball-complex")
          ] + [("random", None, None)] + [
     ("verify", doc, ring) for doc in DOCUMENTS for ring in ("Q", "Z/2")] + [
-    (cmd, doc, None) for doc in DOCUMENTS for cmd in ("subdivide", "validate")]
+    (cmd, doc, None) for doc in DOCUMENTS for cmd in ("subdivide", "validate", "homology")]
 
 
 def case_id(cmd, doc, ring):
