@@ -20,8 +20,7 @@ from .rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
                      dual_star, dual_star_map, epsilon, hom_rk, is_full,
                      maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
-                      tensor_map_left, tensor_r, verify_diagonal_equivalence,
-                      verify_e_equivalence)
+                      tensor_map_left, tensor_r, verify_diagonal_equivalence)
 from .ballcomplex import (BallComplex, CellularComplex, DualCell,
                           OrientationPair, cellular_chain_complex,
                           cellular_iso, dual_cell, dual_cone,

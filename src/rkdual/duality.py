@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ChainComplexError, Matrix, is_cone_acyclic
+from .linalg import Matrix, is_cone_acyclic
 from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
                      dual_star_map, epsilon, hom_rk, hom_post_map,
                      delta_star_k, tensor_generator)
@@ -215,28 +215,21 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     """Certify a blocked map as an equivalence: every diagonal component
     must have an acyclic mapping cone.
 
-    The cone of :meth:`RKMap.diagonal` is the direct sum of the per-label
-    cones, so one acyclic cone passes every label at once: homology over Z,
-    Q and Z/p adds up, torsion included, and d∘d = 0 holds on the sum iff
-    on each part.  Only when it is not acyclic (or its d∘d check raises)
-    is each label's cone built, to name the labels that fail.
+    The map and its two sides are validated once each, whole: support and
+    d∘d = 0 of ``f.src`` and ``f.tgt``, support and the chain-map identity
+    of ``f``.  With support, the diagonal blocks of those identities are
+    the identities of the diagonal blocks, so every cone built here has
+    d∘d = 0.  The cone of :meth:`RKMap.diagonal` is the direct sum of the
+    per-label cones, so one acyclic cone passes every label at once:
+    homology over Z, Q and Z/p adds up, torsion included.  Only when it is
+    not acyclic is each label's cone built, to name the labels that fail.
     """
+    f.src.validate()
+    f.tgt.validate()
     f.validate()
     labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    try:
-        whole = is_cone_acyclic(f.diagonal())
-    except ChainComplexError:
-        whole = False
+    whole = is_cone_acyclic(f.diagonal())
     verdicts = (dict.fromkeys(labels, True) if whole else
                 {sigma: is_cone_acyclic(f.diagonal_component(sigma))
                  for sigma in labels})
     return EquivalenceReport(name, verdicts, all(verdicts.values()))
-
-
-def verify_e_equivalence(C: RKComplex, tc: RKComplex,
-                         dualizer: Dualizer) -> EquivalenceReport:
-    """The double-dual collapse of C, given ``tc`` = T(C), is an equivalence.
-    T²C is built here for this check alone, so it is validated here: the
-    cone sees only its diagonal blocks."""
-    e = dualizer.double_dual_map(C, dualizer.square(tc).validate())
-    return verify_diagonal_equivalence(e, "double-dual")

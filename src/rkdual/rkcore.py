@@ -575,7 +575,8 @@ def check_lemma_clem(K: SimplicialComplex, S, ring) -> ClemReport:
         raise InputError(f"{simplex_name(S)} is not maximal")
     X = SimplicialComplex([v for v in K.vertices if v in set(S)], [S])
     ks = KSpace(X, K, SimplicialMap(X, K, {v: v for v in X.vertices}))
-    dstar = dual_star(delta_chain(ks, ring))
+    # validated once: a full cut of a valid complex is valid
+    dstar = dual_star(delta_chain(ks, ring)).validate()
     verdicts = {}
     ok = True
     for sigma in K.all_simplices():

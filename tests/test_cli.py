@@ -60,6 +60,26 @@ def test_validate_names_the_offending_simplex(tmp_path, capsys):
     assert "a.b" in err
 
 
+def test_validate_rejects_a_map_naming_a_vertex_outside_its_source(
+        tmp_path, capsys):
+    bad = {
+        "complexes": {
+            "X": {"vertices": ["a", "b"], "simplices": [["a", "b"]]},
+            "K": {"vertices": ["k"], "simplices": [["k"]]},
+        },
+        "maps": {"pi": {"source": "X", "target": "K",
+                        "vertices": {"a": "k", "b": "k", "zz": "k"}}},
+        "ring": "Z",
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rkdual: error: ") and "zz" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json", encoding="utf-8")

@@ -15,8 +15,7 @@ from rkdual.rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
                            hom_rk, maximal_label_ses, simplex_generator,
                            tensor_generator)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
-                            tensor_r, verify_diagonal_equivalence,
-                            verify_e_equivalence)
+                            tensor_r, verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
@@ -292,8 +291,21 @@ def test_single_label_collapse_is_an_isomorphism_there():
     cm = e.diagonal_component(S)
     for q in (0, 1):
         assert cm.component(q).to_rows() in ([[1]], [[-1]])
-    rep = verify_e_equivalence(C, dz.object(C), dz)
+    rep = verify_diagonal_equivalence(collapse(dz, C)[1], "double-dual")
     assert rep.passed
+
+
+def test_diagonal_equivalence_rejects_non_chain_maps():
+    K = build("abc")
+    S = ("a", "b", "c")
+    C = RKComplex(ZZ, K, False,
+                  {0: (Generator(S, ("simplex", ("u",))),),
+                   1: (Generator(S, ("simplex", ("w",))),)},
+                  {1: Matrix.from_rows(ZZ, [[1]])})
+    bad = RKMap(C, C, {0: Matrix.from_rows(ZZ, [[1]]),
+                       1: Matrix.zero(ZZ, 1, 1)})
+    with pytest.raises(ChainComplexError, match="not a chain map at degree 1"):
+        verify_diagonal_equivalence(bad, "bad")
 
 
 def test_collapse_equivalence_on_corpus_over_z_and_z2(corpus):
@@ -302,7 +314,8 @@ def test_collapse_equivalence_on_corpus_over_z_and_z2(corpus):
             dc = delta_complexes(ks, ring)
             dz = Dualizer(ks.K, ring)
             for cx in (dc.dstar_x, dc.dx_prime):
-                rep = verify_e_equivalence(cx, dz.object(cx), dz)
+                rep = verify_diagonal_equivalence(collapse(dz, cx)[1],
+                                                  "double-dual")
                 assert rep.passed, (name, str(ring), rep.failures())
 
 

@@ -205,7 +205,7 @@ def test_objects_are_built_on_first_use_and_kept():
 
 
 def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
-    stack, entered, validations = [], set(), []
+    stack, entered, validations, certificates = [], set(), [], []
 
     def within(fn, where):
         def spied(*args, **kwargs):
@@ -222,24 +222,39 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
 
         def spied(self):
             validations.append((cls, tuple(stack)))
-            return validate(self)
+            # the outermost validate of an object, directly in a certificate
+            if stack and stack[-1] == "certificate":
+                certificates[-1][1].append(self)
+            stack.append("validate")
+            try:
+                return validate(self)
+            finally:
+                stack.pop()
         monkeypatch.setattr(cls, "validate", spied)
+
+    def certify(f, name):
+        certificates.append((f, []))
+        return certificate(f, name)
     monkeypatch.setattr(rkcore.RKComplex, "sub",
                         within(rkcore.RKComplex.sub, "cut"))
     # a cone's construction and its acyclicity test, whole or per label
     for fn in (linalg.is_cone_acyclic, linalg.mapping_cone):
         rebind(monkeypatch, fn, within(fn, "cone"))
+    certificate = within(duality.verify_diagonal_equivalence, "certificate")
+    rebind(monkeypatch, duality.verify_diagonal_equivalence, certify)
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
         recorded(cls)
     verified("id-torus-7")
-    assert entered == {"cut", "cone"}
-    # a full cut of a valid complex is valid; the d∘d check of a cone is
-    # the chain-map check of its map, and it still runs
+    assert entered == {"cut", "cone", "certificate"}
+    # a full cut of a valid complex is valid, and a cone of a chain map of
+    # valid complexes has d∘d = 0: neither is validated
     assert not [v for v in validations if "cut" in v[1]]
-    assert not [v for v in validations if "cone" in v[1]
-                and v[0] in (linalg.ChainMap, rkcore.RKMap)]
-    assert [v for v in validations if v == (linalg.ChainComplex, ("cone",))]
+    assert not [v for v in validations if "cone" in v[1]]
+    # each cone certificate validates its map and both sides, once each
+    assert len(certificates) == 6
+    for f, seen in certificates:
+        assert sorted(map(id, seen)) == sorted(map(id, (f, f.src, f.tgt)))
 
 
 def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):

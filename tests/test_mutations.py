@@ -253,6 +253,35 @@ def test_an_entry_of_the_square_of_the_subdivision_chains_breaks_d_squared(
         1, {"double-dual/equivalence/subdivision-chains"})
 
 
+@pytest.mark.parametrize("doc,seed,ring", over_z_and_q(
+    [("hex", 0), ("id2", 1), ("tri", 2)], ["hex-0", "id2-1", "tri-2"]))
+def test_an_entry_of_the_square_of_the_cell_chains_breaks_d_squared(
+        monkeypatch, tmp_path, doc, seed, ring):
+    # T and T² of the cell chains are built inside their one reader, the
+    # double-dual collapse of the cell chains: corrupt the square of T(cell
+    # chains) and no other
+    cells, duals = [], []
+    patch_lazy(monkeypatch, KSpaceData, "cellular",
+               lambda self, cellular: cells.append(cellular.rk) or cellular)
+    obj, square = Dualizer.object, Dualizer.square
+
+    def dual(self, C):
+        tc = obj(self, C)
+        if any(C is rk for rk in cells):
+            duals.append(tc)
+        return tc
+
+    def corrupt(self, tc):
+        t2 = square(self, tc)
+        if any(tc is t for t in duals):
+            negate_one_that_breaks(seed, t2.diff, breaks_d_squared(t2))
+        return t2
+    monkeypatch.setattr(Dualizer, "object", dual)
+    monkeypatch.setattr(Dualizer, "square", corrupt)
+    assert failing_checks(doc, tmp_path, ring) == (
+        1, {"double-dual/equivalence/cell-chains"})
+
+
 # the cell map is read by the three composite equivalences, all of which
 # start from it, and by the cap checks built on it
 CELL_MAP_READERS = {"equivalences/cells-to-subdivision",
@@ -295,6 +324,31 @@ def test_an_entry_of_the_chains_breaks_d_squared(monkeypatch, tmp_path, doc,
         return deltas
     patch_lazy(monkeypatch, KSpaceData, "deltas", corrupt)
     assert failing_checks(doc, tmp_path) == (1, DX_READERS)
+
+
+# the subdivision chains are the target of the double-dual collapse and of
+# the three composite equivalences, each of which validates its target
+# whole; a cone sees only the diagonal blocks, and on tri-0 the cell map's
+# chain-map identity never reads the broken entry
+DX_PRIME_READERS = {"soundness/d-squared-and-support/subdivision-chains",
+                    "double-dual/equivalence/subdivision-chains",
+                    "equivalences/cells-to-subdivision",
+                    "equivalences/dual-to-subdivision",
+                    "equivalences/subdivision-dual-to-cochains"}
+
+
+@pytest.mark.parametrize("doc,seed", [("id2", 1), ("tri", 0), ("tri", 2)])
+def test_an_entry_of_the_subdivision_chains_off_the_label_diagonal_breaks_d_squared(
+        monkeypatch, tmp_path, doc, seed):
+    def corrupt(self, deltas):
+        dxp = deltas.dx_prime
+        gens = dxp.gens
+        negate_one_that_breaks(
+            seed, dxp.diff, breaks_d_squared(dxp),
+            lambda q, key: gens[q - 1][key[0]].label != gens[q][key[1]].label)
+        return deltas
+    patch_lazy(monkeypatch, KSpaceData, "deltas", corrupt)
+    assert failing_checks(doc, tmp_path) == (1, DX_PRIME_READERS)
 
 
 # T² of the cochains is read by its soundness check, the double-dual
