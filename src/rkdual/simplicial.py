@@ -265,10 +265,10 @@ class SimplicialMap:
             if self.mapping[v] not in self.target._index:
                 raise InputError(
                     f"vertex {vertex_name(v)} maps outside the target")
-        for v in self.mapping:
-            if v not in self.source._index:
-                raise InputError(
-                    f"vertex {vertex_name(v)} is not a vertex of the source")
+        if len(self.mapping) != len(self.source.vertices):
+            v = next(v for v in self.mapping if v not in self.source._index)
+            raise InputError(
+                f"vertex {vertex_name(v)} is not a vertex of the source")
         for s in self.source.all_simplices():
             image = set(self.mapping[v] for v in s)
             if not self.target.has(self.target.canonical(image)):

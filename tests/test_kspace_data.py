@@ -231,6 +231,7 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
             finally:
                 stack.pop()
         monkeypatch.setattr(cls, "validate", spied)
+    certificate = within(duality.verify_diagonal_equivalence, "certificate")
 
     def certify(f, name):
         certificates.append((f, []))
@@ -240,7 +241,6 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
     # a cone's construction and its acyclicity test, whole or per label
     for fn in (linalg.is_cone_acyclic, linalg.mapping_cone):
         rebind(monkeypatch, fn, within(fn, "cone"))
-    certificate = within(duality.verify_diagonal_equivalence, "certificate")
     rebind(monkeypatch, duality.verify_diagonal_equivalence, certify)
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
