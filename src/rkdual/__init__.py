@@ -11,10 +11,9 @@ from .rings import Ring
 from .linalg import (ChainComplex, ChainMap, Matrix, homology, is_acyclic,
                      is_cone_acyclic, mapping_cone, smith_normal_form)
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
-                         OrientedSimplex, SimplicialComplex, SimplicialMap,
+                         SimplicialComplex, SimplicialMap,
                          barycentric_subdivision, chain_complex, control_map,
-                         derived_kspace, incidence_number, kspace_identity,
-                         validate_kspace)
+                         derived_kspace, kspace_identity, validate_kspace)
 from .rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
                      check_lemma_clem, delta_complexes, delta_star_k,
                      dual_star, dual_star_map, epsilon, hom_rk, is_full,

@@ -172,25 +172,24 @@ class BallComplex:
 class OrientationPair:
     """Oriented bases for the chains of K and of X.
 
-    ``bk`` and ``bx`` map a simplex to +-1 against its canonical ordering.
-    A valid pair satisfies the compatibility identity: whenever pi is
-    injective on the vertices of T with image s, the pushforward of the
-    basis element of T is (-1)^{dim s} times the basis element of s.
+    K keeps its lexicographic basis: each simplex is oriented by its
+    canonical ordering.  ``bx`` maps a simplex of X to +-1 against its
+    canonical ordering.  A valid pair satisfies the compatibility identity:
+    whenever pi is injective on the vertices of T with image s, the
+    pushforward of the basis element of T is (-1)^{dim s} times the basis
+    element of s.
     """
 
-    def __init__(self, ks: KSpace, bk=None, bx=None):
+    def __init__(self, ks: KSpace, bx=None):
         self.ks = ks
-        self.bk = {s: 1 for s in ks.K.all_simplices()}
         self.bx = {s: 1 for s in ks.X.all_simplices()}
-        if bk:
-            self.bk.update(bk)
         if bx:
             self.bx.update(bx)
 
     @classmethod
     def standard(cls, ks: KSpace) -> "OrientationPair":
-        """Lexicographic on K; on X, pull the image ordering back through pi
-        and twist by (-1)^dim; lexicographic where pi degenerates."""
+        """On X, pull the image ordering back through pi and twist by
+        (-1)^dim; lexicographic where pi degenerates."""
         bx = {}
         for T in ks.X.all_simplices():
             if ks.pi.is_injective_on(T):
@@ -198,19 +197,14 @@ class OrientationPair:
                 bx[T] = s * (-1 if (len(image) - 1) % 2 else 1)
             else:
                 bx[T] = 1
-        return cls(ks, None, bx)
-
-    @classmethod
-    def lexicographic(cls, ks: KSpace) -> "OrientationPair":
-        return cls(ks)
+        return cls(ks, bx)
 
     def validate(self):
         for T in self.ks.X.all_simplices():
             if not self.ks.pi.is_injective_on(T):
                 continue
             image, s = self.ks.pi.chain_image(T)
-            want = self.bk[image] * (-1 if (len(image) - 1) % 2 else 1)
-            if self.bx[T] * s != want:
+            if self.bx[T] * s != (-1 if (len(image) - 1) % 2 else 1):
                 raise InputError(
                     f"orientation of {simplex_name(T)} breaks the "
                     f"pushforward-compatibility identity")
@@ -258,7 +252,7 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
     coefficients are units on codimension-one cells only."""
     rk = cx.rk
     ring = rk.ring
-    bx, bk = cx.orientation.bx, cx.orientation.bk
+    bx = cx.orientation.bx
     failures = []
     for q in rk.degrees():
         gens_lo = rk.gens_at(q - 1)
@@ -274,8 +268,7 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
             for rho in ks.K.star(sigma):
                 if len(rho) != len(sigma) + 1 or not rk.leq(rho, ks.pi.image(T)):
                     continue
-                coeff = (sign_inner * bk[rho] * bk[sigma]
-                         * incidence_canonical(rho, sigma))
+                coeff = sign_inner * incidence_canonical(rho, sigma)
                 expect[T, rho] = expect.get((T, rho), 0) + coeff
             want = {cell: ring.coerce(c) for cell, c in expect.items() if c}
             got = {cx.cells[gens_lo[i]]: v for i, v in rk.d(q).column(j)}

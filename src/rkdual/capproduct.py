@@ -238,7 +238,7 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     """
     orientation = cellular.orientation
     orientation.validate()
-    bx, bk = orientation.bx, orientation.bk
+    bx = orientation.bx
     # the orientation parity of each simplex that pi does not collapse
     parity = {S: out[1] for S in ks.X.all_simplices()
               if (out := ks.pi.chain_image(S)) is not None}
@@ -247,9 +247,8 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
         T, rho = cellular.cells[g]
         overall = -1 if (len(rho) - 1) % 2 else 1
         for flag in _top_flags(ks, T, rho):
-            bottom = bk[rho] * parity[flag[-1]]
             yield (simplex_generator(flag, rho),
-                   overall * flag_sign(flag, bx[T], bottom))
+                   overall * flag_sign(flag, bx[T], parity[flag[-1]]))
     cmap = RKMap.from_images(cellular.rk, deltas.dx_prime, images)
     return CellChainData(cmap, cellular, deltas)
 
@@ -257,13 +256,13 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
 def cochain_pullback(ks: KSpace, orientation) -> dict:
     """The pullback of cochains along pi: rho -> [(S, coefficient of S* in
     pi*(rho*))], in the bases of ``orientation``."""
-    bx, bk = orientation.bx, orientation.bk
+    bx = orientation.bx
     table = {}
     for S in ks.X.all_simplices():
         out = ks.pi.chain_image(S)
         if out is not None:
             rho, sign = out
-            table.setdefault(rho, []).append((S, bk[rho] * bx[S] * sign))
+            table.setdefault(rho, []).append((S, bx[S] * sign))
     return table
 
 

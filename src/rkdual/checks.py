@@ -74,7 +74,7 @@ def parse_document(payload: dict) -> Document:
                                      f"a string")
         complexes[name] = SimplicialComplex.build(vertices, simplices)
     kspaces = []
-    raw_maps = payload.get("maps") or {}
+    raw_maps = payload.get("maps", {})
     if not isinstance(raw_maps, dict):
         raise InputError(f"'maps' must be a table of maps, got {raw_maps!r}")
     for name in sorted(raw_maps):
@@ -181,7 +181,7 @@ class KSpaceData:
 
     @cached_property
     def dualizer(self) -> Dualizer:
-        return Dualizer(self.ks.K, self.ring, self.orientation.bk)
+        return Dualizer(self.ks.K, self.ring)
 
     @cached_property
     def ball(self) -> BallComplex:
@@ -298,8 +298,8 @@ def check_assembly(report: Report, target: str, data: KSpaceData):
                 if sub.total_rank() + quo.total_rank() != dx.total_rank():
                     return False, {"label": simplex_name(sigma)}
                 # inclusion and projection are chain maps
-                RKMap.inclusion(sub, dx).validate()
-                RKMap.projection(dx, quo).validate()
+                RKMap.shared(sub, dx).validate()
+                RKMap.shared(dx, quo).validate()
         return True, {}
     _guard(report, "assembly/star-splitting", target, body)
 
@@ -479,8 +479,7 @@ def check_cells(report: Report, target: str, data: KSpaceData):
 
 def check_cap(report: Report, target: str, data: KSpaceData):
     def k_body():
-        rep = verify_cap_chain_map(data.deltas.derived_k, data.ring,
-                                   basis=data.orientation.bk)
+        rep = verify_cap_chain_map(data.deltas.derived_k, data.ring)
         return rep.passed, ({"failures": rep.failures[:5]}
                             if not rep.passed else {})
     _guard(report, "cap/chain-map-and-pairing/control", target, k_body)

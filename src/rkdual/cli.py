@@ -62,11 +62,15 @@ def _load(path: str) -> dict:
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {out_path}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:
@@ -83,20 +87,18 @@ def main(argv=None) -> int:
         report = run_command(args.command, payload, ring_override=args.ring,
                              seed=args.seed, count=args.count,
                              document_name=document_name)
+        if args.command == "emit-cells":
+            lines = [line for key in sorted(report.tables)
+                     if key.startswith("cells/") for line in report.tables[key]]
+            _emit("\n".join(lines) + "\n", args.out)
+        elif args.format == "json":
+            _emit(report.to_json(), args.out)
+        else:
+            _emit(report.to_text(elapsed=time.monotonic() - started),
+                  args.out)
     except InputError as exc:
         sys.stderr.write(f"rkdual: error: {exc}\n")
         return 2
-    if args.command == "emit-cells":
-        lines = []
-        for key in sorted(report.tables):
-            if key.startswith("cells/"):
-                lines.extend(report.tables[key])
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0 if report.passed else 1
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(report.to_text(elapsed=time.monotonic() - started), args.out)
     return 0 if report.passed else 1
 
 

@@ -79,14 +79,9 @@ def tensor_k(C: RKComplex, D: RKComplex) -> RKComplex:
 def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
     """The label-diagonal epimorphism from the full tensor ``src`` =
     ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``:
-    it keeps x⊗y iff label(y) ⊆ label(x) and kills the other pairs."""
-    one = src.ring.one
-
-    def images(q, g):
-        _, gl, gr = g.data
-        if set(gr.label) <= set(gl.label):
-            yield g, one
-    return RKMap.from_images(src, tgt, images)
+    it keeps the pairs x⊗y of ``tgt``, those with label(y) ⊆ label(x), and
+    kills the others."""
+    return RKMap.shared(src, tgt)
 
 
 def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -133,10 +128,10 @@ class Dualizer:
     duals and double duals share generators; maps take T of their ends.
     """
 
-    def __init__(self, K, ring, bk=None):
+    def __init__(self, K, ring):
         self.K = K
         self.ring = ring
-        self.dstar_k = delta_star_k(K, ring, bk)
+        self.dstar_k = delta_star_k(K, ring)
 
     def object(self, C: RKComplex) -> RKComplex:
         """T(C): generators x* ⊗ sigma* with the label of sigma."""

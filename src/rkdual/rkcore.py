@@ -7,8 +7,8 @@ in the face order (or downward, for complexes carried by the opposite
 order).  Ranks, differentials, components and d∘d = 0 are the chain
 complex's; the subclasses add the labels and the support condition.  One
 label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
-some labels with the blocks between them, and :meth:`RKMap.inclusion` and
-:meth:`RKMap.projection` send each generator to itself.
+some labels with the blocks between them, and :meth:`RKMap.shared` sends
+each generator to itself.
 :meth:`RKMap.diagonal` is the direct sum of a map's one-label cuts, on its
 whole bases, so a label-wise certificate runs once on it.  The star dual, the
 evaluation isomorphism to the double dual, blocked Hom, and the geometric
@@ -275,19 +275,13 @@ class RKMap(ChainMap):
         return cls(src, tgt, comps, degree)
 
     @classmethod
-    def inclusion(cls, sub: RKComplex, cx: RKComplex) -> "RKMap":
-        """sub -> cx for a label cut ``sub`` of ``cx``: each generator to
-        itself."""
-        one = cx.ring.one
-        return cls.from_images(sub, cx, lambda q, g: ((g, one),))
-
-    @classmethod
-    def projection(cls, cx: RKComplex, quo: RKComplex) -> "RKMap":
-        """cx -> quo for a label cut ``quo`` of ``cx``: each generator it
-        keeps to itself, the others to 0."""
-        one, kept = cx.ring.one, quo.labels()
-        return cls.from_images(
-            cx, quo, lambda q, g: ((g, one),) if g.label in kept else ())
+    def shared(cls, src: RKComplex, tgt: RKComplex) -> "RKMap":
+        """Each generator of ``src`` that ``tgt`` also has to itself, every
+        other to 0: the inclusion of a label cut, or the projection onto
+        one."""
+        one = src.ring.one
+        return cls.from_images(src, tgt, lambda q, g: (
+            ((g, one),) if g in tgt._index.get(q, ()) else ()))
 
     def validate(self):
         _check_support(self.comps, self.src, self.tgt, self.degree)
@@ -515,9 +509,10 @@ def delta_chain(ks: KSpace, ring, basis=None) -> RKComplex:
     return simplicial_rk(ring, ks.K, True, ks.X, ks.pi.image, basis)
 
 
-def delta_star_k(K: SimplicialComplex, ring, basis=None) -> RKComplex:
-    """Cochains of K itself, blocked over K by the underlying simplex."""
-    return dual_star(delta_chain(control_kspace(K), ring, basis))
+def delta_star_k(K: SimplicialComplex, ring) -> RKComplex:
+    """Cochains of K in its lexicographic basis, blocked over K by the
+    underlying simplex."""
+    return dual_star(delta_chain(control_kspace(K), ring))
 
 
 def delta_complexes(ks: KSpace, ring, basis=None) -> DeltaComplexes:
@@ -549,8 +544,8 @@ def maximal_label_ses(C: RKComplex):
     labels = sorted(C.labels(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None
-    ses = ShortExactSequence(RKMap.inclusion(C.sub({labels[-1]}), C),
-                             RKMap.projection(C, C.sub(set(labels[:-1]))))
+    ses = ShortExactSequence(RKMap.shared(C.sub({labels[-1]}), C),
+                             RKMap.shared(C, C.sub(set(labels[:-1]))))
     return ses.validate(), labels[-1]
 
 

@@ -1,4 +1,4 @@
-"""Finite abstract simplicial complexes, oriented simplices and control maps.
+"""Finite abstract simplicial complexes and control maps.
 
 Simplices are canonical tuples (vertices in the complex's fixed order); an
 orientation is a vertex ordering up to even permutation, recorded as a sign
@@ -65,9 +65,11 @@ class SimplicialComplex:
 
     def __init__(self, vertices, simplices):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InputError("duplicate vertices")
         self._index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
+            v = next(v for i, v in enumerate(self.vertices)
+                     if self._index[v] != i)
+            raise InputError(f"duplicate vertex {v!r}")
         canon = set()
         for s in simplices:
             canon.add(self.canonical(s))
@@ -190,37 +192,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices; {counts})"
 
 
-class OrientedSimplex:
-    """A simplex with a chosen vertex ordering, up to even permutation."""
-
-    __slots__ = ("complex", "simplex", "sign")
-
-    def __init__(self, complex: SimplicialComplex, ordering, sign=1):
-        self.complex = complex
-        canon = complex.canonical(ordering)
-        if len(canon) != len(tuple(ordering)):
-            raise InputError(f"degenerate ordering {ordering!r}")
-        self.simplex = canon
-        self.sign = sign * permutation_sign(tuple(ordering), canon)
-
-    @property
-    def dim(self):
-        return len(self.simplex) - 1
-
-    def __neg__(self):
-        return OrientedSimplex(self.complex, self.simplex, -self.sign)
-
-    def __eq__(self, other):
-        return (isinstance(other, OrientedSimplex)
-                and self.complex == other.complex
-                and self.simplex == other.simplex
-                and self.sign == other.sign)
-
-    def __repr__(self):
-        pre = "-" if self.sign < 0 else ""
-        return f"{pre}<{simplex_name(self.simplex)}>"
-
-
 def incidence_canonical(s, t) -> int:
     """Incidence number of canonically ordered s against t.
 
@@ -232,13 +203,6 @@ def incidence_canonical(s, t) -> int:
     (dropped,) = set(s) - set(t)
     i = s.index(dropped)
     return -1 if i % 2 else 1
-
-
-def incidence_number(a: OrientedSimplex, b: OrientedSimplex) -> int:
-    """Coefficient of b in the boundary of a (both in the same complex)."""
-    if a.complex != b.complex:
-        raise InputError("incidence number needs simplices of one complex")
-    return a.sign * b.sign * incidence_canonical(a.simplex, b.simplex)
 
 
 class SimplicialMap:

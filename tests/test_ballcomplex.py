@@ -30,8 +30,7 @@ def ball_of(ks):
 
 def cellular_of(ks, orient):
     return cellular_chain_complex(orient, delta_chain(ks, ZZ, orient.bx),
-                                  delta_star_k(ks.K, ZZ, orient.bk),
-                                  ball_of(ks))
+                                  delta_star_k(ks.K, ZZ), ball_of(ks))
 
 
 def cell_map_of(fmap, or_src, or_tgt):
@@ -134,7 +133,7 @@ def test_standard_orientation_satisfies_the_identity(corpus):
 
 def test_lexicographic_orientation_fails_on_identity_edge(edge_ks):
     with pytest.raises(InputError):
-        OrientationPair.lexicographic(edge_ks).validate()
+        OrientationPair(edge_ks).validate()
 
 
 def test_standard_orientation_twists_odd_fibers(edge_ks):

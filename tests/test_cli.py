@@ -100,6 +100,15 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "emit-cells"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report.json"
+    assert main([command, write_doc(tmp_path, "pt"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rkdual: error: cannot write output file {out}")
+    assert "Traceback" not in err
+
+
 def test_check_failures_exit_one(monkeypatch, tmp_path, capsys):
     failing = Report("verify", "Z", "doc")
     failing.add("synthetic", "t", False)
@@ -304,6 +313,14 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     ({"maps": {"pi": 5}}, [], "5"),
     (b'{"complexes": {"X": {"simplices": [["\xff"]]}}}', [], "\\xff"),
     ({"complexes": {"X": {"simplices": []}}, "maps": {}}, [], "'X' is empty"),
+    ({"maps": []}, [], "got []"),
+    ({"maps": None}, [], "got None"),
+    ({"maps": False}, [], "got False"),
+    ({"maps": 0}, [], "got 0"),
+    ({"maps": ""}, [], "got ''"),
+    ({"complexes": {"X": {"vertices": ["a", "b", "a"],
+                          "simplices": [["a", "b"]]}}, "maps": {}}, [],
+     "duplicate vertex 'a'"),
 ])
 def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
                                                     argv, bad):

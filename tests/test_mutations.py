@@ -112,6 +112,36 @@ def test_a_sign_flipped_in_the_cochain_pullback(monkeypatch, tmp_path, doc,
     assert failing_checks(doc, tmp_path) == (1, {"cap/factorization"})
 
 
+# the cap product on K is built inside its one check; the cap on X, read by
+# the factorization, is another call, and on hex and tri X is not K
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("hex", 1), ("tri", 2),
+                                      ("tri", 3)])
+def test_a_sign_flipped_in_the_cap_product_on_the_control_complex(
+        monkeypatch, tmp_path, doc, seed):
+    chain_map, cap = checks.verify_cap_chain_map, capproduct.cap_product
+    chosen = []
+
+    def on_k(derived, ring):
+        K, rng = derived.base, random.Random(seed)
+        tau = rng.choice(list(K.all_simplices()))
+        chosen.append((K, tau, rng.choice(K.closure(tau)), rng))
+        try:
+            return chain_map(derived, ring)
+        finally:
+            chosen.pop()
+
+    def flip(cx, tau, sigma, basis=None):
+        out = cap(cx, tau, sigma, basis)
+        if chosen and chosen[-1][:3] == (cx, tau, sigma):
+            flag = chosen[-1][3].choice(sorted(out))
+            out[flag] = -out[flag]
+        return out
+    monkeypatch.setattr(checks, "verify_cap_chain_map", on_k)
+    monkeypatch.setattr(capproduct, "cap_product", flip)
+    assert failing_checks(doc, tmp_path) == (
+        1, {"cap/chain-map-and-pairing/control"})
+
+
 # T(subdivision chains) is read by the double-dual collapse of the
 # subdivision chains and by the one composite equivalence that starts there
 T_SUB_READERS = {"double-dual/equivalence/subdivision-chains",
