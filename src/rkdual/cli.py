@@ -42,6 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table(pairs) -> dict:
+    """A JSON object; a key it repeats is an input error."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise InputError(f"repeated key {key!r} in a JSON object")
+        table[key] = value
+    return table
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
@@ -55,7 +65,7 @@ def _load(path: str) -> dict:
         raise InputError(f"input file is not UTF-8: byte "
                          f"{raw[exc.start:exc.start + 1]!r} at offset {exc.start}")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_table)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")

@@ -3,10 +3,11 @@
 For C over the opposite order and D over the standard one, the blocked
 tensor keeps only the pairs x⊗y whose left label lies in the star of the
 right label; it is the quotient of the full tensor by the remaining pairs.
-It is built by position: each kept pair is indexed as the basis is laid
-out, and its column of the differential is filled from the stored columns
-of C and D, an image pair outside the index being one the quotient drops.
-Maps between tensors stay rules on generators.
+One layout, from D's label cuts cached once per label, places every pair
+x⊗y of a tensor.  From it the differential d_C ⊗ 1 + (-1)^r 1 ⊗ d_D, f ⊗ 1
+and T(f) = f* ⊗ 1 are filled from the stored columns of C, D and f, only
+between blocked tensors of f's ends over one D; an image pair the layout
+does not place is one the quotient drops.
 
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
@@ -22,55 +23,85 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, is_cone_acyclic
-from .rkcore import (RKComplex, RKMap, dual_generator, dual_star,
-                     dual_star_map, epsilon, hom_rk, hom_post_map,
-                     delta_star_k, tensor_generator)
+from .linalg import ChainComplexError, Matrix, is_cone_acyclic
+from .rkcore import (RKComplex, RKMap, dual_generator, dual_star, epsilon,
+                     hom_rk, hom_post_map, delta_star_k, tensor_generator)
 from .simplicial import simplex_name
 
 
-def _tensor_complex(C, D, keep_all) -> RKComplex:
+class Tensor(RKComplex):
+    """C ⊗ D from :func:`tensor_k` or :func:`tensor_r`; records only ``full``,
+    ``left`` (C's generators), ``dual_of`` (what C is dual to), ``right`` (D)."""
+
+    __slots__ = ("full", "left", "dual_of", "right")
+
+
+def _layout(left, D, full):
+    """Where the tensor of ``left`` with D puts its pairs, in basis order (r,
+    i, j): per left degree r, cuts[i], the cut {s: (js, rank)} of D to x_i's
+    label (all of D when ``full``), cached on D, and starts: x_i⊗y_j is at
+    starts[s][i] + rank[j] in degree r + s if j is in js.  Also ints to share."""
+    count, out, cache = {}, {}, D._cuts
+    for r in sorted(left):
+        cuts, starts = out[r] = [], {s: [0] * len(left[r]) for s in D.spaces}
+        for i, g in enumerate(left[r]):
+            if (cut := cache.get(label := None if full else g.label)) is None:
+                picks = D.positions(D.K.closure(label) if label else D.labels())
+                cut = cache[label] = {s: (js, {j: k for k, j in enumerate(js)})
+                                      for s, js in sorted(picks.items()) if js}
+            cuts.append(cut)
+            for s, (js, _) in cut.items():
+                starts[s][i] = start = count.get(r + s, 0)
+                count[r + s] = start + len(js)
+    return out, list(range(max(count.values(), default=0)))
+
+
+def _tensor_complex(C, D, keep_all) -> Tensor:
     if not C.op or D.op or C.K != D.K or C.ring != D.ring:
         raise ValueError(
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
-    # pairs x_i⊗y_j in basis order (r, i, j); d(x⊗y) = dx⊗y + (-1)^r x⊗dy
-    # is filled as each is kept: its image pairs precede it, or are dropped
+    # d(x⊗y) = dx⊗y + (-1)^r x⊗dy: x_i⊗y_j goes to x'⊗y_j for x' in dx_i
+    # (hits) and to x_i⊗y' for y' in dy_j, wherever the layout places them
+    layout, ints = _layout(C.gens, D, keep_all)
     gens = {r + s: [] for r in C.degrees() for s in D.degrees()}
     data = {q: {} for q in gens}
-    column, cuts = {}, {}
-    everything = [(s, range(D.rank(s))) for s in D.degrees()]
-    for r in C.degrees():
-        for i, gl in enumerate(C.gens[r]):
-            kept = everything if keep_all else cuts.get(gl.label)
-            if kept is None:
-                kept = cuts[gl.label] = sorted(
-                    D.positions(D.K.closure(gl.label)).items())
-            left = C.diff[r].column(i) if r in C.diff else ()
-            for s, js in kept:
-                bucket, entries = gens[r + s], data[r + s]
-                for j in js:
-                    at = column[r, i, s, j] = len(bucket)
-                    bucket.append(tensor_generator(gl, D.gens[s][j]))
-                    col = entries[at] = {}
-                    for i2, v in left:
-                        if (row := column.get((r - 1, i2, s, j))) is not None:
-                            col[row] = v
-                    for j2, v in D.diff[s].column(j) if s in D.diff else ():
-                        if (row := column.get((r, i, s - 1, j2))) is not None:
-                            col[row] = -v if r % 2 else v
-    del column          # free the pair index before the basis is indexed
+    for r, (cuts, starts) in layout.items():
+        dl, (below, at) = C.diff.get(r), layout.get(r - 1, (0, 0))
+        sign = -1 if r % 2 else 1
+        into = {s: (gens[r + s].append, data[r + s], D.gens[s], D.diff.get(s))
+                for s in D.spaces}
+        for i, (gl, cut) in enumerate(zip(C.gens[r], cuts)):
+            images = dl.column(i) if dl else ()
+            for s, (js, _) in cut.items():
+                hits = [(below[i2][s][1], at[s][i2], v) for i2, v in images
+                        if s in below[i2]] if images else ()
+                append, entries, ys, dr = into[s]
+                if down := dr and cut.get(s - 1):
+                    below_s = starts[s - 1][i]
+                for k, j in enumerate(js, starts[s][i]):
+                    append(tensor_generator(gl, ys[j]))
+                    col = entries[ints[k]] = {}
+                    for rank, there, v in hits:
+                        if (row := rank.get(j)) is not None:
+                            col[ints[there + row]] = v
+                    for j2, v in dr.column(j) if down else ():
+                        if (row := down[1].get(j2)) is not None:
+                            col[ints[below_s + row]] = sign * v
+    del layout          # freed before the basis is indexed
     diff = {q: Matrix._from_sums(C.ring, len(gens.get(q - 1, ())),
                                  len(gens[q]), data.pop(q))
             for q in sorted(data) if any(data[q].values())}
-    return RKComplex(C.ring, D.K, False, gens, diff)
+    t = Tensor(C.ring, D.K, False, gens, diff)
+    t.full, t.left, t.dual_of, t.right = keep_all, C.gens, None, D
+    return t
 
 
-def tensor_r(C: RKComplex, D: RKComplex) -> RKComplex:
+def tensor_r(C: RKComplex, D: RKComplex) -> Tensor:
     """The full tensor product, labeled by the right factor."""
     return _tensor_complex(C, D, keep_all=True)
 
 
-def tensor_k(C: RKComplex, D: RKComplex) -> RKComplex:
+def tensor_k(C: RKComplex, D: RKComplex) -> Tensor:
     """The blocked tensor product: pairs with left label in the star of the
     right label, with the induced (filtered Koszul) differential."""
     return _tensor_complex(C, D, keep_all=False)
@@ -84,24 +115,38 @@ def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
     return RKMap.shared(src, tgt)
 
 
+def _left_times_one(f, mats, src, tgt, factor, ends) -> RKMap:
+    """M ⊗ 1 for a degree-0 f, between blocked tensors over one D whose
+    ``factor`` records the ``ends``: x_i⊗y goes to x'⊗y, x' in ``mats[r]``."""
+    if f.degree != 0 or not all(isinstance(t, Tensor) and not t.full and (
+            getattr(t, factor) == end.gens and t.right.same_shape(src.right))
+                                for t, end in zip((src, tgt), ends)):
+        raise ChainComplexError("a degree-0 map is tensored only between the "
+                                "blocked tensors of its ends over one D")
+    (ours, ints), (theirs, rows) = (_layout(t.left, t.right, False)
+                                    for t in (src, tgt))
+    cols = {q: {} for q in src.degrees()}
+    for r, mat in mats.items():
+        (cuts, starts), (below, at) = ours[r], theirs[r]
+        for i, cut in enumerate(cuts):
+            images = mat.column(i)
+            for s, (js, _) in cut.items():
+                hits = [(below[i2][s][1], at[s][i2], v) for i2, v in images
+                        if s in below[i2]]
+                for k, j in enumerate(js, starts[s][i]):
+                    if col := {rows[there + row]: v for rank, there, v in hits
+                               if (row := rank.get(j)) is not None}:
+                        cols[r + s][ints[k]] = col
+    return RKMap(src, tgt, {
+        q: Matrix._from_sums(src.ring, tgt.rank(q), src.rank(q), c)
+        for q, c in cols.items() if c})
+
+
 def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     """f ⊗ identity on D over the blocked tensor, for a degree-0 map f of
     opposite-order complexes: ``src`` = ``tensor_k(f.src, D)`` to ``tgt`` =
     ``tensor_k(f.tgt, D)``."""
-    if f.degree != 0:
-        raise ValueError("only degree-0 maps are tensored")
-    ldeg = {g: r for r in f.src.degrees() for g in f.src.gens_at(r)}
-
-    def images(q, g):
-        _, gl, gr = g.data
-        r = ldeg[gl]
-        if r not in f.comps:
-            return
-        for i_l, v in f.comps[r].column(f.src.index_of(r, gl)):
-            gl2 = f.tgt.gens_at(r)[i_l]
-            if set(gr.label) <= set(gl2.label):
-                yield tensor_generator(gl2, gr), v
-    return RKMap.from_images(src, tgt, images)
+    return _left_times_one(f, f.comps, src, tgt, "left", (f.src, f.tgt))
 
 
 def hom_dual_iso(src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -137,11 +182,16 @@ class Dualizer:
         """T(C): generators x* ⊗ sigma* with the label of sigma."""
         if C.op:
             raise ValueError("duality takes complexes over the standard order")
-        return tensor_k(dual_star(C), self.dstar_k)
+        t = tensor_k(dual_star(C), self.dstar_k)
+        t.dual_of = C.gens
+        return t
 
     def map(self, f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
-        """T(f): ``src`` = T(f.tgt) -> ``tgt`` = T(f.src); contravariant."""
-        return tensor_map_left(dual_star_map(f), src, tgt)
+        """T(f) = f* ⊗ 1, f* the transpose of f: ``src`` = T(f.tgt) ->
+        ``tgt`` = T(f.src); contravariant."""
+        return _left_times_one(
+            f, {-q: mat.transpose() for q, mat in f.comps.items()}, src, tgt,
+            "dual_of", (f.tgt, f.src))
 
     def square(self, tc: RKComplex) -> RKComplex:
         """T²C, given ``tc`` = T(C)."""

@@ -19,8 +19,8 @@ it was built (a simplex, or the dual, tensor or Hom of earlier generators).
 Every blocked map, and the differential of blocked Hom, is a rule on
 generators that names each image by rebuilding its structure;
 :meth:`RKMap.from_images`, the one assembly function for rules, resolves
-the images in the target basis.  The blocked tensor fills its differential
-by position from its factors' columns instead (see :mod:`rkdual.duality`).
+the images in the target basis.  The blocked tensor, f ⊗ 1 and T(f) are
+filled by position instead, from label cuts cached on D (:mod:`rkdual.duality`).
 Names are rendered for display only and may coincide.
 
 Sign conventions, fixed once and used everywhere:
@@ -112,7 +112,7 @@ class RKComplex(ChainComplex):
     checked by :meth:`validate`.
     """
 
-    __slots__ = ("K", "op", "gens", "_index", "_by_label")
+    __slots__ = ("K", "op", "gens", "_index", "_by_label", "_cuts")
 
     def __init__(self, ring, K: SimplicialComplex, op: bool, gens, diff):
         self.K = K
@@ -120,7 +120,7 @@ class RKComplex(ChainComplex):
         self.gens = {q: tuple(gs) for q, gs in gens.items() if gs}
         self._index = {q: {g: i for i, g in enumerate(gs)}
                        for q, gs in self.gens.items()}
-        self._by_label = None
+        self._by_label, self._cuts = None, {}
         for q, gs in self.gens.items():
             if len(self._index[q]) != len(gs):
                 raise ChainComplexError(f"duplicate generators at degree {q}")

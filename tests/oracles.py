@@ -178,3 +178,23 @@ def blocked_tensor(c_labels, c_diff, d_labels, d_diff, keep_all=False):
     diff = {q: [[entry(row, col) for col in cols] for row in pairs[q - 1]]
             for q, cols in pairs.items() if q - 1 in pairs}
     return pairs, diff
+
+
+def tensor_map(f_rows, src_pairs, tgt_pairs):
+    """f ⊗ 1 between two tensors with one right factor, by its definition.
+
+    ``src_pairs`` and ``tgt_pairs`` hold the kept pairs (r, i, s, j) of each
+    total degree, as :func:`blocked_tensor` returns them, and ``f_rows``
+    maps a left degree r to the row lists of f_r.  The entry at (x'⊗y',
+    x⊗y) is f_r[x', x] when y' = y and x'⊗y' is a kept pair of the target,
+    else 0.  Returns the row lists of each degree of the source.
+    """
+    def entry(row, col):
+        (r2, i2, s2, j2), (r, i, s, j) = row, col
+        if r in f_rows and (r2, s2, j2) == (r, s, j):
+            return f_rows[r][i2][i]
+        return 0
+
+    return {q: [[entry(row, col) for col in cols]
+                for row in tgt_pairs.get(q, [])]
+            for q, cols in src_pairs.items()}

@@ -321,6 +321,16 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     ({"complexes": {"X": {"vertices": ["a", "b", "a"],
                           "simplices": [["a", "b"]]}}, "maps": {}}, [],
      "duplicate vertex 'a'"),
+    pytest.param(b'{"complexes": {"X": {"simplices": [["a", "b"]]}, '
+                 b'"X": {"simplices": [["p"]]}}}', [], "repeated key 'X'",
+                 id="repeated-complex"),
+    pytest.param(b'{"complexes": {"E": {"simplices": [["a", "b"]]}}, '
+                 b'"maps": {"pi": {"source": "E", "target": "E", "vertices": '
+                 b'{"a": "a", "b": "b", "a": "b"}}}}', [], "repeated key 'a'",
+                 id="repeated-vertex"),
+    pytest.param(b'{"ring": "Z", "complexes": {"X": {"simplices": [["a"]]}}, '
+                 b'"ring": "Q"}', [], "repeated key 'ring'",
+                 id="repeated-ring"),
 ])
 def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
                                                     argv, bad):

@@ -173,6 +173,31 @@ def test_tensor_builds_one_generator_per_basis_element(monkeypatch):
     assert len(made) == t2.total_rank() > 0
 
 
+def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
+    duals = count_calls(monkeypatch, rkcore.dual_star)
+    made = count_calls(monkeypatch, rkcore.tensor_generator)
+    inside = []
+    functor = Dualizer.map
+
+    def spied(self, *args):
+        start = len(duals), len(made)
+        try:
+            return functor(self, *args)
+        finally:
+            inside.append((len(duals) - start[0], len(made) - start[1]))
+    monkeypatch.setattr(Dualizer, "map", spied)
+    verified("hex")
+    # T(f) = f* ⊗ 1 reads f's transpose and the layout of its two sides:
+    # it dualizes no complex and builds no generator
+    assert len(inside) == 11
+    assert set(inside) == {(0, 0)}
+    # one dual each: the 12 objects T(C), the cochains of X and of K, the
+    # three cochains of closed simplices, the targets of the two Hom-to-dual
+    # isomorphisms, the cochains of (K, id) and the cap on K; two each:
+    # the double dual inside epsilon and the two pullbacks
+    assert len(duals) == 27
+
+
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
     objects, squares = [], []
     monkeypatch.setattr(Dualizer, "object", counting(Dualizer.object, objects))

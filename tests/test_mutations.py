@@ -537,3 +537,46 @@ def test_a_kept_pair_killed_in_the_projection_onto_the_blocked_tensor(
     monkeypatch.setattr(checks, "projection_map", kill)
     assert failing_checks(doc, tmp_path) == (
         1, {"tensor/projection-epimorphism"})
+
+
+def negate_one_seeded(f, seed):
+    """Negate one entry of the map f in place, chosen by ``seed``."""
+    rng = random.Random(seed)
+    q = rng.choice(sorted(f.comps))
+    f.comps[q] = negated(f.comps[q], rng.choice(
+        sorted(key for key, _ in f.comps[q].entries())))
+    return f
+
+
+MAP_CASES = over_z_and_q([("hex", 0), ("id2", 1), ("tri", 2), ("circ3", 3)],
+                         ["hex", "id2", "tri", "circ3"])
+
+
+# T of the identity of the cochains is built inside duality/functor-identity
+# alone: no other map the functor takes has one complex at both ends
+@pytest.mark.parametrize("doc,seed,ring", MAP_CASES)
+def test_an_entry_of_the_duality_functor_on_the_identity_negated(
+        monkeypatch, tmp_path, doc, seed, ring):
+    functor = Dualizer.map
+
+    def negate(self, f, src, tgt):
+        tf = functor(self, f, src, tgt)
+        return negate_one_seeded(tf, seed) if f.src is f.tgt else tf
+    monkeypatch.setattr(Dualizer, "map", negate)
+    assert failing_checks(doc, tmp_path, ring) == (
+        1, {"duality/functor-identity"})
+
+
+# the identity of the cells tensored is built inside naturality/identity-map
+# alone; the control square tensors the pushforward onto other cells
+@pytest.mark.parametrize("doc,seed,ring", MAP_CASES)
+def test_an_entry_of_the_identity_tensored_with_the_cochains_of_k_negated(
+        monkeypatch, tmp_path, doc, seed, ring):
+    tensored = checks.tensor_map_left
+
+    def negate(f, src, tgt):
+        fk = tensored(f, src, tgt)
+        return negate_one_seeded(fk, seed) if src is tgt else fk
+    monkeypatch.setattr(checks, "tensor_map_left", negate)
+    assert failing_checks(doc, tmp_path, ring) == (
+        1, {"naturality/identity-map"})

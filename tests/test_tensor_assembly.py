@@ -5,16 +5,21 @@ those whose right label is a face of the left one, and writes each entry of
 the Koszul differential from the row and column pairs; it shares no code
 with :mod:`rkdual.duality`.  Both tensors are compared on the inputs a
 verify gives them when it builds T and T² of the cochains of X.
+
+``tests.oracles.tensor_map`` writes f ⊗ 1 the same way, entry by entry
+from the pairs of its two sides, and checks ``tensor_map_left`` and T(f) =
+f* ⊗ 1 from ``Dualizer.map`` on the maps a verify tensors and dualizes.
 """
 
 import pytest
-from oracles import blocked_tensor
+from oracles import blocked_tensor, tensor_map
 
 from rkdual.checks import KSpaceData
 from rkdual.corpus import corpus_kspace
-from rkdual.duality import tensor_k, tensor_r
+from rkdual.duality import Dualizer, tensor_k, tensor_map_left, tensor_r
+from rkdual.linalg import ChainComplexError
 from rkdual.rings import QQ, ZZ, Ring
-from rkdual.rkcore import dual_star
+from rkdual.rkcore import dual_star, dual_star_map, maximal_label_ses
 
 RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
@@ -51,3 +56,101 @@ def test_tensor_matches_the_dense_definition(name, ring, build, keep_all):
             else:
                 assert got.d(q).to_rows() == [[ring.coerce(v) for v in row]
                                               for row in want]
+
+
+def pairs_of(left_labels, D, keep_all=False):
+    """The kept pairs of the tensor of a left factor with the labels
+    ``left_labels`` (by degree) and D, from the dense definition."""
+    d_labels = {s: [g.label for g in D.gens[s]] for s in D.degrees()}
+    return blocked_tensor(left_labels, {}, d_labels, {}, keep_all)[0]
+
+
+def labels(C, sign=1):
+    """The labels of C by degree; with ``sign`` -1, those of its dual."""
+    return {sign * q: [g.label for g in C.gens[q]] for q in C.degrees()}
+
+
+def rows_of(f, transpose=False):
+    """The row lists of each component of f, or of its transpose placed at
+    the negated degree (the dual map f*)."""
+    if not transpose:
+        return {q: mat.to_rows() for q, mat in f.comps.items()}
+    return {-q: [list(col) for col in zip(*mat.to_rows())]
+            for q, mat in f.comps.items()}
+
+
+def assert_matches(got, want, ring):
+    for q in got.src.degrees():
+        assert got.component(q).to_rows() == [
+            [ring.coerce(v) for v in row] for row in want[q]], q
+
+
+def dualized_maps(data):
+    """(name, f, T(f.tgt), T(f.src)) for the maps a verify dualizes: the
+    inclusion and projection of the cochain split, the pullback along the
+    control map and the cell map after the cellular identification."""
+    dz = data.dualizer
+    ses, _ = maximal_label_ses(data.deltas.dstar_x)
+    t_sub, t_quo = dz.object(ses.i.src), dz.object(ses.j.tgt)
+    return [("inclusion", ses.i, data.tc, t_sub),
+            ("projection", ses.j, t_quo, data.tc),
+            ("pullback", dual_star_map(data.push), data.tc, data.t_k),
+            ("composite", data.composite, data.t_sub, data.t2)]
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("name", ["tri", "circ3", "hex", "id2"])
+def test_duality_on_maps_matches_the_dense_definition(name, ring):
+    ring = RINGS[ring]
+    data = KSpaceData(corpus_kspace(name), ring)
+    D = data.dualizer.dstar_k
+    for key, f, src, tgt in dualized_maps(data):
+        got = data.dualizer.map(f, src, tgt)
+        want = tensor_map(rows_of(f, transpose=True),
+                          pairs_of(labels(f.tgt, -1), D),
+                          pairs_of(labels(f.src, -1), D))
+        assert_matches(got, want, ring)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("name", ["tri", "circ3", "hex", "id2"])
+def test_the_pushforward_tensored_matches_the_dense_definition(name, ring):
+    ring = RINGS[ring]
+    data = KSpaceData(corpus_kspace(name), ring)
+    D, push = data.dualizer.dstar_k, data.push
+    got = tensor_map_left(push, tensor_k(push.src, D), tensor_k(push.tgt, D))
+    want = tensor_map(rows_of(push), pairs_of(labels(push.src), D),
+                      pairs_of(labels(push.tgt), D))
+    assert_matches(got, want, ring)
+
+
+@pytest.mark.parametrize("name", ["hex", "tri"])
+def test_tensored_maps_refuse_sides_that_are_not_their_tensors(name):
+    data = KSpaceData(corpus_kspace(name), ZZ)
+    dz, push = data.dualizer, data.push
+    D, other = dz.dstar_k, data.deltas.dstar_x      # two D over one K
+    cells, cells_k = tensor_k(push.src, D), tensor_k(push.tgt, D)
+    refused = [
+        # swapped ends
+        lambda: tensor_map_left(push, cells_k, cells),
+        lambda: dz.map(dual_star_map(push), data.t_k, data.tc),
+        # a tensor over another D
+        lambda: tensor_map_left(push, cells, tensor_k(push.tgt, other)),
+        # a full tensor
+        lambda: tensor_map_left(push, tensor_r(push.src, D), cells_k),
+        lambda: tensor_map_left(push, cells, tensor_r(push.tgt, D)),
+    ]
+    for build in refused:
+        with pytest.raises(ChainComplexError):
+            build()
+
+
+def test_the_dual_map_refuses_a_tensor_over_another_d():
+    data = KSpaceData(corpus_kspace("hex"), ZZ)
+    dz, pullback = data.dualizer, dual_star_map(data.push)
+    other = Dualizer(data.ks.K, ZZ)
+    other.dstar_k = data.deltas.dstar_x     # T over another D, same K
+    t_x = other.object(pullback.tgt)
+    assert t_x.dual_of == pullback.tgt.gens
+    with pytest.raises(ChainComplexError):
+        dz.map(pullback, t_x, data.t_k)
