@@ -231,9 +231,14 @@ class KSpaceData:
                                  or_k)
 
     @cached_property
+    def pullback(self) -> RKMap:
+        """The dual of ``push``: cochains of (K, id) -> cochains of X."""
+        return dual_star_map(self.push)
+
+    @cached_property
     def t_k(self):
-        """T(cochains of (K, id)), the cochains that ``push`` pulls back."""
-        return self.dualizer.object(dual_star(self.push.tgt))
+        """T(cochains of (K, id)), the source of ``pullback``."""
+        return self.dualizer.object(self.pullback.src)
 
     @cached_property
     def composite(self) -> RKMap:
@@ -392,7 +397,7 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     _guard(report, "double-dual/defining-identity", target, defining_body)
 
     def natural_body():
-        pullback = dual_star_map(data.push)
+        pullback = data.pullback
         dz = data.dualizer
         e_k = dz.double_dual_map(pullback.src, dz.square(data.t_k))
         tt = dz.map(dz.map(pullback, data.tc, data.t_k), e_k.src, data.t2)
@@ -525,7 +530,7 @@ def check_naturality(report: Report, target: str, data: KSpaceData):
                                          ball_k)
         fk = tensor_map_left(data.push, data.cellular.rk, cells_k.rk)
         fk.validate()
-        t_pullback = dz.map(dual_star_map(data.push), data.tc, data.t_k)
+        t_pullback = dz.map(data.pullback, data.tc, data.t_k)
         iso_y = cellular_iso(t_pullback.tgt, cells_k)
         return iso_y.compose(t_pullback) == fk.compose(data.iso), {}
     _guard(report, "naturality/control-square", target, square_body)

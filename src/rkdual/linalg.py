@@ -16,8 +16,10 @@ on the same copies with the least entry as pivot.
 Chain complexes are graded families of free modules with explicit
 differentials; homology, mapping cones and cone-acyclicity (the certificate
 used for "chain equivalence" of bounded free complexes over Z, Q and Z/p)
-live here.  They only compute: d∘d = 0 and the chain-map identities are
-checked by ``validate``, once, by the certificate that reads the object.
+live here.  Homology eliminates the differentials from the top degree down,
+each without the generators that a unit pivot of the one above cancelled.
+These only compute: d∘d = 0 and the chain-map identities are checked by
+``validate``, by the certificates that read the object, once per object.
 """
 
 from __future__ import annotations
@@ -176,16 +178,18 @@ class Matrix:
                 f"{sum(map(len, self._cols.values()))} nonzero)")
 
 
-def smith_normal_form(mat: Matrix):
-    """Invariant factors and rank of a matrix over Z, Q or Z/p.
+def smith_normal_form(mat: Matrix, drop=(), pivots=None):
+    """Invariant factors and rank of a matrix over Z, Q or Z/p, less its
+    columns in ``drop``.
 
     Returns ``(factors, rank)`` with each factor dividing the next and
     normalized to its canonical associate (positive over Z, 1 over a field).
     It eliminates the transpose, which has the same factors, so its rows
     are copies of the stored columns.  Unit pivots (±1 over Z, any nonzero
     over a field) go first: one pass over the columns by initial count, each
-    taking the shortest row with a unit there, each a factor 1.  Over Z the
-    rest takes as pivot the entry of least absolute value (ties by row,
+    taking the shortest row with a unit there, each a factor 1, its column
+    (a row of ``mat``) added to the set ``pivots`` if one is given.  Over Z
+    the rest takes as pivot the entry of least absolute value (ties by row,
     then column), clears its column by floor-quotient row operations and
     reduces its row mod the pivot; a nonzero remainder is a smaller pivot.
     A pivot alone in its row and column that divides every entry left is
@@ -194,7 +198,7 @@ def smith_normal_form(mat: Matrix):
     """
     ring = mat.ring
     mod = ring.p
-    rows = {i: dict(row) for i, row in mat._cols.items()}
+    rows = {i: dict(row) for i, row in mat._cols.items() if i not in drop}
     cols = {}
     for i, row in rows.items():
         for j in row:
@@ -207,6 +211,8 @@ def smith_normal_form(mat: Matrix):
         if p is None:
             continue
         del cols[j]
+        if pivots is not None:
+            pivots.add(j)
         live.discard(p)
         prow = rows.pop(p)
         inv = ring.invert(prow.pop(j))
@@ -276,10 +282,10 @@ class ChainComplex:
     matrix of d_q : C_q -> C_{q-1}.
     """
 
-    __slots__ = ("ring", "spaces", "diff")
+    __slots__ = ("ring", "spaces", "diff", "_valid")
 
     def __init__(self, ring, spaces, diff):
-        self.ring = ring
+        self.ring, self._valid = ring, False
         self.spaces = {q: n for q, n in spaces.items() if n}
         self.diff = {}
         for q, mat in diff.items():
@@ -309,13 +315,19 @@ class ChainComplex:
 
     def validate(self):
         """Check d∘d = 0 where both factors are stored, reporting the first
-        failing degree; the constructor has already checked the shapes."""
+        failing degree; the constructor has already checked the shapes.  A
+        success is recorded and later calls return at once; a failure is not."""
+        if not self._valid:
+            self._check()
+            self._valid = True
+        return self
+
+    def _check(self):
         for q in sorted(self.diff):
             if q + 1 in self.diff and not (
                     self.diff[q] * self.diff[q + 1]).is_zero():
                 raise ChainComplexError(
                     f"d∘d != 0 starting from degree {q + 1}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -345,23 +357,28 @@ def homology(cx: ChainComplex):
     Over Z the value at q is (betti, invariant factors of the incoming
     differential that are not units); over Q and Z/p torsion is empty.
     The complex is taken as valid: d∘d = 0 is not checked here.
+
+    The differentials are eliminated from the top degree down, d_q without
+    the generators of C_q that took a unit pivot of d_{q+1}: Gaussian
+    elimination across degrees.  On the generators of C_{q+1} that held
+    those pivots, d_{q+1} splits into φ on the cancelled generators,
+    invertible because the unit pass reduced it to a triangle of units,
+    and γ on the rest of C_q; split d_q = (μ ν) the same way.  Then
+    d_q d_{q+1} = 0 gives μφ + νγ = 0, so μ = -νγφ⁻¹: the columns left out
+    lie in the span of ν, and d_q has the rank and factors of ν.
     """
     degs = cx.degrees()
     if not degs:
         return {}
     ring = cx.ring
-    snf = {}
-
-    def snf_at(q):
-        if q not in snf:
-            mat = cx.diff.get(q)
-            snf[q] = smith_normal_form(mat) if mat is not None else ((), 0)
-        return snf[q]
-
+    snf, pivots, zero = {}, {}, ((), 0)
+    for q in sorted(cx.diff, reverse=True):
+        drop, pivots[q] = pivots.pop(q + 1, ()), set()
+        snf[q] = smith_normal_form(cx.diff[q], drop, pivots[q])
     out = {}
     for q in range(min(degs), max(degs) + 1):
-        _, r_out = snf_at(q)
-        fac_in, r_in = snf_at(q + 1)
+        _, r_out = snf.get(q, zero)
+        fac_in, r_in = snf.get(q + 1, zero)
         betti = cx.rank(q) - r_out - r_in
         torsion = tuple(f for f in fac_in if not ring.is_unit(f))
         out[q] = HomologyGroup(betti, torsion)
@@ -375,12 +392,12 @@ def is_acyclic(cx: ChainComplex) -> bool:
 class ChainMap:
     """A degree-d map of chain complexes: d^D f = (-1)^d f d^C."""
 
-    __slots__ = ("src", "tgt", "degree", "comps")
+    __slots__ = ("src", "tgt", "degree", "comps", "_valid")
 
     def __init__(self, src, tgt, comps, degree=0):
         self.src = src
         self.tgt = tgt
-        self.degree = degree
+        self.degree, self._valid = degree, False
         self.comps = {}
         for q, mat in comps.items():
             if mat.ncols != src.rank(q) or mat.nrows != tgt.rank(q + degree):
@@ -407,6 +424,13 @@ class ChainMap:
         return sorted(set(self.src.degrees()) | set(self.comps))
 
     def validate(self):
+        """Check the chain-map identity; a success is recorded."""
+        if not self._valid:
+            self._check()
+            self._valid = True
+        return self
+
+    def _check(self):
         for q in self.degrees_hit():
             if ((q + self.degree not in self.tgt.diff or q not in self.comps)
                     and (q - 1 not in self.comps or q not in self.src.diff)):
@@ -417,7 +441,6 @@ class ChainMap:
                 rhs = rhs.scale(-1)
             if lhs != rhs:
                 raise ChainComplexError(f"not a chain map at degree {q}")
-        return self
 
     def is_bijection_on_bases(self) -> bool:
         """Exactly one unit entry per row and per column in every degree."""

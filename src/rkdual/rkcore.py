@@ -161,9 +161,9 @@ class RKComplex(ChainComplex):
                 and self.K == other.K and self.op == other.op
                 and self.gens == other.gens)
 
-    def validate(self):
+    def _check(self):
         _check_support(self.diff, self, self, -1, "by d ")
-        return super().validate()
+        super()._check()
 
     def positions(self, labels):
         """Per degree, the indices of the generators labeled in ``labels``,
@@ -283,9 +283,9 @@ class RKMap(ChainMap):
         return cls.from_images(src, tgt, lambda q, g: (
             ((g, one),) if g in tgt._index.get(q, ()) else ()))
 
-    def validate(self):
+    def _check(self):
         _check_support(self.comps, self.src, self.tgt, self.degree)
-        return super().validate()
+        super()._check()
 
     def compose(self, other: "RKMap") -> "RKMap":
         """self ∘ other; the middle complexes must have the same shape."""

@@ -1,14 +1,16 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: invariant factors come
-from determinantal divisors (gcds of k-minors), ranks from fraction
-row-reduction, matrix products, cone blocks and label cuts from dense row
-lists, and counts from brute-force enumeration.
+from determinantal divisors (gcds of k-minors) or from sympy, ranks from
+fraction row-reduction, matrix products, cone blocks and label cuts from
+dense row lists, and counts from brute-force enumeration.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 
 def det(rows):
@@ -65,6 +67,24 @@ def row_reduce_rank(rows):
                 mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def sympy_snf(ring, rows, ncols):
+    """The ``(factors, rank)`` of an integer matrix given as rows, from
+    sympy: the nonzero invariant factors over Z, the rank with unit factors
+    over Q and GF(p)."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF, QQ, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+    if not rows or not ncols:
+        return (), 0
+    dm = DomainMatrix.from_list(rows, ZZ)
+    if ring.kind == "Z":
+        factors = tuple(int(f) for f in invariant_factors(dm) if f)
+        return factors, len(factors)
+    rank = dm.convert_to(QQ if ring.kind == "Q" else GF(ring.p)).rank()
+    return (ring.one,) * rank, rank
 
 
 def dense_product(a, b, ncols):

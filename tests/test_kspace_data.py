@@ -7,6 +7,7 @@ counted too.
 
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -193,9 +194,9 @@ def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
     assert set(inside) == {(0, 0)}
     # one dual each: the 12 objects T(C), the cochains of X and of K, the
     # three cochains of closed simplices, the targets of the two Hom-to-dual
-    # isomorphisms, the cochains of (K, id) and the cap on K; two each:
-    # the double dual inside epsilon and the two pullbacks
-    assert len(duals) == 27
+    # isomorphisms and the cap on K; two each: the double dual inside
+    # epsilon and the one pullback, whose source is the cochains of (K, id)
+    assert len(duals) == 24
 
 
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
@@ -280,6 +281,36 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
     assert len(certificates) == 6
     for f, seen in certificates:
         assert sorted(map(id, seen)) == sorted(map(id, (f, f.src, f.tgt)))
+
+
+@pytest.mark.parametrize("name", ["hex", "id2"])
+def test_a_verify_multiplies_each_d_squared_at_most_once(monkeypatch, name):
+    # certificates share objects (the subdivision and cell chains are read
+    # by four), but a validation is recorded, so each is checked once
+    products, calls, checked, kept = Counter(), Counter(), [], []
+    mul = linalg.Matrix.__mul__
+
+    def multiplied(a, b):
+        kept.append((a, b))         # alive, so no id is reused
+        products[id(a), id(b)] += 1
+        return mul(a, b)
+    monkeypatch.setattr(linalg.Matrix, "__mul__", multiplied)
+    for cls in (linalg.ChainComplex, linalg.ChainMap):
+        def spied(self, validate=cls.validate):
+            kept.append(self)
+            calls[id(self)] += 1
+            return validate(self)
+        monkeypatch.setattr(cls, "validate", spied)
+        monkeypatch.setattr(cls, "_check", counting(cls._check, checked))
+    verified(name)
+    assert max(calls.values()) >= 4
+    squares = [products[id(mat), id(cx.diff[q + 1])] for cx in kept
+               if isinstance(cx, linalg.ChainComplex)
+               for q, mat in cx.diff.items() if q + 1 in cx.diff]
+    assert all(n <= 1 for n in squares)
+    assert squares or name == "hex"     # hex is a graph: no d∘d to take
+    checked = [id(args[0]) for args in checked]
+    assert len(checked) == len(set(checked)) == len(calls)
 
 
 def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):

@@ -190,7 +190,8 @@ def test_homology_runs_no_snf_for_degrees_without_a_differential(
     calls, zeros = [], []
     snf, zero = linalg.smith_normal_form, Matrix.zero.__func__
     monkeypatch.setattr(linalg, "smith_normal_form",
-                        lambda mat: calls.append(mat) or snf(mat))
+                        lambda mat, *cancel: calls.append(mat)
+                        or snf(mat, *cancel))
     monkeypatch.setattr(Matrix, "zero", classmethod(
         lambda cls, *shape: zeros.append(shape) or zero(cls, *shape)))
     point = ChainComplex(ZZ, {0: 1}, {})
@@ -285,8 +286,11 @@ def test_validate_multiplies_only_stored_matrices(monkeypatch):
     d2 = Matrix.from_rows(ZZ, [[1], [-1], [1]])
     cx = ChainComplex(ZZ, {0: 3, 1: 3, 2: 1}, {1: d1, 2: d2}).validate()
     assert len(products) == 1       # d_1 d_2 only
-    ChainMap.identity(cx).validate()
+    ident = ChainMap.identity(cx).validate()
     assert len(products) == 1 + 4   # both sides at degrees 1 and 2
+    # a success is recorded: validating again multiplies nothing
+    assert cx.validate() is cx and ident.validate() is ident
+    assert len(products) == 1 + 4
 
 
 def test_validate_reports_first_bad_degree():
@@ -295,6 +299,14 @@ def test_validate_reports_first_bad_degree():
                         2: Matrix.from_rows(ZZ, [[1]])})
     with pytest.raises(ChainComplexError, match="degree 2"):
         bad.validate()
+    # a failure is not recorded: the corrupt complex raises again, and so
+    # does a map that is not a chain map
+    with pytest.raises(ChainComplexError, match="degree 2"):
+        bad.validate()
+    twice = ChainMap(bad, bad, {0: Matrix.from_rows(ZZ, [[2]])})
+    for _ in range(2):
+        with pytest.raises(ChainComplexError, match="degree 1"):
+            twice.validate()
 
 
 def test_homology_and_cone_acyclicity_validate_nothing(monkeypatch):

@@ -367,8 +367,10 @@ def test_support_condition_enforced():
     gens = {0: (simplex_generator(("a",), ("a",)),),
             1: (simplex_generator(("a", "b"), ("a", "b")),)}
     diff = {1: Matrix.from_rows(ZZ, [[1]])}
-    with pytest.raises(ChainComplexError, match="support"):
-        RKComplex(ZZ, K, False, gens, diff).validate()
+    bad = RKComplex(ZZ, K, False, gens, diff)
+    for _ in range(2):      # a failure is not recorded
+        with pytest.raises(ChainComplexError, match="support"):
+            bad.validate()
     # when every entry violates it, the first in (row, col) order is named,
     # by the complex and by a map alike
     edges = tuple(simplex_generator(s, ("a", "b"))
@@ -379,8 +381,10 @@ def test_support_condition_enforced():
         RKComplex(ZZ, K, False, {0: vertices, 1: edges}, {1: mat}).validate()
     src, tgt = (RKComplex(ZZ, K, False, {1: gs}, {})
                 for gs in (edges, vertices))
-    with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
-        RKMap(src, tgt, {1: mat}).validate()
+    bad = RKMap(src, tgt, {1: mat})
+    for _ in range(2):
+        with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
+            bad.validate()
 
 
 def test_generators_are_identified_by_structure():

@@ -22,7 +22,7 @@ from rkdual.checks import run_command
 from rkdual.linalg import Matrix, smith_normal_form
 from rkdual.rings import Ring, ZZ, QQ, GF2
 
-from oracles import invariant_factors_minors, row_reduce_rank
+from oracles import invariant_factors_minors, row_reduce_rank, sympy_snf
 
 GF3 = Ring.prime_field(3)
 DOCUMENTS = sorted(glob.glob(os.path.join(
@@ -56,14 +56,16 @@ def _random_rows(rng, m, n, entries):
 @pytest.fixture(scope="module")
 def captured():
     """Every distinct matrix handed to the kernel by ``verify`` of the corpus
-    documents over Z, Q and Z/2: differentials and mapping-cone matrices."""
+    documents over Z, Q and Z/2, differentials and mapping-cone matrices,
+    each with the set of its columns that homology's cancellation left out."""
     seen = {}
     original = linalg.smith_normal_form
 
-    def record(mat):
-        key = (mat.ring, mat.nrows, mat.ncols, frozenset(mat.entries()))
-        seen.setdefault(key, mat)
-        return original(mat)
+    def record(mat, drop=(), pivots=None):
+        key = (mat.ring, mat.nrows, mat.ncols, frozenset(mat.entries()),
+               frozenset(drop))
+        seen.setdefault(key, (mat, frozenset(drop)))
+        return original(mat, drop, pivots)
 
     linalg.smith_normal_form = record
     try:
@@ -77,23 +79,6 @@ def captured():
     return list(seen.values())
 
 
-def _sympy_snf(ring, rows, ncols):
-    """The expected ``(factors, rank)`` from sympy: the nonzero invariant
-    factors over Z, the rank with unit factors over Q and GF(p)."""
-    pytest.importorskip("sympy")
-    from sympy.polys.domains import GF, QQ as SQQ, ZZ as SZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.normalforms import invariant_factors
-    if not rows or not ncols:
-        return (), 0
-    dm = DomainMatrix.from_list(rows, SZZ)
-    if ring == ZZ:
-        factors = tuple(int(f) for f in invariant_factors(dm) if f)
-        return factors, len(factors)
-    rank = dm.convert_to(SQQ if ring == QQ else GF(ring.p)).rank()
-    return (ring.one,) * rank, rank
-
-
 def _oracles_snf(ring, rows):
     """The expected ``(factors, rank)`` from the minor and row-reduction
     oracles, for a small matrix given as integer rows."""
@@ -105,15 +90,18 @@ def _oracles_snf(ring, rows):
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "Z/2"])
 def test_kernel_matches_sympy_on_captured_matrices(captured, ring):
-    mats = [m for m in captured if str(m.ring) == ring]
+    mats = [(m, drop) for m, drop in captured if str(m.ring) == ring]
     assert len(DOCUMENTS) == 6
-    assert sum(1 for m in mats if m.nrows and m.ncols) > 50
-    for mat in mats:
-        rows = mat.to_rows()
+    assert sum(1 for m, _ in mats if m.nrows and m.ncols) > 50
+    assert any(drop for _, drop in mats)
+    for mat, drop in mats:
+        # the rows actually eliminated: the columns not left out
+        kept = [j for j in range(mat.ncols) if j not in drop]
+        rows = mat.submatrix(range(mat.nrows), kept).to_rows()
         assert all(type(v) is int for row in rows for v in row)
-        got = smith_normal_form(mat)
-        assert got == _sympy_snf(mat.ring, rows, mat.ncols), mat
-        if 0 < mat.nrows <= 4 and 0 < mat.ncols <= 4 and ring != "Z/2":
+        got = smith_normal_form(mat, drop)
+        assert got == sympy_snf(mat.ring, rows, len(kept)), mat
+        if 0 < mat.nrows <= 4 and 0 < len(kept) <= 4 and ring != "Z/2":
             assert got == _oracles_snf(mat.ring, rows), mat
 
 
@@ -124,7 +112,7 @@ def test_kernel_matches_sympy_on_random_matrices(ring):
         m, n = rng.randint(0, 7), rng.randint(0, 7)
         rows = _random_rows(rng, m, n, [0, 0, 0, 1, -1, 2, -2, 3, 4, -6])
         got = smith_normal_form(_matrix(ring, rows, n))
-        assert got == _sympy_snf(ring, rows, n), rows
+        assert got == sympy_snf(ring, rows, n), rows
         if 0 < m <= 4 and 0 < n <= 4 and ring in (ZZ, QQ):
             assert got == _oracles_snf(ring, rows), rows
 
@@ -148,7 +136,7 @@ def test_kernel_matches_sympy():
         rows = _random_rows(rng, m, n, [0, 0, 0, 1, -1, 2, -2, 3, 6])
         for ring in (ZZ, QQ, GF2, GF3):
             assert smith_normal_form(Matrix.from_rows(ring, rows)) == \
-                _sympy_snf(ring, rows, n), (ring, rows)
+                sympy_snf(ring, rows, n), (ring, rows)
 
 
 @pytest.mark.parametrize("rows, factors", [
@@ -202,7 +190,7 @@ def test_kernel_matches_sympy_on_torsion_heavy_matrices(m, n, steps):
     rows = _torsion_rows(rng, m, n, diagonal, steps)
     got = smith_normal_form(Matrix.from_rows(ZZ, rows))
     assert got == (diagonal, k)
-    assert got == _sympy_snf(ZZ, rows, n)
+    assert got == sympy_snf(ZZ, rows, n)
     assert smith_normal_form(Matrix.from_rows(GF2, rows))[1] == k // 4
     assert smith_normal_form(Matrix.from_rows(GF3, rows))[1] == 3 * (k // 4)
 
@@ -232,5 +220,5 @@ def test_kernel_leaves_its_input_unchanged(ring):
 def test_kernel_leaves_the_captured_verify_matrices_unchanged(captured):
     # the matrices a verify builds share their stored columns with the
     # complexes they came from, so a copy too shallow would show here
-    for mat in captured:
+    for mat, _ in captured:
         _assert_kernel_leaves_unchanged(mat)
