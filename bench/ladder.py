@@ -18,16 +18,19 @@ also records, from outside, so older trees report them too:
 ``tensor_s``, the seconds spent in the blocked-tensor builders
 ``duality.tensor_k`` and ``duality.tensor_r``; ``groups_s``, the
 seconds spent in the checks (``checks._guard``) of each check group of
-``checks.CHECK_GROUPS``; and ``peak_rss_mb``, the child's peak resident
-memory (``ru_maxrss``), interpreter and imports included.  The order of
-the sources alternates from run to run and from rung to rung, so two
-trees are compared back to back on the same host.  Each source's entry
-holds the median of its runs for every time and for the peak memory,
-with ``wall_min_s`` and ``wall_max_s``; runs whose reports differ are
-recorded as an error.  A child still running after ``--max-seconds``
-is stopped and the rung recorded as ``"skipped"`` for that source; rungs
-are never shrunk to fit.  |X| and |K| (simplex counts) are computed here,
-not by rkdual.
+``checks.CHECK_GROUPS``, and ``checks_s``, of each check by its name; and
+``peak_rss_mb``, the child's peak resident memory (``ru_maxrss``),
+interpreter and imports included.  The order of the sources alternates
+from run to run and from rung to rung, so two trees are compared back to
+back on the same host.  Each source's entry holds the median of its runs
+for every time and for the peak memory, with ``wall_min_s`` and
+``wall_max_s``, and ``slowest_s``, the five checks with the largest
+median, slowest first; runs whose reports differ are recorded as an
+error.  A child still running after ``--max-seconds`` is stopped and the
+rung recorded as ``"skipped"`` for that source; rungs are never shrunk to
+fit.  |X| and |K| (simplex counts) are computed here, not by rkdual.  The
+exit status is 1 when a rung fails a check, errors or its runs disagree
+for some source, else 0: a skip is no failure.
 """
 
 from __future__ import annotations
@@ -169,15 +172,13 @@ RUNS = 3
 
 
 def _timed(fn, spent, key):
-    """``fn``, adding the seconds of each call to ``spent[key[0]]``; ``key``
-    is a one-item list, so the caller can move where later calls count."""
+    """``fn``, adding the seconds of each call to ``spent[key]``."""
     def run(*args, **kwargs):
         started = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            spent[key[0]] = (spent.get(key[0], 0.0)
-                             + time.perf_counter() - started)
+            spent[key] = spent.get(key, 0.0) + time.perf_counter() - started
     return run
 
 
@@ -188,7 +189,7 @@ def time_tensors():
     ``"tensor"``, sums the seconds spent in them."""
     from rkdual import duality
     spent = {}
-    builders = [(fn, _timed(fn, spent, ["tensor"]))
+    builders = [(fn, _timed(fn, spent, "tensor"))
                 for fn in (duality.tensor_k, duality.tensor_r)]
     for name, module in list(sys.modules.items()):
         if name == "rkdual" or name.startswith("rkdual."):
@@ -201,21 +202,30 @@ def time_tensors():
 
 def time_groups():
     """Time every check run through ``checks._guard``, by the check group
-    of ``checks.CHECK_GROUPS`` whose function runs it; returns the dict of
-    seconds by group."""
+    of ``checks.CHECK_GROUPS`` whose function runs it and by the check's
+    name; returns the dicts of seconds by group and by check."""
     from rkdual import checks
-    spent, group = {}, [None]
+    spent, by_check, group, guard = {}, {}, [None], checks._guard
 
     def entering(name, fn):
         def run(*args, **kwargs):
             group[0] = name
             return fn(*args, **kwargs)
         return run
-    checks._guard = _timed(checks._guard, spent, group)
+
+    def timed_guard(report, name, *args):
+        started = time.perf_counter()
+        try:
+            return guard(report, name, *args)
+        finally:
+            took = time.perf_counter() - started
+            spent[group[0]] = spent.get(group[0], 0.0) + took
+            by_check[name] = by_check.get(name, 0.0) + took
+    checks._guard = timed_guard
     checks.CHECK_GROUPS = tuple(
         (name, tuple(entering(name, fn) for fn in fns))
         for name, fns in checks.CHECK_GROUPS)
-    return spent
+    return spent, by_check
 
 
 def child(src):
@@ -225,7 +235,7 @@ def child(src):
     all of them passed and the sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
-    tensor, groups = time_tensors(), time_groups()
+    tensor, (groups, by_check) = time_tensors(), time_groups()
     doc = json.load(sys.stdin)
     started = time.perf_counter()
     report = run_command("verify", doc)
@@ -236,6 +246,8 @@ def child(src):
     print(json.dumps({"wall_s": round(wall, 3),
                       "tensor_s": round(tensor.get("tensor", 0.0), 3),
                       "groups_s": {k: round(v, 3) for k, v in groups.items()},
+                      "checks_s": {k: round(v, 3)
+                                   for k, v in by_check.items()},
                       "peak_rss_mb": round(rss, 1),
                       "checks": len(report.checks),
                       "passed": report.passed, "report_sha256": digest}))
@@ -258,8 +270,8 @@ def run_rung(doc, src, max_seconds):
 def summarize(runs):
     """One source's entry for a rung: its first skip or error, if any;
     else the median of each time and of the peak memory over the runs,
-    the spread of the wall time, and the checks, verdict and report
-    digest they all share."""
+    the spread of the wall time, the five slowest checks by their median,
+    and the checks, verdict and report digest they all share."""
     for got in runs:
         if not isinstance(got, dict) or "error" in got:
             return got
@@ -271,11 +283,14 @@ def summarize(runs):
     def mid(values):
         return round(median(values), 3)
     walls = [got["wall_s"] for got in runs]
+    by_check = sorted((-mid(got["checks_s"][c] for got in runs), c)
+                      for c in runs[0]["checks_s"])
     return {"wall_s": mid(walls), "wall_min_s": min(walls),
             "wall_max_s": max(walls),
             "tensor_s": mid(got["tensor_s"] for got in runs),
             "groups_s": {g: mid(got["groups_s"][g] for got in runs)
                          for g in runs[0]["groups_s"]},
+            "slowest_s": {c: -t for t, c in by_check[:5]},
             "peak_rss_mb": round(median(got["peak_rss_mb"] for got in runs),
                                  1),
             "checks": runs[0]["checks"], "passed": runs[0]["passed"],
@@ -334,7 +349,13 @@ def main(argv=None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return 0
+    failed = [f"{row['rung']} ({label})" for row in rungs
+              for label, _ in sources if isinstance(row[label], dict)
+              and ("error" in row[label] or not row[label]["passed"])]
+    if failed:
+        print("failed, errored or disagreed: " + ", ".join(failed),
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

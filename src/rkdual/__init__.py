@@ -22,7 +22,7 @@ from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                       tensor_map_left, tensor_r, verify_diagonal_equivalence)
 from .ballcomplex import (BallComplex, CellularComplex, DualCell,
                           OrientationPair, cellular_chain_complex,
-                          cellular_iso, dual_cell, dual_cone,
+                          cellular_iso, dual_cell, dual_cones,
                           induced_chain_map)
 from .capproduct import (cap_product, flag_sign, fundamental_cycle_map,
                       verify_cap_chain_map, verify_cap_factorization,

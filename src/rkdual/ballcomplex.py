@@ -15,13 +15,15 @@ with all coefficients +-1 on codimension-one cells.
 A chain c lies in the cell (T, s) exactly when c[0] <= T and s <= pi(c[-1]),
 so cells and dual cells are read, at the cost of their size, from the index
 of the subdivision by the two ends of its chains, ``DerivedComplex.ends``.
-:func:`dual_cone` stays a scan, so ``cells/dual-cones`` compares the two.
+:func:`dual_cones` scans the subdivision once for all cells, without that
+index, so ``cells/dual-cones`` compares the two.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .rkcore import RKComplex, RKMap, simplex_generator, tensor_generator
 from .duality import tensor_k
@@ -34,11 +36,18 @@ def cell_name(T, sigma) -> str:
     return f"({simplex_name(T)}|{simplex_name(sigma)})"
 
 
-def dual_cone(sigma, derived: DerivedComplex):
-    """Chains of the subdivision whose smallest entry contains sigma."""
-    sset = set(sigma)
-    out = [c for c in derived.prime.all_simplices() if sset <= set(c[-1])]
-    return tuple(out)
+def dual_cones(derived: DerivedComplex) -> dict:
+    """Every dual cell from one scan of the subdivision: (sigma, tau) ->
+    the chains c with sigma a face of c[-1] and tau in the star of c[0], in
+    scan order.  Its cost is the total size of the cells."""
+    base, out = derived.base, {}
+    for c in derived.prime.all_simplices():
+        stars = base.star(c[0])
+        for k in range(1, len(c[-1]) + 1):
+            for sigma in combinations(c[-1], k):
+                for tau in stars:
+                    out.setdefault((sigma, tau), []).append(c)
+    return out
 
 
 def dual_cell(sigma, tau, derived: DerivedComplex):

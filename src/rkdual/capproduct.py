@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .linalg import smith_normal_form
 from .rkcore import (RKComplex, RKMap, delta_chain, dual_star,
                      simplex_generator, simplicial_rk)
-from .duality import (Dualizer, projection_map, tensor_r,
+from .duality import (Dualizer, projection_map, tensor_k, tensor_r,
                       verify_diagonal_equivalence)
 from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
@@ -122,15 +122,17 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
     """Check that capping commutes with the differentials on the complex
     ``derived.base``, against its subdivision ``derived``.
 
-    The full identity is checked as matrices between the tensor of chains
-    with cochains and the subdivision chains; the first-face, last-face and
-    interior-face identities are checked pair by pair, the last one through
-    its perfect sign-reversing pairing.  Each pair sigma <= tau is capped
-    once, and every identity reads that table.
+    The full identity is checked as matrices between the blocked tensor of
+    chains with cochains, the pairs tau ⊗ sigma* with sigma <= tau, and the
+    subdivision chains: off those pairs the cap and every term of a pair's
+    boundary vanish, so it is the identity on the full tensor.  The
+    first-face, last-face and interior-face identities are checked pair by
+    pair, the last one through its perfect sign-reversing pairing.  Each
+    pair sigma <= tau is capped once, and every identity reads that table.
     """
     cx = derived.base
     dxk = delta_chain(control_kspace(cx), ring, basis)
-    domain = tensor_r(dxk, dual_star(dxk))
+    domain = tensor_k(dxk, dual_star(dxk))
     # a flag capped from tau ⊗ sigma* ends at sigma, its label
     target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
     caps = {(tau, sigma): cap_product(cx, tau, sigma, basis)
@@ -138,7 +140,7 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
 
     def images(q, g):
         tau, sigma = g.data[1].data[1], g.data[2].data[1].data[1]
-        for flag, c in caps.get((tau, sigma), {}).items():
+        for flag, c in caps[tau, sigma].items():
             yield simplex_generator(flag, sigma), c
     cap = RKMap.from_images(domain, target, images)
 

@@ -27,7 +27,7 @@ from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_map_left,
                       tensor_r, verify_diagonal_equivalence)
 from .ballcomplex import (BallComplex, CellularComplex, OrientationPair,
                           cell_name, cellular_chain_complex, cellular_iso,
-                          dual_cell, dual_cone, induced_chain_map,
+                          dual_cell, dual_cones, induced_chain_map,
                           same_homology, verify_boundary_display)
 from .capproduct import (EQUIVALENCES, fundamental_cycle_map, is_monomorphism,
                          verify_cap_chain_map, verify_cap_factorization,
@@ -232,8 +232,8 @@ class KSpaceData:
 
     @cached_property
     def pullback(self) -> RKMap:
-        """The dual of ``push``: cochains of (K, id) -> cochains of X."""
-        return dual_star_map(self.push)
+        """The dual of ``push``: cochains of (K, id) -> ``deltas.dstar_x``."""
+        return dual_star_map(self.push, tgt=self.deltas.dstar_x)
 
     @cached_property
     def t_k(self):
@@ -443,16 +443,14 @@ def check_cells(report: Report, target: str, data: KSpaceData):
     _guard(report, "cells/ball-structure", target, lambda: _ball_structure(data))
 
     def cones_body():
-        # a cone is a scan of K', a cell a read of its index: each cell is
-        # the part of the cone inside tau, so the cells cover the cone
+        # one scan of K' files each chain under its cells, a cell is a read
+        # of the index of K': the two agree on every pair sigma <= tau
         dk = data.deltas.derived_k
         K = data.ks.K
+        cones = dual_cones(dk)
         for sigma in K.all_simplices():
-            cone = dual_cone(sigma, dk)
             for tau in K.star(sigma):
-                tset = set(tau)
-                if dual_cell(sigma, tau, dk) != tuple(
-                        c for c in cone if tset.issuperset(c[0])):
+                if list(dual_cell(sigma, tau, dk)) != cones.get((sigma, tau)):
                     return False, {"label": simplex_name(sigma)}
         return True, {}
     _guard(report, "cells/dual-cones", target, cones_body)

@@ -117,9 +117,11 @@ def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
 
 def _left_times_one(f, mats, src, tgt, factor, ends) -> RKMap:
     """M ⊗ 1 for a degree-0 f, between blocked tensors over one D whose
-    ``factor`` records the ``ends``: x_i⊗y goes to x'⊗y, x' in ``mats[r]``."""
+    ``factor`` records the ``ends`` (``dual_of`` their very generators,
+    ``left`` equal ones): x_i⊗y goes to x'⊗y, x' in ``mats[r]``."""
     if f.degree != 0 or not all(isinstance(t, Tensor) and not t.full and (
-            getattr(t, factor) == end.gens and t.right.same_shape(src.right))
+            t.dual_of is end.gens if factor == "dual_of" else
+            t.left == end.gens) and t.right.same_shape(src.right)
                                 for t, end in zip((src, tgt), ends)):
         raise ChainComplexError("a degree-0 map is tensored only between the "
                                 "blocked tensors of its ends over one D")

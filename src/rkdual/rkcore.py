@@ -400,12 +400,13 @@ def dual_star(C: RKComplex) -> RKComplex:
     return RKComplex(C.ring, C.K, not C.op, gens, diff)
 
 
-def dual_star_map(f: RKMap) -> RKMap:
-    """The dual of a degree-0 blocked map: f*(y*) = y*∘f (transpose)."""
+def dual_star_map(f: RKMap, tgt: RKComplex = None) -> RKMap:
+    """The dual of a degree-0 blocked map: f*(y*) = y*∘f (transpose), into
+    ``tgt`` when given, ``dual_star(f.src)`` already built."""
     if f.degree != 0:
         raise ChainComplexError("only degree-0 maps are dualized")
     src = dual_star(f.tgt)
-    tgt = dual_star(f.src)
+    tgt = dual_star(f.src) if tgt is None else tgt
     comps = {}
     for q in f.degrees_hit():
         comps[-q] = f.component(q).transpose()

@@ -141,7 +141,9 @@ def test_criterion_8_naturality(corpus_data):
         push = induced_chain_map(fmap, dx, data_y.deltas.dx,
                                  data.orientation, data_y.orientation)
         fk = tensor_map_left(push, cells, data_y.cellular.rk)
-        pullback = dual_star_map(push)
+        # T(f) takes T of f's very ends: the cochains each side holds
+        pullback = RKMap(data_y.deltas.dstar_x, data.deltas.dstar_x,
+                         dual_star_map(push).comps)
         lhs = data_y.iso.compose(
             data.dualizer.map(pullback, data.tc, data_y.tc))
         rhs = fk.compose(data.iso)

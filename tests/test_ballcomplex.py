@@ -12,7 +12,7 @@ from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision, chain_complex,
                                control_map, kspace_identity, validate_kspace)
 from rkdual.ballcomplex import (BallComplex, OrientationPair,
-                                cellular_chain_complex, dual_cell, dual_cone,
+                                cellular_chain_complex, dual_cell, dual_cones,
                                 induced_chain_map, same_homology,
                                 verify_boundary_display)
 from rkdual.checks import KSpaceData
@@ -47,7 +47,8 @@ def cell_map_of(fmap, or_src, or_tgt):
 
 def test_dual_cone_of_a_vertex_in_the_edge():
     derived = barycentric_subdivision(build("ab"))
-    got = set(dual_cone(("a",), derived))
+    got = {c for (sigma, _), cell in dual_cones(derived).items()
+           if sigma == ("a",) for c in cell}
     assert got == {(("a",),), (("a", "b"),), (("a", "b"), ("a",))}
 
 
@@ -289,8 +290,11 @@ def test_naturality_square_for_control_and_identity(corpus):
         data_x = KSpaceData.build(ks, ZZ)
         data_y = KSpaceData.build(fmap.tgt, ZZ)
         fk = cell_map_of(fmap, or_src, or_tgt)
-        pullback = dual_star_map(induced_chain_map(
-            fmap, data_x.deltas.dx, data_y.deltas.dx, or_src, or_tgt))
+        push = induced_chain_map(fmap, data_x.deltas.dx, data_y.deltas.dx,
+                                 or_src, or_tgt)
+        # T(f) takes T of f's very ends: the cochains each side holds
+        pullback = RKMap(data_y.deltas.dstar_x, data_x.deltas.dstar_x,
+                         dual_star_map(push).comps)
         lhs = data_y.iso.compose(
             data_x.dualizer.map(pullback, data_x.tc, data_y.tc))
         rhs = fk.compose(data_x.iso)

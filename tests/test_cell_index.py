@@ -1,7 +1,8 @@
 """The indexed cell combinatorics against brute-force scans.
 
 ``dual_cell``, ``BallComplex`` and ``RKComplex.positions`` read indexes
-built once per object.  The oracles here are the plain scans they replaced,
+built once per object, and ``dual_cones`` files every dual cell in one
+scan.  The oracles here are the plain per-cell scans they replaced,
 written in this file and reading nothing but the simplices of the
 subdivision and the generators of a complex.  Results are compared as
 tuples in basis order.
@@ -13,20 +14,17 @@ import sys
 
 import pytest
 
-from rkdual.ballcomplex import BallComplex, dual_cell, dual_cone
-from rkdual.checks import parse_document
+from rkdual.ballcomplex import BallComplex, dual_cell, dual_cones
+from rkdual.checks import KSpaceData, check_cells, parse_document
 from rkdual.corpus import CORPUS_NAMES, corpus_kspace, random_kspace
+from rkdual.report import Report
 from rkdual.rings import ZZ
 from rkdual.rkcore import delta_complexes
-from rkdual.simplicial import barycentric_subdivision
+from rkdual.simplicial import SimplicialComplex, barycentric_subdivision
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
-
-
-def scan_dual_cone(sigma, prime):
-    return tuple(c for c in prime.all_simplices() if set(sigma) <= set(c[-1]))
 
 
 def scan_dual_cell(sigma, tau, prime):
@@ -70,11 +68,36 @@ IDS = [name for name, _ in KSPACES]
 @pytest.mark.parametrize("name,ks", KSPACES, ids=IDS)
 def test_dual_cells_and_cones_match_the_scan(name, ks):
     derived = barycentric_subdivision(ks.K)
+    cones = dual_cones(derived)
     for sigma in ks.K.all_simplices():
-        assert dual_cone(sigma, derived) == scan_dual_cone(sigma, derived.prime)
         for tau in ks.K.all_simplices():
-            assert dual_cell(sigma, tau, derived) == scan_dual_cell(
-                sigma, tau, derived.prime), (sigma, tau)
+            want = scan_dual_cell(sigma, tau, derived.prime)
+            assert dual_cell(sigma, tau, derived) == want, (sigma, tau)
+            assert tuple(cones.pop((sigma, tau), ())) == want, (sigma, tau)
+    # nothing is filed under a pair of K that is not a pair of simplices
+    assert not cones
+
+
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_the_dual_cones_check_scans_the_subdivision_of_k_once(monkeypatch,
+                                                              name):
+    data = KSpaceData(dict(KSPACES)[name], ZZ)
+    dk = data.deltas.derived_k
+    dk.ends, dk.position        # the index under test, built before the count
+    scans = []
+    scan = SimplicialComplex.all_simplices
+
+    def spied(self):
+        if self is dk.prime:
+            scans.append(self)
+        return scan(self)
+    monkeypatch.setattr(SimplicialComplex, "all_simplices", spied)
+    report = Report("verify", "Z")
+    check_cells(report, name, data)
+    assert report.passed and "cells/dual-cones" in {
+        c.name for c in report.checks}
+    # of the cells checks only cells/dual-cones reads K', and it scans once
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize("name,ks", KSPACES, ids=IDS)

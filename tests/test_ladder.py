@@ -1,5 +1,6 @@
 """The benchmark ladder generates the documented rungs and times them."""
 
+import json
 import os
 import re
 import sys
@@ -48,23 +49,36 @@ def test_child_run_and_skip():
         "soundness", "assembly", "tensor", "duality", "cells", "cap",
         "equivalences", "naturality"]
     assert 0 < sum(got["groups_s"].values()) <= got["wall_s"] + 0.005
+    # and every check by its name, the same seconds split finer
+    assert len(got["checks_s"]) == got["checks"]
+    assert "cells/dual-cones" in got["checks_s"]
+    assert abs(sum(got["checks_s"].values())
+               - sum(got["groups_s"].values())) <= 0.001 * got["checks"]
     # the child's own peak: at least the interpreter with rkdual imported
     assert 5 < got["peak_rss_mb"] < 1000
     assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
     assert ladder.run_rung(doc, SRC, 0.001) == "skipped"
 
 
+def run(wall, digest="d", groups=0.1, rss=20.0, passed=True):
+    """One child's result, with seven checks, the first the slowest."""
+    checks = {f"c{i}": round(wall / (i + 2), 3) for i in range(7)}
+    return {"wall_s": wall, "tensor_s": wall / 2,
+            "groups_s": {"soundness": groups}, "checks_s": checks,
+            "peak_rss_mb": rss, "checks": 3, "passed": passed,
+            "report_sha256": digest}
+
+
 def test_runs_are_summarized_by_their_median_and_spread():
-    def run(wall, digest="d", groups=0.1, rss=20.0):
-        return {"wall_s": wall, "tensor_s": wall / 2,
-                "groups_s": {"soundness": groups}, "peak_rss_mb": rss,
-                "checks": 3, "passed": True, "report_sha256": digest}
     got = ladder.summarize([run(0.3, rss=31.5), run(0.1, groups=0.3),
                             run(0.2, rss=24.25)])
     assert got == {"wall_s": 0.2, "wall_min_s": 0.1, "wall_max_s": 0.3,
                    "tensor_s": 0.1, "groups_s": {"soundness": 0.1},
+                   "slowest_s": {"c0": 0.1, "c1": 0.067, "c2": 0.05,
+                                 "c3": 0.04, "c4": 0.033},
                    "peak_rss_mb": 24.2, "checks": 3, "passed": True,
                    "report_sha256": "d"}
+    assert list(got["slowest_s"]) == ["c0", "c1", "c2", "c3", "c4"]
     assert ladder.summarize([run(0.1), "skipped"]) == "skipped"
     assert "error" in ladder.summarize([run(0.1), run(0.1, "e")])
 
@@ -94,3 +108,23 @@ def test_rp2_rung_verifies_with_its_torsion(monkeypatch, ring, homology):
     assert run_command("homology", doc, ring_override=ring).tables == \
         {"homology/X": homology}
     assert len(torsion) == (4 if ring == "Z" else 0)
+
+
+@pytest.mark.parametrize("runs, status", [
+    ([run(0.1)] * 3, 0),
+    (["skipped"], 0),
+    ([run(0.1, passed=False)] * 3, 1),
+    ([{"error": "Traceback"}], 1),
+    ([run(0.1), run(0.1, "e"), run(0.1)], 1),
+], ids=["passes", "skipped", "fails", "errors", "disagrees"])
+def test_the_exit_status_names_a_rung_that_does_not_verify(
+        monkeypatch, capsys, runs, status):
+    results = iter(runs)
+    monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
+    monkeypatch.setattr(ladder, "run_rung",
+                        lambda doc, src, max_seconds: next(results))
+    assert ladder.main(["--src", f"ci={SRC}"]) == status
+    out, err = capsys.readouterr()
+    assert [row["rung"] for row in json.loads(out)["rungs"]] == [
+        "id-simplex-3"]
+    assert ("id-simplex-3 (ci)" in err) == bool(status)

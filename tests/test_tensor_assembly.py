@@ -19,7 +19,7 @@ from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer, tensor_k, tensor_map_left, tensor_r
 from rkdual.linalg import ChainComplexError
 from rkdual.rings import QQ, ZZ, Ring
-from rkdual.rkcore import dual_star, dual_star_map, maximal_label_ses
+from rkdual.rkcore import RKMap, dual_star, maximal_label_ses
 
 RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
@@ -94,7 +94,7 @@ def dualized_maps(data):
     t_sub, t_quo = dz.object(ses.i.src), dz.object(ses.j.tgt)
     return [("inclusion", ses.i, data.tc, t_sub),
             ("projection", ses.j, t_quo, data.tc),
-            ("pullback", dual_star_map(data.push), data.tc, data.t_k),
+            ("pullback", data.pullback, data.tc, data.t_k),
             ("composite", data.composite, data.t_sub, data.t2)]
 
 
@@ -133,7 +133,7 @@ def test_tensored_maps_refuse_sides_that_are_not_their_tensors(name):
     refused = [
         # swapped ends
         lambda: tensor_map_left(push, cells_k, cells),
-        lambda: dz.map(dual_star_map(push), data.t_k, data.tc),
+        lambda: dz.map(data.pullback, data.t_k, data.tc),
         # a tensor over another D
         lambda: tensor_map_left(push, cells, tensor_k(push.tgt, other)),
         # a full tensor
@@ -147,10 +147,23 @@ def test_tensored_maps_refuse_sides_that_are_not_their_tensors(name):
 
 def test_the_dual_map_refuses_a_tensor_over_another_d():
     data = KSpaceData(corpus_kspace("hex"), ZZ)
-    dz, pullback = data.dualizer, dual_star_map(data.push)
+    dz, pullback = data.dualizer, data.pullback
     other = Dualizer(data.ks.K, ZZ)
     other.dstar_k = data.deltas.dstar_x     # T over another D, same K
     t_x = other.object(pullback.tgt)
     assert t_x.dual_of == pullback.tgt.gens
     with pytest.raises(ChainComplexError):
         dz.map(pullback, t_x, data.t_k)
+
+
+def test_the_dual_map_refuses_the_tensor_of_an_equal_copy():
+    data = KSpaceData(corpus_kspace("hex"), ZZ)
+    dz = data.dualizer
+    # T(C) is of C itself: a second dual of the chains of X has the same
+    # generators, but data.tc was built from the cochains of X
+    copy = RKMap(data.pullback.src, dual_star(data.push.src),
+                 data.pullback.comps)
+    assert copy.tgt.gens == data.deltas.dstar_x.gens
+    assert dz.map(data.pullback, data.tc, data.t_k).src is data.tc
+    with pytest.raises(ChainComplexError):
+        dz.map(copy, data.tc, data.t_k)
