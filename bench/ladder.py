@@ -18,9 +18,11 @@ also records, from outside, so older trees report them too:
 ``tensor_s``, the seconds spent in the blocked-tensor builders
 ``duality.tensor_k`` and ``duality.tensor_r``; ``groups_s``, the
 seconds spent in the checks (``checks._guard``) of each check group of
-``checks.CHECK_GROUPS``, and ``checks_s``, of each check by its name; and
-``peak_rss_mb``, the child's peak resident memory (``ru_maxrss``),
-interpreter and imports included.  The order of the sources alternates
+``checks.CHECK_GROUPS``, and ``checks_s``, of each check by its name;
+``gc_s``, the seconds the garbage collector ran during the verify, and
+``gc_collections``, its collections by generation, both through
+``gc.callbacks``; and ``peak_rss_mb``, the child's peak resident memory
+(``ru_maxrss``), interpreter and imports included.  The order of the sources alternates
 from run to run and from rung to rung, so two trees are compared back to
 back on the same host.  Each source's entry holds the median of its runs
 for every time and for the peak memory, with ``wall_min_s`` and
@@ -36,6 +38,7 @@ for some source, else 0: a skip is no failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -228,18 +231,39 @@ def time_groups():
     return spent, by_check
 
 
+def time_collector():
+    """Time every collection of the garbage collector through
+    ``gc.callbacks``; returns the dict of the seconds they took, under
+    ``"gc"``, and of the collections of each generation, under its number
+    as a string."""
+    spent = {"gc": 0.0, "0": 0, "1": 0, "2": 0}
+    started = [0.0]
+
+    def callback(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            spent["gc"] += time.perf_counter() - started[0]
+            spent[str(info["generation"])] += 1
+    gc.callbacks.append(callback)
+    return spent
+
+
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
     wall time, the seconds spent building blocked tensors and in each
-    check group, the peak resident memory, the number of checks, whether
-    all of them passed and the sha256 of the JSON report."""
+    check group, the collector's seconds and collections, the peak
+    resident memory, the number of checks, whether all of them passed and
+    the sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
     from rkdual.checks import run_command
     tensor, (groups, by_check) = time_tensors(), time_groups()
     doc = json.load(sys.stdin)
+    collector = time_collector()
     started = time.perf_counter()
     report = run_command("verify", doc)
     wall = time.perf_counter() - started
+    gc.callbacks.clear()
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     # ru_maxrss is in kilobytes on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -248,6 +272,8 @@ def child(src):
                       "groups_s": {k: round(v, 3) for k, v in groups.items()},
                       "checks_s": {k: round(v, 3)
                                    for k, v in by_check.items()},
+                      "gc_s": round(collector.pop("gc"), 3),
+                      "gc_collections": collector,
                       "peak_rss_mb": round(rss, 1),
                       "checks": len(report.checks),
                       "passed": report.passed, "report_sha256": digest}))
@@ -269,8 +295,8 @@ def run_rung(doc, src, max_seconds):
 
 def summarize(runs):
     """One source's entry for a rung: its first skip or error, if any;
-    else the median of each time and of the peak memory over the runs,
-    the spread of the wall time, the five slowest checks by their median,
+    else the median of each time, of the collections of each generation
+    and of the peak memory over the runs, the spread of the wall time, the five slowest checks by their median,
     and the checks, verdict and report digest they all share."""
     for got in runs:
         if not isinstance(got, dict) or "error" in got:
@@ -291,6 +317,10 @@ def summarize(runs):
             "groups_s": {g: mid(got["groups_s"][g] for got in runs)
                          for g in runs[0]["groups_s"]},
             "slowest_s": {c: -t for t, c in by_check[:5]},
+            "gc_s": mid(got["gc_s"] for got in runs),
+            "gc_collections": {g: median(got["gc_collections"][g]
+                                         for got in runs)
+                               for g in runs[0]["gc_collections"]},
             "peak_rss_mb": round(median(got["peak_rss_mb"] for got in runs),
                                  1),
             "checks": runs[0]["checks"], "passed": runs[0]["passed"],

@@ -14,7 +14,7 @@ from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          SimplicialComplex, SimplicialMap,
                          barycentric_subdivision, chain_complex, control_map,
                          derived_kspace, kspace_identity, validate_kspace)
-from .rkcore import (Generator, RKComplex, RKMap, ShortExactSequence,
+from .rkcore import (RKComplex, RKMap, ShortExactSequence,
                      check_lemma_clem, delta_complexes, delta_star_k,
                      dual_star, dual_star_map, epsilon, hom_rk, is_full,
                      maximal_label_ses)

@@ -6,7 +6,9 @@ strictly decreasing chains in the subdivision that start inside T and end
 over s; it has dimension dim T - dim s, its interior consists of the chains
 starting exactly at T and ending exactly over s, and the interiors of all
 cells partition the subdivision.  The cellular chain complex is the blocked
-tensor of X-chains with K-cochains; a basis cell T⊗s* has the boundary
+tensor of X-chains with K-cochains, whose generator at each position is a
+cell (T, s), read from the tensor's layout into a table by degree; a basis
+cell T⊗s* has the boundary
 
     d[T_s]  =  sum_{S<T} [T,S] [S_s]  +  (-1)^{1+dim T - dim s} sum_{s<r} [r,s] [T_r]
 
@@ -25,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .rkcore import RKComplex, RKMap, simplex_generator, tensor_generator
-from .duality import tensor_k
+from .rkcore import RKComplex, RKMap, identities
+from .duality import left_keys, left_times_one, tensor_k
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          incidence_canonical, simplex_name)
 
@@ -228,15 +230,15 @@ class CellularComplex:
     rk: RKComplex
     ball: BallComplex
     orientation: OrientationPair
-    cells: dict = field(default_factory=dict)   # generator -> (T, sigma)
+    cells: dict = field(default_factory=dict)   # degree -> [(T, sigma)]
 
 
 def cellular_chain_complex(orientation: OrientationPair, dx: RKComplex,
                            dstar_k: RKComplex,
                            ball: BallComplex) -> CellularComplex:
     """The blocked tensor of the X-chains ``dx`` with the K-cochains
-    ``dstar_k``, with each generator T⊗sigma* matched to its cell of
-    ``ball``.
+    ``dstar_k``, with the generator T⊗sigma* at each position matched to
+    its cell (T, sigma) of ``ball``.
 
     ``dx`` and ``dstar_k`` must carry the bases of ``orientation``; nothing
     is rebuilt here.  The incidence form of the boundary is certified
@@ -244,15 +246,12 @@ def cellular_chain_complex(orientation: OrientationPair, dx: RKComplex,
     """
     orientation.validate()
     rk = tensor_k(dx, dstar_k)
-    cells = {}
-    for q in rk.degrees():
-        for g in rk.gens_at(q):
-            _, gl, gr = g.data
-            T = gl.data[1]
-            sigma = gr.data[1].data[1]
-            cells[g] = (T, sigma)
-            if (T, sigma) not in ball.cells:
-                raise InputError(f"generator {g.name} is not a cell")
+    cells = {q: list(zip(simplices, rk.labels[q]))
+             for q, simplices in left_keys(rk, dx.keys).items()}
+    for q, row in cells.items():
+        for k, cell in enumerate(row):
+            if cell not in ball.cells:
+                raise InputError(f"generator {rk.name(q, k)} is not a cell")
     return CellularComplex(rk, ball, orientation, cells)
 
 
@@ -264,9 +263,7 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
     bx = cx.orientation.bx
     failures = []
     for q in rk.degrees():
-        gens_lo = rk.gens_at(q - 1)
-        for j, g in enumerate(rk.gens_at(q)):
-            T, sigma = cx.cells[g]
+        for j, (T, sigma) in enumerate(cx.cells[q]):
             expect = {}
             for i, S in ks.X.facets(T):
                 if not rk.leq(sigma, ks.pi.image(S)):
@@ -280,14 +277,14 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
                 coeff = sign_inner * incidence_canonical(rho, sigma)
                 expect[T, rho] = expect.get((T, rho), 0) + coeff
             want = {cell: ring.coerce(c) for cell, c in expect.items() if c}
-            got = {cx.cells[gens_lo[i]]: v for i, v in rk.d(q).column(j)}
+            got = {cx.cells[q - 1][i]: v for i, v in rk.d(q).column(j)}
             if got != want:
-                failures.append(f"boundary display fails at {g.name}")
+                failures.append(f"boundary display fails at {rk.name(q, j)}")
             for (TT, ss), v in got.items():
                 if not ring.is_unit(v):
-                    failures.append(f"non-unit boundary coefficient at {g.name}")
+                    failures.append(f"non-unit boundary coefficient at {rk.name(q, j)}")
                 if (len(TT) - len(ss)) != (len(T) - len(sigma)) - 1:
-                    failures.append(f"boundary of {g.name} hits a non-facet cell")
+                    failures.append(f"boundary of {rk.name(q, j)} hits a non-facet cell")
     return failures
 
 
@@ -305,15 +302,12 @@ def cellular_iso(tc: RKComplex, cellular: CellularComplex) -> RKMap:
     x** ⊗ s* to (-1)^{|x|} x ⊗ s*.
 
     ``tc`` is T(cochains of X), built from the same X-chains as
-    ``cellular``; the map is read off the generators of both.
+    ``cellular``: their left factors have one labeling.
     """
-    ring = tc.ring
-
-    def images(q, g):
-        _, gl, gr = g.data
-        x = gl.data[1].data[1]
-        yield tensor_generator(x, gr), ring.coerce((-1) ** ((len(x.data[1]) - 1) % 2))
-    return RKMap.from_images(tc, cellular.rk, images)
+    return left_times_one(
+        tc, cellular.rk, lambda s, t: not s.full and s.left == t.left,
+        lambda: identities(tc.ring, {r: len(ls) for r, ls in tc.left.items()},
+                           True))
 
 
 def induced_chain_map(fmap: KSpaceMap, src: RKComplex, tgt: RKComplex,
@@ -325,11 +319,10 @@ def induced_chain_map(fmap: KSpaceMap, src: RKComplex, tgt: RKComplex,
     cellular complexes."""
     fmap.validate()
 
-    def images(q, g):
-        S = g.data[1]
+    def images(q, j):
+        S = src.keys[q][j]
         out = fmap.f.chain_image(S)
         if out is not None:
             image, s = out
-            yield (simplex_generator(image, fmap.tgt.label(image)),
-                   or_src.bx[S] * s * or_tgt.bx[image])
+            yield tgt.index_of(q, image), or_src.bx[S] * s * or_tgt.bx[image]
     return RKMap.from_images(src, tgt, images)

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import smith_normal_form
-from .rkcore import (RKComplex, RKMap, delta_chain, dual_star,
-                     simplex_generator, simplicial_rk)
-from .duality import (Dualizer, projection_map, tensor_k, tensor_r,
-                      verify_diagonal_equivalence)
+from .rkcore import RKComplex, RKMap, delta_chain, dual_star, simplicial_rk
+from .duality import (Dualizer, left_keys, projection_map, tensor_k,
+                      tensor_r, verify_diagonal_equivalence)
 from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
 from .ballcomplex import CellularComplex
@@ -137,11 +136,12 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
     target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
     caps = {(tau, sigma): cap_product(cx, tau, sigma, basis)
             for tau in cx.all_simplices() for sigma in cx.closure(tau)}
+    # the pair tau ⊗ sigma* is labeled by sigma
+    taus = left_keys(domain, dxk.keys)
 
-    def images(q, g):
-        tau, sigma = g.data[1].data[1], g.data[2].data[1].data[1]
-        for flag, c in caps[tau, sigma].items():
-            yield simplex_generator(flag, sigma), c
+    def images(q, k):
+        for flag, c in caps[taus[q][k], domain.labels[q][k]].items():
+            yield target.index_of(q, flag), c
     cap = RKMap.from_images(domain, target, images)
 
     report = CapReport(True, True, True, True, True)
@@ -244,14 +244,15 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     # the orientation parity of each simplex that pi does not collapse
     parity = {S: out[1] for S in ks.X.all_simplices()
               if (out := ks.pi.chain_image(S)) is not None}
+    dxp = deltas.dx_prime
 
-    def images(q, g):
-        T, rho = cellular.cells[g]
+    def images(q, k):
+        T, rho = cellular.cells[q][k]
         overall = -1 if (len(rho) - 1) % 2 else 1
         for flag in _top_flags(ks, T, rho):
-            yield (simplex_generator(flag, rho),
+            yield (dxp.index_of(q, flag),
                    overall * flag_sign(flag, bx[T], parity[flag[-1]]))
-    cmap = RKMap.from_images(cellular.rk, deltas.dx_prime, images)
+    cmap = RKMap.from_images(cellular.rk, dxp, images)
     return CellChainData(cmap, cellular, deltas)
 
 
@@ -279,16 +280,17 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData,
                 cochain_pullback(ks, data.cellular.orientation).items()}
     proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
                           data.cellular.rk)
+    dxp, full = data.deltas.dx_prime, proj.src
+    # the pair T ⊗ rho* is labeled by rho
+    simplices = left_keys(full, data.deltas.dx.keys)
 
-    def images(q, g):
-        T = g.data[1].data[1]
-        rho = g.data[2].data[1].data[1]
-        signs = pullback.get(rho, {})
+    def images(q, k):
+        T, signs = simplices[q][k], pullback.get(full.labels[q][k], {})
         for S in ks.X.closure(T):        # only a face of T caps against T
             if S in signs:
                 for flag, c in cap_product(ks.X, T, S, bx).items():
-                    yield simplex_generator(flag, rho), signs[S] * c
-    lhs = RKMap.from_images(proj.src, data.deltas.dx_prime, images)
+                    yield dxp.index_of(q, flag), signs[S] * c
+    lhs = RKMap.from_images(full, dxp, images)
     return lhs == data.map.compose(proj)
 
 
@@ -311,16 +313,15 @@ def verify_fundamental_cycles(data: CellChainData) -> FundamentalCycleReport:
     for q in rk.degrees():
         mat = data.map.component(q)
         bmat = dxp.d(q) * mat
-        for j, g in enumerate(rk.gens_at(q)):
-            T, rho = data.cellular.cells[g]
+        for j, (T, rho) in enumerate(data.cellular.cells[q]):
             cell = ball.cell(T, rho)
             tops = set(c for c in cell.simplices if len(c) - 1 == cell.dim)
-            support = {dxp.gens_at(q)[i].data[1]: v for i, v in mat.column(j)}
+            support = {dxp.keys[q][i]: v for i, v in mat.column(j)}
             ok = set(support) == tops and all(ring.is_unit(v)
                                               for v in support.values())
             boundary_flags = set(cell.inner_boundary) | set(cell.outer_boundary)
             for i, _ in bmat.column(j):
-                if dxp.gens_at(q - 1)[i].data[1] not in boundary_flags:
+                if dxp.keys[q - 1][i] not in boundary_flags:
                     ok = False
             verdicts[T, rho] = ok
     return FundamentalCycleReport(verdicts, all(verdicts.values()))

@@ -21,7 +21,7 @@ from .simplicial import (InputError, KSpace, SimplicialComplex,
                          control_kspace, control_map, derived_kspace,
                          kspace_identity, simplex_name, validate_kspace)
 from .rkcore import (DeltaComplexes, RKMap, ShortExactSequence,
-                     check_lemma_clem, delta_chain, delta_complexes, dual_star,
+                     check_lemma_clem, delta_chain, delta_complexes,
                      dual_star_map, hom_rk, is_full, maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_map_left,
                       tensor_r, verify_diagonal_equivalence)
@@ -336,7 +336,7 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
 
     def psi_body():
         psi = hom_dual_iso(hom_rk(data.dualizer.dstar_k, data.deltas.dstar_x),
-                           dual_star(data.cellular.rk))
+                           data.cellular.rk)
         psi.validate()
         return psi.is_bijection_on_bases(), {}
     _guard(report, "tensor/hom-dual-isomorphism", target, psi_body)
@@ -576,11 +576,10 @@ def cell_incidence_lines(cellular) -> list:
     lines = []
     for q in rk.degrees():
         mat = rk.d(q)
-        for j, g in enumerate(rk.gens_at(q)):
-            T, sigma = cellular.cells[g]
+        for j, (T, sigma) in enumerate(cellular.cells[q]):
             terms = []
             for i, v in mat.column(j):
-                bid = cell_name(*cellular.cells[rk.gens_at(q - 1)[i]])
+                bid = cell_name(*cellular.cells[q - 1][i])
                 sign = "+1" if v == rk.ring.one else str(v)
                 terms.append(f"{sign}:{bid}")
             terms.sort(key=lambda t: t.split(":", 1)[1])
@@ -645,8 +644,8 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
                 data = KSpaceData.build(ks, ring)
                 tc = data.tc
                 ranks = {str(q): tc.rank(q) for q in tc.degrees()}
-                by_label = Counter(simplex_name(g.label) for q in tc.degrees()
-                                   for g in tc.gens_at(q))
+                by_label = Counter(simplex_name(s) for q in tc.degrees()
+                                   for s in tc.labels[q])
                 diffs = {}
                 for q in tc.degrees():
                     entries = [[i, j, str(v)] for (i, j), v in tc.d(q).entries()]

@@ -69,6 +69,8 @@ def _load(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputError("input nests too deeply") from None
 
 
 def _emit(text: str, out_path):

@@ -4,10 +4,14 @@ For C over the opposite order and D over the standard one, the blocked
 tensor keeps only the pairs x⊗y whose left label lies in the star of the
 right label; it is the quotient of the full tensor by the remaining pairs.
 One layout, from D's label cuts cached once per label, places every pair
-x⊗y of a tensor.  From it the differential d_C ⊗ 1 + (-1)^r 1 ⊗ d_D, f ⊗ 1
-and T(f) = f* ⊗ 1 are filled from the stored columns of C, D and f, only
-between blocked tensors of f's ends over one D; an image pair the layout
-does not place is one the quotient drops.
+x⊗y of a tensor, and a pair is its position there: its label is y's, and
+its name is rendered from the names of x and y when a message asks.  From
+the layout the differential d_C ⊗ 1 + (-1)^r 1 ⊗ d_D is filled, and so is
+M ⊗ 1 for a matrix M on the left factors between two tensors over one D:
+f ⊗ 1, T(f) = f* ⊗ 1, the projection of the full tensor onto the blocked
+one and the cellular identification; an image pair the layout does not
+place is one the quotient drops.  The evaluation, the Hom-to-dual
+isomorphism and the double-dual collapse read the layout too.
 
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
@@ -24,36 +28,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import ChainComplexError, Matrix, is_cone_acyclic
-from .rkcore import (RKComplex, RKMap, dual_generator, dual_star, epsilon,
-                     hom_rk, hom_post_map, delta_star_k, tensor_generator)
+from .rkcore import (RKComplex, RKMap, dual_star, epsilon, hom_rk,
+                     hom_post_map, delta_star_k, identities)
 from .simplicial import simplex_name
 
 
 class Tensor(RKComplex):
     """C ⊗ D from :func:`tensor_k` or :func:`tensor_r`; records only ``full``,
-    ``left`` (C's generators), ``dual_of`` (what C is dual to), ``right`` (D)."""
+    ``left`` (C's labels), ``dual_of`` (the labels of what C is dual to) and
+    ``right`` (D)."""
 
     __slots__ = ("full", "left", "dual_of", "right")
 
 
 def _layout(left, D, full):
-    """Where the tensor of ``left`` with D puts its pairs, in basis order (r,
-    i, j): per left degree r, cuts[i], the cut {s: (js, rank)} of D to x_i's
-    label (all of D when ``full``), cached on D, and starts: x_i⊗y_j is at
-    starts[s][i] + rank[j] in degree r + s if j is in js.  Also ints to share."""
+    """Where the tensor of a left factor with the labels ``left`` and D puts
+    its pairs, in basis order (r, i, j): per left degree r, cuts[i], the cut
+    {s: (js, rank)} of D to x_i's label (all of D when ``full``), cached on
+    D, and starts: x_i⊗y_j is at starts[s][i] + rank[j] in degree r + s if j
+    is in js.  Also ints to share, and the rank of each degree."""
     count, out, cache = {}, {}, D._cuts
     for r in sorted(left):
         cuts, starts = out[r] = [], {s: [0] * len(left[r]) for s in D.spaces}
-        for i, g in enumerate(left[r]):
-            if (cut := cache.get(label := None if full else g.label)) is None:
-                picks = D.positions(D.K.closure(label) if label else D.labels())
-                cut = cache[label] = {s: (js, {j: k for k, j in enumerate(js)})
-                                      for s, js in sorted(picks.items()) if js}
+        for i, label in enumerate(left[r]):
+            if (cut := cache.get(key := None if full else label)) is None:
+                picks = (D.positions(D.K.closure(label)) if key else
+                         {s: list(range(n)) for s, n in D.spaces.items()})
+                cut = cache[key] = {s: (js, {j: k for k, j in enumerate(js)})
+                                    for s, js in sorted(picks.items()) if js}
             cuts.append(cut)
             for s, (js, _) in cut.items():
                 starts[s][i] = start = count.get(r + s, 0)
                 count[r + s] = start + len(js)
-    return out, list(range(max(count.values(), default=0)))
+    return out, list(range(max(count.values(), default=0))), count
+
+
+def left_keys(t: Tensor, keys) -> dict:
+    """Per degree of the tensor ``t``, the key in ``keys`` (by left degree
+    and position) of each pair's left factor, in basis order."""
+    out = {q: [] for q in t.degrees()}
+    for r, (cuts, _) in _layout(t.left, t.right, t.full)[0].items():
+        for key, cut in zip(keys[r], cuts):
+            for s, (js, _) in cut.items():
+                out[r + s] += [key] * len(js)
+    return out
+
+
+def _pair_names(C, D, full):
+    """``name(q, k)`` of the tensor of C and D: the pair at position k of
+    degree q, found by counting the pairs of that degree."""
+    left, left_name, right, right_name, K = (C.labels, C.name, D.labels,
+                                             D.name, D.K)
+
+    def name(q, k):
+        for r in sorted(left):
+            ys = right.get(q - r, ())
+            for i, label in enumerate(left[r]):
+                js = [j for j, y in enumerate(ys)
+                      if full or y in K.closure(label)]
+                if k < len(js):
+                    return left_name(r, i) + "⊗" + right_name(q - r, js[k])
+                k -= len(js)
+        raise IndexError(f"no pair at position {k} of degree {q}")
+    return name
 
 
 def _tensor_complex(C, D, keep_all) -> Tensor:
@@ -62,24 +99,24 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
     # d(x⊗y) = dx⊗y + (-1)^r x⊗dy: x_i⊗y_j goes to x'⊗y_j for x' in dx_i
     # (hits) and to x_i⊗y' for y' in dy_j, wherever the layout places them
-    layout, ints = _layout(C.gens, D, keep_all)
-    gens = {r + s: [] for r in C.degrees() for s in D.degrees()}
-    data = {q: {} for q in gens}
+    layout, ints, _ = _layout(C.labels, D, keep_all)
+    labels = {r + s: [] for r in C.degrees() for s in D.degrees()}
+    data = {q: {} for q in labels}
     for r, (cuts, starts) in layout.items():
         dl, (below, at) = C.diff.get(r), layout.get(r - 1, (0, 0))
         sign = -1 if r % 2 else 1
-        into = {s: (gens[r + s].append, data[r + s], D.gens[s], D.diff.get(s))
-                for s in D.spaces}
-        for i, (gl, cut) in enumerate(zip(C.gens[r], cuts)):
+        into = {s: (labels[r + s].extend, data[r + s], D.labels[s],
+                    D.diff.get(s)) for s in D.spaces}
+        for i, cut in enumerate(cuts):
             images = dl.column(i) if dl else ()
             for s, (js, _) in cut.items():
                 hits = [(below[i2][s][1], at[s][i2], v) for i2, v in images
                         if s in below[i2]] if images else ()
-                append, entries, ys, dr = into[s]
+                extend, entries, ys, dr = into[s]
+                extend(map(ys.__getitem__, js))
                 if down := dr and cut.get(s - 1):
                     below_s = starts[s - 1][i]
                 for k, j in enumerate(js, starts[s][i]):
-                    append(tensor_generator(gl, ys[j]))
                     col = entries[ints[k]] = {}
                     for rank, there, v in hits:
                         if (row := rank.get(j)) is not None:
@@ -87,12 +124,13 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
                     for j2, v in dr.column(j) if down else ():
                         if (row := down[1].get(j2)) is not None:
                             col[ints[below_s + row]] = sign * v
-    del layout          # freed before the basis is indexed
-    diff = {q: Matrix._from_sums(C.ring, len(gens.get(q - 1, ())),
-                                 len(gens[q]), data.pop(q))
+    del layout          # freed before the differential is assembled
+    diff = {q: Matrix._from_sums(C.ring, len(labels.get(q - 1, ())),
+                                 len(labels[q]), data.pop(q))
             for q in sorted(data) if any(data[q].values())}
-    t = Tensor(C.ring, D.K, False, gens, diff)
-    t.full, t.left, t.dual_of, t.right = keep_all, C.gens, None, D
+    t = Tensor(C.ring, D.K, False, labels, diff,
+               name=_pair_names(C, D, keep_all))
+    t.full, t.left, t.dual_of, t.right = keep_all, C.labels, None, D
     return t
 
 
@@ -107,28 +145,20 @@ def tensor_k(C: RKComplex, D: RKComplex) -> Tensor:
     return _tensor_complex(C, D, keep_all=False)
 
 
-def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
-    """The label-diagonal epimorphism from the full tensor ``src`` =
-    ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``:
-    it keeps the pairs x⊗y of ``tgt``, those with label(y) ⊆ label(x), and
-    kills the others."""
-    return RKMap.shared(src, tgt)
-
-
-def _left_times_one(f, mats, src, tgt, factor, ends) -> RKMap:
-    """M ⊗ 1 for a degree-0 f, between blocked tensors over one D whose
-    ``factor`` records the ``ends`` (``dual_of`` their very generators,
-    ``left`` equal ones): x_i⊗y goes to x'⊗y, x' in ``mats[r]``."""
-    if f.degree != 0 or not all(isinstance(t, Tensor) and not t.full and (
-            t.dual_of is end.gens if factor == "dual_of" else
-            t.left == end.gens) and t.right.same_shape(src.right)
-                                for t, end in zip((src, tgt), ends)):
+def left_times_one(src, tgt, ends, mats) -> RKMap:
+    """M ⊗ 1 from the tensor ``src`` to the blocked tensor ``tgt`` over one
+    D, for ``ends(src, tgt)`` true of their left factors: x_i⊗y goes to
+    x'⊗y, x' in column i of ``mats()[r]``, the matrices of M by left degree
+    r, wherever ``tgt`` places it."""
+    if not (isinstance(src, Tensor) and isinstance(tgt, Tensor)
+            and not tgt.full and src.right.labels == tgt.right.labels
+            and ends(src, tgt)):
         raise ChainComplexError("a degree-0 map is tensored only between the "
                                 "blocked tensors of its ends over one D")
-    (ours, ints), (theirs, rows) = (_layout(t.left, t.right, False)
-                                    for t in (src, tgt))
+    (ours, ints, _), (theirs, rows, _) = (_layout(t.left, t.right, t.full)
+                                          for t in (src, tgt))
     cols = {q: {} for q in src.degrees()}
-    for r, mat in mats.items():
+    for r, mat in mats().items():
         (cuts, starts), (below, at) = ours[r], theirs[r]
         for i, cut in enumerate(cuts):
             images = mat.column(i)
@@ -139,40 +169,53 @@ def _left_times_one(f, mats, src, tgt, factor, ends) -> RKMap:
                     if col := {rows[there + row]: v for rank, there, v in hits
                                if (row := rank.get(j)) is not None}:
                         cols[r + s][ints[k]] = col
-    return RKMap(src, tgt, {
-        q: Matrix._from_sums(src.ring, tgt.rank(q), src.rank(q), c)
-        for q, c in cols.items() if c})
+    return RKMap.from_columns(src, tgt, cols)
+
+
+def projection_map(src: RKComplex, tgt: RKComplex) -> RKMap:
+    """The label-diagonal epimorphism from the full tensor ``src`` =
+    ``tensor_r(C, D)`` onto the blocked one ``tgt`` = ``tensor_k(C, D)``:
+    it keeps the pairs x⊗y of ``tgt``, those with label(y) ⊆ label(x), and
+    kills the others."""
+    return left_times_one(
+        src, tgt, lambda s, t: s.full and s.left == t.left,
+        lambda: identities(src.ring, {r: len(ls) for r, ls in src.left.items()},
+                           False))
 
 
 def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     """f ⊗ identity on D over the blocked tensor, for a degree-0 map f of
     opposite-order complexes: ``src`` = ``tensor_k(f.src, D)`` to ``tgt`` =
     ``tensor_k(f.tgt, D)``."""
-    return _left_times_one(f, f.comps, src, tgt, "left", (f.src, f.tgt))
+    return left_times_one(src, tgt, lambda s, t: (
+        f.degree == 0 and not s.full and s.left == f.src.labels
+        and t.left == f.tgt.labels), lambda: f.comps)
 
 
-def hom_dual_iso(src: RKComplex, tgt: RKComplex) -> RKMap:
-    """The isomorphism ``src`` = Hom(D, C*) -> ``tgt`` = (C ⊗ D)*, the dual
-    of the blocked tensor ``tensor_k(C, D)``.
+def hom_dual_iso(src: RKComplex, t: RKComplex) -> RKMap:
+    """The isomorphism ``src`` = Hom(D, C*) -> (C ⊗ D)*, the dual of the
+    blocked tensor ``t`` = ``tensor_k(C, D)``, which it builds.
 
     On the generator (y -> x*) it is (-1)^{|x||y|} times the dual basis
-    element of x⊗y; it is label-diagonal and bijective degreewise.
+    element of x⊗y, placed by the layout of ``t``; it is label-diagonal and
+    bijective degreewise.
     """
-    ring = src.ring
+    ring, layout = src.ring, _layout(t.left, t.right, t.full)[0]
 
-    def images(p, g):
-        _, q, gy, gz = g.data          # gy in D_q, gz = x* in (C*)_{q+p}
-        deg_x = -(q + p)
-        yield (dual_generator(tensor_generator(gz.data[1], gy)),
-               ring.coerce((-1) ** ((deg_x * q) % 2)))
-    return RKMap.from_images(src, tgt, images)
+    def images(p, k):
+        q, j, i = src.keys[p][k]        # y_j in D_q, x_i* in (C*)_{q+p}
+        r = -(q + p)                    # the degree of x_i in C
+        cuts, starts = layout[r]
+        yield (starts[q][i] + cuts[i][q][1][j],
+               ring.coerce((-1) ** ((r * q) % 2)))
+    return RKMap.from_images(src, dual_star(t), images)
 
 
 class Dualizer:
     """The contravariant duality C -> C* ⊗ (cochains of K) over a fixed K.
 
-    One instance holds the cochain complex of K so that separately built
-    duals and double duals share generators; maps take T of their ends.
+    One instance holds the cochain complex of K, the right factor of every
+    dual and double dual it builds; maps take T of their ends.
     """
 
     def __init__(self, K, ring):
@@ -185,15 +228,16 @@ class Dualizer:
         if C.op:
             raise ValueError("duality takes complexes over the standard order")
         t = tensor_k(dual_star(C), self.dstar_k)
-        t.dual_of = C.gens
+        t.dual_of = C.labels
         return t
 
     def map(self, f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
         """T(f) = f* ⊗ 1, f* the transpose of f: ``src`` = T(f.tgt) ->
         ``tgt`` = T(f.src); contravariant."""
-        return _left_times_one(
-            f, {-q: mat.transpose() for q, mat in f.comps.items()}, src, tgt,
-            "dual_of", (f.tgt, f.src))
+        return left_times_one(src, tgt, lambda s, t: (
+            f.degree == 0 and s.dual_of is f.tgt.labels
+            and t.dual_of is f.src.labels), lambda: {
+                -q: mat.transpose() for q, mat in f.comps.items()})
 
     def square(self, tc: RKComplex) -> RKComplex:
         """T²C, given ``tc`` = T(C)."""
@@ -202,18 +246,17 @@ class Dualizer:
     def evaluation(self, C: RKComplex):
         """The evaluation collapse (H ⊗ cochains of K) -> C, H = Hom(cochains of K, C).
 
-        Returns (H, HK, E) where E(f ⊗ s*) = f(s*).
+        Returns (H, HK, E) where E(f ⊗ s*) = f(s*): the generator
+        (s* -> c) ⊗ s* goes to c, every other pair to 0.
         """
-        H = hom_rk(self.dstar_k, C)
-        HK = tensor_k(H, self.dstar_k)
-        one = self.ring.one
-
-        def images(q, g):
-            _, gF, gt = g.data
-            _, _, ga, gb = gF.data       # ga = sigma* in cochains, gb = c in C
-            if ga == gt:
-                yield gb, one
-        return H, HK, RKMap.from_images(HK, C, images)
+        D, one = self.dstar_k, self.ring.one
+        H = hom_rk(D, C)
+        HK = tensor_k(H, D)
+        cols = {q: {} for q in HK.degrees()}
+        for r, (cuts, starts) in _layout(H.labels, D, False)[0].items():
+            for i, ((s, j, c), cut) in enumerate(zip(H.keys[r], cuts)):
+                cols[r + s][starts[s][i] + cut[s][1][j]] = {c: one}
+        return H, HK, RKMap.from_columns(HK, C, cols)
 
     def hom_to_square(self, C: RKComplex, H: RKComplex, HK: RKComplex,
                       tc: RKComplex, t2: RKComplex) -> RKMap:
@@ -223,26 +266,36 @@ class Dualizer:
         eps = epsilon(C)                 # C** -> C; C -> C** has its signs
         hom_dd = hom_rk(self.dstar_k, eps.src)
         twist = hom_post_map(RKMap(C, eps.src, eps.comps), H, hom_dd)
-        psi = hom_dual_iso(hom_dd, dual_star(tc))
+        psi = hom_dual_iso(hom_dd, tc)
         return tensor_map_left(psi.compose(twist), HK, t2)
 
     def double_dual_map(self, C: RKComplex, t2: RKComplex) -> RKMap:
         """The natural epimorphism e: ``t2`` = T²C -> C.
 
-        Built directly on the double-dual basis: the generator
+        Read from the layouts of T(C) and of T²C: the generator
         (x* ⊗ s*)* ⊗ t* goes to (-1)^{|x|(1+dim s)} x when s = t, else to 0.
         The defining identity (evaluation = e ∘ (iso ⊗ 1)) is checked in the
         test suite.
         """
-        ring = self.ring
-
-        def images(q, g):
-            _, gdual, gtau = g.data
-            _, gcstar, gsig = gdual.data[1].data
-            if gsig == gtau:
-                dim_s = len(gsig.label) - 1
-                yield gcstar.data[1], ring.coerce((-1) ** ((q * (1 + dim_s)) % 2))
-        return RKMap.from_images(t2, C, images)
+        D, ring = self.dstar_k, self.ring
+        inner, _, ranks = _layout({-q: ls for q, ls in C.labels.items()}, D,
+                                  False)        # the layout of T(C)
+        if not (isinstance(t2, Tensor) and not t2.full
+                and t2.dual_of is not None and t2.right.labels == D.labels
+                and ranks == {q: len(ls) for q, ls in t2.dual_of.items()}):
+            raise ChainComplexError("the double-dual collapse reads T²C of "
+                                    "its own C over this dualizer's K")
+        outer, cols = _layout(t2.left, D, False)[0], {}
+        for r, (cuts, starts) in inner.items():      # x* in degree r of C*
+            comp = cols.setdefault(-r, {})
+            for i, cut in enumerate(cuts):
+                for s, (js, _) in cut.items():        # s = -dim s
+                    sign = ring.coerce((-1) ** ((r * (1 - s)) % 2))
+                    o_cuts, o_starts = outer[-(r + s)]
+                    for k, j in enumerate(js, starts[s][i]):
+                        # (x*⊗s_j*)*, left generator k of T², against s_j*
+                        comp[o_starts[s][k] + o_cuts[k][s][1][j]] = {i: sign}
+        return RKMap.from_columns(t2, C, cols)
 
 
 @dataclass

@@ -7,21 +7,22 @@ in the face order (or downward, for complexes carried by the opposite
 order).  Ranks, differentials, components and d∘d = 0 are the chain
 complex's; the subclasses add the labels and the support condition.  One
 label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
-some labels with the blocks between them, and :meth:`RKMap.shared` sends
-each generator to itself.
+some labels with the blocks between them, and :meth:`RKMap.shared` places
+a cut in the complex it was cut from.
 :meth:`RKMap.diagonal` is the direct sum of a map's one-label cuts, on its
 whole bases, so a label-wise certificate runs once on it.  The star dual, the
 evaluation isomorphism to the double dual, blocked Hom, and the geometric
 chain/cochain complexes of a K-space are all built here.
 
-A generator is identified by its structure: its label and the record of how
-it was built (a simplex, or the dual, tensor or Hom of earlier generators).
-Every blocked map, and the differential of blocked Hom, is a rule on
-generators that names each image by rebuilding its structure;
-:meth:`RKMap.from_images`, the one assembly function for rules, resolves
-the images in the target basis.  The blocked tensor, f ⊗ 1 and T(f) are
-filled by position instead, from label cuts cached on D (:mod:`rkdual.duality`).
-Names are rendered for display only and may coincide.
+A generator is its position.  A complex keeps, per degree, the tuple of its
+generators' labels, and a dual keeps its source's tuples.  Where input names
+the generators (the simplices or flags of a simplicial complex, the
+(q, i_a, i_b) of blocked Hom) the complex also keeps those ``keys``, and a
+rule that names an image by its key finds it with :meth:`RKComplex.index_of`.
+:meth:`RKMap.from_images`, the one assembly function for rules, takes rules
+that yield target positions.  The blocked tensor and every map into or out
+of one are read from its layout (:mod:`rkdual.duality`).  ``name(q, i)``
+renders a generator for messages only; names may coincide.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -41,107 +42,41 @@ from .simplicial import (InputError, KSpace, SimplicialComplex, SimplicialMap,
                          simplex_name)
 
 
-class Generator:
-    """A basis element carrying a label in K, identified by its structure.
-
-    ``data`` records how the generator was built: ``("simplex", s)``,
-    ``("dual", g)``, ``("tensor", left, right)`` or ``("hom", q, a, b)``.
-    Two generators are equal when their labels and data are; the hash is
-    computed once, at construction, so nested generators hash in constant
-    time.  ``name`` renders the structure for display and need not be
-    unique.
-    """
-
-    __slots__ = ("label", "data", "_hash", "_name")
-
-    def __init__(self, label, data):
-        self.label = label
-        self.data = data
-        self._hash = hash((label, data))
-        self._name = None
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Generator) and self._hash == other._hash
-            and self.label == other.label and self.data == other.data)
-
-    @property
-    def name(self) -> str:
-        if self._name is None:
-            kind, *parts = self.data
-            if kind == "simplex":
-                self._name = "<" + simplex_name(parts[0]) + ">"
-            elif kind == "dual":
-                self._name = parts[0].name + "*"
-            elif kind == "tensor":
-                self._name = parts[0].name + "⊗" + parts[1].name
-            else:
-                self._name = "[" + parts[1].name + "→" + parts[2].name + "]"
-        return self._name
-
-    def __repr__(self):
-        return f"Generator({self.name})"
-
-
-def simplex_generator(s, label) -> Generator:
-    return Generator(label, ("simplex", s))
-
-
-def dual_generator(g: Generator) -> Generator:
-    return Generator(g.label, ("dual", g))
-
-
-def tensor_generator(gl: Generator, gr: Generator) -> Generator:
-    return Generator(gr.label, ("tensor", gl, gr))
-
-
-def hom_generator(q: int, ga: Generator, gb: Generator) -> Generator:
-    return Generator(ga.label, ("hom", q, ga, gb))
-
-
 class RKComplex(ChainComplex):
     """A bounded chain complex whose bases carry labels in (K, <=) or (K, >=).
 
-    ``gens`` maps a degree to its tuple of generators, which fixes the ranks
-    of the underlying :class:`ChainComplex`; ``diff`` maps q to the matrix of
-    d_q against those bases.  The support condition (every differential
-    component moves labels upward in the complex's order) and d∘d = 0 are
-    checked by :meth:`validate`.
+    ``labels`` maps a degree to the tuple of its generators' labels, which
+    fixes the ranks of the underlying :class:`ChainComplex`; ``diff`` maps q
+    to the matrix of d_q against those bases.  ``keys``, where input names
+    the generators, maps a degree to their names in basis order, which
+    :meth:`index_of` finds; ``name(q, i)`` renders the generator at position
+    i of degree q, by default its key as a simplex.  The support condition (every differential component moves
+    labels upward in the complex's order) and d∘d = 0 are checked by
+    :meth:`validate`.
     """
 
-    __slots__ = ("K", "op", "gens", "_index", "_by_label", "_cuts")
+    __slots__ = ("K", "op", "labels", "keys", "name", "_index", "_cuts")
 
-    def __init__(self, ring, K: SimplicialComplex, op: bool, gens, diff):
-        self.K = K
-        self.op = bool(op)
-        self.gens = {q: tuple(gs) for q, gs in gens.items() if gs}
-        self._index = {q: {g: i for i, g in enumerate(gs)}
-                       for q, gs in self.gens.items()}
-        self._by_label, self._cuts = None, {}
-        for q, gs in self.gens.items():
-            if len(self._index[q]) != len(gs):
+    def __init__(self, ring, K: SimplicialComplex, op: bool, labels, diff,
+                 keys=None, name=None):
+        self.K, self.op = K, bool(op)
+        self.labels = {q: tuple(ls) for q, ls in labels.items() if ls}
+        self.keys, self._index, self._cuts = keys, {}, {}
+        for q, ks in (keys or {}).items():
+            if len(set(ks)) != len(ks):
                 raise ChainComplexError(f"duplicate generators at degree {q}")
-        super().__init__(ring, {q: len(gs) for q, gs in self.gens.items()},
+        self.name = name or (lambda q, i: "<" + simplex_name(keys[q][i]) + ">"
+                             if keys else f"({q}, {i})")
+        super().__init__(ring, {q: len(ls) for q, ls in self.labels.items()},
                          diff)
 
-    def gens_at(self, q):
-        return self.gens.get(q, ())
-
-    @classmethod
-    def from_boundary(cls, ring, K: SimplicialComplex, op: bool, gens,
-                      boundary) -> "RKComplex":
-        """The complex on ``gens`` whose differential, the degree -1 map of
-        the complex to itself, has the generator images ``boundary(q, g)``."""
-        cx = cls(ring, K, op, gens, {})
-        cx.diff = RKMap.from_images(cx, cx, boundary, -1).comps
-        return cx
-
-    def index_of(self, q, gen: Generator) -> int:
-        """Position of a generator in the degree-q basis, by structure."""
-        return self._index[q][gen]
+    def index_of(self, q, key):
+        """Position of the generator named ``key`` in degree q, or None; a
+        degree's keys are indexed on first use."""
+        if (index := self._index.get(q)) is None:
+            index = self._index[q] = {
+                k: i for i, k in enumerate((self.keys or {}).get(q, ()))}
+        return index.get(key)
 
     def leq(self, a, b) -> bool:
         """a <= b in this complex's order on K."""
@@ -149,43 +84,31 @@ class RKComplex(ChainComplex):
             return set(b) <= set(a)
         return set(a) <= set(b)
 
-    def labels(self):
-        out = set()
-        for gs in self.gens.values():
-            out.update(g.label for g in gs)
-        return out
-
-    def same_shape(self, other) -> bool:
-        """Same K, order and generators; used to splice separately built maps."""
-        return (isinstance(other, RKComplex) and self.ring == other.ring
-                and self.K == other.K and self.op == other.op
-                and self.gens == other.gens)
+    def label_set(self):
+        """The labels of all generators."""
+        return set().union(*self.labels.values())
 
     def _check(self):
         _check_support(self.diff, self, self, -1, "by d ")
         super()._check()
 
     def positions(self, labels):
-        """Per degree, the indices of the generators labeled in ``labels``,
-        in basis order.  The generators are grouped by label on first use."""
-        if self._by_label is None:
-            self._by_label = {}
-            for q, gs in self.gens.items():
-                group = self._by_label[q] = {}
-                for i, g in enumerate(gs):
-                    group.setdefault(g.label, []).append(i)
-        return {q: sorted(i for s in labels for i in group.get(s, ()))
-                for q, group in self._by_label.items()}
+        """Per degree, the positions of the generators labeled in
+        ``labels``, in basis order."""
+        labels = set(labels)
+        return {q: [i for i, s in enumerate(ls) if s in labels]
+                for q, ls in self.labels.items()}
 
     def sub(self, labels) -> "RKComplex":
         """The label cut: the generators labeled in ``labels``, in order,
         with the differential blocks between them."""
-        picks = self.positions(labels)
-        gens = {q: tuple(self.gens[q][i] for i in idxs)
-                for q, idxs in picks.items()}
+        picks, name = self.positions(labels), self.name
         diff = {q: mat.submatrix(picks[q - 1], picks[q])
                 for q, mat in self.diff.items() if picks[q - 1] and picks[q]}
-        return RKComplex(self.ring, self.K, self.op, gens, diff)
+        return RKComplex(
+            self.ring, self.K, self.op,
+            {q: [self.labels[q][i] for i in idxs] for q, idxs in picks.items()},
+            diff, name=lambda q, i: name(q, picks[q][i]))
 
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
@@ -200,10 +123,10 @@ def _check_support(mats, src, tgt, degree, by=""):
     once per pair of labels; ``by`` names the matrices in the message."""
     below = {}
     for q, mat in sorted(mats.items()):
-        s, t, bad = src.gens_at(q), tgt.gens_at(q + degree), []
+        s, t, bad = src.labels.get(q, ()), tgt.labels.get(q + degree, ()), []
         for j, col in mat.columns():
             for i, _ in col:
-                pair = s[j].label, t[i].label
+                pair = s[j], t[i]
                 if (ok := below.get(pair)) is None:
                     ok = below[pair] = src.leq(*pair)
                 if not ok:
@@ -211,7 +134,8 @@ def _check_support(mats, src, tgt, degree, by=""):
         if bad:
             i, j = min(bad)
             raise ChainComplexError(f"support violated {by}at degree {q}: "
-                                    f"{s[j].name} -> {t[i].name}")
+                                    f"{src.name(q, j)} -> "
+                                    f"{tgt.name(q + degree, i)}")
 
 
 def is_full(K: SimplicialComplex, subset) -> bool:
@@ -246,50 +170,62 @@ class RKMap(ChainMap):
     @classmethod
     def from_images(cls, src: RKComplex, tgt: RKComplex, images,
                     degree=0) -> "RKMap":
-        """The map sending each degree-q generator g of ``src`` to the sum
-        of the (target generator, coefficient) pairs ``images(q, g)``.
-
-        Targets are resolved by structure in degree q + ``degree`` of
-        ``tgt``; an image outside that basis raises.  Coefficients are ring
-        elements, or integers times ring elements; the sums are reduced by
-        the matrix layer.
+        """The map sending the generator at position j of degree q of
+        ``src`` to the sum of the (position in degree q + ``degree`` of
+        ``tgt``, coefficient) pairs ``images(q, j)``; None, what
+        :meth:`RKComplex.index_of` gives for a key it does not know, or a
+        position outside that basis raises.  Coefficients are ring elements,
+        or integers times ring elements; the matrix layer reduces the sums.
         """
         comps = {}
         for q in src.degrees():
-            index = tgt._index.get(q + degree, {})
-            cols = {}
-            for j, g in enumerate(src.gens[q]):
+            n, cols = tgt.rank(q + degree), comps.setdefault(q, {})
+            for j in range(src.rank(q)):
                 col = {}
-                for h, v in images(q, g):
-                    i = index.get(h)
-                    if i is None:
+                for i, v in images(q, j):
+                    if i is None or not 0 <= i < n:
                         raise ChainComplexError(
-                            f"{h.name}, an image of {g.name}, is not a "
+                            f"an image of {src.name(q, j)} is not a "
                             f"generator of the target in degree {q + degree}")
                     col[i] = col[i] + v if i in col else v
                 if col:
                     cols[j] = col
-            if cols:
-                comps[q] = Matrix._from_sums(src.ring, tgt.rank(q + degree),
-                                             src.rank(q), cols)
-        return cls(src, tgt, comps, degree)
+        return cls.from_columns(src, tgt, comps, degree)
+
+    @classmethod
+    def from_columns(cls, src: RKComplex, tgt: RKComplex, cols,
+                     degree=0) -> "RKMap":
+        """The map whose degree-q component has the columns ``cols[q]``,
+        {j: {i: sum}} with j and i in range, as :meth:`Matrix._from_sums`
+        takes them."""
+        return cls(src, tgt, {
+            q: Matrix._from_sums(src.ring, tgt.rank(q + degree), src.rank(q), c)
+            for q, c in cols.items() if c}, degree)
 
     @classmethod
     def shared(cls, src: RKComplex, tgt: RKComplex) -> "RKMap":
-        """Each generator of ``src`` that ``tgt`` also has to itself, every
-        other to 0: the inclusion of a label cut, or the projection onto
-        one."""
+        """The inclusion of a label cut into the complex it was cut from, or
+        the projection of a complex onto one of its cuts: each generator of
+        the cut to its place, every other to 0."""
         one = src.ring.one
-        return cls.from_images(src, tgt, lambda q, g: (
-            ((g, one),) if g in tgt._index.get(q, ()) else ()))
+        cut, whole = sorted((src, tgt), key=RKComplex.total_rank)
+        picks = whole.positions(cut.label_set())
+        if {q: tuple(whole.labels[q][i] for i in idxs)
+                for q, idxs in picks.items() if idxs} != cut.labels:
+            raise ChainComplexError("a shared map needs a label cut of the "
+                                    "other side")
+        return cls.from_columns(src, tgt, {
+            q: {j: {i: one} for j, i in enumerate(idxs)} if cut is src else
+            {i: {j: one} for j, i in enumerate(idxs)}
+            for q, idxs in picks.items()})
 
     def _check(self):
         _check_support(self.comps, self.src, self.tgt, self.degree)
         super()._check()
 
     def compose(self, other: "RKMap") -> "RKMap":
-        """self ∘ other; the middle complexes must have the same shape."""
-        if not self.src.same_shape(other.tgt):
+        """self ∘ other, through one middle complex."""
+        if self.src is not other.tgt:
             raise ChainComplexError("composition through mismatched complexes")
         comps = {}
         for q in other.src.degrees():
@@ -320,8 +256,7 @@ class RKMap(ChainMap):
 
     def __eq__(self, other):
         return (isinstance(other, RKMap) and self.degree == other.degree
-                and self.src.same_shape(other.src)
-                and self.tgt.same_shape(other.tgt)
+                and self.src is other.src and self.tgt is other.tgt
                 and all(self.component(q) == other.component(q)
                         for q in set(self.degrees_hit()) | set(other.degrees_hit())))
 
@@ -334,8 +269,7 @@ def _one_label(mats, src, tgt, degree):
     ``degree``), keeping only their entries between generators of one label."""
     out = {}
     for q, mat in mats.items():
-        cols = [g.label for g in src.gens[q]]
-        rows = [g.label for g in tgt.gens[q + degree]]
+        cols, rows = src.labels[q], tgt.labels[q + degree]
         out[q] = Matrix._from_sums(mat.ring, mat.nrows, mat.ncols, {
             j: {i: v for i, v in col if rows[i] == cols[j]}
             for j, col in mat.columns()})
@@ -350,7 +284,7 @@ class ShortExactSequence:
     j: RKMap
 
     def validate(self):
-        if not self.i.tgt.same_shape(self.j.src):
+        if self.i.tgt is not self.j.src:
             raise ChainComplexError("sequence maps do not compose")
         if self.i.degree != 0 or self.j.degree != 0:
             raise ChainComplexError("sequence maps must have degree 0")
@@ -366,7 +300,8 @@ class ShortExactSequence:
         i, j = self.i, self.j
         if _inexact_degree(i, j) is None:
             return self
-        for sigma in sorted(i.src.labels() | i.tgt.labels() | j.tgt.labels()):
+        for sigma in sorted(i.src.label_set() | i.tgt.label_set()
+                            | j.tgt.label_set()):
             q = _inexact_degree(i.diagonal_component(sigma),
                                 j.diagonal_component(sigma))
             if q is not None:
@@ -390,14 +325,14 @@ def _inexact_degree(i, j):
 
 def dual_star(C: RKComplex) -> RKComplex:
     """The blocked dual: (C*)_{-q}(s) = C_q(s)* over the opposite order,
-    with differential (-1)^{q+1} (d_{q+1})^T."""
-    gens = {-q: tuple(dual_generator(g) for g in gs)
-            for q, gs in C.gens.items()}
-    diff = {}
+    with differential (-1)^{q+1} (d_{q+1})^T, on C's label tuples."""
+    diff, name = {}, C.name
     for q, mat in C.diff.items():           # d_q gives d*_{1-q}
         mat = mat.transpose()
         diff[1 - q] = mat.scale(-1) if q % 2 else mat
-    return RKComplex(C.ring, C.K, not C.op, gens, diff)
+    return RKComplex(C.ring, C.K, not C.op,
+                     {-q: ls for q, ls in C.labels.items()}, diff,
+                     name=lambda q, i: name(-q, i) + "*")
 
 
 def dual_star_map(f: RKMap, tgt: RKComplex = None) -> RKMap:
@@ -417,50 +352,61 @@ def double_dual(C: RKComplex) -> RKComplex:
     return dual_star(dual_star(C))
 
 
+def identities(ring, ranks, signed) -> dict:
+    """Per degree q of ``ranks`` (degree -> rank), the identity matrix,
+    times (-1)^q when ``signed``."""
+    return {q: (Matrix.identity(ring, n).scale(-1) if signed and q % 2 else
+                Matrix.identity(ring, n)) for q, n in ranks.items()}
+
+
 def epsilon(C: RKComplex) -> RKMap:
     """The evaluation isomorphism C** -> C, (-1)^q on degree-q generators."""
-    ring = C.ring
-    return RKMap.from_images(
-        double_dual(C), C,
-        lambda q, g: [(g.data[1].data[1], ring.coerce((-1) ** (q % 2)))])
+    return RKMap(double_dual(C), C, identities(C.ring, C.spaces, True))
 
 
 def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     """Blocked Hom(A, B), a complex over the opposite order.
 
     Degree-p generators are the maps a -> b with a in A_q, b in B_{q+p} and
-    label(b) >= label(a); such a generator is labeled by label(a).  The
-    differential is d(f) = d∘f - (-1)^{|f|} f∘d.
+    label(b) >= label(a), keyed (q, i_a, i_b) by the positions of a and b;
+    such a generator is labeled by label(a).  The differential is
+    d(f) = d∘f - (-1)^{|f|} f∘d.
     """
     if A.op or B.op or A.K != B.K:
         raise ChainComplexError("blocked Hom needs two complexes over (K, <=)")
-    ring = A.ring
-    gens = {}
+    labels, keys = {}, {}
     for qa in A.degrees():
         for qb in B.degrees():
-            bucket = gens.setdefault(qb - qa, [])
-            for ga in A.gens_at(qa):
-                for gb in B.gens_at(qb):
-                    if A.leq(ga.label, gb.label):
-                        bucket.append(hom_generator(qa, ga, gb))
+            here, named = (d.setdefault(qb - qa, []) for d in (labels, keys))
+            for i_a, la in enumerate(A.labels[qa]):
+                for i_b, lb in enumerate(B.labels[qb]):
+                    if A.leq(la, lb):
+                        here.append(la)
+                        named.append((qa, i_a, i_b))
+    name_a, name_b = A.name, B.name
 
+    def name(p, k):
+        q, i_a, i_b = keys[p][k]
+        return "[" + name_a(q, i_a) + "→" + name_b(q + p, i_b) + "]"
+    hom = RKComplex(A.ring, A.K, True, labels, {}, keys, name)
     # precomposing with d_A reads a row of it: one transpose per degree
     rows_a = {q: mat.transpose() for q, mat in A.diff.items()}
 
-    def boundary(p, g):
-        _, q, ga, gb = g.data
+    def boundary(p, k):
+        q, i_a, i_b = keys[p][k]
         # postcompose with d_B
         if q + p in B.diff:
-            for i_b, v in B.diff[q + p].column(B.index_of(q + p, gb)):
-                gb2 = B.gens_at(q + p - 1)[i_b]
-                if A.leq(ga.label, gb2.label):
-                    yield hom_generator(q, ga, gb2), v
+            for i_b2, v in B.diff[q + p].column(i_b):
+                if A.leq(labels[p][k], B.labels[q + p - 1][i_b2]):
+                    yield hom.index_of(p - 1, (q, i_a, i_b2)), v
         # precompose with d_A, Koszul sign
         if q + 1 in rows_a:
             sign = -(-1) ** (p % 2)
-            for j_a, v in rows_a[q + 1].column(A.index_of(q, ga)):
-                yield hom_generator(q + 1, A.gens_at(q + 1)[j_a], gb), sign * v
-    return RKComplex.from_boundary(ring, A.K, True, gens, boundary)
+            for j_a, v in rows_a[q + 1].column(i_a):
+                yield hom.index_of(p - 1, (q + 1, j_a, i_b)), sign * v
+    # the differential, the degree -1 map of the complex to itself
+    hom.diff = RKMap.from_images(hom, hom, boundary, -1).comps
+    return hom
 
 
 def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
@@ -469,14 +415,13 @@ def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
     if g.degree != 0:
         raise ChainComplexError("only degree-0 maps are pushed through Hom")
 
-    def images(p, gen):
-        _, q, ga, gb = gen.data
+    def images(p, k):
+        q, i_a, i_b = src.keys[p][k]
         if q + p not in g.comps:
             return
-        for i_b, v in g.comps[q + p].column(g.src.index_of(q + p, gb)):
-            gb2 = g.tgt.gens_at(q + p)[i_b]
-            if set(ga.label) <= set(gb2.label):
-                yield hom_generator(q, ga, gb2), v
+        for i_b2, v in g.comps[q + p].column(i_b):
+            if set(src.labels[p][k]) <= set(g.tgt.labels[q + p][i_b2]):
+                yield tgt.index_of(p, (q, i_a, i_b2)), v
     return RKMap.from_images(src, tgt, images)
 
 
@@ -484,13 +429,14 @@ def simplicial_rk(ring, K: SimplicialComplex, op: bool, cx: SimplicialComplex,
                   label_of, basis=None) -> RKComplex:
     """A simplicial chain complex as a blocked complex over K.
 
-    One generator per simplex of ``cx``; orientation signs against the
-    canonical ordering come from ``basis`` (default +1 everywhere).
+    One generator per simplex of ``cx``, keyed by it; orientation signs
+    against the canonical ordering come from ``basis`` (default +1
+    everywhere).
     """
-    gens = {p: tuple(simplex_generator(s, label_of(s))
-                     for s in cx.simplices_of_dim(p))
-            for p in range(cx.dim + 1)}
-    return RKComplex(ring, K, op, gens, chain_complex(cx, ring, basis).diff)
+    keys = {p: tuple(cx.simplices_of_dim(p)) for p in range(cx.dim + 1)}
+    return RKComplex(ring, K, op,
+                     {p: tuple(map(label_of, ks)) for p, ks in keys.items()},
+                     chain_complex(cx, ring, basis).diff, keys)
 
 
 @dataclass
@@ -542,7 +488,7 @@ def maximal_label_ses(C: RKComplex):
     if C.op:
         raise ChainComplexError("maximal-label split needs a complex over "
                                 "(K, <=), not the opposite order")
-    labels = sorted(C.labels(), key=lambda s: (len(s), s))
+    labels = sorted(C.label_set(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None
     ses = ShortExactSequence(RKMap.shared(C.sub({labels[-1]}), C),

@@ -6,8 +6,7 @@ import pytest
 
 from rkdual.linalg import homology
 from rkdual.rings import ZZ
-from rkdual.rkcore import (RKMap, delta_chain, delta_complexes, delta_star_k,
-                           dual_generator, simplex_generator, tensor_generator)
+from rkdual.rkcore import RKMap, delta_chain, delta_complexes, delta_star_k
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision, chain_complex,
                                control_map, kspace_identity, validate_kspace)
@@ -18,6 +17,8 @@ from rkdual.ballcomplex import (BallComplex, OrientationPair,
 from rkdual.checks import KSpaceData
 from rkdual.duality import Dualizer, tensor_map_left
 from rkdual.rkcore import dual_star_map
+
+from oracles import blocked_tensor
 
 
 def build(*maximal):
@@ -191,10 +192,8 @@ def test_cellular_boundary_of_a_half_edge(edge_ks):
     orient = OrientationPair.standard(edge_ks)
     cx = cellular_of(edge_ks, orient)
     rk = cx.rk
-    j = rk.index_of(1, tensor_generator(
-        simplex_generator(("a", "b"), ("a", "b")),
-        dual_generator(simplex_generator(("a",), ("a",)))))
-    col = {rk.gens_at(0)[i].name: v
+    j = [rk.name(1, k) for k in range(rk.rank(1))].index("<a.b>⊗<a>*")
+    col = {rk.name(0, i): v
            for (i, jj), v in rk.d(1).entries() if jj == j}
     # the boundary hits the vertex cell and the barycenter cell, units only
     assert set(col) == {"<a>⊗<a>*", "<a.b>⊗<a.b>*"}
@@ -239,7 +238,9 @@ def test_identity_map_induces_the_identity(hex_ks):
     orient = OrientationPair.standard(hex_ks)
     fid = cell_map_of(kspace_identity(hex_ks), orient, orient)
     cx = cellular_of(hex_ks, orient)
-    assert fid == RKMap.identity(cx.rk)
+    # fid runs between cells built apart from cx: equal labels, one identity
+    assert fid.src.labels == fid.tgt.labels == cx.rk.labels
+    assert fid == RKMap(fid.src, fid.tgt, RKMap.identity(cx.rk).comps)
 
 
 def test_hexagon_covering_sends_one_cells_to_one_cells(hex_ks):
@@ -270,11 +271,13 @@ def test_collapsing_map_kills_degenerate_cells(tri_ks):
     fk = cell_map_of(f, or_src, or_tgt)
     fk.validate()
     # the triangle itself degenerates, so its cells map to zero
-    dead = [j for j, g in enumerate(fk.src.gens_at(2))]
+    # the pairs (r, i, s, j) of the source cells T ⊗ s*, T the i-th
+    # simplex of dimension r, from the definition of the blocked tensor
+    pairs, _ = blocked_tensor(fk.src.left, {}, fk.src.right.labels, {})
     for q in fk.src.degrees():
         hit = set(j for (_, j), _ in fk.component(q).entries())
-        for j, g in enumerate(fk.src.gens_at(q)):
-            T = g.data[1].data[1]
+        for j, (r, i, _, _) in enumerate(pairs[q]):
+            T = tri_ks.X.simplices_of_dim(r)[i]
             if not f.f.is_injective_on(T):
                 assert j not in hit
             else:
@@ -297,5 +300,9 @@ def test_naturality_square_for_control_and_identity(corpus):
                          dual_star_map(push).comps)
         lhs = data_y.iso.compose(
             data_x.dualizer.map(pullback, data_x.tc, data_y.tc))
+        # fk runs between cells built apart: seat it on those each side holds
+        assert (fk.src.labels, fk.tgt.labels) == (
+            data_x.cellular.rk.labels, data_y.cellular.rk.labels)
+        fk = RKMap(data_x.cellular.rk, data_y.cellular.rk, fk.comps)
         rhs = fk.compose(data_x.iso)
         assert lhs == rhs, name

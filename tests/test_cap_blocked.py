@@ -19,13 +19,13 @@ from rkdual.checks import parse_document
 from rkdual.corpus import CORPUS_NAMES, corpus_kspace
 from rkdual.duality import tensor_r
 from rkdual.rings import QQ, Ring, ZZ
-from rkdual.rkcore import (RKMap, delta_chain, dual_star, simplex_generator,
-                           simplicial_rk)
+from rkdual.rkcore import RKMap, delta_chain, dual_star, simplicial_rk
 from rkdual.simplicial import barycentric_subdivision, control_kspace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
+from oracles import blocked_tensor  # noqa: E402
 
 RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
@@ -48,13 +48,17 @@ def full_tensor_identity(derived, ring) -> bool:
     cochains, capping every pair through ``capproduct.cap_product``."""
     cx = derived.base
     dxk = delta_chain(control_kspace(cx), ring)
-    domain = tensor_r(dxk, dual_star(dxk))
+    dual = dual_star(dxk)
+    domain = tensor_r(dxk, dual)
     target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
+    # the pair tau ⊗ sigma* of each position, from the tensor's definition
+    pairs, _ = blocked_tensor(dxk.labels, {}, dual.labels, {}, True)
 
-    def images(q, g):
-        tau, sigma = g.data[1].data[1], g.data[2].data[1].data[1]
+    def images(q, k):
+        r, i, s, j = pairs[q][k]
+        tau, sigma = dxk.keys[r][i], dxk.keys[-s][j]
         for flag, c in capproduct.cap_product(cx, tau, sigma).items():
-            yield simplex_generator(flag, sigma), c
+            yield target.index_of(q, flag), c
     cap = RKMap.from_images(domain, target, images)
     return all(target.d(q) * cap.component(q)
                == cap.component(q - 1) * domain.d(q) for q in domain.degrees())

@@ -5,8 +5,7 @@ import pytest
 
 from rkdual.linalg import homology, smith_normal_form
 from rkdual.rings import Ring, ZZ
-from rkdual.rkcore import (delta_complexes, dual_generator, simplex_generator,
-                           tensor_generator)
+from rkdual.rkcore import delta_complexes
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision)
 from rkdual.checks import KSpaceData
@@ -126,8 +125,8 @@ def test_cell_map_values_on_identity_edge(edge_ks):
     cols = {}
     for q in rk.degrees():
         for (i, j), v in data.map.component(q).entries():
-            cols.setdefault(rk.gens_at(q)[j].name, {})[
-                data.deltas.dx_prime.gens_at(q)[i].name] = v
+            cols.setdefault(rk.name(q, j), {})[
+                data.deltas.dx_prime.name(q, i)] = v
     # with a compatible orientation pair every 0-cell lands on its
     # barycenter vertex with coefficient +1
     assert cols["<a>⊗<a>*"] == {"<(a)>": 1}
@@ -183,10 +182,8 @@ def test_fundamental_cycle_of_a_two_cell(id2_ks):
     tops = [c for c in cell.simplices if len(c) == 3]
     assert len(tops) == 2
     rk = data.cellular.rk
-    j = rk.index_of(2, tensor_generator(
-        simplex_generator(("a", "b", "c"), ("a", "b", "c")),
-        dual_generator(simplex_generator(("a",), ("a",)))))
-    col = {data.deltas.dx_prime.gens_at(2)[i].data[1]: v
+    j = [rk.name(2, k) for k in range(rk.rank(2))].index("<a.b.c>⊗<a>*")
+    col = {data.deltas.dx_prime.keys[2][i]: v
            for (i, jj), v in data.map.component(2).entries() if jj == j}
     assert set(col) == set(tops)
     assert all(v in (1, -1) for v in col.values())

@@ -46,8 +46,8 @@ def scan_cell(ks, prime, T, sigma):
 
 
 def scan_positions(cx, labels):
-    return {q: [i for i, g in enumerate(gs) if g.label in labels]
-            for q, gs in cx.gens.items()}
+    return {q: [i for i, s in enumerate(ls) if s in labels]
+            for q, ls in cx.labels.items()}
 
 
 def kspaces():

@@ -331,6 +331,11 @@ def test_simplices_with_colliding_display_names(tmp_path, capsys, command):
     pytest.param(b'{"ring": "Z", "complexes": {"X": {"simplices": [["a"]]}}, '
                  b'"ring": "Q"}', [], "repeated key 'ring'",
                  id="repeated-ring"),
+    # deeper than the parser recurses
+    pytest.param(b"[" * 100000, [], "input nests too deeply",
+                 id="nested-arrays"),
+    pytest.param(b'{"a": ' * 100000, [], "input nests too deeply",
+                 id="nested-objects"),
 ])
 def test_malformed_input_is_rejected_with_its_value(tmp_path, capsys, patch,
                                                     argv, bad):

@@ -19,6 +19,7 @@ from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer
 from rkdual.report import Report
 from rkdual.rings import QQ, ZZ
+from rkdual.rkcore import RKComplex
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -93,6 +94,13 @@ def verified(name):
     return data
 
 
+def same_shape(a, b):
+    """Same ring, K, order, labels and generator names."""
+    return ((a.ring, a.K, a.op, a.labels) == (b.ring, b.K, b.op, b.labels)
+            and all(a.name(q, i) == b.name(q, i)
+                    for q in a.degrees() for i in range(a.rank(q))))
+
+
 @pytest.mark.parametrize("name", ["hex", "id-torus-7"])
 def test_verify_dualizes_each_complex_once(monkeypatch, name):
     objects = []
@@ -104,7 +112,7 @@ def test_verify_dualizes_each_complex_once(monkeypatch, name):
     assert len(objects) == 12
     args = [cx for _, cx in objects]
     repeats = [(a, b) for i, b in enumerate(args) for a in args[:i]
-               if a.same_shape(b)]
+               if same_shape(a, b)]
     if name == "hex":
         assert repeats == []
     else:
@@ -165,18 +173,22 @@ def test_cap_factorization_caps_only_faces_onto_the_label(monkeypatch, name):
     assert sorted(args[1:3] for args in inside) == sorted(pairs)
 
 
-def test_tensor_builds_one_generator_per_basis_element(monkeypatch):
+def test_the_square_looks_up_no_generator(monkeypatch):
     data = KSpaceData(ladder_kspace("id-torus-7"), ZZ)
     assert data.tc.total_rank() > 0      # built before the count starts
-    made = count_calls(monkeypatch, rkcore.tensor_generator)
+    lookups = []
+    monkeypatch.setattr(RKComplex, "index_of",
+                        counting(RKComplex.index_of, lookups))
     t2 = data.t2
-    # the differential is read by position: no image is built and looked up
-    assert len(made) == t2.total_rank() > 0
+    # the differential is read by position: no image is looked up by key
+    assert t2.total_rank() > 0 and lookups == []
 
 
 def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
     duals = count_calls(monkeypatch, rkcore.dual_star)
-    made = count_calls(monkeypatch, rkcore.tensor_generator)
+    made = []               # lookups of a generator by its key
+    monkeypatch.setattr(RKComplex, "index_of",
+                        counting(RKComplex.index_of, made))
     inside = []
     functor = Dualizer.map
 
@@ -189,7 +201,7 @@ def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
     monkeypatch.setattr(Dualizer, "map", spied)
     verified("hex")
     # T(f) = f* ⊗ 1 reads f's transpose and the layout of its two sides:
-    # it dualizes no complex and builds no generator
+    # it dualizes no complex and looks up no generator
     assert len(inside) == 11
     assert set(inside) == {(0, 0)}
     # one dual each: the 12 objects T(C), the cochains of X and of K, the

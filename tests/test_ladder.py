@@ -54,6 +54,12 @@ def test_child_run_and_skip():
     assert "cells/dual-cones" in got["checks_s"]
     assert abs(sum(got["checks_s"].values())
                - sum(got["groups_s"].values())) <= 0.001 * got["checks"]
+    # the collector, timed from outside: inside the wall time, and counted
+    # by generation
+    assert 0 <= got["gc_s"] <= got["wall_s"]
+    assert sorted(got["gc_collections"]) == ["0", "1", "2"]
+    assert all(n >= 0 for n in got["gc_collections"].values())
+    assert got["gc_collections"]["0"] > 0
     # the child's own peak: at least the interpreter with rkdual imported
     assert 5 < got["peak_rss_mb"] < 1000
     assert re.fullmatch(r"[0-9a-f]{64}", got["report_sha256"])
@@ -61,10 +67,13 @@ def test_child_run_and_skip():
 
 
 def run(wall, digest="d", groups=0.1, rss=20.0, passed=True):
-    """One child's result, with seven checks, the first the slowest."""
+    """One child's result, with seven checks, the first the slowest, and
+    one collection of the oldest generation per tenth of a second."""
     checks = {f"c{i}": round(wall / (i + 2), 3) for i in range(7)}
     return {"wall_s": wall, "tensor_s": wall / 2,
             "groups_s": {"soundness": groups}, "checks_s": checks,
+            "gc_s": wall / 4, "gc_collections": {
+                "0": 100, "1": 9, "2": round(wall * 10)},
             "peak_rss_mb": rss, "checks": 3, "passed": passed,
             "report_sha256": digest}
 
@@ -76,6 +85,7 @@ def test_runs_are_summarized_by_their_median_and_spread():
                    "tensor_s": 0.1, "groups_s": {"soundness": 0.1},
                    "slowest_s": {"c0": 0.1, "c1": 0.067, "c2": 0.05,
                                  "c3": 0.04, "c4": 0.033},
+                   "gc_s": 0.05, "gc_collections": {"0": 100, "1": 9, "2": 2},
                    "peak_rss_mb": 24.2, "checks": 3, "passed": True,
                    "report_sha256": "d"}
     assert list(got["slowest_s"]) == ["c0", "c1", "c2", "c3", "c4"]

@@ -248,14 +248,14 @@ def test_a_diagonal_block_of_the_double_dual_collapse_off_the_identity(
     # the entry breaks the chain-map identity of its label's diagonal
     # component, which only that label's cone reads
     def corrupt(self, e):
-        src, tgt = e.src.gens, e.tgt.gens
+        src, tgt = e.src.labels, e.tgt.labels
         labels = list(e.src.K.all_simplices())
         negate_one_that_breaks(
             seed, e.comps,
             lambda comps: not all(
                 is_valid(RKMap(e.src, e.tgt, comps).diagonal_component(s))
                 for s in labels),
-            lambda q, key: tgt[q][key[0]].label == src[q][key[1]].label)
+            lambda q, key: tgt[q][key[0]] == src[q][key[1]])
         return e
     patch_lazy(monkeypatch, KSpaceData, "e", corrupt)
     assert failing_checks(doc, tmp_path) == (1, E_READERS)
@@ -372,10 +372,10 @@ def test_an_entry_of_the_subdivision_chains_off_the_label_diagonal_breaks_d_squa
         monkeypatch, tmp_path, doc, seed):
     def corrupt(self, deltas):
         dxp = deltas.dx_prime
-        gens = dxp.gens
+        labels = dxp.labels
         negate_one_that_breaks(
             seed, dxp.diff, breaks_d_squared(dxp),
-            lambda q, key: gens[q - 1][key[0]].label != gens[q][key[1]].label)
+            lambda q, key: labels[q - 1][key[0]] != labels[q][key[1]])
         return deltas
     patch_lazy(monkeypatch, KSpaceData, "deltas", corrupt)
     assert failing_checks(doc, tmp_path) == (1, DX_PRIME_READERS)
@@ -580,3 +580,26 @@ def test_an_entry_of_the_identity_tensored_with_the_cochains_of_k_negated(
     monkeypatch.setattr(checks, "tensor_map_left", negate)
     assert failing_checks(doc, tmp_path, ring) == (
         1, {"naturality/identity-map"})
+
+
+# two cells of one degree and label sent to one cycle: the cell map is no
+# longer injective, the first cell's cycle is not its own, and every reader
+# of the cell map sees the changed column
+@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
+def test_a_cell_sent_to_the_fundamental_cycle_of_another_cell_of_its_label(
+        monkeypatch, tmp_path, doc, seed):
+    def resend(self, data):
+        rng = random.Random(seed)
+        labels = data.cellular.rk.labels
+        q, j, k = rng.choice([(q, j, k) for q, ls in sorted(labels.items())
+                              for j in range(len(ls)) for k in range(len(ls))
+                              if j != k and ls[j] == ls[k]])
+        mat = data.map.comps[q]
+        entries = {key: v for key, v in mat.entries() if key[1] != j}
+        entries.update({(i, j): v for (i, col), v in mat.entries()
+                        if col == k})
+        data.map.comps[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return data
+    patch_lazy(monkeypatch, KSpaceData, "fundamental_cycles", resend)
+    assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS | {
+        "cap/monomorphism", "cap/fundamental-cycles"})

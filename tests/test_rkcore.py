@@ -8,11 +8,10 @@ from rkdual.checks import run_command
 from rkdual.duality import Dualizer
 from rkdual.linalg import ChainComplexError, Matrix
 from rkdual.rings import GF2, ZZ
-from rkdual.rkcore import (Generator, RKComplex, RKMap, check_lemma_clem,
+from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem,
                            delta_chain, delta_complexes, delta_star_k,
                            dual_star, dual_star_map, double_dual, epsilon,
-                           hom_rk, is_full, maximal_label_ses,
-                           simplex_generator)
+                           hom_rk, is_full, maximal_label_ses)
 from rkdual.simplicial import InputError, SimplicialComplex
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 from rkdual.simplicial import control_map
@@ -30,13 +29,13 @@ def build(*maximal):
 def point_complex(ring, degrees_and_diffs):
     """A complex over the one-point control complex, for sign tests."""
     K = build("p")
-    gens, diff = {}, {}
+    labels, keys, diff = {}, {}, {}
     for q, n in degrees_and_diffs["ranks"].items():
-        gens[q] = tuple(Generator(("p",), ("simplex", (f"c{q}.{i}",)))
-                        for i in range(n))
+        labels[q] = (("p",),) * n
+        keys[q] = tuple((f"c{q}.{i}",) for i in range(n))
     for q, rows in degrees_and_diffs.get("diffs", {}).items():
         diff[q] = Matrix.from_rows(ring, rows)
-    return RKComplex(ring, K, False, gens, diff)
+    return RKComplex(ring, K, False, labels, diff, keys)
 
 
 # ---------------------------------------------------------------- fullness
@@ -145,10 +144,13 @@ def test_epsilon_naturality_along_the_control_map(hex_ks):
                              delta_chain(fmap.tgt, ZZ, or_tgt.bx),
                              or_src, or_tgt)
     push.validate()
-    fss = dual_star_map(dual_star_map(push))
     lhs = push.compose(epsilon(push.src))
-    rhs = epsilon(push.tgt).compose(fss)
-    assert lhs == rhs
+    eps = epsilon(push.tgt)
+    rhs = eps.compose(dual_star_map(dual_star_map(push), tgt=eps.src))
+    # a map is between complexes, not copies: rhs starts from a second
+    # double dual of push.src, with the same labels
+    assert rhs.src is not lhs.src and rhs.src.labels == lhs.src.labels
+    assert RKMap(lhs.src, rhs.tgt, rhs.comps) == lhs
 
 
 def test_dual_of_a_null_homotopy_is_a_null_homotopy():
@@ -170,8 +172,7 @@ def test_hom_rank_one_iff_labels_compare():
     K = build("ab")
 
     def atom(label, q):
-        gens = {q: (Generator(label, ("simplex", label)),)}
-        return RKComplex(ZZ, K, False, gens, {})
+        return RKComplex(ZZ, K, False, {q: (label,)}, {}, {q: (label,)})
 
     a, b, e = ("a",), ("b",), ("a", "b")
     assert hom_rk(atom(a, 0), atom(e, 0)).total_rank() == 1
@@ -184,12 +185,10 @@ def test_hom_contains_the_identity_as_a_zero_cycle(edge_ks):
     H = hom_rk(dstark, dstark)
     H.validate()
     # the identity: sum of the diagonal generators in degree 0
-    idx = {g.name: i for i, g in enumerate(H.gens_at(0))}
     vec = {}
-    for g in H.gens_at(0):
-        _, _, ga, gb = g.data
-        if ga.name == gb.name:
-            vec[idx[g.name]] = 1
+    for k, (q, i_a, i_b) in enumerate(H.keys[0]):
+        if dstark.name(q, i_a) == dstark.name(q, i_b):
+            vec[k] = 1
     col = Matrix(ZZ, H.rank(0), 1, {(i, 0): v for i, v in vec.items()})
     assert (H.d(0) * col).is_zero()
 
@@ -209,7 +208,7 @@ def test_delta_complexes_point(corpus):
     dc = delta_complexes(corpus["pt"], ZZ)
     for cx in (dc.dx, dc.dstar_x):
         assert cx.total_rank() == 1
-    assert dc.dx.gens_at(0)[0].label == ("p",)
+    assert dc.dx.labels[0][0] == ("p",)
 
 
 def test_delta_complexes_hexagon_label_census(hex_ks):
@@ -217,8 +216,8 @@ def test_delta_complexes_hexagon_label_census(hex_ks):
     assert {q: dc.dx.rank(q) for q in dc.dx.degrees()} == {0: 6, 1: 6}
     census = {}
     for q in dc.dx.degrees():
-        for g in dc.dx.gens_at(q):
-            census[g.label] = census.get(g.label, 0) + 1
+        for label in dc.dx.labels[q]:
+            census[label] = census.get(label, 0) + 1
     for sigma, n in census.items():
         assert n == 2
 
@@ -228,7 +227,7 @@ def test_delta_prime_top_rank_for_identity_triangle(id2_ks):
     simplices = list(id2_ks.X.all_simplices())
     assert count_decreasing_chains(simplices, 3) == 6
     assert dc.dx_prime.rank(2) == 6
-    assert all(len(g.label) == 1 for g in dc.dx_prime.gens_at(2))
+    assert all(len(label) == 1 for label in dc.dx_prime.labels[2])
 
 
 def test_delta_complexes_validate_on_corpus(corpus):
@@ -305,7 +304,7 @@ def test_maximal_label_split_rejects_the_opposite_order(name):
 
 def picks(cx, q, labels):
     """Indices of the degree-q generators labeled in ``labels``."""
-    return [i for i, g in enumerate(cx.gens_at(q)) if g.label in labels]
+    return [i for i, s in enumerate(cx.labels.get(q, ())) if s in labels]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -320,8 +319,10 @@ def test_label_cuts_are_the_dense_blocks(name):
         for sigma in ks.K.all_simplices():
             cut = C.sub({sigma})
             for q in C.degrees():
-                assert cut.gens_at(q) == tuple(
-                    g for g in C.gens_at(q) if g.label == sigma)
+                assert cut.labels.get(q, ()) == tuple(
+                    s for s in C.labels[q] if s == sigma)
+                assert [cut.name(q, i) for i in range(cut.rank(q))] == [
+                    C.name(q, i) for i in picks(C, q, {sigma})]
                 assert cut.d(q).to_rows() == dense_block(
                     dense[q], picks(C, q - 1, {sigma}), picks(C, q, {sigma}))
         for f in maps:
@@ -336,10 +337,10 @@ def test_label_cuts_are_the_dense_blocks(name):
     C = dc.dstar_x
     split = maximal_label_ses(C)
     if split is None:
-        assert len(C.labels()) == 1
+        assert len(C.label_set()) == 1
         return
     ses, top = split
-    rest = C.labels() - {top}
+    rest = C.label_set() - {top}
     for q in C.degrees():
         assert ses.i.component(q).to_rows() == inclusion_rows(
             C.rank(q), picks(C, q, {top}))
@@ -364,102 +365,110 @@ def test_support_condition_enforced():
     K = build("ab")
     # an edge-labeled generator mapping onto a vertex label violates the
     # support condition over the standard order
-    gens = {0: (simplex_generator(("a",), ("a",)),),
-            1: (simplex_generator(("a", "b"), ("a", "b")),)}
+    simplices = {0: (("a",),), 1: (("a", "b"),)}
     diff = {1: Matrix.from_rows(ZZ, [[1]])}
-    bad = RKComplex(ZZ, K, False, gens, diff)
+    bad = RKComplex(ZZ, K, False, simplices, diff, simplices)
     for _ in range(2):      # a failure is not recorded
         with pytest.raises(ChainComplexError, match="support"):
             bad.validate()
     # when every entry violates it, the first in (row, col) order is named,
     # by the complex and by a map alike
-    edges = tuple(simplex_generator(s, ("a", "b"))
-                  for s in (("a", "b"), ("b", "a")))
-    vertices = tuple(simplex_generator((v,), (v,)) for v in "ab")
+    edges = (("a", "b"), ("b", "a"))       # both labeled by the edge
+    vertices = (("a",), ("b",))
     mat = Matrix(ZZ, 2, 2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
-        RKComplex(ZZ, K, False, {0: vertices, 1: edges}, {1: mat}).validate()
-    src, tgt = (RKComplex(ZZ, K, False, {1: gs}, {})
-                for gs in (edges, vertices))
+        RKComplex(ZZ, K, False, {0: vertices, 1: (("a", "b"),) * 2}, {1: mat},
+                  {0: vertices, 1: edges}).validate()
+    src, tgt = (RKComplex(ZZ, K, False, {1: labels}, {}, {1: keys})
+                for labels, keys in (((("a", "b"),) * 2, edges),
+                                     (vertices, vertices)))
     bad = RKMap(src, tgt, {1: mat})
     for _ in range(2):
         with pytest.raises(ChainComplexError, match="1: <b.a> -> <a>$"):
             bad.validate()
 
 
-def test_generators_are_identified_by_structure():
+def test_generators_are_identified_by_position():
     K = build("a")
     a = ("a",)
-    # equal structure is one generator, whatever was built separately
-    assert simplex_generator(a, a) == simplex_generator(a, a)
-    assert hash(simplex_generator(a, a)) == hash(simplex_generator(a, a))
+    # a key names one generator of its degree
     with pytest.raises(ChainComplexError, match="duplicate"):
-        RKComplex(ZZ, K, False,
-                  {0: (simplex_generator(a, a), simplex_generator(a, a))}, {})
+        RKComplex(ZZ, K, False, {0: (a, a)}, {}, {0: (a, a)})
     # separators inside vertex names are quoted, so these names differ
     X = build(("a.b", "c"), ("a", "b.c"))
-    edges = [simplex_generator(s, s) for s in X.simplices_of_dim(1)]
-    assert sorted(g.name for g in edges) == ['<"a.b".c>', '<a."b.c">']
-    # equal display names, different structure (the label): two generators
+    edges = X.simplices_of_dim(1)
+    cx = RKComplex(ZZ, X, False, {1: edges}, {}, {1: edges})
+    assert sorted(cx.name(1, i) for i in range(2)) == ['<"a.b".c>',
+                                                        '<a."b.c">']
+    # equal display names, different positions (and labels): two generators
     X = build(("a", "b"))
-    one = simplex_generator(("a", "b"), ("a",))
-    two = simplex_generator(("a", "b"), ("a", "b"))
-    assert one.name == two.name == "<a.b>"
-    assert one != two
-    cx = RKComplex(ZZ, X, False, {1: (one, two)}, {})
-    assert (cx.index_of(1, simplex_generator(one.data[1], one.label)),
-            cx.index_of(1, two)) == (0, 1)
+    cx = RKComplex(ZZ, X, False, {1: (("a",), ("a", "b"))}, {},
+                   name=lambda q, i: "<a.b>")
+    assert cx.name(1, 0) == cx.name(1, 1) == "<a.b>"
+    assert (cx.positions({("a",)}), cx.positions({("a", "b")})) == (
+        {1: [0]}, {1: [1]})
+    # a keyed generator is found by its key alone
+    cx = RKComplex(ZZ, X, False, {1: (("a",), ("a", "b"))}, {},
+                   {1: (("a", "b"), ("b", "a"))})
+    assert (cx.index_of(1, ("a", "b")), cx.index_of(1, ("b", "a")),
+            cx.index_of(0, ("a", "b")), cx.index_of(1, ("a",))) == (
+        0, 1, None, None)
 
 
 # ------------------------------------------------- assembly from generator images
 
 def test_images_onto_one_generator_add_up():
     C = point_complex(ZZ, {"ranks": {0: 2, 1: 1}})
-    a, b = C.gens_at(0)
-    f = RKMap.from_images(C, C, lambda q, g: [(a, 1), (b, 5), (a, 2)]
+    a, b = 0, 1
+    f = RKMap.from_images(C, C, lambda q, j: [(a, 1), (b, 5), (a, 2)]
                           if q == 0 else [])
     assert f.component(0).to_rows() == [[3, 3], [5, 5]]
     assert f.component(1).to_rows() == [[0]]
     # over Z/2 the sum is reduced: 1 + 1 is no entry
     C2 = point_complex(GF2, {"ranks": {0: 1}})
-    (c,) = C2.gens_at(0)
-    twice = RKMap.from_images(C2, C2, lambda q, g: [(g, 1), (c, 1)])
+    c = 0
+    twice = RKMap.from_images(C2, C2, lambda q, j: [(j, 1), (c, 1)])
     assert twice.component(0).to_rows() == [[0]]
 
 
 def test_images_that_cancel_store_no_entry():
     C = point_complex(ZZ, {"ranks": {0: 2}})
-    a, b = C.gens_at(0)
-    f = RKMap.from_images(C, C, lambda q, g: [(a, 1), (b, 1), (a, -1)])
+    a, b = 0, 1
+    f = RKMap.from_images(C, C, lambda q, j: [(a, 1), (b, 1), (a, -1)])
     assert [key for key, _ in f.component(0).entries()] == [(1, 0), (1, 1)]
-    g = RKMap.from_images(C, C, lambda q, g: [(a, 2), (a, -2)])
+    g = RKMap.from_images(C, C, lambda q, j: [(a, 2), (a, -2)])
     assert g.comps == {}
 
 
 def test_an_image_outside_the_target_basis_raises():
     C = point_complex(ZZ, {"ranks": {0: 1, 1: 1}})
-    stray = Generator(("p",), ("simplex", ("stray",)))
-    with pytest.raises(ChainComplexError, match="<stray>, an image of .* degree 1"):
-        RKMap.from_images(C, C, lambda q, g: [(stray, 1)] if q == 1 else [])
-    # a generator of the target in another degree is outside it too
-    (e,) = C.gens_at(1)
+    stray = C.index_of(1, ("stray",))           # a key C does not have
+    with pytest.raises(ChainComplexError,
+                       match='an image of <"c1.0"> .* degree 1'):
+        RKMap.from_images(C, C, lambda q, j: [(stray, 1)] if q == 1 else [])
+    # a position past the end of the target basis is outside it
+    with pytest.raises(ChainComplexError, match="in degree 1"):
+        RKMap.from_images(C, C, lambda q, j: [(1, 1)] if q == 1 else [])
+    # a key of the target in another degree is outside it too
+    e = C.keys[1][0]
     with pytest.raises(ChainComplexError, match="in degree 0"):
-        RKMap.from_images(C, C, lambda q, g: [(e, 1)])
+        RKMap.from_images(C, C, lambda q, j: [(C.index_of(q, e), 1)])
 
 
-def test_from_boundary_places_d_q_in_degree_q_minus_one():
+def test_a_rule_of_degree_minus_one_places_d_q_in_degree_q_minus_one():
     K = build("p")
-    a, b, e = (Generator(("p",), ("simplex", (n,))) for n in "abe")
-    cx = RKComplex.from_boundary(ZZ, K, False, {0: (a, b), 1: (e,)},
-                                 lambda q, g: [(b, 1), (a, -1)] if q == 1 else [])
+    p = ("p",)
+    cx = RKComplex(ZZ, K, False, {0: (p, p), 1: (p,)}, {})
+    # the differential is the degree -1 map of the complex to itself
+    cx.diff = RKMap.from_images(
+        cx, cx, lambda q, j: [(1, 1), (0, -1)] if q == 1 else [], -1).comps
     assert sorted(cx.diff) == [1]
     assert cx.d(1).to_rows() == [[-1], [1]]
     cx.validate()
     # d_1 d_2 = 1: the boundary is assembled, and validate rejects it
-    f = Generator(("p",), ("simplex", ("f",)))
-    bad = RKComplex.from_boundary(
-        ZZ, K, False, {0: (a,), 1: (e,), 2: (f,)},
-        lambda q, g: {0: [], 1: [(a, 1)], 2: [(e, 1)]}[q])
+    bad = RKComplex(ZZ, K, False, {0: (p,), 1: (p,), 2: (p,)}, {})
+    bad.diff = RKMap.from_images(
+        bad, bad, lambda q, j: {0: [], 1: [(0, 1)], 2: [(0, 1)]}[q], -1).comps
     assert bad.d(2).to_rows() == [[1]]
     with pytest.raises(ChainComplexError, match="d∘d"):
         bad.validate()

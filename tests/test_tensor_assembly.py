@@ -25,8 +25,7 @@ RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
 
 def dense(C):
-    labels = {q: [g.label for g in C.gens[q]] for q in C.degrees()}
-    return labels, {q: mat.to_rows() for q, mat in C.diff.items()}
+    return C.labels, {q: mat.to_rows() for q, mat in C.diff.items()}
 
 
 def inputs(name, ring):
@@ -47,8 +46,10 @@ def test_tensor_matches_the_dense_definition(name, ring, build, keep_all):
         pairs, diff = blocked_tensor(*dense(C), *dense(D), keep_all)
         assert got.degrees() == sorted(pairs)
         for q, ps in pairs.items():
-            assert [g.data for g in got.gens[q]] == [
-                ("tensor", C.gens[r][i], D.gens[s][j]) for r, i, s, j in ps]
+            # a pair is labeled by its right factor, and named by both
+            assert got.labels[q] == tuple(D.labels[s][j] for _, _, s, j in ps)
+            assert [got.name(q, k) for k in range(got.rank(q))] == [
+                C.name(r, i) + "⊗" + D.name(s, j) for r, i, s, j in ps]
         for q in got.degrees():
             want = diff.get(q)
             if want is None:
@@ -61,13 +62,12 @@ def test_tensor_matches_the_dense_definition(name, ring, build, keep_all):
 def pairs_of(left_labels, D, keep_all=False):
     """The kept pairs of the tensor of a left factor with the labels
     ``left_labels`` (by degree) and D, from the dense definition."""
-    d_labels = {s: [g.label for g in D.gens[s]] for s in D.degrees()}
-    return blocked_tensor(left_labels, {}, d_labels, {}, keep_all)[0]
+    return blocked_tensor(left_labels, {}, D.labels, {}, keep_all)[0]
 
 
 def labels(C, sign=1):
     """The labels of C by degree; with ``sign`` -1, those of its dual."""
-    return {sign * q: [g.label for g in C.gens[q]] for q in C.degrees()}
+    return {sign * q: C.labels[q] for q in C.degrees()}
 
 
 def rows_of(f, transpose=False):
@@ -151,7 +151,7 @@ def test_the_dual_map_refuses_a_tensor_over_another_d():
     other = Dualizer(data.ks.K, ZZ)
     other.dstar_k = data.deltas.dstar_x     # T over another D, same K
     t_x = other.object(pullback.tgt)
-    assert t_x.dual_of == pullback.tgt.gens
+    assert t_x.dual_of is pullback.tgt.labels
     with pytest.raises(ChainComplexError):
         dz.map(pullback, t_x, data.t_k)
 
@@ -160,10 +160,13 @@ def test_the_dual_map_refuses_the_tensor_of_an_equal_copy():
     data = KSpaceData(corpus_kspace("hex"), ZZ)
     dz = data.dualizer
     # T(C) is of C itself: a second dual of the chains of X has the same
-    # generators, but data.tc was built from the cochains of X
+    # labels and names, but data.tc was built from the cochains of X
     copy = RKMap(data.pullback.src, dual_star(data.push.src),
                  data.pullback.comps)
-    assert copy.tgt.gens == data.deltas.dstar_x.gens
+    cochains = data.deltas.dstar_x
+    assert copy.tgt.labels == cochains.labels
+    assert all(copy.tgt.name(q, i) == cochains.name(q, i)
+               for q in cochains.degrees() for i in range(cochains.rank(q)))
     assert dz.map(data.pullback, data.tc, data.t_k).src is data.tc
     with pytest.raises(ChainComplexError):
         dz.map(copy, data.tc, data.t_k)
