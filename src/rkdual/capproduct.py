@@ -116,8 +116,7 @@ def _face_part(chain, i):
     return {k: v for k, v in out.items() if v}
 
 
-def verify_cap_chain_map(derived: DerivedComplex, ring,
-                         basis=None) -> CapReport:
+def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
     """Check that capping commutes with the differentials on the complex
     ``derived.base``, against its subdivision ``derived``.
 
@@ -130,11 +129,11 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
     pair sigma <= tau is capped once, and every identity reads that table.
     """
     cx = derived.base
-    dxk = delta_chain(control_kspace(cx), ring, basis)
+    dxk = delta_chain(control_kspace(cx), ring)
     domain = tensor_k(dxk, dual_star(dxk))
     # a flag capped from tau ⊗ sigma* ends at sigma, its label
     target = simplicial_rk(ring, cx, False, derived.prime, lambda c: c[-1])
-    caps = {(tau, sigma): cap_product(cx, tau, sigma, basis)
+    caps = {(tau, sigma): cap_product(cx, tau, sigma)
             for tau in cx.all_simplices() for sigma in cx.closure(tau)}
     # the pair tau ⊗ sigma* is labeled by sigma
     taus = left_keys(domain, dxk.keys)
@@ -150,7 +149,6 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
             report.full_identity = False
             report.failures.append(f"full identity fails in degree {q}")
 
-    b = basis or {}
     for (tau, sigma), chain in caps.items():
         p = len(tau) - len(sigma)
         if p == 0:
@@ -158,7 +156,7 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
         # first face: drop the top of every flag = cap the boundary
         want = {}
         for i, rho in cx.facets(tau):
-            coeff = b.get(tau, 1) * b.get(rho, 1) * (-1 if i % 2 else 1)
+            coeff = -1 if i % 2 else 1
             for flag, c in caps.get((rho, sigma), {}).items():
                 want[flag] = want.get(flag, 0) + coeff * c
         want = {k: v for k, v in want.items() if v}
@@ -175,8 +173,7 @@ def verify_cap_chain_map(derived: DerivedComplex, ring,
         for rho in cx.star(sigma):
             if len(rho) != len(sigma) + 1:
                 continue
-            coeff = (cod * b.get(rho, 1) * b.get(sigma, 1)
-                     * incidence_canonical(rho, sigma))
+            coeff = cod * incidence_canonical(rho, sigma)
             for flag, c in caps.get((tau, rho), {}).items():
                 want[flag] = want.get(flag, 0) + coeff * c
         sign_t = (-1) ** ((len(tau) - 1) % 2)

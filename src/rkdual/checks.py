@@ -391,7 +391,7 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         dstar_x = data.deltas.dstar_x
         H, HK, ev = data.dualizer.evaluation(dstar_x)
         ev.validate()
-        iso = data.dualizer.hom_to_square(dstar_x, H, HK, data.tc, data.t2)
+        iso = data.dualizer.hom_to_square(H, HK, data.tc, data.t2)
         iso.validate()
         return (data.e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
     _guard(report, "double-dual/defining-identity", target, defining_body)

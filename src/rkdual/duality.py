@@ -20,7 +20,10 @@ the cone of the direct sum of a map's diagonal components, acyclic iff
 each component's cone is.
 
 Koszul signs: d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, and the Hom-to-dual
-isomorphism carries the sign (-1)^{|x||y|}.
+isomorphism Hom(D, C*) -> (C ⊗ D)* carries the sign (-1)^{|x||y|}.  Into
+the dual of T(C) = C* ⊗ D it starts from Hom(D, C) instead, through the
+identification C -> C** that is (-1)^{|c|} on c, so the sign becomes
+(-1)^{|x|(|y|+1)} for x = c*.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import ChainComplexError, Matrix, is_cone_acyclic
-from .rkcore import (RKComplex, RKMap, dual_star, epsilon, hom_rk,
-                     hom_post_map, delta_star_k, identities)
+from .rkcore import (RKComplex, RKMap, dual_star, hom_rk, delta_star_k,
+                     identities)
 from .simplicial import simplex_name
 
 
@@ -193,21 +196,25 @@ def tensor_map_left(f: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
 
 
 def hom_dual_iso(src: RKComplex, t: RKComplex) -> RKMap:
-    """The isomorphism ``src`` = Hom(D, C*) -> (C ⊗ D)*, the dual of the
-    blocked tensor ``t`` = ``tensor_k(C, D)``, which it builds.
+    """The isomorphism from ``src`` onto the dual of the blocked tensor
+    ``t``, which it builds; label-diagonal and bijective degreewise.
 
-    On the generator (y -> x*) it is (-1)^{|x||y|} times the dual basis
-    element of x⊗y, placed by the layout of ``t``; it is label-diagonal and
-    bijective degreewise.
+    For ``t`` = ``tensor_k(C, D)``, ``src`` = Hom(D, C*): the generator
+    (y -> x*) goes to (-1)^{|x||y|} times the dual basis element of x⊗y,
+    placed by the layout of ``t``.  For ``t`` = T(C) = C* ⊗ D (its
+    ``dual_of`` set), ``src`` = Hom(D, C): the generator (y -> c) is
+    (y -> x*) for x = c* after the untwist C -> C**, (-1)^{|c|} on c, so
+    it goes to (-1)^{|x|(|y|+1)} times the dual of x⊗y.
     """
     ring, layout = src.ring, _layout(t.left, t.right, t.full)[0]
+    untwist = t.dual_of is not None
 
     def images(p, k):
-        q, j, i = src.keys[p][k]        # y_j in D_q, x_i* in (C*)_{q+p}
-        r = -(q + p)                    # the degree of x_i in C
+        q, j, i = src.keys[p][k]        # y_j in D_q, x_i* in degree q+p
+        r = -(q + p)                    # the degree of x_i
         cuts, starts = layout[r]
         yield (starts[q][i] + cuts[i][q][1][j],
-               ring.coerce((-1) ** ((r * q) % 2)))
+               ring.coerce((-1) ** ((r * (q + untwist)) % 2)))
     return RKMap.from_images(src, dual_star(t), images)
 
 
@@ -258,16 +265,12 @@ class Dualizer:
                 cols[r + s][starts[s][i] + cut[s][1][j]] = {c: one}
         return H, HK, RKMap.from_columns(HK, C, cols)
 
-    def hom_to_square(self, C: RKComplex, H: RKComplex, HK: RKComplex,
-                      tc: RKComplex, t2: RKComplex) -> RKMap:
-        """The isomorphism ``HK`` = (``H`` ⊗ cochains K) -> ``t2`` = T²C
-        from the Hom-to-dual isomorphism after untwisting the double dual,
-        for ``H``, ``HK`` from :meth:`evaluation` and ``tc`` = T(C)."""
-        eps = epsilon(C)                 # C** -> C; C -> C** has its signs
-        hom_dd = hom_rk(self.dstar_k, eps.src)
-        twist = hom_post_map(RKMap(C, eps.src, eps.comps), H, hom_dd)
-        psi = hom_dual_iso(hom_dd, tc)
-        return tensor_map_left(psi.compose(twist), HK, t2)
+    def hom_to_square(self, H: RKComplex, HK: RKComplex, tc: RKComplex,
+                      t2: RKComplex) -> RKMap:
+        """The isomorphism ``HK`` = (``H`` ⊗ cochains K) -> ``t2`` = T²C,
+        the Hom-to-dual isomorphism H -> (T C)* tensored with the cochains
+        of K, for ``H``, ``HK`` from :meth:`evaluation` and ``tc`` = T(C)."""
+        return tensor_map_left(hom_dual_iso(H, tc), HK, t2)
 
     def double_dual_map(self, C: RKComplex, t2: RKComplex) -> RKMap:
         """The natural epimorphism e: ``t2`` = T²C -> C.

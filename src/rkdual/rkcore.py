@@ -409,22 +409,6 @@ def hom_rk(A: RKComplex, B: RKComplex) -> RKComplex:
     return hom
 
 
-def hom_post_map(g: RKMap, src: RKComplex, tgt: RKComplex) -> RKMap:
-    """Hom(A, g): ``src`` = Hom(A, g.src) -> ``tgt`` = Hom(A, g.tgt) for a
-    degree-0 map g."""
-    if g.degree != 0:
-        raise ChainComplexError("only degree-0 maps are pushed through Hom")
-
-    def images(p, k):
-        q, i_a, i_b = src.keys[p][k]
-        if q + p not in g.comps:
-            return
-        for i_b2, v in g.comps[q + p].column(i_b):
-            if set(src.labels[p][k]) <= set(g.tgt.labels[q + p][i_b2]):
-                yield tgt.index_of(p, (q, i_a, i_b2)), v
-    return RKMap.from_images(src, tgt, images)
-
-
 def simplicial_rk(ring, K: SimplicialComplex, op: bool, cx: SimplicialComplex,
                   label_of, basis=None) -> RKComplex:
     """A simplicial chain complex as a blocked complex over K.

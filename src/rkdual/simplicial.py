@@ -285,9 +285,6 @@ class KSpace:
     K: SimplicialComplex
     pi: SimplicialMap
 
-    def label(self, s):
-        return self.pi.image(s)
-
 
 def validate_kspace(X, K, assignment) -> KSpace:
     """Build a K-space, or raise naming the first simplex with bad image."""

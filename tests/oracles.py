@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: invariant factors come
 from determinantal divisors (gcds of k-minors) or from sympy, ranks from
-fraction row-reduction, matrix products, cone blocks and label cuts from
-dense row lists, and counts from brute-force enumeration.
+fraction row-reduction, matrix products, cone blocks, label cuts and the
+Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
+brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -165,6 +166,22 @@ def between_closed(simplices, subset):
     return True
 
 
+def kept_pairs(c_labels, d_labels, keep_all=False):
+    """The pairs (r, i, s, j) of the blocked tensor of complexes with the
+    labels ``c_labels`` and ``d_labels`` (degree -> labels of its basis),
+    per total degree, ordered by r, then i, then j: the i-th left generator
+    of degree r with the j-th right one of degree s, kept when the right
+    label is a face of the left one (every pair with ``keep_all``)."""
+    pairs = {}
+    for r in sorted(c_labels):
+        for i, a in enumerate(c_labels[r]):
+            for s in sorted(d_labels):
+                for j, b in enumerate(d_labels[s]):
+                    if keep_all or set(b) <= set(a):
+                        pairs.setdefault(r + s, []).append((r, i, s, j))
+    return {q: sorted(ps) for q, ps in pairs.items()}
+
+
 def blocked_tensor(c_labels, c_diff, d_labels, d_diff, keep_all=False):
     """The blocked tensor of two complexes given densely, by its definition.
 
@@ -177,14 +194,7 @@ def blocked_tensor(c_labels, c_diff, d_labels, d_diff, keep_all=False):
     between them, every entry of d(x⊗y) = dx⊗y + (-1)^r x⊗dy summed over
     the pair of the row and the pair of the column.
     """
-    pairs = {}
-    for r in sorted(c_labels):
-        for i, a in enumerate(c_labels[r]):
-            for s in sorted(d_labels):
-                for j, b in enumerate(d_labels[s]):
-                    if keep_all or set(b) <= set(a):
-                        pairs.setdefault(r + s, []).append((r, i, s, j))
-    pairs = {q: sorted(ps) for q, ps in pairs.items()}
+    pairs = kept_pairs(c_labels, d_labels, keep_all)
 
     def entry(row, col):
         (r2, i2, s2, j2), (r, i, s, j) = row, col
@@ -218,3 +228,44 @@ def tensor_map(f_rows, src_pairs, tgt_pairs):
     return {q: [[entry(row, col) for col in cols]
                 for row in tgt_pairs.get(q, [])]
             for q, cols in src_pairs.items()}
+
+
+def hom_basis(a_labels, b_labels):
+    """The basis of blocked Hom(A, B) over the standard order, by its
+    definition: per degree p, a generator (q, j, i) for the j-th generator
+    of A_q and the i-th of B_{q+p} when the label of the first is a face of
+    the label of the second, ordered by q, then j, then i."""
+    out = {}
+    for q in sorted(a_labels):
+        for j, a in enumerate(a_labels[q]):
+            for qb in sorted(b_labels):
+                for i, b in enumerate(b_labels[qb]):
+                    if set(a) <= set(b):
+                        out.setdefault(qb - q, []).append((q, j, i))
+    return out
+
+
+def hom_to_dual_via_double_dual(d_labels, c_labels, cc_labels):
+    """Hom(D, C) -> (C* ⊗ D)*, the dual of T(C), by the route through the
+    double dual, densely.
+
+    ``d_labels``, ``c_labels`` and ``cc_labels`` give the labels of D, C
+    and C** per degree.  First Hom(D, C) -> Hom(D, C**), post-composition
+    with C -> C**, the inverse of the evaluation C** -> C, which is
+    (-1)^{|c|} on c; then Hom(D, C**) -> (C* ⊗ D)*, which sends
+    (y -> x*) for x = c* to (-1)^{|x||y|} times the dual of the pair x⊗y.
+    Returns, per degree p, the basis of Hom(D, C) and the row lists of the
+    composite, whose rows are the kept pairs of degree -p of C* ⊗ D.
+    """
+    hom, hom_dd = hom_basis(d_labels, c_labels), hom_basis(d_labels, cc_labels)
+    pairs = kept_pairs({-q: ls for q, ls in c_labels.items()}, d_labels)
+    out = {}
+    for p, gens in hom.items():
+        post = [[(-1) ** ((q + p) % 2) if (q, j, i) == dd else 0
+                 for q, j, i in gens] for dd in hom_dd.get(p, [])]
+        iso = [[(-1) ** ((q * (q + p)) % 2)
+                if pair == (-(q + p), i, q, j) else 0
+                for q, j, i in hom_dd.get(p, [])]
+               for pair in pairs.get(-p, [])]
+        out[p] = gens, dense_product(iso, post, len(gens))
+    return out

@@ -106,12 +106,6 @@ def test_interior_face_pairing_is_a_perfect_involution(maximal):
     assert rep.pairing and rep.face_interior
 
 
-def test_cap_chain_map_with_a_twisted_basis():
-    rep = verify_cap_chain_map(barycentric_subdivision(build("abc")), ZZ,
-                               basis={("a", "c"): -1})
-    assert rep.passed, rep.failures
-
-
 # --------------------------------------------------------------- cell map
 
 def test_cell_map_point_is_the_identity(corpus):

@@ -1,24 +1,32 @@
 """Blocked tensor products, the duality functor, and the double-dual
 collapse, including the single-label case and the induction splitting."""
 
+import os
+import sys
+
 import pytest
 
 from rkdual import capproduct, checks, duality
-from rkdual.checks import verify_kspace
+from rkdual.checks import parse_document, verify_kspace
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace
 from rkdual.linalg import (ChainComplexError, Matrix, homology,
                            is_cone_acyclic, mapping_cone, smith_normal_form)
 from rkdual.report import Report
 from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            delta_chain, delta_complexes, delta_star_k,
-                           dual_star, dual_star_map, epsilon, hom_rk,
-                           maximal_label_ses)
+                           double_dual, dual_star, dual_star_map, epsilon,
+                           hom_rk, maximal_label_ses)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                             tensor_r, verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
-from oracles import blocked_tensor
+from oracles import blocked_tensor, hom_to_dual_via_double_dual
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
 
 GF2 = Ring.prime_field(2)
 
@@ -174,6 +182,28 @@ def test_hom_dual_iso_rank_equality_on_the_edge(edge_ks):
             assert n_src == n_tgt
 
 
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, "id-torus-7", "id-rp2"])
+def test_hom_dual_iso_into_t_is_the_route_through_the_double_dual(name):
+    # into T(C) the isomorphism starts from Hom(D, C); the oracle goes
+    # through Hom(D, C**) and the identification C -> C**
+    rungs = dict(ladder.RUNGS)
+    ks = (parse_document(rungs[name]()[0]).kspaces[0][1] if name in rungs
+          else corpus_kspace(name))
+    C, D = delta_complexes(ks, ZZ).dstar_x, delta_star_k(ks.K, ZZ)
+    want = hom_to_dual_via_double_dual(D.labels, C.labels,
+                                       double_dual(C).labels)
+    for ring in (ZZ, QQ, GF2):
+        dz = Dualizer(ks.K, ring)
+        cochains = delta_complexes(ks, ring).dstar_x
+        H, tc = hom_rk(dz.dstar_k, cochains), dz.object(cochains)
+        psi = hom_dual_iso(H, tc)
+        assert set(want) == {p for p in H.degrees() if H.rank(p)}
+        for p, (gens, rows) in want.items():
+            assert list(H.keys[p]) == gens
+            assert psi.component(p).to_rows() == [
+                [ring.coerce(v) for v in row] for row in rows], (name, p)
+
+
 # ------------------------------------------------------------- the functor
 
 def test_duality_over_a_point_is_the_plain_dual(corpus):
@@ -247,7 +277,7 @@ def test_collapse_defining_identity_on_corpus(corpus):
         H, HK, ev = dz.evaluation(dc.dstar_x)
         ev.validate()
         tc, e = collapse(dz, dc.dstar_x)
-        iso = dz.hom_to_square(dc.dstar_x, H, HK, tc, e.src)
+        iso = dz.hom_to_square(H, HK, tc, e.src)
         iso.validate()
         assert iso.is_bijection_on_bases()
         assert e.compose(iso) == ev, name

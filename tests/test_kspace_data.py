@@ -73,7 +73,7 @@ def test_verify_builds_each_tensor_and_hom_once(monkeypatch):
     assert report.checks and report.passed
     # maps take the complexes they map between instead of rebuilding them
     assert len(tensors) <= 20
-    assert len(homs) <= 3
+    assert len(homs) == 2
     # the pushforward along the control map, and the identity
     assert len(pushes) == 2
 
@@ -207,9 +207,9 @@ def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
     # one dual each: the 12 objects T(C), the cochains of X and of K, the
     # three cochains of closed simplices, the targets of the two Hom-to-dual
     # isomorphisms, the cap on K and the source of the one pullback, the
-    # cochains of (K, id); two: the double dual inside epsilon.  The
-    # pullback's target is the cochains of X, not a second copy
-    assert len(duals) == 23
+    # cochains of (K, id).  The pullback's target is the cochains of X, not
+    # a second copy
+    assert len(duals) == 21
 
 
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):

@@ -3,7 +3,8 @@
 Each test corrupts one object a check family certifies, by one minimal,
 seeded change made through a monkeypatched builder, runs ``rkdual verify``
 on a corpus document, and asserts exit 1 with exactly the expected check
-families failing.
+families failing.  A corruption of a cached property must run
+and must not raise, or its test fails.
 """
 
 import json
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import pytest
 
-from rkdual import capproduct, checks, rkcore
+from rkdual import capproduct, checks, duality, rkcore
 from rkdual.ballcomplex import DualCell
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
@@ -26,11 +27,29 @@ from rkdual.simplicial import (DerivedComplex, KSpace, SimplicialComplex,
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# per corruption ``patch_lazy`` installed in the running test, what each of
+# its calls raised, None when it returned: a corruption that raises fails
+# every reader of its object, the very set its test expects, without having
+# corrupted anything, so ``failing_checks`` asks that each ran and none raised
+LAZY_RUNS = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_lazy_runs():
+    LAZY_RUNS.clear()
+    yield
+    LAZY_RUNS.clear()
+
+
 def failing_checks(doc, tmp_path, ring=None):
     out = tmp_path / "report.json"
     code = main(["verify", os.path.join(ROOT, "documents", f"{doc}.json"),
                  "--format", "json", "--out", str(out)]
                 + (["--ring", ring] if ring else []))
+    for name, runs in LAZY_RUNS:
+        assert runs, f"the corruption of {name} never ran"
+        raised = [exc for exc in runs if exc is not None]
+        assert not raised, f"the corruption of {name} raised {raised[0]!r}"
     report = json.loads(out.read_text())
     return code, {c["name"] for c in report["checks"] if not c["passed"]}
 
@@ -44,12 +63,48 @@ def over_z_and_q(cases, ids):
                for case, i in zip(cases, ids)])
 
 
-def patch_lazy(monkeypatch, cls, name, fn):
-    """Replace the cached property ``cls.name`` by ``fn(self, original)``."""
-    original = cls.__dict__[name].func
-    prop = cached_property(lambda self: fn(self, original(self)))
+def set_lazy(monkeypatch, cls, name, build):
+    """Make ``build(self)`` the cached property ``cls.name``."""
+    prop = cached_property(build)
     prop.__set_name__(cls, name)
     monkeypatch.setattr(cls, name, prop)
+
+
+def patch_lazy(monkeypatch, cls, name, fn):
+    """Replace the cached property ``cls.name`` by ``fn(self, original)``,
+    recording each call of ``fn`` in ``LAZY_RUNS``."""
+    original, runs = cls.__dict__[name].func, []
+    LAZY_RUNS.append((f"{cls.__name__}.{name}", runs))
+
+    def corrupted(self):
+        built = original(self)
+        try:
+            out = fn(self, built)
+        except Exception as exc:
+            runs.append(exc)
+            raise
+        runs.append(None)
+        return out
+    set_lazy(monkeypatch, cls, name, corrupted)
+
+
+def test_a_corruption_that_raises_fails_its_mutation(monkeypatch, tmp_path):
+    def raises(self, e):
+        raise AttributeError("no such field")
+    patch_lazy(monkeypatch, KSpaceData, "e", raises)
+    with pytest.raises(AssertionError, match="KSpaceData.e raised"):
+        failing_checks("hex", tmp_path)
+
+
+def test_a_corruption_that_never_runs_fails_its_mutation(monkeypatch,
+                                                         tmp_path):
+    # the builder under the corruption raises, so the corruption never runs
+    def raises(self):
+        raise KeyError("missing generator")
+    set_lazy(monkeypatch, KSpaceData, "e", raises)
+    patch_lazy(monkeypatch, KSpaceData, "e", lambda self, e: e)
+    with pytest.raises(AssertionError, match="KSpaceData.e never ran"):
+        failing_checks("hex", tmp_path)
 
 
 # the subdivision index feeds the cells of X (ball structure, fundamental
@@ -242,19 +297,28 @@ E_READERS = {"double-dual/equivalence/cochains",
              "equivalences/subdivision-dual-to-cochains"}
 
 
-@pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
-def test_a_diagonal_block_of_the_double_dual_collapse_off_the_identity(
-        monkeypatch, tmp_path, doc, seed):
-    # the entry breaks the chain-map identity of its label's diagonal
+@pytest.mark.parametrize("doc,seed,whole", [
+    # on hex and id2 no single entry of a diagonal block breaks the
+    # chain-map identity of its label's diagonal component, only that of
+    # the whole map, which the certificate validates first
+    pytest.param("hex", 0, True, id="hex-0"),
+    pytest.param("id2", 1, True, id="id2-1"),
+    # on tri the entry breaks the identity of its label's diagonal
     # component, which only that label's cone reads
+    pytest.param("tri", 2, False, id="tri-2"),
+])
+def test_a_diagonal_block_of_the_double_dual_collapse_off_the_identity(
+        monkeypatch, tmp_path, doc, seed, whole):
     def corrupt(self, e):
         src, tgt = e.src.labels, e.tgt.labels
         labels = list(e.src.K.all_simplices())
+
+        def breaks(comps):
+            f = RKMap(e.src, e.tgt, comps)
+            return not (is_valid(f) if whole else all(
+                is_valid(f.diagonal_component(s)) for s in labels))
         negate_one_that_breaks(
-            seed, e.comps,
-            lambda comps: not all(
-                is_valid(RKMap(e.src, e.tgt, comps).diagonal_component(s))
-                for s in labels),
+            seed, e.comps, breaks,
             lambda q, key: tgt[q][key[0]] == src[q][key[1]])
         return e
     patch_lazy(monkeypatch, KSpaceData, "e", corrupt)
@@ -603,3 +667,42 @@ def test_a_cell_sent_to_the_fundamental_cycle_of_another_cell_of_its_label(
     patch_lazy(monkeypatch, KSpaceData, "fundamental_cycles", resend)
     assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS | {
         "cap/monomorphism", "cap/fundamental-cycles"})
+
+
+def other_branch(iso):
+    """``hom_dual_iso`` taking the other branch of its sign rule: into T(C)
+    as into a plain tensor, and into a plain tensor as into T(C)."""
+    def swapped(src, t):
+        kept = t.dual_of
+        t.dual_of = t.left if kept is None else None
+        try:
+            return iso(src, t)
+        finally:
+            t.dual_of = kept
+    return swapped
+
+
+BRANCH_CASES = over_z_and_q([("hex",), ("id2",), ("tri",)],
+                            ["hex", "id2", "tri"])
+
+
+# the isomorphism into T of the cochains is built inside the square's
+# isomorphism, which only the defining identity reads
+@pytest.mark.parametrize("doc,ring", BRANCH_CASES)
+def test_the_hom_to_dual_sign_into_t_taken_as_into_a_plain_tensor(
+        monkeypatch, tmp_path, doc, ring):
+    monkeypatch.setattr(duality, "hom_dual_iso",
+                        other_branch(duality.hom_dual_iso))
+    assert failing_checks(doc, tmp_path, ring) == (
+        1, {"double-dual/defining-identity"})
+
+
+# the isomorphism into the cells, a plain tensor, is built inside its one
+# check
+@pytest.mark.parametrize("doc,ring", BRANCH_CASES)
+def test_the_hom_to_dual_sign_into_a_plain_tensor_taken_as_into_t(
+        monkeypatch, tmp_path, doc, ring):
+    monkeypatch.setattr(checks, "hom_dual_iso",
+                        other_branch(checks.hom_dual_iso))
+    assert failing_checks(doc, tmp_path, ring) == (
+        1, {"tensor/hom-dual-isomorphism"})
