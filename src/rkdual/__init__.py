@@ -16,7 +16,7 @@ from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          derived_kspace, kspace_identity, validate_kspace)
 from .rkcore import (RKComplex, RKMap, ShortExactSequence,
                      check_lemma_clem, delta_complexes, delta_star_k,
-                     dual_star, dual_star_map, epsilon, hom_rk, is_full,
+                     dual_star, dual_star_map, hom_rk, is_full,
                      maximal_label_ses)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                       tensor_map_left, tensor_r, verify_diagonal_equivalence)

@@ -22,14 +22,38 @@ def _narrow(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
+# Miller-Rabin to the first thirteen prime bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015;
+# the first twelve let 318665857834031151167461 through); a larger modulus
+# is refused, not guessed.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; raises ValueError
+    for n at or above :data:`PRIME_BOUND`."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is too large: primality is decided "
+                         f"only below {PRIME_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

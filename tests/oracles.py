@@ -4,7 +4,10 @@ These deliberately avoid the code paths they check: invariant factors come
 from determinantal divisors (gcds of k-minors) or from sympy, ranks from
 fraction row-reduction, matrix products, cone blocks, label cuts and the
 Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
-brute-force enumeration.
+brute-force enumeration.  The double dual with its evaluation, and the
+splitting over each star by two label cuts and two shared maps per label,
+are the blocked routes the package no longer takes, kept here to check the
+ones it does.
 """
 
 from fractions import Fraction
@@ -12,6 +15,9 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+
+from rkdual.linalg import ChainComplexError
+from rkdual.rkcore import RKComplex, RKMap, dual_star, identities
 
 
 def det(rows):
@@ -269,3 +275,41 @@ def hom_to_dual_via_double_dual(d_labels, c_labels, cc_labels):
                for pair in pairs.get(-p, [])]
         out[p] = gens, dense_product(iso, post, len(gens))
     return out
+
+
+def double_dual(C: RKComplex) -> RKComplex:
+    return dual_star(dual_star(C))
+
+
+def epsilon(C: RKComplex) -> RKMap:
+    """The evaluation isomorphism C** -> C, (-1)^q on degree-q generators."""
+    return RKMap(double_dual(C), C, identities(C.ring, C.spaces, True))
+
+
+def star_splitting_by_cuts(dx: RKComplex) -> dict:
+    """The splitting of ``dx`` over each star of K, one label at a time.
+
+    Per simplex sigma of K whose star is not all of K, cut ``dx`` to the
+    labels outside star(sigma) and to those in it, and return the pair
+    (whether the two cuts' ranks add up to the rank of ``dx``, the degree
+    at which the inclusion of the first cut or the projection onto the
+    second is not a chain map, or None), each map validated as a shared map.
+    """
+    K = dx.K
+    everything = set(K.all_simplices())
+    verdicts = {}
+    for sigma in K.all_simplices():
+        star = set(K.star(sigma))
+        rest = everything - star
+        if not rest:
+            continue
+        sub, quo = dx.sub(rest), dx.sub(star)
+        ranked = sub.total_rank() + quo.total_rank() == dx.total_rank()
+        try:
+            RKMap.shared(sub, dx).validate()
+            RKMap.shared(dx, quo).validate()
+            degree = None
+        except ChainComplexError as exc:
+            degree = int(str(exc).removeprefix("not a chain map at degree "))
+        verdicts[sigma] = ranked, degree
+    return verdicts

@@ -2,6 +2,10 @@
 cell-incidence file format."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -107,6 +111,33 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"rkdual: error: cannot write output file {out}")
     assert "Traceback" not in err
+
+
+def run_cli(*argv):
+    """The command in a fresh interpreter, killed after 60 s."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rkdual.cli import main; sys.exit(main())", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_a_large_prime_modulus_verifies_in_seconds(tmp_path):
+    start = time.perf_counter()
+    done = run_cli("verify", write_doc(tmp_path, "edge"),
+                   "--ring", f"Z/{2 ** 61 - 1}")
+    assert done.returncode == 0 and "result: ok" in done.stdout
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("modulus", [2 ** 61 + 1, 10 ** 40, 2 ** 127 - 1])
+def test_a_composite_or_too_large_modulus_is_rejected(tmp_path, modulus):
+    done = run_cli("verify", write_doc(tmp_path, "edge"),
+                   "--ring", f"Z/{modulus}")
+    assert done.returncode == 2
+    assert f"bad ring 'Z/{modulus}'" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_check_failures_exit_one(monkeypatch, tmp_path, capsys):

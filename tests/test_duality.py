@@ -15,14 +15,15 @@ from rkdual.report import Report
 from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            delta_chain, delta_complexes, delta_star_k,
-                           double_dual, dual_star, dual_star_map, epsilon,
-                           hom_rk, maximal_label_ses)
+                           dual_star, dual_star_map, hom_rk,
+                           maximal_label_ses)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                             tensor_r, verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
-from oracles import blocked_tensor, hom_to_dual_via_double_dual
+from oracles import (blocked_tensor, double_dual, epsilon,
+                     hom_to_dual_via_double_dual)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 

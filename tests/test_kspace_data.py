@@ -365,12 +365,12 @@ def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
     assert full == ["assembly/star-splitting"] * (2 * labels)
 
 
-def test_verify_of_the_torus_makes_at_most_600_matrix_products(monkeypatch):
+def test_verify_of_the_torus_makes_at_most_200_matrix_products(monkeypatch):
     products = []
     monkeypatch.setattr(linalg.Matrix, "__mul__",
                         counting(linalg.Matrix.__mul__, products))
     verified("id-torus-7")
-    assert 0 < len(products) <= 600
+    assert 0 < len(products) <= 200
 
 
 @pytest.mark.parametrize("name", ["hex", "id2"])

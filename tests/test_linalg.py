@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -11,7 +12,7 @@ from rkdual.corpus import CORPUS_NAMES, corpus_kspace
 from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap,
                            HomologyGroup, Matrix, homology, is_acyclic,
                            is_cone_acyclic, mapping_cone, smith_normal_form)
-from rkdual.rings import Ring, ZZ, QQ, GF2
+from rkdual.rings import PRIME_BOUND, Ring, ZZ, QQ, GF2, _is_prime
 
 from oracles import (cone_block, dense_product, invariant_factors_minors,
                      row_reduce_rank)
@@ -39,6 +40,36 @@ def test_ring_construction():
         Ring.parse("Z/4")
     with pytest.raises(ValueError):
         Ring.parse("R")
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_the_prime_check_agrees_with_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if trial_division_is_prime(n)]
+
+
+def test_the_prime_check_agrees_with_sympy_on_large_moduli():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(25)
+    numbers = [rng.randrange(2 ** 60, 2 ** 80) for _ in range(400)]
+    numbers += [sympy.nextprime(n) for n in numbers[:40]]
+    # strong pseudoprimes to the first twelve and to many prime bases
+    numbers += [318665857834031151167461, 3825123056546413051,
+                2 ** 61 - 1, 2 ** 61 + 1, 2 ** 79 - 67]
+    assert [_is_prime(n) for n in numbers] == [sympy.isprime(n)
+                                               for n in numbers]
+    assert any(_is_prime(n) for n in numbers)
+
+
+def test_a_modulus_past_the_exact_bound_is_refused():
+    sympy = pytest.importorskip("sympy")
+    assert _is_prime(PRIME_BOUND - 2) == sympy.isprime(PRIME_BOUND - 2)
+    for n in (PRIME_BOUND, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            Ring.prime_field(n)
 
 
 def test_matrix_out_of_range_access():

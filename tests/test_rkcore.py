@@ -10,8 +10,8 @@ from rkdual.linalg import ChainComplexError, Matrix
 from rkdual.rings import GF2, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem,
                            delta_chain, delta_complexes, delta_star_k,
-                           dual_star, dual_star_map, double_dual, epsilon,
-                           hom_rk, is_full, maximal_label_ses)
+                           dual_star, dual_star_map, hom_rk, is_full,
+                           maximal_label_ses)
 from rkdual.simplicial import InputError, SimplicialComplex
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 from rkdual.simplicial import control_map
@@ -19,7 +19,7 @@ from rkdual.simplicial import control_map
 from rkdual.corpus import CORPUS_NAMES, corpus_kspace, document
 
 from oracles import (between_closed, count_decreasing_chains, dense_block,
-                     inclusion_rows, projection_rows)
+                     double_dual, epsilon, inclusion_rows, projection_rows)
 
 
 def build(*maximal):

@@ -1,0 +1,166 @@
+"""The splitting over each star of K, read from one scan, against the route
+that cuts the complex twice per label and validates two shared maps."""
+
+import os
+import random
+import sys
+
+import pytest
+
+from rkdual import checks, rkcore
+from rkdual.checks import KSpaceData, parse_document
+from rkdual.corpus import CORPUS_NAMES, corpus_kspace
+from rkdual.linalg import Matrix
+from rkdual.report import Report
+from rkdual.rings import GF2, QQ, ZZ
+from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem, delta_chain,
+                           dual_star, star_crossings, star_ranks)
+
+from oracles import star_splitting_by_cuts
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
+
+NAMES = [*CORPUS_NAMES, "id-torus-7", "id-rp2", "id-sphere-3"]
+
+
+def kspace(name):
+    rungs = dict(ladder.RUNGS)
+    return (parse_document(rungs[name]()[0]).kspaces[0][1] if name in rungs
+            else corpus_kspace(name))
+
+
+def by_scan(C):
+    """Per simplex of K whose star is not all of K, the pair (the ranks of
+    the star and the rest add up, the first crossing degree or None)."""
+    ranks, crossings = star_ranks(C), star_crossings(C)
+    return {sigma: (sum(ranks[sigma]) == C.total_rank(),
+                    crossings.get(sigma))
+            for sigma in C.K.all_simplices() if len(C.K.star(sigma)) < len(ranks)}
+
+
+def first_failure(verdicts):
+    return next(((sigma, v) for sigma, v in verdicts.items()
+                 if v != (True, None)), None)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=str)
+@pytest.mark.parametrize("name", NAMES)
+def test_the_scan_gives_the_verdicts_of_the_cuts(name, ring):
+    dx = delta_chain(kspace(name), ring)
+    # on the chains every star is a quotient; on the cochains it is a
+    # subcomplex, so the rest's inclusion fails wherever an entry crosses
+    for C in (dx, dual_star(dx)):
+        assert by_scan(C) == star_splitting_by_cuts(C)
+    assert first_failure(by_scan(dx)) is None
+    crossed = first_failure(by_scan(dual_star(dx)))
+    assert crossed is not None or len(list(dx.K.all_simplices())) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_star_ranks_are_the_ranks_of_the_cuts(name):
+    dx = delta_chain(kspace(name), ZZ)
+    everything = set(dx.K.all_simplices())
+    for sigma, (inside, outside) in star_ranks(dx).items():
+        star = set(dx.K.star(sigma))
+        assert inside == dx.sub(star).total_rank()
+        assert outside == dx.sub(everything - star).total_rank()
+
+
+def off_the_support(C, seed):
+    """``C`` with one entry added from a generator to one whose label is
+    not below it in C's order, unvalidated; the degree of the entry."""
+    rng = random.Random(seed)
+    spots = [(q, i, j) for q, mat in sorted(C.diff.items())
+             for j, a in enumerate(C.labels[q])
+             for i, b in enumerate(C.labels[q - 1]) if not C.leq(a, b)]
+    q, i, j = rng.choice(spots)
+    mat = C.diff[q]
+    entries = dict(mat.entries())
+    entries[i, j] = entries.get((i, j), 0) + 1
+    diff = dict(C.diff)
+    diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+    return RKComplex(C.ring, C.K, C.op, C.labels, diff, name=C.name), q
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["hex", "id2", "tri", "id-torus-7"])
+def test_an_entry_off_the_support_is_found_by_both_routes(name, seed):
+    dx, q = off_the_support(delta_chain(kspace(name), ZZ), seed)
+    scanned = by_scan(dx)
+    assert scanned == star_splitting_by_cuts(dx)
+    sigma, (ranked, degree) = first_failure(scanned)
+    assert ranked and degree == q
+
+
+def test_a_label_off_k_fails_the_ranks_of_both_routes():
+    dx = delta_chain(corpus_kspace("hex"), ZZ)
+    labels = dict(dx.labels)
+    labels[0] = (("nowhere",),) + labels[0][1:]
+    C = RKComplex(dx.ring, dx.K, dx.op, labels, dx.diff, name=dx.name)
+    # the ranks fail first at every label, so the crossings go unread
+    scanned, cut = by_scan(C), star_splitting_by_cuts(C)
+    assert scanned.keys() == cut.keys()
+    assert not any(ranked for ranked, _ in [*scanned.values(), *cut.values()])
+
+
+def verify_data(name):
+    data = KSpaceData.build(kspace(name), ZZ)
+    data.deltas.dx.validate()
+    return data
+
+
+@pytest.mark.parametrize("name", ["hex", "id-torus-7"])
+def test_star_splitting_cuts_nothing_and_places_no_shared_map(monkeypatch,
+                                                              name):
+    data = verify_data(name)
+    calls = []
+
+    def spy(what):
+        def called(*args, **kwargs):
+            calls.append(what)
+            raise AssertionError(f"{what} called")
+        return called
+    monkeypatch.setattr(RKComplex, "sub", spy("sub"))
+    monkeypatch.setattr(RKMap, "shared", spy("shared"))
+    report = Report("verify", "Z")
+    checks.check_assembly(report, name, data)
+    assert calls == [] and report.passed
+    assert [c.name for c in report.checks] == ["assembly/star-splitting"]
+
+
+@pytest.mark.parametrize("name", ["circ3", "hex", "id2", "id-torus-7"])
+def test_the_lemma_cuts_once_per_face_of_its_simplex(monkeypatch, name):
+    K = kspace(name).K
+    maximal = [s for s in K.all_simplices()
+               if all(not set(s) < set(t) for t in K.star(s))]
+    cuts, sub = [], RKComplex.sub
+
+    def counted(self, labels):
+        cuts.append(labels)
+        return sub(self, labels)
+    monkeypatch.setattr(RKComplex, "sub", counted)
+    for S in maximal:
+        cuts.clear()
+        rep = check_lemma_clem(K, S, ZZ)
+        assert rep.passed and len(rep.verdicts) == len(list(K.all_simplices()))
+        assert len(cuts) == len(K.closure(S))
+
+
+def test_the_lemma_reads_a_zero_off_its_simplex_from_the_counts(monkeypatch):
+    K = corpus_kspace("circ3").K
+    rep = check_lemma_clem(K, ("a", "b"), ZZ)
+    zeros = {s for s, (kind, ok) in rep.verdicts.items() if kind == "zero"}
+    assert zeros == {("c",), ("a", "c"), ("b", "c")}
+    # a count that is not zero fails the verdict at its label alone
+    ranks = rkcore.star_ranks
+
+    def miscounted(C):
+        out = ranks(C)
+        out[("c",)] = (1, out[("c",)][1])
+        return out
+    monkeypatch.setattr(rkcore, "star_ranks", miscounted)
+    rep = check_lemma_clem(K, ("a", "b"), ZZ)
+    assert not rep.passed
+    assert [s for s, (_, ok) in rep.verdicts.items() if not ok] == [("c",)]
