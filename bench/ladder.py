@@ -168,6 +168,7 @@ RUNGS = (
     ("grid-8-edge-q", lambda: over_q(grid_rung(8))),
     ("id-rp2", lambda: identity_rung(rp2())),
     ("id-simplex-5", lambda: identity_rung(simplex(5))),
+    ("id-sphere-5", lambda: identity_rung(boundary(6))),
 )
 
 # runs per rung and source: one run cannot tell a change from host drift

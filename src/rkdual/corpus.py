@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .simplicial import KSpace, SimplicialComplex, SimplicialMap, validate_kspace
+from .simplicial import KSpace, SimplicialComplex, SimplicialMap
 
 
 DOCUMENTS = {
@@ -69,16 +69,6 @@ CORPUS_NAMES = tuple(DOCUMENTS)
 def document(name: str) -> dict:
     import copy
     return copy.deepcopy(DOCUMENTS[name])
-
-
-def corpus_kspace(name: str) -> KSpace:
-    doc = DOCUMENTS[name]
-    (mp,) = doc["maps"].values()
-    X = SimplicialComplex.build(doc["complexes"][mp["source"]]["vertices"],
-                                doc["complexes"][mp["source"]]["simplices"])
-    K = SimplicialComplex.build(doc["complexes"][mp["target"]]["vertices"],
-                                doc["complexes"][mp["target"]]["simplices"])
-    return validate_kspace(X, K, mp["vertices"])
 
 
 def random_kspace(rng: random.Random) -> KSpace:

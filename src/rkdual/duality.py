@@ -15,9 +15,12 @@ isomorphism and the double-dual collapse read the layout too.
 
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
-identity up to chain equivalence.  That is certified by one mapping cone:
-the cone of the direct sum of a map's diagonal components, acyclic iff
-each component's cone is.
+identity up to chain equivalence.  That is certified on the diagonal of the
+map, the direct sum of its one-label components, by one whole homology
+computation: when the diagonal is split surjective on bases, as every
+collapse's is, the homology of its kernel, which vanishes exactly when the
+cone does; otherwise the cone of the diagonal, acyclic iff each
+component's cone is.
 
 Koszul signs: d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, and the Hom-to-dual
 isomorphism Hom(D, C*) -> (C ⊗ D)* carries the sign (-1)^{|x||y|}.  Into
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ChainComplexError, Matrix, is_cone_acyclic
+from .linalg import (ChainComplex, ChainComplexError, Matrix, is_acyclic,
+                     is_cone_acyclic)
 from .rkcore import (RKComplex, RKMap, dual_star, hom_rk, delta_star_k,
                      identities)
 from .simplicial import simplex_name
@@ -314,6 +318,42 @@ class EquivalenceReport:
                       if not ok)
 
 
+def split_kernel(f: RKMap):
+    """The kernel of the diagonal of ``f`` when that diagonal is split
+    surjective on bases, else None.
+
+    Split surjective on bases means, in every degree: each column of the
+    diagonal (the entries of ``f`` between generators of one label) is zero
+    or one unit entry, no two columns share a row, and every generator of
+    ``f.tgt`` is hit.  The kernel is then the span of the zero columns, a
+    subcomplex of the one-label differential of ``f.src`` for a chain map
+    ``f``; it is returned on those generators, in their order.
+    """
+    src, unit, kept = f.src, f.src.ring.is_unit, {}
+    for q in set(src.degrees()) | set(f.tgt.degrees()):
+        cols, rows, hit = src.labels.get(q, ()), f.tgt.labels.get(q, ()), {}
+        for j, col in f.comps[q].columns() if q in f.comps else ():
+            if on := [(i, v) for i, v in col if rows[i] == cols[j]]:
+                (i, v), *more = on
+                if more or i in hit or not unit(v):
+                    return None
+                hit[i] = j
+        if len(hit) != len(rows):
+            return None
+        taken = set(hit.values())
+        kept[q] = [j for j in range(len(cols)) if j not in taken]
+    diff = {}
+    for q, mat in src.diff.items():
+        above, below = src.labels[q], src.labels[q - 1]
+        at = {i: a for a, i in enumerate(kept[q - 1])}
+        diff[q] = Matrix._from_sums(src.ring, len(at), len(kept[q]), {
+            b: {a: v for i, v in mat.column(j)
+                if (a := at.get(i)) is not None and below[i] == above[j]}
+            for b, j in enumerate(kept[q])})
+    return ChainComplex(src.ring, {q: len(js) for q, js in kept.items()},
+                        diff)
+
+
 def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     """Certify a blocked map as an equivalence: every diagonal component
     must have an acyclic mapping cone.
@@ -321,17 +361,25 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     The map and its two sides are validated once each, whole: support and
     d∘d = 0 of ``f.src`` and ``f.tgt``, support and the chain-map identity
     of ``f``.  With support, the diagonal blocks of those identities are
-    the identities of the diagonal blocks, so every cone built here has
-    d∘d = 0.  The cone of :meth:`RKMap.diagonal` is the direct sum of the
-    per-label cones, so one acyclic cone passes every label at once:
-    homology over Z, Q and Z/p adds up, torsion included.  Only when it is
-    not acyclic is each label's cone built, to name the labels that fail.
+    the identities of the diagonal blocks, so the diagonal, the direct sum
+    of the per-label components, is a chain map of complexes with d∘d = 0.
+    Its cone is acyclic exactly when every per-label cone is: homology over
+    Z, Q and Z/p adds up, torsion included.  When the diagonal is split
+    surjective on bases (:func:`split_kernel`), no cone is built: by the
+    long exact sequence of 0 -> ker -> src -> tgt -> 0, free and split in
+    each degree, the cone is acyclic exactly when the kernel is, so the
+    kernel's homology decides every label at once (the Gaussian-elimination
+    lemma, applied before the cone).  Any other diagonal goes through the
+    whole cone.  Only when the whole verdict fails is each label's cone
+    built, to name the labels that fail.
     """
     f.src.validate()
     f.tgt.validate()
     f.validate()
     labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    whole = is_cone_acyclic(f.diagonal())
+    kernel = split_kernel(f)
+    whole = (is_cone_acyclic(f.diagonal()) if kernel is None else
+             is_acyclic(kernel))
     verdicts = (dict.fromkeys(labels, True) if whole else
                 {sigma: is_cone_acyclic(f.diagonal_component(sigma))
                  for sigma in labels})

@@ -51,7 +51,9 @@ class Matrix:
         self._cols = {}
         if data:
             for (i, j), v in data.items():
-                self._check_index(i, j)
+                if not (0 <= i < nrows and 0 <= j < ncols):
+                    raise IndexError(f"entry ({i},{j}) outside "
+                                     f"{nrows}x{ncols} matrix")
                 v = ring.coerce(v)
                 if v:
                     self._cols.setdefault(j, {})[i] = v
@@ -80,11 +82,6 @@ class Matrix:
             del cols[j]
         return mat
 
-    def _check_index(self, i, j):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(
-                f"entry ({i},{j}) outside {self.nrows}x{self.ncols} matrix")
-
     @classmethod
     def zero(cls, ring, nrows, ncols):
         return cls(ring, nrows, ncols)
@@ -92,18 +89,6 @@ class Matrix:
     @classmethod
     def identity(cls, ring, n):
         return cls._from_sums(ring, n, n, {i: {i: ring.one} for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, ring, rows):
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows):
-            raise ValueError("ragged rows")
-        return cls(ring, len(rows), ncols, {
-            (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
-
-    def entry(self, i, j):
-        self._check_index(i, j)
-        return self._cols.get(j, {}).get(i, self.ring.zero)
 
     def entries(self):
         """Nonzero entries ((row, col), value) in (row, col) order."""
@@ -127,14 +112,6 @@ class Matrix:
             b: {a: v for i, v in self._cols.get(j, {}).items()
                 if (a := rpos.get(i)) is not None}
             for b, j in enumerate(cols)})
-
-    def to_rows(self):
-        z = self.ring.zero
-        rows = [[z] * self.ncols for _ in range(self.nrows)]
-        for j, col in self._cols.items():
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
 
     def transpose(self):
         out = {}

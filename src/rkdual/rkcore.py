@@ -8,9 +8,8 @@ order).  Ranks, differentials, components and d∘d = 0 are the chain
 complex's; the subclasses add the labels and the support condition.  One
 label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
 some labels with the blocks between them, and :meth:`RKMap.shared` places
-a cut in the complex it was cut from.  The splitting of a complex over
-every star of K needs no cut: :func:`star_ranks` and :func:`star_crossings`
-read it from one scan of the labels and entries.
+a cut in the complex it was cut from.  :func:`star_ranks` counts the
+generators over every star of K from one scan of the labels, with no cut.
 :meth:`RKMap.diagonal` is the direct sum of a map's one-label cuts, on its
 whole bases, so a label-wise certificate runs once on it.  The star dual,
 blocked Hom, and the geometric chain/cochain complexes of a K-space are all
@@ -172,28 +171,6 @@ def star_ranks(C: RKComplex) -> dict:
             for sigma in K.closure(a):
                 inside[sigma] += n
     return {sigma: (n, placed - n) for sigma, n in inside.items()}
-
-
-def star_crossings(C: RKComplex) -> dict:
-    """Per simplex sigma of K, the smallest q at which d_q has an entry from
-    a generator labeled in K outside star(sigma) to one labeled in it, for
-    the sigmas that have one.  Such an entry, from label a to label b,
-    crosses for exactly the faces sigma of b that are not faces of a; the
-    faces are found once per pair of labels."""
-    K, crossings, seen = C.K, {}, set()
-    for q, mat in sorted(C.diff.items()):
-        cols, rows = C.labels.get(q, ()), C.labels.get(q - 1, ())
-        for j, col in mat.columns():
-            for i, _ in col:
-                if (pair := (cols[j], rows[i])) in seen:
-                    continue
-                seen.add(pair)
-                a, b = pair
-                if K.has(a) and K.has(b):
-                    for sigma in K.closure(b):
-                        if not set(sigma) <= set(a):
-                            crossings.setdefault(sigma, q)
-    return crossings
 
 
 class RKMap(ChainMap):

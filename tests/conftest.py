@@ -5,7 +5,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import pytest
 
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace
+from rkdual.corpus import CORPUS_NAMES
+
+from oracles import corpus_kspace
 
 
 @pytest.fixture(scope="session")

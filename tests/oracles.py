@@ -7,7 +7,8 @@ Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
 brute-force enumeration.  The double dual with its evaluation, and the
 splitting over each star by two label cuts and two shared maps per label,
 are the blocked routes the package no longer takes, kept here to check the
-ones it does.
+ones it does.  The dense row views of a matrix and the corpus K-spaces are
+read by tests alone, so they are built here too.
 """
 
 from fractions import Fraction
@@ -16,8 +17,46 @@ from math import gcd
 
 import pytest
 
-from rkdual.linalg import ChainComplexError
+from rkdual.corpus import DOCUMENTS
+from rkdual.linalg import ChainComplexError, Matrix
 from rkdual.rkcore import RKComplex, RKMap, dual_star, identities
+from rkdual.simplicial import KSpace, SimplicialComplex, validate_kspace
+
+
+def corpus_kspace(name: str) -> KSpace:
+    """The K-space of the corpus document ``name``, from its one map."""
+    doc = DOCUMENTS[name]
+    (mp,) = doc["maps"].values()
+    X, K = (SimplicialComplex.build(doc["complexes"][mp[end]]["vertices"],
+                                    doc["complexes"][mp[end]]["simplices"])
+            for end in ("source", "target"))
+    return validate_kspace(X, K, mp["vertices"])
+
+
+def from_rows(ring, rows) -> Matrix:
+    """The matrix with the dense rows ``rows``, through the checked
+    constructor."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    return Matrix(ring, len(rows), ncols, {
+        (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+def to_rows(mat: Matrix) -> list:
+    """The dense rows of ``mat``, read from its columns."""
+    rows = [[mat.ring.zero] * mat.ncols for _ in range(mat.nrows)]
+    for j, col in mat.columns():
+        for i, v in col:
+            rows[i][j] = v
+    return rows
+
+
+def entry(mat: Matrix, i, j):
+    """The entry of ``mat`` at row i and column j; out of range raises."""
+    if not 0 <= i < mat.nrows:
+        raise IndexError(f"row {i} outside matrix")
+    return dict(mat.column(j)).get(i, mat.ring.zero)
 
 
 def det(rows):

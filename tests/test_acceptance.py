@@ -19,9 +19,11 @@ from rkdual.ballcomplex import induced_chain_map
 from rkdual.rkcore import dual_star_map
 from rkdual.capproduct import (EQUIVALENCES, verify_cap_chain_map,
                                verify_fundamental_cycles)
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace, document, random_kspaces
+from rkdual.corpus import CORPUS_NAMES, document, random_kspaces
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
+
+from oracles import corpus_kspace
 
 GF2 = Ring.prime_field(2)
 

@@ -4,9 +4,11 @@
 without the generators that a unit pivot of the one above cancelled.  Its
 result is compared here with the homology read from the Smith normal form
 of each whole differential, taken by the same kernel and by sympy.  The
-complexes are the mapping cones of ``verify`` on the corpus documents over
-Z, Q and Z/2, and seeded random complexes over Z with torsion, whose
-homology is also known from how they are built.
+complexes are those whose acyclicity ``verify`` decides on the corpus
+documents over Z, Q and Z/2 (the mapping cones, the kernels of split
+surjective diagonals, the lemma's star cuts and the exactness checks'
+three-term complexes), and seeded random complexes over Z with
+torsion, whose homology is also known from how they are built.
 """
 
 import glob
@@ -18,12 +20,12 @@ from math import gcd
 
 import pytest
 
-from rkdual import linalg
+from rkdual import duality, linalg
 from rkdual.checks import run_command
 from rkdual.linalg import ChainComplex, HomologyGroup, Matrix, homology
 from rkdual.rings import Ring, ZZ, QQ, GF2
 
-from oracles import dense_product, sympy_snf
+from oracles import dense_product, from_rows, sympy_snf, to_rows
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -54,7 +56,7 @@ def whole_kernel(mat):
 
 
 def by_sympy(mat):
-    return sympy_snf(mat.ring, mat.to_rows(), mat.ncols)
+    return sympy_snf(mat.ring, to_rows(mat), mat.ncols)
 
 
 def assert_cross_checked(cx):
@@ -66,19 +68,29 @@ def assert_cross_checked(cx):
 
 @pytest.fixture(scope="module")
 def cones():
-    """Every distinct mapping cone built by ``verify`` of the corpus
-    documents over Z, Q and Z/2."""
+    """Every distinct complex whose acyclicity a ``verify`` of the corpus
+    documents over Z, Q and Z/2 decides, with how it was built: "cone" for
+    a mapping cone, "kernel" for the kernel of a split surjective diagonal,
+    "other" for the rest (the lemma's star cuts, the exactness checks'
+    three-term complexes)."""
     seen = {}
-    original = linalg.mapping_cone
+    cone, kernel, acyclic = (linalg.mapping_cone, duality.split_kernel,
+                             linalg.is_acyclic)
+    bound = [(module, key) for name, module in list(sys.modules.items())
+             if name == "rkdual" or name.startswith("rkdual.")
+             for key, value in vars(module).items() if value is acyclic]
 
-    def record(f):
-        cone = original(f)
-        key = (cone.ring, tuple(sorted(cone.spaces.items())), frozenset(
-            (q, frozenset(mat.entries())) for q, mat in cone.diff.items()))
-        seen.setdefault(key, cone)
-        return cone
+    def keep(kind, cx):
+        if cx is not None:
+            key = (cx.ring, tuple(sorted(cx.spaces.items())), frozenset(
+                (q, frozenset(mat.entries())) for q, mat in cx.diff.items()))
+            seen.setdefault(key, (kind, cx))
+        return cx
 
-    linalg.mapping_cone = record
+    linalg.mapping_cone = lambda f: keep("cone", cone(f))
+    duality.split_kernel = lambda f: keep("kernel", kernel(f))
+    for module, key in bound:
+        setattr(module, key, lambda cx: acyclic(keep("other", cx)))
     try:
         for path in DOCUMENTS:
             with open(path, encoding="utf-8") as fh:
@@ -86,17 +98,20 @@ def cones():
             for ring in ("Z", "Q", "Z/2"):
                 assert run_command("verify", payload, ring_override=ring).passed
     finally:
-        linalg.mapping_cone = original
+        linalg.mapping_cone, duality.split_kernel = cone, kernel
+        for module, key in bound:
+            setattr(module, key, acyclic)
     return list(seen.values())
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "Z/2"])
 def test_homology_of_captured_cones_matches_the_per_degree_snf(cones, ring):
-    mine = [cx for cx in cones if str(cx.ring) == ring]
+    mine = [(kind, cx) for kind, cx in cones if str(cx.ring) == ring]
     assert len(DOCUMENTS) == 6
     assert len(mine) > 25
-    for cx in mine:
-        # every cone of a passing verify is acyclic
+    assert {kind for kind, _ in mine} == {"cone", "kernel", "other"}
+    for _, cx in mine:
+        # every complex a passing verify finds acyclic is acyclic
         assert all(h.is_trivial() for h in assert_cross_checked(cx).values())
 
 
@@ -155,7 +170,7 @@ def random_complex(rng, ring=ZZ):
             diag[i][j] = k
         rows = dense_product(dense_product(change[q - 1][0], diag, n),
                              change[q][1], n)
-        diff[q] = Matrix.from_rows(ring, rows)
+        diff[q] = from_rows(ring, rows)
     cx = ChainComplex(ring, {q: len(gs) for q, gs in basis.items()}, diff)
     want = {q: HomologyGroup(basis[q].count("free"), _diagonal_factors(
         [k for _, _, k in pairs.get(q + 1, ()) if abs(k) > 1]))

@@ -16,7 +16,7 @@ import pytest
 
 from rkdual import capproduct
 from rkdual.checks import parse_document
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace
+from rkdual.corpus import CORPUS_NAMES
 from rkdual.duality import tensor_r
 from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import RKMap, delta_chain, dual_star, simplicial_rk
@@ -25,7 +25,7 @@ from rkdual.simplicial import barycentric_subdivision, control_kspace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
-from oracles import blocked_tensor  # noqa: E402
+from oracles import blocked_tensor, corpus_kspace  # noqa: E402
 
 RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 

@@ -16,7 +16,7 @@ import pytest
 
 from rkdual.ballcomplex import BallComplex, dual_cell, dual_cones
 from rkdual.checks import KSpaceData, check_cells, parse_document
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace, random_kspace
+from rkdual.corpus import CORPUS_NAMES, random_kspace
 from rkdual.report import Report
 from rkdual.rings import ZZ
 from rkdual.rkcore import delta_complexes
@@ -25,6 +25,7 @@ from rkdual.simplicial import SimplicialComplex, barycentric_subdivision
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
+from oracles import corpus_kspace  # noqa: E402
 
 
 def scan_dual_cell(sigma, tau, prime):

@@ -211,8 +211,8 @@ def test_emit_cells_point_and_record_counts(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert lines == ["(p|p) 0"]
     from rkdual.ballcomplex import BallComplex
-    from rkdual.corpus import corpus_kspace
     from rkdual.simplicial import barycentric_subdivision
+    from oracles import corpus_kspace
     for name in CORPUS_NAMES:
         main(["emit-cells", write_doc(tmp_path, name)])
         lines = [l for l in capsys.readouterr().out.splitlines() if l]

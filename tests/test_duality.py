@@ -8,22 +8,24 @@ import pytest
 
 from rkdual import capproduct, checks, duality
 from rkdual.checks import parse_document, verify_kspace
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace
-from rkdual.linalg import (ChainComplexError, Matrix, homology,
-                           is_cone_acyclic, mapping_cone, smith_normal_form)
+from rkdual.corpus import CORPUS_NAMES
+from rkdual.linalg import (ChainComplexError, HomologyGroup, Matrix, homology,
+                           is_acyclic, is_cone_acyclic, mapping_cone,
+                           smith_normal_form)
 from rkdual.report import Report
 from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            delta_chain, delta_complexes, delta_star_k,
                            dual_star, dual_star_map, hom_rk,
                            maximal_label_ses)
-from rkdual.duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
-                            tensor_r, verify_diagonal_equivalence)
+from rkdual.duality import (Dualizer, hom_dual_iso, projection_map,
+                            split_kernel, tensor_k, tensor_r,
+                            verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
-from oracles import (blocked_tensor, double_dual, epsilon,
-                     hom_to_dual_via_double_dual)
+from oracles import (blocked_tensor, corpus_kspace, double_dual, epsilon,
+                     from_rows, hom_to_dual_via_double_dual, to_rows)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -154,7 +156,7 @@ def test_hom_dual_iso_on_a_point_is_the_identity(corpus):
     dstark = delta_star_k(pt.K, ZZ)
     psi = psi_of(dc.dx, dstark)
     psi.validate()
-    assert psi.component(0).to_rows() == [[1]]
+    assert to_rows(psi.component(0)) == [[1]]
 
 
 def test_hom_dual_iso_sign_in_odd_degrees():
@@ -165,7 +167,7 @@ def test_hom_dual_iso_sign_in_odd_degrees():
     psi = psi_of(C, D)
     (mat,) = [psi.component(q) for q in psi.degrees_hit()
               if not psi.component(q).is_zero()]
-    assert mat.to_rows() == [[-1]]
+    assert to_rows(mat) == [[-1]]
 
 
 def test_hom_dual_iso_rank_equality_on_the_edge(edge_ks):
@@ -201,7 +203,7 @@ def test_hom_dual_iso_into_t_is_the_route_through_the_double_dual(name):
         assert set(want) == {p for p in H.degrees() if H.rank(p)}
         for p, (gens, rows) in want.items():
             assert list(H.keys[p]) == gens
-            assert psi.component(p).to_rows() == [
+            assert to_rows(psi.component(p)) == [
                 [ring.coerce(v) for v in row] for row in rows], (name, p)
 
 
@@ -266,7 +268,7 @@ def test_collapse_on_a_point_is_an_isomorphism_up_to_sign(corpus):
         C = atom(pt.K, ("p",), q)
         _, e = collapse(dz, C)
         mat = e.component(q)
-        assert mat.to_rows() == [[(-1) ** (q % 2)]]
+        assert to_rows(mat) == [[(-1) ** (q % 2)]]
         eps = epsilon(C)
         assert mat == eps.component(q)
 
@@ -313,12 +315,12 @@ def test_single_label_collapse_is_an_isomorphism_there():
     K = build("abc")
     S = ("a", "b", "c")
     C = RKComplex(ZZ, K, False, {0: (S,), 1: (S,)},
-                  {1: Matrix.from_rows(ZZ, [[2]])})
+                  {1: from_rows(ZZ, [[2]])})
     dz = Dualizer(K, ZZ)
     _, e = collapse(dz, C)
     cm = e.diagonal_component(S)
     for q in (0, 1):
-        assert cm.component(q).to_rows() in ([[1]], [[-1]])
+        assert to_rows(cm.component(q)) in ([[1]], [[-1]])
     rep = verify_diagonal_equivalence(collapse(dz, C)[1], "double-dual")
     assert rep.passed
 
@@ -327,8 +329,8 @@ def test_diagonal_equivalence_rejects_non_chain_maps():
     K = build("abc")
     S = ("a", "b", "c")
     C = RKComplex(ZZ, K, False, {0: (S,), 1: (S,)},
-                  {1: Matrix.from_rows(ZZ, [[1]])})
-    bad = RKMap(C, C, {0: Matrix.from_rows(ZZ, [[1]]),
+                  {1: from_rows(ZZ, [[1]])})
+    bad = RKMap(C, C, {0: from_rows(ZZ, [[1]]),
                        1: Matrix.zero(ZZ, 1, 1)})
     with pytest.raises(ChainComplexError, match="not a chain map at degree 1"):
         verify_diagonal_equivalence(bad, "bad")
@@ -384,11 +386,8 @@ def per_label_failures(f):
                   if not is_cone_acyclic(f.diagonal_component(s)))
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
-def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
-                                                        ring):
-    # every map a verify certifies: the cone of the diagonal is the direct
-    # sum of the per-label cones, so its homology is theirs added up
+def certified_maps(monkeypatch, corpus, ring):
+    """Every map that a verify of the corpus over ``ring`` certifies."""
     certified = []
     verify = duality.verify_diagonal_equivalence
 
@@ -402,7 +401,15 @@ def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
         verify_kspace(report, name, ks, ring)
         assert report.checks and report.passed, name
     assert len(certified) == 6 * len(corpus)
-    for f in certified:
+    return certified
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
+                                                        ring):
+    # every map a verify certifies: the cone of the diagonal is the direct
+    # sum of the per-label cones, so its homology is theirs added up
+    for f in certified_maps(monkeypatch, corpus, ring):
         whole = homology(mapping_cone(f.diagonal()))
         parts = [homology(mapping_cone(f.diagonal_component(s)))
                  for s in f.src.K.all_simplices()]
@@ -411,14 +418,104 @@ def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
         assert is_cone_acyclic(f.diagonal()) == (per_label_failures(f) == [])
 
 
+def assert_kernel_is_the_cone_shifted(f):
+    """The kernel of the split surjective diagonal of ``f`` has the homology
+    of the cone of the diagonal one degree down: H_q(ker) = H_{q+1}(cone)."""
+    kernel = split_kernel(f)
+    assert kernel.total_rank() == f.src.total_rank() - f.tgt.total_rank()
+    cone = homology(mapping_cone(f.diagonal()))
+    got = {q + 1: h for q, h in homology(kernel).items()}
+    zero = HomologyGroup(0, ())
+    for q in set(got) | set(cone):
+        assert got.get(q, zero) == cone.get(q, zero)
+    assert is_acyclic(kernel) == is_cone_acyclic(f.diagonal())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+def test_the_kernel_decides_as_the_cone_of_the_diagonal_does(monkeypatch,
+                                                              corpus, ring):
+    split = 0
+    for f in certified_maps(monkeypatch, corpus, ring):
+        if split_kernel(f) is not None:
+            split += 1
+            assert_kernel_is_the_cone_shifted(f)
+    # the three double-dual collapses of every document, at least
+    assert split >= 3 * len(corpus)
+
+
+def count_diagonals(monkeypatch):
+    """The list of maps whose whole diagonal is taken from now on."""
+    calls, diagonal = [], RKMap.diagonal
+
+    def counted(f):
+        calls.append(f)
+        return diagonal(f)
+    monkeypatch.setattr(RKMap, "diagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+@pytest.mark.parametrize("top", [0, 2], ids=["R", "R-2->R"])
+def test_a_split_surjection_with_homology_in_its_kernel_names_its_label(
+        monkeypatch, ring, top):
+    # C ⊕ A -> C, C = (x -> u) at a plus w at ab, and A at ab: R in degree
+    # 0, or R --top--> R from degree 1, whose homology is R/2 (0 over Q).
+    # The kernel A decides it, with no whole cone, and it fails at ab alone
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+    C = RKComplex(ring, K, False, {0: (a, ab), 1: (a,)},
+                  {1: Matrix(ring, 2, 1, {(0, 0): 1})})
+    if top:                     # A = (y -> v) at ab, d y = top v
+        src = RKComplex(ring, K, False, {0: (a, ab, ab), 1: (a, ab)},
+                        {1: Matrix(ring, 3, 2, {(0, 0): 1, (2, 1): top})})
+    else:                       # A = v at ab
+        src = RKComplex(ring, K, False, {0: (a, ab, ab), 1: (a,)},
+                        {1: Matrix(ring, 3, 1, {(0, 0): 1})})
+    f = RKMap(src, C, {q: Matrix(ring, C.rank(q), src.rank(q), {
+        (i, i): 1 for i in range(C.rank(q))}) for q in C.degrees()})
+    assert split_kernel(f).total_rank() == (2 if top else 1)
+    assert_kernel_is_the_cone_shifted(f)
+    diagonals = count_diagonals(monkeypatch)
+    rep = verify_diagonal_equivalence(f, "summand")
+    fails = not (top and ring is QQ)
+    assert rep.passed is not fails
+    assert rep.failures() == per_label_failures(f)
+    assert rep.failures() == (["a.b"] if fails else [])
+    assert diagonals == []
+
+
+def test_a_diagonal_that_is_not_split_surjective_takes_the_whole_cone(
+        monkeypatch):
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+    C = RKComplex(ZZ, K, False, {0: (a, ab)}, {})
+    D = RKComplex(ZZ, K, False, {0: (a,)}, {})
+    twice = RKComplex(ZZ, K, False, {0: (a, a)}, {})
+    maps = {
+        "not a unit": RKMap(C, C, {0: from_rows(ZZ, [[1, 0], [0, 2]])}),
+        "two rows in a column": RKMap(D, twice,
+                                      {0: from_rows(ZZ, [[1], [1]])}),
+        "two columns on a row": RKMap(twice, D,
+                                      {0: from_rows(ZZ, [[1, 1]])}),
+        "a row missed": RKMap(D, C, {0: from_rows(ZZ, [[1], [0]])}),
+    }
+    diagonals = count_diagonals(monkeypatch)
+    for name, f in maps.items():
+        assert split_kernel(f) is None, name
+        diagonals.clear()
+        rep = verify_diagonal_equivalence(f, name)
+        assert diagonals == [f], name
+        assert rep.failures() == per_label_failures(f), name
+
+
 def test_a_diagonal_entry_scaled_by_two_fails_its_label_alone():
     # x -> u at a, w at ab; the identity with the entry of w scaled by 2 is
     # a chain map whose cone has homology Z/2 at ab alone
     K = build("ab")
     u, w, x = ("a",), ("a", "b"), ("a",)          # the labels
     C = RKComplex(ZZ, K, False, {0: (u, w), 1: (x,)},
-                  {1: Matrix.from_rows(ZZ, [[1], [0]])})
-    f = RKMap(C, C, {0: Matrix.from_rows(ZZ, [[1, 0], [0, 2]]),
+                  {1: from_rows(ZZ, [[1], [0]])})
+    f = RKMap(C, C, {0: from_rows(ZZ, [[1, 0], [0, 2]]),
                      1: Matrix.identity(ZZ, 1)})
     cone = homology(mapping_cone(f.diagonal()))
     assert [h.torsion for h in cone.values() if not h.is_trivial()] == [(2,)]
@@ -437,8 +534,8 @@ def test_a_sequence_not_exact_at_one_label_names_it():
         return RKComplex(ZZ, K, False, {1: tuple(s for s, _ in gens)}, {})
     sub, mid, quo = cx((ab, "u")), cx((a, "v"), (ab, "w")), cx((a, "z"))
     ses = ShortExactSequence(
-        RKMap(sub, mid, {1: Matrix.from_rows(ZZ, [[0], [2]])}),
-        RKMap(mid, quo, {1: Matrix.from_rows(ZZ, [[1, 0]])}))
+        RKMap(sub, mid, {1: from_rows(ZZ, [[0], [2]])}),
+        RKMap(mid, quo, {1: from_rows(ZZ, [[1, 0]])}))
     with pytest.raises(ChainComplexError,
                        match=f"^not exact at label {simplex_name(ab)}, "
                              f"degree 1$"):
@@ -454,9 +551,9 @@ def test_a_sequence_map_moving_a_label_up_is_not_label_diagonal():
     def cx(*gens):
         return RKComplex(ZZ, K, False, {1: tuple(s for s, _ in gens)}, {})
     sub, mid, quo = cx((a, "u")), cx((a, "v"), (ab, "w")), cx((a, "z"))
-    i = RKMap(sub, mid, {1: Matrix.from_rows(ZZ, [[0], [1]])}).validate()
+    i = RKMap(sub, mid, {1: from_rows(ZZ, [[0], [1]])}).validate()
     ses = ShortExactSequence(
-        i, RKMap(mid, quo, {1: Matrix.from_rows(ZZ, [[1, 0]])}))
+        i, RKMap(mid, quo, {1: from_rows(ZZ, [[1, 0]])}))
     with pytest.raises(ChainComplexError,
                        match="^sequence map is not label-diagonal$"):
         ses.validate()
@@ -468,9 +565,13 @@ def test_a_whole_equivalence_off_the_diagonal_fails_both_labels():
     K = build("ab")
     u, v = ("a",), ("a", "b")                     # the labels
     D = RKComplex(ZZ, K, False, {1: (u,), 0: (v,)},
-                  {1: Matrix.from_rows(ZZ, [[1]])})
-    f = RKMap(RKComplex(ZZ, K, False, {}, {}), D, {})
-    assert is_cone_acyclic(f)
-    rep = verify_diagonal_equivalence(f, "off-diagonal")
-    assert not rep.passed
-    assert rep.failures() == per_label_failures(f) == ["a", "a.b"]
+                  {1: from_rows(ZZ, [[1]])})
+    zero = RKComplex(ZZ, K, False, {}, {})
+    # into D the cone decides; out of D the diagonal is split surjective,
+    # and its kernel, all of D, keeps only its one-label differential
+    for f in (RKMap(zero, D, {}), RKMap(D, zero, {})):
+        assert is_cone_acyclic(f)
+        assert (split_kernel(f) is None) is (f.src is zero)
+        rep = verify_diagonal_equivalence(f, "off-diagonal")
+        assert not rep.passed
+        assert rep.failures() == per_label_failures(f) == ["a", "a.b"]

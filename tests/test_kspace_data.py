@@ -15,7 +15,6 @@ from rkdual import (ballcomplex, capproduct, checks, duality, linalg, rkcore,
                     simplicial)
 from rkdual.checks import (KSpaceData, parse_document, quick_sweep_kspace,
                            verify_kspace)
-from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer
 from rkdual.report import Report
 from rkdual.rings import QQ, ZZ
@@ -24,6 +23,7 @@ from rkdual.rkcore import RKComplex
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
+from oracles import corpus_kspace  # noqa: E402
 
 
 def counting(fn, calls):
@@ -326,8 +326,9 @@ def test_a_verify_multiplies_each_d_squared_at_most_once(monkeypatch, name):
     assert len(checked) == len(set(checked)) == len(calls)
 
 
-def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
-    running, cones, certified, full = [], [], [], []
+def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
+        monkeypatch):
+    running, routes, kernels, cones, certified, full = [], [], [], [], [], []
     guard = checks._guard
 
     def named(report, name, target, fn):
@@ -342,7 +343,15 @@ def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
             calls.append(running[-1] if running else None)
             return fn(*args, **kwargs)
         return recorded
+
+    def split(f, split_kernel=duality.split_kernel):
+        kernel = split_kernel(f)
+        routes.append((running[-1], "cone" if kernel is None else "kernel"))
+        return kernel
     monkeypatch.setattr(checks, "_guard", named)
+    monkeypatch.setattr(duality, "split_kernel", split)
+    monkeypatch.setattr(duality, "is_acyclic",
+                        by_check(duality.is_acyclic, kernels))
     rebind(monkeypatch, linalg.mapping_cone,
            by_check(linalg.mapping_cone, cones))
     rebind(monkeypatch, linalg.is_cone_acyclic,
@@ -352,14 +361,21 @@ def test_a_passing_verify_builds_one_cone_per_equivalence(monkeypatch):
     monkeypatch.setattr(rkcore.RKMap, "diagonal_component",
                         counting(rkcore.RKMap.diagonal_component, components))
     data = verified("id-torus-7")
-    # the cone of the direct sum of the diagonal components, once per
-    # certificate; a per-label cone is built only to name a failure
+    # every diagonal of a double-dual collapse, and of the subdivision dual
+    # on the torus, is split surjective on bases: its kernel decides it;
+    # the cell chains map into the subdivision chains, so those two take
+    # the cone.  One whole computation per certificate, and a per-label
+    # cone only to name a failure.
+    kernel_route = [f"double-dual/equivalence/{key}" for key in
+                    ("cochains", "subdivision-chains", "cell-chains")]
+    kernel_route.append("equivalences/subdivision-dual-to-cochains")
+    cone_route = ["equivalences/cells-to-subdivision",
+                  "equivalences/dual-to-subdivision"]
+    assert routes == [(name, "kernel") for name in kernel_route[:3]] + [
+        (name, "cone") for name in cone_route] + [(kernel_route[3], "kernel")]
+    assert kernels == kernel_route
+    assert certified == cones == cone_route
     assert components == []
-    assert sorted(certified) == sorted(cones) == sorted(
-        [f"double-dual/equivalence/{key}"
-         for key in ("cochains", "subdivision-chains", "cell-chains")]
-        + [f"equivalences/{name.replace(' ', '-')}"
-           for name in capproduct.EQUIVALENCES])
     # a star and its complement, once per label, by star-splitting alone
     labels = sum(1 for _ in data.ks.K.all_simplices())
     assert full == ["assembly/star-splitting"] * (2 * labels)

@@ -26,7 +26,7 @@ def test_rung_sizes():
         "grid-8-edge": (417, 3), "torus-8-circle": (384, 16),
         "torus-12-circle": (864, 24), "id-torus-7-q": (42, 42),
         "grid-8-edge-q": (417, 3), "id-rp2": (31, 31),
-        "id-simplex-5": (63, 63),
+        "id-simplex-5": (63, 63), "id-sphere-5": (126, 126),
     }
 
 

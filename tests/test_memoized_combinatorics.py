@@ -20,9 +20,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import ladder  # noqa: E402
 from rkdual.checks import (KSpaceData, Report, parse_document,  # noqa: E402
                            verify_kspace)
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace, random_kspace  # noqa: E402
+from rkdual.corpus import CORPUS_NAMES, random_kspace  # noqa: E402
 from rkdual.rings import ZZ  # noqa: E402
 from rkdual.simplicial import SimplicialComplex  # noqa: E402
+
+from oracles import corpus_kspace  # noqa: E402
 
 RUNGS = ("id-torus-7", "grid-4-edge", "id-rp2")
 

@@ -12,8 +12,9 @@ import json
 import os
 
 from rkdual.checks import KSpaceData
-from rkdual.corpus import corpus_kspace
 from rkdual.rings import ZZ
+
+from oracles import corpus_kspace
 
 NAMES = os.path.join(os.path.dirname(__file__), "data", "names-hex.json")
 

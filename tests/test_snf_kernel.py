@@ -22,7 +22,8 @@ from rkdual.checks import run_command
 from rkdual.linalg import Matrix, smith_normal_form
 from rkdual.rings import Ring, ZZ, QQ, GF2
 
-from oracles import invariant_factors_minors, row_reduce_rank, sympy_snf
+from oracles import (entry, from_rows, invariant_factors_minors,
+                     row_reduce_rank, sympy_snf, to_rows)
 
 GF3 = Ring.prime_field(3)
 DOCUMENTS = sorted(glob.glob(os.path.join(
@@ -46,7 +47,7 @@ def _rp2_d2():
 
 
 def _matrix(ring, rows, ncols):
-    return Matrix.from_rows(ring, rows) if rows else Matrix.zero(ring, 0, ncols)
+    return from_rows(ring, rows) if rows else Matrix.zero(ring, 0, ncols)
 
 
 def _random_rows(rng, m, n, entries):
@@ -97,7 +98,7 @@ def test_kernel_matches_sympy_on_captured_matrices(captured, ring):
     for mat, drop in mats:
         # the rows actually eliminated: the columns not left out
         kept = [j for j in range(mat.ncols) if j not in drop]
-        rows = mat.submatrix(range(mat.nrows), kept).to_rows()
+        rows = to_rows(mat.submatrix(range(mat.nrows), kept))
         assert all(type(v) is int for row in rows for v in row)
         got = smith_normal_form(mat, drop)
         assert got == sympy_snf(mat.ring, rows, len(kept)), mat
@@ -122,9 +123,9 @@ def test_kernel_matches_minor_and_row_reduction_oracles():
     for _ in range(200):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         rows = _random_rows(rng, m, n, [0, 0, 1, -1, 2, -3, 4])
-        assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
+        assert smith_normal_form(from_rows(ZZ, rows)) == \
             invariant_factors_minors(rows), rows
-        factors, rank = smith_normal_form(Matrix.from_rows(QQ, rows))
+        factors, rank = smith_normal_form(from_rows(QQ, rows))
         assert rank == row_reduce_rank(rows)
         assert factors == (QQ.one,) * rank
 
@@ -135,7 +136,7 @@ def test_kernel_matches_sympy():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = _random_rows(rng, m, n, [0, 0, 0, 1, -1, 2, -2, 3, 6])
         for ring in (ZZ, QQ, GF2, GF3):
-            assert smith_normal_form(Matrix.from_rows(ring, rows)) == \
+            assert smith_normal_form(from_rows(ring, rows)) == \
                 sympy_snf(ring, rows, n), (ring, rows)
 
 
@@ -147,18 +148,18 @@ def test_kernel_matches_sympy():
     ([[4, -2, 6], [6, 10, -4]], (2, 26)),   # negative, off the diagonal
 ])
 def test_matrices_without_unit_entries(rows, factors):
-    assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
+    assert smith_normal_form(from_rows(ZZ, rows)) == \
         (factors, len(factors))
     assert invariant_factors_minors(rows) == (factors, len(factors))
-    assert smith_normal_form(Matrix.from_rows(QQ, rows))[1] == len(factors)
+    assert smith_normal_form(from_rows(QQ, rows))[1] == len(factors)
 
 
 def test_rp2_boundary_has_one_factor_two():
     rows = _rp2_d2()
-    assert smith_normal_form(Matrix.from_rows(ZZ, rows)) == \
+    assert smith_normal_form(from_rows(ZZ, rows)) == \
         ((1,) * 9 + (2,), 10)
-    assert smith_normal_form(Matrix.from_rows(GF2, rows))[1] == 9
-    assert smith_normal_form(Matrix.from_rows(QQ, rows))[1] == 10
+    assert smith_normal_form(from_rows(GF2, rows))[1] == 9
+    assert smith_normal_form(from_rows(QQ, rows))[1] == 10
     assert row_reduce_rank(rows) == 10
 
 
@@ -188,21 +189,21 @@ def test_kernel_matches_sympy_on_torsion_heavy_matrices(m, n, steps):
     diagonal = (1,) * (k // 4) + (2,) * (k // 4) + (4,) * (k // 4)
     diagonal += (12,) * (k - len(diagonal))
     rows = _torsion_rows(rng, m, n, diagonal, steps)
-    got = smith_normal_form(Matrix.from_rows(ZZ, rows))
+    got = smith_normal_form(from_rows(ZZ, rows))
     assert got == (diagonal, k)
     assert got == sympy_snf(ZZ, rows, n)
-    assert smith_normal_form(Matrix.from_rows(GF2, rows))[1] == k // 4
-    assert smith_normal_form(Matrix.from_rows(GF3, rows))[1] == 3 * (k // 4)
+    assert smith_normal_form(from_rows(GF2, rows))[1] == k // 4
+    assert smith_normal_form(from_rows(GF3, rows))[1] == 3 * (k // 4)
 
 
 def _assert_kernel_leaves_unchanged(mat):
     """The kernel eliminates on copies: ``mat`` reads the same after it."""
-    dense = [[mat.entry(i, j) for j in range(mat.ncols)]
+    dense = [[entry(mat, i, j) for j in range(mat.ncols)]
              for i in range(mat.nrows)]
     data = dict(mat.entries())
     smith_normal_form(mat)
     assert dict(mat.entries()) == data
-    assert [[mat.entry(i, j) for j in range(mat.ncols)]
+    assert [[entry(mat, i, j) for j in range(mat.ncols)]
             for i in range(mat.nrows)] == dense
     assert mat == Matrix(mat.ring, mat.nrows, mat.ncols, data)
 
@@ -212,9 +213,9 @@ def test_kernel_leaves_its_input_unchanged(ring):
     rng = random.Random(9)
     for rows in [_rp2_d2()] + [_random_rows(rng, 6, 5, [0, 1, -1, 2])
                                for _ in range(20)]:
-        mat = Matrix.from_rows(ring, rows)
+        mat = from_rows(ring, rows)
         _assert_kernel_leaves_unchanged(mat)
-        assert mat == Matrix.from_rows(ring, rows)
+        assert mat == from_rows(ring, rows)
 
 
 def test_kernel_leaves_the_captured_verify_matrices_unchanged(captured):

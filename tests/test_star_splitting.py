@@ -1,5 +1,7 @@
-"""The splitting over each star of K, read from one scan, against the route
-that cuts the complex twice per label and validates two shared maps."""
+"""The splitting of the chains of X over each star of K, which
+``dx.validate()`` proves, against the route that cuts the complex twice per
+label and validates two shared maps; and the one scan of the star ranks,
+which the contractible-star lemma reads, against the ranks of the cuts."""
 
 import os
 import random
@@ -9,14 +11,14 @@ import pytest
 
 from rkdual import checks, rkcore
 from rkdual.checks import KSpaceData, parse_document
-from rkdual.corpus import CORPUS_NAMES, corpus_kspace
-from rkdual.linalg import Matrix
+from rkdual.corpus import CORPUS_NAMES
+from rkdual.linalg import ChainComplexError, Matrix
 from rkdual.report import Report
 from rkdual.rings import GF2, QQ, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem, delta_chain,
-                           dual_star, star_crossings, star_ranks)
+                           dual_star, star_ranks)
 
-from oracles import star_splitting_by_cuts
+from oracles import corpus_kspace, star_splitting_by_cuts
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -32,30 +34,42 @@ def kspace(name):
 
 
 def by_scan(C):
-    """Per simplex of K whose star is not all of K, the pair (the ranks of
-    the star and the rest add up, the first crossing degree or None)."""
-    ranks, crossings = star_ranks(C), star_crossings(C)
-    return {sigma: (sum(ranks[sigma]) == C.total_rank(),
-                    crossings.get(sigma))
+    """Per simplex of K whose star is not all of K, whether the ranks of
+    the star and the rest add up, read from :func:`star_ranks`."""
+    ranks = star_ranks(C)
+    return {sigma: sum(ranks[sigma]) == C.total_rank()
             for sigma in C.K.all_simplices() if len(C.K.star(sigma)) < len(ranks)}
 
 
-def first_failure(verdicts):
-    return next(((sigma, v) for sigma, v in verdicts.items()
-                 if v != (True, None)), None)
+def ranks_of(cut):
+    return {sigma: ranked for sigma, (ranked, _) in cut.items()}
+
+
+def crossings(cut):
+    return {sigma: q for sigma, (_, q) in cut.items() if q is not None}
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=str)
 @pytest.mark.parametrize("name", NAMES)
 def test_the_scan_gives_the_verdicts_of_the_cuts(name, ring):
     dx = delta_chain(kspace(name), ring)
-    # on the chains every star is a quotient; on the cochains it is a
-    # subcomplex, so the rest's inclusion fails wherever an entry crosses
     for C in (dx, dual_star(dx)):
-        assert by_scan(C) == star_splitting_by_cuts(C)
-    assert first_failure(by_scan(dx)) is None
-    crossed = first_failure(by_scan(dual_star(dx)))
-    assert crossed is not None or len(list(dx.K.all_simplices())) == 1
+        assert by_scan(C) == ranks_of(star_splitting_by_cuts(C))
+        assert all(by_scan(C).values())
+    # on the cochains each star is a subcomplex, not a quotient, so the
+    # rest's inclusion fails wherever an entry crosses: the oracle can fail
+    crossed = crossings(star_splitting_by_cuts(dual_star(dx)))
+    assert crossed or len(list(dx.K.all_simplices())) == 1
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *dict(ladder.RUNGS)])
+def test_the_cuts_find_no_crossing_on_a_validated_complex(name):
+    # support over the opposite order sends an entry from label a to a face
+    # of a, so once the chains validate no entry enters a star from outside
+    dx = delta_chain(kspace(name), ZZ).validate()
+    cut = star_splitting_by_cuts(dx)
+    assert all(ranks_of(cut).values()) and crossings(cut) == {}
+    assert cut or len(list(dx.K.all_simplices())) == 1
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -88,10 +102,17 @@ def off_the_support(C, seed):
 @pytest.mark.parametrize("name", ["hex", "id2", "tri", "id-torus-7"])
 def test_an_entry_off_the_support_is_found_by_both_routes(name, seed):
     dx, q = off_the_support(delta_chain(kspace(name), ZZ), seed)
-    scanned = by_scan(dx)
-    assert scanned == star_splitting_by_cuts(dx)
-    sigma, (ranked, degree) = first_failure(scanned)
-    assert ranked and degree == q
+    # the cuts see the entry cross into a star at its degree; validation
+    # sees it break the support there, and star-splitting fails with it
+    assert set(crossings(star_splitting_by_cuts(dx)).values()) == {q}
+    data = verify_data(name)
+    data.deltas.dx = dx
+    report = Report("verify", "Z")
+    checks.check_assembly(report, name, data)
+    assert not report.passed
+    with pytest.raises(ChainComplexError,
+                       match=f"support violated by d at degree {q}:"):
+        dx.validate()
 
 
 def test_a_label_off_k_fails_the_ranks_of_both_routes():
@@ -99,10 +120,10 @@ def test_a_label_off_k_fails_the_ranks_of_both_routes():
     labels = dict(dx.labels)
     labels[0] = (("nowhere",),) + labels[0][1:]
     C = RKComplex(dx.ring, dx.K, dx.op, labels, dx.diff, name=dx.name)
-    # the ranks fail first at every label, so the crossings go unread
-    scanned, cut = by_scan(C), star_splitting_by_cuts(C)
+    # a generator off K lies in no star and in no rest
+    scanned, cut = by_scan(C), ranks_of(star_splitting_by_cuts(C))
     assert scanned.keys() == cut.keys()
-    assert not any(ranked for ranked, _ in [*scanned.values(), *cut.values()])
+    assert not any([*scanned.values(), *cut.values()])
 
 
 def verify_data(name):

@@ -12,10 +12,9 @@ f* ⊗ 1 from ``Dualizer.map`` on the maps a verify tensors and dualizes.
 """
 
 import pytest
-from oracles import blocked_tensor, tensor_map
+from oracles import blocked_tensor, corpus_kspace, tensor_map, to_rows
 
 from rkdual.checks import KSpaceData
-from rkdual.corpus import corpus_kspace
 from rkdual.duality import Dualizer, tensor_k, tensor_map_left, tensor_r
 from rkdual.linalg import ChainComplexError
 from rkdual.rings import QQ, ZZ, Ring
@@ -25,7 +24,7 @@ RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
 
 def dense(C):
-    return C.labels, {q: mat.to_rows() for q, mat in C.diff.items()}
+    return C.labels, {q: to_rows(mat) for q, mat in C.diff.items()}
 
 
 def inputs(name, ring):
@@ -55,7 +54,7 @@ def test_tensor_matches_the_dense_definition(name, ring, build, keep_all):
             if want is None:
                 assert q not in got.diff
             else:
-                assert got.d(q).to_rows() == [[ring.coerce(v) for v in row]
+                assert to_rows(got.d(q)) == [[ring.coerce(v) for v in row]
                                               for row in want]
 
 
@@ -74,14 +73,14 @@ def rows_of(f, transpose=False):
     """The row lists of each component of f, or of its transpose placed at
     the negated degree (the dual map f*)."""
     if not transpose:
-        return {q: mat.to_rows() for q, mat in f.comps.items()}
-    return {-q: [list(col) for col in zip(*mat.to_rows())]
+        return {q: to_rows(mat) for q, mat in f.comps.items()}
+    return {-q: [list(col) for col in zip(*to_rows(mat))]
             for q, mat in f.comps.items()}
 
 
 def assert_matches(got, want, ring):
     for q in got.src.degrees():
-        assert got.component(q).to_rows() == [
+        assert to_rows(got.component(q)) == [
             [ring.coerce(v) for v in row] for row in want[q]], q
 
 
