@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 from .linalg import smith_normal_form
 from .rkcore import RKComplex, RKMap, delta_chain, dual_star, simplicial_rk
-from .duality import (Dualizer, left_keys, projection_map, tensor_k,
-                      tensor_r, verify_diagonal_equivalence)
+from .duality import (Dualizer, left_keys, tensor_k,
+                      verify_diagonal_equivalence)
 from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
 from .ballcomplex import CellularComplex
@@ -266,29 +266,33 @@ def cochain_pullback(ks: KSpace, orientation) -> dict:
     return table
 
 
-def verify_cap_factorization(ks: KSpace, data: CellChainData,
-                             dualizer: Dualizer) -> bool:
+def verify_cap_factorization(ks: KSpace, data: CellChainData) -> bool:
     """The defining property of the cell map: capping in X after pulling
     cochains back through pi agrees with the cell map after projecting the
-    full tensor onto the blocked one.  ``dualizer`` holds the cochains of K
-    in the basis of the cell map's orientation."""
+    full tensor of the chains of X with the cochains of K onto the blocked
+    one, ``data.cellular.rk``.
+
+    It is decided on the blocked tensor alone.  The pullback of rho* is
+    supported on the simplices S that pi maps onto rho, and only a face S
+    of T caps against T, so a pair T ⊗ rho* caps to zero unless rho =
+    pi(S) ⊆ pi(T): exactly the pairs the projection kills.  Off the blocked
+    pairs both sides vanish, and on them the projection is the identity,
+    so the identity holds on the full tensor exactly when the cap after the
+    pullback equals the cell map on the blocked one.
+    """
     bx = data.cellular.orientation.bx
     pullback = {rho: dict(pairs) for rho, pairs in
                 cochain_pullback(ks, data.cellular.orientation).items()}
-    proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
-                          data.cellular.rk)
-    dxp, full = data.deltas.dx_prime, proj.src
-    # the pair T ⊗ rho* is labeled by rho
-    simplices = left_keys(full, data.deltas.dx.keys)
+    dxp, cells = data.deltas.dx_prime, data.cellular.cells
 
     def images(q, k):
-        T, signs = simplices[q][k], pullback.get(full.labels[q][k], {})
+        T, rho = cells[q][k]
+        signs = pullback.get(rho, {})
         for S in ks.X.closure(T):        # only a face of T caps against T
             if S in signs:
                 for flag, c in cap_product(ks.X, T, S, bx).items():
                     yield dxp.index_of(q, flag), signs[S] * c
-    lhs = RKMap.from_images(full, dxp, images)
-    return lhs == data.map.compose(proj)
+    return RKMap.from_images(data.cellular.rk, dxp, images) == data.map
 
 
 @dataclass

@@ -156,10 +156,7 @@ class KSpaceData:
     Each object a verify reads has one construction site: a cached
     property here if two check groups read it, else its one reader.
     Builders and certificates take the objects they use as arguments, so a
-    check that runs alone builds only what it reads.  The one exception is
-    the full tensor of the chains of X with the cochains of K: each of its
-    two readers builds it, since kept here it would live through the cap
-    checks, where a verify peaks.
+    check that runs alone builds only what it reads.
     """
 
     ks: KSpace
@@ -315,11 +312,18 @@ def check_assembly(report: Report, target: str, data: KSpaceData):
 
 
 def check_lemmas(report: Report, target: str, data: KSpaceData):
+    """The contractible-star lemma at each maximal simplex S of K.
+
+    Its verdicts at the faces of S depend on dim S alone, so the lemma is
+    computed once per dimension, on the standard simplex, into a table this
+    call keeps, and each S reads them through its relabelling.
+    """
     maximal = [s for s in data.ks.K.all_simplices()
                if all(not set(s) < set(t) for t in data.ks.K.star(s))]
+    table = {}
     for S in maximal:
         def body(S=S):
-            rep = check_lemma_clem(data.ks.K, S, data.ring)
+            rep = check_lemma_clem(data.ks.K, S, data.ring, table)
             bad = sorted(simplex_name(s) for s, (_, ok) in rep.verdicts.items()
                          if not ok)
             return rep.passed, ({"failures": bad} if bad else {})
@@ -493,8 +497,7 @@ def check_cap(report: Report, target: str, data: KSpaceData):
     _guard(report, "cap/chain-map-and-pairing/control", target, k_body)
 
     def fact_body():
-        return verify_cap_factorization(data.ks, data.fundamental_cycles,
-                                        data.dualizer), {}
+        return verify_cap_factorization(data.ks, data.fundamental_cycles), {}
     _guard(report, "cap/factorization", target, fact_body)
 
     def mono_body():

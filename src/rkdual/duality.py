@@ -19,7 +19,8 @@ identity up to chain equivalence.  That is certified on the diagonal of the
 map, the direct sum of its one-label components, by one whole homology
 computation: when the diagonal is split surjective on bases, as every
 collapse's is, the homology of its kernel, which vanishes exactly when the
-cone does; otherwise the cone of the diagonal, acyclic iff each
+cone does; when it is split injective on bases, as the cell map's is, that
+of its cokernel; otherwise the cone of the diagonal, acyclic iff each
 component's cone is.
 
 Koszul signs: d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, and the Hom-to-dual
@@ -318,40 +319,108 @@ class EquivalenceReport:
                       if not ok)
 
 
+def _one_label_columns(f: RKMap, q):
+    """The nonzero columns of the diagonal of ``f`` in degree q, as (j, its
+    [(i, value)] between generators of one label), in storage order."""
+    cols, rows = f.src.labels.get(q, ()), f.tgt.labels.get(q, ())
+    for j, col in f.comps[q].columns() if q in f.comps else ():
+        if on := [(i, v) for i, v in col if rows[i] == cols[j]]:
+            yield j, on
+
+
+def _reduced(C: RKComplex, kept, also, rewrite) -> ChainComplex:
+    """The complex on the generators ``kept[q]`` of each degree q of ``C``,
+    with the one-label differential of ``C``: the kept generator j stands
+    for e_j + c·e_p where ``also[q][j]`` = (p, c), else for e_j, and an
+    image e_i counts at the place of i among the kept generators, or, off
+    them, as the sum of s·e_k over the pairs (k, s) of ``rewrite[q][i]``,
+    or as 0."""
+    diff = {}
+    for q, mat in C.diff.items():
+        if q not in kept or q - 1 not in kept:
+            continue
+        above, below, cols = C.labels[q], C.labels[q - 1], {}
+        places = {i: b for b, i in enumerate(kept[q - 1])}
+        extra, rewrites = also.get(q, {}), rewrite.get(q - 1, {})
+        for b, j in enumerate(kept[q]):
+            col = cols[b] = {}
+            for k, c in ((j, 1), extra[j]) if j in extra else ((j, 1),):
+                for i, v in mat.column(k):
+                    if below[i] != above[k]:
+                        continue
+                    if (a := places.get(i)) is not None:
+                        col[a] = col[a] + c * v if a in col else c * v
+                    for i2, s in rewrites.get(i, ()):
+                        a, w = places[i2], c * s * v
+                        col[a] = col[a] + w if a in col else w
+        diff[q] = Matrix._from_sums(C.ring, len(places), len(kept[q]), cols)
+    return ChainComplex(C.ring, {q: len(js) for q, js in kept.items()}, diff)
+
+
 def split_kernel(f: RKMap):
     """The kernel of the diagonal of ``f`` when that diagonal is split
     surjective on bases, else None.
 
     Split surjective on bases means, in every degree: each column of the
     diagonal (the entries of ``f`` between generators of one label) is zero
-    or one unit entry, no two columns share a row, and every generator of
-    ``f.tgt`` is hit.  The kernel is then the span of the zero columns, a
-    subcomplex of the one-label differential of ``f.src`` for a chain map
-    ``f``; it is returned on those generators, in their order.
+    or one unit entry, and every generator of ``f.tgt`` is hit.  Of the
+    columns that hit a row, the first, p, is its pivot.  The kernel has the
+    basis e_j for a zero column j and e_j - v_j v_p⁻¹ e_p for a column j
+    off the pivots that hits the row of p (v_j, v_p the entries), so a
+    kernel vector's coordinates are its entries off the pivots.  For a
+    chain map ``f`` it is a subcomplex of the one-label differential of
+    ``f.src``, returned on the columns off the pivots, in their order.
     """
-    src, unit, kept = f.src, f.src.ring.is_unit, {}
+    src, ring, kept, also = f.src, f.src.ring, {}, {}
     for q in set(src.degrees()) | set(f.tgt.degrees()):
-        cols, rows, hit = src.labels.get(q, ()), f.tgt.labels.get(q, ()), {}
-        for j, col in f.comps[q].columns() if q in f.comps else ():
-            if on := [(i, v) for i, v in col if rows[i] == cols[j]]:
-                (i, v), *more = on
-                if more or i in hit or not unit(v):
-                    return None
-                hit[i] = j
-        if len(hit) != len(rows):
+        pivots = {}                 # row -> (its pivot column, v_p)
+        for j, on in _one_label_columns(f, q):
+            (i, v), *more = on
+            if more or not ring.is_unit(v):
+                return None
+            if (pivot := pivots.get(i)) is None:
+                pivots[i] = j, v
+            else:
+                p, v_p = pivot
+                also.setdefault(q, {})[j] = p, -v * ring.invert(v_p)
+        if len(pivots) != f.tgt.rank(q):
             return None
-        taken = set(hit.values())
-        kept[q] = [j for j in range(len(cols)) if j not in taken]
-    diff = {}
-    for q, mat in src.diff.items():
-        above, below = src.labels[q], src.labels[q - 1]
-        at = {i: a for a, i in enumerate(kept[q - 1])}
-        diff[q] = Matrix._from_sums(src.ring, len(at), len(kept[q]), {
-            b: {a: v for i, v in mat.column(j)
-                if (a := at.get(i)) is not None and below[i] == above[j]}
-            for b, j in enumerate(kept[q])})
-    return ChainComplex(src.ring, {q: len(js) for q, js in kept.items()},
-                        diff)
+        taken = {p for p, _ in pivots.values()}
+        kept[q] = [j for j in range(src.rank(q)) if j not in taken]
+    return _reduced(src, kept, also, {})
+
+
+def split_cokernel(f: RKMap):
+    """The cokernel of the diagonal of ``f`` when that diagonal is split
+    injective on bases, else None.
+
+    Split injective on bases means, in every degree: the columns of the
+    diagonal have pairwise disjoint supports, and each column j holds a
+    unit entry u_j, the first, at its pivot row p_j.  The diagonal is then
+    injective, its image a direct summand, and the quotient has the basis
+    of the rows off the pivots: e_{p_j} is e_{p_j} - f(e_j)/u_j there,
+    -u_j⁻¹ times the rest of column j, which lies off the pivots since the
+    supports are disjoint.  For a chain map ``f`` the quotient's
+    differential is the one-label differential of ``f.tgt`` on the rows
+    off the pivots, each pivot row in an image so rewritten.
+    """
+    tgt, ring, kept, rest = f.tgt, f.tgt.ring, {}, {}
+    for q in set(f.src.degrees()) | set(tgt.degrees()):
+        seen, pivots = set(), 0
+        for _, on in _one_label_columns(f, q):
+            p, u = next(((i, v) for i, v in on if ring.is_unit(v)),
+                        (None, None))
+            support = {i for i, _ in on}
+            if p is None or support & seen:
+                return None
+            seen |= support
+            pivots += 1
+            c = -ring.invert(u)
+            rest.setdefault(q, {})[p] = [(i, c * v) for i, v in on if i != p]
+        if pivots != f.src.rank(q):
+            return None
+        kept[q] = [i for i in range(tgt.rank(q)) if i not in rest.get(q, ())]
+    return _reduced(tgt, kept, {}, rest)
 
 
 def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
@@ -365,21 +434,25 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     of the per-label components, is a chain map of complexes with d∘d = 0.
     Its cone is acyclic exactly when every per-label cone is: homology over
     Z, Q and Z/p adds up, torsion included.  When the diagonal is split
-    surjective on bases (:func:`split_kernel`), no cone is built: by the
-    long exact sequence of 0 -> ker -> src -> tgt -> 0, free and split in
-    each degree, the cone is acyclic exactly when the kernel is, so the
-    kernel's homology decides every label at once (the Gaussian-elimination
-    lemma, applied before the cone).  Any other diagonal goes through the
-    whole cone.  Only when the whole verdict fails is each label's cone
-    built, to name the labels that fail.
+    surjective on bases (:func:`split_kernel`) or split injective on bases
+    (:func:`split_cokernel`), no cone is built: by the long exact sequence
+    of 0 -> ker -> src -> tgt -> 0, or of 0 -> src -> tgt -> coker -> 0,
+    free and split in each degree, H_q(ker) = H_{q+1}(cone) and H_q(coker)
+    = H_q(cone), so the kernel's or the cokernel's homology decides every
+    label at once (the Gaussian-elimination lemma, applied before the
+    cone).  Any other diagonal goes through the whole cone.  Only when the
+    whole verdict fails is each label's cone built, to name the labels
+    that fail.
     """
     f.src.validate()
     f.tgt.validate()
     f.validate()
     labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    kernel = split_kernel(f)
-    whole = (is_cone_acyclic(f.diagonal()) if kernel is None else
-             is_acyclic(kernel))
+    reduced = split_kernel(f)
+    if reduced is None:
+        reduced = split_cokernel(f)
+    whole = (is_cone_acyclic(f.diagonal()) if reduced is None else
+             is_acyclic(reduced))
     verdicts = (dict.fromkeys(labels, True) if whole else
                 {sigma: is_cone_acyclic(f.diagonal_component(sigma))
                  for sigma in labels})

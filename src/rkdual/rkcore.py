@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .linalg import (ChainComplex, ChainComplexError, ChainMap, Matrix,
                      is_acyclic)
-from .simplicial import (InputError, KSpace, SimplicialComplex, SimplicialMap,
-                         chain_complex, control_kspace, derived_kspace,
-                         simplex_name)
+from .simplicial import (InputError, KSpace, SimplicialComplex, chain_complex,
+                         control_kspace, derived_kspace, simplex_name)
 
 
 class RKComplex(ChainComplex):
@@ -498,36 +498,54 @@ class ClemReport:
     passed: bool
 
 
-def check_lemma_clem(K: SimplicialComplex, S, ring) -> ClemReport:
+def simplex_lemma(n, ring):
+    """The contractible-star lemma on the standard simplex Δⁿ, the closed
+    simplex on the vertices 0, ..., n, over itself.
+
+    Returns its cochains and, per face of Δⁿ, what its star-assembly must
+    be and whether it is: acyclic at every face but the top, and at the
+    top one copy of the ring in degree -n.  The cochains are validated
+    once, before they are cut to each star: a full cut of a valid complex
+    is valid, and stars are full.
+    """
+    top = tuple(range(n + 1))
+    delta = SimplicialComplex._from_closed(
+        top, [s for k in range(1, n + 2) for s in combinations(top, k)])
+    dstar = dual_star(delta_chain(control_kspace(delta), ring)).validate()
+    faces = {}
+    for sigma in delta.all_simplices():
+        sub = dstar.sub(delta.star(sigma))
+        faces[sigma] = (
+            ("rank one at top degree",
+             sub.total_rank() == sub.rank(-n) == 1) if sigma == top else
+            ("acyclic", is_acyclic(sub)))
+    return dstar, faces
+
+
+def check_lemma_clem(K: SimplicialComplex, S, ring, table=None) -> ClemReport:
     """Cochains of the closed simplex S, assembled over each star.
 
     For a maximal S the star-assembly is acyclic at every other face of S,
     at S itself it is one copy of the ring in degree -dim S, and off S it
-    is zero.  One scan of the cochains' labels counts the generators in
-    every star (:func:`star_ranks`), which decides the zeros; the cochains
-    are cut to a star, and the cut's homology computed, only at the faces
-    of S.
+    is zero.  The order-preserving relabelling of Δⁿ onto S, n = dim S,
+    carries the cochains of Δⁿ, with their signs, onto those of S and each
+    star cut onto a star cut, so the verdicts at the faces of S are those
+    of :func:`simplex_lemma`, read from ``table`` (n -> its value, filled
+    on first use) when given.  One scan of the relabelled cochains' labels
+    counts the generators in every star of K (:func:`star_ranks`), which
+    decides the zeros.
     """
     S = K.canonical(S)
     if any(set(S) < set(t) for t in K.star(S)):
         raise InputError(f"{simplex_name(S)} is not maximal")
-    X = SimplicialComplex([v for v in K.vertices if v in set(S)], [S])
-    ks = KSpace(X, K, SimplicialMap(X, K, {v: v for v in X.vertices}))
-    # validated once: a full cut of a valid complex is valid
-    dstar = dual_star(delta_chain(ks, ring)).validate()
-    ranks = star_ranks(dstar)
-    verdicts = {}
-    ok = True
-    for sigma in K.all_simplices():
-        if not set(sigma) <= set(S):
-            good = ranks[sigma][0] == 0
-            verdicts[sigma] = ("zero", good)
-        elif sigma == S:        # one generator, in degree -dim S
-            sub = dstar.sub(K.star(sigma))      # stars are full
-            good = sub.total_rank() == sub.rank(1 - len(S)) == 1
-            verdicts[sigma] = ("rank one at top degree", good)
-        else:
-            good = is_acyclic(dstar.sub(K.star(sigma)))
-            verdicts[sigma] = ("acyclic", good)
-        ok = ok and good
-    return ClemReport(S, verdicts, ok)
+    table = {} if table is None else table
+    if (lemma := table.get(len(S) - 1)) is None:
+        lemma = table[len(S) - 1] = simplex_lemma(len(S) - 1, ring)
+    dstar, faces = lemma
+    relabel = {face: tuple(S[i] for i in face) for face in faces}
+    ranks = star_ranks(RKComplex(ring, K, True, {
+        q: map(relabel.get, ls) for q, ls in dstar.labels.items()}, {}))
+    verdicts = {sigma: ("zero", ranks[sigma][0] == 0)
+                for sigma in K.all_simplices()}
+    verdicts.update((relabel[face], v) for face, v in faces.items())
+    return ClemReport(S, verdicts, all(ok for _, ok in verdicts.values()))

@@ -4,11 +4,13 @@ These deliberately avoid the code paths they check: invariant factors come
 from determinantal divisors (gcds of k-minors) or from sympy, ranks from
 fraction row-reduction, matrix products, cone blocks, label cuts and the
 Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
-brute-force enumeration.  The double dual with its evaluation, and the
+brute-force enumeration.  The double dual with its evaluation, the
 splitting over each star by two label cuts and two shared maps per label,
-are the blocked routes the package no longer takes, kept here to check the
-ones it does.  The dense row views of a matrix and the corpus K-spaces are
-read by tests alone, so they are built here too.
+the contractible-star lemma computed on each maximal simplex's own
+cochains, and the cap factorization on the full tensor are the routes the
+package no longer takes, kept here to check the ones it does.  The dense
+row views of a matrix and the corpus K-spaces are read by tests alone, so
+they are built here too.
 """
 
 from fractions import Fraction
@@ -18,9 +20,13 @@ from math import gcd
 import pytest
 
 from rkdual.corpus import DOCUMENTS
-from rkdual.linalg import ChainComplexError, Matrix
-from rkdual.rkcore import RKComplex, RKMap, dual_star, identities
-from rkdual.simplicial import KSpace, SimplicialComplex, validate_kspace
+from rkdual.capproduct import cap_product, cochain_pullback
+from rkdual.duality import left_keys, projection_map, tensor_r
+from rkdual.linalg import ChainComplexError, Matrix, is_acyclic
+from rkdual.rkcore import (ClemReport, RKComplex, RKMap, delta_chain,
+                           dual_star, identities, star_ranks)
+from rkdual.simplicial import (InputError, KSpace, SimplicialComplex,
+                               SimplicialMap, simplex_name, validate_kspace)
 
 
 def corpus_kspace(name: str) -> KSpace:
@@ -352,3 +358,50 @@ def star_splitting_by_cuts(dx: RKComplex) -> dict:
             degree = int(str(exc).removeprefix("not a chain map at degree "))
         verdicts[sigma] = ranked, degree
     return verdicts
+
+
+def lemma_on_its_own_cochains(K, S, ring) -> ClemReport:
+    """The contractible-star lemma at the maximal simplex S of K, on the
+    cochains of the closed simplex S itself, built, validated, counted and
+    cut to each star at S alone."""
+    S = K.canonical(S)
+    if any(set(S) < set(t) for t in K.star(S)):
+        raise InputError(f"{simplex_name(S)} is not maximal")
+    X = SimplicialComplex([v for v in K.vertices if v in set(S)], [S])
+    ks = KSpace(X, K, SimplicialMap(X, K, {v: v for v in X.vertices}))
+    dstar = dual_star(delta_chain(ks, ring)).validate()
+    ranks = star_ranks(dstar)
+    verdicts = {}
+    for sigma in K.all_simplices():
+        if not set(sigma) <= set(S):
+            verdicts[sigma] = ("zero", ranks[sigma][0] == 0)
+        elif sigma == S:        # one generator, in degree -dim S
+            sub = dstar.sub(K.star(sigma))
+            verdicts[sigma] = ("rank one at top degree",
+                               sub.total_rank() == sub.rank(1 - len(S)) == 1)
+        else:
+            verdicts[sigma] = ("acyclic", is_acyclic(dstar.sub(K.star(sigma))))
+    return ClemReport(S, verdicts, all(ok for _, ok in verdicts.values()))
+
+
+def cap_on_the_full_tensor(ks, data, dualizer):
+    """The cap after the pullback on the full tensor of the chains of X
+    with the cochains of K, and the projection of that tensor onto the
+    blocked one, for the cell map ``data`` (a ``CellChainData``) and the
+    cochains of K held by ``dualizer``.  The cap factorization holds when
+    the first map equals the cell map after the second."""
+    bx = data.cellular.orientation.bx
+    pullback = {rho: dict(pairs) for rho, pairs in
+                cochain_pullback(ks, data.cellular.orientation).items()}
+    proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
+                          data.cellular.rk)
+    dxp, full = data.deltas.dx_prime, proj.src
+    simplices = left_keys(full, data.deltas.dx.keys)
+
+    def images(q, k):
+        T, signs = simplices[q][k], pullback.get(full.labels[q][k], {})
+        for S in ks.X.closure(T):
+            if S in signs:
+                for flag, c in cap_product(ks.X, T, S, bx).items():
+                    yield dxp.index_of(q, flag), signs[S] * c
+    return RKMap.from_images(full, dxp, images), proj

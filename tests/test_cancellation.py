@@ -5,10 +5,11 @@ without the generators that a unit pivot of the one above cancelled.  Its
 result is compared here with the homology read from the Smith normal form
 of each whole differential, taken by the same kernel and by sympy.  The
 complexes are those whose acyclicity ``verify`` decides on the corpus
-documents over Z, Q and Z/2 (the mapping cones, the kernels of split
-surjective diagonals, the lemma's star cuts and the exactness checks'
-three-term complexes), and seeded random complexes over Z with
-torsion, whose homology is also known from how they are built.
+documents over Z, Q and Z/2 (the kernels of split surjective diagonals,
+the cokernels of split injective ones, the lemma's star cuts and the
+exactness checks' three-term complexes; a passing verify builds no mapping
+cone), and seeded random complexes over Z with torsion, whose homology is
+also known from how they are built.
 """
 
 import glob
@@ -71,11 +72,13 @@ def cones():
     """Every distinct complex whose acyclicity a ``verify`` of the corpus
     documents over Z, Q and Z/2 decides, with how it was built: "cone" for
     a mapping cone, "kernel" for the kernel of a split surjective diagonal,
-    "other" for the rest (the lemma's star cuts, the exactness checks'
-    three-term complexes)."""
+    "cokernel" for the cokernel of a split injective one, "other" for the
+    rest (the lemma's star cuts, the exactness checks' three-term
+    complexes)."""
     seen = {}
-    cone, kernel, acyclic = (linalg.mapping_cone, duality.split_kernel,
-                             linalg.is_acyclic)
+    cone, kernel, cokernel, acyclic = (
+        linalg.mapping_cone, duality.split_kernel, duality.split_cokernel,
+        linalg.is_acyclic)
     bound = [(module, key) for name, module in list(sys.modules.items())
              if name == "rkdual" or name.startswith("rkdual.")
              for key, value in vars(module).items() if value is acyclic]
@@ -89,6 +92,7 @@ def cones():
 
     linalg.mapping_cone = lambda f: keep("cone", cone(f))
     duality.split_kernel = lambda f: keep("kernel", kernel(f))
+    duality.split_cokernel = lambda f: keep("cokernel", cokernel(f))
     for module, key in bound:
         setattr(module, key, lambda cx: acyclic(keep("other", cx)))
     try:
@@ -99,6 +103,7 @@ def cones():
                 assert run_command("verify", payload, ring_override=ring).passed
     finally:
         linalg.mapping_cone, duality.split_kernel = cone, kernel
+        duality.split_cokernel = cokernel
         for module, key in bound:
             setattr(module, key, acyclic)
     return list(seen.values())
@@ -109,7 +114,7 @@ def test_homology_of_captured_cones_matches_the_per_degree_snf(cones, ring):
     mine = [(kind, cx) for kind, cx in cones if str(cx.ring) == ring]
     assert len(DOCUMENTS) == 6
     assert len(mine) > 25
-    assert {kind for kind, _ in mine} == {"cone", "kernel", "other"}
+    assert {kind for kind, _ in mine} == {"kernel", "cokernel", "other"}
     for _, cx in mine:
         # every complex a passing verify finds acyclic is acyclic
         assert all(h.is_trivial() for h in assert_cross_checked(cx).values())

@@ -1,11 +1,14 @@
-"""The cap on K over the blocked tensor certifies what the full tensor did.
+"""The caps over the blocked tensor certify what the full tensor did.
 
 ``verify_cap_chain_map`` checks the identity d∘cap = cap∘d between the
 blocked tensor of the chains of K with its cochains, the pairs tau ⊗ sigma*
 with sigma <= tau, and the subdivision chains.  The oracle here keeps the
 identity on the full tensor, every pair tau ⊗ sigma*, with the cap 0 off
 the faces of tau as ``cap_product`` gives it; the two must agree, on sound
-caps and on caps with a sign flipped.
+caps and on caps with a sign flipped.  Likewise ``verify_cap_factorization``
+compares the cap after the pullback with the cell map on the blocked tensor
+of the chains of X with the cochains of K, and the oracle on the full one,
+through the projection; there the cap has no entry off the blocked pairs.
 """
 
 import os
@@ -15,9 +18,11 @@ import sys
 import pytest
 
 from rkdual import capproduct
-from rkdual.checks import parse_document
+from rkdual.capproduct import CellChainData
+from rkdual.checks import KSpaceData, parse_document
 from rkdual.corpus import CORPUS_NAMES
-from rkdual.duality import tensor_r
+from rkdual.duality import left_keys, tensor_r
+from rkdual.linalg import Matrix
 from rkdual.rings import QQ, Ring, ZZ
 from rkdual.rkcore import RKMap, delta_chain, dual_star, simplicial_rk
 from rkdual.simplicial import barycentric_subdivision, control_kspace
@@ -25,7 +30,8 @@ from rkdual.simplicial import barycentric_subdivision, control_kspace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
-from oracles import blocked_tensor, corpus_kspace  # noqa: E402
+from oracles import (blocked_tensor, cap_on_the_full_tensor,  # noqa: E402
+                     corpus_kspace)
 
 RINGS = {"Z": ZZ, "Q": QQ, "Z/2": Ring.prime_field(2)}
 
@@ -117,3 +123,52 @@ def test_the_cap_domain_is_the_pairs_of_faces(monkeypatch, name, K):
             if domain.rank(q)} == want
     if name == "id-torus-7":
         assert domain.total_rank() == 168
+
+
+def cell_map(name):
+    """The K-space of a corpus document or ladder rung, and its objects."""
+    rungs = dict(ladder.RUNGS)
+    if name in rungs:
+        doc = parse_document(rungs[name]()[0])
+        (_, ks), = doc.kspaces
+        return ks, KSpaceData.build(ks, doc.ring)
+    ks = corpus_kspace(name)
+    return ks, KSpaceData.build(ks, ZZ)
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES,
+                                  *(rung for rung, _ in ladder.RUNGS)])
+def test_the_cap_factorization_on_the_blocked_tensor_is_the_full_one(name):
+    ks, data = cell_map(name)
+    cells = data.fundamental_cycles
+    lhs, proj = cap_on_the_full_tensor(ks, cells, data.dualizer)
+    assert capproduct.verify_cap_factorization(ks, cells)
+    assert lhs == cells.map.compose(proj)
+    # only a face S of T caps against T, and then pi(S) = rho ⊆ pi(T): the
+    # cap has no entry at a pair T ⊗ rho* the projection kills
+    full, simplices = lhs.src, left_keys(lhs.src, data.deltas.dx.keys)
+    assert full.total_rank() > data.cellular.rk.total_rank() or name == "pt"
+    for q, mat in lhs.comps.items():
+        for k, _ in mat.columns():
+            assert set(full.labels[q][k]) <= set(ks.pi.image(simplices[q][k]))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_negated_cell_map_entry_fails_both_factorizations(name):
+    ks, data = cell_map(name)
+    cells = data.fundamental_cycles
+    _, proj = cap_on_the_full_tensor(ks, cells, data.dualizer)
+    rng = random.Random(name)
+    for _ in range(3):
+        q = rng.choice(sorted(cells.map.comps))
+        entries = dict(cells.map.comps[q].entries())
+        key = rng.choice(sorted(entries))
+        entries[key] = -entries[key]
+        comps = {**cells.map.comps, q: Matrix(
+            data.ring, cells.map.comps[q].nrows, cells.map.comps[q].ncols,
+            entries)}
+        bad = CellChainData(RKMap(cells.map.src, cells.map.tgt, comps),
+                            cells.cellular, cells.deltas)
+        lhs, _ = cap_on_the_full_tensor(ks, bad, data.dualizer)
+        assert not capproduct.verify_cap_factorization(ks, bad)
+        assert lhs != bad.map.compose(proj)

@@ -154,8 +154,7 @@ def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
 def test_cell_map_factorization_on_corpus(corpus):
     for name, ks in corpus.items():
         data = KSpaceData.build(ks, ZZ)
-        assert verify_cap_factorization(ks, data.fundamental_cycles,
-                                        data.dualizer), name
+        assert verify_cap_factorization(ks, data.fundamental_cycles), name
 
 
 # ------------------------------------------------------- fundamental cycles

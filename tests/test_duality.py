@@ -19,7 +19,7 @@ from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            dual_star, dual_star_map, hom_rk,
                            maximal_label_ses)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map,
-                            split_kernel, tensor_k, tensor_r,
+                            split_cokernel, split_kernel, tensor_k, tensor_r,
                             verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
@@ -418,6 +418,19 @@ def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
         assert is_cone_acyclic(f.diagonal()) == (per_label_failures(f) == [])
 
 
+def assert_cokernel_is_the_cone(f):
+    """The cokernel of the split injective diagonal of ``f`` has the
+    homology of the cone of the diagonal: H_q(coker) = H_q(cone)."""
+    cokernel = split_cokernel(f)
+    assert cokernel.total_rank() == f.tgt.total_rank() - f.src.total_rank()
+    cone = homology(mapping_cone(f.diagonal()))
+    got = homology(cokernel)
+    zero = HomologyGroup(0, ())
+    for q in set(got) | set(cone):
+        assert got.get(q, zero) == cone.get(q, zero)
+    assert is_acyclic(cokernel) == is_cone_acyclic(f.diagonal())
+
+
 def assert_kernel_is_the_cone_shifted(f):
     """The kernel of the split surjective diagonal of ``f`` has the homology
     of the cone of the diagonal one degree down: H_q(ker) = H_{q+1}(cone)."""
@@ -441,6 +454,21 @@ def test_the_kernel_decides_as_the_cone_of_the_diagonal_does(monkeypatch,
             assert_kernel_is_the_cone_shifted(f)
     # the three double-dual collapses of every document, at least
     assert split >= 3 * len(corpus)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+def test_the_cokernel_decides_as_the_cone_of_the_diagonal_does(
+        monkeypatch, corpus, ring):
+    # every certified map whose diagonal is not split surjective is split
+    # injective, so no certificate of a passing verify needs its cone
+    split = 0
+    for f in certified_maps(monkeypatch, corpus, ring):
+        if split_kernel(f) is None:
+            split += 1
+            assert_cokernel_is_the_cone(f)
+    # the cells map into the subdivision chains off a bijection on id2 and
+    # tri, for each of the two maps that start from the cells
+    assert split == 4
 
 
 def count_diagonals(monkeypatch):
@@ -484,28 +512,95 @@ def test_a_split_surjection_with_homology_in_its_kernel_names_its_label(
     assert diagonals == []
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
+@pytest.mark.parametrize("top", [0, 2], ids=["R", "R-2->R"])
+def test_a_split_injection_with_homology_in_its_cokernel_names_its_label(
+        monkeypatch, ring, top):
+    # C -> C ⊕ A, C = (x -> u) at a plus w at ab, and A at ab: R in degree
+    # 0, or R --top--> R from degree 1.  The cokernel A decides it, with no
+    # whole cone, and it fails at ab alone
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+    C = RKComplex(ring, K, False, {0: (a, ab), 1: (a,)},
+                  {1: Matrix(ring, 2, 1, {(0, 0): 1})})
+    if top:                     # A = (y -> v) at ab, d y = top v
+        tgt = RKComplex(ring, K, False, {0: (a, ab, ab), 1: (a, ab)},
+                        {1: Matrix(ring, 3, 2, {(0, 0): 1, (2, 1): top})})
+    else:                       # A = v at ab
+        tgt = RKComplex(ring, K, False, {0: (a, ab, ab), 1: (a,)},
+                        {1: Matrix(ring, 3, 1, {(0, 0): 1})})
+    f = RKMap(C, tgt, {q: Matrix(ring, tgt.rank(q), C.rank(q), {
+        (i, i): 1 for i in range(C.rank(q))}) for q in C.degrees()})
+    assert split_kernel(f) is None
+    assert split_cokernel(f).total_rank() == (2 if top else 1)
+    assert_cokernel_is_the_cone(f)
+    diagonals = count_diagonals(monkeypatch)
+    rep = verify_diagonal_equivalence(f, "summand")
+    fails = not (top and ring is QQ)
+    assert rep.passed is not fails
+    assert rep.failures() == per_label_failures(f)
+    assert rep.failures() == (["a.b"] if fails else [])
+    assert diagonals == []
+
+
 def test_a_diagonal_that_is_not_split_surjective_takes_the_whole_cone(
         monkeypatch):
+    # nor split injective: neither a kernel nor a cokernel decides these
+    K = build("ab")
+    a, ab = ("a",), ("a", "b")
+    C = RKComplex(ZZ, K, False, {0: (a, ab)}, {})
+    twice = RKComplex(ZZ, K, False, {0: (a, a)}, {})
+    maps = {
+        "a column with no unit": RKMap(C, C, {0: from_rows(ZZ, [[1, 0],
+                                                                [0, 2]])}),
+        "overlapping supports": RKMap(twice, twice, {
+            0: from_rows(ZZ, [[1, 1], [0, 1]])}),
+        # a zero column, and the generator at ab is missed
+        "a missed row": RKMap(twice, C, {0: from_rows(ZZ, [[1, 0], [0, 0]])}),
+    }
+    diagonals = count_diagonals(monkeypatch)
+    for name, f in maps.items():
+        assert split_kernel(f) is None, name
+        assert split_cokernel(f) is None, name
+        diagonals.clear()
+        rep = verify_diagonal_equivalence(f, name)
+        assert diagonals == [f], name
+        assert rep.failures() == per_label_failures(f), name
+
+
+def test_several_columns_on_a_row_or_rows_in_a_column_take_no_cone(
+        monkeypatch):
+    # two unit columns on one row: the kernel has e_1 - v_1 v_0⁻¹ e_0; one
+    # column on two rows, or a row missed: the cokernel has the other row
     K = build("ab")
     a, ab = ("a",), ("a", "b")
     C = RKComplex(ZZ, K, False, {0: (a, ab)}, {})
     D = RKComplex(ZZ, K, False, {0: (a,)}, {})
     twice = RKComplex(ZZ, K, False, {0: (a, a)}, {})
-    maps = {
-        "not a unit": RKMap(C, C, {0: from_rows(ZZ, [[1, 0], [0, 2]])}),
-        "two rows in a column": RKMap(D, twice,
-                                      {0: from_rows(ZZ, [[1], [1]])}),
-        "two columns on a row": RKMap(twice, D,
-                                      {0: from_rows(ZZ, [[1, 1]])}),
+    kernels = {
+        "two columns on a row": RKMap(twice, D, {0: from_rows(ZZ, [[1, -1]])}),
+    }
+    cokernels = {
+        "two rows in a column": RKMap(D, twice, {0: from_rows(ZZ, [[1], [1]])}),
         "a row missed": RKMap(D, C, {0: from_rows(ZZ, [[1], [0]])}),
     }
     diagonals = count_diagonals(monkeypatch)
-    for name, f in maps.items():
-        assert split_kernel(f) is None, name
+    for name, f in {**kernels, **cokernels}.items():
+        if name in kernels:
+            assert split_kernel(f).total_rank() == 1, name
+            assert_kernel_is_the_cone_shifted(f)
+        else:
+            assert split_kernel(f) is None, name
+            assert split_cokernel(f).total_rank() == 1, name
+            assert_cokernel_is_the_cone(f)
         diagonals.clear()
         rep = verify_diagonal_equivalence(f, name)
-        assert diagonals == [f], name
+        # no whole cone is taken; the per-label cones name the failures
+        assert diagonals == [], name
+        assert not rep.passed
         assert rep.failures() == per_label_failures(f), name
+        assert rep.failures() == (["a"] if name != "a row missed" else
+                                  ["a.b"]), name
 
 
 def test_a_diagonal_entry_scaled_by_two_fails_its_label_alone():

@@ -128,9 +128,9 @@ def test_verify_dualizes_each_complex_once(monkeypatch, name):
 def test_verify_builds_the_full_tensor_once_per_reader(monkeypatch, name):
     tensors = count_calls(monkeypatch, duality.tensor_r)
     verified(name)
-    # tensor/projection-epimorphism and the cap factorization; none keeps it
-    # for another, and the cap chain map on K reads the blocked tensor
-    assert len(tensors) == 2
+    # tensor/projection-epimorphism alone: the cap factorization and the cap
+    # chain map on K read the blocked tensor
+    assert len(tensors) == 1
 
 
 @pytest.mark.parametrize("name", ["hex", "id-torus-7"])
@@ -205,11 +205,11 @@ def test_the_duality_functor_on_maps_builds_no_dual_complex(monkeypatch):
     assert len(inside) == 11
     assert set(inside) == {(0, 0)}
     # one dual each: the 12 objects T(C), the cochains of X and of K, the
-    # three cochains of closed simplices, the targets of the two Hom-to-dual
-    # isomorphisms, the cap on K and the source of the one pullback, the
-    # cochains of (K, id).  The pullback's target is the cochains of X, not
-    # a second copy
-    assert len(duals) == 21
+    # cochains of the standard simplex of the three maximal simplices' one
+    # dimension, the targets of the two Hom-to-dual isomorphisms, the cap on
+    # K and the source of the one pullback, the cochains of (K, id).  The
+    # pullback's target is the cochains of X, not a second copy
+    assert len(duals) == 19
 
 
 def test_quick_sweep_dualizes_twice_and_squares_once(monkeypatch):
@@ -280,16 +280,23 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
     # a cone's construction and its acyclicity test, whole or per label
     for fn in (linalg.is_cone_acyclic, linalg.mapping_cone):
         rebind(monkeypatch, fn, within(fn, "cone"))
+    # the kernel or cokernel that decides a certificate instead of its cone
+    for key in ("split_kernel", "split_cokernel"):
+        monkeypatch.setattr(duality, key,
+                            within(getattr(duality, key), "reduced"))
     rebind(monkeypatch, duality.verify_diagonal_equivalence, certify)
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
         recorded(cls)
     verified("id-torus-7")
-    assert entered == {"cut", "cone", "certificate"}
-    # a full cut of a valid complex is valid, and a cone of a chain map of
-    # valid complexes has d∘d = 0: neither is validated
+    # a passing verify builds no cone
+    assert entered == {"cut", "reduced", "certificate"}
+    # a full cut of a valid complex is valid, and a cone, a kernel or a
+    # cokernel of a chain map of valid complexes has d∘d = 0: none is
+    # validated
     assert not [v for v in validations if "cut" in v[1]]
     assert not [v for v in validations if "cone" in v[1]]
+    assert not [v for v in validations if "reduced" in v[1]]
     # each cone certificate validates its map and both sides, once each
     assert len(certificates) == 6
     for f, seen in certificates:
@@ -344,12 +351,18 @@ def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
             return fn(*args, **kwargs)
         return recorded
 
-    def split(f, split_kernel=duality.split_kernel):
-        kernel = split_kernel(f)
-        routes.append((running[-1], "cone" if kernel is None else "kernel"))
-        return kernel
+    def route(key):
+        split = getattr(duality, key)
+
+        def taken(f):
+            reduced = split(f)
+            routes.append((running[-1], key if reduced is not None else
+                           None))
+            return reduced
+        monkeypatch.setattr(duality, key, taken)
     monkeypatch.setattr(checks, "_guard", named)
-    monkeypatch.setattr(duality, "split_kernel", split)
+    route("split_kernel")
+    route("split_cokernel")
     monkeypatch.setattr(duality, "is_acyclic",
                         by_check(duality.is_acyclic, kernels))
     rebind(monkeypatch, linalg.mapping_cone,
@@ -363,22 +376,32 @@ def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
     data = verified("id-torus-7")
     # every diagonal of a double-dual collapse, and of the subdivision dual
     # on the torus, is split surjective on bases: its kernel decides it;
-    # the cell chains map into the subdivision chains, so those two take
-    # the cone.  One whole computation per certificate, and a per-label
-    # cone only to name a failure.
+    # the cell chains map into the subdivision chains split injectively on
+    # bases, so the cokernel decides those two.  One whole computation per
+    # certificate, no cone, and a per-label cone only to name a failure.
     kernel_route = [f"double-dual/equivalence/{key}" for key in
                     ("cochains", "subdivision-chains", "cell-chains")]
-    kernel_route.append("equivalences/subdivision-dual-to-cochains")
-    cone_route = ["equivalences/cells-to-subdivision",
-                  "equivalences/dual-to-subdivision"]
-    assert routes == [(name, "kernel") for name in kernel_route[:3]] + [
-        (name, "cone") for name in cone_route] + [(kernel_route[3], "kernel")]
-    assert kernels == kernel_route
-    assert certified == cones == cone_route
+    cokernel_route = ["equivalences/cells-to-subdivision",
+                      "equivalences/dual-to-subdivision"]
+    last = "equivalences/subdivision-dual-to-cochains"
+    assert routes == [(name, "split_kernel") for name in kernel_route] + [
+        step for name in cokernel_route
+        for step in ((name, None), (name, "split_cokernel"))] + [
+        (last, "split_kernel")]
+    assert kernels == kernel_route + cokernel_route + [last]
+    assert certified == cones == []
     assert components == []
     # a star and its complement, once per label, by star-splitting alone
     labels = sum(1 for _ in data.ks.K.all_simplices())
     assert full == ["assembly/star-splitting"] * (2 * labels)
+
+
+@pytest.mark.parametrize("name", ["pt", "edge", "circ3", "hex", "id2", "tri",
+                                  "id-torus-7", "grid-4-edge"])
+def test_a_passing_verify_builds_no_mapping_cone(monkeypatch, name):
+    cones = count_calls(monkeypatch, linalg.mapping_cone)
+    verified(name)
+    assert cones == []
 
 
 def test_verify_of_the_torus_makes_at_most_200_matrix_products(monkeypatch):

@@ -1,7 +1,9 @@
 """The splitting of the chains of X over each star of K, which
 ``dx.validate()`` proves, against the route that cuts the complex twice per
-label and validates two shared maps; and the one scan of the star ranks,
-which the contractible-star lemma reads, against the ranks of the cuts."""
+label and validates two shared maps; the one scan of the star ranks, which
+the contractible-star lemma reads, against the ranks of the cuts; and the
+lemma computed once per dimension on the standard simplex against the
+lemma computed on the cochains of each maximal simplex."""
 
 import os
 import random
@@ -18,7 +20,9 @@ from rkdual.rings import GF2, QQ, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem, delta_chain,
                            dual_star, star_ranks)
 
-from oracles import corpus_kspace, star_splitting_by_cuts
+import oracles
+from oracles import (corpus_kspace, lemma_on_its_own_cochains,
+                     star_splitting_by_cuts)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -185,3 +189,69 @@ def test_the_lemma_reads_a_zero_off_its_simplex_from_the_counts(monkeypatch):
     rep = check_lemma_clem(K, ("a", "b"), ZZ)
     assert not rep.passed
     assert [s for s, (_, ok) in rep.verdicts.items() if not ok] == [("c",)]
+
+
+def maximal_simplices(K):
+    return [s for s in K.all_simplices()
+            if all(not set(s) < set(t) for t in K.star(s))]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=str)
+@pytest.mark.parametrize("name", [*CORPUS_NAMES,
+                                  *(rung for rung, _ in ladder.RUNGS)])
+def test_the_lemma_read_from_the_standard_simplex_is_the_lemma_on_each(
+        name, ring):
+    K, table = kspace(name).K, {}
+    for S in maximal_simplices(K):
+        rep = check_lemma_clem(K, S, ring, table)
+        assert rep == lemma_on_its_own_cochains(K, S, ring)
+        assert rep.passed
+    assert sorted(table) == sorted({len(S) - 1 for S in maximal_simplices(K)})
+
+
+@pytest.mark.parametrize("name", ["hex", "id2", "tri", "id-torus-7"])
+def test_a_doubled_cochain_entry_moves_both_lemmas_alike(monkeypatch, name):
+    # the cochains of Δⁿ and of a closed n-simplex have the same matrices,
+    # so doubling the same entry of each gives the same verdicts, or the
+    # same error when d∘d = 0 breaks
+    dual = rkcore.dual_star
+
+    def doubled(C):
+        cochains = dual(C)
+        q = max(cochains.diff)
+        mat = cochains.diff[q]
+        entries = dict(mat.entries())
+        key = min(entries)
+        entries[key] *= 2
+        cochains.diff[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return cochains
+
+    def outcome(lemma, *args):
+        try:
+            return lemma(*args)
+        except ChainComplexError as exc:
+            return str(exc)
+    monkeypatch.setattr(rkcore, "dual_star", doubled)
+    monkeypatch.setattr(oracles, "dual_star", doubled)
+    K, table, failed = kspace(name).K, {}, 0
+    for S in maximal_simplices(K):
+        got = outcome(check_lemma_clem, K, S, ZZ, table)
+        assert got == outcome(lemma_on_its_own_cochains, K, S, ZZ)
+        failed += isinstance(got, str) or not got.passed
+    assert failed == len(maximal_simplices(K))
+
+
+@pytest.mark.parametrize("name", ["hex", "id2", "id-torus-7", "id-sphere-3"])
+def test_a_verify_computes_the_lemma_once_per_dimension(monkeypatch, name):
+    data = KSpaceData.build(kspace(name), ZZ)
+    calls, lemma = [], rkcore.simplex_lemma
+
+    def counted(n, ring):
+        calls.append(n)
+        return lemma(n, ring)
+    monkeypatch.setattr(rkcore, "simplex_lemma", counted)
+    report = Report("verify", "Z")
+    checks.check_lemmas(report, name, data)
+    maximal = maximal_simplices(data.ks.K)
+    assert report.passed and len(report.checks) == len(maximal)
+    assert sorted(calls) == sorted({len(S) - 1 for S in maximal})
