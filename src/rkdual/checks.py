@@ -207,7 +207,8 @@ class KSpaceData:
     @cached_property
     def e(self) -> RKMap:
         """The double-dual collapse ``t2`` -> cochains of X."""
-        return self.dualizer.double_dual_map(self.deltas.dstar_x, self.t2)
+        return self.dualizer.double_dual_map(self.deltas.dstar_x, self.tc,
+                                             self.t2)
 
     @cached_property
     def iso(self) -> RKMap:
@@ -386,8 +387,8 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         def rows_body():
             ses, _, t_sub, t_quo = ends()
             dz = data.dualizer
-            e_sub = dz.double_dual_map(ses.i.src, dz.square(t_sub))
-            e_quo = dz.double_dual_map(ses.j.tgt, dz.square(t_quo))
+            e_sub = _collapse(dz, ses.i.src, t_sub)
+            e_quo = _collapse(dz, ses.j.tgt, t_quo)
             tt_i = dz.map(dz.map(ses.i, data.tc, t_sub), e_sub.src, data.t2)
             tt_j = dz.map(dz.map(ses.j, t_quo, data.tc), data.t2, e_quo.src)
             ok = (data.e.compose(tt_i) == ses.i.compose(e_sub)
@@ -408,7 +409,7 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     def natural_body():
         pullback = data.pullback
         dz = data.dualizer
-        e_k = dz.double_dual_map(pullback.src, dz.square(data.t_k))
+        e_k = _collapse(dz, pullback.src, data.t_k)
         tt = dz.map(dz.map(pullback, data.tc, data.t_k), e_k.src, data.t2)
         return data.e.compose(tt) == pullback.compose(e_k), {}
     _guard(report, "double-dual/naturality", target, natural_body)
@@ -418,14 +419,19 @@ def check_duality(report: Report, target: str, data: KSpaceData):
     dz = data.dualizer
     collapses = (
         ("cochains", lambda: data.e),
-        ("subdivision-chains", lambda: dz.double_dual_map(
-            data.deltas.dx_prime, dz.square(data.t_sub))),
-        ("cell-chains", lambda: dz.double_dual_map(
-            data.cellular.rk, dz.square(dz.object(data.cellular.rk)))))
+        ("subdivision-chains", lambda: _collapse(
+            dz, data.deltas.dx_prime, data.t_sub)),
+        ("cell-chains", lambda: _collapse(
+            dz, data.cellular.rk, dz.object(data.cellular.rk))))
     for key, e in collapses:
         _guard(report, f"double-dual/equivalence/{key}", target,
                lambda e=e: _verdict(verify_diagonal_equivalence(
                    e(), "double-dual")))
+
+
+def _collapse(dz, C, tc):
+    """The double-dual collapse T²C -> C, given ``tc`` = T(C)."""
+    return dz.double_dual_map(C, tc, dz.square(tc))
 
 
 def _verdict(rep):

@@ -5,13 +5,15 @@ tensor keeps only the pairs x⊗y whose left label lies in the star of the
 right label; it is the quotient of the full tensor by the remaining pairs.
 One layout, from D's label cuts cached once per label, places every pair
 x⊗y of a tensor, and a pair is its position there: its label is y's, and
-its name is rendered from the names of x and y when a message asks.  From
-the layout the differential d_C ⊗ 1 + (-1)^r 1 ⊗ d_D is filled, and so is
-M ⊗ 1 for a matrix M on the left factors between two tensors over one D:
-f ⊗ 1, T(f) = f* ⊗ 1, the projection of the full tensor onto the blocked
-one and the cellular identification; an image pair the layout does not
-place is one the quotient drops.  The evaluation, the Hom-to-dual
-isomorphism and the double-dual collapse read the layout too.
+its name is rendered from the names of x and y when a message asks.  The
+build computes it once and the tensor keeps it, and every reader takes it
+from the tensor.  From it the differential d_C ⊗ 1 + (-1)^r 1 ⊗ d_D is
+filled, and so is M ⊗ 1 for a matrix M on the left factors between two
+tensors over one D: f ⊗ 1, T(f) = f* ⊗ 1, the projection of the full
+tensor onto the blocked one and the cellular identification; an image
+pair the target's layout does not place is one the quotient drops.  The
+evaluation and the Hom-to-dual isomorphism read the layout of their
+tensor, and the double-dual collapse those of T(C) and T²C.
 
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
@@ -43,10 +45,10 @@ from .simplicial import simplex_name
 
 class Tensor(RKComplex):
     """C ⊗ D from :func:`tensor_k` or :func:`tensor_r`; records only ``full``,
-    ``left`` (C's labels), ``dual_of`` (the labels of what C is dual to) and
-    ``right`` (D)."""
+    ``left`` (C's labels), ``dual_of`` (the labels of what C is dual to),
+    ``right`` (D) and ``layout``, the :func:`_layout` it was built from."""
 
-    __slots__ = ("full", "left", "dual_of", "right")
+    __slots__ = ("full", "left", "dual_of", "right", "layout")
 
 
 def _layout(left, D, full):
@@ -75,7 +77,7 @@ def left_keys(t: Tensor, keys) -> dict:
     """Per degree of the tensor ``t``, the key in ``keys`` (by left degree
     and position) of each pair's left factor, in basis order."""
     out = {q: [] for q in t.degrees()}
-    for r, (cuts, _) in _layout(t.left, t.right, t.full)[0].items():
+    for r, (cuts, _) in t.layout[0].items():
         for key, cut in zip(keys[r], cuts):
             for s, (js, _) in cut.items():
                 out[r + s] += [key] * len(js)
@@ -107,7 +109,7 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
     # d(x⊗y) = dx⊗y + (-1)^r x⊗dy: x_i⊗y_j goes to x'⊗y_j for x' in dx_i
     # (hits) and to x_i⊗y' for y' in dy_j, wherever the layout places them
-    layout, ints, _ = _layout(C.labels, D, keep_all)
+    layout, ints, _ = built = _layout(C.labels, D, keep_all)
     labels = {r + s: [] for r in C.degrees() for s in D.degrees()}
     data = {q: {} for q in labels}
     for r, (cuts, starts) in layout.items():
@@ -132,13 +134,13 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
                     for j2, v in dr.column(j) if down else ():
                         if (row := down[1].get(j2)) is not None:
                             col[ints[below_s + row]] = sign * v
-    del layout          # freed before the differential is assembled
     diff = {q: Matrix._from_sums(C.ring, len(labels.get(q - 1, ())),
                                  len(labels[q]), data.pop(q))
             for q in sorted(data) if any(data[q].values())}
     t = Tensor(C.ring, D.K, False, labels, diff,
                name=_pair_names(C, D, keep_all))
     t.full, t.left, t.dual_of, t.right = keep_all, C.labels, None, D
+    t.layout = built
     return t
 
 
@@ -163,8 +165,7 @@ def left_times_one(src, tgt, ends, mats) -> RKMap:
             and ends(src, tgt)):
         raise ChainComplexError("a degree-0 map is tensored only between the "
                                 "blocked tensors of its ends over one D")
-    (ours, ints, _), (theirs, rows, _) = (_layout(t.left, t.right, t.full)
-                                          for t in (src, tgt))
+    (ours, ints, _), (theirs, rows, _) = src.layout, tgt.layout
     cols = {q: {} for q in src.degrees()}
     for r, mat in mats().items():
         (cuts, starts), (below, at) = ours[r], theirs[r]
@@ -211,7 +212,7 @@ def hom_dual_iso(src: RKComplex, t: RKComplex) -> RKMap:
     (y -> x*) for x = c* after the untwist C -> C**, (-1)^{|c|} on c, so
     it goes to (-1)^{|x|(|y|+1)} times the dual of x⊗y.
     """
-    ring, layout = src.ring, _layout(t.left, t.right, t.full)[0]
+    ring, layout = src.ring, t.layout[0]
     untwist = t.dual_of is not None
 
     def images(p, k):
@@ -265,7 +266,7 @@ class Dualizer:
         H = hom_rk(D, C)
         HK = tensor_k(H, D)
         cols = {q: {} for q in HK.degrees()}
-        for r, (cuts, starts) in _layout(H.labels, D, False)[0].items():
+        for r, (cuts, starts) in HK.layout[0].items():
             for i, ((s, j, c), cut) in enumerate(zip(H.keys[r], cuts)):
                 cols[r + s][starts[s][i] + cut[s][1][j]] = {c: one}
         return H, HK, RKMap.from_columns(HK, C, cols)
@@ -277,23 +278,22 @@ class Dualizer:
         of K, for ``H``, ``HK`` from :meth:`evaluation` and ``tc`` = T(C)."""
         return tensor_map_left(hom_dual_iso(H, tc), HK, t2)
 
-    def double_dual_map(self, C: RKComplex, t2: RKComplex) -> RKMap:
-        """The natural epimorphism e: ``t2`` = T²C -> C.
+    def double_dual_map(self, C: RKComplex, tc: RKComplex,
+                        t2: RKComplex) -> RKMap:
+        """The natural epimorphism e: ``t2`` = T²C -> C, for ``tc`` = T(C).
 
-        Read from the layouts of T(C) and of T²C: the generator
+        Read from the layouts of ``tc`` and ``t2``: the generator
         (x* ⊗ s*)* ⊗ t* goes to (-1)^{|x|(1+dim s)} x when s = t, else to 0.
         The defining identity (evaluation = e ∘ (iso ⊗ 1)) is checked in the
         test suite.
         """
-        D, ring = self.dstar_k, self.ring
-        inner, _, ranks = _layout({-q: ls for q, ls in C.labels.items()}, D,
-                                  False)        # the layout of T(C)
-        if not (isinstance(t2, Tensor) and not t2.full
-                and t2.dual_of is not None and t2.right.labels == D.labels
-                and ranks == {q: len(ls) for q, ls in t2.dual_of.items()}):
-            raise ChainComplexError("the double-dual collapse reads T²C of "
-                                    "its own C over this dualizer's K")
-        outer, cols = _layout(t2.left, D, False)[0], {}
+        ring, labels = self.ring, self.dstar_k.labels
+        if not (isinstance(tc, Tensor) and isinstance(t2, Tensor)
+                and tc.dual_of is C.labels and t2.dual_of is tc.labels
+                and tc.right.labels == t2.right.labels == labels):
+            raise ChainComplexError("the double-dual collapse reads T(C) and "
+                                    "T²C of its own C over this dualizer's K")
+        inner, outer, cols = tc.layout[0], t2.layout[0], {}
         for r, (cuts, starts) in inner.items():      # x* in degree r of C*
             comp = cols.setdefault(-r, {})
             for i, cut in enumerate(cuts):

@@ -91,18 +91,18 @@ class Ring:
 
     @classmethod
     def parse(cls, text: str) -> "Ring":
-        """Parse ``"Z"``, ``"Q"`` or ``"Z/p"`` (for example ``"Z/2"``)."""
+        """Parse ``"Z"``, ``"Q"`` or ``"Z/p"`` (for example ``"Z/2"``), p in
+        ASCII digits."""
         text = text.strip()
         if text == "Z":
             return cls.integers()
         if text == "Q":
             return cls.rationals()
         if text.startswith("Z/"):
-            try:
-                p = int(text[2:])
-            except ValueError:
-                raise ValueError(f"bad modulus in ring {text!r}") from None
-            return cls.prime_field(p)
+            digits = text[2:]       # int() also reads "1_3", "٧" and " 7"
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"bad modulus in ring {text!r}")
+            return cls.prime_field(int(digits))
         raise ValueError(f"unknown ring {text!r}; expected Z, Q or Z/p")
 
     zero = 0

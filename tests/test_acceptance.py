@@ -80,7 +80,8 @@ def test_criterion_3_double_dual_equivalence(corpus_data):
             dz = data.dualizer
             for cx in (data.deltas.dstar_x, data.deltas.dx_prime,
                        data.cellular.rk):
-                e = dz.double_dual_map(cx, dz.square(dz.object(cx)))
+                tc = dz.object(cx)
+                e = dz.double_dual_map(cx, tc, dz.square(tc))
                 rep = verify_diagonal_equivalence(e, "double-dual")
                 ok = ok and rep.passed
     announce(3, "double-dual collapse has acyclic cones over Z and Z/2", ok)

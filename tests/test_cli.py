@@ -140,6 +140,21 @@ def test_a_composite_or_too_large_modulus_is_rejected(tmp_path, modulus):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("ring", ["Z/1_3", "Z/٧", "Z/ 7", "Z/+7", "Z/7.0",
+                                  "Z/"])
+def test_a_modulus_not_in_ascii_digits_is_rejected(tmp_path, capsys, ring):
+    # int() reads "1_3" as 13 and "٧" and " 7" as 7: from the document or
+    # from --ring, such a ring exits 2 instead of verifying over Z/13 or Z/7
+    path = tmp_path / "doc.json"
+    for doc_ring, argv in ((ring, []), ("Z", ["--ring", ring])):
+        path.write_text(json.dumps({**document("edge"), "ring": doc_ring}),
+                        encoding="utf-8")
+        assert main(["verify", str(path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"bad modulus in ring {ring!r}" in err
+        assert "Traceback" not in err
+
+
 def test_check_failures_exit_one(monkeypatch, tmp_path, capsys):
     failing = Report("verify", "Z", "doc")
     failing.add("synthetic", "t", False)

@@ -55,7 +55,7 @@ def psi_of(C, D):
 def collapse(dz, C):
     """T(C) and the double-dual collapse of C, whose source is T²C."""
     tc = dz.object(C)
-    return tc, dz.double_dual_map(C, dz.square(tc))
+    return tc, dz.double_dual_map(C, tc, dz.square(tc))
 
 
 def control_pullback(ks):
@@ -293,6 +293,22 @@ def test_collapse_naturality_along_control_pullback(hex_ks):
     t_k, e_k = collapse(dz, pullback.src)
     tt = dz.map(dz.map(pullback, t_x, t_k), e_k.src, e_x.src)
     assert e_x.compose(tt) == pullback.compose(e_k)
+
+
+def test_the_collapse_reads_t_and_t_squared_of_its_own_complex(hex_ks):
+    # a twin with the labels, ranks and differential of C is not C: the
+    # collapse of C refuses T and T² of the twin, a T² that is not T² of
+    # the T(C) it is given, and a tensor given as T(C) that is not T(C)
+    dz = Dualizer(hex_ks.K, ZZ)
+    C = delta_complexes(hex_ks, ZZ).dstar_x
+    twin = RKComplex(ZZ, C.K, C.op, C.labels, C.diff)
+    tc, t_twin = dz.object(C), dz.object(twin)
+    dz.double_dual_map(C, tc, dz.square(tc)).validate()
+    for args in ((C, tc, dz.square(t_twin)), (C, t_twin, dz.square(t_twin)),
+                 (C, tensor_k(dual_star(C), dz.dstar_k), dz.square(tc)),
+                 (C, dz.square(tc), dz.square(tc)), (C, tc, tc)):
+        with pytest.raises(ChainComplexError, match="of its own C"):
+            dz.double_dual_map(*args)
 
 
 def test_collapse_is_an_epimorphism_per_label(edge_ks, tri_ks):

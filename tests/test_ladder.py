@@ -10,8 +10,12 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
 import ladder  # noqa: E402
-from rkdual import linalg  # noqa: E402
-from rkdual.checks import run_command  # noqa: E402
+from rkdual import duality, linalg  # noqa: E402
+from rkdual.ballcomplex import cellular_iso  # noqa: E402
+from rkdual.checks import KSpaceData, run_command  # noqa: E402
+from rkdual.rings import ZZ  # noqa: E402
+
+from oracles import corpus_kspace  # noqa: E402
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -43,6 +47,7 @@ def test_child_run_and_skip():
     got = ladder.run_rung(doc, SRC, 60)
     assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
     assert 0 <= got["tensor_s"] <= got["wall_s"]
+    assert 0 <= got["fill_s"] <= got["wall_s"] - got["tensor_s"] + 0.001
     # every group of a full verify runs checks, inside the wall time (each
     # figure is rounded to the millisecond)
     assert list(got["groups_s"]) == [
@@ -70,7 +75,7 @@ def run(wall, digest="d", groups=0.1, rss=20.0, passed=True):
     """One child's result, with seven checks, the first the slowest, and
     one collection of the oldest generation per tenth of a second."""
     checks = {f"c{i}": round(wall / (i + 2), 3) for i in range(7)}
-    return {"wall_s": wall, "tensor_s": wall / 2,
+    return {"wall_s": wall, "tensor_s": wall / 2, "fill_s": wall / 5,
             "groups_s": {"soundness": groups}, "checks_s": checks,
             "gc_s": wall / 4, "gc_collections": {
                 "0": 100, "1": 9, "2": round(wall * 10)},
@@ -82,7 +87,8 @@ def test_runs_are_summarized_by_their_median_and_spread():
     got = ladder.summarize([run(0.3, rss=31.5), run(0.1, groups=0.3),
                             run(0.2, rss=24.25)])
     assert got == {"wall_s": 0.2, "wall_min_s": 0.1, "wall_max_s": 0.3,
-                   "tensor_s": 0.1, "groups_s": {"soundness": 0.1},
+                   "tensor_s": 0.1, "fill_s": 0.04,
+                   "groups_s": {"soundness": 0.1},
                    "slowest_s": {"c0": 0.1, "c1": 0.067, "c2": 0.05,
                                  "c3": 0.04, "c4": 0.033},
                    "gc_s": 0.05, "gc_collections": {"0": 100, "1": 9, "2": 2},
@@ -91,6 +97,30 @@ def test_runs_are_summarized_by_their_median_and_spread():
     assert list(got["slowest_s"]) == ["c0", "c1", "c2", "c3", "c4"]
     assert ladder.summarize([run(0.1), "skipped"]) == "skipped"
     assert "error" in ladder.summarize([run(0.1), run(0.1, "e")])
+
+
+def test_the_fill_is_timed_at_every_binding_apart_from_the_builds(
+        monkeypatch):
+    # the cellular identification fills M ⊗ 1 through the binding in
+    # ballcomplex, the projection through the one in duality; neither
+    # builds a tensor once its two ends are built
+    data = KSpaceData(corpus_kspace("hex"), ZZ)
+    tc, cells = data.tc, data.cellular
+    timed = (duality.tensor_k, duality.tensor_r, duality.left_times_one)
+    for name, module in list(sys.modules.items()):
+        if name == "rkdual" or name.startswith("rkdual."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in timed):
+                    monkeypatch.setattr(module, key, value)   # put back after
+    spent = ladder.time_tensors()
+    cellular_iso(tc, cells)
+    assert list(spent) == ["fill"] and spent["fill"] > 0
+    after_iso = spent["fill"]
+    C, D = data.deltas.dx, data.dualizer.dstar_k
+    full, blocked = duality.tensor_r(C, D), duality.tensor_k(C, D)
+    assert spent["tensor"] > 0 and spent["fill"] == after_iso
+    duality.projection_map(full, blocked)
+    assert spent["fill"] > after_iso
 
 
 @pytest.mark.parametrize("ring, homology", [

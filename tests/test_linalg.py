@@ -40,6 +40,10 @@ def test_ring_construction():
         Ring.parse("Z/4")
     with pytest.raises(ValueError):
         Ring.parse("R")
+    assert str(Ring.parse("Z/13")) == "Z/13"
+    for text in ("Z/1_3", "Z/٧", "Z/ 7", "Z/+7", "Z/-7", "Z/²"):
+        with pytest.raises(ValueError, match="bad modulus"):
+            Ring.parse(text)
 
 
 def trial_division_is_prime(n):

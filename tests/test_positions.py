@@ -10,11 +10,20 @@ violated …`` and ``boundary display fails at …`` keep their text.
 import gc
 import json
 import os
+import sys
 
-from rkdual.checks import KSpaceData
+import pytest
+
+from rkdual import duality
+from rkdual.checks import KSpaceData, run_command
+from rkdual.corpus import document
 from rkdual.rings import ZZ
 
 from oracles import corpus_kspace
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+import ladder  # noqa: E402
 
 NAMES = os.path.join(os.path.dirname(__file__), "data", "names-hex.json")
 
@@ -45,3 +54,20 @@ def test_the_square_allocates_nothing_per_generator():
     t2 = dualizer.square(tc)
     gc.collect()
     assert len(gc.get_objects()) - before < t2.total_rank() == 36
+
+
+@pytest.mark.parametrize("name", ["hex", "tri", "id-torus-7"])
+def test_each_tensor_lays_out_its_pairs_once(monkeypatch, name):
+    # every reader of a tensor's layout (f ⊗ 1, T(f), the projection, the
+    # cellular identification, the Hom-to-dual isomorphism, the evaluation
+    # and the collapse) takes it from the tensor its build left it on
+    doc = (dict(ladder.RUNGS)[name]()[0] if name.startswith("id-") else
+           document(name))
+    calls = {"_layout": 0, "_tensor_complex": 0}
+    for key in calls:
+        def spy(*args, fn=getattr(duality, key), key=key, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(duality, key, spy)
+    assert run_command("verify", doc).passed
+    assert calls == {"_layout": 17, "_tensor_complex": 17}

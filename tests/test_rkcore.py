@@ -313,7 +313,8 @@ def test_label_cuts_are_the_dense_blocks(name):
     ks = corpus_kspace(name)
     dc = delta_complexes(ks, ZZ)
     dz = Dualizer(ks.K, ZZ)
-    e = dz.double_dual_map(dc.dstar_x, dz.square(dz.object(dc.dstar_x)))
+    tc = dz.object(dc.dstar_x)
+    e = dz.double_dual_map(dc.dstar_x, tc, dz.square(tc))
     for C, maps in ((dc.dx, [epsilon(dc.dx)]),
                     (dc.dstar_x, [epsilon(dc.dstar_x), e])):
         dense = {q: to_rows(C.d(q)) for q in C.degrees()}
