@@ -18,7 +18,10 @@ also records, from outside, so older trees report them too:
 ``tensor_s``, the seconds spent in the blocked-tensor builders
 ``duality.tensor_k`` and ``duality.tensor_r``; ``fill_s``, those spent
 in ``duality.left_times_one``, the one M ⊗ 1 fill (f ⊗ 1, T(f), the
-projection and the cellular identification); ``groups_s``, the
+projection and the cellular identification); ``certify_s``, those spent
+in ``duality.verify_diagonal_equivalence``, the one equivalence
+certificate, its validation of the map and both sides included;
+``groups_s``, the
 seconds spent in the checks (``checks._guard``) of each check group of
 ``checks.CHECK_GROUPS``, and ``checks_s``, of each check by its name;
 ``gc_s``, the seconds the garbage collector ran during the verify, and
@@ -190,15 +193,18 @@ def _timed(fn, spent, key):
 
 def time_tensors():
     """Route every binding of ``duality.tensor_k`` and ``duality.tensor_r``
-    in the imported rkdual modules through one timer, and every binding of
-    ``duality.left_times_one`` through another, from outside, so any source
-    tree can be timed; returns the dict whose entries ``"tensor"`` and
-    ``"fill"`` sum the seconds spent in them."""
+    in the imported rkdual modules through one timer, every binding of
+    ``duality.left_times_one`` through another and every binding of
+    ``duality.verify_diagonal_equivalence`` through a third, from outside,
+    so any source tree can be timed; returns the dict whose entries
+    ``"tensor"``, ``"fill"`` and ``"certify"`` sum the seconds spent in
+    them."""
     from rkdual import duality
     spent = {}
     builders = [(fn, _timed(fn, spent, key)) for key, fn in (
         ("tensor", duality.tensor_k), ("tensor", duality.tensor_r),
-        ("fill", duality.left_times_one))]
+        ("fill", duality.left_times_one),
+        ("certify", duality.verify_diagonal_equivalence))]
     for name, module in list(sys.modules.items()):
         if name == "rkdual" or name.startswith("rkdual."):
             for key, value in list(vars(module).items()):
@@ -256,8 +262,9 @@ def time_collector():
 
 def child(src):
     """Verify the document on stdin with rkdual from ``src``; print the
-    wall time, the seconds spent building blocked tensors, filling M ⊗ 1
-    and in each check group, the collector's seconds and collections, the peak
+    wall time, the seconds spent building blocked tensors, filling M ⊗ 1,
+    certifying equivalences and in each check group, the collector's
+    seconds and collections, the peak
     resident memory, the number of checks, whether all of them passed and
     the sha256 of the JSON report."""
     sys.path.insert(0, os.path.abspath(src))
@@ -275,6 +282,7 @@ def child(src):
     print(json.dumps({"wall_s": round(wall, 3),
                       "tensor_s": round(tensor.get("tensor", 0.0), 3),
                       "fill_s": round(tensor.get("fill", 0.0), 3),
+                      "certify_s": round(tensor.get("certify", 0.0), 3),
                       "groups_s": {k: round(v, 3) for k, v in groups.items()},
                       "checks_s": {k: round(v, 3)
                                    for k, v in by_check.items()},
@@ -321,6 +329,7 @@ def summarize(runs):
             "wall_max_s": max(walls),
             "tensor_s": mid(got["tensor_s"] for got in runs),
             "fill_s": mid(got["fill_s"] for got in runs),
+            "certify_s": mid(got["certify_s"] for got in runs),
             "groups_s": {g: mid(got["groups_s"][g] for got in runs)
                          for g in runs[0]["groups_s"]},
             "slowest_s": {c: -t for t, c in by_check[:5]},

@@ -17,13 +17,16 @@ tensor, and the double-dual collapse those of T(C) and T²C.
 
 The duality functor sends C to C* ⊗ (cochains of K), and the evaluation of
 blocked maps against cochains of K collapses the double dual back to the
-identity up to chain equivalence.  That is certified on the diagonal of the
-map, the direct sum of its one-label components, by one whole homology
-computation: when the diagonal is split surjective on bases, as every
-collapse's is, the homology of its kernel, which vanishes exactly when the
-cone does; when it is split injective on bases, as the cell map's is, that
-of its cokernel; otherwise the cone of the diagonal, acyclic iff each
-component's cone is.
+identity up to chain equivalence.  Each such equivalence is certified on
+the cone of the map's diagonal, the direct sum of its one-label components,
+after its unit entries are cancelled in the cone: a differential
+(φ δ; γ ε) with φ invertible is replaced by ε - γφ⁻¹δ, which keeps the
+homology (Gaussian elimination, Bar-Natan 2007).  The diagonal's columns
+are matched to unit entries so that the matched block is a diagonal of
+units.  What is left is the kernel, one degree up, of a split surjective
+diagonal, as every collapse's is; the cokernel of a split injective one,
+as the cell map's is; the whole cone of one with no unit.  Its differential
+keeps one label, so its cut to a label is that label's reduced cone.
 
 Koszul signs: d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, and the Hom-to-dual
 isomorphism Hom(D, C*) -> (C ⊗ D)* carries the sign (-1)^{|x||y|}.  Into
@@ -36,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (ChainComplex, ChainComplexError, Matrix, is_acyclic,
-                     is_cone_acyclic)
+from .linalg import ChainComplexError, Matrix, is_acyclic
 from .rkcore import (RKComplex, RKMap, dual_star, hom_rk, delta_star_k,
                      identities)
 from .simplicial import simplex_name
@@ -84,21 +86,18 @@ def left_keys(t: Tensor, keys) -> dict:
     return out
 
 
-def _pair_names(C, D, full):
-    """``name(q, k)`` of the tensor of C and D: the pair at position k of
-    degree q, found by counting the pairs of that degree."""
-    left, left_name, right, right_name, K = (C.labels, C.name, D.labels,
-                                             D.name, D.K)
+def _pair_names(C, D, layout):
+    """``name(q, k)`` of the tensor of C and D laid out by ``layout``, as
+    :func:`_layout` gives it: the pair at position k of degree q."""
+    left_name, right_name = C.name, D.name
 
     def name(q, k):
-        for r in sorted(left):
-            ys = right.get(q - r, ())
-            for i, label in enumerate(left[r]):
-                js = [j for j, y in enumerate(ys)
-                      if full or y in K.closure(label)]
-                if k < len(js):
-                    return left_name(r, i) + "⊗" + right_name(q - r, js[k])
-                k -= len(js)
+        for r, (cuts, starts) in layout.items():
+            for i, cut in enumerate(cuts):
+                if (s := q - r) in cut:
+                    js, at = cut[s][0], k - starts[s][i]
+                    if 0 <= at < len(js):
+                        return left_name(r, i) + "⊗" + right_name(s, js[at])
         raise IndexError(f"no pair at position {k} of degree {q}")
     return name
 
@@ -138,7 +137,7 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
                                  len(labels[q]), data.pop(q))
             for q in sorted(data) if any(data[q].values())}
     t = Tensor(C.ring, D.K, False, labels, diff,
-               name=_pair_names(C, D, keep_all))
+               name=_pair_names(C, D, layout))
     t.full, t.left, t.dual_of, t.right = keep_all, C.labels, None, D
     t.layout = built
     return t
@@ -319,108 +318,90 @@ class EquivalenceReport:
                       if not ok)
 
 
-def _one_label_columns(f: RKMap, q):
-    """The nonzero columns of the diagonal of ``f`` in degree q, as (j, its
-    [(i, value)] between generators of one label), in storage order."""
-    cols, rows = f.src.labels.get(q, ()), f.tgt.labels.get(q, ())
-    for j, col in f.comps[q].columns() if q in f.comps else ():
-        if on := [(i, v) for i, v in col if rows[i] == cols[j]]:
-            yield j, on
+def _cone_columns(pieces, places, labels, cols):
+    """Add into ``cols[b]``, for the generator j at place b of ``places``,
+    labelled ``labels[j]``, the one-label entries of column j of each
+    (matrix, row labels, row places, matched rows, sign) of ``pieces`` that
+    land on a place; return the (b, row, value) of those on a matched row,
+    and drop the rest, which land on a matched column."""
+    off = []
+    for mat, rows, at, hit, sign in pieces:
+        for j, b in places.items():
+            col, label = cols[b], labels[j]
+            for i, v in mat.column(j):
+                if rows[i] != label:
+                    continue
+                if (a := at.get(i)) is not None:
+                    col[a] = col[a] + sign * v if a in col else sign * v
+                elif i in hit:
+                    off.append((b, i, v))
+    return off
 
 
-def _reduced(C: RKComplex, kept, also, rewrite) -> ChainComplex:
-    """The complex on the generators ``kept[q]`` of each degree q of ``C``,
-    with the one-label differential of ``C``: the kept generator j stands
-    for e_j + c·e_p where ``also[q][j]`` = (p, c), else for e_j, and an
-    image e_i counts at the place of i among the kept generators, or, off
-    them, as the sum of s·e_k over the pairs (k, s) of ``rewrite[q][i]``,
-    or as 0."""
-    diff = {}
-    for q, mat in C.diff.items():
-        if q not in kept or q - 1 not in kept:
-            continue
-        above, below, cols = C.labels[q], C.labels[q - 1], {}
-        places = {i: b for b, i in enumerate(kept[q - 1])}
-        extra, rewrites = also.get(q, {}), rewrite.get(q - 1, {})
-        for b, j in enumerate(kept[q]):
-            col = cols[b] = {}
-            for k, c in ((j, 1), extra[j]) if j in extra else ((j, 1),):
-                for i, v in mat.column(k):
-                    if below[i] != above[k]:
-                        continue
-                    if (a := places.get(i)) is not None:
-                        col[a] = col[a] + c * v if a in col else c * v
-                    for i2, s in rewrites.get(i, ()):
-                        a, w = places[i2], c * s * v
-                        col[a] = col[a] + w if a in col else w
-        diff[q] = Matrix._from_sums(C.ring, len(places), len(kept[q]), cols)
-    return ChainComplex(C.ring, {q: len(js) for q, js in kept.items()}, diff)
+def reduced_cone(f: RKMap) -> RKComplex:
+    """The cone of the diagonal of ``f``, Cone_n = src_{n-1} ⊕ tgt_n with
+    d(c, x) = (-d c, f c + d x), after its unit entries are cancelled.
 
-
-def split_kernel(f: RKMap):
-    """The kernel of the diagonal of ``f`` when that diagonal is split
-    surjective on bases, else None.
-
-    Split surjective on bases means, in every degree: each column of the
-    diagonal (the entries of ``f`` between generators of one label) is zero
-    or one unit entry, and every generator of ``f.tgt`` is hit.  Of the
-    columns that hit a row, the first, p, is its pivot.  The kernel has the
-    basis e_j for a zero column j and e_j - v_j v_p⁻¹ e_p for a column j
-    off the pivots that hits the row of p (v_j, v_p the entries), so a
-    kernel vector's coordinates are its entries off the pivots.  For a
-    chain map ``f`` it is a subcomplex of the one-label differential of
-    ``f.src``, returned on the columns off the pivots, in their order.
+    Column j of the diagonal of f_q, read in storage order, is matched to
+    its first unit entry u, at row i, when none of its entries lies on a
+    matched row and i lies in no matched column's support; the matched
+    block is then a diagonal of units.  The unmatched generators are kept,
+    in the cone's order, with their labels.  Of the one-label entries of
+    d_src, f and d_tgt, one that lands on a matched column is dropped, and
+    one, v, on a matched row i whose column is p becomes -v·u⁻¹ times the
+    cone's differential of p off the matched rows.
     """
-    src, ring, kept, also = f.src, f.src.ring, {}, {}
-    for q in set(src.degrees()) | set(f.tgt.degrees()):
-        pivots = {}                 # row -> (its pivot column, v_p)
-        for j, on in _one_label_columns(f, q):
-            (i, v), *more = on
-            if more or not ring.is_unit(v):
-                return None
-            if (pivot := pivots.get(i)) is None:
-                pivots[i] = j, v
+    if f.degree != 0:
+        raise ChainComplexError("a mapping cone needs a degree-0 map")
+    src, tgt, ring = f.src, f.tgt, f.src.ring
+    # pivots[q]: row -> (its column, u⁻¹) of f_q; sp[q], tp[q]: the places
+    # in the reduced cone of the kept generators of src_q and tgt_q
+    sl, tl, pivots, sp, tp, labels, diff = (f.src.labels, f.tgt.labels, {},
+                                            {}, {}, {}, {})
+    for q, mat in f.comps.items():
+        cols, rows, hit, covered = sl[q], tl[q], {}, set()
+        for j, col in mat.columns():
+            label, on, unit = cols[j], [], None
+            for i, v in col:
+                if rows[i] == label:
+                    if i in hit:
+                        break
+                    on.append(i)
+                    if unit is None and ring.is_unit(v):
+                        unit = i, v
             else:
-                p, v_p = pivot
-                also.setdefault(q, {})[j] = p, -v * ring.invert(v_p)
-        if len(pivots) != f.tgt.rank(q):
-            return None
-        taken = {p for p, _ in pivots.values()}
-        kept[q] = [j for j in range(src.rank(q)) if j not in taken]
-    return _reduced(src, kept, also, {})
-
-
-def split_cokernel(f: RKMap):
-    """The cokernel of the diagonal of ``f`` when that diagonal is split
-    injective on bases, else None.
-
-    Split injective on bases means, in every degree: the columns of the
-    diagonal have pairwise disjoint supports, and each column j holds a
-    unit entry u_j, the first, at its pivot row p_j.  The diagonal is then
-    injective, its image a direct summand, and the quotient has the basis
-    of the rows off the pivots: e_{p_j} is e_{p_j} - f(e_j)/u_j there,
-    -u_j⁻¹ times the rest of column j, which lies off the pivots since the
-    supports are disjoint.  For a chain map ``f`` the quotient's
-    differential is the one-label differential of ``f.tgt`` on the rows
-    off the pivots, each pivot row in an image so rewritten.
-    """
-    tgt, ring, kept, rest = f.tgt, f.tgt.ring, {}, {}
-    for q in set(f.src.degrees()) | set(tgt.degrees()):
-        seen, pivots = set(), 0
-        for _, on in _one_label_columns(f, q):
-            p, u = next(((i, v) for i, v in on if ring.is_unit(v)),
-                        (None, None))
-            support = {i for i, _ in on}
-            if p is None or support & seen:
-                return None
-            seen |= support
-            pivots += 1
-            c = -ring.invert(u)
-            rest.setdefault(q, {})[p] = [(i, c * v) for i, v in on if i != p]
-        if pivots != f.src.rank(q):
-            return None
-        kept[q] = [i for i in range(tgt.rank(q)) if i not in rest.get(q, ())]
-    return _reduced(tgt, kept, {}, rest)
+                if unit and unit[0] not in covered:
+                    hit[unit[0]] = j, ring.invert(unit[1])
+                    covered.update(on)
+        pivots[q] = hit
+    for n in {q + 1 for q in sl} | set(tl):
+        taken = {p for p, _ in pivots.get(n - 1, {}).values()}
+        srcs = [j for j in range(src.rank(n - 1)) if j not in taken]
+        tgts = [i for i in range(tgt.rank(n)) if i not in pivots.get(n, ())]
+        sp[n - 1] = {j: a for a, j in enumerate(srcs)}
+        tp[n] = {i: a for a, i in enumerate(tgts, len(srcs))}
+        labels[n] = [sl[n - 1][j] for j in srcs] + [tl[n][i] for i in tgts]
+    for n, ls in labels.items():
+        hit, below = pivots.get(n - 1, {}), tp.get(n - 1)
+        into_src = [piece for piece in (
+            (src.diff.get(n - 1), sl.get(n - 2), sp.get(n - 2), {}, -1),
+            (f.comps.get(n - 1), tl.get(n - 1), below, hit, 1)) if piece[0]]
+        into_tgt = ([(tgt.diff[n], tl[n - 1], below, hit, 1)]
+                    if n in tgt.diff else [])
+        cols = {b: {} for b in range(len(ls))}
+        off = (_cone_columns(into_src, sp[n - 1], sl.get(n - 1), cols)
+               + _cone_columns(into_tgt, tp[n], tl.get(n), cols))
+        if off:     # each matched row hit, to the cone's column of its pivot
+            heads = {i: {} for _, i, _ in off}
+            _cone_columns(into_src, {hit[i][0]: i for i in heads},
+                          sl[n - 1], heads)
+            for b, i, v in off:
+                col, c = cols[b], -v * hit[i][1]
+                for a, x in heads[i].items():
+                    col[a] = col[a] + c * x if a in col else c * x
+        diff[n] = Matrix._from_sums(ring, len(labels.get(n - 1, ())),
+                                    len(ls), cols)
+    return RKComplex(ring, src.K, src.op, labels, diff)
 
 
 def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
@@ -431,29 +412,20 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     d∘d = 0 of ``f.src`` and ``f.tgt``, support and the chain-map identity
     of ``f``.  With support, the diagonal blocks of those identities are
     the identities of the diagonal blocks, so the diagonal, the direct sum
-    of the per-label components, is a chain map of complexes with d∘d = 0.
-    Its cone is acyclic exactly when every per-label cone is: homology over
-    Z, Q and Z/p adds up, torsion included.  When the diagonal is split
-    surjective on bases (:func:`split_kernel`) or split injective on bases
-    (:func:`split_cokernel`), no cone is built: by the long exact sequence
-    of 0 -> ker -> src -> tgt -> 0, or of 0 -> src -> tgt -> coker -> 0,
-    free and split in each degree, H_q(ker) = H_{q+1}(cone) and H_q(coker)
-    = H_q(cone), so the kernel's or the cokernel's homology decides every
-    label at once (the Gaussian-elimination lemma, applied before the
-    cone).  Any other diagonal goes through the whole cone.  Only when the
-    whole verdict fails is each label's cone built, to name the labels
-    that fail.
+    of the per-label components, is a chain map of complexes with d∘d = 0,
+    and its cone is the direct sum of the per-label cones.  Cancelling a
+    unit entry of a differential keeps the homology over Z, Q and Z/p,
+    torsion included (the Gaussian-elimination lemma), so
+    :func:`reduced_cone` is acyclic exactly when every per-label cone is.
+    Its differential keeps one label, so its cut to σ is the reduced cone
+    of σ's component: only when the whole verdict fails is each label
+    decided on its cut, to name the labels that fail.
     """
     f.src.validate()
     f.tgt.validate()
     f.validate()
+    reduced = reduced_cone(f)
     labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    reduced = split_kernel(f)
-    if reduced is None:
-        reduced = split_cokernel(f)
-    whole = (is_cone_acyclic(f.diagonal()) if reduced is None else
-             is_acyclic(reduced))
-    verdicts = (dict.fromkeys(labels, True) if whole else
-                {sigma: is_cone_acyclic(f.diagonal_component(sigma))
-                 for sigma in labels})
+    verdicts = (dict.fromkeys(labels, True) if is_acyclic(reduced) else
+                {sigma: is_acyclic(reduced.sub({sigma})) for sigma in labels})
     return EquivalenceReport(name, verdicts, all(verdicts.values()))

@@ -10,10 +10,8 @@ label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
 some labels with the blocks between them, and :meth:`RKMap.shared` places
 a cut in the complex it was cut from.  :func:`star_ranks` counts the
 generators over every star of K from one scan of the labels, with no cut.
-:meth:`RKMap.diagonal` is the direct sum of a map's one-label cuts, on its
-whole bases, so a label-wise certificate runs once on it.  The star dual,
-blocked Hom, and the geometric chain/cochain complexes of a K-space are all
-built here.
+The star dual, blocked Hom, and the geometric chain/cochain complexes of a
+K-space are all built here.
 
 A generator is its position.  A complex keeps, per degree, the tuple of its
 generators' labels, and a dual keeps its source's tuples.  Where input names
@@ -248,18 +246,6 @@ class RKMap(ChainMap):
         for q in other.src.degrees():
             comps[q] = self.component(q + other.degree) * other.component(q)
         return RKMap(other.src, self.tgt, comps, degree=self.degree + other.degree)
-
-    def diagonal(self) -> ChainMap:
-        """The direct sum of all diagonal components, on the original bases:
-        the map and both sides keep only their entries between generators
-        of one label."""
-        if self.degree != 0:
-            raise ChainComplexError("diagonal components need degree 0")
-        src, tgt = self.src, self.tgt
-        return ChainMap(
-            ChainComplex(src.ring, src.spaces, _one_label(src.diff, src, src, -1)),
-            ChainComplex(tgt.ring, tgt.spaces, _one_label(tgt.diff, tgt, tgt, -1)),
-            _one_label(self.comps, src, tgt, 0))
 
     def diagonal_component(self, sigma) -> ChainMap:
         """The chain map between the sigma-cuts of the two sides."""

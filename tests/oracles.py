@@ -7,7 +7,8 @@ Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
 brute-force enumeration.  The double dual with its evaluation, the
 splitting over each star by two label cuts and two shared maps per label,
 the contractible-star lemma computed on each maximal simplex's own
-cochains, and the cap factorization on the full tensor are the routes the
+cochains, the cap factorization on the full tensor and the diagonal of a
+map, whose cone the certificate no longer builds, are the routes the
 package no longer takes, kept here to check the ones it does.  The dense
 row views of a matrix and the corpus K-spaces are read by tests alone, so
 they are built here too.
@@ -22,7 +23,8 @@ import pytest
 from rkdual.corpus import DOCUMENTS
 from rkdual.capproduct import cap_product, cochain_pullback
 from rkdual.duality import left_keys, projection_map, tensor_r
-from rkdual.linalg import ChainComplexError, Matrix, is_acyclic
+from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap,
+                           Matrix, is_acyclic)
 from rkdual.rkcore import (ClemReport, RKComplex, RKMap, delta_chain,
                            dual_star, identities, star_ranks)
 from rkdual.simplicial import (InputError, KSpace, SimplicialComplex,
@@ -173,6 +175,26 @@ def cone_block(dc, f, dd, rows_c, ncols_c, rows_d, ncols_d):
     bottom = [[f[i][j] for j in range(ncols_c)] +
               [dd[i][j] for j in range(ncols_d)] for i in range(rows_d)]
     return top + bottom
+
+
+def diagonal(f: RKMap) -> ChainMap:
+    """The direct sum of the diagonal components of the degree-0 blocked
+    map ``f``, on its whole bases: the map and both sides keep only their
+    entries between generators of one label, read entry by entry into the
+    checked constructor."""
+    assert f.degree == 0
+
+    def one_label(mats, rows, cols, step):
+        return {q: Matrix(mat.ring, mat.nrows, mat.ncols, {
+            (i, j): v for (i, j), v in mat.entries()
+            if rows[q + step][i] == cols[q][j]}) for q, mat in mats.items()}
+    src, tgt = f.src, f.tgt
+    return ChainMap(
+        ChainComplex(src.ring, src.spaces,
+                     one_label(src.diff, src.labels, src.labels, -1)),
+        ChainComplex(tgt.ring, tgt.spaces,
+                     one_label(tgt.diff, tgt.labels, tgt.labels, -1)),
+        one_label(f.comps, tgt.labels, src.labels, 0))
 
 
 def count_decreasing_chains(simplices, length):

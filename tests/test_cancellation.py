@@ -5,11 +5,10 @@ without the generators that a unit pivot of the one above cancelled.  Its
 result is compared here with the homology read from the Smith normal form
 of each whole differential, taken by the same kernel and by sympy.  The
 complexes are those whose acyclicity ``verify`` decides on the corpus
-documents over Z, Q and Z/2 (the kernels of split surjective diagonals,
-the cokernels of split injective ones, the lemma's star cuts and the
-exactness checks' three-term complexes; a passing verify builds no mapping
-cone), and seeded random complexes over Z with torsion, whose homology is
-also known from how they are built.
+documents over Z, Q and Z/2 (the reduced cones of the certified maps, the
+lemma's star cuts and the exactness checks' three-term complexes; a
+passing verify builds no mapping cone), and seeded random complexes over Z
+with torsion, whose homology is also known from how they are built.
 """
 
 import glob
@@ -71,28 +70,24 @@ def assert_cross_checked(cx):
 def cones():
     """Every distinct complex whose acyclicity a ``verify`` of the corpus
     documents over Z, Q and Z/2 decides, with how it was built: "cone" for
-    a mapping cone, "kernel" for the kernel of a split surjective diagonal,
-    "cokernel" for the cokernel of a split injective one, "other" for the
-    rest (the lemma's star cuts, the exactness checks' three-term
-    complexes)."""
+    a mapping cone, "reduced" for the reduced cone of a certified map,
+    "other" for the rest (the lemma's star cuts, the exactness checks'
+    three-term complexes)."""
     seen = {}
-    cone, kernel, cokernel, acyclic = (
-        linalg.mapping_cone, duality.split_kernel, duality.split_cokernel,
-        linalg.is_acyclic)
+    cone, reduced, acyclic = (linalg.mapping_cone, duality.reduced_cone,
+                              linalg.is_acyclic)
     bound = [(module, key) for name, module in list(sys.modules.items())
              if name == "rkdual" or name.startswith("rkdual.")
              for key, value in vars(module).items() if value is acyclic]
 
     def keep(kind, cx):
-        if cx is not None:
-            key = (cx.ring, tuple(sorted(cx.spaces.items())), frozenset(
-                (q, frozenset(mat.entries())) for q, mat in cx.diff.items()))
-            seen.setdefault(key, (kind, cx))
+        key = (cx.ring, tuple(sorted(cx.spaces.items())), frozenset(
+            (q, frozenset(mat.entries())) for q, mat in cx.diff.items()))
+        seen.setdefault(key, (kind, cx))
         return cx
 
     linalg.mapping_cone = lambda f: keep("cone", cone(f))
-    duality.split_kernel = lambda f: keep("kernel", kernel(f))
-    duality.split_cokernel = lambda f: keep("cokernel", cokernel(f))
+    duality.reduced_cone = lambda f: keep("reduced", reduced(f))
     for module, key in bound:
         setattr(module, key, lambda cx: acyclic(keep("other", cx)))
     try:
@@ -102,8 +97,7 @@ def cones():
             for ring in ("Z", "Q", "Z/2"):
                 assert run_command("verify", payload, ring_override=ring).passed
     finally:
-        linalg.mapping_cone, duality.split_kernel = cone, kernel
-        duality.split_cokernel = cokernel
+        linalg.mapping_cone, duality.reduced_cone = cone, reduced
         for module, key in bound:
             setattr(module, key, acyclic)
     return list(seen.values())
@@ -114,7 +108,7 @@ def test_homology_of_captured_cones_matches_the_per_degree_snf(cones, ring):
     mine = [(kind, cx) for kind, cx in cones if str(cx.ring) == ring]
     assert len(DOCUMENTS) == 6
     assert len(mine) > 25
-    assert {kind for kind, _ in mine} == {"kernel", "cokernel", "other"}
+    assert {kind for kind, _ in mine} == {"reduced", "other"}
     for _, cx in mine:
         # every complex a passing verify finds acyclic is acyclic
         assert all(h.is_trivial() for h in assert_cross_checked(cx).values())

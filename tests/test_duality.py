@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rkdual import capproduct, checks, duality
+from rkdual import capproduct, checks, duality, linalg
 from rkdual.checks import parse_document, verify_kspace
 from rkdual.corpus import CORPUS_NAMES
 from rkdual.linalg import (ChainComplexError, HomologyGroup, Matrix, homology,
@@ -19,13 +19,14 @@ from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            dual_star, dual_star_map, hom_rk,
                            maximal_label_ses)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map,
-                            split_cokernel, split_kernel, tensor_k, tensor_r,
+                            reduced_cone, tensor_k, tensor_r,
                             verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 
-from oracles import (blocked_tensor, corpus_kspace, double_dual, epsilon,
-                     from_rows, hom_to_dual_via_double_dual, to_rows)
+from oracles import (blocked_tensor, corpus_kspace, diagonal, double_dual,
+                     epsilon, from_rows, hom_to_dual_via_double_dual, to_rows)
+from test_kspace_data import count_calls
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 
@@ -426,76 +427,54 @@ def test_the_one_cone_decides_as_the_per_label_cones_do(monkeypatch, corpus,
     # every map a verify certifies: the cone of the diagonal is the direct
     # sum of the per-label cones, so its homology is theirs added up
     for f in certified_maps(monkeypatch, corpus, ring):
-        whole = homology(mapping_cone(f.diagonal()))
+        whole = homology(mapping_cone(diagonal(f)))
         parts = [homology(mapping_cone(f.diagonal_component(s)))
                  for s in f.src.K.all_simplices()]
         for q, h in whole.items():
             assert h.betti == sum(p[q].betti for p in parts if q in p)
-        assert is_cone_acyclic(f.diagonal()) == (per_label_failures(f) == [])
+        assert is_cone_acyclic(diagonal(f)) == (per_label_failures(f) == [])
 
 
-def assert_cokernel_is_the_cone(f):
-    """The cokernel of the split injective diagonal of ``f`` has the
-    homology of the cone of the diagonal: H_q(coker) = H_q(cone)."""
-    cokernel = split_cokernel(f)
-    assert cokernel.total_rank() == f.tgt.total_rank() - f.src.total_rank()
-    cone = homology(mapping_cone(f.diagonal()))
-    got = homology(cokernel)
+def assert_same_homology(got, want):
     zero = HomologyGroup(0, ())
-    for q in set(got) | set(cone):
-        assert got.get(q, zero) == cone.get(q, zero)
-    assert is_acyclic(cokernel) == is_cone_acyclic(f.diagonal())
+    for q in set(got) | set(want):
+        assert got.get(q, zero) == want.get(q, zero), q
 
 
-def assert_kernel_is_the_cone_shifted(f):
-    """The kernel of the split surjective diagonal of ``f`` has the homology
-    of the cone of the diagonal one degree down: H_q(ker) = H_{q+1}(cone)."""
-    kernel = split_kernel(f)
-    assert kernel.total_rank() == f.src.total_rank() - f.tgt.total_rank()
-    cone = homology(mapping_cone(f.diagonal()))
-    got = {q + 1: h for q, h in homology(kernel).items()}
-    zero = HomologyGroup(0, ())
-    for q in set(got) | set(cone):
-        assert got.get(q, zero) == cone.get(q, zero)
-    assert is_acyclic(kernel) == is_cone_acyclic(f.diagonal())
+def assert_reduced_is_the_cone(f):
+    """The reduced cone of ``f`` has the homology of the cone of its
+    diagonal in every degree, and its cut to each label that of the
+    label's cone; returns it."""
+    reduced = reduced_cone(f)
+    assert_same_homology(homology(reduced),
+                         homology(mapping_cone(diagonal(f))))
+    for sigma in f.src.K.all_simplices():
+        assert_same_homology(
+            homology(reduced.sub({sigma})),
+            homology(mapping_cone(f.diagonal_component(sigma))))
+    assert is_acyclic(reduced) == is_cone_acyclic(diagonal(f))
+    return reduced
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
-def test_the_kernel_decides_as_the_cone_of_the_diagonal_does(monkeypatch,
-                                                              corpus, ring):
-    split = 0
-    for f in certified_maps(monkeypatch, corpus, ring):
-        if split_kernel(f) is not None:
-            split += 1
-            assert_kernel_is_the_cone_shifted(f)
-    # the three double-dual collapses of every document, at least
-    assert split >= 3 * len(corpus)
-
-
-@pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
-def test_the_cokernel_decides_as_the_cone_of_the_diagonal_does(
+def test_the_reduced_cone_decides_as_the_cone_of_the_diagonal_does(
         monkeypatch, corpus, ring):
-    # every certified map whose diagonal is not split surjective is split
-    # injective, so no certificate of a passing verify needs its cone
-    split = 0
+    # every certified diagonal is split surjective on bases, as every
+    # collapse's is, and the reduced cone is its kernel, on |src| - |tgt|
+    # generators; or split injective on bases, and it is the cokernel, on
+    # |tgt| - |src|: no certificate of a passing verify needs a whole cone
+    kernels = cokernels = 0
     for f in certified_maps(monkeypatch, corpus, ring):
-        if split_kernel(f) is None:
-            split += 1
-            assert_cokernel_is_the_cone(f)
-    # the cells map into the subdivision chains off a bijection on id2 and
-    # tri, for each of the two maps that start from the cells
-    assert split == 4
-
-
-def count_diagonals(monkeypatch):
-    """The list of maps whose whole diagonal is taken from now on."""
-    calls, diagonal = [], RKMap.diagonal
-
-    def counted(f):
-        calls.append(f)
-        return diagonal(f)
-    monkeypatch.setattr(RKMap, "diagonal", counted)
-    return calls
+        reduced = assert_reduced_is_the_cone(f)
+        gap = f.src.total_rank() - f.tgt.total_rank()
+        assert reduced.total_rank() == abs(gap)
+        kernels += gap >= 0
+        cokernels += gap < 0
+    # the three double-dual collapses of every document, at least, and the
+    # cells map into the subdivision chains off a bijection on id2 and tri,
+    # for each of the two maps that start from the cells
+    assert kernels >= 3 * len(corpus)
+    assert cokernels == 4
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
@@ -504,7 +483,8 @@ def test_a_split_surjection_with_homology_in_its_kernel_names_its_label(
         monkeypatch, ring, top):
     # C ⊕ A -> C, C = (x -> u) at a plus w at ab, and A at ab: R in degree
     # 0, or R --top--> R from degree 1, whose homology is R/2 (0 over Q).
-    # The kernel A decides it, with no whole cone, and it fails at ab alone
+    # The reduced cone is the kernel A, with no whole cone built, and it
+    # fails at ab alone
     K = build("ab")
     a, ab = ("a",), ("a", "b")
     C = RKComplex(ring, K, False, {0: (a, ab), 1: (a,)},
@@ -517,15 +497,14 @@ def test_a_split_surjection_with_homology_in_its_kernel_names_its_label(
                         {1: Matrix(ring, 3, 1, {(0, 0): 1})})
     f = RKMap(src, C, {q: Matrix(ring, C.rank(q), src.rank(q), {
         (i, i): 1 for i in range(C.rank(q))}) for q in C.degrees()})
-    assert split_kernel(f).total_rank() == (2 if top else 1)
-    assert_kernel_is_the_cone_shifted(f)
-    diagonals = count_diagonals(monkeypatch)
+    assert assert_reduced_is_the_cone(f).total_rank() == (2 if top else 1)
+    cones = count_calls(monkeypatch, linalg.mapping_cone)
     rep = verify_diagonal_equivalence(f, "summand")
+    assert cones == []
     fails = not (top and ring is QQ)
     assert rep.passed is not fails
     assert rep.failures() == per_label_failures(f)
     assert rep.failures() == (["a.b"] if fails else [])
-    assert diagonals == []
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF2], ids=["Z", "Q", "Z2"])
@@ -533,8 +512,8 @@ def test_a_split_surjection_with_homology_in_its_kernel_names_its_label(
 def test_a_split_injection_with_homology_in_its_cokernel_names_its_label(
         monkeypatch, ring, top):
     # C -> C ⊕ A, C = (x -> u) at a plus w at ab, and A at ab: R in degree
-    # 0, or R --top--> R from degree 1.  The cokernel A decides it, with no
-    # whole cone, and it fails at ab alone
+    # 0, or R --top--> R from degree 1.  The reduced cone is the cokernel
+    # A, with no whole cone built, and it fails at ab alone
     K = build("ab")
     a, ab = ("a",), ("a", "b")
     C = RKComplex(ring, K, False, {0: (a, ab), 1: (a,)},
@@ -547,41 +526,45 @@ def test_a_split_injection_with_homology_in_its_cokernel_names_its_label(
                         {1: Matrix(ring, 3, 1, {(0, 0): 1})})
     f = RKMap(C, tgt, {q: Matrix(ring, tgt.rank(q), C.rank(q), {
         (i, i): 1 for i in range(C.rank(q))}) for q in C.degrees()})
-    assert split_kernel(f) is None
-    assert split_cokernel(f).total_rank() == (2 if top else 1)
-    assert_cokernel_is_the_cone(f)
-    diagonals = count_diagonals(monkeypatch)
+    assert assert_reduced_is_the_cone(f).total_rank() == (2 if top else 1)
+    cones = count_calls(monkeypatch, linalg.mapping_cone)
     rep = verify_diagonal_equivalence(f, "summand")
+    assert cones == []
     fails = not (top and ring is QQ)
     assert rep.passed is not fails
     assert rep.failures() == per_label_failures(f)
     assert rep.failures() == (["a.b"] if fails else [])
-    assert diagonals == []
 
 
-def test_a_diagonal_that_is_not_split_surjective_takes_the_whole_cone(
+def test_a_diagonal_neither_split_surjective_nor_injective_cancels_its_units(
         monkeypatch):
-    # nor split injective: neither a kernel nor a cokernel decides these
+    # the matched units are cancelled and the rest of the cone is kept; a
+    # diagonal with no unit keeps the whole cone, |src| + |tgt| generators
     K = build("ab")
     a, ab = ("a",), ("a", "b")
     C = RKComplex(ZZ, K, False, {0: (a, ab)}, {})
     twice = RKComplex(ZZ, K, False, {0: (a, a)}, {})
     maps = {
-        "a column with no unit": RKMap(C, C, {0: from_rows(ZZ, [[1, 0],
-                                                                [0, 2]])}),
-        "overlapping supports": RKMap(twice, twice, {
-            0: from_rows(ZZ, [[1, 1], [0, 1]])}),
+        # the unit at a is cancelled, the 2 at ab is kept
+        "a column with no unit": (RKMap(C, C, {0: from_rows(ZZ, [[1, 0],
+                                                                 [0, 2]])}),
+                                  2),
+        # the second column lies on the first one's row: it stays
+        "overlapping supports": (RKMap(twice, twice, {
+            0: from_rows(ZZ, [[1, 1], [0, 1]])}), 2),
         # a zero column, and the generator at ab is missed
-        "a missed row": RKMap(twice, C, {0: from_rows(ZZ, [[1, 0], [0, 0]])}),
+        "a missed row": (RKMap(twice, C, {0: from_rows(ZZ, [[1, 0],
+                                                            [0, 0]])}), 2),
+        "no unit": (RKMap(C, C, {0: from_rows(ZZ, [[2, 0], [0, 3]])}), 4),
     }
-    diagonals = count_diagonals(monkeypatch)
-    for name, f in maps.items():
-        assert split_kernel(f) is None, name
-        assert split_cokernel(f) is None, name
-        diagonals.clear()
+    for name, (f, rank) in maps.items():
+        assert assert_reduced_is_the_cone(f).total_rank() == rank, name
+        cones = count_calls(monkeypatch, linalg.mapping_cone)
         rep = verify_diagonal_equivalence(f, name)
-        assert diagonals == [f], name
+        assert cones == [], name
+        monkeypatch.undo()
         assert rep.failures() == per_label_failures(f), name
+        assert rep.passed is (name == "overlapping supports"), name
 
 
 def test_several_columns_on_a_row_or_rows_in_a_column_take_no_cone(
@@ -593,26 +576,18 @@ def test_several_columns_on_a_row_or_rows_in_a_column_take_no_cone(
     C = RKComplex(ZZ, K, False, {0: (a, ab)}, {})
     D = RKComplex(ZZ, K, False, {0: (a,)}, {})
     twice = RKComplex(ZZ, K, False, {0: (a, a)}, {})
-    kernels = {
+    maps = {
         "two columns on a row": RKMap(twice, D, {0: from_rows(ZZ, [[1, -1]])}),
-    }
-    cokernels = {
         "two rows in a column": RKMap(D, twice, {0: from_rows(ZZ, [[1], [1]])}),
         "a row missed": RKMap(D, C, {0: from_rows(ZZ, [[1], [0]])}),
     }
-    diagonals = count_diagonals(monkeypatch)
-    for name, f in {**kernels, **cokernels}.items():
-        if name in kernels:
-            assert split_kernel(f).total_rank() == 1, name
-            assert_kernel_is_the_cone_shifted(f)
-        else:
-            assert split_kernel(f) is None, name
-            assert split_cokernel(f).total_rank() == 1, name
-            assert_cokernel_is_the_cone(f)
-        diagonals.clear()
+    for name, f in maps.items():
+        assert assert_reduced_is_the_cone(f).total_rank() == 1, name
+        cones = count_calls(monkeypatch, linalg.mapping_cone)
         rep = verify_diagonal_equivalence(f, name)
-        # no whole cone is taken; the per-label cones name the failures
-        assert diagonals == [], name
+        # no cone is built; the reduced cone's label cuts name the failures
+        assert cones == [], name
+        monkeypatch.undo()
         assert not rep.passed
         assert rep.failures() == per_label_failures(f), name
         assert rep.failures() == (["a"] if name != "a row missed" else
@@ -628,7 +603,7 @@ def test_a_diagonal_entry_scaled_by_two_fails_its_label_alone():
                   {1: from_rows(ZZ, [[1], [0]])})
     f = RKMap(C, C, {0: from_rows(ZZ, [[1, 0], [0, 2]]),
                      1: Matrix.identity(ZZ, 1)})
-    cone = homology(mapping_cone(f.diagonal()))
+    cone = homology(mapping_cone(diagonal(f)))
     assert [h.torsion for h in cone.values() if not h.is_trivial()] == [(2,)]
     rep = verify_diagonal_equivalence(f, "scaled")
     assert not rep.passed
@@ -678,11 +653,12 @@ def test_a_whole_equivalence_off_the_diagonal_fails_both_labels():
     D = RKComplex(ZZ, K, False, {1: (u,), 0: (v,)},
                   {1: from_rows(ZZ, [[1]])})
     zero = RKComplex(ZZ, K, False, {}, {})
-    # into D the cone decides; out of D the diagonal is split surjective,
-    # and its kernel, all of D, keeps only its one-label differential
+    # into D the diagonal has no unit and the reduced cone is all of D; out
+    # of D the diagonal is split surjective and it is the kernel, all of D:
+    # either way it keeps only D's one-label differential
     for f in (RKMap(zero, D, {}), RKMap(D, zero, {})):
         assert is_cone_acyclic(f)
-        assert (split_kernel(f) is None) is (f.src is zero)
+        assert assert_reduced_is_the_cone(f).total_rank() == 2
         rep = verify_diagonal_equivalence(f, "off-diagonal")
         assert not rep.passed
         assert rep.failures() == per_label_failures(f) == ["a", "a.b"]

@@ -280,10 +280,9 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
     # a cone's construction and its acyclicity test, whole or per label
     for fn in (linalg.is_cone_acyclic, linalg.mapping_cone):
         rebind(monkeypatch, fn, within(fn, "cone"))
-    # the kernel or cokernel that decides a certificate instead of its cone
-    for key in ("split_kernel", "split_cokernel"):
-        monkeypatch.setattr(duality, key,
-                            within(getattr(duality, key), "reduced"))
+    # the reduced cone that decides a certificate instead of its cone
+    monkeypatch.setattr(duality, "reduced_cone",
+                        within(duality.reduced_cone, "reduced"))
     rebind(monkeypatch, duality.verify_diagonal_equivalence, certify)
     for cls in (linalg.ChainComplex, linalg.ChainMap, rkcore.RKComplex,
                 rkcore.RKMap):
@@ -291,9 +290,8 @@ def test_verify_validates_no_full_cut_and_no_map_inside_a_cone(monkeypatch):
     verified("id-torus-7")
     # a passing verify builds no cone
     assert entered == {"cut", "reduced", "certificate"}
-    # a full cut of a valid complex is valid, and a cone, a kernel or a
-    # cokernel of a chain map of valid complexes has d∘d = 0: none is
-    # validated
+    # a full cut of a valid complex is valid, and a cone of a chain map of
+    # valid complexes has d∘d = 0, reduced or not: none is validated
     assert not [v for v in validations if "cut" in v[1]]
     assert not [v for v in validations if "cone" in v[1]]
     assert not [v for v in validations if "reduced" in v[1]]
@@ -333,7 +331,7 @@ def test_a_verify_multiplies_each_d_squared_at_most_once(monkeypatch, name):
     assert len(checked) == len(set(checked)) == len(calls)
 
 
-def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
+def test_a_passing_verify_decides_each_equivalence_by_one_reduced_cone(
         monkeypatch):
     running, routes, kernels, cones, certified, full = [], [], [], [], [], []
     guard = checks._guard
@@ -351,18 +349,14 @@ def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
             return fn(*args, **kwargs)
         return recorded
 
-    def route(key):
-        split = getattr(duality, key)
-
-        def taken(f):
-            reduced = split(f)
-            routes.append((running[-1], key if reduced is not None else
-                           None))
-            return reduced
-        monkeypatch.setattr(duality, key, taken)
+    def reduced(f, reduce=duality.reduced_cone):
+        cx = reduce(f)
+        rank, gap = cx.total_rank(), f.src.total_rank() - f.tgt.total_rank()
+        routes.append((running[-1], "|src| - |tgt|" if rank == gap else
+                       "|tgt| - |src|" if rank == -gap else rank))
+        return cx
     monkeypatch.setattr(checks, "_guard", named)
-    route("split_kernel")
-    route("split_cokernel")
+    monkeypatch.setattr(duality, "reduced_cone", reduced)
     monkeypatch.setattr(duality, "is_acyclic",
                         by_check(duality.is_acyclic, kernels))
     rebind(monkeypatch, linalg.mapping_cone,
@@ -375,19 +369,19 @@ def test_a_passing_verify_decides_each_equivalence_by_one_kernel_or_cone(
                         counting(rkcore.RKMap.diagonal_component, components))
     data = verified("id-torus-7")
     # every diagonal of a double-dual collapse, and of the subdivision dual
-    # on the torus, is split surjective on bases: its kernel decides it;
-    # the cell chains map into the subdivision chains split injectively on
-    # bases, so the cokernel decides those two.  One whole computation per
-    # certificate, no cone, and a per-label cone only to name a failure.
+    # on the torus, is split surjective on bases: its reduced cone is its
+    # kernel; the cell chains map into the subdivision chains split
+    # injectively on bases, so the reduced cone of those two is the
+    # cokernel.  One whole computation per certificate, no cone, and a
+    # label cut of the reduced cone only to name a failure.
     kernel_route = [f"double-dual/equivalence/{key}" for key in
                     ("cochains", "subdivision-chains", "cell-chains")]
     cokernel_route = ["equivalences/cells-to-subdivision",
                       "equivalences/dual-to-subdivision"]
     last = "equivalences/subdivision-dual-to-cochains"
-    assert routes == [(name, "split_kernel") for name in kernel_route] + [
-        step for name in cokernel_route
-        for step in ((name, None), (name, "split_cokernel"))] + [
-        (last, "split_kernel")]
+    assert routes == [(name, "|src| - |tgt|") for name in kernel_route] + [
+        (name, "|tgt| - |src|") for name in cokernel_route] + [
+        (last, "|src| - |tgt|")]
     assert kernels == kernel_route + cokernel_route + [last]
     assert certified == cones == []
     assert components == []

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ import ladder  # noqa: E402
 from rkdual import duality, linalg  # noqa: E402
 from rkdual.ballcomplex import cellular_iso  # noqa: E402
 from rkdual.checks import KSpaceData, run_command  # noqa: E402
+from rkdual.corpus import document  # noqa: E402
 from rkdual.rings import ZZ  # noqa: E402
 
 from oracles import corpus_kspace  # noqa: E402
@@ -48,6 +50,7 @@ def test_child_run_and_skip():
     assert got["passed"] and got["checks"] > 0 and got["wall_s"] > 0
     assert 0 <= got["tensor_s"] <= got["wall_s"]
     assert 0 <= got["fill_s"] <= got["wall_s"] - got["tensor_s"] + 0.001
+    assert 0 < got["certify_s"] <= got["wall_s"]
     # every group of a full verify runs checks, inside the wall time (each
     # figure is rounded to the millisecond)
     assert list(got["groups_s"]) == [
@@ -76,6 +79,7 @@ def run(wall, digest="d", groups=0.1, rss=20.0, passed=True):
     one collection of the oldest generation per tenth of a second."""
     checks = {f"c{i}": round(wall / (i + 2), 3) for i in range(7)}
     return {"wall_s": wall, "tensor_s": wall / 2, "fill_s": wall / 5,
+            "certify_s": wall / 10,
             "groups_s": {"soundness": groups}, "checks_s": checks,
             "gc_s": wall / 4, "gc_collections": {
                 "0": 100, "1": 9, "2": round(wall * 10)},
@@ -87,7 +91,7 @@ def test_runs_are_summarized_by_their_median_and_spread():
     got = ladder.summarize([run(0.3, rss=31.5), run(0.1, groups=0.3),
                             run(0.2, rss=24.25)])
     assert got == {"wall_s": 0.2, "wall_min_s": 0.1, "wall_max_s": 0.3,
-                   "tensor_s": 0.1, "fill_s": 0.04,
+                   "tensor_s": 0.1, "fill_s": 0.04, "certify_s": 0.02,
                    "groups_s": {"soundness": 0.1},
                    "slowest_s": {"c0": 0.1, "c1": 0.067, "c2": 0.05,
                                  "c3": 0.04, "c4": 0.033},
@@ -121,6 +125,25 @@ def test_the_fill_is_timed_at_every_binding_apart_from_the_builds(
     assert spent["tensor"] > 0 and spent["fill"] == after_iso
     duality.projection_map(full, blocked)
     assert spent["fill"] > after_iso
+
+
+def test_the_certificate_is_timed_at_every_binding(monkeypatch):
+    # checks and capproduct call the certificate through their own
+    # bindings; each is routed through the timer, inside the verify
+    certify = duality.verify_diagonal_equivalence
+    bound = [(module, key) for name, module in list(sys.modules.items())
+             if name == "rkdual" or name.startswith("rkdual.")
+             for key, value in list(vars(module).items()) if value is certify]
+    assert {module.__name__ for module, _ in bound} >= {
+        "rkdual.duality", "rkdual.checks", "rkdual.capproduct"}
+    for module, key in bound:
+        monkeypatch.setattr(module, key, certify)   # put back after
+    spent = ladder.time_tensors()
+    assert all(getattr(module, key) is not certify for module, key in bound)
+    started = time.perf_counter()
+    assert run_command("verify", document("hex")).passed
+    wall = time.perf_counter() - started
+    assert 0 < spent["certify"] < wall
 
 
 @pytest.mark.parametrize("ring, homology", [
