@@ -33,8 +33,10 @@ back on the same host.  Each source's entry holds the median of its runs
 for every time and for the peak memory, with ``wall_min_s`` and
 ``wall_max_s``, and ``slowest_s``, the five checks with the largest
 median, slowest first; runs whose reports differ are recorded as an
-error.  A child still running after ``--max-seconds`` is stopped and the
-rung recorded as ``"skipped"`` for that source; rungs are never shrunk to
+error.  The result also records ``src_lines``, per source, the line
+count of its ``rkdual/*.py``, the size of the package that aim 2 of the
+roadmap tracks.  A child still running after ``--max-seconds`` is stopped
+and the rung recorded as ``"skipped"`` for that source; rungs are never shrunk to
 fit.  |X| and |K| (simplex counts) are computed here, not by rkdual.  The
 exit status is 1 when a rung fails a check, errors or its runs disagree
 for some source, else 0: a skip is no failure.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import glob
 import hashlib
 import json
 import os
@@ -293,6 +296,16 @@ def child(src):
                       "passed": report.passed, "report_sha256": digest}))
 
 
+def src_lines(src) -> int:
+    """The number of lines of the ``rkdual/*.py`` files of the source tree
+    ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "rkdual", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def run_rung(doc, src, max_seconds):
     try:
         out = subprocess.run(
@@ -385,6 +398,7 @@ def main(argv=None):
                    "child; medians over the runs of each rung and source",
         "runs": RUNS,
         "sources": [label for label, _ in sources],
+        "src_lines": {label: src_lines(path) for label, path in sources},
         "max_seconds": args.max_seconds,
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},

@@ -6,10 +6,13 @@ generators carry labels, simplices of K; a blocked map, :class:`RKMap`, is a
 in the face order (or downward, for complexes carried by the opposite
 order).  Ranks, differentials, components and d∘d = 0 are the chain
 complex's; the subclasses add the labels and the support condition.  One
-label cut serves everything: :meth:`RKComplex.sub` keeps the generators of
-some labels with the blocks between them, and :meth:`RKMap.shared` places
-a cut in the complex it was cut from.  :func:`star_ranks` counts the
-generators over every star of K from one scan of the labels, with no cut.
+label cut serves everything, on :meth:`RKComplex.positions` (where the
+generators of some labels are): :meth:`RKComplex.sub` keeps them with the
+blocks between them, :meth:`RKMap.shared` places a cut in the complex it
+was cut from, and :meth:`RKMap.diagonal_component` composes the two.  A
+:class:`ShortExactSequence` is decided whole per degree and cut to a label
+only to name a failure.  :func:`star_ranks` counts the generators over
+every star of K from one scan of the labels, with no cut.
 The star dual, blocked Hom, and the geometric chain/cochain complexes of a
 K-space are all built here.
 
@@ -247,15 +250,12 @@ class RKMap(ChainMap):
             comps[q] = self.component(q + other.degree) * other.component(q)
         return RKMap(other.src, self.tgt, comps, degree=self.degree + other.degree)
 
-    def diagonal_component(self, sigma) -> ChainMap:
-        """The chain map between the sigma-cuts of the two sides."""
-        if self.degree != 0:
-            raise ChainComplexError("diagonal components need degree 0")
-        rows = self.tgt.positions({sigma})
-        cols = self.src.positions({sigma})
-        comps = {q: mat.submatrix(rows[q], cols[q])
-                 for q, mat in self.comps.items() if rows[q] and cols[q]}
-        return ChainMap(self.src.sub({sigma}), self.tgt.sub({sigma}), comps)
+    def diagonal_component(self, sigma) -> "RKMap":
+        """The map between the sigma-cuts of the two sides: the projection
+        onto one after self after the inclusion of the other."""
+        src = self.src.sub({sigma})
+        return RKMap.shared(self.tgt, self.tgt.sub({sigma})).compose(
+            self.compose(RKMap.shared(src, self.src)))
 
     def __eq__(self, other):
         return (isinstance(other, RKMap) and self.degree == other.degree
@@ -267,18 +267,6 @@ class RKMap(ChainMap):
         return f"RKMap(degree={self.degree})"
 
 
-def _one_label(mats, src, tgt, degree):
-    """The matrices ``mats`` from ``src`` to ``tgt`` (degree q to q +
-    ``degree``), keeping only their entries between generators of one label."""
-    out = {}
-    for q, mat in mats.items():
-        cols, rows = src.labels[q], tgt.labels[q + degree]
-        out[q] = Matrix._from_sums(mat.ring, mat.nrows, mat.ncols, {
-            j: {i: v for i, v in col if rows[i] == cols[j]}
-            for j, col in mat.columns()})
-    return out
-
-
 @dataclass
 class ShortExactSequence:
     """0 -> C' -i-> C -j-> C'' -> 0 with label-diagonal maps."""
@@ -287,43 +275,37 @@ class ShortExactSequence:
     j: RKMap
 
     def validate(self):
-        if self.i.tgt is not self.j.src:
-            raise ChainComplexError("sequence maps do not compose")
-        if self.i.degree != 0 or self.j.degree != 0:
-            raise ChainComplexError("sequence maps must have degree 0")
-        for f in (self.i, self.j):
-            f.validate()
-            if _one_label(f.comps, f.src, f.tgt, 0) != f.comps:
-                raise ChainComplexError("sequence map is not label-diagonal")
-        if not all(m.is_zero() for m in self.j.compose(self.i).comps.values()):
-            raise ChainComplexError("j∘i != 0")
-        # the maps are label-diagonal, so the sequence at degree q is the
-        # direct sum of its one-label sequences: decide exactness on the
-        # whole, and look for the failing label only when it fails
         i, j = self.i, self.j
-        if _inexact_degree(i, j) is None:
-            return self
-        for sigma in sorted(i.src.label_set() | i.tgt.label_set()
-                            | j.tgt.label_set()):
-            q = _inexact_degree(i.diagonal_component(sigma),
-                                j.diagonal_component(sigma))
-            if q is not None:
-                raise ChainComplexError(
-                    f"not exact at label {simplex_name(sigma)}, degree {q}")
+        if i.tgt is not j.src:
+            raise ChainComplexError("sequence maps do not compose")
+        if i.degree != 0 or j.degree != 0:
+            raise ChainComplexError("sequence maps must have degree 0")
+        for f in (i, j):
+            f.validate()
+            if any(f.tgt.labels[q][r] != f.src.labels[q][c]
+                   for q, mat in f.comps.items()
+                   for c, col in mat.columns() for r, _ in col):
+                raise ChainComplexError("sequence map is not label-diagonal")
+        if not all(m.is_zero() for m in j.compose(i).comps.values()):
+            raise ChainComplexError("j∘i != 0")
+        # per degree q the sequence is the three-term complex C'_q -> C_q ->
+        # C''_q, and with label-diagonal maps that is the direct sum of its
+        # one-label cuts: decide each degree whole, and cut the failing
+        # ones to each label only to name the first
+        sides, inexact = (i.src, i.tgt, j.tgt), []
+        for q in sorted(set().union(*(C.degrees() for C in sides))):
+            three = RKComplex(i.src.ring, i.src.K, i.src.op, {
+                2 - n: C.labels.get(q, ()) for n, C in enumerate(sides)},
+                {2: i.component(q), 1: j.component(q)})
+            if not is_acyclic(three):
+                inexact.append((q, three))
+        for sigma in sorted(set().union(*(t.label_set() for _, t in inexact))):
+            for q, three in inexact:
+                if not is_acyclic(three.sub({sigma})):
+                    raise ChainComplexError(
+                        f"not exact at label {simplex_name(sigma)}, "
+                        f"degree {q}")
         return self
-
-
-def _inexact_degree(i, j):
-    """A degree where i.src -> j.src -> j.tgt, with j∘i = 0, is not exact,
-    or None."""
-    degrees = set(i.src.degrees()) | set(j.src.degrees()) | set(j.tgt.degrees())
-    for q in degrees:
-        three = ChainComplex(
-            i.src.ring, {2: i.src.rank(q), 1: j.src.rank(q), 0: j.tgt.rank(q)},
-            {2: i.component(q), 1: j.component(q)})
-        if not is_acyclic(three):
-            return q
-    return None
 
 
 def dual_star(C: RKComplex) -> RKComplex:

@@ -7,11 +7,12 @@ Hom-to-dual isomorphism into T(C) from dense row lists, and counts from
 brute-force enumeration.  The double dual with its evaluation, the
 splitting over each star by two label cuts and two shared maps per label,
 the contractible-star lemma computed on each maximal simplex's own
-cochains, the cap factorization on the full tensor and the diagonal of a
-map, whose cone the certificate no longer builds, are the routes the
-package no longer takes, kept here to check the ones it does.  The dense
-row views of a matrix and the corpus K-spaces are read by tests alone, so
-they are built here too.
+cochains, the cap factorization on the full tensor, the diagonal of a
+map, whose cone the certificate no longer builds, and the exactness of a
+short exact sequence label by label, on its maps' diagonal components, are
+the routes the package no longer takes, kept here to check the ones it
+does.  The dense row views of a matrix and the corpus K-spaces are read by
+tests alone, so they are built here too.
 """
 
 from fractions import Fraction
@@ -195,6 +196,26 @@ def diagonal(f: RKMap) -> ChainMap:
         ChainComplex(tgt.ring, tgt.spaces,
                      one_label(tgt.diff, tgt.labels, tgt.labels, -1)),
         one_label(f.comps, tgt.labels, src.labels, 0))
+
+
+def exactness_by_components(i: RKMap, j: RKMap):
+    """Where the label-diagonal sequence C' -i-> C -j-> C'' with j∘i = 0 is
+    not exact, label by label: the first label, in sorted order, whose
+    diagonal components of i and j make a plain three-term complex
+    C'_q -> C_q -> C''_q with homology in some degree q, and the sorted
+    degrees where they do; None when every label's sequence is exact."""
+    labels = i.src.label_set() | i.tgt.label_set() | j.tgt.label_set()
+    for sigma in sorted(labels):
+        a, b = i.diagonal_component(sigma), j.diagonal_component(sigma)
+        degrees = [q for q in sorted(set(a.src.degrees())
+                                     | set(b.src.degrees())
+                                     | set(b.tgt.degrees()))
+                   if not is_acyclic(ChainComplex(a.src.ring, {
+                       2: a.src.rank(q), 1: b.src.rank(q), 0: b.tgt.rank(q)},
+                       {2: a.component(q), 1: b.component(q)}))]
+        if degrees:
+            return sigma, degrees
+    return None
 
 
 def count_decreasing_chains(simplices, length):

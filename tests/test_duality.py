@@ -628,6 +628,68 @@ def test_a_sequence_not_exact_at_one_label_names_it():
         ses.validate()
 
 
+@pytest.mark.parametrize("doubled", [(-1, -2), (-1, -3)])
+def test_a_sequence_not_exact_at_two_degrees_names_the_lowest(doubled):
+    # 0 -> C' -> C -> 0 -> 0 at the label a in degrees 0..-3, one generator
+    # and no differential each: i is 2 at the doubled degrees, so the
+    # sequence is not exact at both of them
+    K = build("ab")
+    a = ("a",)
+
+    def cx(degrees):
+        return RKComplex(ZZ, K, False, {q: (a,) for q in degrees}, {})
+    mid = cx(range(-3, 1))
+    ses = ShortExactSequence(
+        RKMap(cx(range(-3, 1)), mid, {
+            q: from_rows(ZZ, [[2 if q in doubled else 1]])
+            for q in range(-3, 1)}),
+        RKMap(mid, cx(()), {}))
+    with pytest.raises(ChainComplexError,
+                       match=f"^not exact at label {simplex_name(a)}, "
+                             f"degree {min(doubled)}$"):
+        ses.validate()
+
+
+def test_a_sequence_not_exact_at_two_labels_names_the_first():
+    # 0 -> C' -> C -> 0 -> 0, i = 2 on u at a in degree 1 and on w at b in
+    # degree 0: the first label in sorted order is named, not the one at the
+    # lowest degree
+    K = build("ab")
+    a, b = ("a",), ("b",)
+
+    def cx(labels):
+        return RKComplex(ZZ, K, False, labels, {})
+    mid, two = cx({1: (a,), 0: (b,)}), from_rows(ZZ, [[2]])
+    ses = ShortExactSequence(RKMap(cx({1: (a,), 0: (b,)}), mid,
+                                   {1: two, 0: two}),
+                             RKMap(mid, cx({}), {}))
+    with pytest.raises(ChainComplexError,
+                       match=f"^not exact at label {simplex_name(a)}, "
+                             f"degree 1$"):
+        ses.validate()
+
+
+@pytest.mark.parametrize("message", [
+    "sequence maps do not compose", "sequence maps must have degree 0",
+    "j∘i != 0"])
+def test_a_sequence_is_refused_before_its_exactness(message):
+    # one generator at a per side: j∘i is the identity unless i goes into
+    # another middle, or from degree 0 with degree 1
+    K = build("ab")
+    a = ("a",)
+
+    def cx(q=1):
+        return RKComplex(ZZ, K, False, {q: (a,)}, {})
+    one, mid = from_rows(ZZ, [[1]]), cx()
+    i = {"sequence maps do not compose": RKMap(cx(), cx(), {1: one}),
+         "sequence maps must have degree 0": RKMap(cx(0), mid, {0: one},
+                                                   degree=1),
+         "j∘i != 0": RKMap(cx(), mid, {1: one})}[message]
+    ses = ShortExactSequence(i, RKMap(mid, cx(), {1: one}))
+    with pytest.raises(ChainComplexError, match=f"^{message}$"):
+        ses.validate()
+
+
 def test_a_sequence_map_moving_a_label_up_is_not_label_diagonal():
     # u at a goes to w at ab: the support condition allows it, a sequence
     # of label-diagonal maps does not

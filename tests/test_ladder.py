@@ -1,5 +1,6 @@
 """The benchmark ladder generates the documented rungs and times them."""
 
+import glob
 import json
 import os
 import re
@@ -191,3 +192,26 @@ def test_the_exit_status_names_a_rung_that_does_not_verify(
     assert [row["rung"] for row in json.loads(out)["rungs"]] == [
         "id-simplex-3"]
     assert ("id-simplex-3 (ci)" in err) == bool(status)
+
+
+def test_each_source_records_the_lines_of_its_package(
+        monkeypatch, capsys, tmp_path):
+    # every line of rkdual/*.py counts, the last one without a newline
+    # too; other files and the package's subdirectories do not
+    (tmp_path / "rkdual" / "sub").mkdir(parents=True)
+    (tmp_path / "rkdual" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "rkdual" / "b.py").write_text("z = 3")
+    (tmp_path / "rkdual" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "rkdual" / "sub" / "c.py").write_text("w = 4\n")
+    assert ladder.src_lines(tmp_path) == 4
+    package = 0
+    for path in glob.glob(os.path.join(SRC, "rkdual", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            package += fh.read().count("\n")
+    monkeypatch.setattr(ladder, "RUNGS", ladder.RUNGS[:1])
+    monkeypatch.setattr(ladder, "run_rung",
+                        lambda doc, src, max_seconds: run(0.1))
+    assert ladder.main(["--src", f"tiny={tmp_path}", "--src",
+                        f"ci={SRC}"]) == 0
+    assert json.loads(capsys.readouterr().out)["src_lines"] == {
+        "tiny": 4, "ci": package}
