@@ -20,7 +20,8 @@ also records, from outside, so older trees report them too:
 in ``duality.left_times_one``, the one M ⊗ 1 fill (f ⊗ 1, T(f), the
 projection and the cellular identification); ``certify_s``, those spent
 in ``duality.verify_diagonal_equivalence``, the one equivalence
-certificate, its validation of the map and both sides included;
+certificate, its validation of the map and both sides included (a tree
+that lacks one of those functions leaves its field out);
 ``groups_s``, the
 seconds spent in the checks (``checks._guard``) of each check group of
 ``checks.CHECK_GROUPS``, and ``checks_s``, of each check by its name;
@@ -194,6 +195,12 @@ def _timed(fn, spent, key):
     return run
 
 
+# the timers of time_tensors: (key, function of rkdual.duality it times)
+TIMED = (("tensor", "tensor_k"), ("tensor", "tensor_r"),
+         ("fill", "left_times_one"),
+         ("certify", "verify_diagonal_equivalence"))
+
+
 def time_tensors():
     """Route every binding of ``duality.tensor_k`` and ``duality.tensor_r``
     in the imported rkdual modules through one timer, every binding of
@@ -201,13 +208,12 @@ def time_tensors():
     ``duality.verify_diagonal_equivalence`` through a third, from outside,
     so any source tree can be timed; returns the dict whose entries
     ``"tensor"``, ``"fill"`` and ``"certify"`` sum the seconds spent in
-    them."""
+    them.  Only the functions the tree has are timed: ``left_times_one``,
+    for one, is missing from older trees."""
     from rkdual import duality
     spent = {}
-    builders = [(fn, _timed(fn, spent, key)) for key, fn in (
-        ("tensor", duality.tensor_k), ("tensor", duality.tensor_r),
-        ("fill", duality.left_times_one),
-        ("certify", duality.verify_diagonal_equivalence))]
+    builders = [(fn, _timed(fn, spent, key)) for key, name in TIMED
+                if (fn := getattr(duality, name, None)) is not None]
     for name, module in list(sys.modules.items()):
         if name == "rkdual" or name.startswith("rkdual."):
             for key, value in list(vars(module).items()):
@@ -215,6 +221,15 @@ def time_tensors():
                     if value is fn:
                         setattr(module, key, wrapper)
     return spent
+
+
+def timer_fields(spent) -> dict:
+    """The ``*_s`` field of each timer of :func:`time_tensors`, in the order
+    of ``TIMED``, with the seconds ``spent`` in it; a timer whose functions
+    the imported tree lacks has no field."""
+    from rkdual import duality
+    return {f"{key}_s": round(spent.get(key, 0.0), 3) for key, name in TIMED
+            if hasattr(duality, name)}
 
 
 def time_groups():
@@ -282,10 +297,7 @@ def child(src):
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     # ru_maxrss is in kilobytes on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"wall_s": round(wall, 3),
-                      "tensor_s": round(tensor.get("tensor", 0.0), 3),
-                      "fill_s": round(tensor.get("fill", 0.0), 3),
-                      "certify_s": round(tensor.get("certify", 0.0), 3),
+    print(json.dumps({"wall_s": round(wall, 3), **timer_fields(tensor),
                       "groups_s": {k: round(v, 3) for k, v in groups.items()},
                       "checks_s": {k: round(v, 3)
                                    for k, v in by_check.items()},
@@ -340,9 +352,9 @@ def summarize(runs):
                       for c in runs[0]["checks_s"])
     return {"wall_s": mid(walls), "wall_min_s": min(walls),
             "wall_max_s": max(walls),
-            "tensor_s": mid(got["tensor_s"] for got in runs),
-            "fill_s": mid(got["fill_s"] for got in runs),
-            "certify_s": mid(got["certify_s"] for got in runs),
+            **{key: mid(got[key] for got in runs)
+               for key in ("tensor_s", "fill_s", "certify_s")
+               if key in runs[0]},
             "groups_s": {g: mid(got["groups_s"][g] for got in runs)
                          for g in runs[0]["groups_s"]},
             "slowest_s": {c: -t for t, c in by_check[:5]},

@@ -15,12 +15,9 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import smith_normal_form
 from .rkcore import RKComplex, RKMap, delta_chain, dual_star, simplicial_rk
-from .duality import (Dualizer, left_keys, tensor_k,
-                      verify_diagonal_equivalence)
+from .duality import left_keys, tensor_k, verify_diagonal_equivalence
 from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
 from .ballcomplex import CellularComplex
@@ -88,25 +85,6 @@ def cap_product(cx, tau, sigma, basis=None):
     return out
 
 
-@dataclass
-class CapReport:
-    """Verdicts for the chain-map property of the cap product on one
-    complex: the full matrix identity, the three face-wise identities, and
-    the sign-reversing pairing of interior faces."""
-
-    full_identity: bool
-    face_first: bool
-    face_last: bool
-    face_interior: bool
-    pairing: bool
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return (self.full_identity and self.face_first and self.face_last
-                and self.face_interior and self.pairing)
-
-
 def _face_part(chain, i):
     """Drop the i-th entry of every flag in a chain, without the (-1)^i."""
     out = {}
@@ -116,9 +94,10 @@ def _face_part(chain, i):
     return {k: v for k, v in out.items() if v}
 
 
-def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
+def verify_cap_chain_map(derived: DerivedComplex, ring) -> list:
     """Check that capping commutes with the differentials on the complex
-    ``derived.base``, against its subdivision ``derived``.
+    ``derived.base``, against its subdivision ``derived``; return the
+    failures, one line each, none when it holds.
 
     The full identity is checked as matrices between the blocked tensor of
     chains with cochains, the pairs tau ⊗ sigma* with sigma <= tau, and the
@@ -143,11 +122,10 @@ def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
             yield target.index_of(q, flag), c
     cap = RKMap.from_images(domain, target, images)
 
-    report = CapReport(True, True, True, True, True)
+    failures = []
     for q in domain.degrees():
         if target.d(q) * cap.component(q) != cap.component(q - 1) * domain.d(q):
-            report.full_identity = False
-            report.failures.append(f"full identity fails in degree {q}")
+            failures.append(f"full identity fails in degree {q}")
 
     for (tau, sigma), chain in caps.items():
         p = len(tau) - len(sigma)
@@ -161,8 +139,7 @@ def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
                 want[flag] = want.get(flag, 0) + coeff * c
         want = {k: v for k, v in want.items() if v}
         if _face_part(chain, 0) != want:
-            report.face_first = False
-            report.failures.append(
+            failures.append(
                 f"first-face identity fails at ({simplex_name(tau)},"
                 f"{simplex_name(sigma)})")
         # last face, against the cochain differential
@@ -179,15 +156,13 @@ def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
         sign_t = (-1) ** ((len(tau) - 1) % 2)
         want = {k: sign_t * v for k, v in want.items() if v}
         if lhs != {k: v for k, v in want.items() if v}:
-            report.face_last = False
-            report.failures.append(
+            failures.append(
                 f"last-face identity fails at ({simplex_name(tau)},"
                 f"{simplex_name(sigma)})")
         # interior faces vanish through a perfect sign-reversing pairing
         for i in range(1, p):
             if _face_part(chain, i):
-                report.face_interior = False
-                report.failures.append(
+                failures.append(
                     f"interior face {i} fails at ({simplex_name(tau)},"
                     f"{simplex_name(sigma)})")
             groups = {}
@@ -195,11 +170,10 @@ def verify_cap_chain_map(derived: DerivedComplex, ring) -> CapReport:
                 groups.setdefault(flag[:i] + flag[i + 1:], []).append(c)
             for face, cs in groups.items():
                 if len(cs) != 2 or cs[0] + cs[1] != 0:
-                    report.pairing = False
-                    report.failures.append(
+                    failures.append(
                         f"pairing fails at ({simplex_name(tau)},"
                         f"{simplex_name(sigma)}), face {simplex_name(face)}")
-    return report
+    return failures
 
 
 def _top_flags(ks: KSpace, T, rho):
@@ -211,17 +185,8 @@ def _top_flags(ks: KSpace, T, rho):
         is_bottom=lambda s: len(s) == len(rho) and ks.pi.image(s) == rho)
 
 
-@dataclass
-class CellChainData:
-    """The cell-to-subdivision chain map with everything it connects."""
-
-    map: RKMap
-    cellular: CellularComplex
-    deltas: object              # DeltaComplexes
-
-
 def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
-                          deltas) -> CellChainData:
+                          dx_prime: RKComplex) -> RKMap:
     """The monomorphism from the cellular complex into subdivision chains.
 
     A basis cell T⊗rho* of degree q goes to the signed sum of the top flags
@@ -231,9 +196,9 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     bottom.  For q = 0 this is the barycenter vertex with coefficient
     (-1)^{dim T} times the orientation comparison.
 
-    ``cellular`` and ``deltas`` (the :class:`~rkdual.rkcore.DeltaComplexes`
-    of ``ks``, whose subdivision chains are the target) must be built with
-    the bases of ``cellular.orientation``; nothing is rebuilt here.
+    Its source is ``cellular.rk`` and its target ``dx_prime``, the
+    subdivision chains of ``ks``; both must be built with the bases of
+    ``cellular.orientation``, and nothing is rebuilt here.
     """
     orientation = cellular.orientation
     orientation.validate()
@@ -241,16 +206,14 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     # the orientation parity of each simplex that pi does not collapse
     parity = {S: out[1] for S in ks.X.all_simplices()
               if (out := ks.pi.chain_image(S)) is not None}
-    dxp = deltas.dx_prime
 
     def images(q, k):
         T, rho = cellular.cells[q][k]
         overall = -1 if (len(rho) - 1) % 2 else 1
         for flag in _top_flags(ks, T, rho):
-            yield (dxp.index_of(q, flag),
+            yield (dx_prime.index_of(q, flag),
                    overall * flag_sign(flag, bx[T], parity[flag[-1]]))
-    cmap = RKMap.from_images(cellular.rk, dxp, images)
-    return CellChainData(cmap, cellular, deltas)
+    return RKMap.from_images(cellular.rk, dx_prime, images)
 
 
 def cochain_pullback(ks: KSpace, orientation) -> dict:
@@ -266,11 +229,12 @@ def cochain_pullback(ks: KSpace, orientation) -> dict:
     return table
 
 
-def verify_cap_factorization(ks: KSpace, data: CellChainData) -> bool:
-    """The defining property of the cell map: capping in X after pulling
-    cochains back through pi agrees with the cell map after projecting the
-    full tensor of the chains of X with the cochains of K onto the blocked
-    one, ``data.cellular.rk``.
+def verify_cap_factorization(ks: KSpace, cmap: RKMap,
+                             cellular: CellularComplex) -> bool:
+    """The defining property of the cell map ``cmap``: capping in X after
+    pulling cochains back through pi agrees with the cell map after
+    projecting the full tensor of the chains of X with the cochains of K
+    onto the blocked one, ``cellular.rk``.
 
     It is decided on the blocked tensor alone.  The pullback of rho* is
     supported on the simplices S that pi maps onto rho, and only a face S
@@ -280,10 +244,10 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData) -> bool:
     so the identity holds on the full tensor exactly when the cap after the
     pullback equals the cell map on the blocked one.
     """
-    bx = data.cellular.orientation.bx
+    bx = cellular.orientation.bx
     pullback = {rho: dict(pairs) for rho, pairs in
-                cochain_pullback(ks, data.cellular.orientation).items()}
-    dxp, cells = data.deltas.dx_prime, data.cellular.cells
+                cochain_pullback(ks, cellular.orientation).items()}
+    dxp, cells = cmap.tgt, cellular.cells
 
     def images(q, k):
         T, rho = cells[q][k]
@@ -292,29 +256,22 @@ def verify_cap_factorization(ks: KSpace, data: CellChainData) -> bool:
             if S in signs:
                 for flag, c in cap_product(ks.X, T, S, bx).items():
                     yield dxp.index_of(q, flag), signs[S] * c
-    return RKMap.from_images(data.cellular.rk, dxp, images) == data.map
+    return RKMap.from_images(cellular.rk, dxp, images) == cmap
 
 
-@dataclass
-class FundamentalCycleReport:
-    verdicts: dict
-    passed: bool
-
-
-def verify_fundamental_cycles(data: CellChainData) -> FundamentalCycleReport:
-    """Each cell maps to a fundamental cycle of its dual cell: every top
-    flag appears with a unit coefficient and nothing else in that degree,
-    and the boundary is supported on the inner and outer boundary flags.
-    The cells are those of ``data.cellular.ball``."""
-    ball = data.cellular.ball
-    rk = data.cellular.rk
-    dxp = data.deltas.dx_prime
+def verify_fundamental_cycles(cmap: RKMap, cellular: CellularComplex) -> dict:
+    """Each cell maps under ``cmap`` to a fundamental cycle of its dual
+    cell: every top flag appears with a unit coefficient and nothing else in
+    that degree, and the boundary is supported on the inner and outer
+    boundary flags.  Returns the verdict of each cell (T, rho) of
+    ``cellular.ball``."""
+    ball, rk, dxp = cellular.ball, cellular.rk, cmap.tgt
     ring = rk.ring
     verdicts = {}
     for q in rk.degrees():
-        mat = data.map.component(q)
+        mat = cmap.component(q)
         bmat = dxp.d(q) * mat
-        for j, (T, rho) in enumerate(data.cellular.cells[q]):
+        for j, (T, rho) in enumerate(cellular.cells[q]):
             cell = ball.cell(T, rho)
             tops = set(c for c in cell.simplices if len(c) - 1 == cell.dim)
             support = {dxp.keys[q][i]: v for i, v in mat.column(j)}
@@ -325,7 +282,7 @@ def verify_fundamental_cycles(data: CellChainData) -> FundamentalCycleReport:
                 if dxp.keys[q - 1][i] not in boundary_flags:
                     ok = False
             verdicts[T, rho] = ok
-    return FundamentalCycleReport(verdicts, all(verdicts.values()))
+    return verdicts
 
 
 def is_monomorphism(f: RKMap) -> bool:
@@ -337,21 +294,7 @@ def is_monomorphism(f: RKMap) -> bool:
     return True
 
 
-EQUIVALENCES = ("cells to subdivision", "dual to subdivision",
-                "subdivision dual to cochains")
-
-
-def verify_equivalences(name: str, f: RKMap, t_sub: RKComplex = None,
-                        dualizer: Dualizer = None, e: RKMap = None):
-    """Label-by-label cone acyclicity for the composite equivalence ``name``
-    of :data:`EQUIVALENCES`, as an :class:`EquivalenceReport`.
-
-    ``f`` is the map of cells to subdivision chains, or for the other two
-    that map after the cellular identification of T(cochains of X); the
-    third certifies T(``f``) from ``t_sub`` = T(subdivision chains) followed
-    by ``e``, the double-dual collapse of the cochains of X by ``dualizer``.
-    Each report is given only what its map reads.
-    """
-    if name == EQUIVALENCES[2]:
-        f = e.compose(dualizer.map(f, t_sub, e.src))
+def verify_equivalences(name: str, f: RKMap):
+    """Label-by-label cone acyclicity for the composite equivalence ``name``,
+    whose map is ``f``, as an :class:`~rkdual.duality.EquivalenceReport`."""
     return verify_diagonal_equivalence(f, name)

@@ -29,7 +29,7 @@ from .ballcomplex import (BallComplex, CellularComplex, OrientationPair,
                           cell_name, cellular_chain_complex, cellular_iso,
                           dual_cell, dual_cones, induced_chain_map,
                           same_homology, verify_boundary_display)
-from .capproduct import (EQUIVALENCES, fundamental_cycle_map, is_monomorphism,
+from .capproduct import (fundamental_cycle_map, is_monomorphism,
                          verify_cap_chain_map, verify_cap_factorization,
                          verify_equivalences, verify_fundamental_cycles)
 from .report import Report, homology_table
@@ -216,8 +216,10 @@ class KSpaceData:
         return cellular_iso(self.tc, self.cellular)
 
     @cached_property
-    def fundamental_cycles(self):
-        return fundamental_cycle_map(self.ks, self.cellular, self.deltas)
+    def fundamental_cycles(self) -> RKMap:
+        """The cell map: cell chains -> subdivision chains."""
+        return fundamental_cycle_map(self.ks, self.cellular,
+                                     self.deltas.dx_prime)
 
     @cached_property
     def push(self) -> RKMap:
@@ -241,15 +243,7 @@ class KSpaceData:
     @cached_property
     def composite(self) -> RKMap:
         """The cell map after ``iso``: ``tc`` -> subdivision chains."""
-        return self.fundamental_cycles.map.compose(self.iso)
-
-    def equivalence(self, name):
-        """The report of the equivalence ``name`` of :data:`EQUIVALENCES`,
-        built from the objects its own map reads alone."""
-        f = self.fundamental_cycles.map if name == EQUIVALENCES[0] else self.composite
-        if name != EQUIVALENCES[2]:
-            return verify_equivalences(name, f)
-        return verify_equivalences(name, f, self.t_sub, self.dualizer, self.e)
+        return self.fundamental_cycles.compose(self.iso)
 
     def complexes(self):
         """The complexes named by :data:`COMPLEXES`, in its order."""
@@ -401,7 +395,8 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         dstar_x = data.deltas.dstar_x
         H, HK, ev = data.dualizer.evaluation(dstar_x)
         ev.validate()
-        iso = data.dualizer.hom_to_square(H, HK, data.tc, data.t2)
+        # H -> (T C)*, tensored with the cochains of K: HK -> T²C
+        iso = tensor_map_left(hom_dual_iso(H, data.tc), HK, data.t2)
         iso.validate()
         return (data.e.compose(iso) == ev and iso.is_bijection_on_bases()), {}
     _guard(report, "double-dual/defining-identity", target, defining_body)
@@ -438,8 +433,9 @@ def _verdict(rep):
     return rep.passed, ({"failures": rep.failures()} if not rep.passed else {})
 
 
-def _ball_structure(data: KSpaceData):
-    failures = data.ball.check()
+def _failures(failures):
+    """The verdict and details of a check body that found ``failures``: it
+    passes when there are none, and names the first five."""
     return not failures, ({"failures": failures[:5]} if failures else {})
 
 
@@ -455,7 +451,8 @@ def _homology_of_x(data: KSpaceData, cx):
 
 
 def check_cells(report: Report, target: str, data: KSpaceData):
-    _guard(report, "cells/ball-structure", target, lambda: _ball_structure(data))
+    _guard(report, "cells/ball-structure", target,
+           lambda: _failures(data.ball.check()))
 
     def cones_body():
         # one scan of K' files each chain under its cells, a cell is a read
@@ -482,10 +479,8 @@ def check_cells(report: Report, target: str, data: KSpaceData):
                                         sorted(got.items())}}
     _guard(report, "cells/census", target, census_body)
 
-    def display_body():
-        failures = verify_boundary_display(data.ks, data.cellular)
-        return not failures, ({"failures": failures[:5]} if failures else {})
-    _guard(report, "cells/boundary-display", target, display_body)
+    _guard(report, "cells/boundary-display", target, lambda: _failures(
+        verify_boundary_display(data.ks, data.cellular)))
 
     _guard(report, "cells/homology", target,
            lambda: _homology_of_x(data, data.cellular.rk))
@@ -496,32 +491,40 @@ def check_cells(report: Report, target: str, data: KSpaceData):
 
 
 def check_cap(report: Report, target: str, data: KSpaceData):
-    def k_body():
-        rep = verify_cap_chain_map(data.deltas.derived_k, data.ring)
-        return rep.passed, ({"failures": rep.failures[:5]}
-                            if not rep.passed else {})
-    _guard(report, "cap/chain-map-and-pairing/control", target, k_body)
+    _guard(report, "cap/chain-map-and-pairing/control", target,
+           lambda: _failures(verify_cap_chain_map(data.deltas.derived_k,
+                                                  data.ring)))
 
     def fact_body():
-        return verify_cap_factorization(data.ks, data.fundamental_cycles), {}
+        return verify_cap_factorization(data.ks, data.fundamental_cycles,
+                                        data.cellular), {}
     _guard(report, "cap/factorization", target, fact_body)
 
     def mono_body():
-        return is_monomorphism(data.fundamental_cycles.map), {}
+        return is_monomorphism(data.fundamental_cycles), {}
     _guard(report, "cap/monomorphism", target, mono_body)
 
     def cycles_body():
-        rep = verify_fundamental_cycles(data.fundamental_cycles)
-        bad = sorted(cell_name(*cell) for cell, ok in rep.verdicts.items()
-                     if not ok)
-        return rep.passed, ({"failures": bad[:5]} if bad else {})
+        verdicts = verify_fundamental_cycles(data.fundamental_cycles,
+                                             data.cellular)
+        return _failures(sorted(cell_name(*cell)
+                                for cell, ok in verdicts.items() if not ok))
     _guard(report, "cap/fundamental-cycles", target, cycles_body)
 
 
 def check_equivalences(report: Report, target: str, data: KSpaceData):
-    for name in EQUIVALENCES:
-        _guard(report, f"equivalences/{name.replace(' ', '-')}", target,
-               lambda name=name: _verdict(data.equivalence(name)))
+    # each composite's map, built from the objects it reads alone: the cell
+    # map, it after the cellular identification of T(cochains of X), and T
+    # of that from T(subdivision chains) followed by the double-dual collapse
+    maps = {
+        "cells-to-subdivision": lambda: data.fundamental_cycles,
+        "dual-to-subdivision": lambda: data.composite,
+        "subdivision-dual-to-cochains": lambda: data.e.compose(
+            data.dualizer.map(data.composite, data.t_sub, data.e.src))}
+    for key, build in maps.items():
+        _guard(report, f"equivalences/{key}", target,
+               lambda key=key, build=build: _verdict(
+                   verify_equivalences(key, build())))
 
 
 def check_naturality(report: Report, target: str, data: KSpaceData):
@@ -577,7 +580,8 @@ def quick_sweep_kspace(report: Report, name: str, ks: KSpace, ring: Ring):
     data = KSpaceData.build(ks, ring)
     check_soundness(report, name, data)
     check_derived(report, name, data)
-    _guard(report, "cells/ball-structure", name, lambda: _ball_structure(data))
+    _guard(report, "cells/ball-structure", name,
+           lambda: _failures(data.ball.check()))
     _guard(report, "cells/identification-isomorphism", name,
            lambda: _identification(data))
     return data
@@ -649,8 +653,7 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
                 failures = ball.check()
                 report.tables[f"cells/{name}"] = {
                     str(d): n for d, n in sorted(ball.census().items())}
-                return not failures, ({"failures": failures[:5]}
-                                      if failures else {})
+                return _failures(failures)
             _guard(report, "cells/ball-structure", name, body)
     elif command == "dualize":
         for name, ks in doc.kspaces:

@@ -270,13 +270,6 @@ class Dualizer:
                 cols[r + s][starts[s][i] + cut[s][1][j]] = {c: one}
         return H, HK, RKMap.from_columns(HK, C, cols)
 
-    def hom_to_square(self, H: RKComplex, HK: RKComplex, tc: RKComplex,
-                      t2: RKComplex) -> RKMap:
-        """The isomorphism ``HK`` = (``H`` ⊗ cochains K) -> ``t2`` = T²C,
-        the Hom-to-dual isomorphism H -> (T C)* tensored with the cochains
-        of K, for ``H``, ``HK`` from :meth:`evaluation` and ``tc`` = T(C)."""
-        return tensor_map_left(hom_dual_iso(H, tc), HK, t2)
-
     def double_dual_map(self, C: RKComplex, tc: RKComplex,
                         t2: RKComplex) -> RKMap:
         """The natural epimorphism e: ``t2`` = T²C -> C, for ``tc`` = T(C).

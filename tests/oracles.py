@@ -427,19 +427,19 @@ def lemma_on_its_own_cochains(K, S, ring) -> ClemReport:
     return ClemReport(S, verdicts, all(ok for _, ok in verdicts.values()))
 
 
-def cap_on_the_full_tensor(ks, data, dualizer):
+def cap_on_the_full_tensor(data):
     """The cap after the pullback on the full tensor of the chains of X
     with the cochains of K, and the projection of that tensor onto the
-    blocked one, for the cell map ``data`` (a ``CellChainData``) and the
-    cochains of K held by ``dualizer``.  The cap factorization holds when
-    the first map equals the cell map after the second."""
-    bx = data.cellular.orientation.bx
+    blocked one, for the objects ``data`` (a ``KSpaceData``) of a K-space.
+    The cap factorization holds when the first map equals the cell map
+    ``data.fundamental_cycles`` after the second."""
+    ks, cellular, dx = data.ks, data.cellular, data.deltas.dx
+    bx = cellular.orientation.bx
     pullback = {rho: dict(pairs) for rho, pairs in
-                cochain_pullback(ks, data.cellular.orientation).items()}
-    proj = projection_map(tensor_r(data.deltas.dx, dualizer.dstar_k),
-                          data.cellular.rk)
+                cochain_pullback(ks, cellular.orientation).items()}
+    proj = projection_map(tensor_r(dx, data.dualizer.dstar_k), cellular.rk)
     dxp, full = data.deltas.dx_prime, proj.src
-    simplices = left_keys(full, data.deltas.dx.keys)
+    simplices = left_keys(full, dx.keys)
 
     def images(q, k):
         T, signs = simplices[q][k], pullback.get(full.labels[q][k], {})

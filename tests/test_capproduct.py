@@ -8,12 +8,13 @@ from rkdual.rings import Ring, ZZ
 from rkdual.rkcore import delta_complexes
 from rkdual.simplicial import (InputError, SimplicialComplex,
                                barycentric_subdivision)
-from rkdual.checks import KSpaceData
-from rkdual.capproduct import (EQUIVALENCES, cap_product, flag_sign,
-                               fundamental_cycle_map, is_monomorphism,
-                               verify_cap_chain_map, verify_cap_factorization,
+from rkdual.checks import KSpaceData, check_equivalences
+from rkdual.capproduct import (cap_product, flag_sign, fundamental_cycle_map,
+                               is_monomorphism, verify_cap_chain_map,
+                               verify_cap_factorization,
                                verify_fundamental_cycles)
 from rkdual.duality import Dualizer
+from rkdual.report import Report
 
 from oracles import to_rows
 
@@ -25,8 +26,9 @@ def build(*maximal):
 
 
 def cell_map(ks, ring=ZZ):
+    """The cell map of ``ks``, with the objects of ``ks`` it maps between."""
     data = KSpaceData.build(ks, ring)
-    return fundamental_cycle_map(ks, data.cellular, data.deltas)
+    return fundamental_cycle_map(ks, data.cellular, data.deltas.dx_prime), data
 
 
 # --------------------------------------------------------------- flag signs
@@ -96,31 +98,33 @@ def test_cap_is_basis_independent():
     ("hollow-triangle", ("ab", "bc", "ac")),
 ])
 def test_cap_is_a_chain_map(name, maximal):
-    rep = verify_cap_chain_map(barycentric_subdivision(build(*maximal)), ZZ)
-    assert rep.passed, rep.failures
+    failures = verify_cap_chain_map(barycentric_subdivision(build(*maximal)),
+                                    ZZ)
+    assert not failures, failures
 
 
 @pytest.mark.parametrize("maximal", [("abc",), ("abcd",)])
 def test_interior_face_pairing_is_a_perfect_involution(maximal):
     # exercised inside the chain-map verification: every interior face of a
     # flag pairs with exactly one partner of opposite sign
-    rep = verify_cap_chain_map(barycentric_subdivision(build(*maximal)), ZZ)
-    assert rep.pairing and rep.face_interior
+    failures = verify_cap_chain_map(barycentric_subdivision(build(*maximal)),
+                                    ZZ)
+    assert not [f for f in failures if f.startswith(("pairing", "interior"))]
 
 
 # --------------------------------------------------------------- cell map
 
 def test_cell_map_point_is_the_identity(corpus):
-    data = cell_map(corpus["pt"])
-    assert to_rows(data.map.component(0)) == [[1]]
+    cmap, _ = cell_map(corpus["pt"])
+    assert to_rows(cmap.component(0)) == [[1]]
 
 
 def test_cell_map_values_on_identity_edge(edge_ks):
-    data = cell_map(edge_ks)
+    cmap, data = cell_map(edge_ks)
     rk = data.cellular.rk
     cols = {}
     for q in rk.degrees():
-        for (i, j), v in data.map.component(q).entries():
+        for (i, j), v in cmap.component(q).entries():
             cols.setdefault(rk.name(q, j), {})[
                 data.deltas.dx_prime.name(q, i)] = v
     # with a compatible orientation pair every 0-cell lands on its
@@ -142,35 +146,36 @@ def test_cell_map_matches_the_plain_cap_on_unadjusted_bases(edge_ks):
 
 
 def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
-    data = cell_map(hex_ks)
+    cmap, data = cell_map(hex_ks)
     for q in data.cellular.rk.degrees():
-        for _, v in data.map.component(q).entries():
+        for _, v in cmap.component(q).entries():
             assert v in (1, -1)
-        mat = data.map.component(q)
+        mat = cmap.component(q)
         assert smith_normal_form(mat)[1] == mat.ncols
-    assert is_monomorphism(data.map)
+    assert is_monomorphism(cmap)
 
 
 def test_cell_map_factorization_on_corpus(corpus):
     for name, ks in corpus.items():
         data = KSpaceData.build(ks, ZZ)
-        assert verify_cap_factorization(ks, data.fundamental_cycles), name
+        assert verify_cap_factorization(ks, data.fundamental_cycles,
+                                        data.cellular), name
 
 
 # ------------------------------------------------------- fundamental cycles
 
 def test_fundamental_cycle_of_the_barycenter_cell(edge_ks):
-    data = cell_map(edge_ks)
+    cmap, data = cell_map(edge_ks)
     ball = data.cellular.ball
     cell = ball.cell(("a", "b"), ("a", "b"))
     assert cell.dim == 0
     assert not cell.inner_boundary and not cell.outer_boundary
-    rep = verify_fundamental_cycles(data)
-    assert rep.verdicts[("a", "b"), ("a", "b")]
+    verdicts = verify_fundamental_cycles(cmap, data.cellular)
+    assert verdicts[("a", "b"), ("a", "b")]
 
 
 def test_fundamental_cycle_of_a_two_cell(id2_ks):
-    data = cell_map(id2_ks)
+    cmap, data = cell_map(id2_ks)
     ball = data.cellular.ball
     cell = ball.cell(("a", "b", "c"), ("a",))
     assert cell.dim == 2
@@ -179,19 +184,17 @@ def test_fundamental_cycle_of_a_two_cell(id2_ks):
     rk = data.cellular.rk
     j = [rk.name(2, k) for k in range(rk.rank(2))].index("<a.b.c>⊗<a>*")
     col = {data.deltas.dx_prime.keys[2][i]: v
-           for (i, jj), v in data.map.component(2).entries() if jj == j}
+           for (i, jj), v in cmap.component(2).entries() if jj == j}
     assert set(col) == set(tops)
     assert all(v in (1, -1) for v in col.values())
-    rep = verify_fundamental_cycles(data)
-    assert rep.passed
+    assert all(verify_fundamental_cycles(cmap, data.cellular).values())
 
 
 def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
-    data = cell_map(hex_ks)
-    rep = verify_fundamental_cycles(data)
-    assert rep.passed
+    cmap, data = cell_map(hex_ks)
+    assert all(verify_fundamental_cycles(cmap, data.cellular).values())
     for q in (1,):
-        mat = data.map.component(q)
+        mat = cmap.component(q)
         per_col = {}
         for (i, j), v in mat.entries():
             per_col.setdefault(j, []).append(v)
@@ -201,15 +204,18 @@ def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
 
 def test_fundamental_cycles_on_corpus(corpus):
     for name, ks in corpus.items():
-        assert verify_fundamental_cycles(cell_map(ks)).passed, name
+        cmap, data = cell_map(ks)
+        verdicts = verify_fundamental_cycles(cmap, data.cellular)
+        assert all(verdicts.values()), name
 
 
 # ------------------------------------------------------- the equivalences
 
 def equivalences(ks, ring):
-    data = KSpaceData.build(ks, ring)
-    reports = [data.equivalence(name) for name in EQUIVALENCES]
-    return all(rep.passed for rep in reports)
+    report = Report("verify", str(ring))
+    check_equivalences(report, "ks", KSpaceData.build(ks, ring))
+    assert len(report.checks) == 3
+    return report.passed
 
 
 def test_equivalences_trivial_on_a_point(corpus):

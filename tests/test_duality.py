@@ -19,7 +19,7 @@ from rkdual.rkcore import (RKComplex, RKMap, ShortExactSequence,
                            dual_star, dual_star_map, hom_rk,
                            maximal_label_ses)
 from rkdual.duality import (Dualizer, hom_dual_iso, projection_map,
-                            reduced_cone, tensor_k, tensor_r,
+                            reduced_cone, tensor_k, tensor_map_left, tensor_r,
                             verify_diagonal_equivalence)
 from rkdual.simplicial import SimplicialComplex, control_map, simplex_name
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
@@ -281,7 +281,7 @@ def test_collapse_defining_identity_on_corpus(corpus):
         H, HK, ev = dz.evaluation(dc.dstar_x)
         ev.validate()
         tc, e = collapse(dz, dc.dstar_x)
-        iso = dz.hom_to_square(H, HK, tc, e.src)
+        iso = tensor_map_left(hom_dual_iso(H, tc), HK, e.src)
         iso.validate()
         assert iso.is_bijection_on_bases()
         assert e.compose(iso) == ev, name

@@ -128,6 +128,33 @@ def test_the_fill_is_timed_at_every_binding_apart_from_the_builds(
     assert spent["fill"] > after_iso
 
 
+def test_a_tree_without_the_fill_times_the_rest_and_leaves_its_field_out(
+        monkeypatch):
+    # trees older than duality.left_times_one have no fill to time: the
+    # other timers still run, and the child's record and its summary have
+    # no fill_s rather than a 0
+    data = KSpaceData(corpus_kspace("hex"), ZZ)
+    C, D = data.deltas.dx, data.dualizer.dstar_k
+    timed = (duality.tensor_k, duality.tensor_r,
+             duality.verify_diagonal_equivalence)
+    for name, module in list(sys.modules.items()):
+        if name == "rkdual" or name.startswith("rkdual."):
+            for key, value in list(vars(module).items()):
+                if any(value is fn for fn in timed):
+                    monkeypatch.setattr(module, key, value)   # put back after
+    monkeypatch.delattr(duality, "left_times_one")
+    spent = ladder.time_tensors()
+    duality.tensor_k(C, D)
+    assert list(spent) == ["tensor"] and spent["tensor"] > 0
+    fields = ladder.timer_fields(spent)
+    assert list(fields) == ["tensor_s", "certify_s"]
+    assert fields["certify_s"] == 0.0
+    older = [{k: v for k, v in run(wall).items() if k != "fill_s"}
+             for wall in (0.1, 0.2, 0.3)]
+    got = ladder.summarize(older)
+    assert "fill_s" not in got and got["tensor_s"] == 0.1
+
+
 def test_the_certificate_is_timed_at_every_binding(monkeypatch):
     # checks and capproduct call the certificate through their own
     # bindings; each is routed through the timer, inside the verify

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import pytest
 
-from rkdual import capproduct, checks, duality, rkcore
+from rkdual import capproduct, checks, rkcore
 from rkdual.ballcomplex import DualCell
 from rkdual.checks import KSpaceData
 from rkdual.cli import main
@@ -386,13 +386,13 @@ CELL_MAP_READERS = {"equivalences/cells-to-subdivision",
 
 @pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
 def test_an_entry_negated_in_the_cell_map(monkeypatch, tmp_path, doc, seed):
-    def negate(self, data):
+    def negate(self, cmap):
         rng = random.Random(seed)
-        comps = data.map.comps
+        comps = cmap.comps
         q = rng.choice(sorted(comps))
         comps[q] = negated(comps[q], rng.choice(
             [key for key, _ in comps[q].entries()]))
-        return data
+        return cmap
     patch_lazy(monkeypatch, KSpaceData, "fundamental_cycles", negate)
     assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS)
 
@@ -652,28 +652,31 @@ def test_an_entry_of_the_identity_tensored_with_the_cochains_of_k_negated(
 @pytest.mark.parametrize("doc,seed", [("hex", 0), ("id2", 1), ("tri", 2)])
 def test_a_cell_sent_to_the_fundamental_cycle_of_another_cell_of_its_label(
         monkeypatch, tmp_path, doc, seed):
-    def resend(self, data):
+    def resend(self, cmap):
         rng = random.Random(seed)
-        labels = data.cellular.rk.labels
+        labels = cmap.src.labels
         q, j, k = rng.choice([(q, j, k) for q, ls in sorted(labels.items())
                               for j in range(len(ls)) for k in range(len(ls))
                               if j != k and ls[j] == ls[k]])
-        mat = data.map.comps[q]
+        mat = cmap.comps[q]
         entries = {key: v for key, v in mat.entries() if key[1] != j}
         entries.update({(i, j): v for (i, col), v in mat.entries()
                         if col == k})
-        data.map.comps[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
-        return data
+        cmap.comps[q] = Matrix(mat.ring, mat.nrows, mat.ncols, entries)
+        return cmap
     patch_lazy(monkeypatch, KSpaceData, "fundamental_cycles", resend)
     assert failing_checks(doc, tmp_path) == (1, CELL_MAP_READERS | {
         "cap/monomorphism", "cap/fundamental-cycles"})
 
 
-def other_branch(iso):
-    """``hom_dual_iso`` taking the other branch of its sign rule: into T(C)
-    as into a plain tensor, and into a plain tensor as into T(C)."""
+def other_branch(iso, into_t):
+    """``hom_dual_iso`` taking the other branch of its sign rule on one kind
+    of target: into T(C) as into a plain tensor when ``into_t``, else into
+    a plain tensor as into T(C).  The other kind keeps its branch."""
     def swapped(src, t):
         kept = t.dual_of
+        if (kept is not None) != into_t:
+            return iso(src, t)
         t.dual_of = t.left if kept is None else None
         try:
             return iso(src, t)
@@ -686,13 +689,13 @@ BRANCH_CASES = over_z_and_q([("hex",), ("id2",), ("tri",)],
                             ["hex", "id2", "tri"])
 
 
-# the isomorphism into T of the cochains is built inside the square's
+# the isomorphism into T of the cochains is tensored into the square's
 # isomorphism, which only the defining identity reads
 @pytest.mark.parametrize("doc,ring", BRANCH_CASES)
 def test_the_hom_to_dual_sign_into_t_taken_as_into_a_plain_tensor(
         monkeypatch, tmp_path, doc, ring):
-    monkeypatch.setattr(duality, "hom_dual_iso",
-                        other_branch(duality.hom_dual_iso))
+    monkeypatch.setattr(checks, "hom_dual_iso",
+                        other_branch(checks.hom_dual_iso, True))
     assert failing_checks(doc, tmp_path, ring) == (
         1, {"double-dual/defining-identity"})
 
@@ -703,6 +706,6 @@ def test_the_hom_to_dual_sign_into_t_taken_as_into_a_plain_tensor(
 def test_the_hom_to_dual_sign_into_a_plain_tensor_taken_as_into_t(
         monkeypatch, tmp_path, doc, ring):
     monkeypatch.setattr(checks, "hom_dual_iso",
-                        other_branch(checks.hom_dual_iso))
+                        other_branch(checks.hom_dual_iso, False))
     assert failing_checks(doc, tmp_path, ring) == (
         1, {"tensor/hom-dual-isomorphism"})
