@@ -14,16 +14,14 @@ from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          SimplicialComplex, SimplicialMap,
                          barycentric_subdivision, chain_complex, control_map,
                          derived_kspace, kspace_identity, validate_kspace)
-from .rkcore import (RKComplex, RKMap, ShortExactSequence,
-                     check_lemma_clem, delta_complexes, delta_star_k,
-                     dual_star, dual_star_map, hom_rk, is_full,
-                     maximal_label_ses)
+from .rkcore import (RKComplex, RKMap, check_lemma_clem, delta_complexes,
+                     delta_star_k, dual_star, dual_star_map, hom_rk, is_full,
+                     maximal_label_ses, validate_exact)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_k,
                       tensor_map_left, tensor_r, verify_diagonal_equivalence)
-from .ballcomplex import (BallComplex, CellularComplex, DualCell,
-                          OrientationPair, cellular_chain_complex,
-                          cellular_iso, dual_cell, dual_cones,
-                          induced_chain_map)
+from .ballcomplex import (BallComplex, DualCell, OrientationPair,
+                          cellular_chain_complex, cellular_iso, dual_cell,
+                          dual_cones, induced_chain_map)
 from .capproduct import (cap_product, flag_sign, fundamental_cycle_map,
                       verify_cap_chain_map, verify_cap_factorization,
                       verify_equivalences, verify_fundamental_cycles)

@@ -6,9 +6,9 @@ strictly decreasing chains in the subdivision that start inside T and end
 over s; it has dimension dim T - dim s, its interior consists of the chains
 starting exactly at T and ending exactly over s, and the interiors of all
 cells partition the subdivision.  The cellular chain complex is the blocked
-tensor of X-chains with K-cochains, whose generator at each position is a
-cell (T, s), read from the tensor's layout into a table by degree; a basis
-cell T⊗s* has the boundary
+tensor of X-chains with K-cochains, keyed by its cells: the generator at
+each position is a cell (T, s), read from the tensor's layout into the
+tensor's ``keys``; a basis cell T⊗s* has the boundary
 
     d[T_s]  =  sum_{S<T} [T,S] [S_s]  +  (-1)^{1+dim T - dim s} sum_{s<r} [r,s] [T_r]
 
@@ -24,11 +24,11 @@ index, so ``cells/dual-cones`` compares the two.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .rkcore import RKComplex, RKMap, identities
-from .duality import left_keys, left_times_one, tensor_k
+from .duality import Tensor, left_keys, left_times_one, tensor_k
 from .simplicial import (DerivedComplex, InputError, KSpace, KSpaceMap,
                          incidence_canonical, simplex_name)
 
@@ -127,9 +127,6 @@ class BallComplex:
                     frozenset(groups.get(T, {}).get(sigma, ())),
                     frozenset(inner), frozenset(outer))
 
-    def cell(self, T, sigma) -> DualCell:
-        return self.cells[(T, sigma)]
-
     def census(self):
         return dict(Counter(cell.dim for cell in self.cells.values()))
 
@@ -222,23 +219,11 @@ class OrientationPair:
         return self
 
 
-@dataclass
-class CellularComplex:
-    """The cellular chain complex of the induced cell structure, as the
-    blocked tensor of X-chains with K-cochains, plus the cell dictionary."""
-
-    rk: RKComplex
-    ball: BallComplex
-    orientation: OrientationPair
-    cells: dict = field(default_factory=dict)   # degree -> [(T, sigma)]
-
-
 def cellular_chain_complex(orientation: OrientationPair, dx: RKComplex,
-                           dstar_k: RKComplex,
-                           ball: BallComplex) -> CellularComplex:
+                           dstar_k: RKComplex, ball: BallComplex) -> Tensor:
     """The blocked tensor of the X-chains ``dx`` with the K-cochains
-    ``dstar_k``, with the generator T⊗sigma* at each position matched to
-    its cell (T, sigma) of ``ball``.
+    ``dstar_k``, keyed by cells: ``keys[q]`` holds the cell (T, sigma) of
+    ``ball`` of the generator T⊗sigma* at each position of degree q.
 
     ``dx`` and ``dstar_k`` must carry the bases of ``orientation``; nothing
     is rebuilt here.  The incidence form of the boundary is certified
@@ -246,24 +231,23 @@ def cellular_chain_complex(orientation: OrientationPair, dx: RKComplex,
     """
     orientation.validate()
     rk = tensor_k(dx, dstar_k)
-    cells = {q: list(zip(simplices, rk.labels[q]))
-             for q, simplices in left_keys(rk, dx.keys).items()}
-    for q, row in cells.items():
+    rk.keys = {q: tuple(zip(simplices, rk.labels[q]))
+               for q, simplices in left_keys(rk, dx.keys).items()}
+    for q, row in rk.keys.items():
         for k, cell in enumerate(row):
             if cell not in ball.cells:
                 raise InputError(f"generator {rk.name(q, k)} is not a cell")
-    return CellularComplex(rk, ball, orientation, cells)
+    return rk
 
 
-def verify_boundary_display(ks: KSpace, cx: CellularComplex):
-    """Check the incidence form of the cellular boundary, and that nonzero
-    coefficients are units on codimension-one cells only."""
-    rk = cx.rk
+def verify_boundary_display(ks: KSpace, rk: RKComplex, bx: dict):
+    """Check the incidence form of the boundary of the cell chains ``rk``,
+    in the basis ``bx`` of X, and that nonzero coefficients are units on
+    codimension-one cells only."""
     ring = rk.ring
-    bx = cx.orientation.bx
     failures = []
     for q in rk.degrees():
-        for j, (T, sigma) in enumerate(cx.cells[q]):
+        for j, (T, sigma) in enumerate(rk.keys[q]):
             expect = {}
             for i, S in ks.X.facets(T):
                 if not rk.leq(sigma, ks.pi.image(S)):
@@ -277,7 +261,7 @@ def verify_boundary_display(ks: KSpace, cx: CellularComplex):
                 coeff = sign_inner * incidence_canonical(rho, sigma)
                 expect[T, rho] = expect.get((T, rho), 0) + coeff
             want = {cell: ring.coerce(c) for cell, c in expect.items() if c}
-            got = {cx.cells[q - 1][i]: v for i, v in rk.d(q).column(j)}
+            got = {rk.keys[q - 1][i]: v for i, v in rk.d(q).column(j)}
             if got != want:
                 failures.append(f"boundary display fails at {rk.name(q, j)}")
             for (TT, ss), v in got.items():
@@ -296,16 +280,16 @@ def same_homology(got, want) -> bool:
     return all(got.get(q) == want.get(q) for q in degrees)
 
 
-def cellular_iso(tc: RKComplex, cellular: CellularComplex) -> RKMap:
-    """The identification of the dual of X-cochains with the cellular
-    complex: the double-dual collapse tensored with the identity, sending
+def cellular_iso(tc: RKComplex, cells: Tensor) -> RKMap:
+    """The identification of the dual of X-cochains with the cell chains
+    ``cells``: the double-dual collapse tensored with the identity, sending
     x** ⊗ s* to (-1)^{|x|} x ⊗ s*.
 
-    ``tc`` is T(cochains of X), built from the same X-chains as
-    ``cellular``: their left factors have one labeling.
+    ``tc`` is T(cochains of X), built from the same X-chains as ``cells``:
+    their left factors have one labeling.
     """
     return left_times_one(
-        tc, cellular.rk, lambda s, t: not s.full and s.left == t.left,
+        tc, cells, lambda s, t: not s.full and s.left == t.left,
         lambda: identities(tc.ring, {r: len(ls) for r, ls in tc.left.items()},
                            True))
 

@@ -20,7 +20,7 @@ from .rkcore import RKComplex, RKMap, delta_chain, dual_star, simplicial_rk
 from .duality import left_keys, tensor_k, verify_diagonal_equivalence
 from .simplicial import (DerivedComplex, InputError, KSpace, control_kspace,
                          incidence_canonical, simplex_name)
-from .ballcomplex import CellularComplex
+from .ballcomplex import BallComplex, OrientationPair
 
 
 def flag_sign(flag, first_sign=1, last_sign=1) -> int:
@@ -185,8 +185,8 @@ def _top_flags(ks: KSpace, T, rho):
         is_bottom=lambda s: len(s) == len(rho) and ks.pi.image(s) == rho)
 
 
-def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
-                          dx_prime: RKComplex) -> RKMap:
+def fundamental_cycle_map(ks: KSpace, cells: RKComplex, dx_prime: RKComplex,
+                          orientation: OrientationPair) -> RKMap:
     """The monomorphism from the cellular complex into subdivision chains.
 
     A basis cell T⊗rho* of degree q goes to the signed sum of the top flags
@@ -196,11 +196,10 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
     bottom.  For q = 0 this is the barycenter vertex with coefficient
     (-1)^{dim T} times the orientation comparison.
 
-    Its source is ``cellular.rk`` and its target ``dx_prime``, the
-    subdivision chains of ``ks``; both must be built with the bases of
-    ``cellular.orientation``, and nothing is rebuilt here.
+    Its source is the cell chains ``cells`` and its target ``dx_prime``,
+    the subdivision chains of ``ks``; both must be built with the bases of
+    ``orientation``, and nothing is rebuilt here.
     """
-    orientation = cellular.orientation
     orientation.validate()
     bx = orientation.bx
     # the orientation parity of each simplex that pi does not collapse
@@ -208,12 +207,12 @@ def fundamental_cycle_map(ks: KSpace, cellular: CellularComplex,
               if (out := ks.pi.chain_image(S)) is not None}
 
     def images(q, k):
-        T, rho = cellular.cells[q][k]
+        T, rho = cells.keys[q][k]
         overall = -1 if (len(rho) - 1) % 2 else 1
         for flag in _top_flags(ks, T, rho):
             yield (dx_prime.index_of(q, flag),
                    overall * flag_sign(flag, bx[T], parity[flag[-1]]))
-    return RKMap.from_images(cellular.rk, dx_prime, images)
+    return RKMap.from_images(cells, dx_prime, images)
 
 
 def cochain_pullback(ks: KSpace, orientation) -> dict:
@@ -230,11 +229,12 @@ def cochain_pullback(ks: KSpace, orientation) -> dict:
 
 
 def verify_cap_factorization(ks: KSpace, cmap: RKMap,
-                             cellular: CellularComplex) -> bool:
-    """The defining property of the cell map ``cmap``: capping in X after
-    pulling cochains back through pi agrees with the cell map after
-    projecting the full tensor of the chains of X with the cochains of K
-    onto the blocked one, ``cellular.rk``.
+                             orientation: OrientationPair) -> bool:
+    """The defining property of the cell map ``cmap``, in the bases of
+    ``orientation``: capping in X after pulling cochains back through pi
+    agrees with the cell map after projecting the full tensor of the chains
+    of X with the cochains of K onto the blocked one, the cell chains
+    ``cmap.src``.
 
     It is decided on the blocked tensor alone.  The pullback of rho* is
     supported on the simplices S that pi maps onto rho, and only a face S
@@ -244,35 +244,35 @@ def verify_cap_factorization(ks: KSpace, cmap: RKMap,
     so the identity holds on the full tensor exactly when the cap after the
     pullback equals the cell map on the blocked one.
     """
-    bx = cellular.orientation.bx
+    bx = orientation.bx
     pullback = {rho: dict(pairs) for rho, pairs in
-                cochain_pullback(ks, cellular.orientation).items()}
-    dxp, cells = cmap.tgt, cellular.cells
+                cochain_pullback(ks, orientation).items()}
+    dxp, cells = cmap.tgt, cmap.src
 
     def images(q, k):
-        T, rho = cells[q][k]
+        T, rho = cells.keys[q][k]
         signs = pullback.get(rho, {})
         for S in ks.X.closure(T):        # only a face of T caps against T
             if S in signs:
                 for flag, c in cap_product(ks.X, T, S, bx).items():
                     yield dxp.index_of(q, flag), signs[S] * c
-    return RKMap.from_images(cellular.rk, dxp, images) == cmap
+    return RKMap.from_images(cells, dxp, images) == cmap
 
 
-def verify_fundamental_cycles(cmap: RKMap, cellular: CellularComplex) -> dict:
+def verify_fundamental_cycles(cmap: RKMap, ball: BallComplex) -> dict:
     """Each cell maps under ``cmap`` to a fundamental cycle of its dual
-    cell: every top flag appears with a unit coefficient and nothing else in
-    that degree, and the boundary is supported on the inner and outer
-    boundary flags.  Returns the verdict of each cell (T, rho) of
-    ``cellular.ball``."""
-    ball, rk, dxp = cellular.ball, cellular.rk, cmap.tgt
+    cell in ``ball``: every top flag appears with a unit coefficient and
+    nothing else in that degree, and the boundary is supported on the inner
+    and outer boundary flags.  Returns the verdict of each cell (T, rho)
+    that keys the cell chains ``cmap.src``."""
+    rk, dxp = cmap.src, cmap.tgt
     ring = rk.ring
     verdicts = {}
     for q in rk.degrees():
         mat = cmap.component(q)
         bmat = dxp.d(q) * mat
-        for j, (T, rho) in enumerate(cellular.cells[q]):
-            cell = ball.cell(T, rho)
+        for j, (T, rho) in enumerate(rk.keys[q]):
+            cell = ball.cells[T, rho]
             tops = set(c for c in cell.simplices if len(c) - 1 == cell.dim)
             support = {dxp.keys[q][i]: v for i, v in mat.column(j)}
             ok = set(support) == tops and all(ring.is_unit(v)
@@ -294,7 +294,7 @@ def is_monomorphism(f: RKMap) -> bool:
     return True
 
 
-def verify_equivalences(name: str, f: RKMap):
-    """Label-by-label cone acyclicity for the composite equivalence ``name``,
-    whose map is ``f``, as an :class:`~rkdual.duality.EquivalenceReport`."""
-    return verify_diagonal_equivalence(f, name)
+def verify_equivalences(f: RKMap):
+    """Label-by-label cone acyclicity for the composite equivalence ``f``,
+    as an :class:`~rkdual.duality.EquivalenceReport`."""
+    return verify_diagonal_equivalence(f)

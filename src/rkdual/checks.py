@@ -20,15 +20,15 @@ from .simplicial import (InputError, KSpace, SimplicialComplex,
                          barycentric_subdivision, chain_complex,
                          control_kspace, control_map, derived_kspace,
                          kspace_identity, simplex_name, validate_kspace)
-from .rkcore import (DeltaComplexes, RKMap, ShortExactSequence,
-                     check_lemma_clem, delta_chain, delta_complexes,
-                     dual_star_map, hom_rk, is_full, maximal_label_ses)
+from .rkcore import (DeltaComplexes, RKMap, check_lemma_clem, delta_chain,
+                     delta_complexes, dual_star_map, hom_rk, is_full,
+                     maximal_label_ses, validate_exact)
 from .duality import (Dualizer, hom_dual_iso, projection_map, tensor_map_left,
                       tensor_r, verify_diagonal_equivalence)
-from .ballcomplex import (BallComplex, CellularComplex, OrientationPair,
-                          cell_name, cellular_chain_complex, cellular_iso,
-                          dual_cell, dual_cones, induced_chain_map,
-                          same_homology, verify_boundary_display)
+from .ballcomplex import (BallComplex, OrientationPair, cell_name,
+                          cellular_chain_complex, cellular_iso, dual_cell,
+                          dual_cones, induced_chain_map, same_homology,
+                          verify_boundary_display)
 from .capproduct import (fundamental_cycle_map, is_monomorphism,
                          verify_cap_chain_map, verify_cap_factorization,
                          verify_equivalences, verify_fundamental_cycles)
@@ -144,7 +144,7 @@ def _guard(report: Report, name: str, target: str, fn):
 COMPLEXES = {
     "chains": lambda d: d.deltas.dx, "cochains": lambda d: d.deltas.dstar_x,
     "subdivision-chains": lambda d: d.deltas.dx_prime,
-    "cell-chains": lambda d: d.cellular.rk, "dual": lambda d: d.tc,
+    "cell-chains": lambda d: d.cellular, "dual": lambda d: d.tc,
     "double-dual": lambda d: d.t2}
 
 
@@ -185,7 +185,8 @@ class KSpaceData:
         return BallComplex(self.ks, self.deltas.derived_x)
 
     @cached_property
-    def cellular(self) -> CellularComplex:
+    def cellular(self):
+        """The cell chains, keyed by their cells (T, sigma) of ``ball``."""
         return cellular_chain_complex(self.orientation, self.deltas.dx,
                                       self.dualizer.dstar_k, self.ball)
 
@@ -219,7 +220,7 @@ class KSpaceData:
     def fundamental_cycles(self) -> RKMap:
         """The cell map: cell chains -> subdivision chains."""
         return fundamental_cycle_map(self.ks, self.cellular,
-                                     self.deltas.dx_prime)
+                                     self.deltas.dx_prime, self.orientation)
 
     @cached_property
     def push(self) -> RKMap:
@@ -318,10 +319,9 @@ def check_lemmas(report: Report, target: str, data: KSpaceData):
     table = {}
     for S in maximal:
         def body(S=S):
-            rep = check_lemma_clem(data.ks.K, S, data.ring, table)
-            bad = sorted(simplex_name(s) for s, (_, ok) in rep.verdicts.items()
-                         if not ok)
-            return rep.passed, ({"failures": bad} if bad else {})
+            verdicts = check_lemma_clem(data.ks.K, S, data.ring, table)
+            return _failures(sorted(simplex_name(s) for s, (_, ok)
+                                    in verdicts.items() if not ok), None)
         _guard(report, f"assembly/contractible-star/{simplex_name(S)}",
                target, body)
 
@@ -329,7 +329,7 @@ def check_lemmas(report: Report, target: str, data: KSpaceData):
 def check_tensor(report: Report, target: str, data: KSpaceData):
     def proj_body():
         proj = projection_map(tensor_r(data.deltas.dx, data.dualizer.dstar_k),
-                              data.cellular.rk)
+                              data.cellular)
         proj.validate()
         # kernel is spanned exactly by the non-star pairs
         for q in proj.src.degrees():
@@ -340,7 +340,7 @@ def check_tensor(report: Report, target: str, data: KSpaceData):
 
     def psi_body():
         psi = hom_dual_iso(hom_rk(data.dualizer.dstar_k, data.deltas.dstar_x),
-                           data.cellular.rk)
+                           data.cellular)
         psi.validate()
         return psi.is_bijection_on_bases(), {}
     _guard(report, "tensor/hom-dual-isomorphism", target, psi_body)
@@ -366,27 +366,27 @@ def check_duality(report: Report, target: str, data: KSpaceData):
             if not t_ends:
                 # the middle of the sequence is the cochain complex itself
                 t_ends.extend(data.dualizer.object(cx)
-                              for cx in (split[0].i.src, split[0].j.tgt))
+                              for cx in (split[0].src, split[1].tgt))
             return (*split, *t_ends)
 
         def exact_body():
-            ses, top, t_sub, t_quo = ends()
+            i, j, top, t_sub, t_quo = ends()
             dz = data.dualizer
             # T reverses the arrows: T(C'') -> T(C) -> T(C')
-            ShortExactSequence(dz.map(ses.j, t_quo, data.tc),
-                               dz.map(ses.i, data.tc, t_sub)).validate()
+            validate_exact(dz.map(j, t_quo, data.tc),
+                           dz.map(i, data.tc, t_sub))
             return True, {"split-label": simplex_name(top)}
         _guard(report, "duality/exactness", target, exact_body)
 
         def rows_body():
-            ses, _, t_sub, t_quo = ends()
+            i, j, _, t_sub, t_quo = ends()
             dz = data.dualizer
-            e_sub = _collapse(dz, ses.i.src, t_sub)
-            e_quo = _collapse(dz, ses.j.tgt, t_quo)
-            tt_i = dz.map(dz.map(ses.i, data.tc, t_sub), e_sub.src, data.t2)
-            tt_j = dz.map(dz.map(ses.j, t_quo, data.tc), data.t2, e_quo.src)
-            ok = (data.e.compose(tt_i) == ses.i.compose(e_sub)
-                  and e_quo.compose(tt_j) == ses.j.compose(data.e))
+            e_sub = _collapse(dz, i.src, t_sub)
+            e_quo = _collapse(dz, j.tgt, t_quo)
+            tt_i = dz.map(dz.map(i, data.tc, t_sub), e_sub.src, data.t2)
+            tt_j = dz.map(dz.map(j, t_quo, data.tc), data.t2, e_quo.src)
+            ok = (data.e.compose(tt_i) == i.compose(e_sub)
+                  and e_quo.compose(tt_j) == j.compose(data.e))
             return ok, {}
         _guard(report, "double-dual/natural-rows", target, rows_body)
         t_ends.clear()              # freed before the larger checks below
@@ -417,11 +417,11 @@ def check_duality(report: Report, target: str, data: KSpaceData):
         ("subdivision-chains", lambda: _collapse(
             dz, data.deltas.dx_prime, data.t_sub)),
         ("cell-chains", lambda: _collapse(
-            dz, data.cellular.rk, dz.object(data.cellular.rk))))
+            dz, data.cellular, dz.object(data.cellular))))
     for key, e in collapses:
         _guard(report, f"double-dual/equivalence/{key}", target,
-               lambda e=e: _verdict(verify_diagonal_equivalence(
-                   e(), "double-dual")))
+               lambda e=e: _failures(
+                   verify_diagonal_equivalence(e()).failures(), None))
 
 
 def _collapse(dz, C, tc):
@@ -429,14 +429,11 @@ def _collapse(dz, C, tc):
     return dz.double_dual_map(C, tc, dz.square(tc))
 
 
-def _verdict(rep):
-    return rep.passed, ({"failures": rep.failures()} if not rep.passed else {})
-
-
-def _failures(failures):
+def _failures(failures, keep=5):
     """The verdict and details of a check body that found ``failures``: it
-    passes when there are none, and names the first five."""
-    return not failures, ({"failures": failures[:5]} if failures else {})
+    passes when there are none, and names the first ``keep``, or all of
+    them when ``keep`` is None."""
+    return not failures, ({"failures": failures[:keep]} if failures else {})
 
 
 def _identification(data: KSpaceData):
@@ -480,10 +477,10 @@ def check_cells(report: Report, target: str, data: KSpaceData):
     _guard(report, "cells/census", target, census_body)
 
     _guard(report, "cells/boundary-display", target, lambda: _failures(
-        verify_boundary_display(data.ks, data.cellular)))
+        verify_boundary_display(data.ks, data.cellular, data.orientation.bx)))
 
     _guard(report, "cells/homology", target,
-           lambda: _homology_of_x(data, data.cellular.rk))
+           lambda: _homology_of_x(data, data.cellular))
     _guard(report, "cells/identification-isomorphism", target,
            lambda: _identification(data))
     _guard(report, "cells/dual-homology", target,
@@ -497,7 +494,7 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
     def fact_body():
         return verify_cap_factorization(data.ks, data.fundamental_cycles,
-                                        data.cellular), {}
+                                        data.orientation), {}
     _guard(report, "cap/factorization", target, fact_body)
 
     def mono_body():
@@ -506,7 +503,7 @@ def check_cap(report: Report, target: str, data: KSpaceData):
 
     def cycles_body():
         verdicts = verify_fundamental_cycles(data.fundamental_cycles,
-                                             data.cellular)
+                                             data.ball)
         return _failures(sorted(cell_name(*cell)
                                 for cell, ok in verdicts.items() if not ok))
     _guard(report, "cap/fundamental-cycles", target, cycles_body)
@@ -523,13 +520,13 @@ def check_equivalences(report: Report, target: str, data: KSpaceData):
             data.dualizer.map(data.composite, data.t_sub, data.e.src))}
     for key, build in maps.items():
         _guard(report, f"equivalences/{key}", target,
-               lambda key=key, build=build: _verdict(
-                   verify_equivalences(key, build())))
+               lambda build=build: _failures(
+                   verify_equivalences(build()).failures(), None))
 
 
 def check_naturality(report: Report, target: str, data: KSpaceData):
     def ident_body():
-        dx, cells = data.deltas.dx, data.cellular.rk
+        dx, cells = data.deltas.dx, data.cellular
         push = induced_chain_map(kspace_identity(data.ks), dx, dx,
                                  data.orientation, data.orientation)
         return tensor_map_left(push, cells, cells) == RKMap.identity(cells), {}
@@ -543,7 +540,7 @@ def check_naturality(report: Report, target: str, data: KSpaceData):
         ball_k = BallComplex(fmap.tgt, data.deltas.derived_k)
         cells_k = cellular_chain_complex(or_k, data.push.tgt, dz.dstar_k,
                                          ball_k)
-        fk = tensor_map_left(data.push, data.cellular.rk, cells_k.rk)
+        fk = tensor_map_left(data.push, data.cellular, cells_k)
         fk.validate()
         t_pullback = dz.map(data.pullback, data.tc, data.t_k)
         iso_y = cellular_iso(t_pullback.tgt, cells_k)
@@ -587,17 +584,17 @@ def quick_sweep_kspace(report: Report, name: str, ks: KSpace, ring: Ring):
     return data
 
 
-def cell_incidence_lines(cellular) -> list:
-    """One line per cell: ``id dim sign:boundary_id ...`` with the signed
-    boundary matching the cellular boundary display."""
-    rk = cellular.rk
+def cell_incidence_lines(rk) -> list:
+    """One line per cell of the cell chains ``rk``: ``id dim
+    sign:boundary_id ...`` with the signed boundary matching the cellular
+    boundary display."""
     lines = []
     for q in rk.degrees():
         mat = rk.d(q)
-        for j, (T, sigma) in enumerate(cellular.cells[q]):
+        for j, (T, sigma) in enumerate(rk.keys[q]):
             terms = []
             for i, v in mat.column(j):
-                bid = cell_name(*cellular.cells[q - 1][i])
+                bid = cell_name(*rk.keys[q - 1][i])
                 sign = "+1" if v == rk.ring.one else str(v)
                 terms.append(f"{sign}:{bid}")
             terms.sort(key=lambda t: t.split(":", 1)[1])
@@ -690,11 +687,13 @@ def run_command(command: str, payload: dict | None, *, ring_override=None,
     elif command == "emit-cells":
         for name, ks in doc.kspaces:
             def body(ks=ks, name=name):
-                cellular = KSpaceData.build(ks, ring).cellular
-                errors = verify_boundary_display(ks, cellular)
+                data = KSpaceData.build(ks, ring)
+                errors = verify_boundary_display(ks, data.cellular,
+                                                 data.orientation.bx)
                 if errors:
                     return False, {"error": "; ".join(errors)}
-                report.tables[f"cells/{name}"] = cell_incidence_lines(cellular)
+                report.tables[f"cells/{name}"] = cell_incidence_lines(
+                    data.cellular)
                 return True, {}
             _guard(report, "emit-cells/built", name, body)
     else:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ChainComplexError, Matrix, is_acyclic
+from .linalg import ChainComplexError, Matrix
 from .rkcore import (RKComplex, RKMap, dual_star, hom_rk, delta_star_k,
                      identities)
 from .simplicial import simplex_name
@@ -58,7 +58,7 @@ def _layout(left, D, full):
     its pairs, in basis order (r, i, j): per left degree r, cuts[i], the cut
     {s: (js, rank)} of D to x_i's label (all of D when ``full``), cached on
     D, and starts: x_i⊗y_j is at starts[s][i] + rank[j] in degree r + s if j
-    is in js.  Also ints to share, and the rank of each degree."""
+    is in js.  Also ints to share."""
     count, out, cache = {}, {}, D._cuts
     for r in sorted(left):
         cuts, starts = out[r] = [], {s: [0] * len(left[r]) for s in D.spaces}
@@ -72,7 +72,7 @@ def _layout(left, D, full):
             for s, (js, _) in cut.items():
                 starts[s][i] = start = count.get(r + s, 0)
                 count[r + s] = start + len(js)
-    return out, list(range(max(count.values(), default=0))), count
+    return out, list(range(max(count.values(), default=0)))
 
 
 def left_keys(t: Tensor, keys) -> dict:
@@ -108,7 +108,7 @@ def _tensor_complex(C, D, keep_all) -> Tensor:
             "blocked tensor takes (opposite-order) ⊗ (standard-order) over one K")
     # d(x⊗y) = dx⊗y + (-1)^r x⊗dy: x_i⊗y_j goes to x'⊗y_j for x' in dx_i
     # (hits) and to x_i⊗y' for y' in dy_j, wherever the layout places them
-    layout, ints, _ = built = _layout(C.labels, D, keep_all)
+    layout, ints = built = _layout(C.labels, D, keep_all)
     labels = {r + s: [] for r in C.degrees() for s in D.degrees()}
     data = {q: {} for q in labels}
     for r, (cuts, starts) in layout.items():
@@ -164,7 +164,7 @@ def left_times_one(src, tgt, ends, mats) -> RKMap:
             and ends(src, tgt)):
         raise ChainComplexError("a degree-0 map is tensored only between the "
                                 "blocked tensors of its ends over one D")
-    (ours, ints, _), (theirs, rows, _) = src.layout, tgt.layout
+    (ours, ints), (theirs, rows) = src.layout, tgt.layout
     cols = {q: {} for q in src.degrees()}
     for r, mat in mats().items():
         (cuts, starts), (below, at) = ours[r], theirs[r]
@@ -302,9 +302,7 @@ class Dualizer:
 class EquivalenceReport:
     """Per-label cone-acyclicity verdicts for a degree-0 blocked map."""
 
-    name: str
     verdicts: dict
-    passed: bool
 
     def failures(self):
         return sorted(simplex_name(s) for s, ok in self.verdicts.items()
@@ -397,7 +395,7 @@ def reduced_cone(f: RKMap) -> RKComplex:
     return RKComplex(ring, src.K, src.op, labels, diff)
 
 
-def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
+def verify_diagonal_equivalence(f: RKMap) -> EquivalenceReport:
     """Certify a blocked map as an equivalence: every diagonal component
     must have an acyclic mapping cone.
 
@@ -411,14 +409,10 @@ def verify_diagonal_equivalence(f: RKMap, name: str) -> EquivalenceReport:
     torsion included (the Gaussian-elimination lemma), so
     :func:`reduced_cone` is acyclic exactly when every per-label cone is.
     Its differential keeps one label, so its cut to σ is the reduced cone
-    of σ's component: only when the whole verdict fails is each label
-    decided on its cut, to name the labels that fail.
+    of σ's component, and :meth:`~rkdual.rkcore.RKComplex.label_verdicts`
+    decides it whole and cuts it only to name the labels that fail.
     """
     f.src.validate()
     f.tgt.validate()
     f.validate()
-    reduced = reduced_cone(f)
-    labels = sorted(f.src.K.all_simplices(), key=f.src.K.sort_key)
-    verdicts = (dict.fromkeys(labels, True) if is_acyclic(reduced) else
-                {sigma: is_acyclic(reduced.sub({sigma})) for sigma in labels})
-    return EquivalenceReport(name, verdicts, all(verdicts.values()))
+    return EquivalenceReport(reduced_cone(f).label_verdicts())

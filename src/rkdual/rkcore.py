@@ -10,9 +10,11 @@ label cut serves everything, on :meth:`RKComplex.positions` (where the
 generators of some labels are): :meth:`RKComplex.sub` keeps them with the
 blocks between them, :meth:`RKMap.shared` places a cut in the complex it
 was cut from, and :meth:`RKMap.diagonal_component` composes the two.  A
-:class:`ShortExactSequence` is decided whole per degree and cut to a label
-only to name a failure.  :func:`star_ranks` counts the generators over
-every star of K from one scan of the labels, with no cut.
+complex whose differential keeps one label is decided whole and cut to each
+label only to name the failures, by :meth:`RKComplex.label_verdicts`: every
+equivalence's reduced cone and, by :func:`validate_exact`, every short
+exact sequence.  :func:`star_ranks` counts the generators over every star
+of K from one scan of the labels, with no cut.
 The star dual, blocked Hom, and the geometric chain/cochain complexes of a
 K-space are all built here.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .linalg import (ChainComplex, ChainComplexError, ChainMap, Matrix,
-                     is_acyclic)
+                     homology, is_acyclic)
 from .simplicial import (InputError, KSpace, SimplicialComplex, chain_complex,
                          control_kspace, derived_kspace, simplex_name)
 
@@ -112,6 +114,16 @@ class RKComplex(ChainComplex):
             self.ring, self.K, self.op,
             {q: [self.labels[q][i] for i in idxs] for q, idxs in picks.items()},
             diff, name=lambda q, i: name(q, picks[q][i]))
+
+    def label_verdicts(self) -> dict:
+        """Per simplex of K, in K's basis order, whether the cut to it is
+        acyclic, for a complex whose differential keeps one label: it is
+        the direct sum of those cuts, so it is decided whole, and only when
+        that fails is each label decided on its cut, to name the failures."""
+        labels = sorted(self.K.all_simplices(), key=self.K.sort_key)
+        if is_acyclic(self):
+            return dict.fromkeys(labels, True)
+        return {sigma: is_acyclic(self.sub({sigma})) for sigma in labels}
 
     def __repr__(self):
         ranks = {q: self.rank(q) for q in self.degrees()}
@@ -267,45 +279,39 @@ class RKMap(ChainMap):
         return f"RKMap(degree={self.degree})"
 
 
-@dataclass
-class ShortExactSequence:
-    """0 -> C' -i-> C -j-> C'' -> 0 with label-diagonal maps."""
-
-    i: RKMap
-    j: RKMap
-
-    def validate(self):
-        i, j = self.i, self.j
-        if i.tgt is not j.src:
-            raise ChainComplexError("sequence maps do not compose")
-        if i.degree != 0 or j.degree != 0:
-            raise ChainComplexError("sequence maps must have degree 0")
-        for f in (i, j):
-            f.validate()
-            if any(f.tgt.labels[q][r] != f.src.labels[q][c]
-                   for q, mat in f.comps.items()
-                   for c, col in mat.columns() for r, _ in col):
-                raise ChainComplexError("sequence map is not label-diagonal")
-        if not all(m.is_zero() for m in j.compose(i).comps.values()):
-            raise ChainComplexError("j∘i != 0")
-        # per degree q the sequence is the three-term complex C'_q -> C_q ->
-        # C''_q, and with label-diagonal maps that is the direct sum of its
-        # one-label cuts: decide each degree whole, and cut the failing
-        # ones to each label only to name the first
-        sides, inexact = (i.src, i.tgt, j.tgt), []
-        for q in sorted(set().union(*(C.degrees() for C in sides))):
-            three = RKComplex(i.src.ring, i.src.K, i.src.op, {
-                2 - n: C.labels.get(q, ()) for n, C in enumerate(sides)},
-                {2: i.component(q), 1: j.component(q)})
-            if not is_acyclic(three):
-                inexact.append((q, three))
-        for sigma in sorted(set().union(*(t.label_set() for _, t in inexact))):
-            for q, three in inexact:
-                if not is_acyclic(three.sub({sigma})):
-                    raise ChainComplexError(
-                        f"not exact at label {simplex_name(sigma)}, "
-                        f"degree {q}")
-        return self
+def validate_exact(i: RKMap, j: RKMap):
+    """Raise unless 0 -> C' -i-> C -j-> C'' -> 0 is a short exact sequence
+    of label-diagonal degree-0 maps; name the first failing label in K's
+    basis order, at its lowest inexact degree."""
+    if i.tgt is not j.src:
+        raise ChainComplexError("sequence maps do not compose")
+    if i.degree != 0 or j.degree != 0:
+        raise ChainComplexError("sequence maps must have degree 0")
+    for f in (i, j):
+        f.validate()
+        if any(f.tgt.labels[q][r] != f.src.labels[q][c]
+               for q, mat in f.comps.items()
+               for c, col in mat.columns() for r, _ in col):
+            raise ChainComplexError("sequence map is not label-diagonal")
+    if not all(m.is_zero() for m in j.compose(i).comps.values()):
+        raise ChainComplexError("j∘i != 0")
+    # per degree q the sequence is the three-term complex C'_q -> C_q ->
+    # C''_q; the k-th degree's sits in degrees 3k + 2, 3k + 1 and 3k of one
+    # complex, which with label-diagonal maps keeps one label
+    sides = (i.src, i.tgt, j.tgt)
+    qs = sorted(set().union(*(C.degrees() for C in sides)))
+    labels, diff = {}, {}
+    for k, q in enumerate(qs):
+        labels.update((3 * k + 2 - n, C.labels.get(q, ()))
+                      for n, C in enumerate(sides))
+        diff.update({3 * k + 2: i.component(q), 3 * k + 1: j.component(q)})
+    three = RKComplex(i.src.ring, i.src.K, i.src.op, labels, diff)
+    for sigma, ok in three.label_verdicts().items():
+        if not ok:
+            n = min(n for n, h in homology(three.sub({sigma})).items()
+                    if not h.is_trivial())
+            raise ChainComplexError(f"not exact at label {simplex_name(sigma)}"
+                                    f", degree {qs[n // 3]}")
 
 
 def dual_star(C: RKComplex) -> RKComplex:
@@ -439,11 +445,13 @@ def delta_complexes(ks: KSpace, ring, basis=None) -> DeltaComplexes:
 def maximal_label_ses(C: RKComplex):
     """Split off the generators at a maximal-dimension label.
 
-    Returns (SES, label): C' is the subcomplex of generators labeled by a
-    label of maximum dimension among those present, C'' the quotient.  Used
-    to exercise the induction step that reduces a general complex to one
-    concentrated at a single simplex.  Returns None when C has at most one
-    label.  Over the opposite order a top label is no subcomplex: raises.
+    Returns (i, j, label), the validated maps of the short exact sequence
+    0 -> C' -i-> C -j-> C'' -> 0 and its label: C' is the subcomplex of
+    generators labeled by a label of maximum dimension among those present,
+    C'' the quotient.  Used to exercise the induction step that reduces a
+    general complex to one concentrated at a single simplex.  Returns None
+    when C has at most one label.  Over the opposite order a top label is
+    no subcomplex: raises.
     """
     if C.op:
         raise ChainComplexError("maximal-label split needs a complex over "
@@ -451,19 +459,10 @@ def maximal_label_ses(C: RKComplex):
     labels = sorted(C.label_set(), key=lambda s: (len(s), s))
     if len(labels) < 2:
         return None
-    ses = ShortExactSequence(RKMap.shared(C.sub({labels[-1]}), C),
-                             RKMap.shared(C, C.sub(set(labels[:-1]))))
-    return ses.validate(), labels[-1]
-
-
-@dataclass
-class ClemReport:
-    """Per-label verdicts for the contractible-star computation of a closed
-    maximal simplex."""
-
-    S: tuple
-    verdicts: dict
-    passed: bool
+    i = RKMap.shared(C.sub({labels[-1]}), C)
+    j = RKMap.shared(C, C.sub(set(labels[:-1])))
+    validate_exact(i, j)
+    return i, j, labels[-1]
 
 
 def simplex_lemma(n, ring):
@@ -490,8 +489,9 @@ def simplex_lemma(n, ring):
     return dstar, faces
 
 
-def check_lemma_clem(K: SimplicialComplex, S, ring, table=None) -> ClemReport:
-    """Cochains of the closed simplex S, assembled over each star.
+def check_lemma_clem(K: SimplicialComplex, S, ring, table=None) -> dict:
+    """Cochains of the closed simplex S, assembled over each star: per
+    simplex of K, what its star-assembly must be and whether it is.
 
     For a maximal S the star-assembly is acyclic at every other face of S,
     at S itself it is one copy of the ring in degree -dim S, and off S it
@@ -516,4 +516,4 @@ def check_lemma_clem(K: SimplicialComplex, S, ring, table=None) -> ClemReport:
     verdicts = {sigma: ("zero", ranks[sigma][0] == 0)
                 for sigma in K.all_simplices()}
     verdicts.update((relabel[face], v) for face, v in faces.items())
-    return ClemReport(S, verdicts, all(ok for _, ok in verdicts.values()))
+    return verdicts

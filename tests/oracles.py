@@ -26,8 +26,8 @@ from rkdual.capproduct import cap_product, cochain_pullback
 from rkdual.duality import left_keys, projection_map, tensor_r
 from rkdual.linalg import (ChainComplex, ChainComplexError, ChainMap,
                            Matrix, is_acyclic)
-from rkdual.rkcore import (ClemReport, RKComplex, RKMap, delta_chain,
-                           dual_star, identities, star_ranks)
+from rkdual.rkcore import (RKComplex, RKMap, delta_chain, dual_star,
+                           identities, star_ranks)
 from rkdual.simplicial import (InputError, KSpace, SimplicialComplex,
                                SimplicialMap, simplex_name, validate_kspace)
 
@@ -200,12 +200,12 @@ def diagonal(f: RKMap) -> ChainMap:
 
 def exactness_by_components(i: RKMap, j: RKMap):
     """Where the label-diagonal sequence C' -i-> C -j-> C'' with j∘i = 0 is
-    not exact, label by label: the first label, in sorted order, whose
+    not exact, label by label: the first label, in K's basis order, whose
     diagonal components of i and j make a plain three-term complex
     C'_q -> C_q -> C''_q with homology in some degree q, and the sorted
     degrees where they do; None when every label's sequence is exact."""
     labels = i.src.label_set() | i.tgt.label_set() | j.tgt.label_set()
-    for sigma in sorted(labels):
+    for sigma in sorted(labels, key=i.src.K.sort_key):
         a, b = i.diagonal_component(sigma), j.diagonal_component(sigma)
         degrees = [q for q in sorted(set(a.src.degrees())
                                      | set(b.src.degrees())
@@ -403,7 +403,7 @@ def star_splitting_by_cuts(dx: RKComplex) -> dict:
     return verdicts
 
 
-def lemma_on_its_own_cochains(K, S, ring) -> ClemReport:
+def lemma_on_its_own_cochains(K, S, ring) -> dict:
     """The contractible-star lemma at the maximal simplex S of K, on the
     cochains of the closed simplex S itself, built, validated, counted and
     cut to each star at S alone."""
@@ -424,7 +424,7 @@ def lemma_on_its_own_cochains(K, S, ring) -> ClemReport:
                                sub.total_rank() == sub.rank(1 - len(S)) == 1)
         else:
             verdicts[sigma] = ("acyclic", is_acyclic(dstar.sub(K.star(sigma))))
-    return ClemReport(S, verdicts, all(ok for _, ok in verdicts.values()))
+    return verdicts
 
 
 def cap_on_the_full_tensor(data):
@@ -433,11 +433,11 @@ def cap_on_the_full_tensor(data):
     blocked one, for the objects ``data`` (a ``KSpaceData``) of a K-space.
     The cap factorization holds when the first map equals the cell map
     ``data.fundamental_cycles`` after the second."""
-    ks, cellular, dx = data.ks, data.cellular, data.deltas.dx
-    bx = cellular.orientation.bx
+    ks, orientation, dx = data.ks, data.orientation, data.deltas.dx
+    bx = orientation.bx
     pullback = {rho: dict(pairs) for rho, pairs in
-                cochain_pullback(ks, cellular.orientation).items()}
-    proj = projection_map(tensor_r(dx, data.dualizer.dstar_k), cellular.rk)
+                cochain_pullback(ks, orientation).items()}
+    proj = projection_map(tensor_r(dx, data.dualizer.dstar_k), data.cellular)
     dxp, full = data.deltas.dx_prime, proj.src
     simplices = left_keys(full, dx.keys)
 

@@ -40,8 +40,8 @@ def cell_map_of(fmap, or_src, or_tgt):
     push = induced_chain_map(fmap, delta_chain(fmap.src, ZZ, or_src.bx),
                              delta_chain(fmap.tgt, ZZ, or_tgt.bx),
                              or_src, or_tgt)
-    return tensor_map_left(push, cellular_of(fmap.src, or_src).rk,
-                           cellular_of(fmap.tgt, or_tgt).rk)
+    return tensor_map_left(push, cellular_of(fmap.src, or_src),
+                           cellular_of(fmap.tgt, or_tgt))
 
 
 # --------------------------------------------------------------- dual cells
@@ -149,14 +149,14 @@ def test_standard_orientation_twists_odd_fibers(edge_ks):
 def test_cellular_point(corpus):
     orient = OrientationPair.standard(corpus["pt"])
     cx = cellular_of(corpus["pt"], orient)
-    assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 1}
+    assert {q: cx.rank(q) for q in cx.degrees()} == {0: 1}
 
 
 def test_cellular_hexagon_ranks_and_homology(hex_ks):
     orient = OrientationPair.standard(hex_ks)
     cx = cellular_of(hex_ks, orient)
-    assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 12, 1: 12}
-    cell_h = homology(cx.rk)
+    assert {q: cx.rank(q) for q in cx.degrees()} == {0: 12, 1: 12}
+    cell_h = homology(cx)
     assert same_homology(cell_h, homology(chain_complex(hex_ks.X, ZZ)))
     assert (cell_h[0].betti, cell_h[1].betti) == (1, 1)
     assert cell_h[0].torsion == () and cell_h[1].torsion == ()
@@ -165,8 +165,8 @@ def test_cellular_hexagon_ranks_and_homology(hex_ks):
 def test_cellular_identity_triangle_ranks_and_homology(id2_ks):
     orient = OrientationPair.standard(id2_ks)
     cx = cellular_of(id2_ks, orient)
-    assert {q: cx.rk.rank(q) for q in cx.rk.degrees()} == {0: 7, 1: 9, 2: 3}
-    cell_h = homology(cx.rk)
+    assert {q: cx.rank(q) for q in cx.degrees()} == {0: 7, 1: 9, 2: 3}
+    cell_h = homology(cx)
     assert same_homology(cell_h, homology(chain_complex(id2_ks.X, ZZ)))
     assert cell_h[0].betti == 1
     assert all(cell_h[q].is_trivial() for q in cell_h if q != 0)
@@ -184,14 +184,14 @@ def test_cellular_boundary_display_and_units(corpus):
     for name, ks in corpus.items():
         orient = OrientationPair.standard(ks)
         cx = cellular_of(ks, orient)
-        assert not verify_boundary_display(ks, cx), name
-        cx.rk.validate()
+        assert not verify_boundary_display(ks, cx, orient.bx), name
+        cx.validate()
 
 
 def test_cellular_boundary_of_a_half_edge(edge_ks):
     orient = OrientationPair.standard(edge_ks)
     cx = cellular_of(edge_ks, orient)
-    rk = cx.rk
+    rk = cx
     j = [rk.name(1, k) for k in range(rk.rank(1))].index("<a.b>⊗<a>*")
     col = {rk.name(0, i): v
            for (i, jj), v in rk.d(1).entries() if jj == j}
@@ -239,8 +239,8 @@ def test_identity_map_induces_the_identity(hex_ks):
     fid = cell_map_of(kspace_identity(hex_ks), orient, orient)
     cx = cellular_of(hex_ks, orient)
     # fid runs between cells built apart from cx: equal labels, one identity
-    assert fid.src.labels == fid.tgt.labels == cx.rk.labels
-    assert fid == RKMap(fid.src, fid.tgt, RKMap.identity(cx.rk).comps)
+    assert fid.src.labels == fid.tgt.labels == cx.labels
+    assert fid == RKMap(fid.src, fid.tgt, RKMap.identity(cx).comps)
 
 
 def test_hexagon_covering_sends_one_cells_to_one_cells(hex_ks):
@@ -302,7 +302,7 @@ def test_naturality_square_for_control_and_identity(corpus):
             data_x.dualizer.map(pullback, data_x.tc, data_y.tc))
         # fk runs between cells built apart: seat it on those each side holds
         assert (fk.src.labels, fk.tgt.labels) == (
-            data_x.cellular.rk.labels, data_y.cellular.rk.labels)
-        fk = RKMap(data_x.cellular.rk, data_y.cellular.rk, fk.comps)
+            data_x.cellular.labels, data_y.cellular.labels)
+        fk = RKMap(data_x.cellular, data_y.cellular, fk.comps)
         rhs = fk.compose(data_x.iso)
         assert lhs == rhs, name

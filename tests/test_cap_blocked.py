@@ -148,12 +148,12 @@ def test_the_cap_factorization_on_the_blocked_tensor_is_the_full_one(name):
     ks, data = cell_map(name)
     cmap = data.fundamental_cycles
     lhs, proj = cap_on_the_full_tensor(data)
-    assert capproduct.verify_cap_factorization(ks, cmap, data.cellular)
+    assert capproduct.verify_cap_factorization(ks, cmap, data.orientation)
     assert lhs == cmap.compose(proj)
     # only a face S of T caps against T, and then pi(S) = rho ⊆ pi(T): the
     # cap has no entry at a pair T ⊗ rho* the projection kills
     full, simplices = lhs.src, left_keys(lhs.src, data.deltas.dx.keys)
-    assert full.total_rank() > data.cellular.rk.total_rank() or name == "pt"
+    assert full.total_rank() > data.cellular.total_rank() or name == "pt"
     for q, mat in lhs.comps.items():
         for k, _ in mat.columns():
             assert set(full.labels[q][k]) <= set(ks.pi.image(simplices[q][k]))
@@ -173,5 +173,5 @@ def test_a_negated_cell_map_entry_fails_both_factorizations(name):
         comps = {**cmap.comps, q: Matrix(
             data.ring, cmap.comps[q].nrows, cmap.comps[q].ncols, entries)}
         bad = RKMap(cmap.src, cmap.tgt, comps)
-        assert not capproduct.verify_cap_factorization(ks, bad, data.cellular)
+        assert not capproduct.verify_cap_factorization(ks, bad, data.orientation)
         assert lhs != bad.compose(proj)

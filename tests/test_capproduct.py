@@ -28,7 +28,8 @@ def build(*maximal):
 def cell_map(ks, ring=ZZ):
     """The cell map of ``ks``, with the objects of ``ks`` it maps between."""
     data = KSpaceData.build(ks, ring)
-    return fundamental_cycle_map(ks, data.cellular, data.deltas.dx_prime), data
+    return fundamental_cycle_map(ks, data.cellular, data.deltas.dx_prime,
+                                 data.orientation), data
 
 
 # --------------------------------------------------------------- flag signs
@@ -121,7 +122,7 @@ def test_cell_map_point_is_the_identity(corpus):
 
 def test_cell_map_values_on_identity_edge(edge_ks):
     cmap, data = cell_map(edge_ks)
-    rk = data.cellular.rk
+    rk = data.cellular
     cols = {}
     for q in rk.degrees():
         for (i, j), v in cmap.component(q).entries():
@@ -147,7 +148,7 @@ def test_cell_map_matches_the_plain_cap_on_unadjusted_bases(edge_ks):
 
 def test_cell_map_unit_entries_and_injectivity_on_hexagon(hex_ks):
     cmap, data = cell_map(hex_ks)
-    for q in data.cellular.rk.degrees():
+    for q in data.cellular.degrees():
         for _, v in cmap.component(q).entries():
             assert v in (1, -1)
         mat = cmap.component(q)
@@ -159,40 +160,40 @@ def test_cell_map_factorization_on_corpus(corpus):
     for name, ks in corpus.items():
         data = KSpaceData.build(ks, ZZ)
         assert verify_cap_factorization(ks, data.fundamental_cycles,
-                                        data.cellular), name
+                                        data.orientation), name
 
 
 # ------------------------------------------------------- fundamental cycles
 
 def test_fundamental_cycle_of_the_barycenter_cell(edge_ks):
     cmap, data = cell_map(edge_ks)
-    ball = data.cellular.ball
-    cell = ball.cell(("a", "b"), ("a", "b"))
+    ball = data.ball
+    cell = ball.cells[("a", "b"), ("a", "b")]
     assert cell.dim == 0
     assert not cell.inner_boundary and not cell.outer_boundary
-    verdicts = verify_fundamental_cycles(cmap, data.cellular)
+    verdicts = verify_fundamental_cycles(cmap, data.ball)
     assert verdicts[("a", "b"), ("a", "b")]
 
 
 def test_fundamental_cycle_of_a_two_cell(id2_ks):
     cmap, data = cell_map(id2_ks)
-    ball = data.cellular.ball
-    cell = ball.cell(("a", "b", "c"), ("a",))
+    ball = data.ball
+    cell = ball.cells[("a", "b", "c"), ("a",)]
     assert cell.dim == 2
     tops = [c for c in cell.simplices if len(c) == 3]
     assert len(tops) == 2
-    rk = data.cellular.rk
+    rk = data.cellular
     j = [rk.name(2, k) for k in range(rk.rank(2))].index("<a.b.c>⊗<a>*")
     col = {data.deltas.dx_prime.keys[2][i]: v
            for (i, jj), v in cmap.component(2).entries() if jj == j}
     assert set(col) == set(tops)
     assert all(v in (1, -1) for v in col.values())
-    assert all(verify_fundamental_cycles(cmap, data.cellular).values())
+    assert all(verify_fundamental_cycles(cmap, data.ball).values())
 
 
 def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
     cmap, data = cell_map(hex_ks)
-    assert all(verify_fundamental_cycles(cmap, data.cellular).values())
+    assert all(verify_fundamental_cycles(cmap, data.ball).values())
     for q in (1,):
         mat = cmap.component(q)
         per_col = {}
@@ -205,7 +206,7 @@ def test_fundamental_cycles_on_hexagon_one_cells(hex_ks):
 def test_fundamental_cycles_on_corpus(corpus):
     for name, ks in corpus.items():
         cmap, data = cell_map(ks)
-        verdicts = verify_fundamental_cycles(cmap, data.cellular)
+        verdicts = verify_fundamental_cycles(cmap, data.ball)
         assert all(verdicts.values()), name
 
 

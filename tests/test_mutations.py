@@ -356,7 +356,7 @@ def test_an_entry_of_the_square_of_the_cell_chains_breaks_d_squared(
     # chains) and no other
     cells, duals = [], []
     patch_lazy(monkeypatch, KSpaceData, "cellular",
-               lambda self, cellular: cells.append(cellular.rk) or cellular)
+               lambda self, cellular: cells.append(cellular) or cellular)
     obj, square = Dualizer.object, Dualizer.square
 
     def dual(self, C):

@@ -33,7 +33,7 @@ def test_names_match_the_pinned_names_on_hex():
     H, HK, _ = data.dualizer.evaluation(data.deltas.dstar_x)
     complexes = {
         "dx": data.deltas.dx, "dstar_x": data.deltas.dstar_x,
-        "dx_prime": data.deltas.dx_prime, "cells": data.cellular.rk,
+        "dx_prime": data.deltas.dx_prime, "cells": data.cellular,
         "tc": data.tc, "t2": data.t2, "t_sub": data.t_sub, "H": H, "HK": HK}
     with open(NAMES, encoding="utf-8") as fh:
         want = json.load(fh)

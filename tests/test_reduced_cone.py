@@ -165,7 +165,7 @@ def assert_certified_as_its_cones(f):
     f.tgt.validate()
     f.validate()
     assert_reduced_is_the_cone(f)
-    assert verify_diagonal_equivalence(f, "random").failures() == (
+    assert verify_diagonal_equivalence(f).failures() == (
         per_label_failures(f))
 
 

@@ -11,7 +11,7 @@ from rkdual.rings import GF2, ZZ
 from rkdual.rkcore import (RKComplex, RKMap, check_lemma_clem,
                            delta_chain, delta_complexes, delta_star_k,
                            dual_star, dual_star_map, hom_rk, is_full,
-                           maximal_label_ses)
+                           maximal_label_ses, validate_exact)
 from rkdual.simplicial import InputError, SimplicialComplex
 from rkdual.ballcomplex import OrientationPair, induced_chain_map
 from rkdual.simplicial import control_map
@@ -243,18 +243,18 @@ def test_delta_complexes_validate_on_corpus(corpus):
 
 def test_contractible_star_for_the_edge():
     K = build("ab")
-    rep = check_lemma_clem(K, ("a", "b"), ZZ)
-    assert rep.passed
-    assert rep.verdicts[("a",)][0] == "acyclic"
-    assert rep.verdicts[("a", "b")][0] == "rank one at top degree"
+    verdicts = check_lemma_clem(K, ("a", "b"), ZZ)
+    assert all(ok for _, ok in verdicts.values())
+    assert verdicts[("a",)][0] == "acyclic"
+    assert verdicts[("a", "b")][0] == "rank one at top degree"
 
 
 def test_contractible_star_zero_off_the_simplex():
     K = build("ab", "bc")
-    rep = check_lemma_clem(K, ("a", "b"), ZZ)
-    assert rep.passed
-    assert rep.verdicts[("c",)][0] == "zero"
-    assert rep.verdicts[("b", "c")][0] == "zero"
+    verdicts = check_lemma_clem(K, ("a", "b"), ZZ)
+    assert all(ok for _, ok in verdicts.values())
+    assert verdicts[("c",)][0] == "zero"
+    assert verdicts[("b", "c")][0] == "zero"
 
 
 def test_contractible_star_requires_maximal():
@@ -265,8 +265,8 @@ def test_contractible_star_requires_maximal():
 
 def test_contractible_star_triangle_all_labels():
     K = build("abc")
-    rep = check_lemma_clem(K, ("a", "b", "c"), ZZ)
-    assert rep.passed
+    verdicts = check_lemma_clem(K, ("a", "b", "c"), ZZ)
+    assert all(ok for _, ok in verdicts.values())
 
 
 # ---------------------------------------------------------------- sequences
@@ -286,9 +286,9 @@ def test_star_splitting_is_exact(hex_ks):
 
 def test_maximal_label_split_validates(hex_ks):
     dc = delta_complexes(hex_ks, ZZ)
-    ses, top = maximal_label_ses(dc.dstar_x)
+    i, j, top = maximal_label_ses(dc.dstar_x)
     assert len(top) == 2                      # an edge of the control complex
-    ses.validate()
+    validate_exact(i, j)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -341,12 +341,12 @@ def test_label_cuts_are_the_dense_blocks(name):
     if split is None:
         assert len(C.label_set()) == 1
         return
-    ses, top = split
+    i, j, top = split
     rest = C.label_set() - {top}
     for q in C.degrees():
-        assert to_rows(ses.i.component(q)) == inclusion_rows(
+        assert to_rows(i.component(q)) == inclusion_rows(
             C.rank(q), picks(C, q, {top}))
-        assert to_rows(ses.j.component(q)) == projection_rows(
+        assert to_rows(j.component(q)) == projection_rows(
             C.rank(q), picks(C, q, rest))
 
 

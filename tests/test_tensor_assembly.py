@@ -89,10 +89,10 @@ def dualized_maps(data):
     inclusion and projection of the cochain split, the pullback along the
     control map and the cell map after the cellular identification."""
     dz = data.dualizer
-    ses, _ = maximal_label_ses(data.deltas.dstar_x)
-    t_sub, t_quo = dz.object(ses.i.src), dz.object(ses.j.tgt)
-    return [("inclusion", ses.i, data.tc, t_sub),
-            ("projection", ses.j, t_quo, data.tc),
+    i, j, _ = maximal_label_ses(data.deltas.dstar_x)
+    t_sub, t_quo = dz.object(i.src), dz.object(j.tgt)
+    return [("inclusion", i, data.tc, t_sub),
+            ("projection", j, t_quo, data.tc),
             ("pullback", data.pullback, data.tc, data.t_k),
             ("composite", data.composite, data.t_sub, data.t2)]
 
